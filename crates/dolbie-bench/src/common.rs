@@ -1,11 +1,12 @@
 //! Shared plumbing for the figure-regeneration experiments.
 
 use dolbie_baselines::paper_suite;
-use dolbie_core::LoadBalancer;
+use dolbie_core::{run_episode, Allocation, Dolbie, EpisodeOptions, LoadBalancer};
 use dolbie_metrics::{plot, Table};
 use dolbie_mlsim::{
     run_training, Cluster, ClusterConfig, MlModel, TrainingConfig, TrainingOutcome,
 };
+use dolbie_net::shard::{run_sharded_loopback, RootReport, ShardedConfig, ShardedLoopbackRun};
 use std::path::{Path, PathBuf};
 
 /// The algorithm display order used throughout the paper's figures.
@@ -67,6 +68,45 @@ pub fn emit_svg(name: &str, config: &plot::PlotConfig, series: &[plot::Series]) 
         Ok(()) => println!("  wrote {}", path.display()),
         Err(e) => eprintln!("  failed to write {}: {e}", path.display()),
     }
+}
+
+/// Runs the TCP tree over loopback and asserts it completed the horizon
+/// without an epoch, its trajectory bitwise the sequential engine's.
+/// Panicking here is deliberate: a CSV row claiming parity that does not
+/// hold would be worse than no row.
+pub fn run_tree_bitwise(cfg: &ShardedConfig) -> ShardedLoopbackRun {
+    let (n, m) = (cfg.num_workers, cfg.num_shards);
+    let run = run_sharded_loopback(cfg).expect("loopback TCP tree");
+    assert_eq!(run.root.rounds.len(), cfg.rounds);
+    assert!(run.root.epochs.is_empty(), "no worker may be lost to connect or deadline pressure");
+    let mut sequential = Dolbie::with_config(Allocation::uniform(n), cfg.dolbie);
+    let mut driver = cfg.env.environment(n);
+    let trace = run_episode(&mut sequential, &mut driver, EpisodeOptions::new(cfg.rounds));
+    let reference = trace.records.iter().map(|r| &r.allocation);
+    let stitched = run.allocations();
+    assert_eq!(stitched.len(), cfg.rounds + 1);
+    for (t, (net, seq)) in
+        stitched.iter().zip(reference.chain([sequential.allocation()])).enumerate()
+    {
+        for (i, x) in net.iter().enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                seq.share(i).to_bits(),
+                "N = {n}, M = {m}: round {t}, worker {i} diverged from the sequential engine"
+            );
+        }
+    }
+    run
+}
+
+/// Steady-state rounds per second of a tree run: rounds 1..T from the
+/// root's per-round commit stamps. Round 0 is left out because it
+/// absorbs the shard-masters' worker admission (the root's clock starts
+/// once the backbone is up).
+pub fn steady_rounds_per_s(root: &RootReport) -> f64 {
+    let stamps: Vec<f64> = root.rounds.iter().map(|r| r.elapsed).collect();
+    assert!(stamps.len() >= 2, "a steady-state rate needs at least two rounds");
+    (stamps.len() - 1) as f64 / (stamps[stamps.len() - 1] - stamps[0]).max(1e-9)
 }
 
 /// Percentage reduction of `ours` relative to `baseline`.

@@ -1,7 +1,8 @@
 //! Experiment X4 (extension): the real TCP runtime over loopback.
 //!
-//! Runs the `dolbie-net` master-worker runtime — real sockets, real wire
-//! bytes — in three scenarios and writes `results/net_loopback.csv`:
+//! Runs the `dolbie-net` master-worker runtime — the `M = 1` tree, real
+//! sockets, real wire bytes — in three scenarios and writes
+//! `results/net_loopback.csv`:
 //!
 //! - `lossless_n4` and `lossless_n16`: clean loopback links; the
 //!   trajectory must be **bitwise identical** to the sequential engine
@@ -12,96 +13,58 @@
 //!   frames, so the trajectory is *still* bitwise the sequential one —
 //!   what changes is the wire bill, which the CSV records.
 //!
-//! Columns: logical protocol messages vs actual frames on the wire vs
-//! bytes, plus retransmissions/acks/duplicates and wall-clock throughput.
-//! Wall-clock columns vary run to run (they measure this machine), and
-//! the lossy row's wire counters can drift by a frame or two between
-//! runs (an ack racing its retransmission timer is real-time, not
-//! simulated) — the *trajectory* stays bitwise pinned regardless; the
-//! lossless rows are fully deterministic.
+//! Columns: logical protocol messages vs actual frames on the worker
+//! links vs bytes, plus retransmissions/acks/duplicates and wall-clock
+//! throughput over the shard-master's clock, which starts when worker
+//! admission ends; then the root's logical backbone frames and its time
+//! to round 0's commit, admission included. Wall-clock columns vary run
+//! to run (they measure this machine), and the lossy row's wire counters
+//! can drift by a frame or two between runs (an ack racing its
+//! retransmission timer is real-time, not simulated) — the *trajectory*
+//! stays bitwise pinned regardless; the lossless rows are fully
+//! deterministic.
 
-use crate::common::emit_csv;
-use dolbie_core::{run_episode, Allocation, Dolbie, DolbieConfig, EpisodeOptions, LoadBalancer};
+use crate::common::{emit_csv, run_tree_bitwise};
 use dolbie_metrics::Table;
 use dolbie_net::env::{EnvKind, WireEnvSpec};
-use dolbie_net::loopback::{run_loopback, LoopbackOptions, LoopbackRun};
-use dolbie_net::master::MasterConfig;
+use dolbie_net::shard::ShardedConfig;
 use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
 
 const ENV_SEED: u64 = 0xD01B_0E75;
 const FULL_ROUNDS: usize = 500;
 const QUICK_ROUNDS: usize = 60;
 
-/// Asserts the run's trajectory is bitwise the sequential engine's and
-/// returns `"yes"` for the CSV. Panicking here is deliberate: a CSV row
-/// claiming parity that does not hold would be worse than no row.
-fn check_bitwise(run: &LoopbackRun, env: WireEnvSpec, n: usize, rounds: usize) -> &'static str {
-    let mut sequential = Dolbie::with_config(Allocation::uniform(n), DolbieConfig::new());
-    let mut driver = env.environment(n);
-    let trace = run_episode(&mut sequential, &mut driver, EpisodeOptions::new(rounds));
-    for (t, (net_round, seq_round)) in
-        run.report.trace.rounds.iter().zip(&trace.records).enumerate()
-    {
-        for i in 0..n {
-            assert_eq!(
-                net_round.allocation.share(i).to_bits(),
-                seq_round.allocation.share(i).to_bits(),
-                "round {t}, worker {i}: TCP trajectory diverged from the sequential engine"
-            );
-        }
-    }
-    for i in 0..n {
-        assert_eq!(
-            run.report.final_allocation.share(i).to_bits(),
-            sequential.allocation().share(i).to_bits(),
-            "final allocation diverged at worker {i}"
-        );
-    }
-    "yes"
-}
-
-fn scenario(table: &mut Table, name: &str, n: usize, rounds: usize, fault: Option<FaultPlan>) {
+fn scenario(table: &mut Table, name: &str, n: usize, rounds: usize, fault: FaultPlan) {
     let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: ENV_SEED + n as u64 };
-    let mut cfg = MasterConfig::new(n, rounds, env);
-    let lossy = fault.is_some();
-    if let Some(plan) = fault {
-        cfg = cfg.with_fault_plan(plan);
-    }
-    let mut opts = LoopbackOptions::new(cfg);
-    if lossy {
-        // The plan's probabilities/seed are authoritative from `Welcome`;
-        // only the retransmission pacing is tightened for a brisk run.
-        opts.worker.retry = Some(RetryPolicy::new(0.01, 1.5, 6));
-    }
-    let run = run_loopback(&opts).expect("loopback run");
-    let report = &run.report;
-    assert_eq!(report.trace.rounds.len(), rounds);
-    let bitwise = check_bitwise(&run, env, n, rounds);
-
-    let wire = &report.wire;
-    let logical = report.trace.total_messages();
-    let frames = wire.frames_sent;
-    let wall = report.wall_clock;
+    let run = run_tree_bitwise(&ShardedConfig::new(n, 1, rounds, env).with_fault_plan(fault));
+    let shard = &run.shards[0];
+    let logical: usize = shard.rounds.iter().map(|r| r.messages).sum();
+    let backbone: usize = run.root.rounds.iter().map(|r| r.messages).sum();
+    let wire = &shard.wire;
+    let wall = shard.wall_clock;
+    let first = run.root.rounds[0].elapsed;
+    let rate = rounds as f64 / wall.max(1e-9);
     table.push_row(vec![
         name.to_string(),
         n.to_string(),
         rounds.to_string(),
         logical.to_string(),
-        frames.to_string(),
+        wire.frames_sent.to_string(),
         wire.bytes_sent.to_string(),
         wire.retransmissions.to_string(),
         wire.acks.to_string(),
         wire.duplicates.to_string(),
         format!("{wall:.3}"),
-        format!("{:.1}", rounds as f64 / wall.max(1e-9)),
-        bitwise.to_string(),
+        format!("{rate:.1}"),
+        "yes".to_string(),
+        backbone.to_string(),
+        format!("{first:.3}"),
     ]);
     println!(
-        "  {name}: {rounds} rounds, {logical} logical messages as {frames} frames / {} bytes \
-         ({} retransmissions), {:.1} rounds/s, bitwise vs sequential: {bitwise}",
-        wire.bytes_sent,
-        wire.retransmissions,
-        rounds as f64 / wall.max(1e-9),
+        "  {name}: {rounds} rounds, {logical} logical messages as {} frames / {} bytes \
+         ({} retransmissions), {rate:.1} rounds/s, {backbone} backbone frames, bitwise vs \
+         sequential: yes",
+        wire.frames_sent, wire.bytes_sent, wire.retransmissions,
     );
 }
 
@@ -122,14 +85,18 @@ pub fn net_named(name: &str, quick: bool) {
         "wall_clock_s",
         "rounds_per_s",
         "bitwise_vs_sequential",
+        "backbone_frames",
+        "first_round_s",
     ]);
-    scenario(&mut table, "lossless_n4", 4, rounds, None);
-    scenario(&mut table, "lossless_n16", 16, rounds, None);
+    scenario(&mut table, "lossless_n4", 4, rounds, FaultPlan::none());
+    scenario(&mut table, "lossless_n16", 16, rounds, FaultPlan::none());
+    // The plan's probabilities/seed ship in `Welcome`; its retry pacing,
+    // tightened for a brisk run, drives both link directions.
     let plan = FaultPlan::seeded(0xBE)
         .with_drop_probability(0.10)
         .with_duplicate_probability(0.05)
         .with_retry(RetryPolicy::new(0.01, 1.5, 6));
-    scenario(&mut table, "lossy_n4", 4, rounds.min(QUICK_ROUNDS), Some(plan));
+    scenario(&mut table, "lossy_n4", 4, rounds.min(QUICK_ROUNDS), plan);
     emit_csv(&table, name);
     println!("  every scenario held bitwise parity with the sequential engine.");
 }

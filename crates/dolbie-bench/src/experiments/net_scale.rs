@@ -1,12 +1,13 @@
 //! Experiment X5 (extension): how the TCP runtime scales with fleet size.
 //!
-//! Runs real loopback fleets at N ∈ {256, 1024, 4096} under the
-//! event-driven master (and the blocking master at the smaller sizes, as
-//! the baseline it replaces) and writes rounds/s and bytes/s per
-//! configuration to `results/net_scale.csv`. The quick variant used by
-//! the tier-1 smoke runs smaller fleets and writes
-//! `results/net_scale_quick.csv`, so a smoke run never clobbers the full
-//! measurement.
+//! Runs real loopback fleets at N ∈ {256, 1024, 4096} under the `M = 1`
+//! tree — one shard-master over the whole fleet — and writes rounds/s
+//! and bytes/s per configuration to `results/net_scale.csv`. The rates
+//! divide by the shard-master's wall clock, which starts when worker
+//! admission ends; `first_round_s` is the root's time to round 0's
+//! commit, admission included. The quick variant used by the tier-1
+//! smoke runs smaller fleets and writes `results/net_scale_quick.csv`,
+//! so a smoke run never clobbers the full measurement.
 //!
 //! Every row is also a correctness gate: the trajectory at every size is
 //! checked bitwise against the sequential engine before the row is
@@ -14,74 +15,51 @@
 //! Throughput columns measure this machine and vary run to run; the
 //! trajectory does not.
 
-use crate::common::emit_csv;
-use dolbie_core::{run_episode, Allocation, Dolbie, DolbieConfig, EpisodeOptions};
+use crate::common::{emit_csv, run_tree_bitwise};
 use dolbie_metrics::Table;
 use dolbie_net::env::{EnvKind, WireEnvSpec};
-use dolbie_net::loopback::{run_loopback, LoopbackOptions};
-use dolbie_net::master::{MasterConfig, MasterKind};
+use dolbie_net::shard::ShardedConfig;
 
 const ENV_SEED: u64 = 0xD01B_5CA1;
 
-fn kind_name(kind: MasterKind) -> &'static str {
-    match kind {
-        MasterKind::Blocking => "blocking",
-        MasterKind::Evented => "evented",
-    }
-}
-
-/// One fleet at one size under one master implementation, gated bitwise
-/// against the sequential engine.
-fn scenario(table: &mut Table, kind: MasterKind, n: usize, rounds: usize) {
+/// One fleet at one size, gated bitwise against the sequential engine.
+fn scenario(table: &mut Table, n: usize, rounds: usize) {
     let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: ENV_SEED + n as u64 };
-    let opts = LoopbackOptions::new(MasterConfig::new(n, rounds, env)).with_master_kind(kind);
-    let run = run_loopback(&opts).expect("loopback fleet");
-    let report = &run.report;
-    assert_eq!(report.trace.rounds.len(), rounds);
-    assert_eq!(report.epochs, 0, "no worker may be lost to connect or deadline pressure");
-
-    let mut sequential = Dolbie::with_config(Allocation::uniform(n), DolbieConfig::new());
-    let mut driver = env.environment(n);
-    let trace = run_episode(&mut sequential, &mut driver, EpisodeOptions::new(rounds));
-    for (t, (net_round, seq_round)) in
-        run.report.trace.rounds.iter().zip(&trace.records).enumerate()
-    {
-        for i in 0..n {
-            assert_eq!(
-                net_round.allocation.share(i).to_bits(),
-                seq_round.allocation.share(i).to_bits(),
-                "round {t}, worker {i}: scaled fleet diverged from the sequential engine"
-            );
-        }
-    }
-
-    let wire = &report.wire;
-    let wall = report.wall_clock;
+    let run = run_tree_bitwise(&ShardedConfig::new(n, 1, rounds, env));
+    let shard = &run.shards[0];
+    let logical: usize = shard.rounds.iter().map(|r| r.messages).sum();
+    let wire = &shard.wire;
+    let wall = shard.wall_clock;
+    let first = run.root.rounds[0].elapsed;
     let bytes = wire.bytes_sent + wire.bytes_received;
     let rounds_per_s = rounds as f64 / wall.max(1e-9);
     let bytes_per_s = bytes as f64 / wall.max(1e-9);
     table.push_row(vec![
-        kind_name(kind).to_string(),
+        "m1-tree".to_string(),
         n.to_string(),
         rounds.to_string(),
-        report.trace.total_messages().to_string(),
+        logical.to_string(),
         wire.frames_sent.to_string(),
         bytes.to_string(),
         format!("{wall:.3}"),
         format!("{rounds_per_s:.1}"),
         format!("{bytes_per_s:.0}"),
         "yes".to_string(),
+        format!("{first:.3}"),
     ]);
     println!(
-        "  {}@N={n}: {rounds} rounds in {wall:.3} s — {rounds_per_s:.1} rounds/s, \
-         {bytes_per_s:.0} wire bytes/s, bitwise vs sequential: yes",
-        kind_name(kind),
+        "  m1-tree@N={n}: {rounds} rounds in {wall:.3} s — {rounds_per_s:.1} rounds/s, \
+         {bytes_per_s:.0} wire bytes/s ({first:.3} s to the first commit), bitwise vs \
+         sequential: yes",
     );
 }
 
 /// Runs the scaling sweep and writes `results/<name>.csv`.
 pub fn net_scale_named(name: &str, quick: bool) {
-    println!("== TCP runtime scaling sweep ({}) ==", if quick { "quick" } else { "full" });
+    println!(
+        "== TCP runtime scaling sweep, M = 1 tree ({}) ==",
+        if quick { "quick" } else { "full" }
+    );
     let mut table = Table::new(vec![
         "master",
         "n",
@@ -93,23 +71,12 @@ pub fn net_scale_named(name: &str, quick: bool) {
         "rounds_per_s",
         "bytes_per_s",
         "bitwise_vs_sequential",
+        "first_round_s",
     ]);
-    if quick {
-        // The tier-1 smoke: a four-digit thread fleet is too heavy for a
-        // <10 s budget, but N = 256 exercises the same readiness loop,
-        // concurrent admission, and coalesced broadcasts.
-        scenario(&mut table, MasterKind::Blocking, 64, 20);
-        scenario(&mut table, MasterKind::Evented, 64, 20);
-        scenario(&mut table, MasterKind::Evented, 256, 10);
-    } else {
-        for n in [256usize, 1024] {
-            scenario(&mut table, MasterKind::Blocking, n, if n <= 256 { 60 } else { 30 });
-            scenario(&mut table, MasterKind::Evented, n, if n <= 256 { 60 } else { 30 });
-        }
-        // The headline size: the blocking master's serial admission was
-        // never run here — the point of the sweep is that the evented
-        // master holds a multi-round run together at this scale.
-        scenario(&mut table, MasterKind::Evented, 4096, 10);
+    let sizes: &[(usize, usize)] =
+        if quick { &[(64, 20), (256, 10)] } else { &[(256, 60), (1024, 30), (4096, 10)] };
+    for &(n, rounds) in sizes {
+        scenario(&mut table, n, rounds);
     }
     emit_csv(&table, name);
     println!("  every fleet held bitwise parity with the sequential engine.");

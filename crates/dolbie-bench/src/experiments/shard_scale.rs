@@ -1,20 +1,18 @@
 //! Experiment X6 (extension): the sharded hierarchical control plane.
 //!
-//! The flat master — blocking or evented — fans every round through one
-//! process: `Θ(N)` frames in, `Θ(N)` frames out, every per-worker scalar
-//! crossing one socket set. The two-level plane puts `M` shard-masters
-//! between the fleet and a root coordinator that sees only shard-level
-//! aggregates, so the root's per-round work is `O(M)` frames regardless
-//! of `N`. This sweep measures that claim on real loopback TCP at
-//! N = 4096: the flat evented master as the baseline, then the sharded
-//! plane at M ∈ {1, 4, 16}, recording per-round latency and the
-//! coordinator's per-round frame count. Latency methodology: one untimed
-//! warm-up run, then every scenario measured three times in alternating
-//! order with the median-steady rep recorded, and per-round latency
-//! taken steady-state (the coordinator's own round timestamps, round 0
-//! excluded — it absorbs worker admission). Results land in
-//! `results/shard_scale.csv` and `BENCH_shard.json` (schema mirrors
-//! `BENCH_large_n.json`).
+//! At `M = 1` one shard-master fans every round through one process:
+//! `Θ(N)` frames in, `Θ(N)` frames out on the worker links. Adding
+//! shard-masters splits that fan-in, and the root above them sees only
+//! shard-level aggregates, so its per-round work is `O(M)` frames
+//! regardless of `N`. This sweep measures that claim on real loopback
+//! TCP at N = 4096 with M ∈ {1, 4, 16}, recording per-round latency, the
+//! root's per-round frame count, and the worker-tier frame count.
+//! Latency methodology: one untimed warm-up run, then every scenario
+//! measured three times in alternating order with the median-steady rep
+//! recorded, and per-round latency taken steady-state (the root's own
+//! round timestamps, round 0 excluded — it absorbs worker admission).
+//! Results land in `results/shard_scale.csv` and `BENCH_shard.json`
+//! (schema mirrors `BENCH_large_n.json`).
 //!
 //! Every row is also a correctness gate: the trajectory is checked
 //! bitwise against the sequential engine before the row is emitted, so
@@ -23,49 +21,37 @@
 //! `results/shard_scale_quick.csv`, never clobbering the full
 //! measurement.
 
-use crate::common::{emit_csv, workspace_root};
+use crate::common::{emit_csv, run_tree_bitwise, steady_rounds_per_s, workspace_root};
 use crate::harness;
-use dolbie_core::{run_episode, Allocation, Dolbie, DolbieConfig, EpisodeOptions, LoadBalancer};
 use dolbie_metrics::Table;
 use dolbie_net::env::{EnvKind, WireEnvSpec};
-use dolbie_net::loopback::{run_loopback, LoopbackOptions};
-use dolbie_net::master::{MasterConfig, MasterKind};
-use dolbie_net::shard::{run_sharded_loopback, ShardedConfig};
+use dolbie_net::shard::ShardedConfig;
 
 const ENV_SEED: u64 = 0xD01B_54A2;
 
-/// One measured configuration: the flat evented master (`shards == 0`)
-/// or the two-level plane at `shards` shard-masters.
+/// One measured configuration: the tree at `shards` shard-masters.
 struct Row {
-    architecture: &'static str,
     n: usize,
     shards: usize,
     rounds: usize,
     seconds: f64,
-    /// Steady-state per-round latency in ms: the coordinator's own
-    /// per-round timestamps, first round excluded. Round 0 is the warm-up
-    /// round — for the sharded plane it additionally absorbs the
+    /// Steady-state per-round latency in ms: the root's per-round
+    /// timestamps, first round excluded. Round 0 additionally absorbs the
     /// shard-masters' worker admission (the root's clock starts when the
     /// backbone is up, before the shards have admitted their fleets), so
     /// including it would charge connection setup to the protocol.
     steady_ms_per_round: f64,
-    /// Logical frames the coordinator (flat master or root) exchanged
-    /// per round — the fan-in quantity the sharded tier collapses.
-    coordinator_frames_per_round: f64,
-    bitwise_match: bool,
+    /// Logical backbone frames the root exchanged per round — `O(M)`.
+    root_frames_per_round: f64,
+    /// Frames on every shard-master's worker links (sent + received) per
+    /// round — the `Θ(N)` fan-in the root never sees.
+    worker_frames_per_round: f64,
 }
 
 impl Row {
     fn per_round_ms(&self) -> f64 {
         self.seconds * 1e3 / self.rounds.max(1) as f64
     }
-}
-
-/// Steady-state ms/round from a monotone per-round timestamp series
-/// (seconds since the coordinator started), excluding the first round.
-fn steady_ms(stamps: &[f64]) -> f64 {
-    assert!(stamps.len() >= 2, "steady-state latency needs at least two rounds");
-    (stamps[stamps.len() - 1] - stamps[0]) * 1e3 / (stamps.len() - 1) as f64
 }
 
 /// The rep with the median steady-state latency — the whole row, so
@@ -79,65 +65,20 @@ fn median_row(mut reps: Vec<Row>) -> Row {
     reps.swap_remove(mid)
 }
 
-fn sequential_reference(env: WireEnvSpec, n: usize, rounds: usize) -> Vec<Vec<f64>> {
-    let mut sequential = Dolbie::with_config(Allocation::uniform(n), DolbieConfig::new());
-    let mut driver = env.environment(n);
-    let trace = run_episode(&mut sequential, &mut driver, EpisodeOptions::new(rounds));
-    let mut out: Vec<Vec<f64>> =
-        trace.records.iter().map(|r| r.allocation.iter().copied().collect()).collect();
-    out.push(sequential.allocation().iter().copied().collect());
-    out
-}
-
-fn flat_scenario(n: usize, rounds: usize, reference: &[Vec<f64>]) -> Row {
+fn scenario(n: usize, m: usize, rounds: usize) -> Row {
     let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: ENV_SEED + n as u64 };
-    let opts = LoopbackOptions::new(MasterConfig::new(n, rounds, env))
-        .with_master_kind(MasterKind::Evented);
-    let run = run_loopback(&opts).expect("flat evented fleet");
-    let report = &run.report;
-    assert_eq!(report.trace.rounds.len(), rounds);
-    assert_eq!(report.epochs, 0);
-    let bitwise = report.trace.rounds.iter().enumerate().all(|(t, round)| {
-        (0..n).all(|i| round.allocation.share(i).to_bits() == reference[t][i].to_bits())
-    }) && (0..n)
-        .all(|i| report.final_allocation.share(i).to_bits() == reference[rounds][i].to_bits());
-    assert!(bitwise, "flat evented run diverged from the sequential engine at N = {n}");
-    let frames: usize = report.trace.rounds.iter().map(|r| r.messages).sum();
-    let stamps: Vec<f64> = report.trace.rounds.iter().map(|r| r.control_finished).collect();
+    let run = run_tree_bitwise(&ShardedConfig::new(n, m, rounds, env));
+    let root_frames: usize = run.root.rounds.iter().map(|r| r.messages).sum();
+    let worker_frames: u64 =
+        run.shards.iter().map(|s| s.wire.frames_sent + s.wire.frames_received).sum();
     Row {
-        architecture: "flat-evented",
-        n,
-        shards: 0,
-        rounds,
-        seconds: report.wall_clock,
-        steady_ms_per_round: steady_ms(&stamps),
-        coordinator_frames_per_round: frames as f64 / rounds as f64,
-        bitwise_match: bitwise,
-    }
-}
-
-fn sharded_scenario(n: usize, m: usize, rounds: usize, reference: &[Vec<f64>]) -> Row {
-    let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: ENV_SEED + n as u64 };
-    let cfg = ShardedConfig::new(n, m, rounds, env);
-    let run = run_sharded_loopback(&cfg).expect("sharded fleet");
-    assert_eq!(run.root.rounds.len(), rounds);
-    let stitched = run.allocations();
-    let bitwise = stitched
-        .iter()
-        .zip(reference)
-        .all(|(flat, expected)| flat.iter().zip(expected).all(|(a, b)| a.to_bits() == b.to_bits()));
-    assert!(bitwise, "sharded run diverged from the sequential engine at N = {n}, M = {m}");
-    let frames: usize = run.root.rounds.iter().map(|r| r.messages).sum();
-    let stamps: Vec<f64> = run.root.rounds.iter().map(|r| r.elapsed).collect();
-    Row {
-        architecture: "sharded",
         n,
         shards: m,
         rounds,
         seconds: run.root.wall_clock,
-        steady_ms_per_round: steady_ms(&stamps),
-        coordinator_frames_per_round: frames as f64 / rounds as f64,
-        bitwise_match: bitwise,
+        steady_ms_per_round: 1e3 / steady_rounds_per_s(&run.root),
+        root_frames_per_round: root_frames as f64 / rounds as f64,
+        worker_frames_per_round: worker_frames as f64 / rounds as f64,
     }
 }
 
@@ -159,18 +100,18 @@ fn write_bench_json(rows: &[Row], quick: bool, reps: usize) {
     body.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         body.push_str(&format!(
-            "    {{\"architecture\": \"{}\", \"n\": {}, \"shards\": {}, \"rounds\": {}, \
-             \"seconds\": {:.3}, \"per_round_ms\": {:.2}, \"steady_ms_per_round\": {:.2}, \
-             \"coordinator_frames_per_round\": {:.1}, \"bitwise_match\": {}}}{}\n",
-            row.architecture,
+            "    {{\"n\": {}, \"shards\": {}, \"rounds\": {}, \"seconds\": {:.3}, \
+             \"per_round_ms\": {:.2}, \"steady_ms_per_round\": {:.2}, \
+             \"root_frames_per_round\": {:.1}, \"worker_frames_per_round\": {:.1}, \
+             \"bitwise_match\": true}}{}\n",
             row.n,
             row.shards,
             row.rounds,
             row.seconds,
             row.per_round_ms(),
             row.steady_ms_per_round,
-            row.coordinator_frames_per_round,
-            row.bitwise_match,
+            row.root_frames_per_round,
+            row.worker_frames_per_round,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
@@ -192,105 +133,86 @@ pub fn shard_scale_named(name: &str, quick: bool) {
     println!("== sharded control-plane sweep ({}) ==", if quick { "quick" } else { "full" });
     let (n, rounds, shard_counts): (usize, usize, &[usize]) =
         if quick { (64, 30, &[1, 4]) } else { (4096, 30, &[1, 4, 16]) };
-    let reference = sequential_reference(
-        WireEnvSpec { kind: EnvKind::ChaosMix, seed: ENV_SEED + n as u64 },
-        n,
-        rounds,
-    );
 
-    // Pair-fair measurement. A single pass (flat first, largest M last)
-    // would bill the process's first-run costs — allocator growth, page
-    // cache, scheduler warm-up — entirely to the flat baseline, and any
-    // ambient container noise entirely to whichever scenario it landed
-    // on. Instead: one untimed warm-up run, then every scenario measured
-    // `reps` times in alternating order, each reporting its
+    // Pair-fair measurement. A single pass (smallest M first, largest M
+    // last) would bill the process's first-run costs — allocator growth,
+    // page cache, scheduler warm-up — entirely to the first scenario,
+    // and any ambient container noise entirely to whichever scenario it
+    // landed on. Instead: one untimed warm-up run, then every scenario
+    // measured `reps` times in alternating order, each reporting its
     // median-steady rep. The quick smoke keeps a single pass — it gates
     // correctness, not latency.
     let reps = if quick { 1 } else { 3 };
     if !quick {
         let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: ENV_SEED + n as u64 };
-        let warm = LoopbackOptions::new(MasterConfig::new(n, 3, env))
-            .with_master_kind(MasterKind::Evented);
-        let _ = run_loopback(&warm).expect("warm-up fleet");
+        let _ = run_tree_bitwise(&ShardedConfig::new(n, 1, 3, env));
     }
-    let mut flat_reps: Vec<Row> = Vec::new();
-    let mut sharded_reps: Vec<Vec<Row>> = shard_counts.iter().map(|_| Vec::new()).collect();
+    let mut per_m: Vec<Vec<Row>> = shard_counts.iter().map(|_| Vec::new()).collect();
     for _ in 0..reps {
-        flat_reps.push(flat_scenario(n, rounds, &reference));
         for (j, &m) in shard_counts.iter().enumerate() {
-            sharded_reps[j].push(sharded_scenario(n, m, rounds, &reference));
+            per_m[j].push(scenario(n, m, rounds));
         }
     }
-    let mut rows = vec![median_row(flat_reps)];
-    rows.extend(sharded_reps.into_iter().map(median_row));
+    let rows: Vec<Row> = per_m.into_iter().map(median_row).collect();
 
     let mut table = Table::new(vec![
-        "architecture",
         "n",
         "shards",
         "rounds",
         "wall_clock_s",
         "per_round_ms",
         "steady_ms_per_round",
-        "coordinator_frames_per_round",
+        "root_frames_per_round",
+        "worker_frames_per_round",
         "bitwise_vs_sequential",
     ]);
     for row in &rows {
         table.push_row(vec![
-            row.architecture.to_string(),
             row.n.to_string(),
             row.shards.to_string(),
             row.rounds.to_string(),
             format!("{:.3}", row.seconds),
             format!("{:.2}", row.per_round_ms()),
             format!("{:.2}", row.steady_ms_per_round),
-            format!("{:.1}", row.coordinator_frames_per_round),
-            if row.bitwise_match { "yes" } else { "no" }.to_string(),
+            format!("{:.1}", row.root_frames_per_round),
+            format!("{:.1}", row.worker_frames_per_round),
+            "yes".to_string(),
         ]);
         println!(
-            "  {}{}@N={}: {} rounds in {:.3} s — {:.2} ms/round steady-state \
-             ({:.2} ms/round incl. warm-up), {:.1} coordinator frames/round, \
-             bitwise vs sequential: yes",
-            row.architecture,
-            if row.shards > 0 { format!("(M={})", row.shards) } else { String::new() },
+            "  M={}@N={}: {} rounds in {:.3} s — {:.2} ms/round steady-state \
+             ({:.2} ms/round incl. warm-up), {:.1} root frames/round, \
+             {:.1} worker-link frames/round, bitwise vs sequential: yes",
+            row.shards,
             row.n,
             row.rounds,
             row.seconds,
             row.steady_ms_per_round,
             row.per_round_ms(),
-            row.coordinator_frames_per_round,
+            row.root_frames_per_round,
+            row.worker_frames_per_round,
         );
     }
     emit_csv(&table, name);
     write_bench_json(&rows, quick, reps);
 
-    // The headline claims, asserted so the sweep is a gate and not just
-    // a printout: the root's fan-in is O(M) — at the largest M it must
-    // still sit far below the flat master's Θ(N) frame count.
-    let flat = &rows[0];
-    let largest = rows.last().expect("at least one sharded row");
+    // The headline claim, asserted so the sweep is a gate and not just a
+    // printout: the root's fan-in is O(M) — at the largest M it must
+    // still sit far below the Θ(N) frame count of the M = 1
+    // shard-master's worker links.
+    let single = &rows[0];
+    let largest = rows.last().expect("at least one row");
     assert!(
-        largest.coordinator_frames_per_round * 8.0 < flat.coordinator_frames_per_round,
-        "root fan-in ({:.1}/round at M={}) is not clearly below the flat master's ({:.1}/round)",
-        largest.coordinator_frames_per_round,
+        largest.root_frames_per_round * 8.0 < single.worker_frames_per_round,
+        "root fan-in ({:.1}/round at M={}) is not clearly below the M = 1 worker tier's \
+         ({:.1}/round)",
+        largest.root_frames_per_round,
         largest.shards,
-        flat.coordinator_frames_per_round,
+        single.worker_frames_per_round,
     );
     println!(
-        "  root fan-in at M={}: {:.1} frames/round vs the flat master's {:.1} — O(M), not O(N).",
-        largest.shards, largest.coordinator_frames_per_round, flat.coordinator_frames_per_round,
-    );
-    println!(
-        "  steady per-round latency at N={}: sharded M={} {:.2} ms vs flat {:.2} ms ({}).",
-        largest.n,
-        largest.shards,
-        largest.steady_ms_per_round,
-        flat.steady_ms_per_round,
-        if largest.steady_ms_per_round < flat.steady_ms_per_round {
-            "sharded wins"
-        } else {
-            "flat wins"
-        },
+        "  root fan-in at M={}: {:.1} frames/round vs {:.1} on the M = 1 worker links — O(M), \
+         not O(N).",
+        largest.shards, largest.root_frames_per_round, single.worker_frames_per_round,
     );
 }
 

@@ -4,7 +4,6 @@
 //! dolbie_node master --listen 127.0.0.1:4100 --workers 4 [--rounds 500]
 //!                    [--env-seed 7] [--env chaos|ramp] [--drop-p 0.1]
 //!                    [--dup-p 0.05] [--fault-seed 21] [--verify]
-//!                    [--master blocking|evented]
 //! dolbie_node worker --connect 127.0.0.1:4100
 //! dolbie_node root   --listen 127.0.0.1:4200 --shards 4 --workers 64
 //!                    [--rounds 500] [--env chaos|ramp] [--env-seed 7]
@@ -16,24 +15,28 @@
 //!                    [--bb-drop-p 0.1] [--bb-dup-p 0.05] [--bb-seed 33]
 //! ```
 //!
-//! The master prints `listening on <addr>` once bound (with the resolved
-//! port when `--listen` named port 0), accepts exactly `--workers`
-//! connections, runs the horizon, and prints a per-run summary. With
-//! `--verify` it replays the same environment through the sequential
-//! engine and exits 1 unless the TCP trajectory is bitwise identical.
-//! Malformed flags exit 2 with a message naming the flag and value.
+//! The master is the `M = 1` tree in one process: the root and its single
+//! shard-master on two threads joined by an in-process backbone socket.
+//! It prints `listening on <addr>` once bound (with the resolved port
+//! when `--listen` named port 0), accepts exactly `--workers`
+//! connections (at least two), runs the horizon, and prints a per-run
+//! summary. With `--verify` it replays the same environment through the
+//! sequential engine and exits 1 unless the TCP trajectory is bitwise
+//! identical. Malformed flags exit 2 with a message naming the flag and
+//! value.
 //!
 //! The sharded control plane is three processes deep: one `root`
-//! coordinating `--shards` shard-masters, each `shard` a real evented
-//! TCP master over its contiguous worker range (workers point their
-//! `--connect` at their shard, not the root). Fault flags live on the
-//! root; they ship to every shard-master in `ShardWelcome`.
+//! coordinating `--shards` shard-masters, each `shard` a real TCP master
+//! over its contiguous worker range (workers point their `--connect` at
+//! their shard, not the root). Fault flags live on the root; they ship
+//! to every shard-master in `ShardWelcome`.
 
 use dolbie_core::{run_episode, Dolbie, DolbieConfig, EpisodeOptions};
 use dolbie_net::env::{EnvKind, WireEnvSpec};
-use dolbie_net::evented::run_master_evented;
-use dolbie_net::master::{run_master, MasterConfig, MasterKind};
-use dolbie_net::shard::{run_root, run_shard_master, ShardMasterOptions, ShardedConfig};
+use dolbie_net::shard::{
+    run_root, run_shard_master, run_single_shard, stitch_allocations, ShardMasterOptions,
+    ShardedConfig,
+};
 use dolbie_net::transport::{connect_with_backoff, DEFAULT_FRAME_TIMEOUT};
 use dolbie_net::worker::{run_worker, WorkerOptions};
 use dolbie_simnet::faults::FaultPlan;
@@ -44,7 +47,6 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  dolbie_node master --listen ADDR --workers N [--rounds T] [--env chaos|ramp]\n\
          \x20                  [--env-seed S] [--drop-p P] [--dup-p P] [--fault-seed S] [--verify]\n\
-         \x20                  [--master blocking|evented]\n\
          \x20 dolbie_node worker --connect ADDR\n\
          \x20 dolbie_node root   --listen ADDR --shards M --workers N [--rounds T]\n\
          \x20                  [--env chaos|ramp] [--env-seed S] [--drop-p P] [--dup-p P]\n\
@@ -112,12 +114,11 @@ fn master_main(mut args: std::env::Args) {
     let mut dup_p = 0.0;
     let mut fault_seed = 0u64;
     let mut verify = false;
-    let mut master_kind = MasterKind::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--listen" => listen = Some(parse_addr("--listen", &take_value("--listen", &mut args))),
             "--workers" => {
-                workers = Some(parse_usize("--workers", &take_value("--workers", &mut args), 1))
+                workers = Some(parse_usize("--workers", &take_value("--workers", &mut args), 2))
             }
             "--rounds" => rounds = parse_usize("--rounds", &take_value("--rounds", &mut args), 1),
             "--env" => {
@@ -137,11 +138,6 @@ fn master_main(mut args: std::env::Args) {
                 fault_seed = parse_u64("--fault-seed", &take_value("--fault-seed", &mut args))
             }
             "--verify" => verify = true,
-            "--master" => {
-                let value = take_value("--master", &mut args);
-                master_kind = MasterKind::parse(&value)
-                    .unwrap_or_else(|| bad("--master", &value, "'blocking' or 'evented'"));
-            }
             other => {
                 eprintln!("error: unknown flag '{other}' for dolbie_node master");
                 std::process::exit(2);
@@ -158,7 +154,7 @@ fn master_main(mut args: std::env::Args) {
     if dup_p > 0.0 {
         fault = fault.with_duplicate_probability(dup_p);
     }
-    let cfg = MasterConfig::new(workers, rounds, env).with_fault_plan(fault);
+    let cfg = ShardedConfig::new(workers, 1, rounds, env).with_fault_plan(fault);
 
     let listener = TcpListener::bind(listen).unwrap_or_else(|e| {
         eprintln!("error: cannot listen on {listen}: {e}");
@@ -167,37 +163,36 @@ fn master_main(mut args: std::env::Args) {
     let local = listener.local_addr().expect("bound listener has an address");
     println!("listening on {local}");
 
-    let report = match master_kind {
-        MasterKind::Blocking => run_master(&listener, &cfg),
-        MasterKind::Evented => run_master_evented(&listener, &cfg),
-    }
-    .unwrap_or_else(|e| {
+    let (root, shard) = run_single_shard(&listener, &cfg).unwrap_or_else(|e| {
         eprintln!("error: master run failed: {e}");
         std::process::exit(1);
     });
     println!(
         "completed {} rounds over {} workers in {:.3} s ({:.0} rounds/s)",
-        report.trace.rounds.len(),
+        root.rounds.len(),
         workers,
-        report.wall_clock,
-        report.trace.rounds.len() as f64 / report.wall_clock.max(1e-9),
+        root.wall_clock,
+        root.rounds.len() as f64 / root.wall_clock.max(1e-9),
     );
     println!(
         "wire: {} frames / {} bytes sent, {} frames / {} bytes received, \
          {} retransmissions, {} duplicates, {} acks",
-        report.wire.frames_sent,
-        report.wire.bytes_sent,
-        report.wire.frames_received,
-        report.wire.bytes_received,
-        report.wire.retransmissions,
-        report.wire.duplicates,
-        report.wire.acks,
+        shard.wire.frames_sent,
+        shard.wire.bytes_sent,
+        shard.wire.frames_received,
+        shard.wire.bytes_received,
+        shard.wire.retransmissions,
+        shard.wire.duplicates,
+        shard.wire.acks,
     );
-    println!("epochs crossed: {}", report.epochs);
-    println!("final allocation: {}", report.final_allocation);
+    println!("epochs crossed: {}", root.epochs.len());
+    let allocations = stitch_allocations(&root, std::slice::from_ref(&shard));
+    let last = allocations.last().expect("stitching yields a final entry");
+    let shares: Vec<String> = last.iter().map(|x| format!("{x:.4}")).collect();
+    println!("final allocation: [{}]", shares.join(", "));
 
     if verify {
-        if report.epochs > 0 {
+        if !root.epochs.is_empty() {
             eprintln!("verify: skipped — membership changed mid-run, no sequential twin exists");
             std::process::exit(1);
         }
@@ -205,9 +200,9 @@ fn master_main(mut args: std::env::Args) {
             Dolbie::with_config(dolbie_core::Allocation::uniform(workers), DolbieConfig::new());
         let mut driver = env.environment(workers);
         let reference = run_episode(&mut sequential, &mut driver, EpisodeOptions::new(rounds));
-        for (t, round) in report.trace.rounds.iter().enumerate() {
-            for i in 0..workers {
-                let net = round.allocation.share(i).to_bits();
+        for (t, played) in allocations.iter().take(rounds).enumerate() {
+            for (i, x) in played.iter().enumerate() {
+                let net = x.to_bits();
                 let seq = reference.records[t].allocation.share(i).to_bits();
                 if net != seq {
                     eprintln!(

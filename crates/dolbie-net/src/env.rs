@@ -75,7 +75,7 @@ impl WireEnvSpec {
     pub fn cost_for(&self, round: usize, i: usize) -> DynCost {
         match self.kind {
             EnvKind::ChaosMix => {
-                let h = hash(self.seed, ((round as u64) << 8) | i as u64);
+                let h = hash(self.seed, chaos_salt(round, i));
                 if h & 1 == 0 {
                     let speed = 50.0 + (h % 2000) as f64;
                     let comm = ((h >> 13) % 100) as f64 / 1000.0;
@@ -100,6 +100,16 @@ impl WireEnvSpec {
         let spec = *self;
         FnEnvironment::new(n, move |round| (0..n).map(|i| spec.cost_for(round, i)).collect())
     }
+}
+
+/// The per-(round, worker) hash input of [`EnvKind::ChaosMix`]: the
+/// round above the low byte of the worker id, and the rest of the id in
+/// the top 16 bits, which a round below 2^40 never reaches. Ids below 256
+/// keep the original `(round << 8) | i` key bit for bit; without the top
+/// bits worker `i ≥ 256` would replay worker `i − 256`'s cost one round
+/// later.
+fn chaos_salt(round: usize, i: usize) -> u64 {
+    ((round as u64) << 8) | (i as u64 & 0xff) | ((i as u64 >> 8) << 48)
 }
 
 fn hash(seed: u64, salt: u64) -> u64 {
@@ -135,5 +145,19 @@ mod tests {
         };
         assert_eq!(probe(&a), probe(&a));
         assert_ne!(probe(&a), probe(&b));
+    }
+
+    /// Worker ids above one byte must not alias a lower id one round
+    /// later, and ids below 256 keep their original key.
+    #[test]
+    fn chaos_keys_do_not_alias_across_the_low_id_byte() {
+        for t in [0usize, 1, 7, 499] {
+            for i in 256..4096 {
+                assert_ne!(chaos_salt(t, i), chaos_salt(t + 1, i - 256), "(t={t}, i={i})");
+            }
+            for i in 0..256 {
+                assert_eq!(chaos_salt(t, i), ((t as u64) << 8) | i as u64);
+            }
+        }
     }
 }

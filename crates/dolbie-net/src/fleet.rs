@@ -1,14 +1,12 @@
-//! The connection-sweep machinery behind every evented coordinator: a
-//! set of non-blocking connections pumped by a level-triggered readiness
-//! loop, with per-connection deadlines on a hashed timer wheel and the
-//! stop-and-wait lossy envelope mirrored from the blocking [`Link`].
+//! A shard-master's worker set over sockets: non-blocking connections
+//! pumped by a level-triggered readiness loop, with per-connection
+//! deadlines on a hashed timer wheel and the stop-and-wait lossy
+//! envelope mirrored from the blocking [`Link`] — or, on lossless
+//! fleets, the blocking staircase collect.
 //!
-//! [`crate::evented`] (the flat event-driven master) and
-//! [`crate::shard`] (the shard-master tier) both coordinate "a member
-//! set over sockets"; everything below the protocol script — readiness
+//! Everything below the protocol script of [`crate::shard`] — readiness
 //! sweeps, frame reassembly, broadcast fan-out, deadline bookkeeping,
-//! crash discovery — is identical between them and lives here as
-//! [`Fleet`].
+//! crash discovery — lives here as [`Fleet`].
 //!
 //! [`Link`]: crate::transport::Link
 
@@ -447,8 +445,7 @@ pub(crate) enum Phase {
 
 /// The shared collect-phase frame matcher: the value carried by the
 /// awaited frame, `None` for a stale leftover of an abandoned epoch
-/// (silently filtered, exactly like the blocking master's loops), or
-/// `Fatal` on a protocol violation.
+/// (silently filtered), or `Fatal` on a protocol violation.
 fn phase_value(
     phase: Phase,
     frame: Frame,
@@ -478,6 +475,30 @@ fn phase_value(
     }
 }
 
+/// Consumes `conn`'s reassembled frames until the one `phase` awaits
+/// from member `i` arrives (recording it and clearing `awaiting`) or the
+/// inbox runs dry. Stale frames are filtered.
+fn serve_inbox(
+    conn: &mut Conn,
+    phase: Phase,
+    t: usize,
+    epoch: u32,
+    i: usize,
+    out: &mut [f64],
+    logical: &mut usize,
+) -> Result<(), SweepFail> {
+    while conn.awaiting {
+        let Some(frame) = conn.inbox.pop_front() else { break };
+        if let Some(value) = phase_value(phase, frame, t, epoch, i)? {
+            out[i] = value;
+            *logical += 1;
+            conn.awaiting = false;
+            conn.gen += 1;
+        }
+    }
+    Ok(())
+}
+
 /// How a fleet sweep failed, when it did.
 pub(crate) enum SweepFail {
     /// These members' sockets died or their deadlines expired — all
@@ -488,11 +509,10 @@ pub(crate) enum SweepFail {
     Fatal(NetError),
 }
 
-/// A coordinator's member set over non-blocking sockets: the readiness
-/// sweep, coalesced broadcast, deadline, and crash-discovery machinery
-/// shared by the flat evented master and the shard-master tier. The
-/// protocol scripts stay with their owners; `Fleet` only knows how to
-/// move frames and discover deaths.
+/// A shard-master's member set over sockets: the readiness sweep, the
+/// staircase, coalesced broadcast, deadline, and crash-discovery
+/// machinery. The protocol script stays in [`crate::shard`]; `Fleet`
+/// only knows how to move frames and discover deaths.
 pub(crate) struct Fleet {
     /// Member connections by id; `None` marks a buried member.
     pub(crate) links: Vec<Option<Conn>>,
@@ -556,19 +576,6 @@ impl Fleet {
         total
     }
 
-    pub(crate) fn wire_delta(&self, before: &WireStats) -> WireStats {
-        let after = self.wire_snapshot();
-        WireStats {
-            frames_sent: after.frames_sent - before.frames_sent,
-            frames_received: after.frames_received - before.frames_received,
-            bytes_sent: after.bytes_sent - before.bytes_sent,
-            bytes_received: after.bytes_received - before.bytes_received,
-            retransmissions: after.retransmissions - before.retransmissions,
-            duplicates: after.duplicates - before.duplicates,
-            acks: after.acks - before.acks,
-        }
-    }
-
     /// Queues `frame` on every listed connection, encoding once for the
     /// lossless ones; the lossy envelope needs per-connection sequence
     /// numbers, so those re-frame individually.
@@ -606,7 +613,7 @@ impl Fleet {
     /// before aborting, so simultaneous stalls cost one `frame_timeout`
     /// total. Frames tagged with an epoch other than `epoch` (or a round
     /// other than `t`) are stale leftovers of an abandoned attempt and
-    /// are filtered, exactly like the blocking master's collect loops.
+    /// are filtered.
     pub(crate) fn collect(
         &mut self,
         t: usize,
@@ -644,15 +651,10 @@ impl Fleet {
                     }
                     Err(ConnFail::Fatal(e)) => return Err(SweepFail::Fatal(e)),
                 }
-                while waiting[i] {
-                    let Some(frame) = conn.inbox.pop_front() else { break };
-                    let accepted = phase_value(phase, frame, t, epoch, i)?;
-                    if let Some(value) = accepted {
-                        out[i] = value;
-                        *logical += 1;
+                if waiting[i] {
+                    serve_inbox(conn, phase, t, epoch, i, out, logical)?;
+                    if !conn.awaiting {
                         waiting[i] = false;
-                        conn.awaiting = false;
-                        conn.gen += 1;
                         remaining -= 1;
                     }
                 }
@@ -688,19 +690,18 @@ impl Fleet {
     /// barrier, so its completion time is unchanged, and what disappears
     /// is the sweep's poll/sleep duty cycle — read syscalls against
     /// empty sockets and timeslices stolen from the very workers the
-    /// phase is waiting on. That duty cycle is the flat evented master's
-    /// fan-in cost; shedding it at the shard tier is the measured win of
-    /// the `shard_scale` experiment.
+    /// phase is waiting on. Shedding that duty cycle is the measured win
+    /// of the `shard_scale` experiment.
     ///
     /// The trade is deadline coarsening: each read waits up to
-    /// `frame_timeout` from the moment its turn comes (a staircase of
-    /// deadlines, not one simultaneous bank), and a stalled early member
-    /// delays *discovery* of later frames — never phase completion —
-    /// until its timeout fires. Callers that need prompt multi-death
-    /// discovery and stall-tolerant heartbeating (the flat evented
-    /// master's crash→epoch machinery) must keep the sweep; the shard
-    /// tier, where a worker death is fatal by contract, takes the
-    /// staircase whenever its fault plan is lossless.
+    /// `frame_timeout` from the moment its turn comes, so a slow but
+    /// live early member pushes the later deadlines back. Stalls still
+    /// cost one `frame_timeout` per phase, not one per stalled member:
+    /// when the first read deadline expires, every member not yet read
+    /// has also had a full `frame_timeout` since the flush, so each is
+    /// read once without blocking and every silent one is reported in
+    /// the same [`SweepFail::Dead`]. A shard-master takes the staircase
+    /// whenever its fault plan is lossless.
     ///
     /// Requires [`Fleet::enter_staircase`] to have flipped the sockets
     /// to blocking mode first — the deadlines here are the kernel's
@@ -747,28 +748,14 @@ impl Fleet {
         // Stragglers out of order cost one extra park each, nothing
         // more, and the phase still completes at the last arrival.
         let mut failed: Option<SweepFail> = None;
-        'staircase: for &i in await_set.iter().rev() {
+        'staircase: for (pos, &i) in await_set.iter().rev().enumerate() {
             let conn = self.links[i].as_mut().expect("active members have connections");
             let mut chunk = [0u8; READ_CHUNK_BYTES];
-            while conn.awaiting {
+            loop {
                 // Serve whatever is already reassembled before sleeping.
-                while let Some(frame) = conn.inbox.pop_front() {
-                    match phase_value(phase, frame, t, epoch, i) {
-                        Ok(Some(value)) => {
-                            out[i] = value;
-                            *logical += 1;
-                            conn.awaiting = false;
-                            conn.gen += 1;
-                        }
-                        Ok(None) => {} // stale, filtered
-                        Err(fail) => {
-                            failed = Some(fail);
-                            break 'staircase;
-                        }
-                    }
-                    if !conn.awaiting {
-                        break;
-                    }
+                if let Err(fail) = serve_inbox(conn, phase, t, epoch, i, out, logical) {
+                    failed = Some(fail);
+                    break 'staircase;
                 }
                 if !conn.awaiting {
                     break;
@@ -795,8 +782,15 @@ impl Fleet {
                     Err(e)
                         if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
                     {
-                        // The staircase deadline: this member stalled.
-                        failed = Some(SweepFail::Dead(vec![i]));
+                        // The staircase deadline: this member and every
+                        // one not yet read are a full frame_timeout past
+                        // the flush.
+                        let unread = &await_set[..await_set.len() - pos];
+                        failed = match self.reap_silent(unread, t, epoch, phase, out, logical) {
+                            Ok(dead) if dead.is_empty() => None,
+                            Ok(dead) => Some(SweepFail::Dead(dead)),
+                            Err(fail) => Some(fail),
+                        };
                         break 'staircase;
                     }
                     Err(_) => {
@@ -811,6 +805,45 @@ impl Fleet {
             return Err(fail);
         }
         Ok(())
+    }
+
+    /// The staircase's failure path: reads each of `members` once
+    /// without blocking and returns the ones that still owe their frame,
+    /// ascending. Every member here has had at least one `frame_timeout`
+    /// since the phase's flush, so all of them are dead — a whole bank
+    /// of stalls in one failure, as in the sweep.
+    fn reap_silent(
+        &mut self,
+        members: &[usize],
+        t: usize,
+        epoch: u32,
+        phase: Phase,
+        out: &mut [f64],
+        logical: &mut usize,
+    ) -> Result<Vec<usize>, SweepFail> {
+        let now = Instant::now();
+        let mut dead = Vec::new();
+        for &i in members {
+            let conn = self.links[i].as_mut().expect("active members have connections");
+            if conn.stream.set_nonblocking(true).is_err() {
+                dead.push(i);
+                continue;
+            }
+            let read = conn.pump_read(now);
+            let restored = conn.stream.set_nonblocking(false).is_ok();
+            match read {
+                Err(ConnFail::Fatal(e)) => return Err(SweepFail::Fatal(e)),
+                Err(ConnFail::Dead) => dead.push(i),
+                Ok(_) => {
+                    serve_inbox(conn, phase, t, epoch, i, out, logical)?;
+                    if conn.awaiting || !restored {
+                        dead.push(i);
+                    }
+                }
+            }
+        }
+        dead.sort_unstable();
+        Ok(dead)
     }
 
     /// Flushes every pending queue and live envelope within one
@@ -949,22 +982,6 @@ impl Fleet {
             idle.pace(progressed);
         }
     }
-
-    /// Synchronously drives one connection until its queues drain — the
-    /// blocking-send equivalent used on the rare bury/shutdown paths.
-    pub(crate) fn settle(conn: &mut Conn, limit: Duration) -> Result<(), ConnFail> {
-        let until = Instant::now() + limit;
-        let mut idle = IdleWait::new();
-        while conn.busy() {
-            let now = Instant::now();
-            if now >= until {
-                return Err(ConnFail::Dead);
-            }
-            let progressed = pump(conn, now)?;
-            idle.pace(progressed);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -998,13 +1015,42 @@ mod tests {
         assert!(matches!(phase_value(Phase::Cost, misplaced, 7, 1, 0), Err(SweepFail::Fatal(_))));
     }
 
-    fn fleet_over_one_socket() -> (Fleet, TcpStream) {
+    fn fleet_over_sockets(n: usize, frame_timeout: Duration) -> (Fleet, Vec<TcpStream>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let peer = TcpStream::connect(addr).expect("connect");
-        let (server, _) = listener.accept().expect("accept");
-        let conn = Conn::new(server).expect("conn");
-        (Fleet::new(vec![Some(conn)], Duration::from_secs(2)), peer)
+        let mut links = Vec::new();
+        let mut peers = Vec::new();
+        for _ in 0..n {
+            peers.push(TcpStream::connect(addr).expect("connect"));
+            let (server, _) = listener.accept().expect("accept");
+            links.push(Some(Conn::new(server).expect("conn")));
+        }
+        (Fleet::new(links, frame_timeout), peers)
+    }
+
+    fn fleet_over_one_socket() -> (Fleet, TcpStream) {
+        let (fleet, mut peers) = fleet_over_sockets(1, Duration::from_secs(2));
+        (fleet, peers.pop().expect("one peer"))
+    }
+
+    /// Regression: the staircase reports every silent member at its
+    /// first read deadline — one failure, one `frame_timeout` — instead
+    /// of one member per `frame_timeout`; a member that did answer is
+    /// not among the dead.
+    #[test]
+    fn staircase_reports_every_silent_member_at_the_first_expiry() {
+        use std::io::Write as _;
+        let timeout = Duration::from_millis(200);
+        let (mut fleet, mut peers) = fleet_over_sockets(4, timeout);
+        assert!(fleet.enter_staircase().is_ok());
+        peers[2].write_all(&Frame::LocalCost { epoch: 0, round: 5, cost: 1.0 }.encode()).unwrap();
+        let (mut out, mut logical) = ([0.0f64; 4], 0usize);
+        let started = Instant::now();
+        let result =
+            fleet.collect_blocking(5, 0, Phase::Cost, &[0, 1, 2, 3], &mut out, &mut logical);
+        let elapsed = started.elapsed();
+        assert!(matches!(result, Err(SweepFail::Dead(ref dead)) if dead == &[0, 1, 3]));
+        assert!(elapsed < timeout * 2, "three silent members cost {elapsed:?}");
     }
 
     /// Regression: a worker's epoch-0 report arriving *after* the

@@ -1,10 +1,7 @@
-//! The single home of worker admission: the `Hello → Welcome` handshake
-//! and its rejection semantics, shared by the blocking master
-//! ([`crate::master`]), the evented master ([`crate::evented`]), and the
-//! shard-master tier ([`crate::shard`]) — one implementation of the
-//! admission rules instead of a per-coordinator copy.
+//! Worker admission: the `Hello → Welcome` handshake and its rejection
+//! semantics, run by every shard-master ([`crate::shard`]).
 //!
-//! The rules, everywhere: strict magic/version checks ride inside
+//! The rules: strict magic/version checks ride inside
 //! `Frame` decode; worker ids are assigned in Hello-completion order; a
 //! socket that fails the handshake — timeout, garbage bytes, a premature
 //! close, or a well-formed non-`Hello` opener — is rejected while the
@@ -14,7 +11,7 @@
 
 use crate::env::WireEnvSpec;
 use crate::fleet::{Conn, IdleWait, TimerWheel};
-use crate::transport::{FrameConn, Link, TransportError};
+use crate::transport::TransportError;
 use crate::wire::Frame;
 use crate::NetError;
 use dolbie_simnet::faults::FaultPlan;
@@ -22,9 +19,9 @@ use std::io::ErrorKind;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
-/// Builds the `Welcome` frame every coordinator sends in response to a
+/// Builds the `Welcome` frame a shard-master sends in response to a
 /// worker's `Hello` — the one place the fault-plan fields map onto the
-/// wire, so the three admission paths cannot drift apart.
+/// wire.
 pub(crate) fn welcome_frame(
     worker_id: u32,
     num_workers: u32,
@@ -45,42 +42,18 @@ pub(crate) fn welcome_frame(
     }
 }
 
-/// Sequential blocking admission, used by the blocking master: one
-/// socket at a time, a blocking `Hello` read under `frame_timeout`, then
-/// the `Welcome` from the `welcome` closure (keyed by the slot about to
-/// be filled) and a [`Link`] carrying the fault plan with peer code
-/// `peer_code(slot)`.
-pub(crate) fn admit_blocking(
-    listener: &TcpListener,
-    count: usize,
-    frame_timeout: Duration,
-    fault: &FaultPlan,
-    mut welcome: impl FnMut(usize) -> Frame,
-    mut peer_code: impl FnMut(usize) -> u64,
-) -> Result<Vec<Option<Link>>, NetError> {
-    let mut links: Vec<Option<Link>> = Vec::with_capacity(count);
-    while links.len() < count {
-        let slot = links.len();
-        let (stream, _) = listener.accept().map_err(TransportError::from)?;
-        let Ok(mut conn) = FrameConn::new(stream) else { continue };
-        match conn.recv(frame_timeout) {
-            Ok(Frame::Hello { .. }) => {}
-            Ok(_) | Err(_) => continue, // rejected
-        }
-        if conn.send(&welcome(slot)).is_err() {
-            continue; // died between Hello and Welcome: rejected
-        }
-        links.push(Some(Link::with_plan(conn, fault.clone(), 0, peer_code(slot))));
-    }
-    Ok(links)
-}
+/// How often admission asks whether its caller's upstream has gone.
+const UPSTREAM_CHECK: Duration = Duration::from_millis(20);
 
-/// Concurrent evented admission, used by the evented master and every
-/// shard-master: every pending socket handshakes under its own deadline,
-/// slots assigned in Hello-completion order. The listener must already
-/// be non-blocking. Welcome content and lossy peer codes come from the
-/// closures, so the flat master (local ids) and a shard-master (global
-/// ids offset by its range) admit through the identical machine.
+/// Concurrent evented admission: every pending socket handshakes under
+/// its own deadline, slots assigned in Hello-completion order. The
+/// listener must already be non-blocking. Welcome content and lossy peer
+/// codes come from the closures, keyed by the admission slot, so a
+/// shard-master offsets them by its global id range.
+///
+/// Admission itself has no deadline; it ends early, with an error, when
+/// `upstream_gone` says the party the fleet is being admitted for has
+/// left (every [`UPSTREAM_CHECK`]).
 pub(crate) fn admit_concurrent(
     listener: &TcpListener,
     count: usize,
@@ -88,14 +61,24 @@ pub(crate) fn admit_concurrent(
     fault: &FaultPlan,
     mut welcome: impl FnMut(usize) -> Frame,
     mut peer_code: impl FnMut(usize) -> u64,
+    mut upstream_gone: impl FnMut() -> bool,
 ) -> Result<Vec<Option<Conn>>, NetError> {
     let mut wheel = TimerWheel::new(Instant::now());
     let mut idle = IdleWait::new();
     let mut candidates: Vec<Option<Conn>> = Vec::new();
     let mut admitted: Vec<Option<Conn>> = (0..count).map(|_| None).collect();
     let mut next_id = 0usize;
+    let mut next_check = Instant::now() + UPSTREAM_CHECK;
     while next_id < count {
         let now = Instant::now();
+        if now >= next_check {
+            if upstream_gone() {
+                return Err(NetError::Protocol(format!(
+                    "the upstream link closed after {next_id} of {count} workers were admitted"
+                )));
+            }
+            next_check = now + UPSTREAM_CHECK;
+        }
         let mut progressed = false;
         loop {
             match listener.accept() {
@@ -134,7 +117,7 @@ pub(crate) fn admit_concurrent(
                     next_id += 1;
                     conn.queue(&welcome(id), now);
                     // The handshake precedes the envelope; faults start
-                    // with the first round frame (like the blocking side).
+                    // with the first round frame (like the worker side).
                     conn.install_lossy(fault, 0, peer_code(id));
                     // Write errors surface on the first round pump.
                     let _ = conn.pump_write();

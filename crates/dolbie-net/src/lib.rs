@@ -5,6 +5,10 @@
 //! deadlines and seeded reconnect, deterministic socket-level fault
 //! replay, and crash-detected worker loss mapped onto membership epochs.
 //!
+//! There is one coordinator: a root over `M` shard-masters, each
+//! driving its contiguous range of workers ([`shard`]). The flat
+//! master-worker deployment of the paper is the degenerate `M = 1` tree.
+//!
 //! The headline property is **bitwise trajectory parity**: over a
 //! lossless link — loopback threads or separate OS processes — the
 //! distributed run's allocation sequence is bit-for-bit the sequential
@@ -14,10 +18,9 @@
 //!    ([`wire`]),
 //! 2. the workers apply the engine's exact update arithmetic
 //!    ([`worker`]), and
-//! 3. the master mirrors the rounds through
-//!    [`Dolbie::observe_reported`](dolbie_core::Dolbie::observe_reported),
-//!    whose reported-round contract guarantees state identical to a
-//!    locally observed round ([`master`]).
+//! 3. the root replays the engine's order-sensitive round tail through
+//!    [`RootEngine`](dolbie_core::shard::RootEngine), fed shard
+//!    aggregates whose reductions are bitwise the engine's ([`shard`]).
 //!
 //! Under a lossy link ([`transport::Link`] replaying a
 //! [`FaultPlan`](dolbie_simnet::faults::FaultPlan) at the socket layer),
@@ -30,39 +33,35 @@
 //! - [`mod@env`] — wire-encodable seeded environments.
 //! - [`transport`] — framed connections, deadlines, the lossy envelope,
 //!   seeded reconnect backoff.
-//! - [`master`] / [`worker`] — the two node roles.
-//! - [`evented`] — the event-driven master: non-blocking sockets,
-//!   concurrent admission, coalesced broadcasts, timer-wheel deadlines;
-//!   the default master, bitwise identical to the blocking one.
-//! - `fleet` / `handshake` (crate-internal) — the shared
-//!   coordinator-over-a-member-set machinery: connection sweeps, timer
-//!   wheel, lossy envelope, and the single home of the `Hello → Welcome`
-//!   admission rules, reused by the evented master and every
-//!   shard-master.
-//! - [`shard`] — the two-level control plane: `M` shard-masters each
-//!   coordinate `N/M` workers, a root coordinator runs the identical
-//!   min-max step over `O(M)` shard aggregates; bitwise identical to
-//!   the flat masters and the sequential engine.
-//! - [`loopback`] — in-process master + workers over 127.0.0.1.
+//! - [`worker`] — the worker node role.
+//! - [`shard`] — the coordinator: a root running the min-max step over
+//!   `O(M)` shard aggregates, `M` shard-masters each coordinating `N/M`
+//!   workers, [`run_single_shard`](shard::run_single_shard), the flat
+//!   master as the `M = 1` tree in one process, and
+//!   [`run_sharded_loopback`](shard::run_sharded_loopback), the whole
+//!   tree with its workers over 127.0.0.1.
+//! - `fleet` / `handshake` (crate-internal) — a shard-master's worker
+//!   set over sockets: connection sweeps, the blocking staircase collect,
+//!   timer wheel, lossy envelope, and the `Hello → Welcome` admission
+//!   rules.
 //!
 //! The `dolbie_node` binary exposes every role on the command line:
-//! `dolbie_node master --listen 127.0.0.1:4100 --workers 4` in one
-//! terminal, `dolbie_node worker --connect 127.0.0.1:4100` in the
-//! others — or, sharded, `dolbie_node root --listen 127.0.0.1:4200
-//! --shards 4 --workers 64` with four `dolbie_node shard` processes
-//! between the root and the workers.
+//! `dolbie_node master --listen 127.0.0.1:4100 --workers 4` (the
+//! `M = 1` tree in one process) in one terminal, `dolbie_node worker
+//! --connect 127.0.0.1:4100` in the others — or, sharded, `dolbie_node
+//! root --listen 127.0.0.1:4200 --shards 4 --workers 64` with four
+//! `dolbie_node shard` processes between the root and the workers.
 //!
 //! ## Quick start
 //!
 //! ```
 //! use dolbie_net::env::{EnvKind, WireEnvSpec};
-//! use dolbie_net::loopback::{run_loopback, LoopbackOptions};
-//! use dolbie_net::master::MasterConfig;
+//! use dolbie_net::shard::{run_sharded_loopback, ShardedConfig};
 //!
 //! let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 7 };
-//! let run = run_loopback(&LoopbackOptions::new(MasterConfig::new(3, 10, env))).unwrap();
-//! assert_eq!(run.report.trace.rounds.len(), 10);
-//! let total: f64 = run.report.final_allocation.iter().sum();
+//! let run = run_sharded_loopback(&ShardedConfig::new(3, 1, 10, env)).unwrap();
+//! assert_eq!(run.root.rounds.len(), 10);
+//! let total: f64 = run.allocations().last().unwrap().iter().sum();
 //! assert!((total - 1.0).abs() < 1e-9);
 //! ```
 
@@ -70,11 +69,8 @@
 #![warn(missing_docs)]
 
 pub mod env;
-pub mod evented;
 pub(crate) mod fleet;
 pub(crate) mod handshake;
-pub mod loopback;
-pub mod master;
 pub mod shard;
 pub mod transport;
 pub mod wire;

@@ -1,8 +1,9 @@
-//! The two-level sharded control plane over real TCP: `M` shard-masters
-//! each run DOLBIE's per-round coordination over `N/M` workers, and a
-//! root coordinator runs the *same* min-max step over shard-level
-//! aggregates — breaking the flat master's `Θ(N)` fan-in while staying
-//! bitwise identical to the flat masters and the sequential engine.
+//! The TCP coordinator: `M` shard-masters each run DOLBIE's per-round
+//! coordination over `N/M` workers, and a root coordinator runs the
+//! *same* min-max step over shard-level aggregates — `O(M)` fan-in at the
+//! root while staying bitwise identical to the sequential engine. The
+//! paper's flat master-worker deployment is the `M = 1` tree: one
+//! shard-master over the whole fleet (`dolbie_node master`).
 //!
 //! ## Roles
 //!
@@ -12,13 +13,13 @@
 //!   broadcast the coordination scalars, chain the fixed-shape gains
 //!   cursor through the shards, run the guard/pin tail, and commit. It
 //!   never sees a per-worker array outside an epoch transition.
-//! - **Shard-master** ([`run_shard_master`]): a real evented TCP master
-//!   over its contiguous worker range — the same `Fleet` readiness
-//!   machinery, concurrent admission, coalesced broadcasts, and
-//!   timer-wheel deadlines as the flat evented master — plus one
-//!   blocking upstream link to the root. Workers speak the unchanged
-//!   flat worker protocol; a worker cannot tell a shard-master from the
-//!   flat master.
+//! - **Shard-master** ([`run_shard_master`]): a real TCP master over
+//!   its contiguous worker range — concurrent admission, coalesced
+//!   broadcasts, and either the blocking staircase collect (lossless
+//!   worker links) or the readiness sweep with timer-wheel deadlines
+//!   (lossy ones) — plus one blocking upstream link to the root. Workers
+//!   speak the worker protocol of Algorithm 1 and cannot tell how many
+//!   shards the tree has.
 //!
 //! ## Per-round backbone dialect (root ↔ shard-master)
 //!
@@ -56,17 +57,21 @@
 //!   scatters the authoritative slices back. A death discovered before
 //!   the round's commit restarts the round under the new epoch; a death
 //!   discovered after the commit stands and the epoch takes effect at
-//!   `t + 1` — the same boundary as the flat masters. Frames of an
-//!   abandoned attempt are filtered by their stale epoch/round tags at
-//!   every tier (shard-masters skip the root's stale round frames while
-//!   awaiting an epoch; workers' stale `LocalCost`/`Decision` frames
-//!   are filtered by the fleet's epoch-tagged collect).
+//!   `t + 1`. Frames of an abandoned attempt are filtered by their
+//!   stale epoch/round tags at every tier (shard-masters skip the root's
+//!   stale round frames while awaiting an epoch; workers' stale
+//!   `LocalCost`/`Decision` frames are filtered by the fleet's
+//!   epoch-tagged collect).
 //! - **Shard-master crash → one mass epoch, or a structured error.**
-//!   Every backbone interaction carries a per-link deadline
-//!   (`frame_timeout`, plus the seeded retry budget when the backbone
-//!   envelope is lossy), so a dead or wedged shard-master is detected
-//!   within a bounded window instead of hanging the tree. The root
-//!   classifies I/O failures (EOF, reset, expired deadline) as a crash,
+//!   Once round 0 has committed, every backbone interaction carries a
+//!   deadline nested around the worker tier's `frame_timeout` (see
+//!   [`root_deadline`]), so a dead or wedged shard-master is detected
+//!   within a bounded window instead of hanging the tree, and a live
+//!   shard-master busy discovering stalled workers is never mistaken for
+//!   a dead one. Round 0 absorbs worker admission, which has no
+//!   deadline; until it commits only a closed backbone socket counts as
+//!   death. The root classifies I/O
+//!   failures (EOF, reset, expired deadline) as a crash,
 //!   buries the whole shard range as one mass membership epoch, and
 //!   redistributes the departing share over the survivors — unless the
 //!   [`ShardedConfig::min_live_shards`] quorum policy says the degraded
@@ -97,7 +102,7 @@ use crate::transport::{
     DEFAULT_FRAME_TIMEOUT,
 };
 use crate::wire::{CursorPhase, Frame, SHARD_SLICE_CHUNK};
-use crate::worker::{run_worker, WorkerOptions, WorkerReport};
+use crate::worker::{run_worker_as, WorkerOptions, WorkerReport};
 use crate::NetError;
 use dolbie_core::numeric::{CursorState, SumCursor};
 use dolbie_core::shard::{combine_candidates, RootEngine, ShardCandidate, ShardLayout};
@@ -168,15 +173,58 @@ pub struct ShardedConfig {
     /// structured error instead of degrading further. `1` (the default)
     /// degrades as long as any shard survives.
     pub min_live_shards: usize,
-    /// Scheduled worker kills `(global worker id, die_after_round)`,
-    /// injected through [`WorkerOptions::die_after_round`].
+    /// Scheduled worker kills `(worker, die_after_round)`, injected
+    /// through [`WorkerOptions::die_after_round`]. `worker` is the global
+    /// id the victim is admitted under: shards assign ids in
+    /// Hello-completion order, so each loopback worker looks its faults
+    /// up by the id its `Welcome` carries, whichever thread that is.
     pub worker_kills: Vec<(usize, usize)>,
+    /// Scheduled worker stalls `(worker, stall_after_round, hold)`,
+    /// injected through [`WorkerOptions::stall_after_round`]: the worker
+    /// goes silent with its socket open. Several entries stall several
+    /// workers at once; `worker` is a global id, as in
+    /// [`Self::worker_kills`].
+    pub worker_stalls: Vec<(usize, usize, Duration)>,
     /// Scheduled shard-master kills.
     pub shard_kills: Vec<ShardKill>,
-    /// Per-frame read deadline on every link of both tiers — also the
-    /// crash-detection window of the backbone.
+    /// Per-frame read deadline on every worker link; the backbone
+    /// deadlines are derived from it ([`root_deadline`],
+    /// [`shard_deadline`]).
     pub frame_timeout: Duration,
 }
+
+/// The root's deadline on a shard-master reply: `3 · frame_timeout`.
+///
+/// Between two backbone frames a live shard-master may spend one
+/// `frame_timeout` draining the previous commit to a worker that stopped
+/// reading, then one more discovering the workers that stalled in the
+/// next collect (the sweep and the staircase both find a whole bank of
+/// stalls within one `frame_timeout`), before it reports. The third is
+/// margin, so the root never buries a shard that is merely busy burying
+/// workers. It is also the detection window for a wedged shard-master.
+pub fn root_deadline(frame_timeout: Duration) -> Duration {
+    frame_timeout * 3
+}
+
+/// A shard-master's deadline on the root: `6 · frame_timeout`.
+///
+/// The root answers a shard only after hearing from its siblings: it may
+/// wait up to `2 · frame_timeout` on live siblings that are burying
+/// stalled workers and then a full [`root_deadline`] on a wedged one
+/// before it announces the epoch that buries it. Twice the root's
+/// deadline covers those `5 · frame_timeout` with one to spare, so
+/// siblings of a stalled shard never mistake the root for dead.
+pub fn shard_deadline(frame_timeout: Duration) -> Duration {
+    frame_timeout * 6
+}
+
+/// The backbone wait while round 0 is open, on both ends: unbounded in
+/// practice. A shard-master sends its first frame only after admitting
+/// its whole worker range, and admission has no deadline — workers may
+/// dial in whenever they are started — so until round 0 commits a silent
+/// backbone peer is still admitting (or waiting on a sibling that is),
+/// not wedged. A peer that dies still shows as a closed socket at once.
+const ADMISSION_WAIT: Duration = Duration::from_secs(100 * 365 * 24 * 3600);
 
 impl ShardedConfig {
     /// A lossless sharded run: `n` workers in `m` shards for `rounds`
@@ -192,6 +240,7 @@ impl ShardedConfig {
             backbone_fault: FaultPlan::none(),
             min_live_shards: 1,
             worker_kills: Vec::new(),
+            worker_stalls: Vec::new(),
             shard_kills: Vec::new(),
             frame_timeout: DEFAULT_FRAME_TIMEOUT,
         }
@@ -400,6 +449,16 @@ impl Root<'_> {
         self.layout.range(k).any(|i| self.members[i])
     }
 
+    /// The deadline on a shard reply: [`ADMISSION_WAIT`] until round 0
+    /// commits, [`root_deadline`] after.
+    fn deadline(&self) -> Duration {
+        if self.records.is_empty() {
+            ADMISSION_WAIT
+        } else {
+            root_deadline(self.cfg.frame_timeout)
+        }
+    }
+
     /// Drops shard `k`'s backbone link, absorbing its wire counters.
     /// Idempotent; membership flips happen in [`Root::transition`].
     fn bury_link(&mut self, k: usize) {
@@ -419,7 +478,7 @@ impl Root<'_> {
         phase: CursorPhase,
         logical: &mut usize,
     ) -> Result<ChainOutcome, NetError> {
-        let timeout = self.cfg.frame_timeout;
+        let timeout = self.deadline();
         let Self { links, layout, zeros, .. } = self;
         let mut state = SumCursor::new().state();
         for (k, slot) in links.iter_mut().enumerate() {
@@ -473,7 +532,7 @@ impl Root<'_> {
     /// failures past it are post-commit and take effect at `t + 1`.
     fn attempt(&mut self, t: usize) -> Result<Attempt, NetError> {
         let m = self.cfg.num_shards;
-        let timeout = self.cfg.frame_timeout;
+        let timeout = self.deadline();
         let before = self.totals();
         let mut logical = 0usize;
 
@@ -656,7 +715,7 @@ impl Root<'_> {
     /// deferred to a follow-up epoch.
     fn transition(&mut self, next_round: usize, mut pending: Pending) -> Result<(), NetError> {
         let n = self.layout.num_workers();
-        let timeout = self.cfg.frame_timeout;
+        let timeout = self.deadline();
         'transitions: while !pending.is_empty() {
             for &w in &pending.workers {
                 if w >= n {
@@ -970,7 +1029,8 @@ pub struct ShardMasterOptions {
     pub shard: usize,
     /// Shard count `M`, cross-checked against the root's.
     pub num_shards: usize,
-    /// Per-frame read deadline on the root link and every worker link.
+    /// Per-frame read deadline on every worker link; the root link's
+    /// deadline derives from it ([`shard_deadline`]).
     pub frame_timeout: Duration,
     /// Fault plan replayed on this side of the backbone link.
     pub backbone_fault: FaultPlan,
@@ -996,6 +1056,9 @@ pub struct ShardRoundSlice {
     pub shares: Vec<f64>,
     /// The slice of observed local costs (`0.0` for buried slots).
     pub costs: Vec<f64>,
+    /// Logical worker-link frames the shard-master sent + received this
+    /// round (four per live worker, plus `Adjust`s on a rescale).
+    pub messages: usize,
 }
 
 /// Totals and per-round slices of one completed shard-master run.
@@ -1016,6 +1079,9 @@ pub struct ShardRunReport {
     pub wire: WireStats,
     /// Run-total wire counters on the root link.
     pub root_wire: WireStats,
+    /// Wall-clock seconds from the end of worker admission to the end of
+    /// the run.
+    pub wall_clock: f64,
 }
 
 /// A `ShardEpoch` announcement as received, before it is served.
@@ -1049,6 +1115,8 @@ struct ShardCtx {
     root: Link,
     fleet: Fleet,
     staircase: bool,
+    /// The deadline on every root recv: [`ADMISSION_WAIT`] until the
+    /// first commit arrives, [`shard_deadline`] from then on.
     timeout: Duration,
     epoch: u32,
     epochs_seen: u32,
@@ -1058,6 +1126,8 @@ struct ShardCtx {
     x: Vec<f64>,
     /// Wire counters absorbed from buried worker links.
     retired: WireStats,
+    /// When worker admission ended.
+    admitted: Instant,
 }
 
 impl ShardCtx {
@@ -1237,6 +1307,7 @@ impl ShardCtx {
             epochs_seen: self.epochs_seen,
             wire,
             root_wire: self.root.stats(),
+            wall_clock: self.admitted.elapsed().as_secs_f64(),
         }
     }
 }
@@ -1250,8 +1321,8 @@ impl ShardCtx {
 ///
 /// Workers are admitted with their *global* ids (`range.start +
 /// admission slot`), so their cost derivation and lossy-envelope hash
-/// keys are identical to a flat run over the same `N` — a worker cannot
-/// tell which architecture coordinates it.
+/// keys are identical under every shard count over the same `N` — a
+/// worker cannot tell how many shards the tree has.
 pub fn run_shard_master(
     root: TcpStream,
     listener: &TcpListener,
@@ -1259,7 +1330,7 @@ pub fn run_shard_master(
 ) -> Result<ShardRunReport, NetError> {
     let mut conn = FrameConn::new(root).map_err(TransportError::from)?;
     conn.send(&Frame::ShardHello { shard: opts.shard as u32, num_shards: opts.num_shards as u32 })?;
-    let welcome = conn.recv(opts.frame_timeout)?;
+    let welcome = conn.recv(shard_deadline(opts.frame_timeout))?;
     let Frame::ShardWelcome {
         shard,
         num_shards,
@@ -1281,13 +1352,6 @@ pub fn run_shard_master(
     if shard as usize != opts.shard || num_shards as usize != opts.num_shards {
         return Err(NetError::Protocol("root and shard disagree on the layout".into()));
     }
-    let root_link = Link::with_plan(
-        conn,
-        opts.backbone_fault.clone(),
-        backbone_shard_code(opts.shard),
-        BACKBONE_ROOT_CODE,
-    );
-
     let range = range_start as usize..range_end as usize;
     let count = range.len();
     let n_total = num_workers as usize;
@@ -1303,8 +1367,8 @@ pub fn run_shard_master(
         fault = fault.with_duplicate_probability(duplicate_probability);
     }
 
-    // Worker admission: the same shared evented machinery as the flat
-    // master, parameterized with this shard's global id window.
+    // Worker admission: concurrent handshakes, parameterized with this
+    // shard's global id window, abandoned if the root goes away first.
     let initial = Allocation::uniform(n_total);
     listener.set_nonblocking(true).map_err(TransportError::from)?;
     let admitted = admit_concurrent(
@@ -1317,8 +1381,16 @@ pub fn run_shard_master(
             welcome_frame(global as u32, num_workers, rounds, env, initial.share(global), &fault)
         },
         |slot| (range_start as usize + slot) as u64 + 1,
+        || conn.peer_closed(),
     );
     let _ = listener.set_nonblocking(false);
+    let admission_end = Instant::now();
+    let root_link = Link::with_plan(
+        conn,
+        opts.backbone_fault.clone(),
+        backbone_shard_code(opts.shard),
+        BACKBONE_ROOT_CODE,
+    );
     let mut fleet = Fleet::new(admitted?, opts.frame_timeout);
     // Lossless fleets take the staircase collect: the worker links carry
     // no retransmission clocks, so the sweep's poll/sleep duty cycle —
@@ -1342,12 +1414,13 @@ pub fn run_shard_master(
         root: root_link,
         fleet,
         staircase,
-        timeout: opts.frame_timeout,
+        timeout: ADMISSION_WAIT,
         epoch: 0,
         epochs_seen: 0,
         local_members: vec![true; count],
         x: range.clone().map(|i| initial.share(i)).collect(),
         retired: WireStats::default(),
+        admitted: admission_end,
     };
     let mut gains = vec![0.0f64; count];
     let mut records: Vec<ShardRoundSlice> = Vec::with_capacity(rounds as usize);
@@ -1381,6 +1454,7 @@ pub fn run_shard_master(
             // epoch tag filters stale frames of abandoned attempts.
             let start = Frame::RoundStart { epoch: ctx.epoch, round: t as u64 };
             ctx.fleet.broadcast(&start, &live, Instant::now());
+            logical += live.len();
             if let Some(dead) =
                 ctx.collect(t, Phase::Cost, &live, &mut local_costs, &mut logical)?
             {
@@ -1454,6 +1528,7 @@ pub fn run_shard_master(
                 Frame::Coordination { round: t as u64, global_cost, alpha, is_straggler: true };
             ctx.fleet.queue_to(ls, &pin, now);
         }
+        logical += others.len() + usize::from(local_straggler.is_some());
         gains.fill(0.0);
         if let Some(dead) = ctx.collect(t, Phase::Decision, &others, &mut gains, &mut logical)? {
             pending_dead = dead;
@@ -1496,6 +1571,7 @@ pub fn run_shard_master(
                     }
                     let adjust = Frame::Adjust { round: t as u64, scale };
                     ctx.fleet.broadcast(&adjust, &others, Instant::now());
+                    logical += others.len();
                 }
                 Tail::Frame(Frame::ShardCommit {
                     round,
@@ -1506,6 +1582,9 @@ pub fn run_shard_master(
                     // Commit: apply the gains, pin the straggler. The
                     // record is pushed here — a transition interrupting
                     // the refresh hop must not lose the committed round.
+                    // Every live sibling has reported by now, so the
+                    // root's silence counts from here on.
+                    ctx.timeout = shard_deadline(opts.frame_timeout);
                     for (xi, gi) in ctx.x.iter_mut().zip(&gains) {
                         *xi += gi;
                     }
@@ -1514,11 +1593,13 @@ pub fn run_shard_master(
                         let assignment =
                             Frame::Assignment { round: t as u64, share: straggler_share };
                         ctx.fleet.queue_to(ls, &assignment, Instant::now());
+                        logical += 1;
                     }
                     records.push(ShardRoundSlice {
                         round: t,
                         shares: played.clone(),
                         costs: local_costs.clone(),
+                        messages: logical,
                     });
                     break refresh;
                 }
@@ -1580,7 +1661,7 @@ pub fn run_shard_master(
         // The root closes the run — but a post-horizon mass epoch (a
         // shard that died during the final commit) may arrive first.
         loop {
-            match ctx.root.recv(opts.frame_timeout)? {
+            match ctx.root.recv(ctx.timeout)? {
                 Frame::Shutdown => break,
                 Frame::ShardEpoch { epoch, round, members } => {
                     match ctx.serve_transition(EpochRecord { epoch, round, members })? {
@@ -1594,6 +1675,47 @@ pub fn run_shard_master(
     }
     ctx.fleet.shutdown(opts.frame_timeout);
     Ok(ctx.into_report(records))
+}
+
+/// The paper's flat master–worker deployment: the `M = 1` tree in one
+/// process. The root runs on the calling thread and its single
+/// shard-master on a scoped thread, joined by a backbone socket on
+/// 127.0.0.1; workers dial `listener`. Admission has no deadline, so
+/// workers may be started long after this call. The root's error takes
+/// priority over the shard-master's, which is usually its echo; a root
+/// that fails closes the backbone, which ends the shard-master's
+/// admission too, so the call returns even if the fleet never arrives.
+///
+/// # Panics
+///
+/// Panics if `cfg.num_shards != 1`, or on the degenerate configurations
+/// [`run_root`] rejects.
+pub fn run_single_shard(
+    listener: &TcpListener,
+    cfg: &ShardedConfig,
+) -> Result<(RootReport, ShardRunReport), NetError> {
+    assert_eq!(cfg.num_shards, 1, "the single-shard tree has exactly one shard");
+    let backbone = TcpListener::bind("127.0.0.1:0").map_err(TransportError::from)?;
+    let addr = backbone.local_addr().map_err(TransportError::from)?;
+    let opts = ShardMasterOptions {
+        shard: 0,
+        num_shards: 1,
+        frame_timeout: cfg.frame_timeout,
+        backbone_fault: cfg.backbone_fault.clone(),
+        die_after_round: None,
+        die_mid_round: false,
+    };
+    std::thread::scope(|scope| {
+        let shard = scope.spawn(|| {
+            let stream = TcpStream::connect(addr).map_err(TransportError::from)?;
+            run_shard_master(stream, listener, &opts)
+        });
+        let root = run_root(&backbone, cfg);
+        let shard = shard
+            .join()
+            .unwrap_or_else(|_| Err(NetError::Protocol("shard-master thread panicked".into())));
+        Ok((root?, shard?))
+    })
 }
 
 /// The root's report plus every shard-master's and worker's outcome.
@@ -1613,48 +1735,52 @@ pub struct ShardedLoopbackRun {
 }
 
 impl ShardedLoopbackRun {
-    /// Stitches the shard slices back into flat per-round allocations:
-    /// element `t` is the full `N`-vector the fleet played in round `t`,
-    /// and one extra final entry holds the post-horizon shares — the
-    /// same shape the parity harnesses compare bitwise against the
-    /// sequential engine. Rounds a killed shard never committed, and
-    /// its post-burial final shares, are the exact `0.0` the engine's
-    /// renormalization assigns a buried range.
+    /// The run's flat per-round allocations; see [`stitch_allocations`].
     pub fn allocations(&self) -> Vec<Vec<f64>> {
-        let rounds = self.root.rounds.len();
-        let mut out = Vec::with_capacity(rounds + 1);
-        for t in 0..rounds {
-            let mut flat = Vec::new();
-            for shard in &self.shards {
-                match shard.rounds.get(t).filter(|r| r.round == t) {
-                    Some(r) => flat.extend_from_slice(&r.shares),
-                    None => flat.extend(std::iter::repeat_n(0.0, shard.range.len())),
-                }
-            }
-            out.push(flat);
-        }
-        let mut last = Vec::new();
-        for shard in &self.shards {
-            for (j, i) in shard.range.clone().enumerate() {
-                let alive = self.root.members.get(i).copied().unwrap_or(false);
-                last.push(if alive {
-                    shard.final_shares.get(j).copied().unwrap_or(0.0)
-                } else {
-                    0.0
-                });
-            }
-        }
-        out.push(last);
-        out
+        stitch_allocations(&self.root, &self.shards)
     }
+}
+
+/// Stitches shard slices (in shard order) back into flat per-round
+/// allocations: element `t` is the full `N`-vector the fleet played in
+/// round `t`, and one extra final entry holds the post-horizon shares —
+/// the same shape the parity harnesses compare bitwise against the
+/// sequential engine. Rounds a killed shard never committed, and its
+/// post-burial final shares, are the exact `0.0` the engine's
+/// renormalization assigns a buried range.
+pub fn stitch_allocations(root: &RootReport, shards: &[ShardRunReport]) -> Vec<Vec<f64>> {
+    let rounds = root.rounds.len();
+    let mut out = Vec::with_capacity(rounds + 1);
+    for t in 0..rounds {
+        let mut flat = Vec::new();
+        for shard in shards {
+            match shard.rounds.get(t).filter(|r| r.round == t) {
+                Some(r) => flat.extend_from_slice(&r.shares),
+                None => flat.extend(std::iter::repeat_n(0.0, shard.range.len())),
+            }
+        }
+        out.push(flat);
+    }
+    let mut last = Vec::new();
+    for shard in shards {
+        for (j, i) in shard.range.clone().enumerate() {
+            let alive = root.members.get(i).copied().unwrap_or(false);
+            last.push(if alive { shard.final_shares.get(j).copied().unwrap_or(0.0) } else { 0.0 });
+        }
+    }
+    out.push(last);
+    out
 }
 
 /// Runs root + `M` shard-masters + `N` workers over loopback TCP — the
 /// root on the calling thread, everything else on small-stack OS
 /// threads — and reaps the whole tree before returning. Nothing is
 /// simulated: three process roles, two protocol tiers, every byte
-/// through the kernel's loopback interface. Scheduled kills from
-/// [`ShardedConfig::worker_kills`] and [`ShardedConfig::shard_kills`]
+/// through the kernel's loopback interface. Worker threads run on small
+/// fixed stacks and connect under the N-scaled [`connect_schedule`], so
+/// fleets of thousands neither exhaust memory nor trample the OS listen
+/// backlog. Scheduled faults from [`ShardedConfig::worker_kills`],
+/// [`ShardedConfig::worker_stalls`], and [`ShardedConfig::shard_kills`]
 /// are injected here; the root's structured error (quorum loss, total
 /// fleet death) takes priority over the secondary transport errors it
 /// causes downstream.
@@ -1710,11 +1836,13 @@ pub fn run_sharded_loopback(cfg: &ShardedConfig) -> Result<ShardedLoopbackRun, N
         // Workers pace their lossy retransmissions with the same policy
         // the config ships to the shard-masters, so a test choosing a
         // fast schedule gets it on both link directions.
-        let die = cfg.worker_kills.iter().find(|&&(w, _)| w == i).map(|&(_, r)| r);
-        let worker_opts = WorkerOptions {
-            retry: Some(cfg.fault.retry),
-            die_after_round: die,
-            ..WorkerOptions::default()
+        let worker_opts =
+            WorkerOptions { retry: Some(cfg.fault.retry), ..WorkerOptions::default() };
+        let (kills, stalls) = (cfg.worker_kills.clone(), cfg.worker_stalls.clone());
+        let faults = move |id: usize| {
+            let die = kills.iter().find(|&&(w, _)| w == id).map(|&(_, r)| r);
+            let stall = stalls.iter().find(|&&(w, _, _)| w == id).map(|&(_, r, h)| (r, h));
+            (die, stall)
         };
         let handle = std::thread::Builder::new()
             .name(format!("dolbie-worker-{i}"))
@@ -1725,7 +1853,7 @@ pub fn run_sharded_loopback(cfg: &ShardedConfig) -> Result<ShardedLoopbackRun, N
                 }
                 let stream = connect_with_backoff(addr, attempts, base, i as u64)
                     .map_err(TransportError::from)?;
-                run_worker(stream, &worker_opts)
+                run_worker_as(stream, &worker_opts, faults)
             })
             .map_err(TransportError::from)?;
         worker_handles.push(handle);

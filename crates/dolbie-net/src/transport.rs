@@ -1,10 +1,10 @@
 //! Socket transport, split into a readiness-free **buffer/codec layer**
 //! ([`FrameCodec`]: reassembly, strict decode, batched transmit queues)
 //! and the policies on top of it: the blocking [`FrameConn`]/[`Link`]
-//! used by workers and the blocking master, bounded seeded reconnect,
-//! and the deterministic lossy link layer. The event-driven master
-//! ([`crate::evented`]) drives the same codec from a non-blocking
-//! readiness loop.
+//! used by workers and on the root ↔ shard-master backbone, bounded
+//! seeded reconnect, and the deterministic lossy link layer. A
+//! shard-master drives the same codec over its worker sockets
+//! ([`crate::shard`]).
 //!
 //! ## The lossy mode
 //!
@@ -29,7 +29,7 @@
 use crate::wire::{Frame, WireError, MAX_FRAME_BYTES};
 use dolbie_simnet::faults::FaultPlan;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -116,8 +116,8 @@ impl WireStats {
 
 /// The pure buffer/codec layer of a framed connection: bytes in one side,
 /// frames out the other, plus an outgoing byte queue — no socket, no
-/// blocking, no readiness. Both the blocking [`FrameConn`] and the
-/// event-driven master's connections sit on top of this.
+/// blocking, no readiness. Both the blocking [`FrameConn`] and a
+/// shard-master's worker connections sit on top of this.
 ///
 /// Incoming bytes accumulate in a reassembly buffer and complete frames
 /// parse off its front, so a read ending mid-frame never desynchronizes
@@ -218,6 +218,22 @@ impl FrameConn {
     pub fn new(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
         Ok(Self { stream, codec: FrameCodec::new() })
+    }
+
+    /// Whether the peer has closed the connection (or it failed), asked
+    /// without waiting and without consuming anything. A peer that sent
+    /// bytes and then closed reads as open until those bytes are taken.
+    pub fn peer_closed(&self) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return true;
+        }
+        let closed = match self.stream.peek(&mut [0u8; 1]) {
+            Ok(0) => true,
+            Ok(_) => false,
+            Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+        };
+        let restored = self.stream.set_nonblocking(false).is_ok();
+        closed || !restored
     }
 
     /// Writes one frame.
@@ -549,6 +565,21 @@ mod tests {
         // The stream still works after the timeout.
         a.send(&Frame::Shutdown).unwrap();
         assert_eq!(b.recv(Duration::from_secs(2)).unwrap(), Frame::Shutdown);
+    }
+
+    #[test]
+    fn peer_closed_sees_a_close_but_not_silence_or_unread_bytes() {
+        let (mut a, mut b) = pair();
+        assert!(!b.peer_closed(), "a silent open peer is not closed");
+        a.send(&Frame::Shutdown).unwrap();
+        assert!(!b.peer_closed(), "unread bytes read as open");
+        assert_eq!(b.recv(Duration::from_secs(2)).unwrap(), Frame::Shutdown);
+        drop(a);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !b.peer_closed() {
+            assert!(Instant::now() < deadline, "the close never showed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]

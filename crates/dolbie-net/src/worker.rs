@@ -57,10 +57,26 @@ pub struct WorkerReport {
     pub wire: WireStats,
 }
 
+/// Injected faults as `(die_after_round, stall_after_round)`; see
+/// [`WorkerOptions`].
+pub(crate) type InjectedFaults = (Option<usize>, Option<(usize, Duration)>);
+
 /// Runs the worker protocol on `stream` until `Shutdown` (or injected
 /// death). Handshakes raw, then speaks through the fault plan announced
 /// in `Welcome`.
 pub fn run_worker(stream: TcpStream, opts: &WorkerOptions) -> Result<WorkerReport, NetError> {
+    run_worker_as(stream, opts, |_| (opts.die_after_round, opts.stall_after_round))
+}
+
+/// [`run_worker`] with the injected faults chosen by the id the master
+/// admits the worker under, ignoring the ones in `opts`. Ids follow
+/// Hello-completion order, so a harness that schedules a fault for a
+/// global worker id resolves it here, after `Welcome`, not per thread.
+pub(crate) fn run_worker_as(
+    stream: TcpStream,
+    opts: &WorkerOptions,
+    faults: impl FnOnce(usize) -> InjectedFaults,
+) -> Result<WorkerReport, NetError> {
     let timeout = opts.frame_timeout.unwrap_or(DEFAULT_FRAME_TIMEOUT);
     let mut conn = FrameConn::new(stream).map_err(TransportError::from)?;
     conn.send(&Frame::Hello { version: VERSION })?;
@@ -88,6 +104,7 @@ pub fn run_worker(stream: TcpStream, opts: &WorkerOptions) -> Result<WorkerRepor
         }
         _ => return Err(NetError::Protocol("expected Welcome after Hello".into())),
     };
+    let (die_after_round, stall_after_round) = faults(worker_id);
     let mut link = Link::with_plan(conn, plan, worker_id as u64 + 1, 0);
 
     let mut cost_fn: Option<DynCost> = None;
@@ -112,7 +129,7 @@ pub fn run_worker(stream: TcpStream, opts: &WorkerOptions) -> Result<WorkerRepor
                 cost_fn = Some(f);
                 rounds_seen += 1;
                 link.send(&Frame::LocalCost { epoch: my_epoch, round, cost })?;
-                if let Some((stall_round, hold)) = opts.stall_after_round {
+                if let Some((stall_round, hold)) = stall_after_round {
                     if stall_round == round as usize {
                         // Injected stall: hold the socket open, say
                         // nothing, and leave only after the master has
@@ -127,7 +144,7 @@ pub fn run_worker(stream: TcpStream, opts: &WorkerOptions) -> Result<WorkerRepor
                         });
                     }
                 }
-                if opts.die_after_round == Some(round as usize) {
+                if die_after_round == Some(round as usize) {
                     // Injected crash: vanish without a goodbye.
                     return Ok(WorkerReport {
                         worker_id,

@@ -1,9 +1,10 @@
-//! Fault-tolerance acceptance tests for the sharded control plane: a
-//! worker killed mid-run (pre- and post-commit), a shard-master killed
-//! mid-run (pre- and post-commit), and a quorum loss — each over real
-//! loopback TCP, each bounded in wall clock (never a hang), and each
-//! with the surviving trajectory **bitwise identical** to a sequential
-//! twin replaying the recorded membership schedule.
+//! Fault-tolerance acceptance tests for the TCP coordinator: a worker
+//! killed mid-run (pre- and post-commit, `M ∈ {1, 2}`), workers stalled
+//! with their sockets open, a shard-master killed mid-run (pre- and
+//! post-commit), a quorum loss, and rogue peers at admission — each over
+//! real loopback TCP, each bounded in wall clock (never a hang), and
+//! each with the surviving trajectory **bitwise identical** to a
+//! sequential twin replaying the recorded membership schedule.
 //!
 //! The twin recipe is the contract the root's epoch records promise:
 //! before observing round `t`, apply every recorded `RootEpoch` with
@@ -13,11 +14,20 @@
 //! after the last observation.
 
 use dolbie_core::cost::DynCost;
+use dolbie_core::ShardLayout;
 use dolbie_core::{Allocation, Dolbie, DolbieConfig, LoadBalancer, Observation};
 use dolbie_net::env::{EnvKind, WireEnvSpec};
 use dolbie_net::shard::{
-    run_sharded_loopback, RootEpoch, ShardKill, ShardedConfig, ShardedLoopbackRun,
+    run_root, run_shard_master, run_sharded_loopback, run_single_shard, shard_deadline,
+    stitch_allocations, RootEpoch, RootReport, ShardKill, ShardMasterOptions, ShardedConfig,
+    ShardedLoopbackRun,
 };
+use dolbie_net::transport::connect_with_backoff;
+use dolbie_net::worker::{run_worker, WorkerOptions};
+use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Generous "no hang" bound: every case here finishes in well under a
@@ -58,8 +68,17 @@ fn twin_allocations(
 }
 
 fn assert_bitwise_twin(run: &ShardedLoopbackRun, env: WireEnvSpec, n: usize, rounds: usize) {
-    let stitched = run.allocations();
-    let reference = twin_allocations(env, n, rounds, &run.root.epochs);
+    assert_stitched_twin(&run.allocations(), &run.root.epochs, env, n, rounds);
+}
+
+fn assert_stitched_twin(
+    stitched: &[Vec<f64>],
+    epochs: &[RootEpoch],
+    env: WireEnvSpec,
+    n: usize,
+    rounds: usize,
+) {
+    let reference = twin_allocations(env, n, rounds, epochs);
     assert_eq!(stitched.len(), reference.len(), "horizon mismatch");
     for (t, (net, seq)) in stitched.iter().zip(&reference).enumerate() {
         for i in 0..n {
@@ -93,7 +112,18 @@ fn straggler_at(env: WireEnvSpec, n: usize, m: usize, round: usize) -> usize {
     run.root.rounds[round].straggler
 }
 
-fn killed_worker_case(n: usize, m: usize, rounds: usize, victim: usize, kill_round: usize) {
+/// Kills worker `victim` after its round-`kill_round` cost report and
+/// checks the one epoch it causes. A `pre_commit` death abandons the
+/// kill round, whose replay opens the epoch; a post-commit death lets
+/// the round stand, and the epoch opens one of the next two rounds.
+fn killed_worker_case(
+    n: usize,
+    m: usize,
+    rounds: usize,
+    victim: usize,
+    kill_round: usize,
+    pre_commit: bool,
+) {
     let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0xC4A54 + n as u64 };
     let mut cfg = ShardedConfig::new(n, m, rounds, env).with_worker_kill(victim, kill_round);
     cfg.frame_timeout = Duration::from_secs(2);
@@ -104,11 +134,14 @@ fn killed_worker_case(n: usize, m: usize, rounds: usize, victim: usize, kill_rou
     assert_eq!(run.root.rounds.len(), rounds, "the horizon completes despite the crash");
     assert_eq!(run.root.epochs.len(), 1, "one death, one epoch");
     let epoch = &run.root.epochs[0];
-    assert!(!epoch.members[victim], "the epoch must bury the victim");
+    assert!(!epoch.members[victim], "the epoch must bury the planned victim");
     assert_eq!(epoch.members.iter().filter(|&&a| !a).count(), 1);
+    let landing =
+        if pre_commit { kill_round..=kill_round } else { kill_round + 1..=kill_round + 2 };
     assert!(
-        (kill_round..=kill_round + 2).contains(&epoch.round),
-        "the death fired at round {kill_round} but the epoch landed at round {}",
+        landing.contains(&epoch.round),
+        "the death fired at round {kill_round} (pre-commit: {pre_commit}) but the epoch landed \
+         at round {}",
         epoch.round
     );
     assert!(run.root.dead_shards.is_empty(), "no shard-master died");
@@ -131,14 +164,15 @@ fn killed_worker_case(n: usize, m: usize, rounds: usize, victim: usize, kill_rou
 #[test]
 fn pre_commit_worker_kill_is_one_epoch_and_bitwise() {
     const N: usize = 8;
-    const M: usize = 2;
     const ROUNDS: usize = 30;
     const KILL_ROUND: usize = 11;
     let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0xC4A54 + N as u64 };
-    // Any non-straggler victim exercises the pre-commit path.
-    let straggler = straggler_at(env, N, M, KILL_ROUND);
-    let victim = (0..N).find(|&i| i != straggler).expect("N >= 2");
-    killed_worker_case(N, M, ROUNDS, victim, KILL_ROUND);
+    for m in [1, 2] {
+        // Any non-straggler victim exercises the pre-commit path.
+        let straggler = straggler_at(env, N, m, KILL_ROUND);
+        let victim = (0..N).find(|&i| i != straggler).expect("N >= 2");
+        killed_worker_case(N, m, ROUNDS, victim, KILL_ROUND, true);
+    }
 }
 
 /// The round's *straggler* killed mid-run: it owes no decision frame,
@@ -149,12 +183,69 @@ fn pre_commit_worker_kill_is_one_epoch_and_bitwise() {
 #[test]
 fn post_commit_straggler_kill_is_one_epoch_and_bitwise() {
     const N: usize = 8;
-    const M: usize = 2;
     const ROUNDS: usize = 30;
     const KILL_ROUND: usize = 11;
     let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0xC4A54 + N as u64 };
-    let victim = straggler_at(env, N, M, KILL_ROUND);
-    killed_worker_case(N, M, ROUNDS, victim, KILL_ROUND);
+    for m in [1, 2] {
+        let victim = straggler_at(env, N, m, KILL_ROUND);
+        killed_worker_case(N, m, ROUNDS, victim, KILL_ROUND, false);
+    }
+}
+
+/// Workers that go silent with their sockets open after reporting a
+/// round's cost are buried — they and nobody else — across
+/// `M ∈ {1, 2}` × lossless/lossy worker links × {1, 4} simultaneous
+/// stalls, twice each. Every case completes the horizon bitwise equal to
+/// the membership twin. A shard-master needs up to one `frame_timeout`
+/// to find its stalled workers, so the backbone deadlines nest around it
+/// (a root deadline equal to the worker tier's buried whole live shards)
+/// and four stalls cost about one `frame_timeout` at either tier — two
+/// if a stalled worker was the round's straggler and owed no decision —
+/// never one per stall: under 1.8 s where four serial `frame_timeout`s
+/// would take 2.4 s.
+#[test]
+fn stalled_workers_are_buried_together_and_only_they() {
+    const N: usize = 8;
+    const ROUNDS: usize = 8;
+    const STALL_ROUND: usize = 3;
+    let hold = Duration::from_millis(2500);
+    let retry = RetryPolicy::new(0.001, 1.5, 6);
+    let lossy = FaultPlan::seeded(0x57A1)
+        .with_drop_probability(0.12)
+        .with_duplicate_probability(0.05)
+        .with_retry(retry);
+    for rep in 0..2u64 {
+        for m in [1, 2] {
+            for fault in [FaultPlan::none(), lossy.clone()] {
+                for stalled in [&[3usize][..], &[1, 3, 5, 6]] {
+                    let case = format!(
+                        "rep {rep}, M = {m}, lossy = {}, stalled workers {stalled:?}",
+                        !fault.is_lossless()
+                    );
+                    let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x57A1 + rep };
+                    let mut cfg =
+                        ShardedConfig::new(N, m, ROUNDS, env).with_fault_plan(fault.clone());
+                    cfg.frame_timeout = Duration::from_millis(600);
+                    cfg.worker_stalls = stalled.iter().map(|&k| (k, STALL_ROUND, hold)).collect();
+                    let run = run_sharded_loopback(&cfg).unwrap_or_else(|e| panic!("{case}: {e}"));
+
+                    assert_eq!(run.root.rounds.len(), ROUNDS, "{case}: horizon");
+                    assert!(run.root.dead_shards.is_empty(), "{case}: a live shard was buried");
+                    let dead: Vec<usize> = (0..N).filter(|&i| !run.root.members[i]).collect();
+                    assert_eq!(dead, stalled, "{case}: exactly the stalled workers die");
+                    assert_bitwise_twin(&run, env, N, ROUNDS);
+                    assert_on_simplex(&run);
+                    if stalled.len() == 4 {
+                        assert!(
+                            run.root.wall_clock < 1.8,
+                            "{case}: stalled workers serialized the round: {:.3} s",
+                            run.root.wall_clock
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 fn killed_shard_case(kill: ShardKill, n: usize, m: usize, rounds: usize) {
@@ -228,4 +319,194 @@ fn quorum_loss_terminates_with_a_structured_error() {
         message.contains("quorum") && message.contains("[1]") && message.contains("2"),
         "the error must name the policy and the dead shard: {message}"
     );
+}
+
+/// The `M = 1` tree of `dolbie_node master` with its worker listener in
+/// the test's hands, so rogue peers can reach it before the real fleet
+/// does: `rogues` runs first, then `n` workers dial in. Returns the
+/// root's report and the wall clock from the first worker's dial to the
+/// root's return.
+fn m1_tree_beside_rogues(
+    n: usize,
+    rounds: usize,
+    seed: u64,
+    rogues: impl FnOnce(SocketAddr) -> Vec<JoinHandle<()>>,
+) -> (RootReport, Duration) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed };
+    let mut cfg = ShardedConfig::new(n, 1, rounds, env);
+    cfg.frame_timeout = Duration::from_millis(500);
+    let rogues = rogues(addr);
+    let started = Instant::now();
+    let workers: Vec<JoinHandle<()>> = (0..n)
+        .map(|k| {
+            std::thread::spawn(move || {
+                let stream =
+                    connect_with_backoff(addr, 10, Duration::from_millis(10), k as u64).unwrap();
+                run_worker(stream, &WorkerOptions::default()).unwrap();
+            })
+        })
+        .collect();
+    let (report, _) =
+        run_single_shard(&listener, &cfg).expect("rogue connections must not abort the run");
+    let elapsed = started.elapsed();
+    for handle in rogues.into_iter().chain(workers) {
+        handle.join().unwrap();
+    }
+    (report, elapsed)
+}
+
+/// Rogue connections — garbage bytes, an immediate close, a well-formed
+/// non-Hello opener — are rejected socket-by-socket while the run
+/// completes with the real fleet.
+#[test]
+fn rogue_handshakes_are_rejected_not_fatal() {
+    const ROUNDS: usize = 5;
+    let (report, _) = m1_tree_beside_rogues(3, ROUNDS, 0x0905, |addr| {
+        (0..3u64)
+            .map(|flavor| {
+                std::thread::spawn(move || {
+                    let Ok(mut stream) =
+                        connect_with_backoff(addr, 10, Duration::from_millis(10), 90 + flavor)
+                    else {
+                        return;
+                    };
+                    match flavor {
+                        0 => {
+                            // Garbage: bytes that fail the magic check.
+                            let _ = stream.write_all(b"GET / HTTP/1.1\r\n\r\n");
+                            std::thread::sleep(Duration::from_millis(200));
+                        }
+                        1 => {} // immediate close
+                        _ => {
+                            // A well-formed frame that is not Hello.
+                            let bytes = dolbie_net::wire::Frame::Shutdown.encode();
+                            let _ = stream.write_all(&bytes);
+                            std::thread::sleep(Duration::from_millis(200));
+                        }
+                    }
+                })
+            })
+            .collect()
+    });
+    assert_eq!(report.rounds.len(), ROUNDS);
+    assert!(report.epochs.is_empty(), "no real worker died");
+}
+
+/// Admission is concurrent: six connected-but-silent rogues hold sockets
+/// open while the real fleet handshakes. Serial admission would spend
+/// one `frame_timeout` per rogue reached before each worker (worst case
+/// 6 × 500 ms before the run even starts); the shard-master admits the
+/// fleet immediately and lets the rogue deadlines expire in parallel.
+#[test]
+fn silent_rogues_do_not_serialize_admission() {
+    const ROUNDS: usize = 5;
+    let (report, elapsed) = m1_tree_beside_rogues(3, ROUNDS, 0x51E7, |addr| {
+        let rogues = (0..6u64)
+            .map(|r| {
+                std::thread::spawn(move || {
+                    let Ok(stream) =
+                        connect_with_backoff(addr, 10, Duration::from_millis(5), 70 + r)
+                    else {
+                        return;
+                    };
+                    // Silent: hold the socket open past our own rejection.
+                    std::thread::sleep(Duration::from_millis(1500));
+                    drop(stream);
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(50)); // let the rogues land first
+        rogues
+    });
+    assert_eq!(report.rounds.len(), ROUNDS);
+    assert!(report.epochs.is_empty());
+    // Serial admission would need ≥ 6 × 500 ms = 3 s before round 0;
+    // concurrent admission finishes the whole run far sooner.
+    assert!(
+        elapsed < Duration::from_millis(2000),
+        "admission serialized behind silent rogues: took {elapsed:?}"
+    );
+}
+
+/// Workers started long after their coordinator — the manual workflow
+/// of starting `dolbie_node master` and then its workers — join a run
+/// that completes bitwise: admission has no deadline, and the backbone
+/// deadlines are armed only once round 0 commits. The fleet dials in
+/// past both backbone deadlines. At `M = 1` the whole fleet is late,
+/// through `run_single_shard` as `dolbie_node master` runs it; at
+/// `M = 2` only the second shard's workers are, so the first
+/// shard-master waits on the root while its sibling is still admitting.
+#[test]
+fn a_late_fleet_is_admitted_not_buried() {
+    const N: usize = 4;
+    const ROUNDS: usize = 6;
+    let frame_timeout = Duration::from_millis(200);
+    let late = frame_timeout * 8;
+    for m in [1, 2] {
+        let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x1A7E + m as u64 };
+        let mut cfg = ShardedConfig::new(N, m, ROUNDS, env);
+        cfg.frame_timeout = frame_timeout;
+        let layout = ShardLayout::even(N, m);
+        let listeners: Vec<TcpListener> =
+            (0..m).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
+        let workers: Vec<JoinHandle<()>> = (0..N)
+            .map(|i| {
+                let k = layout.shard_of(i);
+                let addr = listeners[k].local_addr().unwrap();
+                let delay = if k + 1 == m { late } else { Duration::ZERO };
+                std::thread::spawn(move || {
+                    std::thread::sleep(delay);
+                    let stream =
+                        connect_with_backoff(addr, 10, Duration::from_millis(10), i as u64)
+                            .unwrap();
+                    run_worker(stream, &WorkerOptions::default()).unwrap();
+                })
+            })
+            .collect();
+        let (root, shards) = if m == 1 {
+            let (root, shard) =
+                run_single_shard(&listeners[0], &cfg).expect("a late fleet must be admitted");
+            (root, vec![shard])
+        } else {
+            let backbone = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = backbone.local_addr().unwrap();
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = listeners
+                    .iter()
+                    .enumerate()
+                    .map(|(k, listener)| {
+                        let opts = ShardMasterOptions {
+                            shard: k,
+                            num_shards: m,
+                            frame_timeout,
+                            backbone_fault: FaultPlan::none(),
+                            die_after_round: None,
+                            die_mid_round: false,
+                        };
+                        scope.spawn(move || {
+                            run_shard_master(TcpStream::connect(addr).unwrap(), listener, &opts)
+                        })
+                    })
+                    .collect();
+                let root = run_root(&backbone, &cfg).expect("a late shard must not be buried");
+                let shards: Vec<_> = handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap().expect("no shard-master gives up on the root"))
+                    .collect();
+                (root, shards)
+            })
+        };
+        for handle in workers {
+            handle.join().unwrap();
+        }
+        assert_eq!(root.rounds.len(), ROUNDS, "M = {m}: horizon");
+        assert!(root.epochs.is_empty() && root.dead_shards.is_empty(), "M = {m}: nobody died");
+        assert!(
+            root.rounds[0].elapsed > shard_deadline(frame_timeout).as_secs_f64(),
+            "M = {m}: round 0 must have waited out the late fleet"
+        );
+        assert_stitched_twin(&stitch_allocations(&root, &shards), &[], env, N, ROUNDS);
+    }
 }

@@ -1,9 +1,11 @@
-//! The sharded-control-plane acceptance tests: over loopback TCP the
-//! two-level (root → shard-masters → workers) trajectory is bitwise
-//! identical to the flat sequential engine for 500 rounds at
-//! M ∈ {1, 2, 4} × N ∈ {16, 64}, lossless and seeded-lossy, and the
+//! The TCP coordinator's acceptance tests: over loopback TCP the
+//! root → shard-masters → workers trajectory is bitwise identical to the
+//! flat sequential engine for 500 rounds at M ∈ {1, 2, 4} × N ∈ {16, 64},
+//! lossless and seeded-lossy; the `M = 1` tree (the flat master-worker
+//! deployment) agrees with the simulated master-worker protocol; the
 //! root tier's per-round message count is a pure function of M — it
-//! never scales with N.
+//! never scales with N; and a four-digit fleet survives the OS listen
+//! backlog.
 //!
 //! The 500-round horizon deliberately crosses the engine's
 //! `TOTAL_REFRESH_INTERVAL = 256`, so the refresh cursor chain (the one
@@ -13,6 +15,7 @@ use dolbie_core::{run_episode, Allocation, Dolbie, DolbieConfig, EpisodeOptions,
 use dolbie_net::env::{EnvKind, WireEnvSpec};
 use dolbie_net::shard::{run_sharded_loopback, ShardedConfig, ShardedLoopbackRun};
 use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
+use dolbie_simnet::{FixedLatency, MasterWorkerSim};
 
 const ROUNDS: usize = 500;
 const MATRIX: [(usize, usize); 6] = [(16, 1), (16, 2), (16, 4), (64, 1), (64, 2), (64, 4)];
@@ -82,9 +85,34 @@ fn assert_workers_healthy(run: &ShardedLoopbackRun, n: usize) {
     }
 }
 
+/// The `M = 1` tree against the simulated master-worker protocol: the
+/// allocations agree to 1e-9 (the simulation's guarded pin sums naively;
+/// the engine compensates), and so does the straggler wherever the
+/// round's maximum cost is unique.
+fn assert_matches_simnet_master_worker(run: &ShardedLoopbackRun, env: WireEnvSpec, n: usize) {
+    let sim = MasterWorkerSim::new(env.environment(n), DolbieConfig::new(), FixedLatency::lan())
+        .run(ROUNDS);
+    let stitched = run.allocations();
+    for ((net, root_round), sim_round) in stitched.iter().zip(&run.root.rounds).zip(&sim.rounds) {
+        let l2: f64 = net
+            .iter()
+            .zip(sim_round.allocation.iter())
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum::<f64>()
+            .sqrt();
+        assert!(l2 < 1e-9, "round {}: TCP vs simnet master-worker drifted", sim_round.round);
+        let max = sim_round.local_costs.iter().cloned().fold(f64::MIN, f64::max);
+        let near = sim_round.local_costs.iter().filter(|&&c| (c - max).abs() < 1e-9).count();
+        if near == 1 {
+            assert_eq!(root_round.straggler, sim_round.straggler);
+        }
+    }
+}
+
 /// Lossless sharded loopback at every (N, M) of the acceptance matrix:
 /// 500-round bitwise parity with the flat sequential engine, O(M) root
-/// messaging, and every worker finishing on its engine share.
+/// messaging, and every worker finishing on its engine share; at
+/// `M = 1`, agreement with the simulated master-worker protocol.
 #[test]
 fn sharded_loopback_is_bitwise_identical_to_sequential_for_500_rounds() {
     for (n, m) in MATRIX {
@@ -98,6 +126,9 @@ fn sharded_loopback_is_bitwise_identical_to_sequential_for_500_rounds() {
         assert_bitwise(&run, &reference, n, m);
         assert_root_messages_are_o_m(&run, m);
         assert_workers_healthy(&run, n);
+        if m == 1 {
+            assert_matches_simnet_master_worker(&run, env, n);
+        }
 
         // The backbone is declared lossless: no retransmissions, ever.
         assert_eq!(run.root.wire.retransmissions, 0);
@@ -154,7 +185,7 @@ fn lossy_sharded_loopback_stays_bitwise_identical_for_500_rounds() {
 /// Root-tier work is O(M), not O(N): quadrupling the fleet at fixed M
 /// leaves the root's per-round message count and backbone byte volume
 /// essentially unchanged (bytes may differ only by the O(log N) cursor
-/// stack), while the flat master's fan-in grows linearly with N.
+/// stack), while a shard-master's worker fan-in grows linearly with N.
 #[test]
 fn root_tier_message_count_is_independent_of_fleet_size() {
     let rounds = 40;
@@ -184,4 +215,23 @@ fn root_tier_message_count_is_independent_of_fleet_size() {
         (bytes_64 as f64) < (bytes_16 as f64) * 2.0,
         "root backbone bytes scaled with N: {bytes_16} vs {bytes_64}"
     );
+}
+
+/// A 1024-worker `M = 1` fleet connects through the N-scaled backlog
+/// schedule (staggered SYNs, log-scaled retry budget) and completes a
+/// short run — the regression for fixed 10-attempt backoff exhausting
+/// under listen backlog overflow at four-digit N.
+#[test]
+fn thousand_worker_fleet_survives_the_listen_backlog() {
+    const N: usize = 1024;
+    const ROUNDS: usize = 2;
+    let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0xBAC6 };
+    let run = run_sharded_loopback(&ShardedConfig::new(N, 1, ROUNDS, env))
+        .expect("the full fleet must connect and finish");
+    assert_eq!(run.root.rounds.len(), ROUNDS);
+    assert!(run.root.epochs.is_empty(), "no worker lost to connect-retry exhaustion");
+    assert_eq!(run.workers.len(), N);
+    for worker in &run.workers {
+        assert!(worker.is_ok(), "a worker failed to connect or finish");
+    }
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Multi-process smoke of the dolbie-net runtime.
 #
-# Flat mode (default): spawns a real `dolbie_node master` process plus N
-# real worker processes over loopback TCP, waits for a clean
-# converge-and-shutdown, and asserts the master's self-verification
-# against the sequential engine passed.
+# Flat mode (default): spawns a real `dolbie_node master` process (the
+# one-shard coordinator tree in one process) plus N real worker processes
+# over loopback TCP, waits for a clean converge-and-shutdown, and asserts
+# the master's self-verification against the sequential engine passed.
 #
 # Sharded mode (--sharded M): spawns a real `dolbie_node root` process,
 # M real `dolbie_node shard` processes dialing its backbone, and N real
@@ -12,25 +12,15 @@
 # two-level control plane as separate OS processes — and asserts the
 # root drives the complete horizon with a healthy O(M) backbone.
 #
-#   scripts/run_net_demo.sh [--master blocking|evented] [--sharded M] [workers] [rounds]
+#   scripts/run_net_demo.sh [--sharded M] [workers] [rounds]
+#
+# workers defaults to 4 (at least 2), rounds to 500.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MASTER="evented"
 SHARDS=0
 while :; do
     case "${1:-}" in
-        --master)
-            MASTER="${2:?--master requires a value (blocking or evented)}"
-            case "$MASTER" in
-                blocking | evented) ;;
-                *)
-                    echo "error: invalid --master '$MASTER' (expected blocking or evented)" >&2
-                    exit 2
-                    ;;
-            esac
-            shift 2
-            ;;
         --sharded)
             SHARDS="${2:?--sharded requires a shard count}"
             case "$SHARDS" in
@@ -41,11 +31,21 @@ while :; do
             esac
             shift 2
             ;;
+        -*)
+            echo "error: unknown option '$1' (usage: $0 [--sharded M] [workers] [rounds])" >&2
+            exit 2
+            ;;
         *) break ;;
     esac
 done
 WORKERS="${1:-4}"
 ROUNDS="${2:-500}"
+case "$WORKERS" in
+    '' | *[!0-9]* | 0 | 1)
+        echo "error: invalid worker count '$WORKERS' (expected an integer >= 2)" >&2
+        exit 2
+        ;;
+esac
 NODE=target/release/dolbie_node
 
 if [ "$SHARDS" -gt "$WORKERS" ]; then
@@ -149,9 +149,9 @@ if [ "$SHARDS" -gt 0 ]; then
 fi
 
 master_log="$workdir/master.log"
-echo "== net demo: $MASTER master on an ephemeral port, $WORKERS workers, $ROUNDS rounds =="
+echo "== net demo: master on an ephemeral port, $WORKERS workers, $ROUNDS rounds =="
 "$NODE" master --listen 127.0.0.1:0 --workers "$WORKERS" --rounds "$ROUNDS" \
-    --master "$MASTER" --env chaos --env-seed 7 --verify >"$master_log" 2>&1 &
+    --env chaos --env-seed 7 --verify >"$master_log" 2>&1 &
 master_pid=$!
 pids+=("$master_pid")
 

@@ -27,6 +27,9 @@ cargo build --release --workspace
 echo "== tier-1: workspace tests =="
 cargo test --workspace -q
 
+echo "== tier-1: perfbench tests (the benchmark builds against the current dolbie-net API) =="
+cargo test --offline --release --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1: paper_figures smoke (quick fig3 fig4 regret, --bench) =="
 cargo run --release -p dolbie-bench --bin paper_figures -- --quick --bench fig3 fig4 regret
 
@@ -64,7 +67,7 @@ if [ "$smoke_elapsed" -ge 10 ]; then
     exit 1
 fi
 
-echo "== tier-1: net-scale smoke (evented master, fleets to N=256, <10 s) =="
+echo "== tier-1: net-scale smoke (M = 1 tree, fleets to N=256, <10 s) =="
 smoke_start=$SECONDS
 cargo run --release -p dolbie-bench --bin paper_figures -- --quick net_scale
 smoke_elapsed=$((SECONDS - smoke_start))
