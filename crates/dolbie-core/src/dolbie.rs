@@ -110,23 +110,6 @@ impl Default for DolbieConfig {
     }
 }
 
-/// Outcome of a round driven by worker-reported gains
-/// ([`Dolbie::observe_reported`]): what the master must send back to close
-/// the round on the wire.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReportedRound {
-    /// The straggler's pinned new share (eq. (6)) — the payload of the
-    /// Algorithm 1 line 15 assignment message.
-    pub straggler_share: f64,
-    /// `Some(scale)` iff the floating-point / alpha-floor feasibility
-    /// guard rescaled the round's gains; non-stragglers must then replay
-    /// `x_i ← x_i + gain_i · scale` instead of `x_i ← x_i + gain_i` to
-    /// stay in lockstep with the master. `None` in exact arithmetic (the
-    /// paper's eq. (7) guarantee) and in every fault-free default-config
-    /// run.
-    pub rescale: Option<f64>,
-}
-
 /// Counters exposed for experiments and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DolbieStats {
@@ -204,7 +187,7 @@ impl Dolbie {
 
     /// The current step size `α_t`.
     pub fn alpha(&self) -> f64 {
-        self.engine.alpha()
+        self.engine.root.alpha()
     }
 
     /// Canonical fingerprint of the engine state the model checker hashes
@@ -215,7 +198,7 @@ impl Dolbie {
     pub fn fingerprint(&self) -> u64 {
         let mut fp = crate::fingerprint::StateFp::new(0xD01B_F1A9);
         fp.push_f64_slice(self.engine.x.as_slice());
-        fp.push_f64(self.engine.alpha());
+        fp.push_f64(self.engine.root.alpha());
         fp.push_bool_slice(&self.engine.active);
         fp.finish()
     }
@@ -240,81 +223,15 @@ impl Dolbie {
         self.engine.apply_membership(members);
     }
 
-    /// One DOLBIE round driven by worker-reported eq. (5) gains instead of
-    /// locally evaluated cost functions — the master-side bookkeeping of a
-    /// distributed (wire-protocol) run of Algorithm 1, where each worker
-    /// computes its own gain from the broadcast `(l_t, α_t)` scalars and
-    /// reports it back.
-    ///
-    /// The arithmetic is shared with [`observe`](LoadBalancer::observe):
-    /// provided each reported gain equals
-    /// `(α_t · (x'_{i,t} − x_{i,t})).max(0.0)` computed at the same shares,
-    /// the resulting state — shares, Σx bookkeeping, α schedule, stats —
-    /// is **bitwise identical** to a locally observed round. This is what
-    /// licenses the `dolbie-net` TCP runtime's trajectory-parity claim.
-    ///
-    /// Gains at the straggler's index and at non-members are forced to
-    /// exactly `0.0`. Returns the pinned straggler share (the line 15
-    /// assignment) and, in the rare guard case, the rescale factor the
-    /// non-stragglers must replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gains.len()` differs from the worker count, `straggler`
-    /// is out of range, or the straggler is not an active member.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use dolbie_core::cost::{DynCost, LinearCost};
-    /// use dolbie_core::observation::max_acceptable_share;
-    /// use dolbie_core::{Dolbie, LoadBalancer, Observation};
-    ///
-    /// let costs: Vec<DynCost> = vec![
-    ///     Box::new(LinearCost::new(4.0, 0.0)),
-    ///     Box::new(LinearCost::new(1.0, 0.0)),
-    ///     Box::new(LinearCost::new(2.0, 0.0)),
-    /// ];
-    /// let mut local = Dolbie::new(3); // evaluates the costs itself
-    /// let mut master = Dolbie::new(3); // sees only reported scalars
-    /// for round in 0..20 {
-    ///     let played = local.allocation().clone();
-    ///     let obs = Observation::from_costs(round, &played, &costs);
-    ///     let (s, l, alpha) = (obs.straggler(), obs.global_cost(), master.alpha());
-    ///     // Each "worker" computes its own gain from the broadcast scalars.
-    ///     let gains: Vec<f64> = (0..3)
-    ///         .map(|i| {
-    ///             if i == s {
-    ///                 return 0.0;
-    ///             }
-    ///             let x = master.allocation().share(i);
-    ///             let target = max_acceptable_share(&*costs[i], x, l);
-    ///             (alpha * (target - x)).max(0.0)
-    ///         })
-    ///         .collect();
-    ///     local.observe(&obs);
-    ///     master.observe_reported(s, &gains);
-    /// }
-    /// for i in 0..3 {
-    ///     assert_eq!(
-    ///         local.allocation().share(i).to_bits(),
-    ///         master.allocation().share(i).to_bits(),
-    ///     );
-    /// }
-    /// ```
-    pub fn observe_reported(&mut self, straggler: usize, gains: &[f64]) -> ReportedRound {
-        self.engine.apply_reported(straggler, gains)
-    }
-
     /// The step sizes actually applied in each observed round — the
     /// sequence `{α_t}` appearing in the Theorem 1 bound.
     pub fn alphas_used(&self) -> &[f64] {
-        self.engine.alphas_used()
+        self.engine.root.alphas_used()
     }
 
     /// Update counters.
     pub fn stats(&self) -> DolbieStats {
-        self.engine.stats()
+        self.engine.root.stats()
     }
 }
 
@@ -518,67 +435,6 @@ mod tests {
         }
         assert_eq!(d.alpha(), 0.9, "floor must hold the step size up");
         assert!(d.stats().guard_activations > 0, "aggressive floor must trip the guard");
-    }
-
-    /// The wire-protocol contract end to end: a master driven only by
-    /// reported scalars and "workers" replaying the broadcast decisions
-    /// (including the rare guard rescale) stay bitwise in lockstep with a
-    /// locally observing engine — even with an aggressive alpha floor that
-    /// trips the feasibility guard.
-    #[test]
-    fn reported_rounds_with_guard_rescale_stay_bitwise() {
-        let cfg = DolbieConfig::new().with_initial_alpha(0.9).with_alpha_floor(0.9);
-        let mut local = Dolbie::with_config(Allocation::uniform(3), cfg);
-        let mut master = Dolbie::with_config(Allocation::uniform(3), cfg);
-        let mut worker_shares: Vec<f64> = Allocation::uniform(3).into_inner();
-        let mut guard_fired = false;
-        for t in 0..100 {
-            let slow = t % 3;
-            let mut slopes = [1.0, 1.0, 1.0];
-            slopes[slow] = 20.0;
-            let costs = linear_costs(&slopes);
-            let played = local.allocation().clone();
-            let obs = Observation::from_costs(t, &played, &costs);
-            let (s, l, alpha) = (obs.straggler(), obs.global_cost(), master.alpha());
-            let olds = worker_shares.clone();
-            let mut gains = vec![0.0; 3];
-            for (i, cost_fn) in costs.iter().enumerate() {
-                if i == s {
-                    continue;
-                }
-                let x = worker_shares[i];
-                let target = crate::observation::max_acceptable_share(&**cost_fn, x, l);
-                let gain = (alpha * (target - x)).max(0.0);
-                gains[i] = gain;
-                worker_shares[i] = x + gain;
-            }
-            local.observe(&obs);
-            let out = master.observe_reported(s, &gains);
-            if let Some(scale) = out.rescale {
-                guard_fired = true;
-                for i in 0..3 {
-                    if i != s {
-                        worker_shares[i] = olds[i] + gains[i] * scale;
-                    }
-                }
-            }
-            worker_shares[s] = out.straggler_share;
-            for (i, &w) in worker_shares.iter().enumerate() {
-                assert_eq!(
-                    w.to_bits(),
-                    local.allocation().share(i).to_bits(),
-                    "round {t}: worker {i} diverged"
-                );
-                assert_eq!(
-                    master.allocation().share(i).to_bits(),
-                    local.allocation().share(i).to_bits(),
-                    "round {t}: master {i} diverged"
-                );
-            }
-        }
-        assert!(guard_fired, "aggressive floor must trip the guard");
-        assert_eq!(local.stats(), master.stats());
-        assert_eq!(local.alphas_used(), master.alphas_used());
     }
 
     #[test]

@@ -27,12 +27,15 @@
 //!   fixed-shape compensated sum in [`numeric`](crate::numeric), whose
 //!   association order depends only on the array length, never on the
 //!   chunking.
+//! - The order-sensitive scalar tail (guard, pin, Σx refresh, eq. (7))
+//!   is [`RootEngine`]'s, the same code the sharded tiers drive: the flat
+//!   engine is the M = 1 root.
 //!
 //! # The Σx = 1 pin, incrementally
 //!
 //! Algorithm 1 line 14 pins the sum through the straggler's coordinate,
 //! `x_s = 1 − Σ_{i≠s} x_i`. Re-deriving `Σ_{i≠s} x_i` by summation every
-//! round is O(N); the engine instead maintains a running
+//! round is O(N); [`RootEngine`] instead maintains a running
 //! Neumaier-compensated total `T ≈ Σ_i x_i` and computes the pin as
 //! `(T − x_s) + Σ_i gain_i` in O(1). The compensated running total drifts
 //! by at most ~1 ulp per round, so every [`TOTAL_REFRESH_INTERVAL`] rounds
@@ -42,12 +45,11 @@
 
 use crate::allocation::Allocation;
 use crate::balancer::LoadBalancer;
-use crate::dolbie::{DolbieConfig, DolbieStats, ReportedRound};
-use crate::membership::{membership_alpha_cap, renormalize_onto_members};
-use crate::numeric::{pairwise_neumaier_sum, pairwise_neumaier_sum_parallel, NeumaierSum};
+use crate::dolbie::{DolbieConfig, DolbieStats};
+use crate::numeric::{pairwise_neumaier_sum, pairwise_neumaier_sum_parallel};
 use crate::observation::{max_acceptable_share, Observation};
 use crate::parallel::parallel_for_each;
-use crate::step_size::StepSize;
+use crate::shard::RootEngine;
 
 /// Rounds between full re-derivations of the running compensated total
 /// `T ≈ Σ_i x_i` from the share slice. Both engines refresh on the same
@@ -60,7 +62,45 @@ pub const TOTAL_REFRESH_INTERVAL: usize = 256;
 /// work-stealing harness slack to balance heterogeneous inverse costs.
 pub const DEFAULT_CHUNK_SIZE: usize = 4096;
 
-/// The shared structure-of-arrays round state and update logic.
+/// The fixed-shape compensated sum of `values`: sequential for
+/// `chunk: None`, on the work-stealing harness otherwise — bitwise equal
+/// either way.
+pub(crate) fn sum_fixed(values: &[f64], chunk: Option<usize>) -> f64 {
+    match chunk {
+        None => pairwise_neumaier_sum(values),
+        Some(_) => pairwise_neumaier_sum_parallel(values),
+    }
+}
+
+/// `gains *= scale`, the guard's rescale, in `chunk`-worker tasks when
+/// chunked.
+pub(crate) fn scale_gains(gains: &mut [f64], scale: f64, chunk: Option<usize>) {
+    match chunk {
+        None => gains.iter_mut().for_each(|g| *g *= scale),
+        Some(c) => parallel_for_each(gains.chunks_mut(c).collect(), |gc: &mut [f64]| {
+            gc.iter_mut().for_each(|g| *g *= scale)
+        }),
+    }
+}
+
+/// `xs += gains`, the eq. (5) application (Pass B), in `chunk`-worker
+/// tasks when chunked.
+pub(crate) fn apply_gains(xs: &mut [f64], gains: &[f64], chunk: Option<usize>) {
+    match chunk {
+        None => xs.iter_mut().zip(gains).for_each(|(x, g)| *x += *g),
+        Some(c) => {
+            let payloads: Vec<(&mut [f64], &[f64])> =
+                xs.chunks_mut(c).zip(gains.chunks(c)).collect();
+            parallel_for_each(payloads, |(xc, gc)| {
+                xc.iter_mut().zip(gc).for_each(|(x, g)| *x += *g)
+            });
+        }
+    }
+}
+
+/// The shared structure-of-arrays round state: the per-worker slices,
+/// plus the M = 1 [`RootEngine`] that owns every order-sensitive scalar
+/// (step size, running Σx total, counters, member count).
 ///
 /// Fields are `pub(crate)` so the fused kernel
 /// ([`kernel`](crate::kernel)) can drive the *same* state through its
@@ -70,38 +110,23 @@ pub(crate) struct SoaEngine {
     pub(crate) x: Allocation,
     /// Per-worker eq. (5) gains, reused across rounds (`gains[s] = 0`).
     pub(crate) gains: Vec<f64>,
-    pub(crate) alpha: StepSize,
-    pub(crate) config: DolbieConfig,
-    pub(crate) alphas_used: Vec<f64>,
-    pub(crate) stats: DolbieStats,
+    /// The round tail: guard, pin, Σx refresh, eq. (7) tighten.
+    pub(crate) root: RootEngine,
     pub(crate) share_caps: Option<Vec<f64>>,
     /// Active-membership mask: inactive workers hold share exactly 0 and
     /// take no eq. (5) gain. All-true until `apply_membership` is called.
     pub(crate) active: Vec<bool>,
-    /// Number of `true` entries in `active` — the `M` of the re-derived
-    /// eq. (7) cap.
-    pub(crate) active_count: usize,
-    /// Running compensated total `T ≈ Σ_i x_i` behind the O(1) pin.
-    pub(crate) total: NeumaierSum,
 }
 
 impl SoaEngine {
     pub(crate) fn new(initial: Allocation, config: DolbieConfig) -> Self {
-        let alpha = StepSize::new(config.resolve_initial_alpha(&initial));
-        let total = NeumaierSum::from_value(pairwise_neumaier_sum(initial.as_slice()));
         let n = initial.num_workers();
-        let gains = vec![0.0; n];
         Self {
+            root: RootEngine::new(&initial, config),
             x: initial,
-            gains,
-            alpha,
-            config,
-            alphas_used: Vec::new(),
-            stats: DolbieStats::default(),
+            gains: vec![0.0; n],
             share_caps: None,
             active: vec![true; n],
-            active_count: n,
-            total,
         }
     }
 
@@ -118,12 +143,12 @@ impl SoaEngine {
         self.share_caps = Some(caps);
     }
 
-    /// Crosses a membership epoch boundary: re-normalizes the shares onto
-    /// the simplex of `members` (departing mass redistributed
-    /// proportionally, joiners at exactly 0), re-seeds the running Σx
-    /// total from the fixed-shape sum, and shrinks `α` to the cap
-    /// re-derived against the new member count. Pure and deterministic —
-    /// sequential and chunked engines transition bitwise-identically.
+    /// Crosses a membership epoch boundary: [`RootEngine::apply_membership`]
+    /// re-normalizes the shares onto the simplex of `members` (departing
+    /// mass redistributed proportionally, joiners at exactly 0), re-seeds
+    /// the running Σx total and shrinks `α` to the re-derived cap; the
+    /// engine records the new mask. Pure and deterministic — sequential
+    /// and chunked engines transition bitwise-identically.
     ///
     /// # Panics
     ///
@@ -136,45 +161,24 @@ impl SoaEngine {
             self.share_caps.is_none(),
             "membership changes are not supported together with share caps"
         );
-        renormalize_onto_members(self.x.shares_mut(), members);
+        self.root.apply_membership(self.x.shares_mut(), members);
         self.active.clear();
         self.active.extend_from_slice(members);
-        self.active_count = members.iter().filter(|&&m| m).count();
-        self.total = NeumaierSum::from_value(pairwise_neumaier_sum(self.x.as_slice()));
-        self.alpha.shrink_to(membership_alpha_cap(self.x.as_slice(), members));
     }
 
     pub(crate) fn allocation(&self) -> &Allocation {
         &self.x
     }
 
-    pub(crate) fn alpha(&self) -> f64 {
-        self.alpha.value().max(self.config.alpha_floor)
-    }
-
-    pub(crate) fn alphas_used(&self) -> &[f64] {
-        &self.alphas_used
-    }
-
-    pub(crate) fn stats(&self) -> DolbieStats {
-        self.stats
+    /// Whether any worker is outside the membership.
+    pub(crate) fn masked(&self) -> bool {
+        self.root.active_count() < self.x.num_workers()
     }
 
     /// One DOLBIE round. `chunk_size: None` runs the passes as plain
     /// sequential loops; `Some(c)` runs them in `c`-worker chunks on the
     /// work-stealing harness. Both paths produce bitwise-identical state
     /// (see the module docs).
-    /// Round preamble shared by [`observe_round`](Self::observe_round),
-    /// [`apply_reported`](Self::apply_reported) and the fused kernel:
-    /// bumps the round counter and records the step size the round is
-    /// played with.
-    pub(crate) fn begin_round(&mut self) -> f64 {
-        self.stats.rounds += 1;
-        let alpha = self.alpha();
-        self.alphas_used.push(alpha);
-        alpha
-    }
-
     pub(crate) fn observe_round(
         &mut self,
         observation: &Observation<'_>,
@@ -182,7 +186,7 @@ impl SoaEngine {
     ) {
         let n = observation.num_workers();
         assert_eq!(n, self.x.num_workers(), "observation covers a different worker set");
-        let alpha = self.begin_round();
+        let alpha = self.root.begin_round();
         if n == 1 {
             return;
         }
@@ -225,126 +229,42 @@ impl SoaEngine {
             }
         }
 
-        self.finish_round(s, chunk);
-    }
-
-    /// One DOLBIE round driven by externally reported eq. (5) gains instead
-    /// of locally evaluated cost functions — the master-side bookkeeping of
-    /// a wire-protocol run, where each worker computes its own gain and
-    /// sends back only scalars. The arithmetic after Pass A is shared with
-    /// [`observe_round`](Self::observe_round), so provided every reported
-    /// gain equals `(α · (x'_{i,t} − x_{i,t})).max(0)` computed at the same
-    /// shares, the resulting state is bitwise identical to a locally
-    /// observed round.
-    ///
-    /// Gains at the straggler's index and at inactive members are forced to
-    /// exactly `0.0`, matching Pass A.
-    pub(crate) fn apply_reported(&mut self, straggler: usize, gains: &[f64]) -> ReportedRound {
-        let n = self.x.num_workers();
-        assert_eq!(gains.len(), n, "one reported gain per worker");
-        assert!(straggler < n, "straggler index out of range");
-        assert!(self.active[straggler], "the straggler must be an active member");
-        self.begin_round();
-        if n == 1 {
-            return ReportedRound { straggler_share: self.x.share(0), rescale: None };
-        }
-        for (i, (g, &reported)) in self.gains.iter_mut().zip(gains).enumerate() {
-            *g = if i == straggler || !self.active[i] {
-                0.0
-            } else {
-                debug_assert!(reported >= 0.0, "eq. (5) gains are non-negative");
-                reported
-            };
-        }
-        self.finish_round(straggler, None)
-    }
-
-    /// The order-sensitive tail of a round, shared by both entry points:
-    /// the eq. (6) remainder, the feasibility guard, the Σx = 1 pin, the
-    /// gain application, and the eq. (7) tightening. `self.gains` must
-    /// already hold the round's gains with `gains[s] = 0`.
-    fn finish_round(&mut self, s: usize, chunk: Option<usize>) -> ReportedRound {
-        let straggler_share = self.x.share(s);
-
-        // Eq. (6) remainder: the one order-sensitive sum, via the
-        // fixed-shape compensated reduction.
-        let sum_fixed = |values: &[f64]| match chunk {
-            None => pairwise_neumaier_sum(values),
-            Some(_) => pairwise_neumaier_sum_parallel(values),
-        };
-        let mut total_gain = sum_fixed(&self.gains);
-
-        // Floating-point / alpha-floor guard: eq. (7) proves
-        // total_gain <= x_{s,t} in exact arithmetic; rescale if rounding
-        // (or the floor extension) breaks it so constraint (3) holds.
-        let mut rescale = None;
-        if total_gain > straggler_share && total_gain > 0.0 {
-            let scale = straggler_share / total_gain;
-            rescale = Some(scale);
-            match chunk {
-                None => {
-                    for g in &mut self.gains {
-                        *g *= scale;
-                    }
-                }
-                Some(c) => {
-                    let payloads: Vec<&mut [f64]> = self.gains.chunks_mut(c).collect();
-                    parallel_for_each(payloads, |ch| {
-                        for g in ch {
-                            *g *= scale;
-                        }
-                    });
-                }
-            }
-            // Re-derive the remainder from the rescaled gains so the
-            // incremental Σx bookkeeping stays exact.
-            total_gain = sum_fixed(&self.gains);
-            self.stats.guard_activations += 1;
-        }
-
-        // The O(1) pin: x_s = 1 − Σ_{i≠s} x_i with
-        // Σ_{i≠s} x_i = (T − x_s) + Σ_i gain_i, all compensated.
-        let mut running = self.total;
-        running.add(-straggler_share);
-        running.add(total_gain);
-        let new_straggler_share = (1.0 - running.value()).max(0.0);
-        debug_assert!(new_straggler_share.is_finite(), "pin produced a non-finite share");
-
+        let total_gain = sum_fixed(&self.gains, chunk);
+        let pinned = self.guard_and_pin(s, total_gain, chunk);
         // Pass B — apply the gains and the pinned straggler share. Pure
         // per worker (`gains[s] = 0`, then the straggler is overwritten).
-        {
-            let xs = self.x.shares_mut();
-            match chunk {
-                None => {
-                    for (x, g) in xs.iter_mut().zip(&self.gains) {
-                        *x += *g;
-                    }
-                }
-                Some(c) => {
-                    let payloads: Vec<(&mut [f64], &[f64])> =
-                        xs.chunks_mut(c).zip(self.gains.chunks(c)).collect();
-                    parallel_for_each(payloads, |(xc, gc)| {
-                        for (x, g) in xc.iter_mut().zip(gc) {
-                            *x += *g;
-                        }
-                    });
-                }
-            }
-            xs[s] = new_straggler_share;
+        let xs = self.x.shares_mut();
+        apply_gains(xs, &self.gains, chunk);
+        xs[s] = pinned;
+        self.refresh_total_if_due(chunk);
+        self.root.tighten(pinned);
+    }
+
+    /// The eq. (6) remainder through [`RootEngine`]: the feasibility
+    /// guard (rescaling `self.gains` and re-deriving the remainder when
+    /// it fires) and the O(1) Σx = 1 pin. `self.gains` must hold the
+    /// round's gains with `gains[s] = 0` and `total_gain` their
+    /// fixed-shape sum. Returns the straggler's pinned share.
+    pub(crate) fn guard_and_pin(
+        &mut self,
+        s: usize,
+        mut total_gain: f64,
+        chunk: Option<usize>,
+    ) -> f64 {
+        let straggler_share = self.x.share(s);
+        if let Some(scale) = self.root.guard_scale(straggler_share, total_gain) {
+            scale_gains(&mut self.gains, scale, chunk);
+            total_gain = sum_fixed(&self.gains, chunk);
         }
-        running.add(new_straggler_share);
-        self.total = running;
+        self.root.pin(straggler_share, total_gain)
+    }
 
-        // Periodic re-derivation bounds the running total's ulp drift.
-        if self.stats.rounds.is_multiple_of(TOTAL_REFRESH_INTERVAL) {
-            self.total = NeumaierSum::from_value(sum_fixed(self.x.as_slice()));
+    /// On a refresh round, re-derives the running Σx total from the
+    /// (materialized) share slice.
+    pub(crate) fn refresh_total_if_due(&mut self, chunk: Option<usize>) {
+        if self.root.needs_total_refresh() {
+            self.root.refresh_total(sum_fixed(self.x.as_slice(), chunk));
         }
-
-        // Eq. (7): tighten the step size with the straggler's new share,
-        // against the *active* member count (equal to n absent churn).
-        self.alpha.tighten(self.active_count, new_straggler_share);
-
-        ReportedRound { straggler_share: new_straggler_share, rescale }
     }
 }
 
@@ -434,7 +354,7 @@ impl ChunkedDolbie {
 
     /// The current step size `α_t`.
     pub fn alpha(&self) -> f64 {
-        self.engine.alpha()
+        self.engine.root.alpha()
     }
 
     /// Crosses a membership epoch boundary, exactly as
@@ -451,12 +371,12 @@ impl ChunkedDolbie {
 
     /// The step sizes actually applied in each observed round.
     pub fn alphas_used(&self) -> &[f64] {
-        self.engine.alphas_used()
+        self.engine.root.alphas_used()
     }
 
     /// Update counters.
     pub fn stats(&self) -> DolbieStats {
-        self.engine.stats()
+        self.engine.root.stats()
     }
 }
 

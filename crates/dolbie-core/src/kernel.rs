@@ -53,9 +53,10 @@
 //!   the lowest index, so its comparisons run in index order over the
 //!   (vector-computed) cost values; the compensated reductions keep the
 //!   fixed [`SUM_BLOCK`]-block + pairwise-tree shape of
-//!   [`pairwise_neumaier_sum`], with the block partials produced inline by
-//!   sweep 2. Chunk boundaries only decide which task computes a block,
-//!   never the reduction shape.
+//!   [`pairwise_neumaier_sum`](crate::numeric::pairwise_neumaier_sum),
+//!   with the block partials produced inline by sweep 2. Chunk
+//!   boundaries only decide which task computes a block, never the
+//!   reduction shape.
 //! - *Branchless inverse equivalence*: the slab inverse computes the same
 //!   expression as the branchy
 //!   [`max_share_within`](crate::cost::CostFunction::max_share_within) +
@@ -78,11 +79,8 @@
 use crate::allocation::Allocation;
 use crate::cost::{DynCost, LatencyCost, LinearCost};
 use crate::dolbie::{DolbieConfig, DolbieStats};
-use crate::engine::{SoaEngine, TOTAL_REFRESH_INTERVAL};
-use crate::numeric::{
-    block_partial, combine_partials, pairwise_neumaier_sum, pairwise_neumaier_sum_parallel,
-    NeumaierSum, SUM_BLOCK,
-};
+use crate::engine::{apply_gains, SoaEngine};
+use crate::numeric::{block_partial, combine_partials, SUM_BLOCK};
 use crate::parallel::parallel_for_each;
 use crate::runner::EpisodeSummary;
 
@@ -821,18 +819,18 @@ impl FusedDolbie {
 
     /// The current step size `α_t`.
     pub fn alpha(&self) -> f64 {
-        self.engine.alpha()
+        self.engine.root.alpha()
     }
 
     /// The step sizes actually applied in each round.
     pub fn alphas_used(&self) -> &[f64] {
-        self.engine.alphas_used()
+        self.engine.root.alphas_used()
     }
 
     /// Update counters (rounds, guard activations) — comparable directly
     /// against the split engine's.
     pub fn stats(&self) -> DolbieStats {
-        self.engine.stats()
+        self.engine.root.stats()
     }
 
     /// Crosses a membership epoch boundary, exactly as
@@ -852,25 +850,8 @@ impl FusedDolbie {
     /// Idempotent; replays the split engine's Pass B op for op.
     fn materialize(&mut self) {
         let Some(p) = self.pending.take() else { return };
-        let chunk = self.chunk_size;
-        let engine = &mut self.engine;
-        let xs = engine.x.shares_mut();
-        match chunk {
-            None => {
-                for (x, g) in xs.iter_mut().zip(&engine.gains) {
-                    *x += *g;
-                }
-            }
-            Some(c) => {
-                let payloads: Vec<(&mut [f64], &[f64])> =
-                    xs.chunks_mut(c).zip(engine.gains.chunks(c)).collect();
-                parallel_for_each(payloads, |(xc, gc)| {
-                    for (x, g) in xc.iter_mut().zip(gc) {
-                        *x += *g;
-                    }
-                });
-            }
-        }
+        let xs = self.engine.x.shares_mut();
+        apply_gains(xs, &self.engine.gains, self.chunk_size);
         xs[p.straggler] = p.pinned_share;
     }
 
@@ -878,9 +859,14 @@ impl FusedDolbie {
     /// tail, evaluates the (static) slab costs at the resulting shares,
     /// finds the straggler, computes the eq. (5)–(7) update and defers
     /// its application to the next call.
+    ///
+    /// The order-sensitive tail is the split engine's — guard, pin,
+    /// refresh and tighten through the engine's
+    /// [`RootEngine`](crate::shard::RootEngine) — except that the gain
+    /// application and pin write wait for the next sweep 1.
     pub fn step(&mut self) -> FusedRound {
         let n = self.num_workers();
-        let alpha = self.engine.begin_round();
+        let alpha = self.engine.root.begin_round();
         if n == 1 {
             // A single worker always holds the whole workload; mirror the
             // split engine's early return (no gains, no pin).
@@ -890,7 +876,19 @@ impl FusedDolbie {
 
         let (level, s) = self.sweep_eval();
         self.sweep_gains(s, level, alpha);
-        self.finish_deferred(s);
+        // The eq. (6) remainder: combining the sweep-2 block partials with
+        // the fixed pairwise tree lands on pairwise_neumaier_sum(gains)
+        // exactly.
+        let total_gain = combine_partials(&mut self.partials);
+        let pinned = self.engine.guard_and_pin(s, total_gain, self.chunk_size);
+        self.pending = Some(PendingRound { straggler: s, pinned_share: pinned });
+        // The refresh needs the materialized shares; this is the one round
+        // shape where the deferral collapses back to an extra pass.
+        if self.engine.root.needs_total_refresh() {
+            self.materialize();
+            self.engine.refresh_total_if_due(self.chunk_size);
+        }
+        self.engine.root.tighten(pinned);
         FusedRound { straggler: s, global_cost: level }
     }
 
@@ -930,7 +928,7 @@ impl FusedDolbie {
         let engine = &mut self.engine;
         let ctx = RoundCtx {
             slab: &self.slab,
-            active: (engine.active_count < n).then_some(engine.active.as_slice()),
+            active: engine.masked().then_some(engine.active.as_slice()),
             simd: self.variant == KernelVariant::Simd,
         };
         let xs = engine.x.shares_mut();
@@ -973,13 +971,14 @@ impl FusedDolbie {
     /// Sweep 2: branchless gains + inline per-[`SUM_BLOCK`] compensated
     /// partials, blocked so each gain value is reduced while still in L1.
     /// The partials land in `self.partials` with the exact shape of
-    /// [`pairwise_neumaier_sum`] over the gain slice.
+    /// [`pairwise_neumaier_sum`](crate::numeric::pairwise_neumaier_sum)
+    /// over the gain slice.
     fn sweep_gains(&mut self, s: usize, level: f64, alpha: f64) {
         let n = self.num_workers();
         let engine = &mut self.engine;
         let ctx = RoundCtx {
             slab: &self.slab,
-            active: (engine.active_count < n).then_some(engine.active.as_slice()),
+            active: engine.masked().then_some(engine.active.as_slice()),
             simd: self.variant == KernelVariant::Simd,
         };
         let xs = engine.x.as_slice();
@@ -1013,74 +1012,13 @@ impl FusedDolbie {
             }
         }
     }
-
-    /// The order-sensitive round tail, replicating the split engine's
-    /// `finish_round` op for op — except that the gain application and
-    /// pin write are deferred into the next sweep 1.
-    fn finish_deferred(&mut self, s: usize) {
-        let chunk = self.chunk_size;
-        let engine = &mut self.engine;
-        let straggler_share = engine.x.share(s);
-        let sum_fixed = |values: &[f64]| match chunk {
-            None => pairwise_neumaier_sum(values),
-            Some(_) => pairwise_neumaier_sum_parallel(values),
-        };
-        // The eq. (6) remainder: combining the sweep-2 block partials with
-        // the fixed pairwise tree lands on pairwise_neumaier_sum(gains)
-        // exactly.
-        let mut total_gain = combine_partials(&mut self.partials);
-
-        // Feasibility guard, identical to the split engine's.
-        if total_gain > straggler_share && total_gain > 0.0 {
-            let scale = straggler_share / total_gain;
-            match chunk {
-                None => {
-                    for g in &mut engine.gains {
-                        *g *= scale;
-                    }
-                }
-                Some(c) => {
-                    let payloads: Vec<&mut [f64]> = engine.gains.chunks_mut(c).collect();
-                    parallel_for_each(payloads, |gc| {
-                        for g in gc {
-                            *g *= scale;
-                        }
-                    });
-                }
-            }
-            total_gain = sum_fixed(&engine.gains);
-            engine.stats.guard_activations += 1;
-        }
-
-        // The O(1) Σx = 1 pin.
-        let mut running = engine.total;
-        running.add(-straggler_share);
-        running.add(total_gain);
-        let new_straggler_share = (1.0 - running.value()).max(0.0);
-        debug_assert!(new_straggler_share.is_finite(), "pin produced a non-finite share");
-        running.add(new_straggler_share);
-        engine.total = running;
-        self.pending = Some(PendingRound { straggler: s, pinned_share: new_straggler_share });
-
-        // Periodic refresh needs the materialized shares; this is the one
-        // round shape where the deferral collapses back to an extra pass.
-        if self.engine.stats.rounds.is_multiple_of(TOTAL_REFRESH_INTERVAL) {
-            self.materialize();
-            let engine = &mut self.engine;
-            engine.total = NeumaierSum::from_value(match chunk {
-                None => pairwise_neumaier_sum(engine.x.as_slice()),
-                Some(_) => pairwise_neumaier_sum_parallel(engine.x.as_slice()),
-            });
-        }
-
-        self.engine.alpha.tighten(self.engine.active_count, new_straggler_share);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostFunction;
+    use crate::engine::TOTAL_REFRESH_INTERVAL;
     use crate::observation::max_acceptable_share;
     use crate::{Dolbie, LoadBalancer, Observation};
 
@@ -1309,6 +1247,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::cost::LatencyCost;
+    use crate::numeric::pairwise_neumaier_sum;
     use proptest::prelude::*;
 
     proptest! {

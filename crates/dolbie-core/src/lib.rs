@@ -107,7 +107,7 @@ pub use allocation::Allocation;
 pub use balancer::LoadBalancer;
 pub use bandit::BanditDolbie;
 pub use delayed::DelayedDolbie;
-pub use dolbie::{Dolbie, DolbieConfig, InitialAlpha, ReportedRound};
+pub use dolbie::{Dolbie, DolbieConfig, InitialAlpha};
 pub use engine::ChunkedDolbie;
 pub use environment::Environment;
 pub use error::{AllocationError, OracleError, SolverError};

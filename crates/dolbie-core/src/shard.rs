@@ -175,25 +175,33 @@ pub fn shard_candidate(
     best
 }
 
-/// The root coordinator's per-round state and arithmetic — the
-/// order-sensitive tail of `SoaEngine::finish_round` lifted onto shard
-/// aggregates, operation for operation, so the sharded system lands on
-/// the flat engine's bits.
+/// The order-sensitive tail of a DOLBIE round — the one implementation
+/// of it: the feasibility guard, the Σx = 1 pin, the periodic Σx refresh
+/// and the eq. (7) tighten, plus the round counter, the α record and the
+/// membership bookkeeping that schedule them.
+///
+/// Every engine drives it: the flat [`Dolbie`](crate::Dolbie),
+/// [`ChunkedDolbie`](crate::ChunkedDolbie) and
+/// [`FusedDolbie`](crate::kernel::FusedDolbie) hold one as their M = 1
+/// root, [`ShardedDolbie`] drives it over shard aggregates, and the
+/// `dolbie-net` root drives it over the backbone. One implementation is
+/// what makes their trajectories agree bit for bit.
 ///
 /// The root holds O(1) state (step size, running Σx total, counters); it
 /// never sees a per-worker array. Callers drive one round as:
 ///
 /// 1. [`begin_round`](Self::begin_round) → `α_t` to broadcast;
-/// 2. chain the gains cursor, then [`guard_scale`](Self::guard_scale);
-///    on `Some(scale)` have the shards rescale and re-chain;
+/// 2. sum the gains (across shards: chain the gains cursor), then
+///    [`guard_scale`](Self::guard_scale); on `Some(scale)` rescale the
+///    gains and re-sum;
 /// 3. [`pin`](Self::pin) → the straggler's new share to commit;
-/// 4. after shards apply the commit: if
-///    [`needs_total_refresh`](Self::needs_total_refresh), chain a cursor
-///    over the *shares* and call [`refresh_total`](Self::refresh_total);
+/// 4. after the gains and the pin are applied: if
+///    [`needs_total_refresh`](Self::needs_total_refresh), sum the
+///    *shares* and call [`refresh_total`](Self::refresh_total);
 /// 5. [`tighten`](Self::tighten).
 ///
-/// That is exactly the flat engine's statement order; skipping or
-/// reordering a step forfeits bitwise parity.
+/// Skipping or reordering a step forfeits bitwise parity with the other
+/// callers.
 #[derive(Debug, Clone)]
 pub struct RootEngine {
     alpha: StepSize,
@@ -208,8 +216,8 @@ pub struct RootEngine {
 }
 
 impl RootEngine {
-    /// A root over `initial` shares with `config` — mirrors
-    /// `SoaEngine::new` (same resolved `α_1`, same seeded total).
+    /// A root over `initial` shares with `config`: the resolved `α_1`
+    /// and the running total seeded from the fixed-shape share sum.
     pub fn new(initial: &Allocation, config: DolbieConfig) -> Self {
         Self {
             alpha: StepSize::new(config.resolve_initial_alpha(initial)),
@@ -302,12 +310,11 @@ impl RootEngine {
         self.alpha.tighten(self.active_count, new_straggler_share);
     }
 
-    /// Crosses a membership epoch boundary over the gathered full share
-    /// vector — the one O(N) root event, mirroring
-    /// `SoaEngine::apply_membership` exactly: proportional
-    /// re-normalization onto the survivors (an emptied shard's mass
-    /// drains into its siblings), re-seeded total, `α` shrunk to the
-    /// re-derived cap.
+    /// Crosses a membership epoch boundary over the full share vector —
+    /// the one O(N) root event: proportional re-normalization onto the
+    /// survivors (an emptied shard's mass drains into its siblings),
+    /// re-seeded total, `α` shrunk to the cap re-derived against the new
+    /// member count.
     ///
     /// # Panics
     ///
@@ -342,8 +349,7 @@ impl RootEngine {
 }
 
 /// What a sharded round commits — the scalars the root broadcasts to
-/// close the round (the sharded analogue of
-/// [`ReportedRound`](crate::ReportedRound)).
+/// close the round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardedRound {
     /// The elected global straggler.

@@ -1,8 +1,9 @@
 //! A shard-master's worker set over sockets: non-blocking connections
 //! pumped by a level-triggered readiness loop, with per-connection
-//! deadlines on a hashed timer wheel and the stop-and-wait lossy
-//! envelope mirrored from the blocking [`Link`] — or, on lossless
-//! fleets, the blocking staircase collect.
+//! deadlines on a hashed timer wheel and the lossy [`Envelope`] driven
+//! by the sweep's clock (the blocking [`Link`] drives the same envelope
+//! by blocking waits) — or, on lossless fleets, the blocking staircase
+//! collect.
 //!
 //! Everything below the protocol script of [`crate::shard`] — readiness
 //! sweeps, frame reassembly, broadcast fan-out, deadline bookkeeping,
@@ -10,7 +11,7 @@
 //!
 //! [`Link`]: crate::transport::Link
 
-use crate::transport::{FrameCodec, TransportError, WireStats};
+use crate::transport::{Envelope, FrameCodec, WireStats};
 use crate::wire::Frame;
 use crate::NetError;
 use dolbie_simnet::faults::FaultPlan;
@@ -146,35 +147,6 @@ impl IdleWait {
     }
 }
 
-/// One stop-and-wait envelope in flight on a lossy connection.
-#[derive(Debug)]
-struct Inflight {
-    seq: u64,
-    frame: Frame,
-    attempt: usize,
-    rto: f64,
-    at: Instant,
-}
-
-/// Non-blocking counterpart of the blocking `Link`'s lossy state: the
-/// same hash-keyed drop/duplicate/ack-drop decisions and the same
-/// stop-and-wait discipline (one envelope in flight per direction —
-/// pipelining would break the receiver's high-water-mark dedup), driven
-/// by the sweep loop instead of blocking waits.
-#[derive(Debug)]
-struct NbLossy {
-    plan: FaultPlan,
-    self_code: u64,
-    peer_code: u64,
-    next_seq: u64,
-    last_delivered: Option<u64>,
-    outbox: VecDeque<Frame>,
-    inflight: Option<Inflight>,
-    retransmissions: u64,
-    duplicates: u64,
-    acks: u64,
-}
-
 /// Why one connection stopped being usable.
 pub(crate) enum ConnFail {
     /// Socket-level death: EOF, reset, write-zero. Maps to a crash.
@@ -190,7 +162,7 @@ pub(crate) enum ConnFail {
 pub(crate) struct Conn {
     stream: TcpStream,
     pub(crate) codec: FrameCodec,
-    lossy: Option<NbLossy>,
+    envelope: Option<Envelope>,
     pub(crate) inbox: VecDeque<Frame>,
     /// Deadline generation; bumping it lazily cancels armed timers.
     pub(crate) gen: u64,
@@ -205,7 +177,7 @@ impl Conn {
         Ok(Self {
             stream,
             codec: FrameCodec::new(),
-            lossy: None,
+            envelope: None,
             inbox: VecDeque::new(),
             gen: 0,
             awaiting: false,
@@ -213,157 +185,61 @@ impl Conn {
     }
 
     pub(crate) fn install_lossy(&mut self, plan: &FaultPlan, self_code: u64, peer_code: u64) {
-        if plan.is_lossless() {
-            return;
-        }
-        self.lossy = Some(NbLossy {
-            plan: plan.clone(),
-            self_code,
-            peer_code,
-            next_seq: 0,
-            last_delivered: None,
-            outbox: VecDeque::new(),
-            inflight: None,
-            retransmissions: 0,
-            duplicates: 0,
-            acks: 0,
-        });
+        self.envelope = Envelope::new(plan, self_code, peer_code);
     }
 
     pub(crate) fn is_lossy(&self) -> bool {
-        self.lossy.is_some()
+        self.envelope.is_some()
     }
 
     /// Whether this connection still has outbound work: unsent bytes or
     /// a live lossy envelope.
     pub(crate) fn busy(&self) -> bool {
-        self.codec.has_tx()
-            || self.lossy.as_ref().is_some_and(|l| l.inflight.is_some() || !l.outbox.is_empty())
+        self.codec.has_tx() || self.envelope.as_ref().is_some_and(Envelope::busy)
     }
 
     /// Queues one protocol frame, through the lossy envelope when one is
     /// installed.
     pub(crate) fn queue(&mut self, frame: &Frame, now: Instant) {
-        if self.lossy.is_some() {
-            self.lossy.as_mut().expect("checked above").outbox.push_back(frame.clone());
-            self.lossy_kick(now);
-        } else {
-            self.codec.queue(frame);
+        match self.envelope.as_mut() {
+            Some(envelope) => {
+                envelope.push(frame.clone(), now);
+                self.flush_envelope();
+            }
+            None => self.codec.queue(frame),
         }
     }
 
-    /// Starts the next queued envelope if nothing is in flight.
-    fn lossy_kick(&mut self, now: Instant) {
-        loop {
-            let Some(state) = self.lossy.as_mut() else { return };
-            if state.inflight.is_some() {
-                return;
+    /// Moves the envelope's emitted frames onto the transmit queue.
+    fn flush_envelope(&mut self) {
+        if let Some(envelope) = self.envelope.as_mut() {
+            for frame in envelope.drain_wire() {
+                self.codec.queue(&frame);
             }
-            let Some(frame) = state.outbox.pop_front() else { return };
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            let rto = state.plan.retry.ack_timeout;
-            state.inflight = Some(Inflight { seq, frame, attempt: 0, rto, at: now });
-            if !self.lossy_transmit(now) {
-                return;
-            }
-            // The forced final attempt completed immediately; chain on.
         }
     }
 
-    /// Writes (or hash-drops) the current attempt. Returns whether the
-    /// envelope completed (the forced final attempt was written).
-    fn lossy_transmit(&mut self, now: Instant) -> bool {
-        let Self { codec, lossy, .. } = self;
-        let state = lossy.as_mut().expect("lossy mode");
-        let inflight = state.inflight.as_mut().expect("an attempt in flight");
-        let attempt = inflight.attempt;
-        let forced = attempt + 1 == state.plan.retry.max_attempts;
-        let delivered = forced
-            || !state.plan.wire_drop(inflight.seq, state.self_code, state.peer_code, attempt);
-        if delivered {
-            let data = Frame::Data {
-                seq: inflight.seq,
-                attempt: attempt as u32,
-                inner: Box::new(inflight.frame.clone()),
-            };
-            codec.queue(&data);
-            if state.plan.wire_duplicate(inflight.seq, state.self_code, state.peer_code, attempt) {
-                codec.queue(&data);
-                state.duplicates += 1;
-            }
-        }
-        inflight.at = now;
-        if forced {
-            // TCP delivers what we wrote; nothing left to await.
-            state.inflight = None;
-        }
-        forced
-    }
-
-    /// Drives the retransmission clock: the same
-    /// `ack_timeout · backoff^k` schedule as the blocking link, checked
-    /// against wall time each sweep instead of slept through.
-    fn lossy_poll(&mut self, now: Instant) {
-        if self.lossy.is_none() {
-            return;
-        }
-        self.lossy_kick(now);
-        let Some(state) = self.lossy.as_mut() else { return };
-        let Some(inflight) = state.inflight.as_mut() else { return };
-        if now.saturating_duration_since(inflight.at) < Duration::from_secs_f64(inflight.rto) {
-            return;
-        }
-        inflight.attempt += 1;
-        inflight.rto *= state.plan.retry.backoff;
-        state.retransmissions += 1;
-        if self.lossy_transmit(now) {
-            self.lossy_kick(now);
+    /// Drives the envelope's retransmission clock to `now`.
+    fn poll_envelope(&mut self, now: Instant) {
+        if let Some(envelope) = self.envelope.as_mut() {
+            envelope.poll(now);
+            self.flush_envelope();
         }
     }
 
     /// Receiver-side routing of one decoded frame: straight to the inbox
-    /// on lossless connections; ack-or-suppress, dedup, then inbox on
-    /// lossy ones.
+    /// on lossless connections, through the envelope on lossy ones.
     fn route(&mut self, frame: Frame, now: Instant) -> Result<(), ConnFail> {
-        let Self { codec, lossy, inbox, .. } = self;
-        let Some(state) = lossy.as_mut() else {
-            inbox.push_back(frame);
+        let Some(envelope) = self.envelope.as_mut() else {
+            self.inbox.push_back(frame);
             return Ok(());
         };
-        match frame {
-            Frame::Data { seq, attempt, inner } => {
-                // Ack fate is keyed on the DATA direction (peer → self),
-                // so the sender reaches the same verdict.
-                let suppressed = state.plan.wire_ack_drop(
-                    seq,
-                    state.peer_code,
-                    state.self_code,
-                    attempt as usize,
-                );
-                if !suppressed {
-                    codec.queue(&Frame::Ack { seq });
-                    state.acks += 1;
-                }
-                // Per-direction seqs are strictly increasing; anything at
-                // or below the high-water mark is a copy already delivered.
-                if state.last_delivered.is_none_or(|last| seq > last) {
-                    state.last_delivered = Some(seq);
-                    inbox.push_back(*inner);
-                }
-                Ok(())
-            }
-            Frame::Ack { seq } => {
-                if state.inflight.as_ref().is_some_and(|i| i.seq == seq) {
-                    state.inflight = None;
-                    self.lossy_kick(now);
-                }
-                Ok(())
-            }
-            _ => Err(ConnFail::Fatal(NetError::Transport(TransportError::Protocol(
-                "raw frame on a lossy link",
-            )))),
+        match envelope.receive(frame, now) {
+            Ok(payload) => self.inbox.extend(payload),
+            Err(e) => return Err(ConnFail::Fatal(NetError::Transport(e))),
         }
+        self.flush_envelope();
+        Ok(())
     }
 
     /// Drains whatever the socket has buffered and parses complete
@@ -414,10 +290,8 @@ impl Conn {
     /// Combined socket and envelope counters.
     pub(crate) fn stats(&self) -> WireStats {
         let mut stats = self.codec.stats();
-        if let Some(state) = &self.lossy {
-            stats.retransmissions = state.retransmissions;
-            stats.duplicates = state.duplicates;
-            stats.acks = state.acks;
+        if let Some(envelope) = &self.envelope {
+            envelope.stamp(&mut stats);
         }
         stats
     }
@@ -426,10 +300,10 @@ impl Conn {
 /// One full readiness pass over a connection: retransmission clock,
 /// write, read, then clock again (an ack may have freed the envelope).
 pub(crate) fn pump(conn: &mut Conn, now: Instant) -> Result<bool, ConnFail> {
-    conn.lossy_poll(now);
+    conn.poll_envelope(now);
     let wrote = conn.pump_write()?;
     let read = conn.pump_read(now)?;
-    conn.lossy_poll(now);
+    conn.poll_envelope(now);
     let flushed = conn.pump_write()?;
     Ok(wrote | read | flushed)
 }

@@ -20,8 +20,8 @@ use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 /// Builds the `Welcome` frame a shard-master sends in response to a
-/// worker's `Hello` — the one place the fault-plan fields map onto the
-/// wire.
+/// worker's `Hello` — the one place the fault-plan fields and the
+/// shard-master's `frame_timeout` map onto the wire.
 pub(crate) fn welcome_frame(
     worker_id: u32,
     num_workers: u32,
@@ -29,6 +29,7 @@ pub(crate) fn welcome_frame(
     env: WireEnvSpec,
     initial_share: f64,
     fault: &FaultPlan,
+    frame_timeout: Duration,
 ) -> Frame {
     Frame::Welcome {
         worker_id,
@@ -39,6 +40,7 @@ pub(crate) fn welcome_frame(
         drop_probability: fault.drop_probability,
         duplicate_probability: fault.duplicate_probability,
         fault_seed: fault.seed,
+        frame_timeout_us: frame_timeout.as_micros().try_into().unwrap_or(u64::MAX),
     }
 }
 

@@ -218,13 +218,35 @@ pub fn shard_deadline(frame_timeout: Duration) -> Duration {
     frame_timeout * 6
 }
 
+/// A worker's deadline on its shard-master, once its first `RoundStart`
+/// has arrived: `12 · frame_timeout`, twice [`shard_deadline`].
+///
+/// Between two frames to a healthy worker a live shard-master may spend
+/// one `frame_timeout` draining a commit to a worker that stopped
+/// reading and one more discovering the workers that stalled in a
+/// collect, then wait a full [`shard_deadline`] for the root's answer
+/// and, when that answer opens an epoch transition, up to one
+/// [`root_deadline`] more for the scatter while the root gathers its
+/// siblings' slices. That is `11 · frame_timeout`; the twelfth is
+/// margin, so a worker never gives up on a shard-master that is still
+/// waiting out its own deadlines. A shard-master that gives up instead
+/// exits and closes the socket, which the worker sees at once.
+///
+/// `T` reaches the worker in `Welcome`. Before its first `RoundStart`
+/// the worker waits without a deadline, as the backbone does during
+/// admission: its shard-master may still be admitting the rest of its
+/// range. A dead peer still shows as a closed socket at once.
+pub fn worker_deadline(frame_timeout: Duration) -> Duration {
+    frame_timeout.saturating_mul(12)
+}
+
 /// The backbone wait while round 0 is open, on both ends: unbounded in
 /// practice. A shard-master sends its first frame only after admitting
 /// its whole worker range, and admission has no deadline — workers may
 /// dial in whenever they are started — so until round 0 commits a silent
 /// backbone peer is still admitting (or waiting on a sibling that is),
 /// not wedged. A peer that dies still shows as a closed socket at once.
-const ADMISSION_WAIT: Duration = Duration::from_secs(100 * 365 * 24 * 3600);
+pub(crate) const ADMISSION_WAIT: Duration = Duration::from_secs(100 * 365 * 24 * 3600);
 
 impl ShardedConfig {
     /// A lossless sharded run: `n` workers in `m` shards for `rounds`
@@ -1378,7 +1400,15 @@ pub fn run_shard_master(
         &fault,
         |slot| {
             let global = range_start as usize + slot;
-            welcome_frame(global as u32, num_workers, rounds, env, initial.share(global), &fault)
+            welcome_frame(
+                global as u32,
+                num_workers,
+                rounds,
+                env,
+                initial.share(global),
+                &fault,
+                opts.frame_timeout,
+            )
         },
         |slot| (range_start as usize + slot) as u64 + 1,
         || conn.peer_closed(),

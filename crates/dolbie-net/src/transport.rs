@@ -2,9 +2,9 @@
 //! ([`FrameCodec`]: reassembly, strict decode, batched transmit queues)
 //! and the policies on top of it: the blocking [`FrameConn`]/[`Link`]
 //! used by workers and on the root ↔ shard-master backbone, bounded
-//! seeded reconnect, and the deterministic lossy link layer. A
-//! shard-master drives the same codec over its worker sockets
-//! ([`crate::shard`]).
+//! seeded reconnect, and the deterministic lossy envelope. A
+//! shard-master drives the same codec and the same envelope over its
+//! worker sockets ([`crate::shard`]).
 //!
 //! ## The lossy mode
 //!
@@ -25,6 +25,12 @@
 //! is identical to the lossless one; only wall-clock and wire-byte
 //! accounting differ. Lossless links skip the envelope entirely: zero
 //! overhead, raw protocol frames on the wire.
+//!
+//! The envelope itself is one sans-I/O state machine with no socket and
+//! no clock of its own: it consumes frames and caller-supplied instants
+//! and emits the frames to write. [`Link`] drives it with blocking reads
+//! bounded by the in-flight attempt's deadline; a shard-master's polled
+//! worker connections drive it from their readiness sweep.
 
 use crate::wire::{Frame, WireError, MAX_FRAME_BYTES};
 use dolbie_simnet::faults::FaultPlan;
@@ -281,9 +287,32 @@ impl FrameConn {
     }
 }
 
-/// Sender/receiver state of the lossy envelope on one connection.
+/// One stop-and-wait attempt in flight.
 #[derive(Debug)]
-struct LossyState {
+struct Inflight {
+    seq: u64,
+    frame: Frame,
+    attempt: usize,
+    /// This attempt's retransmission timeout in seconds,
+    /// `ack_timeout · backoff^attempt`.
+    rto: f64,
+    /// When this attempt was transmitted (or hash-dropped).
+    at: Instant,
+}
+
+/// The lossy Data/Ack envelope of one connection as a sans-I/O state
+/// machine: it consumes protocol frames to send, frames off the wire and
+/// a caller-supplied clock, and emits the frames to write. The blocking
+/// [`Link`] and a shard-master's polled worker connections are two thin
+/// I/O loops over it.
+///
+/// It owns the per-direction sequence numbers, the outbox and the one
+/// in-flight attempt (stop-and-wait: pipelining would break the
+/// receiver's high-water-mark dedup), the `ack_timeout · backoff^k`
+/// retransmission clock, every [`FaultPlan`] wire decision, and the
+/// envelope counters.
+#[derive(Debug)]
+pub(crate) struct Envelope {
     plan: FaultPlan,
     /// This endpoint's node code in the fault-decision hash (master 0,
     /// worker `i` → `i + 1`; the `dolbie-simnet` convention).
@@ -291,24 +320,164 @@ struct LossyState {
     peer_code: u64,
     next_seq: u64,
     last_delivered: Option<u64>,
-    inbox: VecDeque<Frame>,
+    outbox: VecDeque<Frame>,
+    inflight: Option<Inflight>,
+    /// Frames to write, in order; the I/O loop drains them.
+    wire: Vec<Frame>,
     retransmissions: u64,
     duplicates: u64,
     acks: u64,
 }
 
-/// A protocol-frame channel over one TCP connection: either raw frames
-/// (lossless) or the deterministic lossy envelope.
+impl Envelope {
+    /// The envelope replaying `plan` between `self_code` and `peer_code`,
+    /// or `None` for a lossless plan: lossless links carry raw frames.
+    pub(crate) fn new(plan: &FaultPlan, self_code: u64, peer_code: u64) -> Option<Self> {
+        (!plan.is_lossless()).then(|| Self {
+            plan: plan.clone(),
+            self_code,
+            peer_code,
+            next_seq: 0,
+            last_delivered: None,
+            outbox: VecDeque::new(),
+            inflight: None,
+            wire: Vec::new(),
+            retransmissions: 0,
+            duplicates: 0,
+            acks: 0,
+        })
+    }
+
+    /// Queues one protocol frame for delivery.
+    pub(crate) fn push(&mut self, frame: Frame, now: Instant) {
+        self.outbox.push_back(frame);
+        self.kick(now);
+    }
+
+    /// Whether a frame is queued or awaiting its ack.
+    pub(crate) fn busy(&self) -> bool {
+        self.inflight.is_some() || !self.outbox.is_empty()
+    }
+
+    /// When the in-flight attempt's retransmission timeout expires.
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        self.inflight.as_ref().map(|i| i.at + Duration::from_secs_f64(i.rto))
+    }
+
+    /// Drives the retransmission clock to `now`: at most one further
+    /// attempt per call, its own timeout counted from `now`.
+    pub(crate) fn poll(&mut self, now: Instant) {
+        if self.deadline().is_none_or(|due| now < due) {
+            return;
+        }
+        let inflight = self.inflight.as_mut().expect("a deadline implies an attempt");
+        inflight.attempt += 1;
+        inflight.rto *= self.plan.retry.backoff;
+        self.retransmissions += 1;
+        self.transmit(now);
+        self.kick(now);
+    }
+
+    /// Takes one frame off the wire. Data is acked (unless the plan
+    /// drops the ack) and deduplicated; the payload comes back iff it is
+    /// new. An ack of the in-flight attempt completes it.
+    pub(crate) fn receive(
+        &mut self,
+        frame: Frame,
+        now: Instant,
+    ) -> Result<Option<Frame>, TransportError> {
+        match frame {
+            Frame::Data { seq, attempt, inner } => {
+                // Ack fate is keyed on the DATA direction (peer → self),
+                // so the sender reaches the same verdict.
+                if !self.plan.wire_ack_drop(seq, self.peer_code, self.self_code, attempt as usize) {
+                    self.wire.push(Frame::Ack { seq });
+                    self.acks += 1;
+                }
+                // Per-direction seqs are strictly increasing; anything at
+                // or below the high-water mark is a copy already delivered.
+                if self.last_delivered.is_none_or(|last| seq > last) {
+                    self.last_delivered = Some(seq);
+                    return Ok(Some(*inner));
+                }
+                Ok(None)
+            }
+            Frame::Ack { seq } => {
+                // A late ack for an attempt already completed is ignored.
+                if self.inflight.as_ref().is_some_and(|i| i.seq == seq) {
+                    self.inflight = None;
+                    self.kick(now);
+                }
+                Ok(None)
+            }
+            _ => Err(TransportError::Protocol("raw frame on a lossy link")),
+        }
+    }
+
+    /// The frames to write since the last call, in write order.
+    pub(crate) fn drain_wire(&mut self) -> std::vec::Drain<'_, Frame> {
+        self.wire.drain(..)
+    }
+
+    /// Overlays the envelope counters on a connection's socket counters.
+    pub(crate) fn stamp(&self, stats: &mut WireStats) {
+        stats.retransmissions = self.retransmissions;
+        stats.duplicates = self.duplicates;
+        stats.acks = self.acks;
+    }
+
+    /// Starts queued frames while nothing is in flight.
+    fn kick(&mut self, now: Instant) {
+        while self.inflight.is_none() {
+            let Some(frame) = self.outbox.pop_front() else { return };
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let rto = self.plan.retry.ack_timeout;
+            self.inflight = Some(Inflight { seq, frame, attempt: 0, rto, at: now });
+            self.transmit(now);
+        }
+    }
+
+    /// Emits (or hash-drops) the current attempt. The final attempt is
+    /// emitted unconditionally and not awaited — TCP delivers what is
+    /// written — so it completes the envelope.
+    fn transmit(&mut self, now: Instant) {
+        let inflight = self.inflight.as_mut().expect("an attempt in flight");
+        let (seq, attempt) = (inflight.seq, inflight.attempt);
+        let forced = attempt + 1 >= self.plan.retry.max_attempts;
+        if forced || !self.plan.wire_drop(seq, self.self_code, self.peer_code, attempt) {
+            let data = Frame::Data {
+                seq,
+                attempt: attempt as u32,
+                inner: Box::new(inflight.frame.clone()),
+            };
+            if self.plan.wire_duplicate(seq, self.self_code, self.peer_code, attempt) {
+                self.wire.push(data.clone());
+                self.duplicates += 1;
+            }
+            self.wire.push(data);
+        }
+        inflight.at = now;
+        if forced {
+            self.inflight = None;
+        }
+    }
+}
+
+/// A protocol-frame channel over one blocking TCP connection: either raw
+/// frames (lossless) or the lossy envelope, driven by blocking waits.
 #[derive(Debug)]
 pub struct Link {
     conn: FrameConn,
-    lossy: Option<LossyState>,
+    envelope: Option<Envelope>,
+    /// Payloads the envelope delivered while a send awaited its ack.
+    inbox: VecDeque<Frame>,
 }
 
 impl Link {
     /// A raw pass-through link: protocol frames directly on the wire.
     pub fn lossless(conn: FrameConn) -> Self {
-        Self { conn, lossy: None }
+        Self { conn, envelope: None, inbox: VecDeque::new() }
     }
 
     /// A link replaying `plan`'s socket-layer faults. `self_code` and
@@ -317,79 +486,37 @@ impl Link {
     /// on every decision. Falls back to a pass-through if the plan is
     /// lossless.
     pub fn with_plan(conn: FrameConn, plan: FaultPlan, self_code: u64, peer_code: u64) -> Self {
-        if plan.is_lossless() {
-            return Self::lossless(conn);
-        }
-        Self {
-            conn,
-            lossy: Some(LossyState {
-                plan,
-                self_code,
-                peer_code,
-                next_seq: 0,
-                last_delivered: None,
-                inbox: VecDeque::new(),
-                retransmissions: 0,
-                duplicates: 0,
-                acks: 0,
-            }),
-        }
+        Self { conn, envelope: Envelope::new(&plan, self_code, peer_code), inbox: VecDeque::new() }
     }
 
     /// Sends one protocol frame; in lossy mode this blocks through the
     /// retransmission schedule until a copy is acknowledged (or the final
-    /// attempt is force-written).
+    /// attempt is force-written), servicing inbound traffic meanwhile.
     pub fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        if self.lossy.is_none() {
-            return self.conn.send(frame);
-        }
-        let (seq, retry, plan, me, peer) = {
-            let state = self.lossy.as_mut().expect("checked above");
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            (seq, state.plan.retry, state.plan.clone(), state.self_code, state.peer_code)
-        };
-        let mut rto = retry.ack_timeout;
-        for attempt in 0..retry.max_attempts {
-            let forced = attempt + 1 == retry.max_attempts;
-            if attempt > 0 {
-                self.lossy.as_mut().expect("lossy mode").retransmissions += 1;
+        let Some(envelope) = self.envelope.as_mut() else { return self.conn.send(frame) };
+        envelope.push(frame.clone(), Instant::now());
+        loop {
+            self.flush()?;
+            let Some(due) = self.envelope.as_ref().and_then(Envelope::deadline) else {
+                return Ok(());
+            };
+            match self.conn.recv(due.saturating_duration_since(Instant::now())) {
+                Ok(frame) => self.on_wire(frame)?,
+                Err(e) if e.is_timeout() => {}
+                Err(e) => return Err(e),
             }
-            let delivered = forced || !plan.wire_drop(seq, me, peer, attempt);
-            if delivered {
-                let data =
-                    Frame::Data { seq, attempt: attempt as u32, inner: Box::new(frame.clone()) };
-                self.conn.send(&data)?;
-                if plan.wire_duplicate(seq, me, peer, attempt) {
-                    self.conn.send(&data)?;
-                    self.lossy.as_mut().expect("lossy mode").duplicates += 1;
-                }
-                if forced {
-                    // TCP delivers what we wrote; nothing left to await.
-                    return Ok(());
-                }
-                if self.await_ack(seq, Duration::from_secs_f64(rto))? {
-                    return Ok(());
-                }
-            } else {
-                // The "network" ate this attempt before the wire: nothing
-                // was written. Wait out the timeout anyway (that is the
-                // injected delay), servicing any incoming traffic.
-                let _ = self.await_ack(seq, Duration::from_secs_f64(rto))?;
-            }
-            rto *= retry.backoff;
+            self.envelope.as_mut().expect("lossy mode").poll(Instant::now());
         }
-        unreachable!("the forced final attempt returns")
     }
 
     /// Receives the next protocol frame, waiting at most `deadline`.
     pub fn recv(&mut self, deadline: Duration) -> Result<Frame, TransportError> {
-        if self.lossy.is_none() {
+        if self.envelope.is_none() {
             return self.conn.recv(deadline);
         }
         let until = Instant::now() + deadline;
         loop {
-            if let Some(frame) = self.lossy.as_mut().expect("lossy mode").inbox.pop_front() {
+            if let Some(frame) = self.inbox.pop_front() {
                 return Ok(frame);
             }
             let remaining = until.saturating_duration_since(Instant::now());
@@ -397,69 +524,34 @@ impl Link {
                 return Err(std::io::Error::from(std::io::ErrorKind::TimedOut).into());
             }
             let frame = self.conn.recv(remaining)?;
-            self.on_wire_frame(frame)?;
+            self.on_wire(frame)?;
         }
     }
 
-    /// Waits up to `window` for the ack of `seq`, servicing interleaved
-    /// peer traffic. Returns whether the ack arrived.
-    fn await_ack(&mut self, seq: u64, window: Duration) -> Result<bool, TransportError> {
-        let until = Instant::now() + window;
-        loop {
-            let remaining = until.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Ok(false);
-            }
-            match self.conn.recv(remaining) {
-                Ok(Frame::Ack { seq: acked }) if acked == seq => return Ok(true),
-                Ok(frame) => self.on_wire_frame(frame)?,
-                Err(e) if e.is_timeout() => return Ok(false),
-                Err(e) => return Err(e),
-            }
+    /// Hands one wire frame to the envelope, inboxing any payload and
+    /// writing any ack.
+    fn on_wire(&mut self, frame: Frame) -> Result<(), TransportError> {
+        let envelope = self.envelope.as_mut().expect("lossy mode");
+        if let Some(payload) = envelope.receive(frame, Instant::now())? {
+            self.inbox.push_back(payload);
         }
+        self.flush()
     }
 
-    /// Receiver-side handling of one frame off the wire in lossy mode:
-    /// ack-or-suppress, dedup, and inbox the payload.
-    fn on_wire_frame(&mut self, frame: Frame) -> Result<(), TransportError> {
-        match frame {
-            Frame::Data { seq, attempt, inner } => {
-                let state = self.lossy.as_ref().expect("lossy mode");
-                // Ack fate is keyed on the DATA direction (peer → self),
-                // so the sender would reach the same verdict.
-                let suppressed = state.plan.wire_ack_drop(
-                    seq,
-                    state.peer_code,
-                    state.self_code,
-                    attempt as usize,
-                );
-                if !suppressed {
-                    self.conn.send(&Frame::Ack { seq })?;
-                    self.lossy.as_mut().expect("lossy mode").acks += 1;
-                }
-                let state = self.lossy.as_mut().expect("lossy mode");
-                // Per-direction seqs are strictly increasing; anything at
-                // or below the high-water mark is a retransmitted or
-                // duplicated copy of a frame already delivered upward.
-                if state.last_delivered.is_none_or(|last| seq > last) {
-                    state.last_delivered = Some(seq);
-                    state.inbox.push_back(*inner);
-                }
-                Ok(())
-            }
-            // A late ack for an attempt we stopped waiting on.
-            Frame::Ack { .. } => Ok(()),
-            _ => Err(TransportError::Protocol("raw frame on a lossy link")),
+    /// Writes every frame the envelope emitted.
+    fn flush(&mut self) -> Result<(), TransportError> {
+        let Self { conn, envelope, .. } = self;
+        for frame in envelope.as_mut().expect("lossy mode").drain_wire() {
+            conn.send(&frame)?;
         }
+        Ok(())
     }
 
     /// Combined socket and link-layer counters.
     pub fn stats(&self) -> WireStats {
         let mut stats = self.conn.stats();
-        if let Some(state) = &self.lossy {
-            stats.retransmissions = state.retransmissions;
-            stats.duplicates = state.duplicates;
-            stats.acks = state.acks;
+        if let Some(envelope) = &self.envelope {
+            envelope.stamp(&mut stats);
         }
         stats
     }
@@ -523,9 +615,13 @@ fn mix(seed: u64, salt: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Default per-frame read deadline used by both node roles: generous
-/// enough for the full lossy retransmission schedule, short enough that a
-/// crashed peer is detected promptly.
+/// Default `frame_timeout` T, a shard-master's per-frame read deadline on
+/// its worker links: generous enough for the full lossy retransmission
+/// schedule, short enough that a crashed peer is detected promptly. The
+/// backbone and worker deadlines derive from it
+/// ([`root_deadline`](crate::shard::root_deadline),
+/// [`shard_deadline`](crate::shard::shard_deadline),
+/// [`worker_deadline`](crate::shard::worker_deadline)).
 pub const DEFAULT_FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 
 #[allow(unused)]
@@ -611,6 +707,107 @@ mod tests {
         let sent = sender.join().unwrap();
         assert!(sent.retransmissions > 0, "40% drop over 50 frames must retransmit somewhere");
         assert!(sent.duplicates > 0, "30% duplication must fire somewhere");
+    }
+
+    /// Checks `envelope`'s in-flight attempt against the exact schedule:
+    /// a new frame starts at `now` on attempt 0, and attempt `k` starts
+    /// at attempt `k − 1`'s deadline and times out
+    /// `ack_timeout · backoff^k` later. `last` is the previous
+    /// observation `(seq, attempt, deadline)`.
+    fn check_schedule(envelope: &Envelope, now: Instant, last: &mut Option<(u64, usize, Instant)>) {
+        let Some(inflight) = envelope.inflight.as_ref() else {
+            *last = None;
+            return;
+        };
+        let retry = envelope.plan.retry;
+        let rto = (0..inflight.attempt).fold(retry.ack_timeout, |r, _| r * retry.backoff);
+        let due = inflight.at + Duration::from_secs_f64(rto);
+        assert_eq!(envelope.deadline(), Some(due), "attempt {}", inflight.attempt);
+        match *last {
+            Some((seq, attempt, prev_due)) if seq == inflight.seq => {
+                if inflight.attempt != attempt {
+                    assert_eq!(inflight.attempt, attempt + 1, "one attempt per expiry");
+                    assert_eq!(inflight.at, prev_due, "a retransmission fires at its deadline");
+                }
+            }
+            _ => {
+                assert_eq!(inflight.attempt, 0, "a new frame starts on attempt 0");
+                assert_eq!(inflight.at, now, "a new frame starts when its turn comes");
+            }
+        }
+        *last = Some((inflight.seq, inflight.attempt, due));
+    }
+
+    /// The envelope without sockets: two instances exchange 200 frames
+    /// each way through in-memory queues on a fake clock under drop,
+    /// duplication and ack-drop. Every frame arrives exactly once and in
+    /// order, every retransmission fires exactly at
+    /// `ack_timeout · backoff^k` on the fake clock (and not a tick
+    /// before), and the forced final attempt completes its frame without
+    /// an ack.
+    #[test]
+    fn envelope_delivers_exactly_once_on_a_fake_clock() {
+        let plan = FaultPlan::seeded(21)
+            .with_drop_probability(0.4)
+            .with_duplicate_probability(0.3)
+            .with_retry(RetryPolicy::new(0.01, 1.5, 6));
+        let last_attempt = (plan.retry.max_attempts - 1) as u32;
+        let mut a = Envelope::new(&plan, 1, 0).expect("lossy plan");
+        let mut b = Envelope::new(&plan, 0, 1).expect("lossy plan");
+        let frames = 200u64;
+        let frame = |round: u64| Frame::LocalCost { epoch: 0, round, cost: round as f64 };
+        let mut now = Instant::now();
+        for round in 0..frames {
+            a.push(frame(round), now);
+            b.push(frame(round), now);
+        }
+        let (mut at_a, mut at_b) = (Vec::new(), Vec::new());
+        let (mut last_a, mut last_b) = (None, None);
+        let (mut data_to_b, mut forced) = (0u64, 0usize);
+        loop {
+            // Zero-latency delivery until both directions are quiet.
+            loop {
+                let to_b: Vec<Frame> = a.drain_wire().collect();
+                let to_a: Vec<Frame> = b.drain_wire().collect();
+                if to_b.is_empty() && to_a.is_empty() {
+                    break;
+                }
+                for f in to_b {
+                    if let Frame::Data { seq, attempt, .. } = f {
+                        data_to_b += 1;
+                        if attempt == last_attempt {
+                            forced += 1;
+                            let inflight = a.inflight.as_ref().map(|i| i.seq);
+                            assert_ne!(inflight, Some(seq), "the forced attempt completes");
+                        }
+                    }
+                    at_b.extend(b.receive(f, now).unwrap());
+                }
+                for f in to_a {
+                    at_a.extend(a.receive(f, now).unwrap());
+                }
+            }
+            check_schedule(&a, now, &mut last_a);
+            check_schedule(&b, now, &mut last_b);
+            if !a.busy() && !b.busy() {
+                break;
+            }
+            let due = a.deadline().into_iter().chain(b.deadline()).min().expect("an attempt");
+            let early = due - Duration::from_nanos(1);
+            let before = (a.retransmissions, b.retransmissions);
+            a.poll(early);
+            b.poll(early);
+            assert_eq!((a.retransmissions, b.retransmissions), before, "fired before its deadline");
+            now = due;
+            a.poll(now);
+            b.poll(now);
+        }
+        let expected: Vec<Frame> = (0..frames).map(frame).collect();
+        assert_eq!(at_b, expected, "a → b: in-order exactly-once delivery");
+        assert_eq!(at_a, expected, "b → a: in-order exactly-once delivery");
+        assert!(a.retransmissions > 0 && a.duplicates > 0, "drop and duplication must fire");
+        assert!(b.acks < data_to_b, "some acks must be dropped");
+        assert!(forced > 0, "some frame must run out to its forced final attempt");
     }
 
     #[test]

@@ -39,8 +39,9 @@ use crate::env::WireEnvSpec;
 /// Protocol magic carried by both handshake frames.
 pub const MAGIC: u32 = 0xD01B_1E55;
 
-/// Protocol version carried by both handshake frames.
-pub const VERSION: u16 = 1;
+/// Protocol version carried by both handshake frames. Version 2 ships
+/// the shard-master's `frame_timeout` in `Welcome`.
+pub const VERSION: u16 = 2;
 
 /// Hard cap on a frame body; larger length prefixes are rejected before
 /// any allocation.
@@ -166,6 +167,9 @@ pub enum Frame {
         duplicate_probability: f64,
         /// Seed of the socket-layer fault decisions.
         fault_seed: u64,
+        /// The shard-master's `frame_timeout` T in microseconds; the
+        /// worker's read deadline derives from it.
+        frame_timeout_us: u64,
     },
     /// Master → worker: the per-round barrier. Carries the membership
     /// epoch so post-churn rounds are unambiguous on the wire.
@@ -481,6 +485,7 @@ impl Frame {
                 drop_probability,
                 duplicate_probability,
                 fault_seed,
+                frame_timeout_us,
             } => {
                 out.push(KIND_WELCOME);
                 out.extend_from_slice(&MAGIC.to_le_bytes());
@@ -494,6 +499,7 @@ impl Frame {
                 out.extend_from_slice(&drop_probability.to_bits().to_le_bytes());
                 out.extend_from_slice(&duplicate_probability.to_bits().to_le_bytes());
                 out.extend_from_slice(&fault_seed.to_le_bytes());
+                out.extend_from_slice(&frame_timeout_us.to_le_bytes());
             }
             Self::RoundStart { epoch, round } => {
                 out.push(KIND_ROUND_START);
@@ -742,6 +748,7 @@ fn decode_inner(r: &mut Reader<'_>, enveloped: bool) -> Result<Frame, WireError>
                 drop_probability: r.f64()?,
                 duplicate_probability: r.f64()?,
                 fault_seed: r.u64()?,
+                frame_timeout_us: r.u64()?,
             })
         }
         KIND_ROUND_START => Ok(Frame::RoundStart { epoch: r.u32()?, round: r.u64()? }),

@@ -6,13 +6,19 @@
 //! The per-round cost function is derived locally from the
 //! [`WireEnvSpec`](crate::env::WireEnvSpec) the master ships in `Welcome`.
 //!
-//! The arithmetic here is the worker side of the engine's reported-round
-//! contract: `gain = (α · (x' − x)).max(0.0)`, `x ← x + gain`, with the
-//! rare `Adjust` replaying `x ← x_old + gain · scale` — bitwise the
-//! update the sequential engine applies, which is what makes the whole
+//! The arithmetic here is the engine's per-worker update:
+//! `gain = (α · (x' − x)).max(0.0)`, `x ← x + gain`, with the rare
+//! `Adjust` (the root's feasibility guard fired) replaying
+//! `x ← x_old + gain · scale` — bitwise what the sequential engine's
+//! rescale-then-apply computes, which is what makes the whole
 //! distributed trajectory bitwise-reproducible.
+//!
+//! The worker's read deadline is not a knob of its own: it derives from
+//! the shard-master's `frame_timeout`, shipped in `Welcome`
+//! ([`worker_deadline`]).
 
-use crate::transport::{FrameConn, Link, TransportError, WireStats, DEFAULT_FRAME_TIMEOUT};
+use crate::shard::{worker_deadline, ADMISSION_WAIT};
+use crate::transport::{FrameConn, Link, TransportError, WireStats};
 use crate::wire::{Frame, VERSION};
 use crate::NetError;
 use dolbie_core::cost::DynCost;
@@ -24,8 +30,6 @@ use std::time::Duration;
 /// Knobs of a worker run.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerOptions {
-    /// Per-frame read deadline; `None` uses [`DEFAULT_FRAME_TIMEOUT`].
-    pub frame_timeout: Option<Duration>,
     /// Overrides the lossy link's retransmission pacing (the fault plan
     /// itself always comes from `Welcome`). Senders need not agree on
     /// pacing, so tests can run a faster schedule than the default.
@@ -77,10 +81,9 @@ pub(crate) fn run_worker_as(
     opts: &WorkerOptions,
     faults: impl FnOnce(usize) -> InjectedFaults,
 ) -> Result<WorkerReport, NetError> {
-    let timeout = opts.frame_timeout.unwrap_or(DEFAULT_FRAME_TIMEOUT);
     let mut conn = FrameConn::new(stream).map_err(TransportError::from)?;
     conn.send(&Frame::Hello { version: VERSION })?;
-    let (worker_id, env, mut share, plan) = match conn.recv(timeout)? {
+    let (worker_id, env, mut share, plan, deadline) = match conn.recv(ADMISSION_WAIT)? {
         Frame::Welcome {
             worker_id,
             env,
@@ -88,6 +91,7 @@ pub(crate) fn run_worker_as(
             drop_probability,
             duplicate_probability,
             fault_seed,
+            frame_timeout_us,
             ..
         } => {
             let mut plan = FaultPlan::seeded(fault_seed);
@@ -100,7 +104,9 @@ pub(crate) fn run_worker_as(
             if let Some(retry) = opts.retry {
                 plan = plan.with_retry(retry);
             }
-            (worker_id as usize, env, initial_share, plan)
+            let t = Duration::from_micros(frame_timeout_us);
+            let deadline = worker_deadline(t).min(ADMISSION_WAIT);
+            (worker_id as usize, env, initial_share, plan, deadline)
         }
         _ => return Err(NetError::Protocol("expected Welcome after Hello".into())),
     };
@@ -114,10 +120,14 @@ pub(crate) fn run_worker_as(
     let mut rounds_seen = 0usize;
     let mut epochs_seen = 0u32;
     let mut my_epoch = 0u32;
+    // No deadline until the first `RoundStart`: the shard-master may
+    // still be admitting the rest of its range.
+    let mut timeout = ADMISSION_WAIT;
 
     loop {
         match link.recv(timeout)? {
             Frame::RoundStart { epoch, round } => {
+                timeout = deadline;
                 if epoch != my_epoch {
                     return Err(NetError::Protocol(format!(
                         "round started under epoch {epoch}, worker is at {my_epoch}"
@@ -195,5 +205,50 @@ pub(crate) fn run_worker_as(
             }
             _ => return Err(NetError::Protocol("unexpected frame at the worker".into())),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::env::{EnvKind, WireEnvSpec};
+    use crate::handshake::welcome_frame;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    /// The worker's deadline comes from the tree: a fake shard-master
+    /// ships T = 50 ms in `Welcome`, stays silent for a second — longer
+    /// than `worker_deadline(T)` — and the worker still answers the late
+    /// first `RoundStart`; after that, silence costs the worker a timeout
+    /// error within `worker_deadline(T)` and a margin, not a fixed 10 s.
+    #[test]
+    fn worker_deadline_derives_from_the_welcome() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let worker = std::thread::spawn(move || {
+            let stream = TcpStream::connect(addr).expect("connect");
+            run_worker(stream, &WorkerOptions::default())
+        });
+        let (stream, _) = listener.accept().expect("accept");
+        let mut master = FrameConn::new(stream).expect("conn");
+        let hello = master.recv(Duration::from_secs(5)).expect("Hello");
+        assert!(matches!(hello, Frame::Hello { .. }));
+        let t = Duration::from_millis(50);
+        let env = WireEnvSpec { kind: EnvKind::StaticRamp, seed: 3 };
+        master.send(&welcome_frame(0, 2, 10, env, 0.5, &FaultPlan::none(), t)).expect("Welcome");
+        std::thread::sleep(Duration::from_secs(1));
+        master.send(&Frame::RoundStart { epoch: 0, round: 0 }).expect("RoundStart");
+        let reply = master.recv(Duration::from_secs(5)).expect("the worker answers");
+        assert!(matches!(reply, Frame::LocalCost { epoch: 0, round: 0, .. }), "{reply:?}");
+        let silent = Instant::now();
+        let result = worker.join().expect("worker thread");
+        let waited = silent.elapsed();
+        match result {
+            Err(NetError::Transport(e)) if e.is_timeout() => {}
+            other => panic!("expected a read timeout, got {other:?}"),
+        }
+        assert!(waited >= worker_deadline(t) / 2, "gave up after {waited:?}");
+        assert!(waited < worker_deadline(t) + Duration::from_secs(1), "waited {waited:?}");
+        drop(master);
     }
 }

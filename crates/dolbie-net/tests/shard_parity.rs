@@ -3,6 +3,8 @@
 //! flat sequential engine for 500 rounds at M ∈ {1, 2, 4} × N ∈ {16, 64},
 //! lossless and seeded-lossy; the `M = 1` tree (the flat master-worker
 //! deployment) agrees with the simulated master-worker protocol; the
+//! feasibility guard's rescale path (`ShardRescale` to the shards,
+//! `Adjust` to the workers) stays bitwise when an α floor forces it; the
 //! root tier's per-round message count is a pure function of M — it
 //! never scales with N; and a four-digit fleet survives the OS listen
 //! backlog.
@@ -21,13 +23,24 @@ const ROUNDS: usize = 500;
 const MATRIX: [(usize, usize); 6] = [(16, 1), (16, 2), (16, 4), (64, 1), (64, 2), (64, 4)];
 
 fn sequential_allocations(env: WireEnvSpec, n: usize, rounds: usize) -> Vec<Allocation> {
-    let mut sequential = Dolbie::with_config(Allocation::uniform(n), DolbieConfig::new());
+    sequential_run(env, n, rounds, DolbieConfig::new()).0
+}
+
+/// The flat sequential engine's per-round allocations (plus the final
+/// one) under `config`, and the engine itself.
+fn sequential_run(
+    env: WireEnvSpec,
+    n: usize,
+    rounds: usize,
+    config: DolbieConfig,
+) -> (Vec<Allocation>, Dolbie) {
+    let mut sequential = Dolbie::with_config(Allocation::uniform(n), config);
     let mut driver = env.environment(n);
     let trace = run_episode(&mut sequential, &mut driver, EpisodeOptions::new(rounds));
     let mut allocations: Vec<Allocation> =
         trace.records.iter().map(|r| r.allocation.clone()).collect();
     allocations.push(sequential.allocation().clone());
-    allocations
+    (allocations, sequential)
 }
 
 fn assert_bitwise(run: &ShardedLoopbackRun, reference: &[Allocation], n: usize, m: usize) {
@@ -176,6 +189,34 @@ fn lossy_sharded_loopback_stays_bitwise_identical_for_500_rounds() {
             prev_alpha = round.alpha;
         }
         let reference = sequential_allocations(env, n, ROUNDS);
+        assert_bitwise(&run, &reference, n, m);
+        assert_root_messages_are_o_m(&run, m);
+        assert_workers_healthy(&run, n);
+    }
+}
+
+/// The feasibility guard over TCP. An α floor of 0.9 keeps the step
+/// large enough that the root's guard fires: the shards rescale their
+/// gains and re-chain the cursor, and the workers replay
+/// `x_old + gain · scale` from `Adjust`. At M ∈ {1, 2} the run is
+/// bitwise the sequential `Dolbie` under the same configuration, the
+/// guard fires on the same rounds as the engine's, and every worker
+/// finishes on its engine share.
+#[test]
+fn forced_guard_rescale_stays_bitwise_over_tcp() {
+    let n = 16;
+    let config = DolbieConfig::new().with_alpha_floor(0.9);
+    for m in [1usize, 2] {
+        let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x6A4D + m as u64 };
+        let mut cfg = ShardedConfig::new(n, m, ROUNDS, env);
+        cfg.dolbie = config;
+        let run = run_sharded_loopback(&cfg).expect("guarded sharded run");
+        assert_eq!(run.root.rounds.len(), ROUNDS);
+
+        let (reference, engine) = sequential_run(env, n, ROUNDS, config);
+        let rescaled = run.root.rounds.iter().filter(|r| r.rescaled).count();
+        assert!(rescaled > 0, "the α floor must trip the guard over TCP (M={m})");
+        assert_eq!(rescaled, engine.stats().guard_activations, "guard rounds differ (M={m})");
         assert_bitwise(&run, &reference, n, m);
         assert_root_messages_are_o_m(&run, m);
         assert_workers_healthy(&run, n);

@@ -24,6 +24,7 @@ fn frame_zoo(seq: u64, a: u64, b: u64, flag: bool, members: &[bool]) -> Vec<Fram
             drop_probability: y,
             duplicate_probability: x,
             fault_seed: seq,
+            frame_timeout_us: a,
         },
         Frame::RoundStart { epoch: (a % 97) as u32, round: b },
         Frame::LocalCost { epoch: (b % 97) as u32, round: a, cost: y },
@@ -131,6 +132,7 @@ fn welcome_checks_magic_and_version_too() {
         drop_probability: 0.0,
         duplicate_probability: 0.0,
         fault_seed: 0,
+        frame_timeout_us: 2_000_000,
     };
     let mut bad_magic = welcome.encode();
     bad_magic[5..9].copy_from_slice(&1u32.to_le_bytes());

@@ -95,14 +95,22 @@ pub fn tighten_alpha(alpha: f64, member_count: usize, straggler_share: f64) -> f
 /// fits inside the straggler's share in exact arithmetic, but a
 /// zero-share joiner that becomes the straggler right after an epoch
 /// boundary can hold a smaller share than the one α was last capped
-/// against; mirror the engine's guard (`dolbie_core::engine`) and
-/// rescale the gains so constraint (3) survives. In the wire protocol
+/// against; mirror the engine's guard (`dolbie_core::shard::RootEngine`)
+/// and rescale the gains so constraint (3) survives. In the wire protocol
 /// the correction factor rides on the straggler assignment / pass-2
 /// token; the sims apply it to the bookkeeping directly. The sums run
 /// in ascending worker order at every call site, which is what keeps
 /// the architectures' trajectories bit-for-bit equal — a shard tier
 /// preserves the order by folding one running accumulator through the
 /// shards in ascending shard order.
+///
+/// This pin deliberately does not call `RootEngine`, the engines' one
+/// round tail: it sums naively (`1 − Σ_{i≠s} x_i` in ascending order),
+/// not through the running compensated total. That makes the simulated
+/// protocols an independent model rather than a replay of the engine —
+/// the `1e-9` TCP-vs-simnet cross-check and the `dolbie-mc` state
+/// fingerprints are pinned to exactly this arithmetic, so it must not
+/// be swapped for the engine's.
 pub fn guarded_straggler_pin(old: &[f64], next: &mut [f64], straggler: usize) -> f64 {
     straggler_pin_with_guard(old, next, straggler, true)
 }

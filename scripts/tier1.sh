@@ -14,8 +14,10 @@ cargo clippy --workspace -- -D warnings
 if cargo +nightly --version >/dev/null 2>&1; then
     echo "== tier-1: clippy, portable-simd feature (nightly, deny warnings) =="
     cargo +nightly clippy -p dolbie-core --features portable-simd -- -D warnings
+    echo "== tier-1: dolbie-core tests, portable-simd feature (nightly) =="
+    cargo +nightly test -p dolbie-core --features portable-simd -q
 else
-    echo "[warn] no nightly toolchain: skipping clippy for the portable-simd feature gate"
+    echo "[warn] no nightly toolchain: skipping clippy and tests for the portable-simd feature gate"
 fi
 
 echo "== tier-1: rustdoc (deny warnings) =="
