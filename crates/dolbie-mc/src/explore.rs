@@ -19,9 +19,18 @@
 //! Every replayed run is complete and invariant-checked regardless of
 //! where its expansion was cut, so pruning never skips a *check*, only
 //! redundant re-expansion.
+//!
+//! The scan reads fingerprints only from the prefix boundary to the
+//! cut, so each run is replayed knowing the visited set — in DFS the
+//! current one, in BFS the one the wave started from, borrowed
+//! read-only by every replay of the wave — and its simulator
+//! fingerprints only that stretch ([`crate::replay::DecisionRecord::fp`]).
+//! A replay stops observing at the first state that is visited or that
+//! it passed earlier in the same run, which is where the scan cuts: at
+//! merge time the visited set holds at least what the replay knew.
 
 use crate::config::McConfig;
-use crate::replay::{replay, RunOutcome};
+use crate::replay::{replay_knowing, RunOutcome};
 use dolbie_core::parallel::parallel_map_items;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -73,7 +82,7 @@ impl ExploreStats {
 /// invariant message.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Decision prefix to feed [`replay()`].
+    /// Decision prefix to feed [`crate::replay()`].
     pub prefix: Vec<u32>,
     /// The invariant-checker (or panic, or confluence) message.
     pub message: String,
@@ -130,7 +139,8 @@ fn merge_run(
         }
     }
     for (i, d) in outcome.trail.iter().enumerate().skip(prefix.len()) {
-        if let Some(fp) = d.fp {
+        if d.is_delivery() {
+            let fp = d.fp.expect("a replay observes every delivery choice up to the scan's cut");
             if !visited.insert(fp) {
                 stats.states_pruned += 1;
                 return None; // cut: a previous run owns everything downstream
@@ -162,7 +172,7 @@ pub fn explore(config: &McConfig, strategy: Strategy) -> Exploration {
                 if stats.runs >= config.max_runs {
                     return Exploration { stats, violation: None, complete: false };
                 }
-                let outcome = replay(config, &prefix);
+                let outcome = replay_knowing(config, &prefix, &visited);
                 let mut children = Vec::new();
                 if let Some(v) = merge_run(
                     &prefix,
@@ -181,7 +191,9 @@ pub fn explore(config: &McConfig, strategy: Strategy) -> Exploration {
         Strategy::Bfs => {
             let mut frontier: Vec<Vec<u32>> = vec![Vec::new()];
             while !frontier.is_empty() {
-                let outcomes = parallel_map_items(&frontier, |prefix| replay(config, prefix));
+                let outcomes = parallel_map_items(&frontier, |prefix| {
+                    replay_knowing(config, prefix, &visited)
+                });
                 let mut next = Vec::new();
                 for (prefix, outcome) in frontier.iter().zip(&outcomes) {
                     if stats.runs >= config.max_runs {

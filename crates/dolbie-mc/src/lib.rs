@@ -15,7 +15,10 @@
 //! excluded) cuts the run tree where paths reconverge — delivery
 //! reorderings collapse at round barriers, in-envelope drops and
 //! duplicates are delay-only — which is what keeps N=3–5 fleets over
-//! 3–6 rounds tractable ([`explore()`]).
+//! 3–6 rounds tractable ([`explore()`]). State is fingerprinted on
+//! demand: a replay hashes only the delivery choices the explorer reads,
+//! from its prefix boundary to the first already-known state
+//! ([`DecisionRecord::fp`]).
 //!
 //! Every reachable run is checked against the shared chaos invariants
 //! ([`dolbie_simnet::invariants`]) plus no-deadlock (the simulators'

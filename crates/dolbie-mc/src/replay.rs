@@ -7,9 +7,16 @@
 //! membership event firing) — and [`replay()`] re-executes the simulator
 //! from scratch following the prefix, then taking defaults. The
 //! [`ReplayScheduler`] records every decision point it passes
-//! ([`DecisionRecord`]) plus the canonical state fingerprint observed
-//! immediately before each delivery choice, which is what the explorer's
-//! visited-state pruning keys on.
+//! ([`DecisionRecord`]).
+//!
+//! State is observed on demand. The explorer's visited-state pruning
+//! reads a run's fingerprints only from the prefix boundary up to the
+//! first state it already knows, so that is the only stretch the
+//! scheduler asks the simulator to fingerprint ([`DecisionRecord::fp`]):
+//! delivery choices inside the replayed prefix are not hashed, and
+//! observation stops at the first fingerprint the explorer has visited
+//! or this run has already passed. Every run still executes to the end
+//! and is invariant-checked; only the hashing stops.
 
 use crate::config::{chaos_mix_env, Arch, McConfig};
 use dolbie_core::fingerprint::StateFp;
@@ -19,6 +26,7 @@ use dolbie_simnet::{
     DecisionPoint, FixedLatency, FullyDistributedSim, MasterWorkerSim, ProtocolTrace, RingSim,
     Scheduler,
 };
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One decision point a run passed through, as recorded by the
@@ -35,8 +43,12 @@ pub struct DecisionRecord {
     pub point: Option<DecisionPoint>,
     /// For binary decisions, the boolean the simulator actually received.
     pub outcome: bool,
-    /// For delivery choices, the canonical state fingerprint the
-    /// simulator reported immediately before the dequeue.
+    /// The canonical state fingerprint the simulator reported
+    /// immediately before this dequeue. `Some` at delivery choices from
+    /// the prefix boundary up to and including the first state the
+    /// explorer already knows — one it has visited, or one this run
+    /// passed earlier; `None` elsewhere (inside the prefix, past that
+    /// state, and at every binary decision).
     pub fp: Option<u64>,
 }
 
@@ -49,25 +61,34 @@ impl DecisionRecord {
 }
 
 /// A [`Scheduler`] that follows a decision prefix and defaults beyond
-/// it, recording the full decision trail either way.
+/// it, recording the full decision trail either way, and observing state
+/// only inside the window [`DecisionRecord::fp`] describes.
 #[derive(Debug)]
-pub struct ReplayScheduler {
-    prefix: Vec<u32>,
+pub struct ReplayScheduler<'a> {
+    prefix: &'a [u32],
     sabotage: bool,
-    want_fp: bool,
+    /// States the explorer already knows (`None`: none).
+    known: Option<&'a HashSet<u64>>,
+    /// Fingerprints observed so far in this run.
+    seen: Vec<u64>,
+    /// Cleared at the first known or repeated fingerprint.
+    observing: bool,
     pending_fp: Option<u64>,
     /// Every decision point passed, in order.
     pub trail: Vec<DecisionRecord>,
 }
 
-impl ReplayScheduler {
-    /// A scheduler replaying `prefix` with state observation on.
+impl<'a> ReplayScheduler<'a> {
+    /// A scheduler replaying `prefix` that observes state from the prefix
+    /// boundary until the run repeats a state.
     #[must_use]
-    pub fn new(prefix: &[u32]) -> Self {
+    pub fn new(prefix: &'a [u32]) -> Self {
         Self {
-            prefix: prefix.to_vec(),
+            prefix,
             sabotage: false,
-            want_fp: true,
+            known: None,
+            seen: Vec::new(),
+            observing: true,
             pending_fp: None,
             trail: Vec::new(),
         }
@@ -85,7 +106,7 @@ impl ReplayScheduler {
     }
 }
 
-impl Scheduler for ReplayScheduler {
+impl Scheduler for ReplayScheduler<'_> {
     fn choose_delivery(&mut self, pending: usize) -> usize {
         let options = pending as u32;
         let chosen = self.next_choice(options);
@@ -113,11 +134,20 @@ impl Scheduler for ReplayScheduler {
     }
 
     fn wants_state(&self) -> bool {
-        self.want_fp
+        // The next decision is a delivery choice at trail index
+        // `trail.len()`; the explorer reads none inside the prefix.
+        self.observing && self.trail.len() >= self.prefix.len()
     }
 
     fn observe_state(&mut self, fingerprint: u64) {
         self.pending_fp = Some(fingerprint);
+        if self.known.is_some_and(|known| known.contains(&fingerprint))
+            || self.seen.contains(&fingerprint)
+        {
+            self.observing = false;
+        } else {
+            self.seen.push(fingerprint);
+        }
     }
 
     fn sabotage_overshoot_guard(&self) -> bool {
@@ -227,7 +257,19 @@ pub fn membership_masks(config: &McConfig, trail: &[DecisionRecord]) -> Vec<Vec<
 /// which is what makes emitted reproducers stable.
 #[must_use]
 pub fn replay(config: &McConfig, prefix: &[u32]) -> RunOutcome {
-    let mut sched = ReplayScheduler::new(prefix).with_sabotage(config.sabotage_overshoot_guard);
+    replay_knowing(config, prefix, &HashSet::new())
+}
+
+/// [`replay()`] for the explorer: state observation also stops at the
+/// first fingerprint in `known` (see [`DecisionRecord::fp`]). Trails,
+/// traces, and verdicts do not depend on `known`.
+pub(crate) fn replay_knowing(
+    config: &McConfig,
+    prefix: &[u32],
+    known: &HashSet<u64>,
+) -> RunOutcome {
+    let mut sched = ReplayScheduler { known: Some(known), ..ReplayScheduler::new(prefix) }
+        .with_sabotage(config.sabotage_overshoot_guard);
     let rounds = config.rounds;
     let result = catch_unwind(AssertUnwindSafe(|| match config.arch {
         Arch::MasterWorker => MasterWorkerSim::new(
@@ -294,6 +336,63 @@ mod tests {
             assert_eq!(a.allocation.l2_distance(&b.allocation), 0.0);
             assert_eq!(a.alpha.to_bits(), b.alpha.to_bits());
             assert_eq!(a.straggler, b.straggler);
+        }
+    }
+
+    /// Master-worker N=3 × 3 rounds under drop + duplicate: fault coins
+    /// sit between the delivery choices.
+    fn lossy_mw() -> McConfig {
+        let mut plan = dolbie_simnet::FaultPlan::seeded(0xD01B_0002)
+            .with_drop_probability(0.2)
+            .with_duplicate_probability(0.1);
+        plan.retry = dolbie_simnet::RetryPolicy::new(0.05, 2.0, 2);
+        McConfig::new(Arch::MasterWorker, 3, 3).with_plan(plan)
+    }
+
+    fn deliveries(trail: &[DecisionRecord]) -> Vec<usize> {
+        (0..trail.len()).filter(|&k| trail[k].is_delivery()).collect()
+    }
+
+    /// A default-choice prefix cut at delivery index `i` replays the
+    /// default run, observing nothing before `i` and, from `i` on, every
+    /// delivery choice with the default run's fingerprint.
+    #[test]
+    fn observation_starts_at_the_prefix_boundary() {
+        let config = lossy_mw();
+        let base = replay(&config, &[]);
+        let fps: Vec<u64> =
+            deliveries(&base.trail).iter().map(|&k| base.trail[k].fp.expect("observed")).collect();
+        assert!(fps.len() > 2, "the default run must pass several delivery choices");
+        let distinct: HashSet<u64> = fps.iter().copied().collect();
+        assert_eq!(distinct.len(), fps.len(), "the default run never repeats a state");
+        for i in deliveries(&base.trail) {
+            let cut = replay(&config, &vec![0; i]);
+            assert_eq!(cut.trail.len(), base.trail.len());
+            for (k, (a, b)) in cut.trail.iter().zip(&base.trail).enumerate() {
+                assert_eq!(
+                    (a.options, a.chosen, a.point, a.outcome),
+                    (b.options, b.chosen, b.point, b.outcome)
+                );
+                let expect = if k < i { None } else { b.fp };
+                assert_eq!(a.fp, expect, "prefix cut at {i}, decision {k}");
+            }
+        }
+    }
+
+    /// With the default run's `k`-th delivery state already known,
+    /// observation records that state and stops right after it.
+    #[test]
+    fn observation_stops_at_the_first_known_state() {
+        let config = lossy_mw();
+        let base = replay(&config, &[]);
+        for k in deliveries(&base.trail) {
+            let known: HashSet<u64> = base.trail[k].fp.into_iter().collect();
+            let run = replay_knowing(&config, &[], &known);
+            assert_eq!(run.trail.len(), base.trail.len(), "the run still completes");
+            for (j, (a, b)) in run.trail.iter().zip(&base.trail).enumerate() {
+                let expect = if j <= k { b.fp } else { None };
+                assert_eq!(a.fp, expect, "known state at {k}, decision {j}");
+            }
         }
     }
 

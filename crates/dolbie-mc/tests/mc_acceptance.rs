@@ -2,8 +2,16 @@
 //! configurations (one per architecture), and the end-to-end
 //! bug-catching pipeline against the deliberately re-broken PR 4
 //! overshoot guard.
+//!
+//! Each exploration's counters and first-visit order are pinned
+//! exactly: the values were taken from the explorer that fingerprinted
+//! every delivery choice, so they also pin that observing state only
+//! where the scan reads it changes no cut.
 
-use dolbie_mc::{decision_count, explore, replay, reproducer, shrink, Arch, McConfig, Strategy};
+use dolbie_core::fingerprint::StateFp;
+use dolbie_mc::{
+    decision_count, explore, replay, reproducer, shrink, Arch, ExploreStats, McConfig, Strategy,
+};
 use dolbie_simnet::{Crash, FaultPlan, LeaveKind, MembershipSchedule, RetryPolicy};
 
 /// Acceptance configuration (a): master-worker, N=3, 3 rounds, the full
@@ -39,7 +47,26 @@ fn config_fd_join_crash() -> McConfig {
     McConfig::new(Arch::FullyDistributed, 3, 3).with_plan(plan).with_schedule(schedule)
 }
 
-fn assert_clean_and_pruned(name: &str, config: &McConfig) {
+/// Digest of the first-visit order of every explored state.
+fn visit_digest(stats: &ExploreStats) -> u64 {
+    let mut fp = StateFp::new(0xD01B_0515);
+    for &state in &stats.visit_order {
+        fp.push_u64(state);
+    }
+    fp.finish()
+}
+
+/// The pinned DFS outcome of one configuration: runs, states explored,
+/// states pruned, deepest trail, and the visit-order digest.
+struct Pinned {
+    runs: usize,
+    explored: usize,
+    pruned: usize,
+    depth: usize,
+    digest: u64,
+}
+
+fn assert_clean_and_pruned(name: &str, config: &McConfig, pinned: &Pinned) {
     let ex = explore(config, Strategy::Dfs);
     assert!(ex.complete, "{name}: exploration must be exhaustive");
     assert!(
@@ -54,21 +81,44 @@ fn assert_clean_and_pruned(name: &str, config: &McConfig) {
         ex.stats.states_pruned,
         ex.stats.naive_states()
     );
+    let s = &ex.stats;
+    assert_eq!(
+        (s.runs, s.states_explored, s.states_pruned, s.max_depth),
+        (pinned.runs, pinned.explored, pinned.pruned, pinned.depth),
+        "{name}: (runs, explored, pruned, depth) moved"
+    );
+    assert_eq!(visit_digest(s), pinned.digest, "{name}: first-visit order moved");
 }
 
 #[test]
 fn master_worker_lossy_envelope_is_verified_exhaustively() {
-    assert_clean_and_pruned("mw3x3 drop+dup", &config_mw_lossy());
+    let pinned = Pinned {
+        runs: 84_640,
+        explored: 99,
+        pruned: 84_350,
+        depth: 107,
+        digest: 0x0ed5_195b_e946_1385,
+    };
+    assert_clean_and_pruned("mw3x3 drop+dup", &config_mw_lossy(), &pinned);
 }
 
 #[test]
 fn ring_crash_window_is_verified_exhaustively() {
-    assert_clean_and_pruned("ring4x3 crash", &config_ring_crash());
+    let pinned =
+        Pinned { runs: 162, explored: 96, pruned: 132, depth: 19, digest: 0x1cee_fe22_9aa3_faf7 };
+    assert_clean_and_pruned("ring4x3 crash", &config_ring_crash(), &pinned);
 }
 
 #[test]
 fn fully_distributed_join_plus_crash_is_verified_exhaustively() {
-    assert_clean_and_pruned("fd3x3 join+crash", &config_fd_join_crash());
+    let pinned = Pinned {
+        runs: 2_176,
+        explored: 966,
+        pruned: 2_054,
+        depth: 30,
+        digest: 0xa714_dd01_5e70_3131,
+    };
+    assert_clean_and_pruned("fd3x3 join+crash", &config_fd_join_crash(), &pinned);
 }
 
 /// The sabotage configuration: env seed 6402's chaos-mix costs make the

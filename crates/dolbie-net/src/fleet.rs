@@ -319,7 +319,10 @@ pub(crate) enum Phase {
 
 /// The shared collect-phase frame matcher: the value carried by the
 /// awaited frame, `None` for a stale leftover of an abandoned epoch
-/// (silently filtered), or `Fatal` on a protocol violation.
+/// (silently filtered), `Dead` for a worker whose awaited value is
+/// impossible (a non-finite cost, a non-finite or negative gain) — a
+/// wrong worker is buried like a crashed one — or `Fatal` on a protocol
+/// violation.
 fn phase_value(
     phase: Phase,
     frame: Frame,
@@ -327,25 +330,33 @@ fn phase_value(
     epoch: u32,
     i: usize,
 ) -> Result<Option<f64>, SweepFail> {
-    match (phase, frame) {
+    let value = match (phase, frame) {
         (Phase::Cost, Frame::LocalCost { epoch: e, round, cost }) => {
-            Ok((e == epoch && round == t as u64).then_some(cost))
+            (e == epoch && round == t as u64).then_some(cost)
             // else: stale frame from an abandoned attempt
         }
-        (Phase::Cost, Frame::Decision { epoch: e, .. }) if e < epoch => Ok(None),
+        (Phase::Cost, Frame::Decision { epoch: e, .. }) if e < epoch => None,
         (Phase::Decision, Frame::Decision { epoch: e, round, gain, .. }) => {
-            Ok((e == epoch && round == t as u64).then_some(gain))
+            (e == epoch && round == t as u64).then_some(gain)
         }
-        (Phase::Decision, Frame::LocalCost { epoch: e, .. }) if e < epoch => Ok(None),
+        (Phase::Decision, Frame::LocalCost { epoch: e, .. }) if e < epoch => None,
         (_, _) => {
             let what = match phase {
                 Phase::Cost => "cost",
                 Phase::Decision => "decision",
             };
-            Err(SweepFail::Fatal(NetError::Protocol(format!(
+            return Err(SweepFail::Fatal(NetError::Protocol(format!(
                 "worker {i} sent an unexpected frame during {what} collection"
-            ))))
+            ))));
         }
+    };
+    let possible = |v: f64| match phase {
+        Phase::Cost => v.is_finite(),
+        Phase::Decision => v.is_finite() && v >= 0.0,
+    };
+    match value {
+        Some(v) if !possible(v) => Err(SweepFail::Dead(vec![i])),
+        _ => Ok(value),
     }
 }
 
@@ -526,7 +537,14 @@ impl Fleet {
                     Err(ConnFail::Fatal(e)) => return Err(SweepFail::Fatal(e)),
                 }
                 if waiting[i] {
-                    serve_inbox(conn, phase, t, epoch, i, out, logical)?;
+                    match serve_inbox(conn, phase, t, epoch, i, out, logical) {
+                        Ok(()) => {}
+                        Err(SweepFail::Dead(wrong)) => {
+                            dead.extend(wrong);
+                            continue;
+                        }
+                        Err(fail) => return Err(fail),
+                    }
                     if !conn.awaiting {
                         waiting[i] = false;
                         remaining -= 1;
@@ -708,12 +726,12 @@ impl Fleet {
             match read {
                 Err(ConnFail::Fatal(e)) => return Err(SweepFail::Fatal(e)),
                 Err(ConnFail::Dead) => dead.push(i),
-                Ok(_) => {
-                    serve_inbox(conn, phase, t, epoch, i, out, logical)?;
-                    if conn.awaiting || !restored {
-                        dead.push(i);
-                    }
-                }
+                Ok(_) => match serve_inbox(conn, phase, t, epoch, i, out, logical) {
+                    Ok(()) if conn.awaiting || !restored => dead.push(i),
+                    Ok(()) => {}
+                    Err(SweepFail::Dead(_)) => dead.push(i),
+                    Err(fail) => return Err(fail),
+                },
             }
         }
         dead.sort_unstable();
@@ -889,6 +907,27 @@ mod tests {
         assert!(matches!(phase_value(Phase::Cost, misplaced, 7, 1, 0), Err(SweepFail::Fatal(_))));
     }
 
+    /// The awaited value is checked before it is used: a non-finite
+    /// cost or a non-finite or negative gain makes its sender `Dead`,
+    /// the crash path, while a stale frame is filtered unread.
+    #[test]
+    fn phase_value_buries_impossible_values() {
+        let dead =
+            |r: Result<Option<f64>, SweepFail>| matches!(r, Err(SweepFail::Dead(d)) if d == [3]);
+        for cost in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let frame = Frame::LocalCost { epoch: 1, round: 7, cost };
+            assert!(dead(phase_value(Phase::Cost, frame, 7, 1, 3)), "cost {cost}");
+        }
+        for gain in [f64::NAN, f64::INFINITY, -1e-300] {
+            let frame = Frame::Decision { epoch: 1, round: 7, share: 0.1, gain };
+            assert!(dead(phase_value(Phase::Decision, frame, 7, 1, 3)), "gain {gain}");
+        }
+        let zero_gain = Frame::Decision { epoch: 1, round: 7, share: 0.1, gain: 0.0 };
+        assert!(matches!(phase_value(Phase::Decision, zero_gain, 7, 1, 3), Ok(Some(0.0))));
+        let stale = Frame::LocalCost { epoch: 0, round: 7, cost: f64::NAN };
+        assert!(matches!(phase_value(Phase::Cost, stale, 7, 1, 3), Ok(None)));
+    }
+
     fn fleet_over_sockets(n: usize, frame_timeout: Duration) -> (Fleet, Vec<TcpStream>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
@@ -954,6 +993,34 @@ mod tests {
             assert!(result.is_ok(), "the stale frame must be skipped, not fatal");
             assert_eq!(out[0], 42.0, "the epoch-1 re-report is the consumed value");
             assert_eq!(logical, 1, "exactly one logical frame per member per phase");
+        }
+    }
+
+    /// A NaN cost report fails either collect path with exactly its
+    /// sender dead, and leaves no member awaiting.
+    #[test]
+    fn a_nan_report_is_a_death_on_both_collect_paths() {
+        use std::io::Write as _;
+        for staircase in [false, true] {
+            let (mut fleet, mut peers) = fleet_over_sockets(3, Duration::from_secs(2));
+            if staircase {
+                assert!(fleet.enter_staircase().is_ok());
+            }
+            for (peer, cost) in peers.iter_mut().zip([1.0, f64::NAN, 2.0]) {
+                peer.write_all(&Frame::LocalCost { epoch: 0, round: 5, cost }.encode())
+                    .expect("report");
+            }
+            let (mut out, mut logical) = ([0.0f64; 3], 0usize);
+            let result = if staircase {
+                fleet.collect_blocking(5, 0, Phase::Cost, &[0, 1, 2], &mut out, &mut logical)
+            } else {
+                fleet.collect(5, 0, Phase::Cost, &[0, 1, 2], &mut out, &mut logical)
+            };
+            assert!(
+                matches!(result, Err(SweepFail::Dead(ref dead)) if dead == &[1]),
+                "staircase {staircase}"
+            );
+            assert!(fleet.links.iter().flatten().all(|c| !c.awaiting), "staircase {staircase}");
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Fault-tolerance acceptance tests for the TCP coordinator: a worker
 //! killed mid-run (pre- and post-commit, `M ∈ {1, 2}`), workers stalled
 //! with their sockets open, a shard-master killed mid-run (pre- and
-//! post-commit), a quorum loss, and rogue peers at admission — each over
+//! post-commit), a quorum loss, rogue peers at admission, and a worker
+//! reporting impossible values (buried like a crashed one) — each over
 //! real loopback TCP, each bounded in wall clock (never a hang), and
 //! each with the surviving trajectory **bitwise identical** to a
 //! sequential twin replaying the recorded membership schedule.
@@ -14,6 +15,7 @@
 //! after the last observation.
 
 use dolbie_core::cost::DynCost;
+use dolbie_core::observation::max_acceptable_share;
 use dolbie_core::ShardLayout;
 use dolbie_core::{Allocation, Dolbie, DolbieConfig, LoadBalancer, Observation};
 use dolbie_net::env::{EnvKind, WireEnvSpec};
@@ -22,7 +24,8 @@ use dolbie_net::shard::{
     stitch_allocations, RootEpoch, RootReport, ShardKill, ShardMasterOptions, ShardedConfig,
     ShardedLoopbackRun,
 };
-use dolbie_net::transport::connect_with_backoff;
+use dolbie_net::transport::{connect_with_backoff, FrameConn, Link};
+use dolbie_net::wire::{Frame, VERSION};
 use dolbie_net::worker::{run_worker, WorkerOptions};
 use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
 use std::io::Write;
@@ -508,5 +511,149 @@ fn a_late_fleet_is_admitted_not_buried() {
             "M = {m}: round 0 must have waited out the late fleet"
         );
         assert_stitched_twin(&stitch_allocations(&root, &shards), &[], env, N, ROUNDS);
+    }
+}
+
+/// The one lie a [`lying_worker`] tells.
+#[derive(Clone, Copy, Debug)]
+enum Lie {
+    /// A NaN local cost in this round.
+    NanCost(usize),
+    /// A negative gain in its first decision from this round on.
+    NegativeGain(usize),
+}
+
+/// A hand-rolled worker: Algorithm 1 with `run_worker`'s arithmetic
+/// until it tells `lie`, then it keeps its socket open, reading, until
+/// the shard-master hangs up — so only the lie, not a closed socket,
+/// can get it buried. Returns its id and the round it lied in.
+fn lying_worker(addr: SocketAddr, retry: RetryPolicy, lie: Lie) -> (usize, usize) {
+    let patience = Duration::from_secs(30);
+    let stream = connect_with_backoff(addr, 10, Duration::from_millis(10), 4242).unwrap();
+    let mut conn = FrameConn::new(stream).unwrap();
+    conn.send(&Frame::Hello { version: VERSION }).unwrap();
+    let Frame::Welcome {
+        worker_id,
+        env,
+        initial_share,
+        drop_probability,
+        duplicate_probability,
+        fault_seed,
+        ..
+    } = conn.recv(patience).unwrap()
+    else {
+        panic!("expected Welcome");
+    };
+    let mut plan = FaultPlan::seeded(fault_seed).with_retry(retry);
+    if drop_probability > 0.0 {
+        plan = plan.with_drop_probability(drop_probability);
+    }
+    if duplicate_probability > 0.0 {
+        plan = plan.with_duplicate_probability(duplicate_probability);
+    }
+    let id = worker_id as usize;
+    let mut link = Link::with_plan(conn, plan, id as u64 + 1, 0);
+    let (mut share, mut x_old, mut gain) = (initial_share, initial_share, 0.0f64);
+    let mut my_epoch = 0u32;
+    let mut cost_fn: Option<DynCost> = None;
+    let lied_in = loop {
+        match link.recv(patience).expect("the liar is honest until it lies") {
+            Frame::RoundStart { epoch, round } => {
+                assert_eq!(epoch, my_epoch);
+                let f = env.cost_for(round as usize, id);
+                let lying = matches!(lie, Lie::NanCost(r) if r == round as usize);
+                let cost = if lying { f64::NAN } else { f.eval(share) };
+                cost_fn = Some(f);
+                link.send(&Frame::LocalCost { epoch, round, cost }).unwrap();
+                if lying {
+                    break round as usize;
+                }
+            }
+            Frame::Coordination { global_cost, alpha, is_straggler, round } => {
+                if is_straggler {
+                    continue;
+                }
+                let f = cost_fn.as_ref().expect("coordination follows a round start");
+                x_old = share;
+                gain = (alpha * (max_acceptable_share(&**f, share, global_cost) - share)).max(0.0);
+                share = x_old + gain;
+                let lying = matches!(lie, Lie::NegativeGain(r) if r <= round as usize);
+                let sent = if lying { -0.25 } else { gain };
+                link.send(&Frame::Decision { epoch: my_epoch, round, share, gain: sent }).unwrap();
+                if lying {
+                    break round as usize;
+                }
+            }
+            Frame::Assignment { share: pinned, .. } => share = pinned,
+            Frame::Adjust { scale, .. } => share = x_old + gain * scale,
+            Frame::Epoch { epoch, share: authoritative, .. } => {
+                my_epoch = epoch;
+                share = authoritative;
+            }
+            other => panic!("worker {id} got {other:?} before lying"),
+        }
+    };
+    while link.recv(patience).is_ok() {}
+    (id, lied_in)
+}
+
+/// A worker that reports an impossible value — a NaN cost or a negative
+/// gain — is handled as crashed: over the `M = 1` tree, lossless
+/// (staircase collect) and lossy (readiness sweep), the run finishes,
+/// exactly the liar is buried in one epoch at the round it lied in, and
+/// the trajectory matches the membership twin bitwise.
+#[test]
+fn a_worker_reporting_impossible_values_is_buried_like_a_crash() {
+    const N: usize = 4;
+    const ROUNDS: usize = 8;
+    let retry = RetryPolicy::new(0.001, 1.5, 6);
+    let lossy = FaultPlan::seeded(0x4E4E)
+        .with_drop_probability(0.12)
+        .with_duplicate_probability(0.05)
+        .with_retry(retry);
+    for fault in [FaultPlan::none(), lossy] {
+        for lie in [Lie::NanCost(3), Lie::NegativeGain(3)] {
+            let case = format!("{lie:?}, lossy = {}", !fault.is_lossless());
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x4E4E };
+            let mut cfg = ShardedConfig::new(N, 1, ROUNDS, env).with_fault_plan(fault.clone());
+            cfg.frame_timeout = Duration::from_millis(500);
+            let liar = std::thread::spawn(move || lying_worker(addr, retry, lie));
+            let honest: Vec<JoinHandle<()>> = (0..N - 1)
+                .map(|k| {
+                    std::thread::spawn(move || {
+                        let stream =
+                            connect_with_backoff(addr, 10, Duration::from_millis(10), k as u64)
+                                .unwrap();
+                        let opts = WorkerOptions { retry: Some(retry), ..WorkerOptions::default() };
+                        let report = run_worker(stream, &opts).unwrap();
+                        assert_eq!(report.epochs_seen, 1, "survivor {} missed the epoch", k);
+                    })
+                })
+                .collect();
+            let started = Instant::now();
+            let (report, shard) =
+                run_single_shard(&listener, &cfg).unwrap_or_else(|e| panic!("{case}: {e}"));
+            assert!(started.elapsed() < WALL_BOUND, "{case}: the run stalled past the hang bound");
+            let (liar_id, lied_in) = liar.join().unwrap();
+            for handle in honest {
+                handle.join().unwrap();
+            }
+
+            assert_eq!(report.rounds.len(), ROUNDS, "{case}: horizon");
+            assert_eq!(report.epochs.len(), 1, "{case}: one lie, one epoch");
+            let epoch = &report.epochs[0];
+            let buried: Vec<usize> = (0..N).filter(|&i| !epoch.members[i]).collect();
+            assert_eq!(buried, [liar_id], "{case}: exactly the liar is buried");
+            assert_eq!(epoch.round, lied_in, "{case}: the lie's round is replayed");
+            assert_stitched_twin(
+                &stitch_allocations(&report, &[shard]),
+                &report.epochs,
+                env,
+                N,
+                ROUNDS,
+            );
+        }
     }
 }

@@ -263,6 +263,9 @@ impl FaultPlan {
             };
         }
         let round = message.round;
+        // Every coin of this message shares the first four key words, so
+        // the chain is folded over them once and finished per coin.
+        let key = self.message_key(message);
         let mut outcome =
             LinkOutcome { delivery_delay: 0.0, retries: 0, acks: 0, duplicates: 0, extra_bytes: 0 };
         let mut delivery: Option<f64> = None;
@@ -277,7 +280,7 @@ impl FaultPlan {
             let data_arrives = forced
                 || !sched.decide(
                     DecisionPoint::WireDrop { round, attempt },
-                    self.chance(message, attempt, Channel::Data, self.drop_probability),
+                    keyed_chance(key, attempt, Channel::Data, self.drop_probability),
                 );
             if data_arrives {
                 if delivery.is_none() {
@@ -285,7 +288,7 @@ impl FaultPlan {
                 }
                 if sched.decide(
                     DecisionPoint::WireDuplicate { round, attempt },
-                    self.chance(message, attempt, Channel::Duplicate, self.duplicate_probability),
+                    keyed_chance(key, attempt, Channel::Duplicate, self.duplicate_probability),
                 ) {
                     outcome.duplicates += 1;
                     outcome.extra_bytes += message.size_bytes();
@@ -297,7 +300,7 @@ impl FaultPlan {
                 let ack_arrives = forced
                     || !sched.decide(
                         DecisionPoint::WireAckDrop { round, attempt },
-                        self.chance(message, attempt, Channel::Ack, self.drop_probability),
+                        keyed_chance(key, attempt, Channel::Ack, self.drop_probability),
                     );
                 if ack_arrives {
                     break;
@@ -310,20 +313,19 @@ impl FaultPlan {
         outcome
     }
 
-    /// Pure per-message fault decision: `true` with probability `p`,
-    /// independent of execution order.
-    fn chance(&self, message: &Message, attempt: usize, channel: Channel, p: f64) -> bool {
-        self.hashed_chance(
-            [
-                message.round as u64,
-                node_code(message.from),
-                node_code(message.to),
-                payload_kind(&message.payload),
-                attempt as u64,
-                channel as u64,
-            ],
-            p,
-        )
+    /// The coin chain of [`FaultPlan::hashed_chance`] folded over a
+    /// message's `(round, from, to, payload kind)` key: every fault coin
+    /// of the message continues from here with its attempt and channel
+    /// ([`keyed_chance`]).
+    fn message_key(&self, message: &Message) -> u64 {
+        [
+            message.round as u64,
+            node_code(message.from),
+            node_code(message.to),
+            payload_kind(&message.payload),
+        ]
+        .into_iter()
+        .fold(self.seed ^ 0x9e37_79b9_7f4a_7c15, |h, word| splitmix64(h ^ word))
     }
 
     /// Whether a real socket-layer data transmission is dropped.
@@ -380,9 +382,25 @@ impl FaultPlan {
         for word in words {
             h = splitmix64(h ^ word);
         }
-        let unit = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        unit < p
+        unit_draw(h) < p
     }
+}
+
+/// Pure per-message fault decision: `true` with probability `p`,
+/// independent of execution order. Finishes the chain of
+/// [`FaultPlan::message_key`] with the attempt and channel words, so it
+/// draws exactly what [`FaultPlan::hashed_chance`] draws for the full
+/// six-word key.
+fn keyed_chance(key: u64, attempt: usize, channel: Channel, p: f64) -> bool {
+    if p <= 0.0 {
+        return false;
+    }
+    unit_draw(splitmix64(splitmix64(key ^ attempt as u64) ^ channel as u64)) < p
+}
+
+/// Maps a hash to a uniform draw in `[0, 1)` from its top 53 bits.
+fn unit_draw(h: u64) -> f64 {
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Payload-kind code reserved for the wire runtime's decision stream, so
@@ -620,6 +638,68 @@ mod tests {
         assert_ne!(base, other_to);
         assert_ne!(base, other_from);
         assert_ne!(base, other_attempt);
+    }
+
+    /// The per-message keyed chain that `transmit_with` flips is the
+    /// six-word chain of `hashed_chance`, coin for coin: every payload
+    /// kind, master and worker endpoints, every attempt of the retry
+    /// envelope, every channel, and the probability edges.
+    #[test]
+    fn keyed_coins_draw_what_the_six_word_chain_draws() {
+        let payloads = [
+            Payload::LocalCost { cost: 1.5 },
+            Payload::CostAndStepSize { cost: 1.5, alpha: 0.5 },
+            Payload::Coordination { global_cost: 2.0, alpha: 0.5, is_straggler: false },
+            Payload::Decision { share: 0.25 },
+            Payload::StragglerAssignment { share: 0.25 },
+            Payload::RingAggregate { max_cost: 2.0, straggler: 1, min_alpha: 0.5 },
+            Payload::RingUpdate { global_cost: 2.0, straggler: 1, alpha: 0.5, sum_shares: 0.75 },
+            Payload::ShardAggregate { max_cost: 2.0, straggler: 1, share: 0.25 },
+            Payload::ShardCoordination { global_cost: 2.0, alpha: 0.5, straggler: 1 },
+            Payload::ShardPartial { sum: 0.75 },
+            Payload::ShardRescale { scale: 0.9 },
+        ];
+        let kinds: Vec<u64> = payloads.iter().map(payload_kind).collect();
+        assert_eq!(kinds, (1..=11).collect::<Vec<u64>>(), "one payload of every kind");
+        let nodes = [NodeId::Master, NodeId::Worker(0), NodeId::Worker(2)];
+        let plan = FaultPlan::seeded(0xC01D).with_drop_probability(0.2);
+        let (mut hits, mut misses) = (0, 0);
+        for p in [0.0, 0.2, 1.0] {
+            for payload in payloads {
+                for (from, to) in nodes.iter().flat_map(|&a| nodes.map(|b| (a, b))) {
+                    for round in [0, 7] {
+                        let message = Message { from, to, round, payload };
+                        let key = plan.message_key(&message);
+                        for attempt in 0..plan.retry.max_attempts {
+                            for channel in [Channel::Data, Channel::Ack, Channel::Duplicate] {
+                                let words = [
+                                    round as u64,
+                                    node_code(from),
+                                    node_code(to),
+                                    payload_kind(&payload),
+                                    attempt as u64,
+                                    channel as u64,
+                                ];
+                                let keyed = keyed_chance(key, attempt, channel, p);
+                                assert_eq!(
+                                    keyed,
+                                    plan.hashed_chance(words, p),
+                                    "{words:?}, p = {p}"
+                                );
+                                if p == 0.2 {
+                                    if keyed {
+                                        hits += 1;
+                                    } else {
+                                        misses += 1;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(hits > 0 && misses > 0, "p = 0.2 must draw both outcomes");
     }
 
     #[test]

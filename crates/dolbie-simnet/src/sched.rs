@@ -100,9 +100,10 @@ pub trait Scheduler {
         default
     }
 
-    /// Whether the sim should compute and report state fingerprints
-    /// before each delivery choice. Costs one full state hash per
-    /// dequeue when `true`; [`FifoScheduler`] answers `false`.
+    /// Whether the sim should compute and report a state fingerprint
+    /// before the next delivery choice. Asked before every dequeue, so a
+    /// scheduler can observe only where it reads; each `true` costs one
+    /// full state hash. [`FifoScheduler`] answers `false`.
     fn wants_state(&self) -> bool {
         false
     }
