@@ -16,13 +16,12 @@
 //! writes the measurements to `BENCH_paper_figures.json` in the workspace
 //! root.
 
-use dolbie_bench::experiments::large_n::LargeNOptions;
+use dolbie_bench::experiments::large_n::{LargeNOptions, RowKernel};
 use dolbie_bench::experiments::{
     ablation, accuracy, bandit, chaos, chaos_net, churn, comms, edge_exp, faults, large_n, latency,
     mc, net, net_scale, per_worker, regret, shard_scale, utilization,
 };
 use dolbie_bench::{common, harness};
-use dolbie_core::kernel::KernelVariant;
 use std::time::Instant;
 
 const TARGETS: [&str; 12] = [
@@ -63,7 +62,7 @@ fn usage() -> ! {
 /// kernel selection and the gate.
 struct RunOptions {
     quick: bool,
-    kernels: Vec<KernelVariant>,
+    kernels: Vec<RowKernel>,
     gate: bool,
 }
 
@@ -148,7 +147,7 @@ fn main() {
     let mut quick = false;
     let mut bench = false;
     let mut gate = false;
-    let mut kernels: Vec<KernelVariant> = Vec::new();
+    let mut kernels: Vec<RowKernel> = Vec::new();
     let mut threads: Option<usize> = None;
     let mut targets: Vec<String> = Vec::new();
     let mut it = args.iter();
@@ -164,10 +163,10 @@ fn main() {
                 };
                 for part in value.split(',') {
                     if part == "all" {
-                        kernels.extend(KernelVariant::all());
+                        kernels.extend(RowKernel::all());
                         continue;
                     }
-                    match KernelVariant::parse(part) {
+                    match RowKernel::parse(part) {
                         Some(k) if !kernels.contains(&k) => kernels.push(k),
                         Some(_) => {}
                         None => {
@@ -210,7 +209,7 @@ fn main() {
         threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     harness::set_threads(threads);
     if kernels.is_empty() {
-        kernels.extend(KernelVariant::all());
+        kernels.extend(RowKernel::all());
     }
     let options = RunOptions { quick, kernels, gate };
 

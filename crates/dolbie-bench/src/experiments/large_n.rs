@@ -33,13 +33,49 @@ use std::time::Instant;
 /// reach: a >20% regression fails tier-1.
 const GATE_FLOOR: f64 = 0.8;
 
+/// Which round engine one row measures: the split reference or a
+/// [`FusedDolbie`] variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RowKernel {
+    /// The sequential multi-pass [`Dolbie`] engine over
+    /// `Box<dyn CostFunction>` — the baseline and the parity oracle.
+    Split,
+    /// The fused kernel in the given variant.
+    Fused(KernelVariant),
+}
+
+impl RowKernel {
+    /// Parses a CLI spelling (`"split"`, `"fused"`, `"simd"`).
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "split" => Some(Self::Split),
+            other => KernelVariant::parse(other).map(Self::Fused),
+        }
+    }
+
+    /// The lower-case name that [`parse`](Self::parse) accepts and BENCH
+    /// rows record.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Split => "split",
+            Self::Fused(variant) => variant.name(),
+        }
+    }
+
+    /// Every row kernel, baseline first.
+    pub fn all() -> [Self; 3] {
+        let [fused, simd] = KernelVariant::all();
+        [Self::Split, Self::Fused(fused), Self::Fused(simd)]
+    }
+}
+
 /// Options threaded in from the `paper_figures` CLI.
 pub struct LargeNOptions {
     /// Reduced grid + `results/large_n_quick.json` output.
     pub quick: bool,
     /// Which kernels to measure (the split reference always runs — it is
     /// the parity oracle — but only gets a row when requested).
-    pub kernels: Vec<KernelVariant>,
+    pub kernels: Vec<RowKernel>,
     /// Enforce the throughput floor against the recorded baseline.
     pub gate: bool,
 }
@@ -47,7 +83,7 @@ pub struct LargeNOptions {
 impl LargeNOptions {
     /// All kernels, no gate.
     pub fn new(quick: bool) -> Self {
-        Self { quick, kernels: KernelVariant::all().to_vec(), gate: false }
+        Self { quick, kernels: RowKernel::all().to_vec(), gate: false }
     }
 }
 
@@ -55,7 +91,7 @@ impl LargeNOptions {
 struct KernelRow {
     n: usize,
     rounds: usize,
-    kernel: KernelVariant,
+    kernel: RowKernel,
     /// Largest power of two dividing the share-buffer address (capped at
     /// 4096): the effective alignment the blocked sweeps actually got.
     alignment: usize,
@@ -137,7 +173,7 @@ fn buffer_alignment(ptr: *const f64) -> usize {
 /// Runs one fleet size through the split reference and each requested
 /// fused-kernel variant, asserting bitwise equivalence of episode cost,
 /// final shares and α schedule for every non-reference row.
-fn measure(n: usize, rounds: usize, seed: u64, kernels: &[KernelVariant]) -> Vec<KernelRow> {
+fn measure(n: usize, rounds: usize, seed: u64, kernels: &[RowKernel]) -> Vec<KernelRow> {
     let costs = latency_fleet(n, seed);
 
     // The split engine always runs: it is the parity oracle.
@@ -149,7 +185,7 @@ fn measure(n: usize, rounds: usize, seed: u64, kernels: &[KernelVariant]) -> Vec
     let mut rows = Vec::with_capacity(kernels.len());
     for &kernel in kernels {
         let row = match kernel {
-            KernelVariant::Split => KernelRow {
+            RowKernel::Split => KernelRow {
                 n,
                 rounds,
                 kernel,
@@ -158,10 +194,10 @@ fn measure(n: usize, rounds: usize, seed: u64, kernels: &[KernelVariant]) -> Vec
                 peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
                 bitwise_match: true, // the reference itself
             },
-            KernelVariant::Fused | KernelVariant::Simd => {
+            RowKernel::Fused(variant) => {
                 let mut fused = FusedDolbie::from_costs(&costs)
                     .expect("the latency fleet has a slab layout")
-                    .with_variant(kernel);
+                    .with_variant(variant);
                 let start = Instant::now();
                 let summary = fused.run(rounds);
                 let seconds = start.elapsed().as_secs_f64();
@@ -406,9 +442,8 @@ pub fn large_n_with(options: &LargeNOptions) {
             rows.push(row);
         }
     }
-    if let Some(acceptance) = rows
-        .iter()
-        .find(|r| r.n == 1_000_000 && r.rounds == 1_000 && r.kernel != KernelVariant::Split)
+    if let Some(acceptance) =
+        rows.iter().find(|r| r.n == 1_000_000 && r.rounds == 1_000 && r.kernel != RowKernel::Split)
     {
         println!(
             "  acceptance: N = 10^6 x 10^3 rounds, {} kernel: {:.3e} worker-rounds/s \
@@ -444,7 +479,7 @@ mod tests {
 
     #[test]
     fn measure_asserts_bitwise_equality_for_all_kernels() {
-        let rows = measure(257, 20, 3, &KernelVariant::all());
+        let rows = measure(257, 20, 3, &RowKernel::all());
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert_eq!(row.n, 257);
@@ -456,10 +491,21 @@ mod tests {
     }
 
     #[test]
+    fn row_kernel_spellings_round_trip() {
+        for k in RowKernel::all() {
+            assert_eq!(RowKernel::parse(k.name()), Some(k));
+        }
+        let names: Vec<&str> = RowKernel::all().iter().map(|k| k.name()).collect();
+        assert_eq!(names, ["split", "fused", "simd"], "the BENCH row names");
+        assert_eq!(RowKernel::parse("warp"), None);
+    }
+
+    #[test]
     fn measure_honors_the_kernel_selection() {
-        let rows = measure(64, 10, 5, &[KernelVariant::Simd]);
+        let simd = RowKernel::Fused(KernelVariant::Simd);
+        let rows = measure(64, 10, 5, &[simd]);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].kernel, KernelVariant::Simd);
+        assert_eq!(rows[0].kernel, simd);
     }
 
     #[test]

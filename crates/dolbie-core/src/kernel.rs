@@ -32,9 +32,16 @@
 //!    eq. (6) remainder combine, the feasibility guard, the Σx = 1 pin,
 //!    eq. (7) — is O(1) or O(N/128).
 //! 3. **SIMD lanes** ([`KernelVariant::Simd`]): the eval/inverse/gain
-//!    arithmetic runs four lanes at a time, either through nightly
-//!    `core::simd` (cargo feature `portable-simd`) or through a
-//!    hand-rolled four-wide fallback on stable that LLVM auto-vectorizes.
+//!    arithmetic and the straggler first-max run four lanes at a time,
+//!    either through nightly `core::simd` (cargo feature `portable-simd`)
+//!    or through a hand-rolled four-wide fallback on stable that LLVM
+//!    auto-vectorizes. The slab streams are sliced to each chunk or block
+//!    group up front, so the inner loops index local slices.
+//!
+//! The round is compute-bound, not memory-bound: before the
+//! order-sensitive reductions ran across lanes, a Simd round cost the
+//! same 6.0–6.3 ns per worker at N = 4 096 (in cache) as at N = 10⁶,
+//! two thirds of it in sweep 2's serial Neumaier chains.
 //!
 //! # The bitwise-determinism boundary
 //!
@@ -49,14 +56,19 @@
 //!   754 `mul`/`div`/`sub`/`min`/`max` are identical per lane whether
 //!   executed scalar or vector. Vectorizing these loops cannot change a
 //!   single bit.
-//! - *Order-sensitive, kept scalar*: the straggler argmax breaks ties to
-//!   the lowest index, so its comparisons run in index order over the
-//!   (vector-computed) cost values; the compensated reductions keep the
-//!   fixed [`SUM_BLOCK`]-block + pairwise-tree shape of
-//!   [`pairwise_neumaier_sum`](crate::numeric::pairwise_neumaier_sum),
-//!   with the block partials produced inline by sweep 2. Chunk
-//!   boundaries only decide which task computes a block, never the
-//!   reduction shape.
+//! - *Order-sensitive, vectorized without reordering*: the straggler
+//!   argmax breaks ties to the lowest index. Each lane keeps its own
+//!   first maximum (strict `>`, index in an f64 lane), and the lanes
+//!   combine by greatest value, then lowest index; the scalar tail
+//!   continues in index order. Comparisons round nothing, so the winner
+//!   is the sequential scan's. The compensated reductions keep the fixed
+//!   [`SUM_BLOCK`]-block + pairwise-tree shape of
+//!   [`pairwise_neumaier_sum`](crate::numeric::pairwise_neumaier_sum):
+//!   sweep 2 produces the block partials inline, four blocks in lockstep
+//!   with one Neumaier chain per lane, each chain in its block's own
+//!   left-to-right order, so each partial is the scalar chain's bit for
+//!   bit. Chunk boundaries only decide which task computes a block,
+//!   never the reduction shape.
 //! - *Branchless inverse equivalence*: the slab inverse computes the same
 //!   expression as the branchy
 //!   [`max_share_within`](crate::cost::CostFunction::max_share_within) +
@@ -68,7 +80,7 @@
 //!   [`apply_membership`](FusedDolbie::apply_membership) the argmax runs
 //!   the scalar member-only scan; gains are still computed branchlessly
 //!   (and lane-wise) because inactive entries are forced to exactly `0.0`
-//!   before the block partial is taken.
+//!   before the block partials are taken.
 //!
 //! Deferred application is invisible from outside:
 //! [`allocation`](FusedDolbie::allocation),
@@ -80,145 +92,29 @@ use crate::allocation::Allocation;
 use crate::cost::{DynCost, LatencyCost, LinearCost};
 use crate::dolbie::{DolbieConfig, DolbieStats};
 use crate::engine::{apply_gains, SoaEngine};
-use crate::numeric::{block_partial, combine_partials, SUM_BLOCK};
+use crate::lanes::{self, FirstMax};
+use crate::numeric::{block_partials, combine_partials, GROUP, SUM_BLOCK};
 use crate::parallel::parallel_for_each;
 use crate::runner::EpisodeSummary;
 
-/// Lane width of the explicit-SIMD paths (f64x4: one AVX2 register, two
-/// SSE2 registers).
-pub const LANES: usize = 4;
+pub use crate::lanes::LANES;
 
-#[cfg(feature = "portable-simd")]
-mod lanes {
-    //! Nightly path: thin wrappers over `core::simd::f64x4`. `simd_min` /
-    //! `simd_max` follow IEEE `minNum`/`maxNum` (NaN-ignoring), matching
-    //! `f64::min`/`f64::max` — the property the branchless inverse needs.
-    use core::simd::num::SimdFloat;
-
-    pub(super) type V = core::simd::f64x4;
-
-    #[inline(always)]
-    pub(super) fn load(s: &[f64]) -> V {
-        V::from_slice(s)
-    }
-    #[inline(always)]
-    pub(super) fn store(v: V, out: &mut [f64]) {
-        v.copy_to_slice(out);
-    }
-    #[inline(always)]
-    pub(super) fn splat(x: f64) -> V {
-        V::splat(x)
-    }
-    #[inline(always)]
-    pub(super) fn add(a: V, b: V) -> V {
-        a + b
-    }
-    #[inline(always)]
-    pub(super) fn sub(a: V, b: V) -> V {
-        a - b
-    }
-    #[inline(always)]
-    pub(super) fn mul(a: V, b: V) -> V {
-        a * b
-    }
-    #[inline(always)]
-    pub(super) fn div(a: V, b: V) -> V {
-        a / b
-    }
-    #[inline(always)]
-    pub(super) fn min(a: V, b: V) -> V {
-        a.simd_min(b)
-    }
-    #[inline(always)]
-    pub(super) fn max(a: V, b: V) -> V {
-        a.simd_max(b)
-    }
-    #[inline(always)]
-    pub(super) fn to_array(v: V) -> [f64; super::LANES] {
-        v.to_array()
-    }
-}
-
-#[cfg(not(feature = "portable-simd"))]
-mod lanes {
-    //! Stable fallback: a hand-rolled four-wide f64 "vector". Every op is
-    //! the scalar `f64` op applied per lane — bitwise equality with the
-    //! scalar path holds by definition — and the fixed four-wide shape
-    //! gives LLVM straight-line code it auto-vectorizes on the SSE2
-    //! baseline.
-
-    #[derive(Clone, Copy)]
-    pub(super) struct V([f64; super::LANES]);
-
-    #[inline(always)]
-    fn zip(a: V, b: V, f: impl Fn(f64, f64) -> f64) -> V {
-        V([f(a.0[0], b.0[0]), f(a.0[1], b.0[1]), f(a.0[2], b.0[2]), f(a.0[3], b.0[3])])
-    }
-
-    #[inline(always)]
-    pub(super) fn load(s: &[f64]) -> V {
-        V([s[0], s[1], s[2], s[3]])
-    }
-    #[inline(always)]
-    pub(super) fn store(v: V, out: &mut [f64]) {
-        out[..super::LANES].copy_from_slice(&v.0);
-    }
-    #[inline(always)]
-    pub(super) fn splat(x: f64) -> V {
-        V([x; super::LANES])
-    }
-    #[inline(always)]
-    pub(super) fn add(a: V, b: V) -> V {
-        zip(a, b, |x, y| x + y)
-    }
-    #[inline(always)]
-    pub(super) fn sub(a: V, b: V) -> V {
-        zip(a, b, |x, y| x - y)
-    }
-    #[inline(always)]
-    pub(super) fn mul(a: V, b: V) -> V {
-        zip(a, b, |x, y| x * y)
-    }
-    #[inline(always)]
-    pub(super) fn div(a: V, b: V) -> V {
-        zip(a, b, |x, y| x / y)
-    }
-    #[inline(always)]
-    pub(super) fn min(a: V, b: V) -> V {
-        zip(a, b, f64::min)
-    }
-    #[inline(always)]
-    pub(super) fn max(a: V, b: V) -> V {
-        zip(a, b, f64::max)
-    }
-    #[inline(always)]
-    pub(super) fn to_array(v: V) -> [f64; super::LANES] {
-        v.0
-    }
-}
-
-/// Which round kernel an experiment or driver runs.
+/// Which inner-loop code shape [`FusedDolbie`] runs. Every variant
+/// produces the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelVariant {
-    /// The original multi-pass engine ([`ChunkedDolbie`](crate::ChunkedDolbie)
-    /// / [`Dolbie`](crate::Dolbie)) driven through `Box<dyn CostFunction>`.
-    /// [`FusedDolbie`] does not run this variant; it names the baseline in
-    /// benchmarks and CLIs.
-    Split,
-    /// The fused two-sweep kernel with scalar inner loops.
+    /// The fused two-sweep kernel with scalar eval/inverse/gain loops.
     Fused,
     /// The fused two-sweep kernel with explicit four-wide lanes in the
-    /// eval/inverse/gain arithmetic (argmax and reductions stay scalar;
-    /// see the module docs for why that boundary preserves bitwise
-    /// parity).
+    /// eval/inverse/gain arithmetic and in the straggler first-max (see
+    /// the module docs for why lane-wise reductions keep bitwise parity).
     Simd,
 }
 
 impl KernelVariant {
-    /// Parses a CLI spelling (`"split"`, `"fused"`, `"simd"`).
+    /// Parses a CLI spelling (`"fused"`, `"simd"`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "split" => Some(Self::Split),
             "fused" => Some(Self::Fused),
             "simd" => Some(Self::Simd),
             _ => None,
@@ -229,15 +125,14 @@ impl KernelVariant {
     /// accepts and BENCH rows record).
     pub fn name(self) -> &'static str {
         match self {
-            Self::Split => "split",
             Self::Fused => "fused",
             Self::Simd => "simd",
         }
     }
 
-    /// All variants, in baseline-first order.
-    pub fn all() -> [Self; 3] {
-        [Self::Split, Self::Fused, Self::Simd]
+    /// All variants, scalar first.
+    pub fn all() -> [Self; 2] {
+        [Self::Fused, Self::Simd]
     }
 }
 
@@ -386,7 +281,8 @@ pub struct FusedRound {
 
 /// First-max scan over one chunk, scalar, with the first element as the
 /// incumbent via a `-inf` seed — exactly the sequential lowest-index-wins
-/// scan of [`Observation`](crate::Observation).
+/// scan of [`Observation`](crate::Observation). `eval(k, x)` is the cost
+/// of the chunk's `k`-th worker at share `x`.
 #[inline(always)]
 fn scalar_eval_loop(
     apply: bool,
@@ -395,22 +291,26 @@ fn scalar_eval_loop(
     gc: &[f64],
     eval: impl Fn(usize, f64) -> f64,
 ) -> (f64, usize) {
-    let mut best = (f64::NEG_INFINITY, base);
-    for (off, xv) in xc.iter_mut().enumerate() {
+    let gc = &gc[..xc.len()];
+    let mut best = (f64::NEG_INFINITY, 0);
+    for (k, (xv, g)) in xc.iter_mut().zip(gc).enumerate() {
         if apply {
-            *xv += gc[off];
+            *xv += g;
         }
-        let c = eval(base + off, *xv);
+        let c = eval(k, *xv);
         if c > best.0 {
-            best = (c, base + off);
+            best = (c, k);
         }
     }
-    best
+    (best.0, base + best.1)
 }
 
-/// As [`scalar_eval_loop`], but with the eval arithmetic four lanes at a
-/// time. The `c > best` comparisons still run in index order over the
-/// lane results, so the argmax keeps sequential tie-breaking bit for bit.
+/// As [`scalar_eval_loop`], four lanes at a time: the eval arithmetic
+/// and the first-max. Each lane keeps its own first maximum
+/// ([`FirstMax`]); the lanes' winner is the sequential scan's winner over
+/// the vector part, and the scalar tail continues it in index order with
+/// a strict `>` — every tail index follows the lanes', so ties still go
+/// to the lowest index.
 #[inline(always)]
 fn lane_eval_loop(
     apply: bool,
@@ -421,7 +321,10 @@ fn lane_eval_loop(
     eval: impl Fn(usize, f64) -> f64,
 ) -> (f64, usize) {
     let len = xc.len();
-    let mut best = (f64::NEG_INFINITY, base);
+    let gc = &gc[..len];
+    let mut first = FirstMax::new();
+    let mut index = lanes::iota();
+    let step = lanes::splat(LANES as f64);
     let mut k = 0;
     while k + LANES <= len {
         let mut xv = lanes::load(&xc[k..k + LANES]);
@@ -429,30 +332,28 @@ fn lane_eval_loop(
             xv = lanes::add(xv, lanes::load(&gc[k..k + LANES]));
             lanes::store(xv, &mut xc[k..k + LANES]);
         }
-        let costs = lanes::to_array(eval_lane(base + k, xv));
-        for (off, &c) in costs.iter().enumerate() {
-            if c > best.0 {
-                best = (c, base + k + off);
-            }
-        }
+        first.fold(eval_lane(k, xv), index);
+        index = lanes::add(index, step);
         k += LANES;
     }
+    let mut best = first.winner().unwrap_or((f64::NEG_INFINITY, 0));
     while k < len {
         if apply {
             xc[k] += gc[k];
         }
-        let c = eval(base + k, xc[k]);
+        let c = eval(k, xc[k]);
         if c > best.0 {
-            best = (c, base + k);
+            best = (c, k);
         }
         k += 1;
     }
-    best
+    (best.0, base + best.1)
 }
 
 /// Member-only first-max scan (the masked fallback of sweep 1); mirrors
 /// [`Observation::from_costs_masked`](crate::Observation::from_costs_masked)
-/// including the `is_none_or` seeding.
+/// including the `is_none_or` seeding. `active` is the chunk's slice of
+/// the mask.
 #[inline(always)]
 fn masked_eval_loop(
     active: &[bool],
@@ -462,43 +363,38 @@ fn masked_eval_loop(
     gc: &[f64],
     eval: impl Fn(usize, f64) -> f64,
 ) -> Option<(f64, usize)> {
+    let gc = &gc[..xc.len()];
     let mut best: Option<(f64, usize)> = None;
-    for (off, xv) in xc.iter_mut().enumerate() {
-        let i = base + off;
+    for (k, ((xv, g), &member)) in xc.iter_mut().zip(gc).zip(active).enumerate() {
         if apply {
-            *xv += gc[off];
+            *xv += g;
         }
-        if !active[i] {
+        if !member {
             continue;
         }
-        let c = eval(i, *xv);
+        let c = eval(k, *xv);
         if best.is_none_or(|(bc, _)| c > bc) {
-            best = Some((c, i));
+            best = Some((c, base + k));
         }
     }
     best
 }
 
-/// Branchless eq. (5) gains for one block, scalar.
+/// Branchless eq. (5) gains for one stretch of workers, scalar. `xs` is
+/// the stretch's shares and `target(k, x)` the `k`-th worker's eq. (5)
+/// target.
 #[inline(always)]
-fn scalar_gain_loop(
-    base: usize,
-    xs: &[f64],
-    gb: &mut [f64],
-    alpha: f64,
-    target: impl Fn(usize, f64) -> f64,
-) {
-    for (off, g) in gb.iter_mut().enumerate() {
-        let i = base + off;
-        let xi = xs[i];
-        *g = (alpha * (target(i, xi) - xi)).max(0.0);
+fn scalar_gain_loop(xs: &[f64], gb: &mut [f64], alpha: f64, target: impl Fn(usize, f64) -> f64) {
+    let xs = &xs[..gb.len()];
+    for (k, (g, &xi)) in gb.iter_mut().zip(xs).enumerate() {
+        *g = (alpha * (target(k, xi) - xi)).max(0.0);
     }
 }
 
-/// Branchless eq. (5) gains for one block, four lanes at a time.
+/// Branchless eq. (5) gains for one stretch of workers, four lanes at a
+/// time.
 #[inline(always)]
 fn lane_gain_loop(
-    base: usize,
     xs: &[f64],
     gb: &mut [f64],
     alpha: f64,
@@ -506,20 +402,19 @@ fn lane_gain_loop(
     target: impl Fn(usize, f64) -> f64,
 ) {
     let len = gb.len();
+    let xs = &xs[..len];
     let av = lanes::splat(alpha);
     let zero = lanes::splat(0.0);
     let mut k = 0;
     while k + LANES <= len {
-        let i = base + k;
-        let xv = lanes::load(&xs[i..i + LANES]);
-        let gv = lanes::max(lanes::mul(av, lanes::sub(target_lane(i, xv), xv)), zero);
+        let xv = lanes::load(&xs[k..k + LANES]);
+        let gv = lanes::max(lanes::mul(av, lanes::sub(target_lane(k, xv), xv)), zero);
         lanes::store(gv, &mut gb[k..k + LANES]);
         k += LANES;
     }
     while k < len {
-        let i = base + k;
-        let xi = xs[i];
-        gb[k] = (alpha * (target(i, xi) - xi)).max(0.0);
+        let xi = xs[k];
+        gb[k] = (alpha * (target(k, xi) - xi)).max(0.0);
         k += 1;
     }
 }
@@ -534,9 +429,11 @@ struct RoundCtx<'a> {
 }
 
 impl RoundCtx<'_> {
-    /// Sweep 1 body for one chunk: apply the deferred gains (when
-    /// `apply`), evaluate the costs, fold the chunk-local first-max
-    /// partial. Never stores the local costs.
+    /// Sweep 1 body for one chunk (workers `base..base + xc.len()`):
+    /// apply the deferred gains (when `apply`), evaluate the costs, fold
+    /// the chunk-local first-max partial. Never stores the local costs.
+    /// The slab streams are sliced to the chunk up front, so the inner
+    /// loops index local slices whose bounds the compiler can hoist.
     fn eval_partial(
         &self,
         apply: bool,
@@ -544,19 +441,22 @@ impl RoundCtx<'_> {
         xc: &mut [f64],
         gc: &[f64],
     ) -> Option<(f64, usize)> {
+        let r = base..base + xc.len();
+        let active = self.active.map(|a| &a[r.clone()]);
         match self.slab {
             CostSlab::Latency { batch, speed, comm } => {
-                let eval = |i: usize, x: f64| x * batch[i] / speed[i] + comm[i];
-                if let Some(active) = self.active {
+                let (batch, speed, comm) = (&batch[r.clone()], &speed[r.clone()], &comm[r]);
+                let eval = |k: usize, x: f64| x * batch[k] / speed[k] + comm[k];
+                if let Some(active) = active {
                     masked_eval_loop(active, apply, base, xc, gc, eval)
                 } else if self.simd {
-                    let eval_lane = |i: usize, xv: lanes::V| {
+                    let eval_lane = |k: usize, xv: lanes::V| {
                         lanes::add(
                             lanes::div(
-                                lanes::mul(xv, lanes::load(&batch[i..i + LANES])),
-                                lanes::load(&speed[i..i + LANES]),
+                                lanes::mul(xv, lanes::load(&batch[k..k + LANES])),
+                                lanes::load(&speed[k..k + LANES]),
                             ),
-                            lanes::load(&comm[i..i + LANES]),
+                            lanes::load(&comm[k..k + LANES]),
                         )
                     };
                     Some(lane_eval_loop(apply, base, xc, gc, eval_lane, eval))
@@ -565,14 +465,15 @@ impl RoundCtx<'_> {
                 }
             }
             CostSlab::Linear { slope, intercept } => {
-                let eval = |i: usize, x: f64| slope[i] * x + intercept[i];
-                if let Some(active) = self.active {
+                let (slope, intercept) = (&slope[r.clone()], &intercept[r]);
+                let eval = |k: usize, x: f64| slope[k] * x + intercept[k];
+                if let Some(active) = active {
                     masked_eval_loop(active, apply, base, xc, gc, eval)
                 } else if self.simd {
-                    let eval_lane = |i: usize, xv: lanes::V| {
+                    let eval_lane = |k: usize, xv: lanes::V| {
                         lanes::add(
-                            lanes::mul(lanes::load(&slope[i..i + LANES]), xv),
-                            lanes::load(&intercept[i..i + LANES]),
+                            lanes::mul(lanes::load(&slope[k..k + LANES]), xv),
+                            lanes::load(&intercept[k..k + LANES]),
                         )
                     };
                     Some(lane_eval_loop(apply, base, xc, gc, eval_lane, eval))
@@ -583,9 +484,30 @@ impl RoundCtx<'_> {
         }
     }
 
-    /// Sweep 2 body for one [`SUM_BLOCK`] block: branchless gains into
-    /// `gb`, inactive entries and the straggler forced to exactly `0.0`,
-    /// then the compensated block partial — all while the block is in L1.
+    /// Sweep 2 over `gains`, the gain slots of workers `base..`: one
+    /// [`GROUP`] of [`LANES`] blocks at a time, so the lockstep block
+    /// partials read gains still in L1. `base` must be
+    /// [`SUM_BLOCK`]-aligned and `partials` hold one slot per block.
+    #[allow(clippy::too_many_arguments)]
+    fn gain_sweep(
+        &self,
+        s: usize,
+        level: f64,
+        alpha: f64,
+        xs: &[f64],
+        base: usize,
+        gains: &mut [f64],
+        partials: &mut [f64],
+    ) {
+        for (k, (gc, pc)) in gains.chunks_mut(GROUP).zip(partials.chunks_mut(LANES)).enumerate() {
+            self.gain_partials(s, level, alpha, xs, base + k * GROUP, gc, pc);
+        }
+    }
+
+    /// Sweep 2 body for one group of blocks (workers
+    /// `base..base + gc.len()`): branchless gains into `gc`, inactive
+    /// entries and the straggler forced to exactly `0.0`, then the
+    /// compensated block partials into `pc`.
     ///
     /// The branchless target `min(max(min(raw, 1), x), 1)` equals the
     /// branchy `max_share_within` + `max_acceptable_share` path bit for
@@ -593,75 +515,81 @@ impl RoundCtx<'_> {
     /// tests below), because a `None` inverse surfaces as `raw = -inf` or
     /// `NaN` and `f64::min`/`f64::max` ignore both in exactly the way the
     /// branches would.
-    fn gain_partial(
+    #[allow(clippy::too_many_arguments)]
+    fn gain_partials(
         &self,
         s: usize,
         level: f64,
         alpha: f64,
         xs: &[f64],
         base: usize,
-        gb: &mut [f64],
-    ) -> f64 {
+        gc: &mut [f64],
+        pc: &mut [f64],
+    ) {
+        let r = base..base + gc.len();
+        let xs = &xs[r.clone()];
         match self.slab {
             CostSlab::Latency { batch, speed, comm } => {
-                let target = |i: usize, xi: f64| {
-                    ((level - comm[i]) * speed[i] / batch[i]).min(1.0).max(xi).min(1.0)
+                let (batch, speed, comm) = (&batch[r.clone()], &speed[r.clone()], &comm[r.clone()]);
+                let target = |k: usize, xi: f64| {
+                    ((level - comm[k]) * speed[k] / batch[k]).min(1.0).max(xi).min(1.0)
                 };
                 if self.simd {
                     let lv = lanes::splat(level);
                     let one = lanes::splat(1.0);
-                    let target_lane = |i: usize, xv: lanes::V| {
+                    let target_lane = |k: usize, xv: lanes::V| {
                         let raw = lanes::min(
                             lanes::div(
                                 lanes::mul(
-                                    lanes::sub(lv, lanes::load(&comm[i..i + LANES])),
-                                    lanes::load(&speed[i..i + LANES]),
+                                    lanes::sub(lv, lanes::load(&comm[k..k + LANES])),
+                                    lanes::load(&speed[k..k + LANES]),
                                 ),
-                                lanes::load(&batch[i..i + LANES]),
+                                lanes::load(&batch[k..k + LANES]),
                             ),
                             one,
                         );
                         lanes::min(lanes::max(raw, xv), one)
                     };
-                    lane_gain_loop(base, xs, gb, alpha, target_lane, target);
+                    lane_gain_loop(xs, gc, alpha, target_lane, target);
                 } else {
-                    scalar_gain_loop(base, xs, gb, alpha, target);
+                    scalar_gain_loop(xs, gc, alpha, target);
                 }
             }
             CostSlab::Linear { slope, intercept } => {
-                let target = |i: usize, xi: f64| {
-                    ((level - intercept[i]) / slope[i]).min(1.0).max(xi).min(1.0)
+                let (slope, intercept) = (&slope[r.clone()], &intercept[r.clone()]);
+                let target = |k: usize, xi: f64| {
+                    ((level - intercept[k]) / slope[k]).min(1.0).max(xi).min(1.0)
                 };
                 if self.simd {
                     let lv = lanes::splat(level);
                     let one = lanes::splat(1.0);
-                    let target_lane = |i: usize, xv: lanes::V| {
+                    let target_lane = |k: usize, xv: lanes::V| {
                         let raw = lanes::min(
                             lanes::div(
-                                lanes::sub(lv, lanes::load(&intercept[i..i + LANES])),
-                                lanes::load(&slope[i..i + LANES]),
+                                lanes::sub(lv, lanes::load(&intercept[k..k + LANES])),
+                                lanes::load(&slope[k..k + LANES]),
                             ),
                             one,
                         );
                         lanes::min(lanes::max(raw, xv), one)
                     };
-                    lane_gain_loop(base, xs, gb, alpha, target_lane, target);
+                    lane_gain_loop(xs, gc, alpha, target_lane, target);
                 } else {
-                    scalar_gain_loop(base, xs, gb, alpha, target);
+                    scalar_gain_loop(xs, gc, alpha, target);
                 }
             }
         }
         if let Some(active) = self.active {
-            for (off, g) in gb.iter_mut().enumerate() {
-                if !active[base + off] {
+            for (g, &member) in gc.iter_mut().zip(&active[r.clone()]) {
+                if !member {
                     *g = 0.0;
                 }
             }
         }
-        if s >= base && s < base + gb.len() {
-            gb[s - base] = 0.0;
+        if r.contains(&s) {
+            gc[s - base] = 0.0;
         }
-        block_partial(gb)
+        block_partials(gc, pc);
     }
 }
 
@@ -764,19 +692,9 @@ impl FusedDolbie {
     }
 
     /// Selects the kernel variant ([`Fused`](KernelVariant::Fused) or
-    /// [`Simd`](KernelVariant::Simd)). Any choice produces the same bits;
-    /// it only selects the inner-loop code shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`KernelVariant::Split`] — that variant names the
-    /// original engine ([`Dolbie`](crate::Dolbie) /
-    /// [`ChunkedDolbie`](crate::ChunkedDolbie)), not a mode of this one.
+    /// [`Simd`](KernelVariant::Simd)). Either choice produces the same
+    /// bits; it only selects the inner-loop code shape.
     pub fn with_variant(mut self, variant: KernelVariant) -> Self {
-        assert!(
-            variant != KernelVariant::Split,
-            "the split variant is Dolbie/ChunkedDolbie, not a FusedDolbie mode"
-        );
         self.variant = variant;
         self
     }
@@ -982,15 +900,10 @@ impl FusedDolbie {
             simd: self.variant == KernelVariant::Simd,
         };
         let xs = engine.x.as_slice();
-        let blocks = n.div_ceil(SUM_BLOCK);
         self.partials.clear();
-        self.partials.resize(blocks, 0.0);
+        self.partials.resize(n.div_ceil(SUM_BLOCK), 0.0);
         match self.chunk_size {
-            None => {
-                for (b, gb) in engine.gains.chunks_mut(SUM_BLOCK).enumerate() {
-                    self.partials[b] = ctx.gain_partial(s, level, alpha, xs, b * SUM_BLOCK, gb);
-                }
-            }
+            None => ctx.gain_sweep(s, level, alpha, xs, 0, &mut engine.gains, &mut self.partials),
             Some(c) => {
                 // Group whole SUM_BLOCKs into ~chunk_size tasks: the block
                 // grid (hence the reduction shape) is independent of the
@@ -1005,9 +918,7 @@ impl FusedDolbie {
                     .map(|(k, (gc, pc))| (k * task_elems, gc, pc))
                     .collect();
                 parallel_for_each(payloads, |(base, gc, pc)| {
-                    for (j, (gb, slot)) in gc.chunks_mut(SUM_BLOCK).zip(pc.iter_mut()).enumerate() {
-                        *slot = ctx.gain_partial(s, level, alpha, xs, base + j * SUM_BLOCK, gb);
-                    }
+                    ctx.gain_sweep(s, level, alpha, xs, base, gc, pc);
                 });
             }
         }
@@ -1047,6 +958,8 @@ mod tests {
             assert_eq!(KernelVariant::parse(v.name()), Some(v));
         }
         assert_eq!(KernelVariant::parse("warp"), None);
+        // The split engine is not a mode of this kernel.
+        assert_eq!(KernelVariant::parse("split"), None);
     }
 
     #[test]
@@ -1226,13 +1139,6 @@ mod tests {
             // internal scheduling detail, not an observable lag.
             assert_eq!(fused.allocation().as_slice(), split.allocation().as_slice(), "round {t}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not a FusedDolbie mode")]
-    fn split_variant_is_rejected() {
-        let slab = CostSlab::linear(&[LinearCost::new(1.0, 0.0), LinearCost::new(2.0, 0.0)]);
-        let _ = FusedDolbie::new(slab).with_variant(KernelVariant::Split);
     }
 
     #[test]

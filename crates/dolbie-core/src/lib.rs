@@ -92,6 +92,7 @@ pub mod environment;
 pub mod error;
 pub mod fingerprint;
 pub mod kernel;
+mod lanes;
 pub mod membership;
 pub mod numeric;
 pub mod observation;

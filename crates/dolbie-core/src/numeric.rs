@@ -16,8 +16,13 @@
 //! [`pairwise_neumaier_sum_parallel`] are bitwise-equal by construction:
 //! the parallel variant merely computes the (independent) block partials
 //! on the work-stealing harness and then runs the identical combine.
+//!
+//! The block partials themselves run four blocks at a time across SIMD
+//! lanes, one chain per lane in its block's own left-to-right order, so
+//! the vectorized partials are the scalar chain's bit for bit.
 
-use crate::parallel::{parallel_map, threads};
+use crate::lanes::{self, LANES};
+use crate::parallel::{parallel_for_each, threads};
 
 /// Elements per compensated block. Block partials are combined by an
 /// exact-shape pairwise tree, so this only trades per-block accuracy
@@ -75,17 +80,66 @@ impl Default for NeumaierSum {
     }
 }
 
-/// Neumaier-compensates one block of consecutive elements. `pub(crate)`
-/// so the fused kernel can produce per-[`SUM_BLOCK`] partials inline with
-/// its gain sweep and still land on the exact reduction shape of
-/// [`pairwise_neumaier_sum`].
+/// Neumaier-compensates one block of consecutive elements: the scalar
+/// chain, and the reference every lockstep partial equals bit for bit.
 #[inline]
-pub(crate) fn block_partial(block: &[f64]) -> f64 {
+fn block_partial(block: &[f64]) -> f64 {
     let mut acc = NeumaierSum::new();
     for &v in block {
         acc.add(v);
     }
     acc.value()
+}
+
+/// Elements of one lockstep group: [`LANES`] consecutive full blocks.
+pub(crate) const GROUP: usize = LANES * SUM_BLOCK;
+
+/// The Neumaier partials of the [`LANES`] consecutive blocks of `group`,
+/// run in lockstep: lane `j` is block `j`'s own chain, fed its elements
+/// left to right. Neumaier's branch becomes a per-lane select on
+/// `|s| ≥ |v|` between the two candidate error terms (both computed, one
+/// kept), so each lane performs exactly [`NeumaierSum::add`]'s IEEE ops
+/// and every partial equals [`block_partial`] of its block bit for bit.
+#[inline]
+fn lockstep_partials(group: &[f64; GROUP]) -> [f64; LANES] {
+    let mut sum = lanes::splat(0.0);
+    let mut compensation = lanes::splat(0.0);
+    for e in 0..SUM_BLOCK {
+        let v = lanes::from_array(std::array::from_fn(|j| group[j * SUM_BLOCK + e]));
+        let t = lanes::add(sum, v);
+        let sum_bigger = lanes::ge(lanes::abs(sum), lanes::abs(v));
+        let lost = lanes::select(
+            sum_bigger,
+            lanes::add(lanes::sub(sum, t), v),
+            lanes::add(lanes::sub(v, t), sum),
+        );
+        compensation = lanes::add(compensation, lost);
+        sum = t;
+    }
+    lanes::to_array(lanes::add(sum, compensation))
+}
+
+/// Writes the Neumaier partial of every [`SUM_BLOCK`] block of `values`
+/// (the ragged last block included) into `partials`, one per block — the
+/// one block-partial primitive of every fixed-shape reduction. Whole
+/// groups of [`LANES`] full blocks run in lockstep
+/// ([`lockstep_partials`]); the fewer-than-[`LANES`] blocks left over
+/// keep the scalar chain. Each partial is the same bits either way, so
+/// the grouping is invisible to [`combine_partials`].
+///
+/// # Panics
+///
+/// Panics unless `partials.len() == values.len().div_ceil(SUM_BLOCK)`.
+pub(crate) fn block_partials(values: &[f64], partials: &mut [f64]) {
+    assert_eq!(partials.len(), values.len().div_ceil(SUM_BLOCK), "one partial per block");
+    let (groups, rest) = values.as_chunks::<GROUP>();
+    let (grouped, left) = partials.split_at_mut(groups.len() * LANES);
+    for (group, out) in groups.iter().zip(grouped.as_chunks_mut::<LANES>().0) {
+        *out = lockstep_partials(group);
+    }
+    for (block, out) in rest.chunks(SUM_BLOCK).zip(left) {
+        *out = block_partial(block);
+    }
 }
 
 /// Combines per-block partials with a fixed-order pairwise tree:
@@ -120,7 +174,8 @@ pub(crate) fn combine_partials(partials: &mut [f64]) -> f64 {
 /// order-sensitive primitive both episode engines share, so their sums
 /// agree bitwise.
 pub fn pairwise_neumaier_sum(values: &[f64]) -> f64 {
-    let mut partials: Vec<f64> = values.chunks(SUM_BLOCK).map(block_partial).collect();
+    let mut partials = vec![0.0; values.len().div_ceil(SUM_BLOCK)];
+    block_partials(values, &mut partials);
     combine_partials(&mut partials)
 }
 
@@ -288,9 +343,12 @@ pub fn pairwise_neumaier_sum_parallel(values: &[f64]) -> f64 {
     if threads() <= 1 || blocks < 8 {
         return pairwise_neumaier_sum(values);
     }
-    let mut partials = parallel_map(blocks, |b| {
-        block_partial(&values[b * SUM_BLOCK..values.len().min((b + 1) * SUM_BLOCK)])
-    });
+    // One task per lockstep group, so every task but the last runs the
+    // lanes.
+    let mut partials = vec![0.0; blocks];
+    let payloads: Vec<(&[f64], &mut [f64])> =
+        values.chunks(GROUP).zip(partials.chunks_mut(LANES)).collect();
+    parallel_for_each(payloads, |(group, out)| block_partials(group, out));
     combine_partials(&mut partials)
 }
 
@@ -357,6 +415,49 @@ mod tests {
                 let parallel = pairwise_neumaier_sum_parallel(&values);
                 set_threads(0);
                 assert_eq!(sequential.to_bits(), parallel.to_bits(), "n = {n}, threads = {t}");
+            }
+        }
+    }
+
+    /// Adversarial summands: ±0, subnormals, O(1) values and O(1e16)
+    /// values interleaved so `|s| ≥ |v|` flips between elements, and —
+    /// when `poison` — the odd ±∞ and NaN.
+    fn adversarial(len: usize, seed: u64, poison: bool) -> Vec<f64> {
+        let mut state = seed;
+        (0..len)
+            .map(|e| {
+                let u = splitmix(&mut state);
+                let sign = if u < 0.5 { -1.0 } else { 1.0 };
+                match (e % 7, (u * 1000.0) as u32) {
+                    (_, 0) if poison => f64::NAN,
+                    (_, 1) if poison => f64::INFINITY,
+                    (_, 2) if poison => f64::NEG_INFINITY,
+                    (0, _) => sign * 0.0,
+                    (1, _) => sign * f64::from_bits(1 + (u * 1e6) as u64),
+                    (2, _) => sign * f64::MIN_POSITIVE * u,
+                    (3 | 5, _) => sign * 1e16 * (1.0 + u),
+                    _ => sign * (1.0 + u),
+                }
+            })
+            .collect()
+    }
+
+    /// The lockstep partials equal the scalar chain's for every length
+    /// from 0 through five full blocks and one more. Rust leaves the sign
+    /// and payload of a NaN result unspecified, so a NaN partial is
+    /// matched by NaN-ness and every other partial bit for bit.
+    #[test]
+    fn lockstep_partials_equal_the_scalar_chain_at_every_length() {
+        for len in 0..=5 * SUM_BLOCK + 1 {
+            for poison in [false, true] {
+                let values = adversarial(len, len as u64 ^ 0xAD, poison);
+                let mut got = vec![0.0; len.div_ceil(SUM_BLOCK)];
+                block_partials(&values, &mut got);
+                let want: Vec<f64> = values.chunks(SUM_BLOCK).map(block_partial).collect();
+                for (b, (g, w)) in got.iter().zip(&want).enumerate() {
+                    let same = if w.is_nan() { g.is_nan() } else { g.to_bits() == w.to_bits() };
+                    assert!(same, "len {len}, poison {poison}, block {b}: {g:e} vs {w:e}");
+                }
             }
         }
     }

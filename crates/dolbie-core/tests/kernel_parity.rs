@@ -46,6 +46,27 @@ fn tie_heavy_fleet(n: usize) -> Vec<DynCost> {
         .collect()
 }
 
+/// Equal-maximum fleet: every worker has slope 1 except "peak" workers
+/// with slope 3, placed in pairs at indices ≡ 3 and ≡ 0 (mod 4) — the
+/// last lane of one lane group and the first lane of the next — at the
+/// start of the fleet and across every `SUM_BLOCK` boundary, plus a pair
+/// in the reverse lane order. Equal peaks keep equal costs until one is
+/// elected, so a lane-wise first-max that let a lower lane beat a lower
+/// index would pick the wrong straggler.
+fn peak_fleet(n: usize) -> Vec<DynCost> {
+    let mut peak = vec![false; n];
+    for at in [3usize, 4, 8, 11] {
+        peak[at] = true;
+    }
+    for boundary in (128..n).step_by(128) {
+        peak[boundary - 1] = true;
+        peak[boundary] = true;
+    }
+    peak.iter()
+        .map(|&p| Box::new(LinearCost::new(if p { 3.0 } else { 1.0 }, 0.1)) as DynCost)
+        .collect()
+}
+
 struct Trajectory {
     share_bits: Vec<Vec<u64>>,
     stragglers: Vec<usize>,
@@ -73,11 +94,15 @@ fn run_split_reference(costs: &[DynCost], rounds: usize) -> Trajectory {
     t
 }
 
+/// Plays the fused kernel. With `reads`, the shares are read after every
+/// round; without, the deferred tail spans rounds and only the final
+/// shares are recorded.
 fn run_fused(
     costs: &[DynCost],
     rounds: usize,
     variant: KernelVariant,
     chunk: Option<usize>,
+    reads: bool,
 ) -> Trajectory {
     let mut d = FusedDolbie::from_costs(costs).expect("fleet has a slab layout");
     d = d.with_variant(variant);
@@ -96,6 +121,11 @@ fn run_fused(
         t.global_cost_bits.push(round.global_cost.to_bits());
         // Reading the allocation every round forces the deferred tail to
         // materialize mid-stream — the hardest schedule for the kernel.
+        if reads {
+            t.share_bits.push(d.allocation().iter().map(|v| v.to_bits()).collect());
+        }
+    }
+    if !reads {
         t.share_bits.push(d.allocation().iter().map(|v| v.to_bits()).collect());
     }
     t.alpha_bits = d.alphas_used().iter().map(|a| a.to_bits()).collect();
@@ -115,7 +145,7 @@ fn fused_kernel_matches_split_engine_across_the_matrix() {
             for chunk in [None, Some(1usize), Some(7), Some(64), Some(n)] {
                 for threads in [1usize, 4] {
                     set_threads(threads);
-                    let got = run_fused(&costs, rounds, variant, chunk);
+                    let got = run_fused(&costs, rounds, variant, chunk, true);
                     set_threads(0);
                     let tag = format!("{variant:?}, chunk {chunk:?}, threads {threads}");
                     assert_eq!(got.stragglers, reference.stragglers, "stragglers ({tag})");
@@ -125,6 +155,52 @@ fn fused_kernel_matches_split_engine_across_the_matrix() {
                     );
                     assert_eq!(got.alpha_bits, reference.alpha_bits, "alpha schedule ({tag})");
                     assert_eq!(got.share_bits, reference.share_bits, "shares ({tag})");
+                }
+            }
+        }
+    }
+}
+
+/// The matrix where the lane-wise reductions run: n ∈ {512, 1031, 2177}
+/// (one, two and four full lockstep groups of `SUM_BLOCK` blocks, the
+/// last two with ragged tails) × {latency, tie-heavy, equal-peak} ×
+/// {Fused, Simd} × chunk {None, 7, 640} × threads {1, 4} × with and
+/// without per-round allocation reads.
+#[test]
+fn fused_kernel_matches_split_engine_where_the_lanes_run() {
+    let rounds = 40;
+    for n in [512, 1031, 2177] {
+        for (fleet, costs) in [
+            ("latency", latency_fleet(n, 13)),
+            ("tie", tie_heavy_fleet(n)),
+            ("peak", peak_fleet(n)),
+        ] {
+            let reference = run_split_reference(&costs, rounds);
+            for variant in [KernelVariant::Fused, KernelVariant::Simd] {
+                for chunk in [None, Some(7usize), Some(640)] {
+                    for threads in [1usize, 4] {
+                        for reads in [true, false] {
+                            set_threads(threads);
+                            let got = run_fused(&costs, rounds, variant, chunk, reads);
+                            set_threads(0);
+                            let tag = format!(
+                                "n {n}, {fleet}, {variant:?}, chunk {chunk:?}, threads {threads}, \
+                                 reads {reads}"
+                            );
+                            assert_eq!(got.stragglers, reference.stragglers, "stragglers ({tag})");
+                            assert_eq!(
+                                got.global_cost_bits, reference.global_cost_bits,
+                                "global costs ({tag})"
+                            );
+                            assert_eq!(got.alpha_bits, reference.alpha_bits, "alphas ({tag})");
+                            let want = if reads {
+                                &reference.share_bits[..]
+                            } else {
+                                &reference.share_bits[rounds - 1..]
+                            };
+                            assert_eq!(got.share_bits, want, "shares ({tag})");
+                        }
+                    }
                 }
             }
         }

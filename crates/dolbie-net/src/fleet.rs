@@ -309,22 +309,33 @@ pub(crate) fn pump(conn: &mut Conn, now: Instant) -> Result<bool, ConnFail> {
 }
 
 /// Which worker frame a collect phase awaits.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Phase {
+#[derive(Clone, Copy)]
+pub(crate) enum Phase<'a> {
     /// `LocalCost` frames (Algorithm 1 lines 9–11).
     Cost,
-    /// `Decision` frames (Algorithm 1 lines 13–14).
-    Decision,
+    /// `Decision` frames (Algorithm 1 lines 13–14) of a round played at
+    /// step size `alpha`; `shares` is the shard-master's committed share
+    /// slice, which bounds each member's gain ([`gain_ceiling`]).
+    Decision { alpha: f64, shares: &'a [f64] },
+}
+
+/// The largest gain a worker at committed share `x` can honestly report
+/// under step size `alpha`: eq. (5) with a target `x′ ≤ 1`. The bound is
+/// exact, not a tolerance: an honest gain is `(α·(x′ − x)).max(0)`, and
+/// because `x′ ≤ 1` and the rounding of `−` and `·` is monotone, it never
+/// exceeds `(α·(1 − x)).max(0)`.
+pub(crate) fn gain_ceiling(alpha: f64, x: f64) -> f64 {
+    (alpha * (1.0 - x)).max(0.0)
 }
 
 /// The shared collect-phase frame matcher: the value carried by the
 /// awaited frame, `None` for a stale leftover of an abandoned epoch
 /// (silently filtered), `Dead` for a worker whose awaited value is
-/// impossible (a non-finite cost, a non-finite or negative gain) — a
-/// wrong worker is buried like a crashed one — or `Fatal` on a protocol
-/// violation.
+/// impossible (a non-finite cost; a gain outside
+/// `[0, gain_ceiling(α, x_i)]`) — a wrong worker is buried like a
+/// crashed one — or `Fatal` on a protocol violation.
 fn phase_value(
-    phase: Phase,
+    phase: Phase<'_>,
     frame: Frame,
     t: usize,
     epoch: u32,
@@ -336,14 +347,14 @@ fn phase_value(
             // else: stale frame from an abandoned attempt
         }
         (Phase::Cost, Frame::Decision { epoch: e, .. }) if e < epoch => None,
-        (Phase::Decision, Frame::Decision { epoch: e, round, gain, .. }) => {
+        (Phase::Decision { .. }, Frame::Decision { epoch: e, round, gain, .. }) => {
             (e == epoch && round == t as u64).then_some(gain)
         }
-        (Phase::Decision, Frame::LocalCost { epoch: e, .. }) if e < epoch => None,
+        (Phase::Decision { .. }, Frame::LocalCost { epoch: e, .. }) if e < epoch => None,
         (_, _) => {
             let what = match phase {
                 Phase::Cost => "cost",
-                Phase::Decision => "decision",
+                Phase::Decision { .. } => "decision",
             };
             return Err(SweepFail::Fatal(NetError::Protocol(format!(
                 "worker {i} sent an unexpected frame during {what} collection"
@@ -352,7 +363,9 @@ fn phase_value(
     };
     let possible = |v: f64| match phase {
         Phase::Cost => v.is_finite(),
-        Phase::Decision => v.is_finite() && v >= 0.0,
+        Phase::Decision { alpha, shares } => {
+            v.is_finite() && (0.0..=gain_ceiling(alpha, shares[i])).contains(&v)
+        }
     };
     match value {
         Some(v) if !possible(v) => Err(SweepFail::Dead(vec![i])),
@@ -365,7 +378,7 @@ fn phase_value(
 /// inbox runs dry. Stale frames are filtered.
 fn serve_inbox(
     conn: &mut Conn,
-    phase: Phase,
+    phase: Phase<'_>,
     t: usize,
     epoch: u32,
     i: usize,
@@ -492,6 +505,25 @@ impl Fleet {
         }
     }
 
+    /// Awaits one `phase` frame from every member in `await_set` on this
+    /// fleet's collect path: the staircase once
+    /// [`Fleet::enter_staircase`] has run, the readiness sweep otherwise.
+    pub(crate) fn await_phase(
+        &mut self,
+        t: usize,
+        epoch: u32,
+        phase: Phase<'_>,
+        await_set: &[usize],
+        out: &mut [f64],
+        logical: &mut usize,
+    ) -> Result<(), SweepFail> {
+        if self.staircase {
+            self.collect_blocking(t, epoch, phase, await_set, out, logical)
+        } else {
+            self.collect(t, epoch, phase, await_set, out, logical)
+        }
+    }
+
     /// Awaits one matching worker frame from every member in
     /// `await_set`, pumping every busy connection each sweep. Deadlines
     /// ride the timer wheel and *all* expiries of a sweep are collected
@@ -503,7 +535,7 @@ impl Fleet {
         &mut self,
         t: usize,
         epoch: u32,
-        phase: Phase,
+        phase: Phase<'_>,
         await_set: &[usize],
         out: &mut [f64],
         logical: &mut usize,
@@ -602,7 +634,7 @@ impl Fleet {
         &mut self,
         t: usize,
         epoch: u32,
-        phase: Phase,
+        phase: Phase<'_>,
         await_set: &[usize],
         out: &mut [f64],
         logical: &mut usize,
@@ -709,7 +741,7 @@ impl Fleet {
         members: &[usize],
         t: usize,
         epoch: u32,
-        phase: Phase,
+        phase: Phase<'_>,
         out: &mut [f64],
         logical: &mut usize,
     ) -> Result<Vec<usize>, SweepFail> {
@@ -894,7 +926,8 @@ mod tests {
         let stale_decision = Frame::Decision { epoch: 0, round: 7, share: 0.1, gain: 0.2 };
         assert!(matches!(phase_value(Phase::Cost, stale_decision, 7, 1, 0), Ok(None)));
         let stale_cost = Frame::LocalCost { epoch: 0, round: 7, cost: 1.0 };
-        assert!(matches!(phase_value(Phase::Decision, stale_cost, 7, 1, 0), Ok(None)));
+        let decision = Phase::Decision { alpha: 0.5, shares: &[0.25] };
+        assert!(matches!(phase_value(decision, stale_cost, 7, 1, 0), Ok(None)));
         // Stale round at the current epoch: also skipped.
         let replayed = Frame::LocalCost { epoch: 1, round: 6, cost: 1.0 };
         assert!(matches!(phase_value(Phase::Cost, replayed, 7, 1, 0), Ok(None)));
@@ -908,8 +941,9 @@ mod tests {
     }
 
     /// The awaited value is checked before it is used: a non-finite
-    /// cost or a non-finite or negative gain makes its sender `Dead`,
-    /// the crash path, while a stale frame is filtered unread.
+    /// cost or a gain outside `[0, gain_ceiling(α, x_i)]` makes its
+    /// sender `Dead`, the crash path, while a stale frame is filtered
+    /// unread.
     #[test]
     fn phase_value_buries_impossible_values() {
         let dead =
@@ -918,12 +952,26 @@ mod tests {
             let frame = Frame::LocalCost { epoch: 1, round: 7, cost };
             assert!(dead(phase_value(Phase::Cost, frame, 7, 1, 3)), "cost {cost}");
         }
-        for gain in [f64::NAN, f64::INFINITY, -1e-300] {
+        // Member 3 sits at x = 0.25, so under α = 0.5 its ceiling is 0.375.
+        let shares = [0.9, 0.9, 0.9, 0.25];
+        let decision = Phase::Decision { alpha: 0.5, shares: &shares };
+        let ceiling = gain_ceiling(0.5, 0.25);
+        assert_eq!(ceiling, 0.375);
+        for gain in [f64::NAN, f64::INFINITY, -1e-300, ceiling.next_up(), 1.0] {
             let frame = Frame::Decision { epoch: 1, round: 7, share: 0.1, gain };
-            assert!(dead(phase_value(Phase::Decision, frame, 7, 1, 3)), "gain {gain}");
+            assert!(dead(phase_value(decision, frame, 7, 1, 3)), "gain {gain}");
         }
-        let zero_gain = Frame::Decision { epoch: 1, round: 7, share: 0.1, gain: 0.0 };
-        assert!(matches!(phase_value(Phase::Decision, zero_gain, 7, 1, 3), Ok(Some(0.0))));
+        for gain in [0.0, 1e-300, ceiling] {
+            let frame = Frame::Decision { epoch: 1, round: 7, share: 0.1, gain };
+            assert!(
+                matches!(phase_value(decision, frame, 7, 1, 3), Ok(Some(v)) if v == gain),
+                "gain {gain}"
+            );
+        }
+        // A member at or past x = 1 has nothing to gain.
+        let full = Phase::Decision { alpha: 0.5, shares: &[0.0, 0.0, 0.0, 1.0] };
+        let tiny = Frame::Decision { epoch: 1, round: 7, share: 0.1, gain: 1e-300 };
+        assert!(dead(phase_value(full, tiny, 7, 1, 3)));
         let stale = Frame::LocalCost { epoch: 0, round: 7, cost: f64::NAN };
         assert!(matches!(phase_value(Phase::Cost, stale, 7, 1, 3), Ok(None)));
     }

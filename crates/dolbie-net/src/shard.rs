@@ -1129,6 +1129,16 @@ enum Tail {
     Flow(Flow),
 }
 
+/// A collect's outcome for the round loop: `Some(dead)` when members
+/// must be buried, an error when the run cannot go on.
+fn buried(result: Result<(), SweepFail>) -> Result<Option<Vec<usize>>, NetError> {
+    match result {
+        Ok(()) => Ok(None),
+        Err(SweepFail::Dead(dead)) => Ok(Some(dead)),
+        Err(SweepFail::Fatal(e)) => Err(e),
+    }
+}
+
 /// The shard-master's live state below the round loop.
 struct ShardCtx {
     shard: usize,
@@ -1136,7 +1146,6 @@ struct ShardCtx {
     n_total: usize,
     root: Link,
     fleet: Fleet,
-    staircase: bool,
     /// The deadline on every root recv: [`ADMISSION_WAIT`] until the
     /// first commit arrives, [`shard_deadline`] from then on.
     timeout: Duration,
@@ -1157,24 +1166,32 @@ impl ShardCtx {
         (0..self.range.len()).filter(|&i| self.local_members[i]).collect()
     }
 
-    fn collect(
+    /// Collects round `t`'s `LocalCost` frames from `await_set`;
+    /// `Some(dead)` names the members to bury.
+    fn collect_costs(
         &mut self,
         t: usize,
-        phase: Phase,
         await_set: &[usize],
         out: &mut [f64],
         logical: &mut usize,
     ) -> Result<Option<Vec<usize>>, NetError> {
-        let result = if self.staircase {
-            self.fleet.collect_blocking(t, self.epoch, phase, await_set, out, logical)
-        } else {
-            self.fleet.collect(t, self.epoch, phase, await_set, out, logical)
-        };
-        match result {
-            Ok(()) => Ok(None),
-            Err(SweepFail::Dead(dead)) => Ok(Some(dead)),
-            Err(SweepFail::Fatal(e)) => Err(e),
-        }
+        buried(self.fleet.await_phase(t, self.epoch, Phase::Cost, await_set, out, logical))
+    }
+
+    /// Collects round `t`'s `Decision` gains from `await_set`, each
+    /// bounded by its sender's eq. (5) ceiling under `alpha` at the
+    /// mirrored committed share: a worker claiming more is buried like a
+    /// crashed one.
+    fn collect_gains(
+        &mut self,
+        t: usize,
+        alpha: f64,
+        await_set: &[usize],
+        out: &mut [f64],
+        logical: &mut usize,
+    ) -> Result<Option<Vec<usize>>, NetError> {
+        let phase = Phase::Decision { alpha, shares: &self.x };
+        buried(self.fleet.await_phase(t, self.epoch, phase, await_set, out, logical))
     }
 
     /// Receives one round-loop frame from the root, transparently
@@ -1427,8 +1444,7 @@ pub fn run_shard_master(
     // CPU stolen from the very workers the phase waits on — is pure
     // cost. The sockets flip to blocking mode once, here, and stay
     // there; crash discovery rides the blocking deadlines instead.
-    let staircase = fault.is_lossless();
-    if staircase {
+    if fault.is_lossless() {
         fleet.enter_staircase().map_err(|fail| match fail {
             SweepFail::Dead(dead) => {
                 NetError::Protocol(format!("worker sockets died entering the staircase: {dead:?}"))
@@ -1443,7 +1459,6 @@ pub fn run_shard_master(
         n_total,
         root: root_link,
         fleet,
-        staircase,
         timeout: ADMISSION_WAIT,
         epoch: 0,
         epochs_seen: 0,
@@ -1485,9 +1500,7 @@ pub fn run_shard_master(
             let start = Frame::RoundStart { epoch: ctx.epoch, round: t as u64 };
             ctx.fleet.broadcast(&start, &live, Instant::now());
             logical += live.len();
-            if let Some(dead) =
-                ctx.collect(t, Phase::Cost, &live, &mut local_costs, &mut logical)?
-            {
+            if let Some(dead) = ctx.collect_costs(t, &live, &mut local_costs, &mut logical)? {
                 pending_dead = dead;
                 continue 'run;
             }
@@ -1560,7 +1573,7 @@ pub fn run_shard_master(
         }
         logical += others.len() + usize::from(local_straggler.is_some());
         gains.fill(0.0);
-        if let Some(dead) = ctx.collect(t, Phase::Decision, &others, &mut gains, &mut logical)? {
+        if let Some(dead) = ctx.collect_gains(t, alpha, &others, &mut gains, &mut logical)? {
             pending_dead = dead;
             continue 'run;
         }

@@ -521,6 +521,9 @@ enum Lie {
     NanCost(usize),
     /// A negative gain in its first decision from this round on.
     NegativeGain(usize),
+    /// In its first decision from this round on, a gain one ulp past the
+    /// eq. (5) ceiling `(α·(1 − x)).max(0)` at its committed share `x`.
+    GainPastBound(usize),
 }
 
 /// A hand-rolled worker: Algorithm 1 with `run_worker`'s arithmetic
@@ -577,8 +580,14 @@ fn lying_worker(addr: SocketAddr, retry: RetryPolicy, lie: Lie) -> (usize, usize
                 x_old = share;
                 gain = (alpha * (max_acceptable_share(&**f, share, global_cost) - share)).max(0.0);
                 share = x_old + gain;
-                let lying = matches!(lie, Lie::NegativeGain(r) if r <= round as usize);
-                let sent = if lying { -0.25 } else { gain };
+                let sent = match lie {
+                    Lie::NegativeGain(r) if r <= round as usize => -0.25,
+                    Lie::GainPastBound(r) if r <= round as usize => {
+                        (alpha * (1.0 - x_old)).max(0.0).next_up()
+                    }
+                    _ => gain,
+                };
+                let lying = sent.to_bits() != gain.to_bits();
                 link.send(&Frame::Decision { epoch: my_epoch, round, share, gain: sent }).unwrap();
                 if lying {
                     break round as usize;
@@ -597,8 +606,8 @@ fn lying_worker(addr: SocketAddr, retry: RetryPolicy, lie: Lie) -> (usize, usize
     (id, lied_in)
 }
 
-/// A worker that reports an impossible value — a NaN cost or a negative
-/// gain — is handled as crashed: over the `M = 1` tree, lossless
+/// A worker that reports an impossible value — a NaN cost, a negative
+/// gain, or a gain past its eq. (5) ceiling — is handled as crashed: over the `M = 1` tree, lossless
 /// (staircase collect) and lossy (readiness sweep), the run finishes,
 /// exactly the liar is buried in one epoch at the round it lied in, and
 /// the trajectory matches the membership twin bitwise.
@@ -612,7 +621,7 @@ fn a_worker_reporting_impossible_values_is_buried_like_a_crash() {
         .with_duplicate_probability(0.05)
         .with_retry(retry);
     for fault in [FaultPlan::none(), lossy] {
-        for lie in [Lie::NanCost(3), Lie::NegativeGain(3)] {
+        for lie in [Lie::NanCost(3), Lie::NegativeGain(3), Lie::GainPastBound(3)] {
             let case = format!("{lie:?}, lossy = {}", !fault.is_lossless());
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();

@@ -35,6 +35,9 @@ cargo test --offline --release --manifest-path perfbench/Cargo.toml
 echo "== tier-1: paper_figures smoke (quick fig3 fig4 regret, --bench) =="
 cargo run --release -p dolbie-bench --bin paper_figures -- --quick --bench fig3 fig4 regret
 
+echo "== tier-1: kernel parity matrix, release (the vectorized code the benchmark runs) =="
+cargo test --release -p dolbie-core --test kernel_parity -q
+
 echo "== tier-1: large-N engine pin invariant (N=1e5 x 1e4 rounds, release) =="
 cargo test --release -p dolbie-core --lib -q -- --ignored \
     sum_stays_pinned_after_1e4_rounds_at_1e5_workers
