@@ -1,7 +1,6 @@
 //! Large-N engine microbenchmarks: per-round cost of the sequential
-//! `Dolbie`, the chunked SoA engine (`ChunkedDolbie`), the fused and
-//! SIMD round kernels (`FusedDolbie`), and the fixed-shape compensated
-//! summation primitive they all share.
+//! `Dolbie`, the fused and SIMD round kernels (`FusedDolbie`), and the
+//! fixed-shape compensated summation primitive they share.
 //!
 //! Criterion keeps the fleets small enough to iterate quickly
 //! (N <= 10^5); the full sweep to N = 10^6 with RSS tracking is the
@@ -10,9 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dolbie_core::cost::{DynCost, LatencyCost};
-use dolbie_core::engine::DEFAULT_CHUNK_SIZE;
 use dolbie_core::kernel::{FusedDolbie, KernelVariant};
-use dolbie_core::{pairwise_neumaier_sum, run_episode_with_static_costs, ChunkedDolbie, Dolbie};
+use dolbie_core::{pairwise_neumaier_sum, run_episode_with_static_costs, Dolbie};
 use std::hint::black_box;
 
 fn splitmix(state: &mut u64) -> f64 {
@@ -43,18 +41,7 @@ fn bench_round_throughput(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, _| {
             b.iter(|| {
                 let mut balancer = Dolbie::new(n);
-                black_box(run_episode_with_static_costs(&mut balancer, &costs, ROUNDS, None));
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("chunked", n), &n, |b, _| {
-            b.iter(|| {
-                let mut balancer = ChunkedDolbie::new(n);
-                black_box(run_episode_with_static_costs(
-                    &mut balancer,
-                    &costs,
-                    ROUNDS,
-                    Some(DEFAULT_CHUNK_SIZE),
-                ));
+                black_box(run_episode_with_static_costs(&mut balancer, &costs, ROUNDS));
             });
         });
         group.bench_with_input(BenchmarkId::new("fused", n), &n, |b, _| {

@@ -89,7 +89,7 @@ fn parse_args() -> Args {
             "--csv" => args.csv = Some(value()),
             "--threads" => {
                 let n: usize = value().parse().unwrap_or_else(|_| usage());
-                dolbie_bench::harness::set_threads(n.max(1));
+                dolbie_core::parallel::set_threads(n.max(1));
             }
             "--help" | "-h" => usage(),
             other => {

@@ -11,17 +11,18 @@
 //!
 //! Realization loops fan out over `--threads N` worker threads (default:
 //! the machine's available parallelism) with outputs byte-identical to a
-//! sequential run; see `dolbie_bench::harness`. `--bench` additionally
+//! sequential run; see `dolbie_core::parallel`. `--bench` additionally
 //! times every requested target at one thread and at `N` threads and
 //! writes the measurements to `BENCH_paper_figures.json` in the workspace
 //! root.
 
+use dolbie_bench::common;
 use dolbie_bench::experiments::large_n::{LargeNOptions, RowKernel};
 use dolbie_bench::experiments::{
     ablation, accuracy, bandit, chaos, chaos_net, churn, comms, edge_exp, faults, large_n, latency,
     mc, net, net_scale, per_worker, regret, shard_scale, utilization,
 };
-use dolbie_bench::{common, harness};
+use dolbie_core::parallel;
 use std::time::Instant;
 
 const TARGETS: [&str; 12] = [
@@ -207,7 +208,7 @@ fn main() {
     }
     let threads =
         threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    harness::set_threads(threads);
+    parallel::set_threads(threads);
     if kernels.is_empty() {
         kernels.extend(RowKernel::all());
     }
@@ -234,11 +235,11 @@ fn main() {
         }
         let mut rows = Vec::with_capacity(expanded.len());
         for target in &expanded {
-            harness::set_threads(1);
+            parallel::set_threads(1);
             let start = Instant::now();
             run(target, &options);
             let seconds_one_thread = start.elapsed().as_secs_f64();
-            harness::set_threads(threads);
+            parallel::set_threads(threads);
             let start = Instant::now();
             run(target, &options);
             let seconds = start.elapsed().as_secs_f64();

@@ -46,7 +46,7 @@ pub fn cluster_suite(cluster: &Cluster) -> Vec<Box<dyn LoadBalancer>> {
 /// own copy of the cluster, so this is exactly the sequential computation
 /// fanned out).
 pub fn run_suite(cluster: &Cluster, config: TrainingConfig) -> Vec<TrainingOutcome> {
-    crate::harness::parallel_map(ALGORITHM_ORDER.len(), |k| {
+    dolbie_core::parallel::parallel_map(ALGORITHM_ORDER.len(), |k| {
         let mut balancer = cluster_suite(cluster).swap_remove(k);
         run_training(balancer.as_mut(), cluster.clone(), config)
     })

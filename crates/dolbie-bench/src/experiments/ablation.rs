@@ -13,7 +13,7 @@
 //!   maximum acceptable workload.
 
 use crate::common::{emit_csv, paper_cluster};
-use crate::harness;
+use dolbie_core::parallel;
 use dolbie_core::{Allocation, Dolbie, DolbieConfig};
 use dolbie_metrics::{Summary, Table};
 use dolbie_mlsim::{run_training, MlModel, TrainingConfig};
@@ -45,7 +45,7 @@ pub fn ablation(quick: bool) {
     for (name, config) in &variants {
         // Realizations are independent; fan them out and fold the results
         // back in seed order.
-        let per_seed = harness::parallel_map(realizations, |seed| {
+        let per_seed = parallel::parallel_map(realizations, |seed| {
             let cluster = paper_cluster(MlModel::ResNet18, seed as u64);
             let n = dolbie_core::Environment::num_workers(&cluster);
             let mut dolbie = Dolbie::with_config(Allocation::uniform(n), *config);

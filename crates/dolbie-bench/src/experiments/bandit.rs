@@ -8,7 +8,7 @@
 //! the paper's ML cluster.
 
 use crate::common::{emit_csv, paper_cluster};
-use crate::harness;
+use dolbie_core::parallel;
 use dolbie_core::{BanditDolbie, DelayedDolbie, Dolbie, DolbieConfig, LoadBalancer};
 use dolbie_metrics::{Summary, Table};
 use dolbie_mlsim::{run_training, MlModel, TrainingConfig};
@@ -32,7 +32,7 @@ pub fn bandit(quick: bool) {
     // Every (seed, feedback-model) cell is independent; fan the grid out
     // and refill `totals` in the sequential seed-major order.
     let n_variants = totals.len();
-    let flat = harness::parallel_map(realizations * n_variants, |i| {
+    let flat = parallel::parallel_map(realizations * n_variants, |i| {
         let seed = (i / n_variants) as u64;
         let k = i % n_variants;
         let cluster = paper_cluster(MlModel::ResNet18, seed);

@@ -36,9 +36,9 @@
 //! byte-identical at any thread count.
 
 use crate::common::emit_csv;
-use crate::harness;
 use dolbie_core::cost::DynCost;
 use dolbie_core::environment::FnEnvironment;
+use dolbie_core::parallel;
 use dolbie_core::DolbieConfig;
 use dolbie_core::ShardLayout;
 use dolbie_metrics::Table;
@@ -386,7 +386,7 @@ pub fn reproducer(case: &ChaosCase) -> String {
 pub fn chaos_named(quick: bool, name: &str) {
     let total = if quick { QUICK_CASES } else { FULL_CASES };
     println!("== Chaos sweep: {total} random FaultPlan x MembershipSchedule cases ==");
-    let results = harness::parallel_map(total, |id| {
+    let results = parallel::parallel_map(total, |id| {
         let case = case_from_seed(id, MASTER_SEED);
         let outcome = run_case(&case);
         (case, outcome)

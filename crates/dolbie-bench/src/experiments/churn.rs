@@ -20,9 +20,9 @@
 //! byte-identical at any `--threads` setting.
 
 use crate::common::emit_csv;
-use crate::harness;
 use dolbie_core::cost::DynCost;
 use dolbie_core::oracle::instantaneous_minimizer;
+use dolbie_core::parallel;
 use dolbie_core::{Dolbie, DolbieConfig, Environment, LoadBalancer, Observation};
 use dolbie_metrics::Table;
 use dolbie_mlsim::{Cluster, ClusterConfig, MlModel};
@@ -77,7 +77,7 @@ pub fn churn_named(name: &str) {
 
     // Clairvoyant baselines, fanned out across rounds (each round's oracle
     // is independent; order is restored by the harness).
-    let oracles: Vec<(f64, f64)> = harness::parallel_map(ROUNDS, |t| {
+    let oracles: Vec<(f64, f64)> = parallel::parallel_map(ROUNDS, |t| {
         let fns = env.clone().reveal(t);
         let static_opt =
             instantaneous_minimizer(&fns).expect("paper cost functions are well-formed").level;

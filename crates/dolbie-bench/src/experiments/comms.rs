@@ -1,8 +1,8 @@
 //! Experiment C1: the §IV-C communication-complexity claims.
 
 use crate::common::emit_csv;
-use crate::harness;
 use dolbie_core::environment::StaticLinearEnvironment;
+use dolbie_core::parallel;
 use dolbie_core::DolbieConfig;
 use dolbie_metrics::Table;
 use dolbie_simnet::{FixedLatency, FullyDistributedSim, MasterWorkerSim, RingSim};
@@ -30,7 +30,7 @@ pub fn comms() {
     // dominates); printing and the exact message-count asserts stay on the
     // main thread, in sweep order.
     const NS: [usize; 6] = [2, 4, 8, 16, 32, 64];
-    let sweeps = harness::parallel_map_items(&NS, |&n| {
+    let sweeps = parallel::parallel_map_items(&NS, |&n| {
         let slopes: Vec<f64> = (1..=n).map(|i| i as f64).collect();
         let env = StaticLinearEnvironment::from_slopes(slopes);
         let mw =

@@ -1,8 +1,8 @@
 //! Experiment E1: the edge-computing task-offloading scenario (§III-B).
 
 use crate::common::{emit_csv, ALGORITHM_ORDER};
-use crate::harness;
 use dolbie_baselines::paper_suite;
+use dolbie_core::parallel;
 use dolbie_core::{run_episode, EpisodeOptions};
 use dolbie_edge::{EdgeConfig, EdgeScenario};
 use dolbie_metrics::{Summary, Table};
@@ -20,7 +20,7 @@ pub fn edge(quick: bool) {
     // grid out and refill `totals` in the sequential seed-major order.
     let n_algs = ALGORITHM_ORDER.len();
     let mut totals: Vec<Vec<f64>> = vec![Vec::new(); n_algs];
-    let flat = harness::parallel_map(realizations * n_algs, |i| {
+    let flat = parallel::parallel_map(realizations * n_algs, |i| {
         let seed = (i / n_algs) as u64;
         let k = i % n_algs;
         let env = EdgeScenario::sample(EdgeConfig::paper_like(), seed);

@@ -21,7 +21,7 @@
 //! not draws from shared RNG state.
 
 use crate::common::emit_csv;
-use crate::harness;
+use dolbie_core::parallel;
 use dolbie_core::DolbieConfig;
 use dolbie_metrics::Table;
 use dolbie_mlsim::{Cluster, ClusterConfig, MlModel};
@@ -41,7 +41,7 @@ pub fn faults() {
 
     // The three scenarios are independent protocol runs on copies of the
     // same cluster; fan them out.
-    let mut scenarios = harness::parallel_map(3, |i| {
+    let mut scenarios = parallel::parallel_map(3, |i| {
         let mut sim = MasterWorkerSim::new(env.clone(), DolbieConfig::new(), FixedLatency::lan());
         match i {
             0 => sim.run(ROUNDS),
@@ -107,7 +107,7 @@ fn architecture_comparison(env: &Cluster) {
         .with_drop_probability(0.05)
         .with_duplicate_probability(0.01);
 
-    let mut traces = harness::parallel_map(3, |i| match i {
+    let mut traces = parallel::parallel_map(3, |i| match i {
         0 => MasterWorkerSim::new(env.clone(), DolbieConfig::new(), FixedLatency::lan())
             .with_fault_plan(plan.clone())
             .run(ROUNDS),

@@ -22,9 +22,9 @@
 //! recorded baseline (a >20% per-core regression fails tier-1).
 
 use crate::common::{emit_csv, workspace_root};
-use crate::harness;
 use dolbie_core::cost::{DynCost, LatencyCost};
 use dolbie_core::kernel::{FusedDolbie, KernelVariant};
+use dolbie_core::parallel;
 use dolbie_core::{run_episode_with_static_costs, Dolbie, LoadBalancer};
 use dolbie_metrics::Table;
 use std::time::Instant;
@@ -179,7 +179,7 @@ fn measure(n: usize, rounds: usize, seed: u64, kernels: &[RowKernel]) -> Vec<Ker
     // The split engine always runs: it is the parity oracle.
     let mut sequential = Dolbie::new(n);
     let start = Instant::now();
-    let seq_summary = run_episode_with_static_costs(&mut sequential, &costs, rounds, None);
+    let seq_summary = run_episode_with_static_costs(&mut sequential, &costs, rounds);
     let sequential_seconds = start.elapsed().as_secs_f64();
 
     let mut rows = Vec::with_capacity(kernels.len());
@@ -240,7 +240,7 @@ fn write_bench_json(rows: &[KernelRow], quick: bool) {
         workspace_root().join("BENCH_large_n.json")
     };
     let cpu_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let threads = harness::threads();
+    let threads = parallel::threads();
     let mut body = String::from("{\n");
     body.push_str(&format!("  \"cpu_cores\": {cpu_cores},\n"));
     body.push_str(&format!("  \"threads\": {threads},\n"));
@@ -402,7 +402,7 @@ pub fn large_n_with(options: &LargeNOptions) {
     println!(
         "  threads = {}, kernels = {}; every fused/SIMD row asserts bitwise equality with the \
          split engine",
-        harness::threads(),
+        parallel::threads(),
         kernel_names.join(",")
     );
     let mut table = Table::new(vec![

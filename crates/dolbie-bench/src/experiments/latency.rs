@@ -3,7 +3,7 @@
 use crate::common::{
     cluster_suite, emit_csv, emit_svg, paper_cluster, reduction_pct, run_suite, ALGORITHM_ORDER,
 };
-use crate::harness;
+use dolbie_core::parallel;
 use dolbie_metrics::plot::{PlotConfig, Series};
 use dolbie_metrics::{per_round_summaries, Table};
 use dolbie_mlsim::run_training;
@@ -67,7 +67,7 @@ pub fn ci_figure(cumulative: bool, name: &str, title: &str, realizations: usize)
     // over the harness; collection order matches the sequential
     // seed-major loop exactly.
     let n_algs = ALGORITHM_ORDER.len();
-    let flat = harness::parallel_map(realizations * n_algs, |i| {
+    let flat = parallel::parallel_map(realizations * n_algs, |i| {
         let seed = (i / n_algs) as u64;
         let k = i % n_algs;
         let cluster = paper_cluster(MlModel::ResNet18, seed);

@@ -29,7 +29,7 @@
 //! never clobbering the full run's outputs.
 
 use crate::common::{emit_csv, workspace_root};
-use crate::harness;
+use dolbie_core::parallel;
 use dolbie_mc::{decision_count, explore, reproducer, shrink, Arch, McConfig, Strategy};
 use dolbie_metrics::Table;
 use dolbie_simnet::{Crash, FaultPlan, LeaveKind, MembershipSchedule, RetryPolicy};
@@ -185,7 +185,7 @@ fn emit_coverage_csv(rows: &[CoverageRow], name: &str) {
 fn write_bench_json(rows: &[CoverageRow]) {
     let path = workspace_root().join("BENCH_mc.json");
     let cpu_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let threads = harness::threads();
+    let threads = parallel::threads();
     let mut body = String::from("{\n");
     body.push_str(&format!("  \"cpu_cores\": {cpu_cores},\n"));
     body.push_str(&format!("  \"threads\": {threads},\n"));

@@ -2,10 +2,10 @@
 //! bound, across horizons, worker counts, and adversary classes.
 
 use crate::common::emit_csv;
-use crate::harness;
 use dolbie_core::environment::{
     PiecewiseStationaryEnvironment, RotatingStragglerEnvironment, SinusoidalDriftEnvironment,
 };
+use dolbie_core::parallel;
 use dolbie_core::{run_episode, theorem1_bound, Dolbie, Environment, EpisodeOptions};
 use dolbie_metrics::Table;
 
@@ -58,7 +58,7 @@ pub fn regret(quick: bool) {
             }
         }
     }
-    let results = harness::parallel_map_items(&configs, |&(kind, n, t)| {
+    let results = parallel::parallel_map_items(&configs, |&(kind, n, t)| {
         // The initial step size is fixed (as in the paper's
         // experiments) so eq. (7) tightens it gradually instead of
         // collapsing it on an extreme first step, keeping the

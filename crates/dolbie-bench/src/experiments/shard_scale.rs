@@ -22,7 +22,7 @@
 //! measurement.
 
 use crate::common::{emit_csv, run_tree_bitwise, steady_rounds_per_s, workspace_root};
-use crate::harness;
+use dolbie_core::parallel;
 use dolbie_metrics::Table;
 use dolbie_net::env::{EnvKind, WireEnvSpec};
 use dolbie_net::shard::ShardedConfig;
@@ -91,7 +91,7 @@ fn write_bench_json(rows: &[Row], quick: bool, reps: usize) {
         workspace_root().join("BENCH_shard.json")
     };
     let cpu_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let threads = harness::threads();
+    let threads = parallel::threads();
     let mut body = String::from("{\n");
     body.push_str(&format!("  \"cpu_cores\": {cpu_cores},\n"));
     body.push_str(&format!("  \"threads\": {threads},\n"));

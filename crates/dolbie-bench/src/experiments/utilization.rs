@@ -2,7 +2,7 @@
 //! waiting) and the decision-overhead box statistics.
 
 use crate::common::{cluster_suite, emit_csv, paper_cluster, reduction_pct, ALGORITHM_ORDER};
-use crate::harness;
+use dolbie_core::parallel;
 use dolbie_metrics::{Summary, Table};
 use dolbie_mlsim::{run_training, MlModel, TrainingConfig};
 
@@ -23,7 +23,7 @@ pub fn fig11(quick: bool) {
     let mut comm = vec![Vec::new(); n_algs];
     let mut wait = vec![Vec::new(); n_algs];
     let mut overhead: Vec<Vec<f64>> = vec![Vec::new(); n_algs];
-    let flat = harness::parallel_map(realizations * n_algs, |i| {
+    let flat = parallel::parallel_map(realizations * n_algs, |i| {
         let seed = (i / n_algs) as u64;
         let k = i % n_algs;
         let cluster = paper_cluster(MlModel::ResNet18, seed);

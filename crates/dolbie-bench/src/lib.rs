@@ -18,4 +18,3 @@
 
 pub mod common;
 pub mod experiments;
-pub mod harness;

@@ -2,8 +2,9 @@
 //! guarantee: the CSV a figure writes must be byte-identical whether the
 //! realization fan-out runs on one thread or several.
 
+use dolbie_bench::common;
 use dolbie_bench::experiments::{chaos, churn, latency};
-use dolbie_bench::{common, harness};
+use dolbie_core::parallel;
 
 #[test]
 fn parallel_figure_csv_is_byte_identical_to_sequential() {
@@ -17,13 +18,13 @@ fn parallel_figure_csv_is_byte_identical_to_sequential() {
         bytes
     };
 
-    harness::set_threads(1);
+    parallel::set_threads(1);
     latency::ci_figure(false, "test_determinism_seq", "determinism regression (sequential)", 2);
     let sequential = read("test_determinism_seq");
 
-    harness::set_threads(4);
+    parallel::set_threads(4);
     latency::ci_figure(false, "test_determinism_par", "determinism regression (4 threads)", 2);
-    harness::set_threads(0);
+    parallel::set_threads(0);
     let parallel = read("test_determinism_par");
 
     assert!(!sequential.is_empty(), "figure produced an empty CSV");
@@ -40,13 +41,13 @@ fn read_and_remove(name: &str) -> Vec<u8> {
 
 #[test]
 fn churn_recovery_csv_is_byte_identical_across_thread_counts() {
-    harness::set_threads(1);
+    parallel::set_threads(1);
     churn::churn_named("test_churn_det_seq");
     let sequential = read_and_remove("test_churn_det_seq");
 
-    harness::set_threads(4);
+    parallel::set_threads(4);
     churn::churn_named("test_churn_det_par");
-    harness::set_threads(0);
+    parallel::set_threads(0);
     let parallel = read_and_remove("test_churn_det_par");
 
     assert!(!sequential.is_empty(), "churn experiment produced an empty CSV");
@@ -55,13 +56,13 @@ fn churn_recovery_csv_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn chaos_sweep_csv_is_byte_identical_across_thread_counts() {
-    harness::set_threads(1);
+    parallel::set_threads(1);
     chaos::chaos_named(true, "test_chaos_det_seq");
     let sequential = read_and_remove("test_chaos_det_seq");
 
-    harness::set_threads(4);
+    parallel::set_threads(4);
     chaos::chaos_named(true, "test_chaos_det_par");
-    harness::set_threads(0);
+    parallel::set_threads(0);
     let parallel = read_and_remove("test_chaos_det_par");
 
     assert!(!sequential.is_empty(), "chaos sweep produced an empty CSV");

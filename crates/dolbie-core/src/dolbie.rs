@@ -21,9 +21,13 @@
 //! work is one monotone inverse (closed-form for the latency model of
 //! §VI-A, bisection otherwise).
 //!
-//! The per-round arithmetic itself lives in [`engine`](crate::engine) as a
-//! structure-of-arrays implementation shared with the chunked large-N
-//! balancer [`ChunkedDolbie`](crate::ChunkedDolbie); this module keeps the
+//! [`Dolbie`] is the reference oracle every other engine and tier is
+//! pinned against bit for bit, and the general path: any
+//! [`CostFunction`](crate::cost::CostFunction), per-worker share caps,
+//! and the [`LoadBalancer`] trait. The per-round arithmetic itself lives
+//! in [`engine`](crate::engine) as a structure-of-arrays implementation
+//! shared with the large-N kernel
+//! [`FusedDolbie`](crate::kernel::FusedDolbie); this module keeps the
 //! user-facing configuration and the sequential wrapper.
 
 use crate::allocation::Allocation;
@@ -245,7 +249,7 @@ impl LoadBalancer for Dolbie {
     }
 
     fn observe(&mut self, observation: &Observation<'_>) {
-        self.engine.observe_round(observation, None);
+        self.engine.observe_round(observation);
     }
 }
 
@@ -389,6 +393,7 @@ mod tests {
             step(&mut d, &costs, t);
             assert_eq!(d.allocation().share(0), 1.0);
         }
+        assert_eq!(d.stats().rounds, 10, "a fixed-point round still counts");
     }
 
     #[test]
@@ -543,12 +548,57 @@ mod tests {
     fn caps_below_initial_shares_are_rejected() {
         let _ = Dolbie::new(4).with_share_caps(vec![0.1, 1.0, 1.0, 1.0]);
     }
+
+    #[test]
+    #[should_panic(expected = "not supported together with share caps")]
+    fn membership_with_share_caps_is_rejected() {
+        let mut d = Dolbie::new(4).with_share_caps(vec![1.0; 4]);
+        d.apply_membership(&[true, true, true, false]);
+    }
+
+    /// `begin_round → abort_round` leaves the root engine bitwise
+    /// indistinguishable from one that never started the attempt — the
+    /// property the net tier's crash→epoch round restart rests on.
+    #[test]
+    fn abort_round_unwinds_begin_round_bitwise() {
+        let n = 12;
+        let costs: Vec<DynCost> = (0..n)
+            .map(|i| {
+                let speed = 64.0 + ((i * 149) % 448) as f64;
+                Box::new(LatencyCost::new(256.0, speed, 0.05)) as DynCost
+            })
+            .collect();
+        let mut clean = Dolbie::new(n);
+        let mut aborted = Dolbie::new(n);
+        for t in 0..300 {
+            // The aborted twin opens (and sometimes guards) an attempt it
+            // then abandons before every real round.
+            let root = &mut aborted.engine.root;
+            let alpha = root.begin_round();
+            // Force the guard arithmetic with a synthetic overshoot.
+            let guard_fired = t % 5 == 0 && root.guard_scale(0.25, 0.5 + alpha).is_some();
+            root.abort_round(guard_fired);
+
+            step(&mut clean, &costs, t);
+            step(&mut aborted, &costs, t);
+            for i in 0..n {
+                assert_eq!(
+                    clean.allocation().share(i).to_bits(),
+                    aborted.allocation().share(i).to_bits(),
+                    "t={t}, i={i}"
+                );
+            }
+        }
+        assert_eq!(clean.alphas_used(), aborted.alphas_used());
+        assert_eq!(clean.stats(), aborted.stats());
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::cost::{DynCost, LinearCost, PowerCost};
+    use crate::cost::{DynCost, LatencyCost, LinearCost, PowerCost};
+    use crate::numeric::pairwise_neumaier_sum;
     use proptest::prelude::*;
 
     fn arbitrary_costs(n: usize) -> impl Strategy<Value = Vec<DynCost>> {
@@ -607,6 +657,84 @@ mod proptests {
                 prop_assert!(obs.global_cost() <= last + 1e-9);
                 last = obs.global_cost();
                 d.observe(&obs);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Share redistribution conserves |Σx − 1| < 1e-12 across
+        /// membership epochs — worker-level leaves plus, optionally, one
+        /// epoch that drains a whole contiguous range of workers (a dead
+        /// shard's) into the rest — and departed workers hold exactly 0.
+        #[test]
+        fn redistribution_conserves_the_simplex_through_epochs(
+            n in 8usize..40,
+            seed in 0u64..u64::MAX,
+            epochs in proptest::collection::vec((1usize..60, 0usize..40), 0..4),
+            drain_pick in 0usize..14,
+            drain_start in 0usize..40,
+            drain_len in 1usize..20,
+            rounds in 20usize..70,
+        ) {
+            let mut state = seed;
+            let fleet: Vec<DynCost> = (0..n).map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let speed = 32.0 + (state >> 40) as f64 / 65536.0;
+                Box::new(LatencyCost::new(128.0, speed, 0.02)) as DynCost
+            }).collect();
+
+            let mut d = Dolbie::new(n);
+            let mut members = vec![true; n];
+            let mut boundaries: Vec<(usize, Vec<bool>)> = Vec::new();
+            for &(t, w) in &epochs {
+                let mut next = members.clone();
+                next[w % n] = false;
+                if next.iter().any(|&x| x) {
+                    members = next.clone();
+                    boundaries.push((t, next));
+                }
+            }
+            if drain_pick < 7 {
+                let start = drain_start % n;
+                let mut next = members.clone();
+                for alive in &mut next[start..(start + drain_len).min(n)] {
+                    *alive = false;
+                }
+                if next.iter().any(|&x| x) {
+                    boundaries.push((rounds / 2, next));
+                }
+            }
+            boundaries.sort_by_key(|(t, _)| *t);
+
+            let mut current = vec![true; n];
+            for t in 0..rounds {
+                for (bt, mm) in &boundaries {
+                    if *bt == t {
+                        current = mm.clone();
+                        d.apply_membership(&current);
+                        let sum = pairwise_neumaier_sum(d.allocation().as_slice());
+                        prop_assert!(
+                            (sum - 1.0).abs() < 1e-12,
+                            "epoch at t={t}: |Σx − 1| = {:e}", (sum - 1.0).abs()
+                        );
+                    }
+                }
+                let played = d.allocation().clone();
+                let obs = Observation::from_costs_masked(t, &played, &fleet, &current, Vec::new());
+                d.observe(&obs);
+                let sum = pairwise_neumaier_sum(d.allocation().as_slice());
+                prop_assert!(
+                    (sum - 1.0).abs() < 1e-12,
+                    "round {t}: |Σx − 1| = {:e}", (sum - 1.0).abs()
+                );
+                prop_assert!(d.allocation().iter().all(|&v| v >= 0.0));
+                for (i, &is_member) in current.iter().enumerate() {
+                    if !is_member {
+                        prop_assert_eq!(d.allocation().share(i), 0.0, "stranded share on {}", i);
+                    }
+                }
             }
         }
     }

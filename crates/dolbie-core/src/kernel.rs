@@ -2,7 +2,7 @@
 //!
 //! # Why a second round engine
 //!
-//! The split engine ([`ChunkedDolbie`](crate::ChunkedDolbie) +
+//! The split engine ([`Dolbie`](crate::Dolbie) +
 //! [`Observation`](crate::Observation)) walks the round state in five or
 //! six separate linear passes — copy the played allocation, evaluate the
 //! costs through `Box<dyn CostFunction>` virtual calls, scan the
@@ -595,10 +595,9 @@ impl RoundCtx<'_> {
 
 /// DOLBIE on the fused, cache-blocked, optionally SIMD round kernel.
 ///
-/// Drives the *same* structure-of-arrays engine state as
-/// [`Dolbie`](crate::Dolbie) /
-/// [`ChunkedDolbie`](crate::ChunkedDolbie), but generates its own
-/// observations from a [`CostSlab`] instead of consuming
+/// The large-N engine. Drives the *same* structure-of-arrays engine state
+/// as [`Dolbie`](crate::Dolbie), the reference oracle, but generates its
+/// own observations from a [`CostSlab`] instead of consuming
 /// [`Observation`](crate::Observation)s — that is what lets it fuse the
 /// observation passes (cost eval, argmax) with the update passes. It
 /// intentionally does not implement
@@ -870,9 +869,8 @@ impl FusedDolbie {
                         *slot = ctx.eval_partial(apply, base, xc, gc);
                     });
                 }
-                // In-order combine with a strict `>`: the sequential
-                // lowest-index-wins scan, exactly as the split engine's
-                // chunked observation.
+                // In-order combine with a strict `>`: exactly the
+                // sequential lowest-index-wins scan.
                 let mut best: Option<(f64, usize)> = None;
                 for p in partials.into_iter().flatten() {
                     if best.is_none_or(|(bc, _)| p.0 > bc) {
@@ -931,6 +929,7 @@ mod tests {
     use crate::cost::CostFunction;
     use crate::engine::TOTAL_REFRESH_INTERVAL;
     use crate::observation::max_acceptable_share;
+    use crate::parallel::set_threads;
     use crate::{Dolbie, LoadBalancer, Observation};
 
     fn splitmix(state: &mut u64) -> f64 {
@@ -1070,8 +1069,7 @@ mod tests {
         let rounds = 2 * TOTAL_REFRESH_INTERVAL + 17;
         let costs = latency_fleet(n, 7);
         let mut split = Dolbie::new(n);
-        let summary =
-            crate::runner::run_episode_with_static_costs(&mut split, &costs, rounds, None);
+        let summary = crate::runner::run_episode_with_static_costs(&mut split, &costs, rounds);
         for variant in [KernelVariant::Fused, KernelVariant::Simd] {
             let mut fused = FusedDolbie::from_costs(&costs).unwrap().with_variant(variant);
             let got = fused.run(rounds);
@@ -1097,31 +1095,44 @@ mod tests {
     fn guard_rescale_path_matches_split_engine() {
         // An aggressive alpha floor keeps α large after tightening, which
         // periodically trips the feasibility guard in both engines; the
-        // trajectories (and guard counters) must still agree bitwise.
+        // trajectories (and guard counters) must still agree bitwise —
+        // also through the chunked gain rescale and re-sum, at any thread
+        // count.
         let n = 13;
         let rounds = 50;
         let costs = latency_fleet(n, 77);
         let config = DolbieConfig::new().with_alpha_floor(0.9);
         let mut split = Dolbie::with_config(Allocation::uniform(n), config);
-        let mut fused = FusedDolbie::with_config(
-            CostSlab::from_costs(&costs).unwrap(),
-            Allocation::uniform(n),
-            config,
-        );
         for t in 0..rounds {
             let played = split.allocation().clone();
             let obs = Observation::from_costs(t, &played, &costs);
             split.observe(&obs);
-            fused.step();
         }
         assert!(split.stats().guard_activations > 0, "floor never tripped the guard");
-        assert_eq!(fused.stats(), split.stats());
-        for i in 0..n {
-            assert_eq!(
-                fused.allocation().share(i).to_bits(),
-                split.allocation().share(i).to_bits(),
-                "worker {i}"
-            );
+        for chunk in [None, Some(4usize)] {
+            for threads in [1usize, 4] {
+                set_threads(threads);
+                let mut fused = FusedDolbie::with_config(
+                    CostSlab::from_costs(&costs).unwrap(),
+                    Allocation::uniform(n),
+                    config,
+                );
+                if let Some(c) = chunk {
+                    fused = fused.with_chunk_size(c);
+                }
+                fused.run(rounds);
+                set_threads(0);
+                let tag = format!("chunk {chunk:?}, threads {threads}");
+                assert_eq!(fused.stats(), split.stats(), "{tag}");
+                assert_eq!(fused.alphas_used(), split.alphas_used(), "{tag}");
+                for i in 0..n {
+                    assert_eq!(
+                        fused.allocation().share(i).to_bits(),
+                        split.allocation().share(i).to_bits(),
+                        "{tag}, worker {i}"
+                    );
+                }
+            }
         }
     }
 

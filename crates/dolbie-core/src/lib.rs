@@ -53,17 +53,19 @@
 //! - [`balancer`] — the [`LoadBalancer`] trait shared with every baseline.
 //! - [`dolbie`] — the DOLBIE update (Algorithms 1–2 decision logic),
 //!   with optional per-worker capacity caps.
-//! - [`engine`] — the shared structure-of-arrays round engine and the
-//!   chunked large-N balancer [`ChunkedDolbie`].
+//! - [`engine`] — the structure-of-arrays round state that [`Dolbie`]
+//!   and [`FusedDolbie`] share.
 //! - [`kernel`] — the fused, cache-blocked, SIMD round kernel
-//!   ([`FusedDolbie`]) for cost families with closed-form inverses.
+//!   ([`FusedDolbie`]), the large-N engine for cost families with
+//!   closed-form inverses.
 //! - [`membership`] — simplex-safe re-normalization for elastic worker
 //!   membership (epoch boundaries: leaves, joins, rejoins).
 //! - [`numeric`] — fixed-shape compensated (Neumaier/pairwise) summation
 //!   and the streaming [`SumCursor`] that reproduces it across splits.
 //! - [`parallel`] — the deterministic work-stealing fan-out harness.
-//! - [`shard`] — the two-level (sharded) control plane: shard-local
-//!   DOLBIE steps under a root coordinator over shard aggregates.
+//! - [`shard`] — the two-level (sharded) control plane's pieces: the
+//!   shard layout, the candidate election and [`RootEngine`], the one
+//!   round tail every engine and tier drives.
 //! - [`bandit`] — a bandit-feedback extension (value-only observations).
 //! - [`delayed`] — a delayed-feedback extension (observations apply `d`
 //!   rounds late).
@@ -109,7 +111,6 @@ pub use balancer::LoadBalancer;
 pub use bandit::BanditDolbie;
 pub use delayed::DelayedDolbie;
 pub use dolbie::{Dolbie, DolbieConfig, InitialAlpha};
-pub use engine::ChunkedDolbie;
 pub use environment::Environment;
 pub use error::{AllocationError, OracleError, SolverError};
 pub use kernel::{CostSlab, FusedDolbie, FusedRound, KernelVariant};
@@ -127,7 +128,7 @@ pub use runner::{
     run_episode, run_episode_streaming, run_episode_with_static_costs, run_replications,
     EpisodeOptions, EpisodeSummary, EpisodeTrace, RoundRecord,
 };
-pub use shard::{RootEngine, ShardLayout, ShardedDolbie, ShardedRound};
+pub use shard::{RootEngine, ShardLayout};
 
 #[cfg(test)]
 mod tests {

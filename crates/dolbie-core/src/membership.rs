@@ -45,7 +45,7 @@ use crate::step_size::feasibility_cap;
 /// `|Σx − 1|` at the few-ulp level per epoch.
 ///
 /// The function is a pure, order-insensitive map of `(shares, members)`,
-/// so every caller — sequential engine, chunked engine, and the three
+/// so every caller — the round engines, the net root, and the three
 /// protocol simulators — transitions to bitwise-identical state.
 ///
 /// # Panics

@@ -9,7 +9,6 @@
 
 use crate::allocation::Allocation;
 use crate::cost::{CostFunction, DynCost};
-use crate::parallel::{parallel_for_each, parallel_map};
 
 /// The maximum acceptable workload `x'` of eq. (4) for a single worker:
 /// the largest share at which `cost_fn` stays within `global_cost`,
@@ -106,74 +105,6 @@ impl<'a> Observation<'a> {
         for (i, &c) in local_costs.iter().enumerate() {
             if c > local_costs[straggler] {
                 straggler = i;
-            }
-        }
-        let global_cost = local_costs[straggler];
-        Self { round, shares, local_costs, cost_fns, straggler, global_cost }
-    }
-
-    /// As [`from_costs_in`](Self::from_costs_in), but evaluating the cost
-    /// functions in `chunk_size`-worker chunks on the work-stealing harness
-    /// and finding the straggler by an in-order combine of chunk-local
-    /// argmax partials.
-    ///
-    /// The result is bitwise-identical to the sequential constructors at
-    /// any chunk size and thread count: evaluations are pure per worker,
-    /// and the combine keeps the first (lowest-index) maximum with a strict
-    /// `>` exactly like the sequential scan. This is the observation-side
-    /// half of the large-N engine; pair it with
-    /// [`ChunkedDolbie`](crate::ChunkedDolbie).
-    ///
-    /// # Panics
-    ///
-    /// As [`from_costs`](Self::from_costs).
-    pub fn from_costs_chunked(
-        round: usize,
-        shares: &'a Allocation,
-        cost_fns: &'a [DynCost],
-        mut scratch: Vec<f64>,
-        chunk_size: usize,
-    ) -> Self {
-        assert_eq!(
-            cost_fns.len(),
-            shares.num_workers(),
-            "one cost function per worker is required"
-        );
-        assert!(!cost_fns.is_empty(), "at least one worker is required");
-        let n = cost_fns.len();
-        let c = chunk_size.max(1);
-        scratch.clear();
-        scratch.resize(n, 0.0);
-        let xs = shares.as_slice();
-        {
-            let payloads: Vec<(usize, &mut [f64])> =
-                scratch.chunks_mut(c).enumerate().map(|(k, ch)| (k * c, ch)).collect();
-            parallel_for_each(payloads, |(base, out)| {
-                for (off, slot) in out.iter_mut().enumerate() {
-                    let i = base + off;
-                    *slot = cost_fns[i].eval(xs[i]);
-                }
-            });
-        }
-        let local_costs = scratch;
-        // Chunk-local first-maximum partials, combined in chunk order with
-        // a strict `>`: exactly the sequential lowest-index-wins scan.
-        let chunks = n.div_ceil(c);
-        let partials = parallel_map(chunks, |k| {
-            let lo = k * c;
-            let hi = n.min(lo + c);
-            let mut best = lo;
-            for (off, &cost) in local_costs[lo..hi].iter().enumerate() {
-                if cost > local_costs[best] {
-                    best = lo + off;
-                }
-            }
-            best
-        });
-        let mut straggler = partials[0];
-        for &candidate in &partials[1..] {
-            if local_costs[candidate] > local_costs[straggler] {
-                straggler = candidate;
             }
         }
         let global_cost = local_costs[straggler];
@@ -365,41 +296,5 @@ mod tests {
         let x = Allocation::uniform(2);
         let fns = costs(&[1.0]);
         let _ = Observation::from_costs(0, &x, &fns);
-    }
-
-    #[test]
-    fn chunked_constructor_matches_sequential_bitwise() {
-        use crate::parallel::set_threads;
-        let n = 53;
-        // Tie-heavy: two interleaved slope classes force the argmax to
-        // resolve many exact ties to the lowest index.
-        let slopes: Vec<f64> = (0..n).map(|i| if i % 2 == 0 { 3.0 } else { 1.5 }).collect();
-        let fns = costs(&slopes);
-        let x = Allocation::uniform(n);
-        let reference = Observation::from_costs(4, &x, &fns);
-        for chunk in [1usize, 7, 64, n] {
-            for threads in [1usize, 4] {
-                set_threads(threads);
-                let got = Observation::from_costs_chunked(4, &x, &fns, Vec::new(), chunk);
-                set_threads(0);
-                assert_eq!(got.straggler(), reference.straggler(), "chunk {chunk}");
-                assert_eq!(got.global_cost().to_bits(), reference.global_cost().to_bits());
-                let ref_bits: Vec<u64> =
-                    reference.local_costs().iter().map(|v| v.to_bits()).collect();
-                let got_bits: Vec<u64> = got.local_costs().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got_bits, ref_bits, "chunk {chunk}, threads {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_constructor_recycles_scratch() {
-        let fns = costs(&[1.0, 2.0, 3.0]);
-        let x = Allocation::uniform(3);
-        let obs = Observation::from_costs_chunked(0, &x, &fns, vec![9.0; 64], 2);
-        assert_eq!(obs.num_workers(), 3);
-        assert_eq!(obs.straggler(), 2);
-        let buf = obs.into_local_costs();
-        assert_eq!(buf.len(), 3, "scratch is resized to the worker count");
     }
 }

@@ -1,10 +1,11 @@
 //! Deterministic work-stealing fan-out over independent tasks.
 //!
-//! This is the PR-1 experiment harness promoted into the core crate so
-//! that *intra-round* computation (the large-N episode engine in
-//! [`engine`](crate::engine)) can share one thread-count setting and one
-//! scheduling discipline with the *across-experiment* fan-out in
-//! `dolbie-bench`. Three properties make the parallelism safe:
+//! The experiment fan-out of `dolbie-bench` lives here, in the core
+//! crate, so that *intra-round* computation (the chunked sweeps of the
+//! large-N kernel [`FusedDolbie`](crate::kernel::FusedDolbie)) shares one
+//! thread-count setting and one scheduling discipline with the
+//! *across-experiment* fan-out. Three properties make the parallelism
+//! safe:
 //!
 //! - **Pure tasks.** Each task is a function of its index (or owned
 //!   payload) alone, so the execution schedule cannot leak into a result.
@@ -32,7 +33,7 @@ static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Probed once: `available_parallelism` re-reads cgroup quota files on
 /// every call on Linux, which is far too slow for the per-round
-/// [`threads`] checks in the chunked engine's hot path.
+/// [`threads`] checks in the chunked kernel's hot path.
 static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
 /// Pins the number of worker threads used by the fan-out functions in

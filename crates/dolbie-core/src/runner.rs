@@ -262,12 +262,6 @@ pub fn run_episode_streaming(
 /// allocations over 10^3 rounds. This is the large-N throughput driver
 /// used by the `large_n` bench suite.
 ///
-/// `chunk_size: Some(c)` builds each round's observation with
-/// [`Observation::from_costs_chunked`] (parallel cost evaluation and
-/// straggler argmax); `None` uses the sequential
-/// [`Observation::from_costs_in`]. Both produce bitwise-identical
-/// episodes.
-///
 /// # Panics
 ///
 /// Panics if the balancer and the cost slice disagree on the worker count.
@@ -275,7 +269,6 @@ pub fn run_episode_with_static_costs(
     balancer: &mut dyn LoadBalancer,
     cost_fns: &[DynCost],
     rounds: usize,
-    chunk_size: Option<usize>,
 ) -> EpisodeSummary {
     assert_eq!(
         balancer.allocation().num_workers(),
@@ -288,10 +281,7 @@ pub fn run_episode_with_static_costs(
     let mut final_global_cost = 0.0;
     for round in 0..rounds {
         played.copy_from(balancer.allocation());
-        let observation = match chunk_size {
-            Some(c) => Observation::from_costs_chunked(round, &played, cost_fns, scratch, c),
-            None => Observation::from_costs_in(round, &played, cost_fns, scratch),
-        };
+        let observation = Observation::from_costs_in(round, &played, cost_fns, scratch);
         total_cost += observation.global_cost();
         final_global_cost = observation.global_cost();
         balancer.observe(&observation);
@@ -443,15 +433,10 @@ mod tests {
         let mut env = StaticLinearEnvironment::from_slopes(slopes.to_vec());
         let streamed = run_episode_streaming(&mut d1, &mut env, EpisodeOptions::new(40));
         let mut d2 = Dolbie::new(3);
-        let via_slice = run_episode_with_static_costs(&mut d2, &costs, 40, None);
+        let via_slice = run_episode_with_static_costs(&mut d2, &costs, 40);
         assert_eq!(via_slice.total_cost, streamed.total_cost);
         assert_eq!(via_slice.final_global_cost, streamed.final_global_cost);
         assert_eq!(via_slice.rounds, 40);
-        // The chunked observation path walks the identical episode.
-        let mut d3 = crate::ChunkedDolbie::new(3).with_chunk_size(2);
-        let chunked = run_episode_with_static_costs(&mut d3, &costs, 40, Some(2));
-        assert_eq!(chunked.total_cost.to_bits(), via_slice.total_cost.to_bits());
-        assert_eq!(d2.allocation().as_slice(), d3.allocation().as_slice());
     }
 
     #[test]
@@ -460,6 +445,6 @@ mod tests {
         use crate::cost::LinearCost;
         let costs: Vec<DynCost> = vec![Box::new(LinearCost::new(1.0, 0.0))];
         let mut d = Dolbie::new(2);
-        let _ = run_episode_with_static_costs(&mut d, &costs, 1, None);
+        let _ = run_episode_with_static_costs(&mut d, &costs, 1);
     }
 }

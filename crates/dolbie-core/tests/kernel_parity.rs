@@ -217,8 +217,7 @@ fn fused_episode_aggregates_match_split_engine() {
     let rounds = 530; // Past 2 × TOTAL_REFRESH_INTERVAL.
     let costs = latency_fleet(n, 3);
     let mut split = Dolbie::new(n);
-    let summary =
-        dolbie_core::runner::run_episode_with_static_costs(&mut split, &costs, rounds, None);
+    let summary = dolbie_core::runner::run_episode_with_static_costs(&mut split, &costs, rounds);
     for variant in [KernelVariant::Fused, KernelVariant::Simd] {
         for chunk in [None, Some(64)] {
             let mut fused = FusedDolbie::from_costs(&costs).unwrap().with_variant(variant);

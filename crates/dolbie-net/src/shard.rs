@@ -77,7 +77,11 @@
 //!   [`ShardedConfig::min_live_shards`] quorum policy says the degraded
 //!   tree is no longer worth running, in which case the root shuts the
 //!   survivors down and returns a structured [`NetError`] naming the
-//!   dead shards. Never a hang, never a panic.
+//!   dead shards. Never a hang, never a panic. A shard-master that
+//!   reports something no honest one could — a non-finite cost, a
+//!   candidate outside its range or not a member, a share outside
+//!   `[0, 1]`, or a cursor with non-finite fields or a full in-progress
+//!   block — is buried the same way.
 //!
 //! The bitwise boundary survives both: an aborted attempt unwinds the
 //! root engine ([`RootEngine::abort_round`]) so it leaves no trace in
@@ -104,7 +108,7 @@ use crate::transport::{
 use crate::wire::{CursorPhase, Frame, SHARD_SLICE_CHUNK};
 use crate::worker::{run_worker_as, WorkerOptions, WorkerReport};
 use crate::NetError;
-use dolbie_core::numeric::{CursorState, SumCursor};
+use dolbie_core::numeric::{CursorState, SumCursor, SUM_BLOCK};
 use dolbie_core::shard::{combine_candidates, RootEngine, ShardCandidate, ShardLayout};
 use dolbie_core::{Allocation, DolbieConfig};
 use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
@@ -384,6 +388,17 @@ fn cursor_state(
     CursorState { stack, partial_sum, partial_compensation, partial_len }
 }
 
+/// Whether a cursor state a shard-master returned is one the fixed-shape
+/// sum can produce: finite fields and an in-progress block shorter than
+/// [`SUM_BLOCK`]. A shard-master that returns anything else is buried
+/// like a dead one.
+fn cursor_is_sound(state: &CursorState) -> bool {
+    state.partial_sum.is_finite()
+        && state.partial_compensation.is_finite()
+        && (state.partial_len as usize) < SUM_BLOCK
+        && state.stack.iter().all(|&(_, value)| value.is_finite())
+}
+
 /// How a backbone interaction failed: a dead link (I/O error, reset, or
 /// an expired deadline — the bounded crash-detection window) versus an
 /// unrecoverable protocol violation.
@@ -471,6 +486,19 @@ impl Root<'_> {
         self.layout.range(k).any(|i| self.members[i])
     }
 
+    /// Whether shard `k`'s straggler candidate is one an honest
+    /// shard-master could report: a finite cost (the `CostFunction`
+    /// contract promises finite costs, not non-negative ones), a worker
+    /// inside the shard's range that is a current member, and a share in
+    /// `[0, 1]`. A shard-master that reports anything else is buried like
+    /// a dead one.
+    fn candidate_is_sound(&self, k: usize, candidate: &ShardCandidate) -> bool {
+        candidate.cost.is_finite()
+            && self.layout.range(k).contains(&candidate.worker)
+            && self.members[candidate.worker]
+            && (0.0..=1.0).contains(&candidate.share)
+    }
+
     /// The deadline on a shard reply: [`ADMISSION_WAIT`] until round 0
     /// commits, [`root_deadline`] after.
     fn deadline(&self) -> Duration {
@@ -527,6 +555,9 @@ impl Root<'_> {
                     stack,
                 }) if round == t as u64 && p == phase => {
                     state = cursor_state(partial_sum, partial_compensation, partial_len, stack);
+                    if !cursor_is_sound(&state) {
+                        return Ok(ChainOutcome::Broken(Pending::shard(k)));
+                    }
                     *logical += 1;
                 }
                 Ok(Frame::ShardDead { workers, .. }) => {
@@ -578,8 +609,12 @@ impl Root<'_> {
                 Ok(Frame::ShardAggregate { round, max_cost, straggler, share })
                     if round == t as u64 =>
                 {
-                    candidates[k] =
-                        Some(ShardCandidate { cost: max_cost, worker: straggler as usize, share });
+                    let candidate =
+                        ShardCandidate { cost: max_cost, worker: straggler as usize, share };
+                    if !self.candidate_is_sound(k, &candidate) {
+                        return Ok(Attempt::Aborted(Pending::shard(k)));
+                    }
+                    candidates[k] = Some(candidate);
                     logical += 1;
                 }
                 Ok(Frame::ShardDead { round, workers }) if round == t as u64 => {

@@ -2,10 +2,10 @@
 //! killed mid-run (pre- and post-commit, `M ∈ {1, 2}`), workers stalled
 //! with their sockets open, a shard-master killed mid-run (pre- and
 //! post-commit), a quorum loss, rogue peers at admission, and a worker
-//! reporting impossible values (buried like a crashed one) — each over
-//! real loopback TCP, each bounded in wall clock (never a hang), and
-//! each with the surviving trajectory **bitwise identical** to a
-//! sequential twin replaying the recorded membership schedule.
+//! or a shard-master reporting impossible values (buried like a crashed
+//! one) — each over real loopback TCP, each bounded in wall clock (never
+//! a hang), and each with the surviving trajectory **bitwise identical**
+//! to a sequential twin replaying the recorded membership schedule.
 //!
 //! The twin recipe is the contract the root's epoch records promise:
 //! before observing round `t`, apply every recorded `RootEpoch` with
@@ -15,6 +15,7 @@
 //! after the last observation.
 
 use dolbie_core::cost::DynCost;
+use dolbie_core::numeric::SUM_BLOCK;
 use dolbie_core::observation::max_acceptable_share;
 use dolbie_core::ShardLayout;
 use dolbie_core::{Allocation, Dolbie, DolbieConfig, LoadBalancer, Observation};
@@ -664,5 +665,161 @@ fn a_worker_reporting_impossible_values_is_buried_like_a_crash() {
                 ROUNDS,
             );
         }
+    }
+}
+
+/// The one lie a [`lying_shard_master`] tells, all in round 0.
+#[derive(Clone, Copy, Debug)]
+enum ShardLie {
+    /// An aggregate with a NaN cost.
+    NanCost,
+    /// An aggregate naming worker 0, which another shard owns.
+    ForeignCandidate,
+    /// An aggregate with a share of 1.5.
+    ShareAboveOne,
+    /// A gains cursor returned with a full in-progress block.
+    FullCursorBlock,
+    /// A gains cursor returned with a NaN partial sum.
+    NanCursor,
+}
+
+/// A hand-rolled shard-master for the last shard of an `M = 2` tree,
+/// with no workers behind it: it handshakes with the root, tells `lie`
+/// in round 0, then waits for one more frame. Returns that frame — an
+/// honest root sends none, because the lie buries the link — and hangs
+/// up either way, so a root that misses the lie still finishes.
+fn lying_shard_master(root: SocketAddr, lie: ShardLie) -> Option<Frame> {
+    let patience = Duration::from_secs(30);
+    let stream = connect_with_backoff(root, 10, Duration::from_millis(10), 77).unwrap();
+    let mut conn = FrameConn::new(stream).unwrap();
+    conn.send(&Frame::ShardHello { shard: 1, num_shards: 2 }).unwrap();
+    let Frame::ShardWelcome { range_start, num_workers, .. } = conn.recv(patience).unwrap() else {
+        panic!("expected ShardWelcome");
+    };
+    let (own, share) = (u64::from(range_start), 1.0 / f64::from(num_workers));
+    let aggregate =
+        |max_cost, straggler, share| Frame::ShardAggregate { round: 0, max_cost, straggler, share };
+    let sent = match lie {
+        ShardLie::NanCost => aggregate(f64::NAN, own, share),
+        ShardLie::ForeignCandidate => aggregate(1.0, 0, share),
+        ShardLie::ShareAboveOne => aggregate(1.0, own, 1.5),
+        // An honest aggregate that loses the election: the lie comes
+        // with the cursor.
+        ShardLie::FullCursorBlock | ShardLie::NanCursor => aggregate(0.0, own, share),
+    };
+    conn.send(&sent).unwrap();
+    if matches!(lie, ShardLie::FullCursorBlock | ShardLie::NanCursor) {
+        let Frame::ShardCoord { .. } = conn.recv(patience).unwrap() else {
+            panic!("expected ShardCoord");
+        };
+        let Frame::ShardCursor {
+            round,
+            phase,
+            partial_sum,
+            partial_compensation,
+            partial_len,
+            stack,
+        } = conn.recv(patience).unwrap()
+        else {
+            panic!("expected the gains cursor");
+        };
+        let (partial_sum, partial_len) = match lie {
+            ShardLie::FullCursorBlock => (partial_sum, SUM_BLOCK as u32),
+            _ => (f64::NAN, partial_len),
+        };
+        conn.send(&Frame::ShardCursor {
+            round,
+            phase,
+            partial_sum,
+            partial_compensation,
+            partial_len,
+            stack,
+        })
+        .unwrap();
+    }
+    conn.recv(patience).ok()
+}
+
+/// A shard-master that reports an impossible aggregate — a NaN cost, a
+/// candidate outside its range, a share of 1.5 — or returns an
+/// impossible gains cursor is handled as crashed: at `M = 2` the liar is
+/// buried as one mass epoch at round 0, the root sends it nothing
+/// more, and the surviving shard's run matches the membership twin
+/// bitwise.
+#[test]
+fn a_shard_master_reporting_impossible_values_is_buried_like_a_crash() {
+    const N: usize = 8;
+    const ROUNDS: usize = 12;
+    let frame_timeout = Duration::from_millis(500);
+    let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x5A1E };
+    let layout = ShardLayout::even(N, 2);
+    for lie in [
+        ShardLie::NanCost,
+        ShardLie::ForeignCandidate,
+        ShardLie::ShareAboveOne,
+        ShardLie::FullCursorBlock,
+        ShardLie::NanCursor,
+    ] {
+        let mut cfg = ShardedConfig::new(N, 2, ROUNDS, env);
+        cfg.frame_timeout = frame_timeout;
+        let backbone = TcpListener::bind("127.0.0.1:0").unwrap();
+        let root_addr = backbone.local_addr().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let worker_addr = listener.local_addr().unwrap();
+        let liar = std::thread::spawn(move || lying_shard_master(root_addr, lie));
+        let workers: Vec<JoinHandle<()>> = layout
+            .range(0)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let stream =
+                        connect_with_backoff(worker_addr, 10, Duration::from_millis(10), i as u64)
+                            .unwrap();
+                    run_worker(stream, &WorkerOptions::default()).unwrap();
+                })
+            })
+            .collect();
+        let started = Instant::now();
+        let (root, shard) = std::thread::scope(|scope| {
+            let honest = scope.spawn(|| {
+                let opts = ShardMasterOptions {
+                    shard: 0,
+                    num_shards: 2,
+                    frame_timeout,
+                    backbone_fault: FaultPlan::none(),
+                    die_after_round: None,
+                    die_mid_round: false,
+                };
+                run_shard_master(TcpStream::connect(root_addr).unwrap(), &listener, &opts)
+            });
+            let root = run_root(&backbone, &cfg).unwrap_or_else(|e| panic!("{lie:?}: {e}"));
+            (root, honest.join().unwrap().expect("the honest shard-master finishes"))
+        });
+        assert!(started.elapsed() < WALL_BOUND, "{lie:?}: the run stalled past the hang bound");
+        for handle in workers {
+            handle.join().unwrap();
+        }
+        let after = liar.join().unwrap();
+        assert!(after.is_none(), "{lie:?}: the root kept talking to the liar: {after:?}");
+
+        assert_eq!(root.rounds.len(), ROUNDS, "{lie:?}: horizon");
+        assert_eq!(root.dead_shards, [1], "{lie:?}: exactly the liar is buried");
+        assert_eq!(root.epochs.len(), 1, "{lie:?}: one lie, one mass epoch");
+        let epoch = &root.epochs[0];
+        assert_eq!(epoch.round, 0, "{lie:?}: the lie's round is replayed");
+        for i in 0..N {
+            assert_eq!(epoch.members[i], layout.range(0).contains(&i), "{lie:?}: worker {i}");
+        }
+        // The liar never committed a round: its range is the exact 0.0
+        // the renormalization assigns a buried range.
+        assert_eq!(shard.rounds.len(), ROUNDS, "{lie:?}: the survivor commits every round");
+        let buried = vec![0.0; layout.range(1).len()];
+        let stitched: Vec<Vec<f64>> = shard
+            .rounds
+            .iter()
+            .map(|r| &r.shares)
+            .chain([&shard.final_shares])
+            .map(|own| [own.as_slice(), &buried].concat())
+            .collect();
+        assert_stitched_twin(&stitched, &root.epochs, env, N, ROUNDS);
     }
 }

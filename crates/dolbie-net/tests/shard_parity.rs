@@ -1,8 +1,9 @@
 //! The TCP coordinator's acceptance tests: over loopback TCP the
 //! root → shard-masters → workers trajectory is bitwise identical to the
 //! flat sequential engine for 500 rounds at M ∈ {1, 2, 4} × N ∈ {16, 64},
-//! lossless and seeded-lossy; the `M = 1` tree (the flat master-worker
-//! deployment) agrees with the simulated master-worker protocol; the
+//! lossless and seeded-lossy, and at the uneven, tie-heavy (N, M) =
+//! (97, 7); the `M = 1` tree (the flat master-worker deployment) agrees
+//! with the simulated master-worker protocol; the
 //! feasibility guard's rescale path (`ShardRescale` to the shards,
 //! `Adjust` to the workers) stays bitwise when an α floor forces it; the
 //! root tier's per-round message count is a pure function of M — it
@@ -126,10 +127,17 @@ fn assert_matches_simnet_master_worker(run: &ShardedLoopbackRun, env: WireEnvSpe
 /// 500-round bitwise parity with the flat sequential engine, O(M) root
 /// messaging, and every worker finishing on its engine share; at
 /// `M = 1`, agreement with the simulated master-worker protocol.
+///
+/// One more case runs (N, M) = (97, 7) on the static ramp: uneven ranges
+/// of 14 and 13 workers, and seven slopes repeating every seven workers,
+/// so every shard holds workers tied for the maximum cost and the
+/// election must keep resolving ties to the lowest global index across
+/// shard boundaries.
 #[test]
 fn sharded_loopback_is_bitwise_identical_to_sequential_for_500_rounds() {
-    for (n, m) in MATRIX {
-        let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0xD01B_1E05 + n as u64 };
+    let chaos = MATRIX.map(|(n, m)| (n, m, EnvKind::ChaosMix));
+    for (n, m, kind) in chaos.into_iter().chain([(97, 7, EnvKind::StaticRamp)]) {
+        let env = WireEnvSpec { kind, seed: 0xD01B_1E05 + n as u64 };
         let cfg = ShardedConfig::new(n, m, ROUNDS, env);
         let run = run_sharded_loopback(&cfg).expect("lossless sharded run");
         assert_eq!(run.root.rounds.len(), ROUNDS);

@@ -26,11 +26,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "== tier-1: release build =="
 cargo build --release --workspace
 
+echo "== tier-1: criterion benches build (a type they name must still exist) =="
+cargo build --release --workspace --benches
+
 echo "== tier-1: workspace tests =="
 cargo test --workspace -q
 
-echo "== tier-1: perfbench tests (the benchmark builds against the current dolbie-net API) =="
-cargo test --offline --release --manifest-path perfbench/Cargo.toml
+echo "== tier-1: perfbench tests (the benchmark builds against the current dolbie-net API; --locked fails a change that would rewrite perfbench/Cargo.lock) =="
+cargo test --offline --locked --release --manifest-path perfbench/Cargo.toml
 
 echo "== tier-1: paper_figures smoke (quick fig3 fig4 regret, --bench) =="
 cargo run --release -p dolbie-bench --bin paper_figures -- --quick --bench fig3 fig4 regret
