@@ -6,7 +6,7 @@
 //!
 //! - `split` — the sequential multi-pass `Dolbie` engine (the baseline
 //!   and the bitwise reference for every other row),
-//! - `fused` — the fused two-sweep kernel (`FusedDolbie`),
+//! - `fused` — the fused one-sweep kernel (`FusedDolbie`),
 //! - `simd`  — the fused kernel with explicit four-wide lanes.
 //!
 //! Every fused/SIMD row asserts its episode aggregate, final shares and
@@ -20,6 +20,19 @@
 //! instead, never clobbering the recorded baseline. With `gate` set, the
 //! quick run additionally enforces a throughput floor against the
 //! recorded baseline (a >20% per-core regression fails tier-1).
+//!
+//! The host's speed drifts (a shared virtual machine's vCPU by up to
+//! ≈1.7×), so every cell also times a fixed CPU reference block (the
+//! block of perfbench's `speed.rs`) before and after its runs and records
+//! the median block time. The gate scales throughput by the host's speed:
+//! the median of the sweep's per-cell reference times over the median of
+//! the baseline's. A sweep measured while the host runs slow is credited
+//! for it, and a slower program still fails. One cell's reference time
+//! alone is too noisy to scale that cell by: within one sweep it swings
+//! by ±25% while the kernels' rates do not follow it. Each cell is timed
+//! five times on a fresh engine and records its fastest run: preemption
+//! only ever slows a run, and a cell whose rate flips between two modes
+//! from run to run records its fast mode whenever one run hits it.
 
 use crate::common::{emit_csv, workspace_root};
 use dolbie_core::cost::{DynCost, LatencyCost};
@@ -32,6 +45,19 @@ use std::time::Instant;
 /// Fraction of the recorded per-core baseline a gated quick run must
 /// reach: a >20% regression fails tier-1.
 const GATE_FLOOR: f64 = 0.8;
+
+/// Loop trips of one CPU reference block (≈0.1 ms on the recorded host).
+const BLOCK_TRIPS: u64 = 20_000;
+
+/// Reference blocks timed before, and again after, every measured run.
+const BLOCKS_PER_SIDE: usize = 16;
+
+/// Reference blocks run, untimed, before the first cell (≈0.1 s): the
+/// first tens of milliseconds of a process run slow.
+const WARMUP_BLOCKS: usize = 1_000;
+
+/// Runs timed per cell; the cell records the fastest one.
+const REPEATS: usize = 5;
 
 /// Which round engine one row measures: the split reference or a
 /// [`FusedDolbie`] variant.
@@ -96,6 +122,9 @@ struct KernelRow {
     /// 4096): the effective alignment the blocked sweeps actually got.
     alignment: usize,
     seconds: f64,
+    /// Median milliseconds of the reference blocks ([`reference_block`])
+    /// timed around the cell's runs: the host's speed while the cell ran.
+    reference_ms: f64,
     peak_rss_bytes: u64,
     bitwise_match: bool,
 }
@@ -108,6 +137,76 @@ impl KernelRow {
     fn worker_rounds_per_sec(&self) -> f64 {
         self.worker_rounds() / self.seconds.max(1e-9)
     }
+}
+
+/// One block of fixed CPU reference work: integer hashing,
+/// data-dependent branches, float division, stores into an L1-sized table
+/// and small heap allocations. The block of perfbench's `speed.rs`.
+fn reference_block() {
+    let mut table = [0u64; 1024];
+    let mut z = std::hint::black_box(0u64);
+    let mut acc = 1.0f64;
+    let mut held: Vec<Vec<u64>> = Vec::with_capacity(16);
+    for trip in 0..BLOCK_TRIPS {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut h = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        let slot = (h as usize) & (table.len() - 1);
+        if h & 3 == 0 {
+            acc = acc / (1.0 + (h >> 40) as f64 * 1e-9) + 1.0;
+        } else {
+            table[slot] = table[slot].wrapping_add(h ^ trip);
+        }
+        if trip % 64 == 0 {
+            let v: Vec<u64> = table[slot..].iter().take(8 + (h & 7) as usize).copied().collect();
+            if held.len() == held.capacity() {
+                held.clear();
+            }
+            held.push(v);
+        }
+    }
+    let kept = held.iter().flatten().fold(0, |a, b| a ^ b);
+    std::hint::black_box(table.iter().fold(kept ^ acc.to_bits(), |a, &b| a.wrapping_add(b)));
+}
+
+/// Times [`BLOCKS_PER_SIDE`] reference blocks back to back and appends
+/// their wall-clock milliseconds to `blocks`. Wall time, not thread CPU
+/// time (which needs an `unsafe` clock call this crate forbids): the
+/// median over a cell's blocks drops the few a preemption stretched.
+fn time_reference(blocks: &mut Vec<f64>) {
+    for _ in 0..BLOCKS_PER_SIDE {
+        let at = Instant::now();
+        reference_block();
+        blocks.push(at.elapsed().as_secs_f64() * 1e3);
+    }
+}
+
+/// The median of `values` (which must be non-empty).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// Times one cell [`REPEATS`] times, each run of `play` on a fresh
+/// `setup()` between two stretches of reference blocks. Returns the last
+/// run's engine and result, the wall-clock seconds of the fastest run and
+/// the median of every reference block the cell timed.
+fn timed_cell<E, T>(setup: impl Fn() -> E, play: impl Fn(&mut E) -> T) -> (E, T, f64, f64) {
+    let mut fastest = f64::INFINITY;
+    let mut blocks = Vec::with_capacity(2 * REPEATS * BLOCKS_PER_SIDE);
+    let mut last = None;
+    for _ in 0..REPEATS {
+        drop(last.take()); // one engine alive at a time, for the peak-RSS column
+        let mut engine = setup();
+        time_reference(&mut blocks);
+        let start = Instant::now();
+        let out = play(&mut engine);
+        fastest = fastest.min(start.elapsed().as_secs_f64());
+        time_reference(&mut blocks);
+        last = Some((engine, out));
+    }
+    let (engine, out) = last.expect("REPEATS > 0");
+    (engine, out, fastest, median(blocks))
 }
 
 /// splitmix64: the same seeded generator used across the bench suite for
@@ -177,10 +276,8 @@ fn measure(n: usize, rounds: usize, seed: u64, kernels: &[RowKernel]) -> Vec<Ker
     let costs = latency_fleet(n, seed);
 
     // The split engine always runs: it is the parity oracle.
-    let mut sequential = Dolbie::new(n);
-    let start = Instant::now();
-    let seq_summary = run_episode_with_static_costs(&mut sequential, &costs, rounds);
-    let sequential_seconds = start.elapsed().as_secs_f64();
+    let (sequential, seq_summary, sequential_seconds, sequential_reference_ms) =
+        timed_cell(|| Dolbie::new(n), |d| run_episode_with_static_costs(d, &costs, rounds));
 
     let mut rows = Vec::with_capacity(kernels.len());
     for &kernel in kernels {
@@ -191,16 +288,19 @@ fn measure(n: usize, rounds: usize, seed: u64, kernels: &[RowKernel]) -> Vec<Ker
                 kernel,
                 alignment: buffer_alignment(sequential.allocation().as_slice().as_ptr()),
                 seconds: sequential_seconds,
+                reference_ms: sequential_reference_ms,
                 peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
                 bitwise_match: true, // the reference itself
             },
             RowKernel::Fused(variant) => {
-                let mut fused = FusedDolbie::from_costs(&costs)
-                    .expect("the latency fleet has a slab layout")
-                    .with_variant(variant);
-                let start = Instant::now();
-                let summary = fused.run(rounds);
-                let seconds = start.elapsed().as_secs_f64();
+                let (fused, summary, seconds, reference_ms) = timed_cell(
+                    || {
+                        FusedDolbie::from_costs(&costs)
+                            .expect("the latency fleet has a slab layout")
+                            .with_variant(variant)
+                    },
+                    |d| d.run(rounds),
+                );
                 let bitwise_match = summary.total_cost.to_bits()
                     == seq_summary.total_cost.to_bits()
                     && summary.final_global_cost.to_bits()
@@ -221,6 +321,7 @@ fn measure(n: usize, rounds: usize, seed: u64, kernels: &[RowKernel]) -> Vec<Ker
                     kernel,
                     alignment: buffer_alignment(fused.allocation().as_slice().as_ptr()),
                     seconds,
+                    reference_ms,
                     peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
                     bitwise_match,
                 }
@@ -249,14 +350,15 @@ fn write_bench_json(rows: &[KernelRow], quick: bool) {
     for (i, row) in rows.iter().enumerate() {
         body.push_str(&format!(
             "    {{\"n\": {}, \"rounds\": {}, \"kernel\": \"{}\", \"alignment\": {}, \
-             \"seconds\": {:.3}, \"worker_rounds_per_sec\": {:.3e}, \"peak_rss_mb\": {:.1}, \
-             \"bitwise_match\": {}}}{}\n",
+             \"seconds\": {:.3}, \"worker_rounds_per_sec\": {:.3e}, \"reference_ms\": {:.4}, \
+             \"peak_rss_mb\": {:.1}, \"bitwise_match\": {}}}{}\n",
             row.n,
             row.rounds,
             row.kernel.name(),
             row.alignment,
             row.seconds,
             row.worker_rounds_per_sec(),
+            row.reference_ms,
             row.peak_rss_bytes as f64 / (1024.0 * 1024.0),
             row.bitwise_match,
             if i + 1 < rows.len() { "," } else { "" },
@@ -280,6 +382,7 @@ struct BaselineRow {
     n: usize,
     kernel: String,
     worker_rounds_per_sec: f64,
+    reference_ms: f64,
 }
 
 /// Extracts the quoted/numeric value following `"key":` in a JSON row
@@ -294,8 +397,9 @@ fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 }
 
 /// Parses the per-(n, kernel) rows of a `BENCH_large_n.json`. Rows
-/// without a `"kernel"` field (the pre-fusion schema) are skipped, which
-/// downstream treats as "no baseline recorded".
+/// without a `"kernel"` field (the pre-fusion schema) or a
+/// `"reference_ms"` field (recorded before the gate scaled by host speed)
+/// are skipped, which downstream treats as "no baseline recorded".
 fn parse_baseline_rows(text: &str) -> Vec<BaselineRow> {
     text.lines()
         .filter(|l| l.contains("\"kernel\""))
@@ -304,6 +408,7 @@ fn parse_baseline_rows(text: &str) -> Vec<BaselineRow> {
                 n: json_field(l, "n")?.parse().ok()?,
                 kernel: json_field(l, "kernel")?.to_string(),
                 worker_rounds_per_sec: json_field(l, "worker_rounds_per_sec")?.parse().ok()?,
+                reference_ms: json_field(l, "reference_ms")?.parse().ok()?,
             })
         })
         .collect()
@@ -311,7 +416,9 @@ fn parse_baseline_rows(text: &str) -> Vec<BaselineRow> {
 
 /// The tier-1 throughput-floor gate: every measured (n, kernel) cell with
 /// a matching row in the recorded `BENCH_large_n.json` must reach at
-/// least [`GATE_FLOOR`] of the recorded per-core worker-rounds/second.
+/// least [`GATE_FLOOR`] of the recorded per-core worker-rounds/second,
+/// after scaling by host speed: the measured rate times the sweep's
+/// median reference-block time over the baseline's ([`reference_ratio`]).
 ///
 /// The gate warn-skips (never fails) when the measurement would be
 /// meaningless: non-release builds, machines with < 2 GB of RAM, or a
@@ -338,9 +445,16 @@ fn enforce_throughput_floor(rows: &[KernelRow]) {
     };
     let baselines = parse_baseline_rows(&text);
     if baselines.is_empty() {
-        eprintln!("  [gate] skipped: {} has no per-kernel rows (old schema?)", path.display());
+        eprintln!(
+            "  [gate] skipped: {} has no per-kernel rows with a reference time (old schema?)",
+            path.display()
+        );
         return;
     }
+    let ratio = reference_ratio(
+        rows.iter().map(|r| r.reference_ms),
+        baselines.iter().map(|b| b.reference_ms),
+    );
     let mut checked = 0;
     let mut violations = Vec::new();
     for row in rows {
@@ -352,12 +466,15 @@ fn enforce_throughput_floor(rows: &[KernelRow]) {
         checked += 1;
         let floor = GATE_FLOOR * baseline.worker_rounds_per_sec;
         let got = row.worker_rounds_per_sec();
-        if got < floor {
+        let scaled = got * ratio;
+        if scaled < floor {
             violations.push(format!(
-                "N = {}, kernel {}: {:.3e} wr/s < {:.0}% of the recorded {:.3e}",
+                "N = {}, kernel {}: {:.3e} wr/s ({:.3e} at the baseline's host speed) < {:.0}% \
+                 of the recorded {:.3e}",
                 row.n,
                 row.kernel.name(),
                 got,
+                scaled,
                 GATE_FLOOR * 100.0,
                 baseline.worker_rounds_per_sec
             ));
@@ -367,9 +484,11 @@ fn enforce_throughput_floor(rows: &[KernelRow]) {
         eprintln!("  [gate] skipped: no measured cell matches a recorded (n, kernel) baseline");
         return;
     }
+    println!("  [gate] median reference time {ratio:.3}× the baseline's");
     if violations.is_empty() {
         println!(
-            "  [gate] OK: {checked} cell(s) within {:.0}% of the recorded baseline",
+            "  [gate] OK: {checked} cell(s) within {:.0}% of the recorded baseline, scaled by \
+             host speed",
             GATE_FLOOR * 100.0
         );
     } else {
@@ -379,6 +498,17 @@ fn enforce_throughput_floor(rows: &[KernelRow]) {
         eprintln!("  [gate] throughput regressed more than 20% below BENCH_large_n.json");
         std::process::exit(1);
     }
+}
+
+/// The median reference-block time of the measured cells over the median
+/// of the recorded rows: above 1 when the host runs slower now than when
+/// the baseline was recorded. A measured rate times this ratio is the
+/// rate at the baseline's host speed.
+fn reference_ratio(
+    measured_ms: impl Iterator<Item = f64>,
+    recorded_ms: impl Iterator<Item = f64>,
+) -> f64 {
+    median(measured_ms.collect()) / median(recorded_ms.collect())
 }
 
 /// Runs the large-N scaling sweep with the default options (all kernels,
@@ -412,10 +542,12 @@ pub fn large_n_with(options: &LargeNOptions) {
         "alignment",
         "seconds",
         "worker_rounds_per_sec",
+        "reference_ms",
         "peak_rss_mb",
         "bitwise_match",
     ]);
     println!("  N        rounds   kernel  align  seconds    wr/s         peak RSS");
+    (0..WARMUP_BLOCKS).for_each(|_| reference_block());
     let mut rows = Vec::new();
     for &(n, rounds) in sweep {
         for row in measure(n, rounds, 0x1a6e, &options.kernels) {
@@ -436,6 +568,7 @@ pub fn large_n_with(options: &LargeNOptions) {
                 row.alignment.to_string(),
                 format!("{:.3}", row.seconds),
                 format!("{:.3e}", row.worker_rounds_per_sec()),
+                format!("{:.4}", row.reference_ms),
                 format!("{:.1}", row.peak_rss_bytes as f64 / (1024.0 * 1024.0)),
                 row.bitwise_match.to_string(),
             ]);
@@ -486,6 +619,7 @@ mod tests {
             assert_eq!(row.rounds, 20);
             assert!(row.bitwise_match, "{} kernel", row.kernel.name());
             assert!(row.seconds >= 0.0);
+            assert!(row.reference_ms > 0.0, "every cell times the reference");
             assert!(row.alignment >= 8, "f64 buffers are at least 8-byte aligned");
         }
     }
@@ -516,18 +650,28 @@ mod tests {
     }
 
     #[test]
+    fn reference_ratio_follows_the_sweep_not_one_cell() {
+        let recorded = [0.08, 0.08, 0.11, 0.08, 0.08];
+        let measured = [0.12, 0.12, 0.08, 0.12];
+        let ratio = reference_ratio(measured.into_iter(), recorded.into_iter());
+        assert_eq!(ratio, 0.12 / 0.08, "one outlying cell on either side moves nothing");
+    }
+
+    #[test]
     fn baseline_parser_reads_per_kernel_rows_and_skips_old_schema() {
         let new_schema = r#"{
   "rows": [
-    {"n": 1000, "rounds": 10000, "kernel": "split", "alignment": 64, "seconds": 0.1, "worker_rounds_per_sec": 1.0e8, "peak_rss_mb": 10.0, "bitwise_match": true},
-    {"n": 1000000, "rounds": 1000, "kernel": "simd", "alignment": 4096, "seconds": 5.0, "worker_rounds_per_sec": 2.0e8, "peak_rss_mb": 100.0, "bitwise_match": true}
+    {"n": 1000, "rounds": 10000, "kernel": "split", "alignment": 64, "seconds": 0.1, "worker_rounds_per_sec": 1.0e8, "reference_ms": 0.0875, "peak_rss_mb": 10.0, "bitwise_match": true},
+    {"n": 1000000, "rounds": 1000, "kernel": "simd", "alignment": 4096, "seconds": 5.0, "worker_rounds_per_sec": 2.0e8, "reference_ms": 0.1, "peak_rss_mb": 100.0, "bitwise_match": true},
+    {"n": 1000000, "rounds": 1000, "kernel": "fused", "alignment": 4096, "seconds": 5.0, "worker_rounds_per_sec": 2.0e8, "peak_rss_mb": 100.0, "bitwise_match": true}
   ]
 }"#;
         let rows = parse_baseline_rows(new_schema);
-        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.len(), 2, "a row without a reference time is no baseline");
         assert_eq!(rows[0].n, 1000);
         assert_eq!(rows[0].kernel, "split");
         assert!((rows[0].worker_rounds_per_sec - 1.0e8).abs() < 1.0);
+        assert_eq!(rows[0].reference_ms, 0.0875);
         assert_eq!(rows[1].kernel, "simd");
 
         let old_schema = r#"{

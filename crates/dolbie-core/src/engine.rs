@@ -11,11 +11,11 @@
 //!
 //! # Determinism across chunk sizes and thread counts
 //!
-//! `FusedDolbie::with_chunk_size` runs the linear passes in fixed-size
-//! worker chunks on the work-stealing harness, through the chunked
-//! helpers below (the gain rescale, the gain application and the
-//! fixed-shape sum). They are *bitwise* identical to the sequential loops,
-//! at any chunk size and any thread count, by construction:
+//! `FusedDolbie::with_chunk_size` runs its sweeps in fixed-size worker
+//! chunks on the work-stealing harness, and the Σx refresh through the
+//! chunked fixed-shape sum below. They are *bitwise* identical to the
+//! sequential loops, at any chunk size and any thread count, by
+//! construction:
 //!
 //! - Per-worker quantities (gains, share increments) are pure functions of
 //!   the worker's own state, so it cannot matter which thread computes
@@ -45,7 +45,6 @@ use crate::allocation::Allocation;
 use crate::dolbie::DolbieConfig;
 use crate::numeric::{pairwise_neumaier_sum, pairwise_neumaier_sum_parallel};
 use crate::observation::{max_acceptable_share, Observation};
-use crate::parallel::parallel_for_each;
 use crate::shard::RootEngine;
 
 /// Rounds between full re-derivations of the running compensated total
@@ -64,32 +63,6 @@ pub(crate) fn sum_fixed(values: &[f64], chunk: Option<usize>) -> f64 {
     }
 }
 
-/// `gains *= scale`, the guard's rescale, in `chunk`-worker tasks when
-/// chunked.
-pub(crate) fn scale_gains(gains: &mut [f64], scale: f64, chunk: Option<usize>) {
-    match chunk {
-        None => gains.iter_mut().for_each(|g| *g *= scale),
-        Some(c) => parallel_for_each(gains.chunks_mut(c).collect(), |gc: &mut [f64]| {
-            gc.iter_mut().for_each(|g| *g *= scale)
-        }),
-    }
-}
-
-/// `xs += gains`, the eq. (5) application (Pass B), in `chunk`-worker
-/// tasks when chunked.
-pub(crate) fn apply_gains(xs: &mut [f64], gains: &[f64], chunk: Option<usize>) {
-    match chunk {
-        None => xs.iter_mut().zip(gains).for_each(|(x, g)| *x += *g),
-        Some(c) => {
-            let payloads: Vec<(&mut [f64], &[f64])> =
-                xs.chunks_mut(c).zip(gains.chunks(c)).collect();
-            parallel_for_each(payloads, |(xc, gc)| {
-                xc.iter_mut().zip(gc).for_each(|(x, g)| *x += *g)
-            });
-        }
-    }
-}
-
 /// The shared structure-of-arrays round state: the per-worker slices,
 /// plus the M = 1 [`RootEngine`] that owns every order-sensitive scalar
 /// (step size, running Σx total, counters, member count).
@@ -101,6 +74,9 @@ pub(crate) fn apply_gains(xs: &mut [f64], gains: &[f64], chunk: Option<usize>) {
 pub(crate) struct SoaEngine {
     pub(crate) x: Allocation,
     /// Per-worker eq. (5) gains, reused across rounds (`gains[s] = 0`).
+    /// Sized by the first [`observe_round`](Self::observe_round), their
+    /// only user: the fused kernel keeps each group's gains in an L1
+    /// scratch and never allocates them.
     pub(crate) gains: Vec<f64>,
     /// The round tail: guard, pin, Σx refresh, eq. (7) tighten.
     pub(crate) root: RootEngine,
@@ -116,7 +92,7 @@ impl SoaEngine {
         Self {
             root: RootEngine::new(&initial, config),
             x: initial,
-            gains: vec![0.0; n],
+            gains: Vec::new(),
             share_caps: None,
             active: vec![true; n],
         }
@@ -180,6 +156,7 @@ impl SoaEngine {
         let s = observation.straggler();
         let global_cost = observation.global_cost();
         let cost_fns = observation.cost_fns();
+        self.gains.resize(n, 0.0);
 
         // Pass A — eq. (5): each non-straggler's risk-averse gain toward
         // its maximum acceptable workload. Pure per worker.
@@ -201,11 +178,11 @@ impl SoaEngine {
         }
 
         let total_gain = pairwise_neumaier_sum(&self.gains);
-        let pinned = self.guard_and_pin(s, total_gain, None);
+        let pinned = self.guard_and_pin(s, total_gain);
         // Pass B — apply the gains and the pinned straggler share. Pure
         // per worker (`gains[s] = 0`, then the straggler is overwritten).
         let xs = self.x.shares_mut();
-        apply_gains(xs, &self.gains, None);
+        xs.iter_mut().zip(&self.gains).for_each(|(x, g)| *x += *g);
         xs[s] = pinned;
         self.refresh_total_if_due(None);
         self.root.tighten(pinned);
@@ -216,22 +193,17 @@ impl SoaEngine {
     /// it fires) and the O(1) Σx = 1 pin. `self.gains` must hold the
     /// round's gains with `gains[s] = 0` and `total_gain` their
     /// fixed-shape sum. Returns the straggler's pinned share.
-    pub(crate) fn guard_and_pin(
-        &mut self,
-        s: usize,
-        mut total_gain: f64,
-        chunk: Option<usize>,
-    ) -> f64 {
+    fn guard_and_pin(&mut self, s: usize, mut total_gain: f64) -> f64 {
         let straggler_share = self.x.share(s);
         if let Some(scale) = self.root.guard_scale(straggler_share, total_gain) {
-            scale_gains(&mut self.gains, scale, chunk);
-            total_gain = sum_fixed(&self.gains, chunk);
+            self.gains.iter_mut().for_each(|g| *g *= scale);
+            total_gain = pairwise_neumaier_sum(&self.gains);
         }
         self.root.pin(straggler_share, total_gain)
     }
 
     /// On a refresh round, re-derives the running Σx total from the
-    /// (materialized) share slice.
+    /// share slice, after the round's gains and pin are written.
     pub(crate) fn refresh_total_if_due(&mut self, chunk: Option<usize>) {
         if self.root.needs_total_refresh() {
             self.root.refresh_total(sum_fixed(self.x.as_slice(), chunk));

@@ -21,27 +21,47 @@
 //!    structure-of-arrays `Vec<f64>`s, so evaluation and inversion are
 //!    straight-line arithmetic on sequential streams — no pointer chasing,
 //!    no virtual dispatch.
-//! 2. **Pass fusion with deferred application**: each round runs exactly
-//!    two sweeps over the worker arrays. Sweep 1 applies the *previous*
-//!    round's gains and straggler pin (deferred from the last call),
-//!    evaluates the costs and folds the straggler argmax — one read-write
-//!    pass over `x`, one read pass over the slab, and the local costs
-//!    never touch memory at all. Sweep 2 computes the eq. (5) gains
-//!    *branchlessly* and reduces them into per-[`SUM_BLOCK`] compensated
-//!    partials while the block is still in L1. The remaining work — the
-//!    eq. (6) remainder combine, the feasibility guard, the Σx = 1 pin,
-//!    eq. (7) — is O(1) or O(N/128).
+//! 2. **One pipelined sweep per round**: the slab is static, so round
+//!    `t + 1`'s costs are the same functions evaluated at
+//!    `x_{t+1} = x_t + g_t` (plus the O(1) pin). One sweep, blocked into
+//!    groups of [`LANES`] × [`SUM_BLOCK`] workers that stay in L1,
+//!    computes round `t`'s eq. (5) gains *branchlessly* into a
+//!    group-sized scratch, reduces them into per-[`SUM_BLOCK`]
+//!    compensated partials, writes `x + g` into a back buffer of shares,
+//!    and folds round `t + 1`'s straggler first-max over those new
+//!    shares. The round streams `x` and the slab once and writes the
+//!    back buffer once (latency slab: 40 B per worker nominal); neither
+//!    the gains nor the local costs ever reach memory. The straggler is
+//!    left out of the fold (its gain is exactly 0 and its cost masked to
+//!    `-inf`): once [`RootEngine::pin`](crate::shard::RootEngine::pin)
+//!    has fixed its share, its cost there is combined with the fold's
+//!    winner by value, then by lowest index. The buffers swap and the
+//!    rest of the tail — the Σx refresh and eq. (7) — is O(1), or
+//!    O(N/128) amortized.
+//!
+//!    Three rounds leave that steady shape. Round 0, and the first round
+//!    after [`apply_membership`](FusedDolbie::apply_membership), run a
+//!    plain evaluation sweep first, since no previous sweep folded their
+//!    costs. A guard-rescale round runs the sweep a second time with the
+//!    factor applied to each gain before its partial and before `x + g`.
+//!    A Σx-refresh round (every 256th) adds its one read pass over the
+//!    shares.
 //! 3. **SIMD lanes** ([`KernelVariant::Simd`]): the eval/inverse/gain
 //!    arithmetic and the straggler first-max run four lanes at a time,
 //!    either through nightly `core::simd` (cargo feature `portable-simd`)
 //!    or through a hand-rolled four-wide fallback on stable that LLVM
-//!    auto-vectorizes. The slab streams are sliced to each chunk or block
-//!    group up front, so the inner loops index local slices.
+//!    auto-vectorizes. Each group runs two lane loops over L1: the
+//!    gains, then `x + g`, the cost and the first-max; the slab streams
+//!    are sliced to each group up front, so the inner loops index local
+//!    slices.
 //!
-//! The round is compute-bound, not memory-bound: before the
-//! order-sensitive reductions ran across lanes, a Simd round cost the
-//! same 6.0–6.3 ns per worker at N = 4 096 (in cache) as at N = 10⁶,
-//! two thirds of it in sweep 2's serial Neumaier chains.
+//! With one sweep the round barely waits on memory. On one pinned vCPU
+//! of a 2-core Xeon virtual machine (stable lanes, SSE2 baseline), a Simd
+//! round costs 2.7–2.9 ns per worker at N = 4 096 (in cache) and
+//! 2.9–3.1 ns at N = 10⁶ (p10–p50 of ≈3 ms samples over 2 s runs). The
+//! two-sweep kernel it replaced, which streamed `x`, the gains and the
+//! slab twice (88 B per worker), cost 2.5–2.8 ns in cache but 3.7–4.0 ns
+//! at N = 10⁶, measured alternately on the same host.
 //!
 //! # The bitwise-determinism boundary
 //!
@@ -64,11 +84,12 @@
 //!   is the sequential scan's. The compensated reductions keep the fixed
 //!   [`SUM_BLOCK`]-block + pairwise-tree shape of
 //!   [`pairwise_neumaier_sum`](crate::numeric::pairwise_neumaier_sum):
-//!   sweep 2 produces the block partials inline, four blocks in lockstep
+//!   the sweep produces the block partials inline, four blocks in lockstep
 //!   with one Neumaier chain per lane, each chain in its block's own
 //!   left-to-right order, so each partial is the scalar chain's bit for
 //!   bit. Chunk boundaries only decide which task computes a block,
-//!   never the reduction shape.
+//!   never the reduction shape, and the chunks' first maxima combine in
+//!   index order with a strict `>`.
 //! - *Branchless inverse equivalence*: the slab inverse computes the same
 //!   expression as the branchy
 //!   [`max_share_within`](crate::cost::CostFunction::max_share_within) +
@@ -76,26 +97,27 @@
 //!   path for every parameter case, including the `None` (infeasible) and
 //!   zero-slope cases, via IEEE semantics of `f64::min`/`f64::max` over
 //!   `±inf`/NaN intermediates (unit-tested edge by edge below).
-//! - *Masked rounds stay scalar in sweep 1*: after
-//!   [`apply_membership`](FusedDolbie::apply_membership) the argmax runs
-//!   the scalar member-only scan; gains are still computed branchlessly
-//!   (and lane-wise) because inactive entries are forced to exactly `0.0`
-//!   before the block partials are taken.
-//!
-//! Deferred application is invisible from outside:
-//! [`allocation`](FusedDolbie::allocation),
-//! [`apply_membership`](FusedDolbie::apply_membership) and the periodic
-//! Σx refresh materialize the pending gains first, so every observable
-//! share slice equals the split engine's bit for bit.
+//! - *Masked rounds fold scalar*: after
+//!   [`apply_membership`](FusedDolbie::apply_membership) the first-max
+//!   runs the scalar member-only scan, group by group while the group is
+//!   in L1; gains are still computed branchlessly (and lane-wise) because
+//!   inactive entries are forced to exactly `0.0` before the block
+//!   partials are taken.
+//! - *Pipelining is invisible*: the back buffer receives exactly the
+//!   split engine's Pass B (`x + g`, then the pin), so after every
+//!   [`step`](FusedDolbie::step) the shares equal the split engine's bit
+//!   for bit, and the next round's fold sees the same shares its
+//!   evaluation would.
 
 use crate::allocation::Allocation;
 use crate::cost::{DynCost, LatencyCost, LinearCost};
 use crate::dolbie::{DolbieConfig, DolbieStats};
-use crate::engine::{apply_gains, SoaEngine};
+use crate::engine::SoaEngine;
 use crate::lanes::{self, FirstMax};
 use crate::numeric::{block_partials, combine_partials, GROUP, SUM_BLOCK};
 use crate::parallel::parallel_for_each;
 use crate::runner::EpisodeSummary;
+use std::ops::Range;
 
 pub use crate::lanes::LANES;
 
@@ -103,9 +125,9 @@ pub use crate::lanes::LANES;
 /// produces the same bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelVariant {
-    /// The fused two-sweep kernel with scalar eval/inverse/gain loops.
+    /// The fused one-sweep kernel with scalar eval/inverse/gain loops.
     Fused,
-    /// The fused two-sweep kernel with explicit four-wide lanes in the
+    /// The fused one-sweep kernel with explicit four-wide lanes in the
     /// eval/inverse/gain arithmetic and in the straggler first-max (see
     /// the module docs for why lane-wise reductions keep bitwise parity).
     Simd,
@@ -232,8 +254,8 @@ impl CostSlab {
     #[inline(always)]
     pub fn eval(&self, i: usize, x: f64) -> f64 {
         match self {
-            Self::Latency { batch, speed, comm } => x * batch[i] / speed[i] + comm[i],
-            Self::Linear { slope, intercept } => slope[i] * x + intercept[i],
+            Self::Latency { batch, speed, comm } => LatencyRows { batch, speed, comm }.eval(i, x),
+            Self::Linear { slope, intercept } => LinearRows { slope, intercept }.eval(i, x),
         }
     }
 
@@ -261,14 +283,6 @@ impl CostSlab {
     }
 }
 
-/// The deferred tail of a round: the gains sitting in the engine's gain
-/// slice and the pinned straggler share, not yet written into `x`.
-#[derive(Debug, Clone, Copy)]
-struct PendingRound {
-    straggler: usize,
-    pinned_share: f64,
-}
-
 /// What one fused round reports: the straggler `s_t` and the global cost
 /// `l_t = max_i f_{i,t}(x_{i,t})` of the *played* allocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -279,147 +293,275 @@ pub struct FusedRound {
     pub global_cost: f64,
 }
 
-/// First-max scan over one chunk, scalar, with the first element as the
-/// incumbent via a `-inf` seed — exactly the sequential lowest-index-wins
-/// scan of [`Observation`](crate::Observation). `eval(k, x)` is the cost
-/// of the chunk's `k`-th worker at share `x`.
-#[inline(always)]
-fn scalar_eval_loop(
-    apply: bool,
-    base: usize,
-    xc: &mut [f64],
-    gc: &[f64],
-    eval: impl Fn(usize, f64) -> f64,
-) -> (f64, usize) {
-    let gc = &gc[..xc.len()];
-    let mut best = (f64::NEG_INFINITY, 0);
-    for (k, (xv, g)) in xc.iter_mut().zip(gc).enumerate() {
-        if apply {
-            *xv += g;
-        }
-        let c = eval(k, *xv);
-        if c > best.0 {
-            best = (c, k);
-        }
+/// A first-max candidate `(cost, worker)`; `None` when no worker of the
+/// stretch competed.
+type Best = Option<(f64, usize)>;
+
+/// Continues an in-index-order first-max scan with the candidate of a
+/// later stretch: it wins only with a strictly greater cost, so ties stay
+/// with the lower index — exactly the sequential scan.
+fn later(best: Best, next: Best) -> Best {
+    match next {
+        Some((c, _)) if best.is_none_or(|(b, _)| c > b) => next,
+        _ => best,
     }
-    (best.0, base + best.1)
 }
 
-/// As [`scalar_eval_loop`], four lanes at a time: the eval arithmetic
-/// and the first-max. Each lane keeps its own first maximum
-/// ([`FirstMax`]); the lanes' winner is the sequential scan's winner over
-/// the vector part, and the scalar tail continues it in index order with
-/// a strict `>` — every tail index follows the lanes', so ties still go
-/// to the lowest index.
+/// Where a cost fold reads its shares, four lanes or one at a time, in
+/// index order.
+trait Shares {
+    fn len(&self) -> usize;
+    fn lane(&mut self, k: usize) -> lanes::V;
+    fn one(&mut self, k: usize) -> f64;
+}
+
+/// The shares as they stand: the plain evaluation sweep.
+struct Plain<'a>(&'a [f64]);
+
+impl Shares for Plain<'_> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    #[inline(always)]
+    fn lane(&mut self, k: usize) -> lanes::V {
+        lanes::load(&self.0[k..k + LANES])
+    }
+    #[inline(always)]
+    fn one(&mut self, k: usize) -> f64 {
+        self.0[k]
+    }
+}
+
+/// The pipelined sweep's next shares `x + g`, written to the back buffer
+/// as the fold reads them — the same `+=` the split engine's Pass B does.
+struct Apply<'a> {
+    x: &'a [f64],
+    g: &'a [f64],
+    out: &'a mut [f64],
+}
+
+impl<'a> Apply<'a> {
+    fn new(x: &'a [f64], g: &'a [f64], out: &'a mut [f64]) -> Self {
+        let len = out.len();
+        Self { x: &x[..len], g: &g[..len], out }
+    }
+}
+
+impl Shares for Apply<'_> {
+    fn len(&self) -> usize {
+        self.out.len()
+    }
+    #[inline(always)]
+    fn lane(&mut self, k: usize) -> lanes::V {
+        let r = k..k + LANES;
+        let v = lanes::add(lanes::load(&self.x[r.clone()]), lanes::load(&self.g[r.clone()]));
+        lanes::store(v, &mut self.out[r]);
+        v
+    }
+    #[inline(always)]
+    fn one(&mut self, k: usize) -> f64 {
+        let v = self.x[k] + self.g[k];
+        self.out[k] = v;
+        v
+    }
+}
+
+/// One cost family's per-worker arithmetic over a stretch of its slab:
+/// the cost and the branchless eq. (5) target, scalar and four lanes at
+/// a time, each the same expression in the same association order as the
+/// family's [`CostFunction`](crate::cost::CostFunction). Index `k` counts
+/// from the start of the stretch.
+///
+/// The branchless target `min(max(min(raw, 1), x), 1)` equals the branchy
+/// `max_share_within` + `max_acceptable_share` path bit for bit in every
+/// parameter case (see the module docs and the edge-case tests below),
+/// because a `None` inverse surfaces as `raw = -inf` or `NaN` and
+/// `f64::min`/`f64::max` ignore both in exactly the way the branches
+/// would.
+trait Rows: Copy {
+    /// The stretch `r` of these rows.
+    fn slice(self, r: Range<usize>) -> Self;
+    fn eval(self, k: usize, x: f64) -> f64;
+    fn eval_lane(self, k: usize, x: lanes::V) -> lanes::V;
+    fn target(self, k: usize, level: f64, x: f64) -> f64;
+    fn target_lane(self, k: usize, level: lanes::V, x: lanes::V) -> lanes::V;
+}
+
+/// The rows of a [`CostSlab::Latency`] slab.
+#[derive(Clone, Copy)]
+struct LatencyRows<'a> {
+    batch: &'a [f64],
+    speed: &'a [f64],
+    comm: &'a [f64],
+}
+
+impl Rows for LatencyRows<'_> {
+    #[inline(always)]
+    fn slice(self, r: Range<usize>) -> Self {
+        Self { batch: &self.batch[r.clone()], speed: &self.speed[r.clone()], comm: &self.comm[r] }
+    }
+    #[inline(always)]
+    fn eval(self, k: usize, x: f64) -> f64 {
+        x * self.batch[k] / self.speed[k] + self.comm[k]
+    }
+    #[inline(always)]
+    fn eval_lane(self, k: usize, x: lanes::V) -> lanes::V {
+        let r = k..k + LANES;
+        lanes::add(
+            lanes::div(
+                lanes::mul(x, lanes::load(&self.batch[r.clone()])),
+                lanes::load(&self.speed[r.clone()]),
+            ),
+            lanes::load(&self.comm[r]),
+        )
+    }
+    #[inline(always)]
+    fn target(self, k: usize, level: f64, x: f64) -> f64 {
+        ((level - self.comm[k]) * self.speed[k] / self.batch[k]).min(1.0).max(x).min(1.0)
+    }
+    #[inline(always)]
+    fn target_lane(self, k: usize, level: lanes::V, x: lanes::V) -> lanes::V {
+        let r = k..k + LANES;
+        let one = lanes::splat(1.0);
+        let raw = lanes::div(
+            lanes::mul(
+                lanes::sub(level, lanes::load(&self.comm[r.clone()])),
+                lanes::load(&self.speed[r.clone()]),
+            ),
+            lanes::load(&self.batch[r]),
+        );
+        lanes::min(lanes::max(lanes::min(raw, one), x), one)
+    }
+}
+
+/// The rows of a [`CostSlab::Linear`] slab.
+#[derive(Clone, Copy)]
+struct LinearRows<'a> {
+    slope: &'a [f64],
+    intercept: &'a [f64],
+}
+
+impl Rows for LinearRows<'_> {
+    #[inline(always)]
+    fn slice(self, r: Range<usize>) -> Self {
+        Self { slope: &self.slope[r.clone()], intercept: &self.intercept[r] }
+    }
+    #[inline(always)]
+    fn eval(self, k: usize, x: f64) -> f64 {
+        self.slope[k] * x + self.intercept[k]
+    }
+    #[inline(always)]
+    fn eval_lane(self, k: usize, x: lanes::V) -> lanes::V {
+        let r = k..k + LANES;
+        lanes::add(
+            lanes::mul(lanes::load(&self.slope[r.clone()]), x),
+            lanes::load(&self.intercept[r]),
+        )
+    }
+    #[inline(always)]
+    fn target(self, k: usize, level: f64, x: f64) -> f64 {
+        ((level - self.intercept[k]) / self.slope[k]).min(1.0).max(x).min(1.0)
+    }
+    #[inline(always)]
+    fn target_lane(self, k: usize, level: lanes::V, x: lanes::V) -> lanes::V {
+        let r = k..k + LANES;
+        let one = lanes::splat(1.0);
+        let raw = lanes::div(
+            lanes::sub(level, lanes::load(&self.intercept[r.clone()])),
+            lanes::load(&self.slope[r]),
+        );
+        lanes::min(lanes::max(lanes::min(raw, one), x), one)
+    }
+}
+
+/// The eq. (5) gain `max(α·(target − x), 0)`, scalar and lane-wise.
 #[inline(always)]
-fn lane_eval_loop(
-    apply: bool,
-    base: usize,
-    xc: &mut [f64],
-    gc: &[f64],
-    eval_lane: impl Fn(usize, lanes::V) -> lanes::V,
-    eval: impl Fn(usize, f64) -> f64,
-) -> (f64, usize) {
-    let len = xc.len();
-    let gc = &gc[..len];
+fn gain(rows: impl Rows, k: usize, level: f64, alpha: f64, x: f64) -> f64 {
+    (alpha * (rows.target(k, level, x) - x)).max(0.0)
+}
+
+#[inline(always)]
+fn gain_lane(rows: impl Rows, k: usize, level: lanes::V, alpha: lanes::V, x: lanes::V) -> lanes::V {
+    let g = lanes::mul(alpha, lanes::sub(rows.target_lane(k, level, x), x));
+    lanes::max(g, lanes::splat(0.0))
+}
+
+/// Scalar first-max over one stretch, in index order with a strict `>`
+/// from a `-inf` seed — the sequential lowest-index-wins scan of
+/// [`Observation`](crate::Observation). Reads every share (so an
+/// [`Apply`] writes all of them) and evaluates every cost, but lets only
+/// members (`active`) other than the stretch-local `skip` win; that is
+/// the member-only scan of
+/// [`Observation::from_costs_masked`](crate::Observation::from_costs_masked)
+/// for the slab's finite costs.
+#[inline(always)]
+fn scalar_fold(
+    rows: impl Rows,
+    shares: &mut impl Shares,
+    skip: Option<usize>,
+    active: Option<&[bool]>,
+) -> Best {
+    let mut best = (f64::NEG_INFINITY, None);
+    for k in 0..shares.len() {
+        let c = rows.eval(k, shares.one(k));
+        if c > best.0 && skip != Some(k) && active.is_none_or(|a| a[k]) {
+            best = (c, Some(k));
+        }
+    }
+    best.1.map(|k| (best.0, k))
+}
+
+/// As [`scalar_fold`] with every worker competing, four lanes at a time:
+/// the eval arithmetic and the first-max. Each lane keeps its own first
+/// maximum ([`FirstMax`]); the lanes' winner is the sequential scan's
+/// winner over the vector part, and the scalar tail continues it in index
+/// order with a strict `>` — every tail index follows the lanes', so ties
+/// still go to the lowest index. The stretch-local `skip` competes with a
+/// cost of `-inf`, which never beats the seed; only the four lanes that
+/// hold it are patched, so every other step of the loop runs unmasked.
+#[inline(always)]
+fn lane_fold(rows: impl Rows, shares: &mut impl Shares, skip: Option<usize>) -> Best {
+    let len = shares.len();
     let mut first = FirstMax::new();
     let mut index = lanes::iota();
     let step = lanes::splat(LANES as f64);
     let mut k = 0;
     while k + LANES <= len {
-        let mut xv = lanes::load(&xc[k..k + LANES]);
-        if apply {
-            xv = lanes::add(xv, lanes::load(&gc[k..k + LANES]));
-            lanes::store(xv, &mut xc[k..k + LANES]);
+        let mut cost = rows.eval_lane(k, shares.lane(k));
+        if let Some(s) = skip.filter(|s| (k..k + LANES).contains(s)) {
+            let mut c = [0.0; LANES];
+            lanes::store(cost, &mut c);
+            c[s - k] = f64::NEG_INFINITY;
+            cost = lanes::load(&c);
         }
-        first.fold(eval_lane(k, xv), index);
+        first.fold(cost, index);
         index = lanes::add(index, step);
         k += LANES;
     }
-    let mut best = first.winner().unwrap_or((f64::NEG_INFINITY, 0));
+    let mut best = first.winner().map_or((f64::NEG_INFINITY, None), |(c, i)| (c, Some(i)));
     while k < len {
-        if apply {
-            xc[k] += gc[k];
-        }
-        let c = eval(k, xc[k]);
-        if c > best.0 {
-            best = (c, k);
+        let c = rows.eval(k, shares.one(k));
+        if c > best.0 && skip != Some(k) {
+            best = (c, Some(k));
         }
         k += 1;
     }
-    (best.0, base + best.1)
+    best.1.map(|k| (best.0, k))
 }
 
-/// Member-only first-max scan (the masked fallback of sweep 1); mirrors
-/// [`Observation::from_costs_masked`](crate::Observation::from_costs_masked)
-/// including the `is_none_or` seeding. `active` is the chunk's slice of
-/// the mask.
-#[inline(always)]
-fn masked_eval_loop(
-    active: &[bool],
-    apply: bool,
-    base: usize,
-    xc: &mut [f64],
-    gc: &[f64],
-    eval: impl Fn(usize, f64) -> f64,
-) -> Option<(f64, usize)> {
-    let gc = &gc[..xc.len()];
-    let mut best: Option<(f64, usize)> = None;
-    for (k, ((xv, g), &member)) in xc.iter_mut().zip(gc).zip(active).enumerate() {
-        if apply {
-            *xv += g;
-        }
-        if !member {
-            continue;
-        }
-        let c = eval(k, *xv);
-        if best.is_none_or(|(bc, _)| c > bc) {
-            best = Some((c, base + k));
-        }
-    }
-    best
-}
-
-/// Branchless eq. (5) gains for one stretch of workers, scalar. `xs` is
-/// the stretch's shares and `target(k, x)` the `k`-th worker's eq. (5)
-/// target.
-#[inline(always)]
-fn scalar_gain_loop(xs: &[f64], gb: &mut [f64], alpha: f64, target: impl Fn(usize, f64) -> f64) {
-    let xs = &xs[..gb.len()];
-    for (k, (g, &xi)) in gb.iter_mut().zip(xs).enumerate() {
-        *g = (alpha * (target(k, xi) - xi)).max(0.0);
-    }
-}
-
-/// Branchless eq. (5) gains for one stretch of workers, four lanes at a
-/// time.
-#[inline(always)]
-fn lane_gain_loop(
-    xs: &[f64],
-    gb: &mut [f64],
+/// The round-`t` inputs of one pipelined sweep.
+#[derive(Clone, Copy)]
+struct Pipeline {
+    /// The straggler `s_t`: gain exactly 0, and left out of the fold.
+    straggler: usize,
+    /// The global cost `l_t`, the eq. (5) level.
+    level: f64,
     alpha: f64,
-    target_lane: impl Fn(usize, lanes::V) -> lanes::V,
-    target: impl Fn(usize, f64) -> f64,
-) {
-    let len = gb.len();
-    let xs = &xs[..len];
-    let av = lanes::splat(alpha);
-    let zero = lanes::splat(0.0);
-    let mut k = 0;
-    while k + LANES <= len {
-        let xv = lanes::load(&xs[k..k + LANES]);
-        let gv = lanes::max(lanes::mul(av, lanes::sub(target_lane(k, xv), xv)), zero);
-        lanes::store(gv, &mut gb[k..k + LANES]);
-        k += LANES;
-    }
-    while k < len {
-        let xi = xs[k];
-        gb[k] = (alpha * (target(k, xi) - xi)).max(0.0);
-        k += 1;
-    }
+    /// The guard's rescale factor, on the second sweep of a rescale round.
+    scale: Option<f64>,
 }
 
-/// Read-only context shared by the per-chunk sweep bodies.
+/// Read-only context shared by the per-group sweep bodies.
 #[derive(Clone, Copy)]
 struct RoundCtx<'a> {
     slab: &'a CostSlab,
@@ -429,167 +571,117 @@ struct RoundCtx<'a> {
 }
 
 impl RoundCtx<'_> {
-    /// Sweep 1 body for one chunk (workers `base..base + xc.len()`):
-    /// apply the deferred gains (when `apply`), evaluate the costs, fold
-    /// the chunk-local first-max partial. Never stores the local costs.
-    /// The slab streams are sliced to the chunk up front, so the inner
-    /// loops index local slices whose bounds the compiler can hoist.
-    fn eval_partial(
-        &self,
-        apply: bool,
-        base: usize,
-        xc: &mut [f64],
-        gc: &[f64],
-    ) -> Option<(f64, usize)> {
-        let r = base..base + xc.len();
-        let active = self.active.map(|a| &a[r.clone()]);
+    /// The plain evaluation sweep, sequential: the first maximum of the
+    /// costs at `xs`, members only.
+    fn evaluate(&self, xs: &[f64]) -> Best {
         match self.slab {
             CostSlab::Latency { batch, speed, comm } => {
-                let (batch, speed, comm) = (&batch[r.clone()], &speed[r.clone()], &comm[r]);
-                let eval = |k: usize, x: f64| x * batch[k] / speed[k] + comm[k];
-                if let Some(active) = active {
-                    masked_eval_loop(active, apply, base, xc, gc, eval)
-                } else if self.simd {
-                    let eval_lane = |k: usize, xv: lanes::V| {
-                        lanes::add(
-                            lanes::div(
-                                lanes::mul(xv, lanes::load(&batch[k..k + LANES])),
-                                lanes::load(&speed[k..k + LANES]),
-                            ),
-                            lanes::load(&comm[k..k + LANES]),
-                        )
-                    };
-                    Some(lane_eval_loop(apply, base, xc, gc, eval_lane, eval))
-                } else {
-                    Some(scalar_eval_loop(apply, base, xc, gc, eval))
-                }
+                self.fold_costs(LatencyRows { batch, speed, comm }, &mut Plain(xs), None)
             }
             CostSlab::Linear { slope, intercept } => {
-                let (slope, intercept) = (&slope[r.clone()], &intercept[r]);
-                let eval = |k: usize, x: f64| slope[k] * x + intercept[k];
-                if let Some(active) = active {
-                    masked_eval_loop(active, apply, base, xc, gc, eval)
-                } else if self.simd {
-                    let eval_lane = |k: usize, xv: lanes::V| {
-                        lanes::add(
-                            lanes::mul(lanes::load(&slope[k..k + LANES]), xv),
-                            lanes::load(&intercept[k..k + LANES]),
-                        )
-                    };
-                    Some(lane_eval_loop(apply, base, xc, gc, eval_lane, eval))
-                } else {
-                    Some(scalar_eval_loop(apply, base, xc, gc, eval))
-                }
+                self.fold_costs(LinearRows { slope, intercept }, &mut Plain(xs), None)
             }
         }
     }
 
-    /// Sweep 2 over `gains`, the gain slots of workers `base..`: one
-    /// [`GROUP`] of [`LANES`] blocks at a time, so the lockstep block
-    /// partials read gains still in L1. `base` must be
-    /// [`SUM_BLOCK`]-aligned and `partials` hold one slot per block.
-    #[allow(clippy::too_many_arguments)]
-    fn gain_sweep(
+    /// The first maximum of the costs of `rows` at `shares` (stretch-local
+    /// indices), members only, the stretch-local `skip` left out. A
+    /// masked stretch takes the scalar member-only scan.
+    #[inline(always)]
+    fn fold_costs(&self, rows: impl Rows, shares: &mut impl Shares, skip: Option<usize>) -> Best {
+        if self.simd && self.active.is_none() {
+            lane_fold(rows, shares, skip)
+        } else {
+            scalar_fold(rows, shares, skip, self.active)
+        }
+    }
+
+    /// The pipelined sweep over workers `base..base + back.len()` (shares
+    /// `xs`, the whole slice): see [`pipelined_in`](Self::pipelined_in).
+    fn pipelined(
         &self,
-        s: usize,
-        level: f64,
-        alpha: f64,
+        round: &Pipeline,
         xs: &[f64],
         base: usize,
-        gains: &mut [f64],
+        back: &mut [f64],
         partials: &mut [f64],
-    ) {
-        for (k, (gc, pc)) in gains.chunks_mut(GROUP).zip(partials.chunks_mut(LANES)).enumerate() {
-            self.gain_partials(s, level, alpha, xs, base + k * GROUP, gc, pc);
+    ) -> Best {
+        match self.slab {
+            CostSlab::Latency { batch, speed, comm } => {
+                let rows = LatencyRows { batch, speed, comm };
+                self.pipelined_in(rows, round, xs, base, back, partials)
+            }
+            CostSlab::Linear { slope, intercept } => {
+                let rows = LinearRows { slope, intercept };
+                self.pipelined_in(rows, round, xs, base, back, partials)
+            }
         }
     }
 
-    /// Sweep 2 body for one group of blocks (workers
-    /// `base..base + gc.len()`): branchless gains into `gc`, inactive
-    /// entries and the straggler forced to exactly `0.0`, then the
-    /// compensated block partials into `pc`.
+    /// The pipelined sweep, one [`GROUP`] of [`LANES`] blocks at a time so
+    /// every step after the first reads the group from L1: round `t`'s
+    /// gains into an L1 scratch (rescaled when `round.scale` is set),
+    /// their compensated block partials into `partials`, the next shares
+    /// `x + g` into `back`, and the first maximum of round `t + 1`'s costs
+    /// over those shares, the straggler left out. `base` must be
+    /// [`SUM_BLOCK`]-aligned and `partials` hold one slot per block.
     ///
-    /// The branchless target `min(max(min(raw, 1), x), 1)` equals the
-    /// branchy `max_share_within` + `max_acceptable_share` path bit for
-    /// bit in every parameter case (see the module docs and the edge-case
-    /// tests below), because a `None` inverse surfaces as `raw = -inf` or
-    /// `NaN` and `f64::min`/`f64::max` ignore both in exactly the way the
-    /// branches would.
-    #[allow(clippy::too_many_arguments)]
-    fn gain_partials(
+    /// Each group runs two L1 loops: the gains (then the inactive and
+    /// straggler entries zeroed and the rescale applied), and the fold
+    /// over an [`Apply`] that writes `x + g` as it reads the next shares.
+    fn pipelined_in(
         &self,
-        s: usize,
-        level: f64,
-        alpha: f64,
+        rows: impl Rows,
+        round: &Pipeline,
         xs: &[f64],
         base: usize,
-        gc: &mut [f64],
-        pc: &mut [f64],
-    ) {
-        let r = base..base + gc.len();
-        let xs = &xs[r.clone()];
-        match self.slab {
-            CostSlab::Latency { batch, speed, comm } => {
-                let (batch, speed, comm) = (&batch[r.clone()], &speed[r.clone()], &comm[r.clone()]);
-                let target = |k: usize, xi: f64| {
-                    ((level - comm[k]) * speed[k] / batch[k]).min(1.0).max(xi).min(1.0)
-                };
-                if self.simd {
-                    let lv = lanes::splat(level);
-                    let one = lanes::splat(1.0);
-                    let target_lane = |k: usize, xv: lanes::V| {
-                        let raw = lanes::min(
-                            lanes::div(
-                                lanes::mul(
-                                    lanes::sub(lv, lanes::load(&comm[k..k + LANES])),
-                                    lanes::load(&speed[k..k + LANES]),
-                                ),
-                                lanes::load(&batch[k..k + LANES]),
-                            ),
-                            one,
-                        );
-                        lanes::min(lanes::max(raw, xv), one)
-                    };
-                    lane_gain_loop(xs, gc, alpha, target_lane, target);
-                } else {
-                    scalar_gain_loop(xs, gc, alpha, target);
-                }
+        back: &mut [f64],
+        partials: &mut [f64],
+    ) -> Best {
+        let mut scratch = [0.0; GROUP];
+        let mut best = None;
+        for (k, (bc, pc)) in back.chunks_mut(GROUP).zip(partials.chunks_mut(LANES)).enumerate() {
+            let r = base + k * GROUP..base + k * GROUP + bc.len();
+            let (rows, xc, gc) = (rows.slice(r.clone()), &xs[r.clone()], &mut scratch[..bc.len()]);
+            let active = self.active.map(|a| &a[r.clone()]);
+            let skip = r.contains(&round.straggler).then(|| round.straggler - r.start);
+            gains(rows, round, self.simd, xc, gc);
+            if let Some(active) = active {
+                gc.iter_mut().zip(active).filter(|(_, &m)| !m).for_each(|(g, _)| *g = 0.0);
             }
-            CostSlab::Linear { slope, intercept } => {
-                let (slope, intercept) = (&slope[r.clone()], &intercept[r.clone()]);
-                let target = |k: usize, xi: f64| {
-                    ((level - intercept[k]) / slope[k]).min(1.0).max(xi).min(1.0)
-                };
-                if self.simd {
-                    let lv = lanes::splat(level);
-                    let one = lanes::splat(1.0);
-                    let target_lane = |k: usize, xv: lanes::V| {
-                        let raw = lanes::min(
-                            lanes::div(
-                                lanes::sub(lv, lanes::load(&intercept[k..k + LANES])),
-                                lanes::load(&slope[k..k + LANES]),
-                            ),
-                            one,
-                        );
-                        lanes::min(lanes::max(raw, xv), one)
-                    };
-                    lane_gain_loop(xs, gc, alpha, target_lane, target);
-                } else {
-                    scalar_gain_loop(xs, gc, alpha, target);
-                }
+            if let Some(s) = skip {
+                gc[s] = 0.0;
             }
-        }
-        if let Some(active) = self.active {
-            for (g, &member) in gc.iter_mut().zip(&active[r.clone()]) {
-                if !member {
-                    *g = 0.0;
-                }
+            if let Some(scale) = round.scale {
+                gc.iter_mut().for_each(|g| *g *= scale);
             }
+            block_partials(gc, pc);
+            let next = self.fold_costs(rows, &mut Apply::new(xc, gc, bc), skip);
+            best = later(best, next.map(|(c, i)| (c, r.start + i)));
         }
-        if r.contains(&s) {
-            gc[s - base] = 0.0;
+        best
+    }
+}
+
+/// Branchless eq. (5) gains of one stretch (shares `xs`) into `gc`, lane-
+/// wise when `simd`.
+#[inline(always)]
+fn gains(rows: impl Rows, round: &Pipeline, simd: bool, xs: &[f64], gc: &mut [f64]) {
+    let (level, alpha) = (round.level, round.alpha);
+    let len = gc.len();
+    let xs = &xs[..len];
+    let mut k = 0;
+    if simd {
+        let (lv, av) = (lanes::splat(level), lanes::splat(alpha));
+        while k + LANES <= len {
+            let g = gain_lane(rows, k, lv, av, lanes::load(&xs[k..k + LANES]));
+            lanes::store(g, &mut gc[k..k + LANES]);
+            k += LANES;
         }
-        block_partials(gc, pc);
+    }
+    while k < len {
+        gc[k] = gain(rows, k, level, alpha, xs[k]);
+        k += 1;
     }
 }
 
@@ -639,11 +731,17 @@ pub struct FusedDolbie {
     engine: SoaEngine,
     slab: CostSlab,
     variant: KernelVariant,
-    /// `None`: plain sequential sweeps. `Some(c)`: sweep 1 in `c`-worker
-    /// chunks and sweep 2 in `SUM_BLOCK`-aligned groups of ~`c` workers on
-    /// the work-stealing harness.
+    /// `None`: plain sequential sweeps. `Some(c)`: the pipelined sweep in
+    /// `SUM_BLOCK`-aligned tasks of ~`c` workers on the work-stealing
+    /// harness.
     chunk_size: Option<usize>,
-    pending: Option<PendingRound>,
+    /// The back buffer of shares the pipelined sweep writes `x + g` into;
+    /// swapped with the engine's shares at the end of every round.
+    back: Vec<f64>,
+    /// The current round's `(global cost, straggler)`, folded by the
+    /// previous round's sweep; `None` on round 0 and after
+    /// [`apply_membership`](Self::apply_membership).
+    next: Option<(f64, usize)>,
     /// Per-`SUM_BLOCK` gain partials, reused across rounds.
     partials: Vec<f64>,
 }
@@ -674,11 +772,12 @@ impl FusedDolbie {
         assert!(!slab.is_empty(), "at least one worker is required");
         assert_eq!(slab.len(), initial.num_workers(), "one cost slab entry per worker");
         Self {
+            back: vec![0.0; slab.len()],
             engine: SoaEngine::new(initial, config),
             slab,
             variant: KernelVariant::Fused,
             chunk_size: None,
-            pending: None,
+            next: None,
             partials: Vec::new(),
         }
     }
@@ -698,9 +797,10 @@ impl FusedDolbie {
         self
     }
 
-    /// Runs the sweeps in `chunk_size`-worker chunks on the work-stealing
-    /// harness (clamped to at least 1). Any value produces the same
-    /// trajectory; it only tunes scheduling granularity.
+    /// Runs the pipelined sweep in `SUM_BLOCK`-aligned tasks of about
+    /// `chunk_size` workers on the work-stealing harness (clamped to at
+    /// least 1). Any value produces the same trajectory; it only tunes
+    /// scheduling granularity.
     pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
         self.chunk_size = Some(chunk_size.max(1));
         self
@@ -726,11 +826,9 @@ impl FusedDolbie {
         self.slab.len()
     }
 
-    /// The current allocation. Materializes any deferred round tail
-    /// first, so the returned shares always equal the split engine's
-    /// after the same number of rounds.
-    pub fn allocation(&mut self) -> &Allocation {
-        self.materialize();
+    /// The current allocation: after `t` steps, the split engine's after
+    /// `t` rounds, bit for bit.
+    pub fn allocation(&self) -> &Allocation {
         self.engine.allocation()
     }
 
@@ -751,61 +849,62 @@ impl FusedDolbie {
     }
 
     /// Crosses a membership epoch boundary, exactly as
-    /// [`Dolbie::apply_membership`](crate::Dolbie::apply_membership)
-    /// (deferred state is materialized first, so the renormalization sees
-    /// the same shares the split engine would).
+    /// [`Dolbie::apply_membership`](crate::Dolbie::apply_membership). The
+    /// costs the last sweep folded were at the old shares, so the next
+    /// round runs a plain evaluation sweep.
     ///
     /// # Panics
     ///
     /// As [`Dolbie::apply_membership`](crate::Dolbie::apply_membership).
     pub fn apply_membership(&mut self, members: &[bool]) {
-        self.materialize();
+        self.next = None;
         self.engine.apply_membership(members);
     }
 
-    /// Writes any deferred gains and straggler pin into the share slice.
-    /// Idempotent; replays the split engine's Pass B op for op.
-    fn materialize(&mut self) {
-        let Some(p) = self.pending.take() else { return };
-        let xs = self.engine.x.shares_mut();
-        apply_gains(xs, &self.engine.gains, self.chunk_size);
-        xs[p.straggler] = p.pinned_share;
-    }
-
-    /// Plays one DOLBIE round: applies the previous round's deferred
-    /// tail, evaluates the (static) slab costs at the resulting shares,
-    /// finds the straggler, computes the eq. (5)–(7) update and defers
-    /// its application to the next call.
+    /// Plays one DOLBIE round: takes the round's straggler from the
+    /// previous round's sweep (or a plain evaluation sweep on round 0 and
+    /// after a membership change), then one pipelined sweep computes the
+    /// eq. (5) gains, writes the next shares and folds the next round's
+    /// costs.
     ///
     /// The order-sensitive tail is the split engine's — guard, pin,
     /// refresh and tighten through the engine's
-    /// [`RootEngine`](crate::shard::RootEngine) — except that the gain
-    /// application and pin write wait for the next sweep 1.
+    /// [`RootEngine`](crate::shard::RootEngine). A guard rescale runs the
+    /// sweep a second time with the rescaled gains.
     pub fn step(&mut self) -> FusedRound {
-        let n = self.num_workers();
         let alpha = self.engine.root.begin_round();
-        if n == 1 {
+        if self.num_workers() == 1 {
             // A single worker always holds the whole workload; mirror the
             // split engine's early return (no gains, no pin).
             let cost = self.slab.eval(0, self.engine.x.share(0));
             return FusedRound { straggler: 0, global_cost: cost };
         }
 
-        let (level, s) = self.sweep_eval();
-        self.sweep_gains(s, level, alpha);
-        // The eq. (6) remainder: combining the sweep-2 block partials with
-        // the fixed pairwise tree lands on pairwise_neumaier_sum(gains)
-        // exactly.
-        let total_gain = combine_partials(&mut self.partials);
-        let pinned = self.engine.guard_and_pin(s, total_gain, self.chunk_size);
-        self.pending = Some(PendingRound { straggler: s, pinned_share: pinned });
-        // The refresh needs the materialized shares; this is the one round
-        // shape where the deferral collapses back to an extra pass.
-        if self.engine.root.needs_total_refresh() {
-            self.materialize();
-            self.engine.refresh_total_if_due(self.chunk_size);
+        let (level, s) = self.next.take().unwrap_or_else(|| {
+            let xs = self.engine.x.as_slice();
+            self.ctx().evaluate(xs).expect("at least one active member")
+        });
+        let mut round = Pipeline { straggler: s, level, alpha, scale: None };
+        let (mut total_gain, mut fold) = self.sweep(&round);
+        let straggler_share = self.engine.x.share(s);
+        if let Some(scale) = self.engine.root.guard_scale(straggler_share, total_gain) {
+            round.scale = Some(scale);
+            (total_gain, fold) = self.sweep(&round);
         }
+        let pinned = self.engine.root.pin(straggler_share, total_gain);
+        self.engine.x.swap_shares(&mut self.back);
+        self.engine.x.shares_mut()[s] = pinned;
+        self.engine.refresh_total_if_due(self.chunk_size);
         self.engine.root.tighten(pinned);
+
+        // The sweep left the straggler out of the fold; its next cost is
+        // at the pinned share. Combined by value, then lowest index, the
+        // pair is the sequential scan's winner.
+        let pinned_cost = (self.slab.eval(s, pinned), s);
+        self.next = Some(match fold {
+            Some((c, i)) if c > pinned_cost.0 || (c == pinned_cost.0 && i < s) => (c, i),
+            _ => pinned_cost,
+        });
         FusedRound { straggler: s, global_cost: level }
     }
 
@@ -820,7 +919,6 @@ impl FusedDolbie {
             total_cost += round.global_cost;
             final_global_cost = round.global_cost;
         }
-        self.materialize();
         EpisodeSummary {
             algorithm: "DOLBIE".to_owned(),
             rounds,
@@ -830,96 +928,55 @@ impl FusedDolbie {
         }
     }
 
-    /// Sweep 1: deferred application + cost eval + straggler argmax in one
-    /// read-write pass over `x`. Returns `(global_cost, straggler)`.
-    fn sweep_eval(&mut self) -> (f64, usize) {
-        let n = self.num_workers();
-        let apply = if let Some(p) = self.pending.take() {
-            // The deferred pin; the straggler's gain is exactly 0, so the
-            // unconditional `+= g` below leaves it at the pinned value.
-            self.engine.x.shares_mut()[p.straggler] = p.pinned_share;
-            true
-        } else {
-            false
-        };
-        let engine = &mut self.engine;
-        let ctx = RoundCtx {
+    fn ctx(&self) -> RoundCtx<'_> {
+        RoundCtx {
             slab: &self.slab,
-            active: engine.masked().then_some(engine.active.as_slice()),
+            active: self.engine.masked().then_some(self.engine.active.as_slice()),
             simd: self.variant == KernelVariant::Simd,
-        };
-        let xs = engine.x.shares_mut();
-        let best = match self.chunk_size {
-            None => ctx.eval_partial(apply, 0, xs, &engine.gains),
-            Some(c) => {
-                /// One sweep-1 task: (chunk base index, share chunk, gain
-                /// chunk, slot for the chunk-local argmax partial).
-                type EvalTask<'a> = (usize, &'a mut [f64], &'a [f64], &'a mut Option<(f64, usize)>);
-                let chunks = n.div_ceil(c);
-                let mut partials: Vec<Option<(f64, usize)>> = vec![None; chunks];
-                {
-                    let payloads: Vec<EvalTask<'_>> = xs
-                        .chunks_mut(c)
-                        .zip(engine.gains.chunks(c))
-                        .zip(partials.iter_mut())
-                        .enumerate()
-                        .map(|(k, ((xc, gc), slot))| (k * c, xc, gc, slot))
-                        .collect();
-                    parallel_for_each(payloads, |(base, xc, gc, slot)| {
-                        *slot = ctx.eval_partial(apply, base, xc, gc);
-                    });
-                }
-                // In-order combine with a strict `>`: exactly the
-                // sequential lowest-index-wins scan.
-                let mut best: Option<(f64, usize)> = None;
-                for p in partials.into_iter().flatten() {
-                    if best.is_none_or(|(bc, _)| p.0 > bc) {
-                        best = Some(p);
-                    }
-                }
-                best
-            }
-        };
-        let (level, s) = best.expect("at least one active member is required");
-        (level, s)
+        }
     }
 
-    /// Sweep 2: branchless gains + inline per-[`SUM_BLOCK`] compensated
-    /// partials, blocked so each gain value is reduced while still in L1.
-    /// The partials land in `self.partials` with the exact shape of
+    /// One pipelined sweep over every worker (see [`RoundCtx::pipelined`]).
+    /// The block partials land in `self.partials` with the exact shape of
     /// [`pairwise_neumaier_sum`](crate::numeric::pairwise_neumaier_sum)
-    /// over the gain slice.
-    fn sweep_gains(&mut self, s: usize, level: f64, alpha: f64) {
+    /// over the gains; returns their combined eq. (6) remainder and the
+    /// next round's first maximum without the straggler.
+    fn sweep(&mut self, round: &Pipeline) -> (f64, Best) {
         let n = self.num_workers();
-        let engine = &mut self.engine;
-        let ctx = RoundCtx {
-            slab: &self.slab,
-            active: engine.masked().then_some(engine.active.as_slice()),
-            simd: self.variant == KernelVariant::Simd,
-        };
-        let xs = engine.x.as_slice();
-        self.partials.clear();
-        self.partials.resize(n.div_ceil(SUM_BLOCK), 0.0);
-        match self.chunk_size {
-            None => ctx.gain_sweep(s, level, alpha, xs, 0, &mut engine.gains, &mut self.partials),
+        let mut partials = std::mem::take(&mut self.partials);
+        let mut back = std::mem::take(&mut self.back);
+        partials.clear();
+        partials.resize(n.div_ceil(SUM_BLOCK), 0.0);
+        let ctx = self.ctx();
+        let xs = self.engine.x.as_slice();
+        let best = match self.chunk_size {
+            None => ctx.pipelined(round, xs, 0, &mut back, &mut partials),
             Some(c) => {
                 // Group whole SUM_BLOCKs into ~chunk_size tasks: the block
                 // grid (hence the reduction shape) is independent of the
                 // chunk knob, which only sets scheduling granularity.
                 let blocks_per_task = c.div_ceil(SUM_BLOCK).max(1);
                 let task_elems = blocks_per_task * SUM_BLOCK;
-                let payloads: Vec<(usize, &mut [f64], &mut [f64])> = engine
-                    .gains
+                let mut bests: Vec<Best> = vec![None; n.div_ceil(task_elems)];
+                let payloads: Vec<(usize, &mut [f64], &mut [f64], &mut Best)> = back
                     .chunks_mut(task_elems)
-                    .zip(self.partials.chunks_mut(blocks_per_task))
+                    .zip(partials.chunks_mut(blocks_per_task))
+                    .zip(bests.iter_mut())
                     .enumerate()
-                    .map(|(k, (gc, pc))| (k * task_elems, gc, pc))
+                    .map(|(k, ((bc, pc), slot))| (k * task_elems, bc, pc, slot))
                     .collect();
-                parallel_for_each(payloads, |(base, gc, pc)| {
-                    ctx.gain_sweep(s, level, alpha, xs, base, gc, pc);
+                parallel_for_each(payloads, |(base, bc, pc, slot)| {
+                    *slot = ctx.pipelined(round, xs, base, bc, pc);
                 });
+                bests.into_iter().fold(None, later)
             }
-        }
+        };
+        // Combining the block partials with the fixed pairwise tree lands
+        // on pairwise_neumaier_sum(gains) exactly.
+        let total_gain = combine_partials(&mut partials);
+        self.partials = partials;
+        self.back = back;
+        (total_gain, best)
     }
 }
 
@@ -1063,8 +1120,8 @@ mod tests {
 
     #[test]
     fn fused_episode_matches_split_engine_bitwise_past_refresh() {
-        // Horizon past TOTAL_REFRESH_INTERVAL so the deferred state is
-        // forced through the refresh-materialize path too.
+        // Horizon past TOTAL_REFRESH_INTERVAL, so the refresh reads the
+        // shares the pipelined sweeps wrote.
         let n = 64;
         let rounds = 2 * TOTAL_REFRESH_INTERVAL + 17;
         let costs = latency_fleet(n, 7);
@@ -1096,8 +1153,9 @@ mod tests {
         // An aggressive alpha floor keeps α large after tightening, which
         // periodically trips the feasibility guard in both engines; the
         // trajectories (and guard counters) must still agree bitwise —
-        // also through the chunked gain rescale and re-sum, at any thread
-        // count.
+        // also through the rescaled second sweep, at any chunk size and
+        // thread count. The kernel keeps its gains in an L1 scratch and
+        // never allocates the engine's gain slice.
         let n = 13;
         let rounds = 50;
         let costs = latency_fleet(n, 77);
@@ -1109,46 +1167,83 @@ mod tests {
             split.observe(&obs);
         }
         assert!(split.stats().guard_activations > 0, "floor never tripped the guard");
-        for chunk in [None, Some(4usize)] {
-            for threads in [1usize, 4] {
-                set_threads(threads);
-                let mut fused = FusedDolbie::with_config(
-                    CostSlab::from_costs(&costs).unwrap(),
-                    Allocation::uniform(n),
-                    config,
-                );
-                if let Some(c) = chunk {
-                    fused = fused.with_chunk_size(c);
-                }
-                fused.run(rounds);
-                set_threads(0);
-                let tag = format!("chunk {chunk:?}, threads {threads}");
-                assert_eq!(fused.stats(), split.stats(), "{tag}");
-                assert_eq!(fused.alphas_used(), split.alphas_used(), "{tag}");
-                for i in 0..n {
+        for variant in KernelVariant::all() {
+            for chunk in [None, Some(4usize)] {
+                for threads in [1usize, 4] {
+                    set_threads(threads);
+                    let mut fused = FusedDolbie::with_config(
+                        CostSlab::from_costs(&costs).unwrap(),
+                        Allocation::uniform(n),
+                        config,
+                    )
+                    .with_variant(variant);
+                    if let Some(c) = chunk {
+                        fused = fused.with_chunk_size(c);
+                    }
+                    fused.run(rounds);
+                    set_threads(0);
+                    let tag = format!("{variant:?}, chunk {chunk:?}, threads {threads}");
+                    assert_eq!(fused.stats(), split.stats(), "{tag}");
+                    assert_eq!(fused.alphas_used(), split.alphas_used(), "{tag}");
                     assert_eq!(
-                        fused.allocation().share(i).to_bits(),
-                        split.allocation().share(i).to_bits(),
-                        "{tag}, worker {i}"
+                        fused.allocation().as_slice(),
+                        split.allocation().as_slice(),
+                        "{tag}"
                     );
+                    assert!(fused.engine.gains.is_empty(), "{tag}");
                 }
             }
         }
     }
 
     #[test]
-    fn allocation_read_materializes_deferred_state() {
+    fn allocation_between_steps_matches_split_engine() {
+        // Past a Σx refresh, in both variants: every step leaves the
+        // split engine's shares, whatever the next round has folded.
         let costs = latency_fleet(20, 4);
-        let mut split = Dolbie::new(20);
-        let mut fused = FusedDolbie::from_costs(&costs).unwrap();
-        for t in 0..7 {
-            let played = split.allocation().clone();
-            let obs = Observation::from_costs(t, &played, &costs);
-            split.observe(&obs);
-            fused.step();
-            // Mid-episode reads must already agree: the deferral is an
-            // internal scheduling detail, not an observable lag.
-            assert_eq!(fused.allocation().as_slice(), split.allocation().as_slice(), "round {t}");
+        for variant in KernelVariant::all() {
+            let mut split = Dolbie::new(20);
+            let mut fused = FusedDolbie::from_costs(&costs).unwrap().with_variant(variant);
+            for t in 0..TOTAL_REFRESH_INTERVAL + 9 {
+                let played = split.allocation().clone();
+                let obs = Observation::from_costs(t, &played, &costs);
+                split.observe(&obs);
+                fused.step();
+                assert_eq!(
+                    fused.allocation().as_slice(),
+                    split.allocation().as_slice(),
+                    "{variant:?}, round {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn membership_change_discards_the_folded_next_straggler() {
+        // The worker that leaves is the one the last pipelined sweep
+        // elected for the next round: the kernel must evaluate afresh
+        // over the members, not replay the folded winner.
+        let n = 41;
+        let costs = latency_fleet(n, 29);
+        for variant in KernelVariant::all() {
+            let mut split = Dolbie::new(n);
+            let mut fused = FusedDolbie::from_costs(&costs).unwrap().with_variant(variant);
+            let mut members = vec![true; n];
+            for t in 0..30 {
+                if t == 12 {
+                    let played = split.allocation().clone();
+                    members[Observation::from_costs(t, &played, &costs).straggler()] = false;
+                    split.apply_membership(&members);
+                    fused.apply_membership(&members);
+                }
+                let played = split.allocation().clone();
+                let obs = Observation::from_costs_masked(t, &played, &costs, &members, Vec::new());
+                let round = fused.step();
+                assert_eq!(round.straggler, obs.straggler(), "{variant:?}, round {t}");
+                assert_eq!(round.global_cost.to_bits(), obs.global_cost().to_bits());
+                split.observe(&obs);
+                assert_eq!(fused.allocation().as_slice(), split.allocation().as_slice());
+            }
         }
     }
 

@@ -6,13 +6,15 @@
 //! trajectory — per-round shares, straggler ids, the α schedule, the
 //! update counters — is **bitwise identical** to the sequential split
 //! engine ([`Dolbie`]). The reference trajectories here are produced by
-//! the plain `Dolbie` + `Observation` path, so any fusion, deferral,
+//! the plain `Dolbie` + `Observation` path, so any fusion, pipelining,
 //! blocking or SIMD bug that moves a single bit fails the matrix.
 
 use dolbie_core::cost::{DynCost, LatencyCost, LinearCost};
-use dolbie_core::kernel::{FusedDolbie, KernelVariant};
+use dolbie_core::kernel::{CostSlab, FusedDolbie, KernelVariant};
 use dolbie_core::parallel::set_threads;
-use dolbie_core::{pairwise_neumaier_sum, Dolbie, LoadBalancer, Observation};
+use dolbie_core::{
+    pairwise_neumaier_sum, Allocation, Dolbie, DolbieConfig, LoadBalancer, Observation,
+};
 
 fn splitmix(state: &mut u64) -> f64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
@@ -30,6 +32,18 @@ fn latency_fleet(n: usize, seed: u64) -> Vec<DynCost> {
         .map(|_| {
             let speed = 64.0 + 448.0 * splitmix(&mut state);
             Box::new(LatencyCost::new(256.0, speed, 0.05)) as DynCost
+        })
+        .collect()
+}
+
+/// Heterogeneous linear fleet: slopes and intercepts from a seeded hash.
+fn linear_fleet(n: usize, seed: u64) -> Vec<DynCost> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            let slope = 0.5 + 4.0 * splitmix(&mut state);
+            let intercept = 0.2 * splitmix(&mut state);
+            Box::new(LinearCost::new(slope, intercept)) as DynCost
         })
         .collect()
 }
@@ -75,7 +89,11 @@ struct Trajectory {
 }
 
 fn run_split_reference(costs: &[DynCost], rounds: usize) -> Trajectory {
-    let mut d = Dolbie::new(costs.len());
+    run_split(Dolbie::new(costs.len()), costs, rounds)
+}
+
+/// Plays the split engine `d` against `costs`, recording every round.
+fn run_split(mut d: Dolbie, costs: &[DynCost], rounds: usize) -> Trajectory {
     let mut t = Trajectory {
         share_bits: Vec::new(),
         stragglers: Vec::new(),
@@ -94,9 +112,7 @@ fn run_split_reference(costs: &[DynCost], rounds: usize) -> Trajectory {
     t
 }
 
-/// Plays the fused kernel. With `reads`, the shares are read after every
-/// round; without, the deferred tail spans rounds and only the final
-/// shares are recorded.
+/// Plays the fused kernel over `costs` from the uniform split.
 fn run_fused(
     costs: &[DynCost],
     rounds: usize,
@@ -104,7 +120,19 @@ fn run_fused(
     chunk: Option<usize>,
     reads: bool,
 ) -> Trajectory {
-    let mut d = FusedDolbie::from_costs(costs).expect("fleet has a slab layout");
+    let d = FusedDolbie::from_costs(costs).expect("fleet has a slab layout");
+    play_fused(d, rounds, variant, chunk, reads)
+}
+
+/// Plays the kernel `d`. With `reads`, the shares are read after every
+/// round; without, only the final shares are recorded.
+fn play_fused(
+    mut d: FusedDolbie,
+    rounds: usize,
+    variant: KernelVariant,
+    chunk: Option<usize>,
+    reads: bool,
+) -> Trajectory {
     d = d.with_variant(variant);
     if let Some(c) = chunk {
         d = d.with_chunk_size(c);
@@ -119,8 +147,8 @@ fn run_fused(
         let round = d.step();
         t.stragglers.push(round.straggler);
         t.global_cost_bits.push(round.global_cost.to_bits());
-        // Reading the allocation every round forces the deferred tail to
-        // materialize mid-stream — the hardest schedule for the kernel.
+        // Reading the allocation between every pair of steps checks the
+        // shares each round leaves, not only the last.
         if reads {
             t.share_bits.push(d.allocation().iter().map(|v| v.to_bits()).collect());
         }
@@ -130,6 +158,14 @@ fn run_fused(
     }
     t.alpha_bits = d.alphas_used().iter().map(|a| a.to_bits()).collect();
     t
+}
+
+/// Asserts a per-round fused trajectory equals the reference.
+fn assert_same(got: &Trajectory, reference: &Trajectory, tag: &str) {
+    assert_eq!(got.stragglers, reference.stragglers, "stragglers ({tag})");
+    assert_eq!(got.global_cost_bits, reference.global_cost_bits, "global costs ({tag})");
+    assert_eq!(got.alpha_bits, reference.alpha_bits, "alpha schedule ({tag})");
+    assert_eq!(got.share_bits, reference.share_bits, "shares ({tag})");
 }
 
 /// The full matrix: {latency, tie-heavy} × {Fused, Simd} ×
@@ -148,13 +184,7 @@ fn fused_kernel_matches_split_engine_across_the_matrix() {
                     let got = run_fused(&costs, rounds, variant, chunk, true);
                     set_threads(0);
                     let tag = format!("{variant:?}, chunk {chunk:?}, threads {threads}");
-                    assert_eq!(got.stragglers, reference.stragglers, "stragglers ({tag})");
-                    assert_eq!(
-                        got.global_cost_bits, reference.global_cost_bits,
-                        "global costs ({tag})"
-                    );
-                    assert_eq!(got.alpha_bits, reference.alpha_bits, "alpha schedule ({tag})");
-                    assert_eq!(got.share_bits, reference.share_bits, "shares ({tag})");
+                    assert_same(&got, &reference, &tag);
                 }
             }
         }
@@ -163,7 +193,7 @@ fn fused_kernel_matches_split_engine_across_the_matrix() {
 
 /// The matrix where the lane-wise reductions run: n ∈ {512, 1031, 2177}
 /// (one, two and four full lockstep groups of `SUM_BLOCK` blocks, the
-/// last two with ragged tails) × {latency, tie-heavy, equal-peak} ×
+/// last two with ragged tails) × {latency, linear, tie-heavy, equal-peak} ×
 /// {Fused, Simd} × chunk {None, 7, 640} × threads {1, 4} × with and
 /// without per-round allocation reads.
 #[test]
@@ -172,6 +202,7 @@ fn fused_kernel_matches_split_engine_where_the_lanes_run() {
     for n in [512, 1031, 2177] {
         for (fleet, costs) in [
             ("latency", latency_fleet(n, 13)),
+            ("linear", linear_fleet(n, 17)),
             ("tie", tie_heavy_fleet(n)),
             ("peak", peak_fleet(n)),
         ] {
@@ -207,10 +238,9 @@ fn fused_kernel_matches_split_engine_where_the_lanes_run() {
     }
 }
 
-/// Deferred application must be invisible at episode scale too: run the
-/// kernel without mid-stream allocation reads (so the deferral actually
-/// spans rounds) across a horizon crossing two Σx refresh intervals, and
-/// compare the end state and episode aggregates.
+/// Pipelining must be invisible at episode scale too: run the kernel
+/// without mid-stream allocation reads across a horizon crossing two Σx
+/// refresh intervals, and compare the end state and episode aggregates.
 #[test]
 fn fused_episode_aggregates_match_split_engine() {
     let n = 97;
@@ -246,12 +276,10 @@ fn fused_episode_aggregates_match_split_engine() {
 
 /// Membership epochs: a leave, a second leave, and a rejoin mid-episode.
 /// The reference drives the split engine through `from_costs_masked`; the
-/// kernel crosses the same boundaries via `apply_membership`, which must
-/// materialize its deferred state first. The fused loop runs in two
-/// modes: with per-round allocation reads (per-round share bits
-/// compared), and without (so each epoch boundary genuinely arrives with
-/// the previous round's tail still deferred, making the
-/// materialize-before-renormalize ordering load-bearing).
+/// kernel crosses the same boundaries via `apply_membership`, right after
+/// a pipelined step, which must discard the costs that step folded at the
+/// old shares. The fused loop runs in two modes: with per-round
+/// allocation reads (per-round share bits compared), and without.
 #[test]
 fn fused_kernel_matches_split_engine_through_membership_epochs() {
     let n = 41;
@@ -341,4 +369,111 @@ fn fused_kernel_matches_split_engine_through_membership_epochs() {
 
     let sum = pairwise_neumaier_sum(split.allocation().as_slice());
     assert!((sum - 1.0).abs() < 1e-12, "|Σx − 1| = {:e}", (sum - 1.0).abs());
+}
+
+/// The chunk × thread grid every pipelined-tail case runs over, with
+/// both kernel variants.
+fn for_each_schedule(mut run: impl FnMut(KernelVariant, Option<usize>, &str)) {
+    for variant in [KernelVariant::Fused, KernelVariant::Simd] {
+        for chunk in [None, Some(7usize), Some(640)] {
+            for threads in [1usize, 4] {
+                set_threads(threads);
+                run(variant, chunk, &format!("{variant:?}, chunk {chunk:?}, threads {threads}"));
+                set_threads(0);
+            }
+        }
+    }
+}
+
+/// Workers of the exact-arithmetic tie fleet: one straggler at share 1/2
+/// and `TIE_N − 1` = 1 024 workers at 1/2048, so the fleet fills two
+/// whole lane groups plus a one-worker scalar tail (n mod 4 = 1).
+const TIE_N: usize = 1025;
+
+/// A fleet whose round-0 straggler is `s` and whose pinned straggler
+/// cost at round 1 ties worker `tie` exactly, every value exact in
+/// binary: `s` costs `x` (slope 1), every other worker a constant, so
+/// each gains `α·(1 − 1/2048)` with α = 2⁻¹²; the gains sum to
+/// 2047/8192 and the pin lands `s` on 1/2 − 2047/8192 = 2049/8192 =
+/// `tie`'s constant cost. The rest cost half of that.
+fn pinned_tie_case(s: usize, tie: usize) -> (Vec<DynCost>, Allocation, DolbieConfig) {
+    let level = 2049.0 / 8192.0;
+    let costs = (0..TIE_N)
+        .map(|i| {
+            let f = match i {
+                _ if i == s => LinearCost::new(1.0, 0.0),
+                _ if i == tie => LinearCost::new(0.0, level),
+                _ => LinearCost::new(0.0, level / 2.0),
+            };
+            Box::new(f) as DynCost
+        })
+        .collect();
+    let shares = (0..TIE_N).map(|i| if i == s { 0.5 } else { 1.0 / 2048.0 }).collect();
+    let initial = Allocation::new(shares).expect("the shares sum to 1 exactly");
+    (costs, initial, DolbieConfig::new().with_initial_alpha(1.0 / 4096.0))
+}
+
+/// The pipelined tail leaves the straggler out of the fold and combines
+/// its pinned cost by value, then lowest index. The straggler sits at
+/// every lane position (4–7), on both sides of the `GROUP` boundary
+/// (511–513), at the end of a group (1023) and in the scalar tail
+/// (1024); its pinned cost ties a lower-index worker (which must win
+/// round 1) and a higher-index worker (which must lose it), in the same
+/// group, across a group boundary and at the fleet's ends.
+#[test]
+fn pinned_straggler_ties_resolve_to_the_lowest_index_wherever_it_sits() {
+    let rounds = 6;
+    for s in [4usize, 5, 6, 7, 511, 512, 513, 1023, 1024] {
+        let lower = [Some(0), s.checked_sub(1), s.checked_sub(4)];
+        let higher = [Some(s + 1), Some(s + 4), Some(TIE_N - 1)];
+        for tie in lower.into_iter().chain(higher).flatten() {
+            if tie == s || tie >= TIE_N {
+                continue;
+            }
+            let (costs, initial, config) = pinned_tie_case(s, tie);
+            let reference = run_split(Dolbie::with_config(initial.clone(), config), &costs, rounds);
+            assert_eq!(reference.stragglers[0], s, "round-0 straggler (s {s}, tie {tie})");
+            assert_eq!(
+                reference.stragglers[1],
+                s.min(tie),
+                "the construction ties s {s} with {tie} at round 1"
+            );
+            for_each_schedule(|variant, chunk, tag| {
+                let slab = CostSlab::from_costs(&costs).expect("a linear slab");
+                let d = FusedDolbie::with_config(slab, initial.clone(), config);
+                let got = play_fused(d, rounds, variant, chunk, true);
+                assert_same(&got, &reference, &format!("s {s}, tie {tie}, {tag}"));
+            });
+        }
+    }
+}
+
+/// A guard rescale on a Σx-refresh round (round index 255): the sweep
+/// runs again with the rescaled gains, the refresh reads the shares the
+/// second sweep wrote, and the ordinary rounds after it (the guard stops
+/// firing after round 257 on this fleet) start from the folded costs of
+/// the rescaled shares. Shares are read between every pair of steps.
+#[test]
+fn guard_rescale_on_a_refresh_round_matches_split_engine() {
+    let n = 1031;
+    let rounds = 300;
+    let costs = latency_fleet(n, 77);
+    let config = DolbieConfig::new().with_alpha_floor(0.00146);
+    let mut split = Dolbie::with_config(Allocation::uniform(n), config);
+    let mut fired = Vec::new();
+    for t in 0..rounds {
+        let before = split.stats().guard_activations;
+        let played = split.allocation().clone();
+        split.observe(&Observation::from_costs(t, &played, &costs));
+        fired.push(split.stats().guard_activations > before);
+    }
+    assert!(fired[255], "the guard must fire on the refresh round");
+    assert!(!fired[258] && !fired[259], "ordinary rounds must follow it");
+    let reference = run_split(Dolbie::with_config(Allocation::uniform(n), config), &costs, rounds);
+    for_each_schedule(|variant, chunk, tag| {
+        let slab = CostSlab::from_costs(&costs).expect("a latency slab");
+        let d = FusedDolbie::with_config(slab, Allocation::uniform(n), config);
+        let got = play_fused(d, rounds, variant, chunk, true);
+        assert_same(&got, &reference, tag);
+    });
 }

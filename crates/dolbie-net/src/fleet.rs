@@ -34,9 +34,10 @@ pub(crate) const WHEEL_SLOTS: usize = 256;
 /// premature crash declaration.
 pub(crate) const WHEEL_TICK_MICROS: u128 = 4_000;
 
-/// Read-buffer size for one non-blocking `read` call. One page-multiple
-/// chunk keeps syscall count low while bounding the stack frame of every
-/// sweep; frames larger than this simply reassemble across reads.
+/// Read-buffer size for one `read` call. One page-multiple chunk keeps
+/// syscall count low; frames larger than this simply reassemble across
+/// reads. Each [`Fleet`] (and each admission loop) holds one such buffer
+/// and lends it to every read, instead of zeroing a fresh one per call.
 pub(crate) const READ_CHUNK_BYTES: usize = 16384;
 
 /// Consecutive idle sweeps tolerated before the pacing loop stops
@@ -242,13 +243,13 @@ impl Conn {
         Ok(())
     }
 
-    /// Drains whatever the socket has buffered and parses complete
-    /// frames into the inbox. Returns whether any bytes arrived.
-    pub(crate) fn pump_read(&mut self, now: Instant) -> Result<bool, ConnFail> {
+    /// Drains whatever the socket has buffered, through the borrowed
+    /// read buffer `chunk`, and parses complete frames into the inbox.
+    /// Returns whether any bytes arrived.
+    pub(crate) fn pump_read(&mut self, now: Instant, chunk: &mut [u8]) -> Result<bool, ConnFail> {
         let mut progressed = false;
-        let mut chunk = [0u8; READ_CHUNK_BYTES];
         loop {
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(chunk) {
                 Ok(0) => return Err(ConnFail::Dead),
                 Ok(k) => {
                     self.codec.ingest(&chunk[..k]);
@@ -298,11 +299,12 @@ impl Conn {
 }
 
 /// One full readiness pass over a connection: retransmission clock,
-/// write, read, then clock again (an ack may have freed the envelope).
-pub(crate) fn pump(conn: &mut Conn, now: Instant) -> Result<bool, ConnFail> {
+/// write, read (through the borrowed buffer `chunk`), then clock again
+/// (an ack may have freed the envelope).
+pub(crate) fn pump(conn: &mut Conn, now: Instant, chunk: &mut [u8]) -> Result<bool, ConnFail> {
     conn.poll_envelope(now);
     let wrote = conn.pump_write()?;
-    let read = conn.pump_read(now)?;
+    let read = conn.pump_read(now, chunk)?;
     conn.poll_envelope(now);
     let flushed = conn.pump_write()?;
     Ok(wrote | read | flushed)
@@ -420,6 +422,8 @@ pub(crate) struct Fleet {
     /// Whether the sockets have been flipped to blocking mode for the
     /// staircase collect; see [`Fleet::enter_staircase`].
     staircase: bool,
+    /// The one read buffer every socket read of this fleet goes through.
+    read_buf: Box<[u8]>,
 }
 
 impl Fleet {
@@ -430,6 +434,7 @@ impl Fleet {
             wheel: TimerWheel::new(Instant::now()),
             idle: IdleWait::new(),
             staircase: false,
+            read_buf: vec![0; READ_CHUNK_BYTES].into_boxed_slice(),
         }
     }
 
@@ -560,7 +565,7 @@ impl Fleet {
                 if !(conn.awaiting || conn.busy()) {
                     continue;
                 }
-                match pump(conn, now) {
+                match pump(conn, now, &mut self.read_buf) {
                     Ok(p) => progressed |= p,
                     Err(ConnFail::Dead) => {
                         dead.push(i);
@@ -674,7 +679,7 @@ impl Fleet {
         let mut failed: Option<SweepFail> = None;
         'staircase: for (pos, &i) in await_set.iter().rev().enumerate() {
             let conn = self.links[i].as_mut().expect("active members have connections");
-            let mut chunk = [0u8; READ_CHUNK_BYTES];
+            let chunk = &mut self.read_buf[..];
             loop {
                 // Serve whatever is already reassembled before sleeping.
                 if let Err(fail) = serve_inbox(conn, phase, t, epoch, i, out, logical) {
@@ -684,7 +689,7 @@ impl Fleet {
                 if !conn.awaiting {
                     break;
                 }
-                match conn.stream.read(&mut chunk) {
+                match conn.stream.read(chunk) {
                     Ok(0) => {
                         failed = Some(SweepFail::Dead(vec![i]));
                         break 'staircase;
@@ -753,7 +758,7 @@ impl Fleet {
                 dead.push(i);
                 continue;
             }
-            let read = conn.pump_read(now);
+            let read = conn.pump_read(now, &mut self.read_buf);
             let restored = conn.stream.set_nonblocking(false).is_ok();
             match read {
                 Err(ConnFail::Fatal(e)) => return Err(SweepFail::Fatal(e)),
@@ -807,7 +812,7 @@ impl Fleet {
                 if dead.contains(&i) || !conn.busy() {
                     continue;
                 }
-                match pump(conn, now) {
+                match pump(conn, now, &mut self.read_buf) {
                     Ok(p) => progressed |= p,
                     Err(ConnFail::Dead) => {
                         dead.push(i);
@@ -860,13 +865,12 @@ impl Fleet {
                 let _ = conn.pump_write();
             }
             let until = now + limit;
-            let mut chunk = [0u8; READ_CHUNK_BYTES];
             for conn in self.links.iter_mut().flatten() {
                 loop {
                     if Instant::now() >= until {
                         return;
                     }
-                    match conn.stream.read(&mut chunk) {
+                    match conn.stream.read(&mut self.read_buf) {
                         Ok(0) => break, // the peer's goodbye
                         Ok(_) => {}     // stray bytes; keep reaping
                         Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -891,7 +895,7 @@ impl Fleet {
                     continue;
                 }
                 let conn = slot.as_mut().expect("open connections exist");
-                match pump(conn, now) {
+                match pump(conn, now, &mut self.read_buf) {
                     Ok(p) => {
                         progressed |= p;
                         remaining = true;

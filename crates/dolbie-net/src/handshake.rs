@@ -10,7 +10,7 @@
 //! envelope; faults start with the first round frame.
 
 use crate::env::WireEnvSpec;
-use crate::fleet::{Conn, IdleWait, TimerWheel};
+use crate::fleet::{Conn, IdleWait, TimerWheel, READ_CHUNK_BYTES};
 use crate::transport::TransportError;
 use crate::wire::Frame;
 use crate::NetError;
@@ -71,6 +71,7 @@ pub(crate) fn admit_concurrent(
     let mut admitted: Vec<Option<Conn>> = (0..count).map(|_| None).collect();
     let mut next_id = 0usize;
     let mut next_check = Instant::now() + UPSTREAM_CHECK;
+    let mut read_buf = vec![0; READ_CHUNK_BYTES];
     while next_id < count {
         let now = Instant::now();
         if now >= next_check {
@@ -103,7 +104,7 @@ pub(crate) fn admit_concurrent(
                 break;
             }
             let Some(conn) = slot.as_mut() else { continue };
-            match conn.pump_read(now) {
+            match conn.pump_read(now, &mut read_buf) {
                 Ok(p) => progressed |= p,
                 Err(_) => {
                     // Rejected: dead socket or undecodable bytes.
