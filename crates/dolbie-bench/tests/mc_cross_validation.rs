@@ -49,6 +49,8 @@ fn controlled_and_free(case: &ChaosCase, arch: &str) -> (ProtocolTrace, Protocol
         .with_fault_plan(plan.clone())
         .with_membership(case.schedule.clone())
     };
+    // An observing scheduler (`dolbie_mc::replay` observes nothing), so
+    // the bitwise comparison also checks that hashing never perturbs a run.
     let mut sched = ReplayScheduler::new(&[]);
     match arch {
         "master-worker" => {

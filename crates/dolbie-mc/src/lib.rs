@@ -16,9 +16,10 @@
 //! reorderings collapse at round barriers, in-envelope drops and
 //! duplicates are delay-only — which is what keeps N=3–5 fleets over
 //! 3–6 rounds tractable ([`explore()`]). State is fingerprinted on
-//! demand: a replay hashes only the delivery choices the explorer reads,
-//! from its prefix boundary to the first already-known state
-//! ([`DecisionRecord::fp`]).
+//! demand and only for the explorer: its replays hash only the delivery
+//! choices it reads, from the prefix boundary to the first already-known
+//! state ([`DecisionRecord::fp`]); the public [`replay()`], and with it
+//! [`shrink()`] and every reproducer, hashes nothing.
 //!
 //! Every reachable run is checked against the shared chaos invariants
 //! ([`dolbie_simnet::invariants`]) plus no-deadlock (the simulators'

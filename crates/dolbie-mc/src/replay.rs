@@ -9,14 +9,16 @@
 //! [`ReplayScheduler`] records every decision point it passes
 //! ([`DecisionRecord`]).
 //!
-//! State is observed on demand. The explorer's visited-state pruning
+//! State observation belongs to the explorer. Its visited-state pruning
 //! reads a run's fingerprints only from the prefix boundary up to the
-//! first state it already knows, so that is the only stretch the
-//! scheduler asks the simulator to fingerprint ([`DecisionRecord::fp`]):
+//! first state it already knows, so that is the only stretch its
+//! replays ask the simulator to fingerprint ([`DecisionRecord::fp`]):
 //! delivery choices inside the replayed prefix are not hashed, and
 //! observation stops at the first fingerprint the explorer has visited
-//! or this run has already passed. Every run still executes to the end
-//! and is invariant-checked; only the hashing stops.
+//! or this run has already passed. The public [`replay()`] — which
+//! [`shrink()`](crate::shrink()) and every emitted reproducer run — has
+//! no reader for fingerprints and observes nothing. Every run still
+//! executes to the end and is invariant-checked; only the hashing stops.
 
 use crate::config::{chaos_mix_env, Arch, McConfig};
 use dolbie_core::fingerprint::StateFp;
@@ -44,11 +46,12 @@ pub struct DecisionRecord {
     /// For binary decisions, the boolean the simulator actually received.
     pub outcome: bool,
     /// The canonical state fingerprint the simulator reported
-    /// immediately before this dequeue. `Some` at delivery choices from
-    /// the prefix boundary up to and including the first state the
-    /// explorer already knows — one it has visited, or one this run
-    /// passed earlier; `None` elsewhere (inside the prefix, past that
-    /// state, and at every binary decision).
+    /// immediately before this dequeue. In the explorer's replays, `Some`
+    /// at delivery choices from the prefix boundary up to and including
+    /// the first state the explorer already knows — one it has visited,
+    /// or one this run passed earlier; `None` elsewhere (inside the
+    /// prefix, past that state, and at every binary decision). Always
+    /// `None` in a [`replay()`] trail, which observes nothing.
     pub fp: Option<u64>,
 }
 
@@ -71,7 +74,8 @@ pub struct ReplayScheduler<'a> {
     known: Option<&'a HashSet<u64>>,
     /// Fingerprints observed so far in this run.
     seen: Vec<u64>,
-    /// Cleared at the first known or repeated fingerprint.
+    /// Cleared at the first known or repeated fingerprint; false from
+    /// the start in [`replay()`].
     observing: bool,
     pending_fp: Option<u64>,
     /// Every decision point passed, in order.
@@ -80,7 +84,8 @@ pub struct ReplayScheduler<'a> {
 
 impl<'a> ReplayScheduler<'a> {
     /// A scheduler replaying `prefix` that observes state from the prefix
-    /// boundary until the run repeats a state.
+    /// boundary until the run repeats a state. ([`replay()`] builds one
+    /// that observes nothing.)
     #[must_use]
     pub fn new(prefix: &'a [u32]) -> Self {
         Self {
@@ -255,21 +260,32 @@ pub fn membership_masks(config: &McConfig, trail: &[DecisionRecord]) -> Vec<Vec<
 /// Runs are pure functions of `(config, prefix)`: replaying the same
 /// prefix twice produces bitwise-identical trails, traces, and verdicts,
 /// which is what makes emitted reproducers stable.
+///
+/// This replay observes no state: its scheduler declines every
+/// fingerprint, so the simulator hashes nothing and every record carries
+/// `fp: None`. Only the explorer reads fingerprints, through its own
+/// observing replays; the trail is otherwise the same choice for choice.
 #[must_use]
 pub fn replay(config: &McConfig, prefix: &[u32]) -> RunOutcome {
-    replay_knowing(config, prefix, &HashSet::new())
+    run(config, ReplayScheduler { observing: false, ..ReplayScheduler::new(prefix) })
 }
 
-/// [`replay()`] for the explorer: state observation also stops at the
-/// first fingerprint in `known` (see [`DecisionRecord::fp`]). Trails,
-/// traces, and verdicts do not depend on `known`.
+/// [`replay()`] for the explorer: observes state from the prefix
+/// boundary up to the first fingerprint in `known` or the first one the
+/// run repeats (see [`DecisionRecord::fp`]). Trails, traces, and verdicts
+/// do not depend on `known`.
 pub(crate) fn replay_knowing(
     config: &McConfig,
     prefix: &[u32],
     known: &HashSet<u64>,
 ) -> RunOutcome {
-    let mut sched = ReplayScheduler { known: Some(known), ..ReplayScheduler::new(prefix) }
-        .with_sabotage(config.sabotage_overshoot_guard);
+    run(config, ReplayScheduler { known: Some(known), ..ReplayScheduler::new(prefix) })
+}
+
+/// Runs the configured simulator to its horizon under `sched` and
+/// checks the per-run invariants on the trace.
+fn run(config: &McConfig, sched: ReplayScheduler<'_>) -> RunOutcome {
+    let mut sched = sched.with_sabotage(config.sabotage_overshoot_guard);
     let rounds = config.rounds;
     let result = catch_unwind(AssertUnwindSafe(|| match config.arch {
         Arch::MasterWorker => MasterWorkerSim::new(
@@ -353,20 +369,25 @@ mod tests {
         (0..trail.len()).filter(|&k| trail[k].is_delivery()).collect()
     }
 
+    /// The explorer's observing replay, knowing no state yet.
+    fn observed(config: &McConfig, prefix: &[u32]) -> RunOutcome {
+        replay_knowing(config, prefix, &HashSet::new())
+    }
+
     /// A default-choice prefix cut at delivery index `i` replays the
     /// default run, observing nothing before `i` and, from `i` on, every
     /// delivery choice with the default run's fingerprint.
     #[test]
     fn observation_starts_at_the_prefix_boundary() {
         let config = lossy_mw();
-        let base = replay(&config, &[]);
+        let base = observed(&config, &[]);
         let fps: Vec<u64> =
             deliveries(&base.trail).iter().map(|&k| base.trail[k].fp.expect("observed")).collect();
         assert!(fps.len() > 2, "the default run must pass several delivery choices");
         let distinct: HashSet<u64> = fps.iter().copied().collect();
         assert_eq!(distinct.len(), fps.len(), "the default run never repeats a state");
         for i in deliveries(&base.trail) {
-            let cut = replay(&config, &vec![0; i]);
+            let cut = observed(&config, &vec![0; i]);
             assert_eq!(cut.trail.len(), base.trail.len());
             for (k, (a, b)) in cut.trail.iter().zip(&base.trail).enumerate() {
                 assert_eq!(
@@ -384,7 +405,7 @@ mod tests {
     #[test]
     fn observation_stops_at_the_first_known_state() {
         let config = lossy_mw();
-        let base = replay(&config, &[]);
+        let base = observed(&config, &[]);
         for k in deliveries(&base.trail) {
             let known: HashSet<u64> = base.trail[k].fp.into_iter().collect();
             let run = replay_knowing(&config, &[], &known);
@@ -393,6 +414,106 @@ mod tests {
                 let expect = if j <= k { b.fp } else { None };
                 assert_eq!(a.fp, expect, "known state at {k}, decision {j}");
             }
+        }
+    }
+
+    /// Seeded random walks over the decision tree: each prefix branches
+    /// off the previous run's trail at a random decision point with
+    /// alternatives, taking another option there, and every 16 prefixes
+    /// the walk restarts from the default run.
+    fn sampled_prefixes(config: &McConfig, seed: u64, count: usize) -> Vec<Vec<u32>> {
+        let mut state = seed;
+        let mut below = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let default = replay(config, &[]).trail;
+        let mut trail = default.clone();
+        let mut out = vec![Vec::new()];
+        while out.len() < count {
+            let mut points: Vec<usize> =
+                (0..trail.len()).filter(|&k| trail[k].options > 1).collect();
+            if points.is_empty() || out.len().is_multiple_of(16) {
+                trail = default.clone();
+                points = (0..trail.len()).filter(|&k| trail[k].options > 1).collect();
+                assert!(!points.is_empty(), "the default run passes no decision with alternatives");
+            }
+            let k = points[below(points.len())];
+            let d = trail[k];
+            let mut prefix: Vec<u32> = trail[..k].iter().map(|r| r.chosen).collect();
+            prefix.push((d.chosen + 1 + below(d.options as usize - 1) as u32) % d.options);
+            trail = replay(config, &prefix).trail;
+            out.push(prefix);
+        }
+        out
+    }
+
+    /// The other two acceptance configurations and the sabotage one
+    /// (`tests/mc_acceptance.rs`), beside [`lossy_mw`].
+    fn contract_configs() -> Vec<(&'static str, McConfig)> {
+        use dolbie_simnet::{Crash, FaultPlan, LeaveKind, MembershipSchedule, RetryPolicy};
+        let mut ring = FaultPlan::seeded(0xD01B_0003).with_crash(Crash {
+            worker: 2,
+            from_round: 1,
+            until_round: 2,
+        });
+        ring.retry = RetryPolicy::new(0.05, 2.0, 2);
+        let mut fd = FaultPlan::seeded(0xD01B_0004).with_crash(Crash {
+            worker: 1,
+            from_round: 1,
+            until_round: 2,
+        });
+        fd.retry = RetryPolicy::new(0.05, 2.0, 2);
+        let churn =
+            MembershipSchedule::none().with_leave(1, 2, LeaveKind::Graceful).with_join(2, 2);
+        let rejoin =
+            MembershipSchedule::none().with_leave(0, 2, LeaveKind::Graceful).with_join(1, 2);
+        vec![
+            ("mw3x3 drop+dup", lossy_mw()),
+            ("ring4x3 crash", McConfig::new(Arch::Ring, 4, 3).with_plan(ring)),
+            (
+                "fd3x3 join+crash",
+                McConfig::new(Arch::FullyDistributed, 3, 3).with_plan(fd).with_schedule(churn),
+            ),
+            (
+                "mw3x3 sabotage",
+                McConfig::new(Arch::MasterWorker, 3, 3)
+                    .with_env_seed(6402)
+                    .with_schedule(rejoin)
+                    .with_sabotage(),
+            ),
+        ]
+    }
+
+    /// `replay()` hashes nothing, and not hashing changes nothing else:
+    /// over sampled prefixes of every acceptance configuration and the
+    /// sabotage one, its trail is the observing replay's choice for
+    /// choice with every fingerprint `None`, and the trace digest, fault
+    /// signature and verdict agree.
+    #[test]
+    fn replay_observes_nothing_and_otherwise_matches_the_observing_replay() {
+        for (name, config) in contract_configs() {
+            let mut observed_fps = 0usize;
+            for (s, prefix) in sampled_prefixes(&config, 0x5EED_0019, 200).iter().enumerate() {
+                let plain = replay(&config, prefix);
+                let seen = observed(&config, prefix);
+                assert_eq!(plain.trail.len(), seen.trail.len(), "{name}, sample {s}");
+                for (k, (a, b)) in plain.trail.iter().zip(&seen.trail).enumerate() {
+                    assert_eq!(a.fp, None, "{name}, sample {s}, decision {k}");
+                    assert_eq!(
+                        (a.options, a.chosen, a.point, a.outcome),
+                        (b.options, b.chosen, b.point, b.outcome),
+                        "{name}, sample {s}, decision {k}"
+                    );
+                    observed_fps += usize::from(b.fp.is_some());
+                }
+                assert_eq!(plain.trace_digest(), seen.trace_digest(), "{name}, sample {s}");
+                assert_eq!(plain.fault_signature(), seen.fault_signature(), "{name}, sample {s}");
+                assert_eq!(plain.verdict, seen.verdict, "{name}, sample {s}");
+            }
+            assert!(observed_fps > 0, "{name}: the observing replays must hash something");
         }
     }
 

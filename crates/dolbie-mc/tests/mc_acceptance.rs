@@ -174,4 +174,38 @@ fn injected_overshoot_bug_is_caught_shrunk_and_reproduced() {
     let msg_a = first.verdict.expect_err("shrunk prefix still fails");
     let msg_b = second.verdict.expect_err("shrunk prefix still fails");
     assert_eq!(msg_a, msg_b, "reproducer is not bitwise stable");
+
+    // Pinned from the replay that fingerprinted states: the shrunk
+    // prefix, its message and the emitted test do not depend on hashing.
+    assert_eq!(minimal, Vec::<u32>::new(), "the default run already fails");
+    assert_eq!(msg_a, SABOTAGE_MESSAGE);
+    assert_eq!(violation.message, SABOTAGE_MESSAGE);
+    assert_eq!(text, SABOTAGE_REPRODUCER);
 }
+
+/// The sabotage configuration's violation message.
+const SABOTAGE_MESSAGE: &str =
+    "panic: protocol preserves feasibility: SumMismatch { sum: 1.02233984375 }";
+
+/// The reproducer emitted for the sabotage configuration's shrunk prefix.
+const SABOTAGE_REPRODUCER: &str = r#"#[test]
+fn mc_reproducer() {
+    // dolbie-mc counterexample: panic: protocol preserves feasibility: SumMismatch { sum: 1.02233984375 }
+    // 0 non-default scheduler decision(s)
+    let mut plan = FaultPlan::seeded(0x0000000000000000)
+        .with_drop_probability(0.0)
+        .with_duplicate_probability(0.0);
+    plan.retry = RetryPolicy::new(0.05, 2.0, 2);
+    let schedule = MembershipSchedule::none()
+        .with_leave(0, 2, LeaveKind::Graceful)
+        .with_join(1, 2);
+    let config = McConfig::new(Arch::MasterWorker, 3, 3)
+        .with_env_seed(0x0000000000001902)
+        .with_plan(plan)
+        .with_schedule(schedule)
+        .with_sabotage();
+    let prefix: &[u32] = &[];
+    let outcome = dolbie_mc::replay(&config, prefix);
+    assert!(outcome.verdict.is_err(), "counterexample no longer reproduces");
+}
+"#;

@@ -99,7 +99,7 @@
 //! [`RootEngine::abort_round`]: dolbie_core::shard::RootEngine::abort_round
 
 use crate::env::WireEnvSpec;
-use crate::fleet::{Fleet, Phase, SweepFail};
+use crate::fleet::{Fleet, IdleWait, Phase, SweepFail};
 use crate::handshake::{admit_concurrent, welcome_frame};
 use crate::transport::{
     connect_schedule, connect_with_backoff, FrameConn, Link, TransportError, WireStats,
@@ -956,9 +956,11 @@ impl Root<'_> {
     }
 }
 
-/// Accepts the backbone handshakes within a bounded admission window.
-/// Expiry is a structured error naming the shards that never completed
-/// the handshake — admission cannot hang and cannot panic.
+/// Accepts the backbone handshakes within a bounded admission window,
+/// pacing empty polls of the listener with [`IdleWait`] as worker
+/// admission does. Expiry is a structured error naming the shards that
+/// never completed the handshake — admission cannot hang and cannot
+/// panic.
 fn admit_backbone(
     listener: &TcpListener,
     cfg: &ShardedConfig,
@@ -970,6 +972,7 @@ fn admit_backbone(
     listener.set_nonblocking(true).map_err(TransportError::from)?;
     let mut slots: Vec<Option<Link>> = (0..m).map(|_| None).collect();
     let mut admitted = 0usize;
+    let mut idle = IdleWait::new();
     while admitted < m {
         if Instant::now() >= deadline {
             let _ = listener.set_nonblocking(false);
@@ -983,11 +986,12 @@ fn admit_backbone(
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
+                idle.pace(false);
                 continue;
             }
             Err(e) => return Err(TransportError::from(e).into()),
         };
+        idle.pace(true);
         if stream.set_nonblocking(false).is_err() {
             continue;
         }

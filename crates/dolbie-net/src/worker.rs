@@ -16,6 +16,12 @@
 //! The worker's read deadline is not a knob of its own: it derives from
 //! the shard-master's `frame_timeout`, shipped in `Welcome`
 //! ([`worker_deadline`]).
+//!
+//! The worker does not compute on impossible values. A share (in
+//! `Welcome`, `Assignment` or `Epoch`), an `α` or an `Adjust` scale
+//! outside `[0, 1]`, or a non-finite global cost, ends the run with
+//! [`NetError::Protocol`]; each bound is derived, at its check, from the
+//! code that produces the value.
 
 use crate::shard::{worker_deadline, ADMISSION_WAIT};
 use crate::transport::{FrameConn, Link, TransportError, WireStats};
@@ -106,6 +112,8 @@ pub(crate) fn run_worker_as(
             }
             let t = Duration::from_micros(frame_timeout_us);
             let deadline = worker_deadline(t).min(ADMISSION_WAIT);
+            // `Allocation::uniform(N)`'s 1/N, N ≥ 1 (`run_shard_master`).
+            let initial_share = unit_interval("Welcome share", initial_share)?;
             (worker_id as usize, env, initial_share, plan, deadline)
         }
         _ => return Err(NetError::Protocol("expected Welcome after Hello".into())),
@@ -166,6 +174,15 @@ pub(crate) fn run_worker_as(
                 }
             }
             Frame::Coordination { global_cost, alpha, is_straggler, round } => {
+                // The elected straggler's cost, which the shard-master and
+                // the root both check finite before it is elected.
+                if !global_cost.is_finite() {
+                    return Err(NetError::Protocol(format!(
+                        "Coordination global cost {global_cost} is not finite"
+                    )));
+                }
+                // `StepSize` clamps α into [0, 1] and only lowers it.
+                let alpha = unit_interval("Coordination α", alpha)?;
                 if is_straggler {
                     // Line 8: the pin arrives as an Assignment.
                     continue;
@@ -182,16 +199,21 @@ pub(crate) fn run_worker_as(
                 link.send(&Frame::Decision { epoch: my_epoch, round, share, gain })?;
             }
             Frame::Assignment { share: pinned, .. } => {
-                share = pinned;
+                // `RootEngine::pin`: 1 − the others' mass, clamped at 0.
+                share = unit_interval("Assignment share", pinned)?;
             }
             Frame::Adjust { scale, .. } => {
-                share = x_old + gain * scale;
+                // `RootEngine::guard_scale` only shrinks gains: it sends
+                // x_s / Σ gains only when Σ gains > x_s.
+                share = x_old + gain * unit_interval("Adjust scale", scale)?;
             }
             Frame::Epoch { epoch, share: authoritative, .. } => {
                 // A crash elsewhere: adopt the post-renormalization share,
-                // discarding any tentative in-round state.
+                // discarding any tentative in-round state. Renormalized
+                // shares are non-negative and sum to 1
+                // (`renormalize_onto_members`).
                 my_epoch = epoch;
-                share = authoritative;
+                share = unit_interval("Epoch share", authoritative)?;
                 epochs_seen += 1;
             }
             Frame::Shutdown => {
@@ -205,6 +227,16 @@ pub(crate) fn run_worker_as(
             }
             _ => return Err(NetError::Protocol("unexpected frame at the worker".into())),
         }
+    }
+}
+
+/// `value`, if it lies in `[0, 1]` (NaN does not); otherwise the
+/// protocol error naming `what`.
+fn unit_interval(what: &str, value: f64) -> Result<f64, NetError> {
+    if (0.0..=1.0).contains(&value) {
+        Ok(value)
+    } else {
+        Err(NetError::Protocol(format!("{what} {value} is outside [0, 1]")))
     }
 }
 

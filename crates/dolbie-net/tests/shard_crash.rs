@@ -5,7 +5,9 @@
 //! or a shard-master reporting impossible values (buried like a crashed
 //! one) — each over real loopback TCP, each bounded in wall clock (never
 //! a hang), and each with the surviving trajectory **bitwise identical**
-//! to a sequential twin replaying the recorded membership schedule.
+//! to a sequential twin replaying the recorded membership schedule. A
+//! shard-master sending its worker impossible values ends that worker
+//! with a protocol error.
 //!
 //! The twin recipe is the contract the root's epoch records promise:
 //! before observing round `t`, apply every recorded `RootEpoch` with
@@ -28,9 +30,11 @@ use dolbie_net::shard::{
 use dolbie_net::transport::{connect_with_backoff, FrameConn, Link};
 use dolbie_net::wire::{Frame, VERSION};
 use dolbie_net::worker::{run_worker, WorkerOptions};
+use dolbie_net::NetError;
 use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -821,5 +825,137 @@ fn a_shard_master_reporting_impossible_values_is_buried_like_a_crash() {
             .map(|own| [own.as_slice(), &buried].concat())
             .collect();
         assert_stitched_twin(&stitched, &root.epochs, env, N, ROUNDS);
+    }
+}
+
+/// The one impossible value a [`lying_master`] sends its worker.
+#[derive(Clone, Copy, Debug)]
+enum MasterLie {
+    /// None: the control case, which must finish.
+    Honest,
+    WelcomeShare(f64),
+    CoordinationCost(f64),
+    CoordinationAlpha(f64),
+    AdjustScale(f64),
+    AssignmentShare(f64),
+    EpochShare(f64),
+}
+
+/// A hand-rolled shard-master for one `run_worker`: it admits the
+/// worker and plays its script up to and including `lie`, then holds
+/// the socket open, so only the lie, not a closed socket, can end the
+/// worker. The worker is a non-straggler in round 0 (the straggler, for
+/// an `Assignment` lie); the honest script rescales by 0.5, crosses an
+/// epoch that assigns 0.75 and shuts down. Returns the worker's final
+/// share or protocol error, or `None` if it did not finish within
+/// `patience`; panics if the worker panicked.
+fn lying_master(lie: MasterLie, patience: Duration) -> Option<Result<f64, String>> {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let stream = connect_with_backoff(addr, 10, Duration::from_millis(10), 19).unwrap();
+        let result = match run_worker(stream, &WorkerOptions::default()) {
+            Ok(report) => Ok(report.final_share),
+            Err(NetError::Protocol(msg)) => Err(msg),
+            Err(other) => Err(format!("not a protocol error: {other}")),
+        };
+        let _ = tx.send(result);
+    });
+    let (stream, _) = listener.accept().unwrap();
+    let mut conn = FrameConn::new(stream).unwrap();
+    let Frame::Hello { .. } = conn.recv(patience).unwrap() else { panic!("expected Hello") };
+    let initial_share = if let MasterLie::WelcomeShare(v) = lie { v } else { 0.5 };
+    conn.send(&Frame::Welcome {
+        worker_id: 0,
+        num_workers: 2,
+        rounds: 1,
+        env: WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x19 },
+        initial_share,
+        drop_probability: 0.0,
+        duplicate_probability: 0.0,
+        fault_seed: 0,
+        frame_timeout_us: 100_000,
+    })
+    .unwrap();
+    if !matches!(lie, MasterLie::WelcomeShare(_)) {
+        play_round(&mut conn, lie, patience);
+    }
+    let result = rx.recv_timeout(patience);
+    drop(conn);
+    match result {
+        Ok(result) => {
+            worker.join().unwrap();
+            Some(result)
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("{lie:?}: the worker panicked"),
+        // Hung: left detached; the caller fails the case.
+        Err(mpsc::RecvTimeoutError::Timeout) => None,
+    }
+}
+
+/// [`lying_master`]'s round 0, ending at the lie.
+fn play_round(conn: &mut FrameConn, lie: MasterLie, patience: Duration) {
+    conn.send(&Frame::RoundStart { epoch: 0, round: 0 }).unwrap();
+    let Frame::LocalCost { cost, .. } = conn.recv(patience).unwrap() else {
+        panic!("expected LocalCost")
+    };
+    let (global_cost, alpha) = match lie {
+        MasterLie::CoordinationCost(v) => (v, 0.5),
+        MasterLie::CoordinationAlpha(v) => (cost, v),
+        _ => (cost, 0.5),
+    };
+    let is_straggler = matches!(lie, MasterLie::AssignmentShare(_));
+    conn.send(&Frame::Coordination { round: 0, global_cost, alpha, is_straggler }).unwrap();
+    match lie {
+        MasterLie::CoordinationCost(_) | MasterLie::CoordinationAlpha(_) => return,
+        MasterLie::AssignmentShare(v) => {
+            return conn.send(&Frame::Assignment { round: 0, share: v }).unwrap();
+        }
+        _ => {}
+    }
+    let Frame::Decision { .. } = conn.recv(patience).unwrap() else { panic!("expected Decision") };
+    let scale = if let MasterLie::AdjustScale(v) = lie { v } else { 0.5 };
+    conn.send(&Frame::Adjust { round: 0, scale }).unwrap();
+    if matches!(lie, MasterLie::AdjustScale(_)) {
+        return;
+    }
+    let share = if let MasterLie::EpochShare(v) = lie { v } else { 0.75 };
+    conn.send(&Frame::Epoch { epoch: 1, round: 1, share, members: vec![true; 2] }).unwrap();
+    if matches!(lie, MasterLie::Honest) {
+        conn.send(&Frame::Shutdown).unwrap();
+    }
+}
+
+/// The worker's trust boundary: a shard-master sending a share, an α or
+/// an `Adjust` scale outside `[0, 1]`, or a non-finite global cost, ends
+/// `run_worker` with a protocol error — no panic, no hang — while the
+/// honest script finishes at the share its `Epoch` assigned.
+#[test]
+fn a_worker_stops_on_impossible_values_from_its_shard_master() {
+    let patience = Duration::from_secs(10);
+    assert_eq!(lying_master(MasterLie::Honest, patience), Some(Ok(0.75)), "the honest control");
+    for lie in [
+        MasterLie::WelcomeShare(f64::NAN),
+        MasterLie::WelcomeShare(1.5),
+        MasterLie::WelcomeShare(-0.25),
+        MasterLie::CoordinationCost(f64::NAN),
+        MasterLie::CoordinationCost(f64::INFINITY),
+        MasterLie::CoordinationAlpha(f64::NAN),
+        MasterLie::CoordinationAlpha(1.5),
+        MasterLie::CoordinationAlpha(-0.25),
+        MasterLie::AdjustScale(f64::NAN),
+        MasterLie::AdjustScale(1.5),
+        MasterLie::AdjustScale(-0.25),
+        MasterLie::AssignmentShare(f64::NAN),
+        MasterLie::AssignmentShare(1.5),
+        MasterLie::EpochShare(f64::NEG_INFINITY),
+        MasterLie::EpochShare(-0.25),
+        MasterLie::EpochShare(1.5),
+    ] {
+        match lying_master(lie, patience) {
+            Some(Err(msg)) if !msg.starts_with("not a protocol error") => {}
+            other => panic!("{lie:?}: expected a protocol error, got {other:?}"),
+        }
     }
 }
