@@ -9,22 +9,15 @@
 //! an allocate-validate-renormalize cycle — the property that makes
 //! N = 10^6 workers tractable.
 //!
-//! # Determinism across chunk sizes and thread counts
-//!
-//! `FusedDolbie::with_chunk_size` runs its sweeps in fixed-size worker
-//! chunks on the work-stealing harness, and the Σx refresh through the
-//! chunked fixed-shape sum below. They are *bitwise* identical to the
-//! sequential loops, at any chunk size and any thread count, by
-//! construction:
+//! # Why both engines produce the same bits
 //!
 //! - Per-worker quantities (gains, share increments) are pure functions of
-//!   the worker's own state, so it cannot matter which thread computes
-//!   them or where chunk boundaries fall.
+//!   the worker's own state, so it cannot matter in which pass or lane
+//!   they are computed.
 //! - Every order-sensitive floating-point reduction — the eq. (6)
 //!   remainder `Σ_i gain_i` and the Σx = 1 bookkeeping — goes through the
 //!   fixed-shape compensated sum in [`numeric`](crate::numeric), whose
-//!   association order depends only on the array length, never on the
-//!   chunking.
+//!   association order depends only on the array length.
 //! - The order-sensitive scalar tail (guard, pin, Σx refresh, eq. (7))
 //!   is [`RootEngine`]'s, the same code the sharded tiers drive: the flat
 //!   engine is the M = 1 root.
@@ -43,7 +36,7 @@
 
 use crate::allocation::Allocation;
 use crate::dolbie::DolbieConfig;
-use crate::numeric::{pairwise_neumaier_sum, pairwise_neumaier_sum_parallel};
+use crate::numeric::pairwise_neumaier_sum;
 use crate::observation::{max_acceptable_share, Observation};
 use crate::shard::RootEngine;
 
@@ -52,16 +45,6 @@ use crate::shard::RootEngine;
 /// round indices with the same fixed-shape sum, so the schedule does not
 /// break bitwise equivalence.
 pub const TOTAL_REFRESH_INTERVAL: usize = 256;
-
-/// The fixed-shape compensated sum of `values`: sequential for
-/// `chunk: None`, on the work-stealing harness otherwise — bitwise equal
-/// either way.
-pub(crate) fn sum_fixed(values: &[f64], chunk: Option<usize>) -> f64 {
-    match chunk {
-        None => pairwise_neumaier_sum(values),
-        Some(_) => pairwise_neumaier_sum_parallel(values),
-    }
-}
 
 /// The shared structure-of-arrays round state: the per-worker slices,
 /// plus the M = 1 [`RootEngine`] that owns every order-sensitive scalar
@@ -184,7 +167,7 @@ impl SoaEngine {
         let xs = self.x.shares_mut();
         xs.iter_mut().zip(&self.gains).for_each(|(x, g)| *x += *g);
         xs[s] = pinned;
-        self.refresh_total_if_due(None);
+        self.refresh_total_if_due();
         self.root.tighten(pinned);
     }
 
@@ -204,9 +187,9 @@ impl SoaEngine {
 
     /// On a refresh round, re-derives the running Σx total from the
     /// share slice, after the round's gains and pin are written.
-    pub(crate) fn refresh_total_if_due(&mut self, chunk: Option<usize>) {
+    pub(crate) fn refresh_total_if_due(&mut self) {
         if self.root.needs_total_refresh() {
-            self.root.refresh_total(sum_fixed(self.x.as_slice(), chunk));
+            self.root.refresh_total(pairwise_neumaier_sum(self.x.as_slice()));
         }
     }
 }

@@ -47,10 +47,10 @@
 //!    A Σx-refresh round (every 256th) adds its one read pass over the
 //!    shares.
 //! 3. **SIMD lanes** ([`KernelVariant::Simd`]): the eval/inverse/gain
-//!    arithmetic and the straggler first-max run four lanes at a time,
-//!    either through nightly `core::simd` (cargo feature `portable-simd`)
-//!    or through a hand-rolled four-wide fallback on stable that LLVM
-//!    auto-vectorizes. Each group runs two lane loops over L1: the
+//!    arithmetic and the straggler first-max run four lanes at a time
+//!    through a hand-rolled four-wide `[f64; 4]` that LLVM
+//!    auto-vectorizes (the private `lanes` module says why there are no
+//!    intrinsics). Each group runs two lane loops over L1: the
 //!    gains, then `x + g`, the cost and the first-max; the slab streams
 //!    are sliced to each group up front, so the inner loops index local
 //!    slices.
@@ -66,8 +66,8 @@
 //! # The bitwise-determinism boundary
 //!
 //! The kernel produces trajectories **bitwise identical** to the
-//! sequential [`Dolbie`](crate::Dolbie) at every chunk size, thread count
-//! and membership mask (tested exhaustively in `tests/kernel_parity.rs`).
+//! sequential [`Dolbie`](crate::Dolbie) in both variants and under every
+//! membership mask (tested exhaustively in `tests/kernel_parity.rs`).
 //! Determinism is preserved because every transformation stays on the
 //! right side of a simple boundary:
 //!
@@ -87,9 +87,8 @@
 //!   the sweep produces the block partials inline, four blocks in lockstep
 //!   with one Neumaier chain per lane, each chain in its block's own
 //!   left-to-right order, so each partial is the scalar chain's bit for
-//!   bit. Chunk boundaries only decide which task computes a block,
-//!   never the reduction shape, and the chunks' first maxima combine in
-//!   index order with a strict `>`.
+//!   bit. The groups' first maxima combine in index order with a strict
+//!   `>`.
 //! - *Branchless inverse equivalence*: the slab inverse computes the same
 //!   expression as the branchy
 //!   [`max_share_within`](crate::cost::CostFunction::max_share_within) +
@@ -115,7 +114,6 @@ use crate::dolbie::{DolbieConfig, DolbieStats};
 use crate::engine::SoaEngine;
 use crate::lanes::{self, FirstMax};
 use crate::numeric::{block_partials, combine_partials, GROUP, SUM_BLOCK};
-use crate::parallel::parallel_for_each;
 use crate::runner::EpisodeSummary;
 use std::ops::Range;
 
@@ -596,24 +594,28 @@ impl RoundCtx<'_> {
         }
     }
 
-    /// The pipelined sweep over workers `base..base + back.len()` (shares
-    /// `xs`, the whole slice): see [`pipelined_in`](Self::pipelined_in).
+    /// The pipelined sweep over every worker: see
+    /// [`pipelined_in`](Self::pipelined_in).
+    ///
+    /// Kept out of line: inlined into `FusedDolbie::sweep`, an N = 10⁶
+    /// Simd round ran ≈2% slower (perfbench `kernel_1m`, six alternating
+    /// 30 s runs on one pinned vCPU of a 2-core Xeon VM).
+    #[inline(never)]
     fn pipelined(
         &self,
         round: &Pipeline,
         xs: &[f64],
-        base: usize,
         back: &mut [f64],
         partials: &mut [f64],
     ) -> Best {
         match self.slab {
             CostSlab::Latency { batch, speed, comm } => {
                 let rows = LatencyRows { batch, speed, comm };
-                self.pipelined_in(rows, round, xs, base, back, partials)
+                self.pipelined_in(rows, round, xs, back, partials)
             }
             CostSlab::Linear { slope, intercept } => {
                 let rows = LinearRows { slope, intercept };
-                self.pipelined_in(rows, round, xs, base, back, partials)
+                self.pipelined_in(rows, round, xs, back, partials)
             }
         }
     }
@@ -623,8 +625,8 @@ impl RoundCtx<'_> {
     /// gains into an L1 scratch (rescaled when `round.scale` is set),
     /// their compensated block partials into `partials`, the next shares
     /// `x + g` into `back`, and the first maximum of round `t + 1`'s costs
-    /// over those shares, the straggler left out. `base` must be
-    /// [`SUM_BLOCK`]-aligned and `partials` hold one slot per block.
+    /// over those shares, the straggler left out. `partials` holds one
+    /// slot per [`SUM_BLOCK`] block.
     ///
     /// Each group runs two L1 loops: the gains (then the inactive and
     /// straggler entries zeroed and the rescale applied), and the fold
@@ -634,14 +636,13 @@ impl RoundCtx<'_> {
         rows: impl Rows,
         round: &Pipeline,
         xs: &[f64],
-        base: usize,
         back: &mut [f64],
         partials: &mut [f64],
     ) -> Best {
         let mut scratch = [0.0; GROUP];
         let mut best = None;
         for (k, (bc, pc)) in back.chunks_mut(GROUP).zip(partials.chunks_mut(LANES)).enumerate() {
-            let r = base + k * GROUP..base + k * GROUP + bc.len();
+            let r = k * GROUP..k * GROUP + bc.len();
             let (rows, xc, gc) = (rows.slice(r.clone()), &xs[r.clone()], &mut scratch[..bc.len()]);
             let active = self.active.map(|a| &a[r.clone()]);
             let skip = r.contains(&round.straggler).then(|| round.straggler - r.start);
@@ -731,10 +732,6 @@ pub struct FusedDolbie {
     engine: SoaEngine,
     slab: CostSlab,
     variant: KernelVariant,
-    /// `None`: plain sequential sweeps. `Some(c)`: the pipelined sweep in
-    /// `SUM_BLOCK`-aligned tasks of ~`c` workers on the work-stealing
-    /// harness.
-    chunk_size: Option<usize>,
     /// The back buffer of shares the pipelined sweep writes `x + g` into;
     /// swapped with the engine's shares at the end of every round.
     back: Vec<f64>,
@@ -776,7 +773,6 @@ impl FusedDolbie {
             engine: SoaEngine::new(initial, config),
             slab,
             variant: KernelVariant::Fused,
-            chunk_size: None,
             next: None,
             partials: Vec::new(),
         }
@@ -797,23 +793,9 @@ impl FusedDolbie {
         self
     }
 
-    /// Runs the pipelined sweep in `SUM_BLOCK`-aligned tasks of about
-    /// `chunk_size` workers on the work-stealing harness (clamped to at
-    /// least 1). Any value produces the same trajectory; it only tunes
-    /// scheduling granularity.
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = Some(chunk_size.max(1));
-        self
-    }
-
     /// The active kernel variant.
     pub fn variant(&self) -> KernelVariant {
         self.variant
-    }
-
-    /// The configured chunk size (`None`: sequential sweeps).
-    pub fn chunk_size(&self) -> Option<usize> {
-        self.chunk_size
     }
 
     /// The cost slab the kernel plays against.
@@ -894,7 +876,7 @@ impl FusedDolbie {
         let pinned = self.engine.root.pin(straggler_share, total_gain);
         self.engine.x.swap_shares(&mut self.back);
         self.engine.x.shares_mut()[s] = pinned;
-        self.engine.refresh_total_if_due(self.chunk_size);
+        self.engine.refresh_total_if_due();
         self.engine.root.tighten(pinned);
 
         // The sweep left the straggler out of the fold; its next cost is
@@ -947,30 +929,7 @@ impl FusedDolbie {
         let mut back = std::mem::take(&mut self.back);
         partials.clear();
         partials.resize(n.div_ceil(SUM_BLOCK), 0.0);
-        let ctx = self.ctx();
-        let xs = self.engine.x.as_slice();
-        let best = match self.chunk_size {
-            None => ctx.pipelined(round, xs, 0, &mut back, &mut partials),
-            Some(c) => {
-                // Group whole SUM_BLOCKs into ~chunk_size tasks: the block
-                // grid (hence the reduction shape) is independent of the
-                // chunk knob, which only sets scheduling granularity.
-                let blocks_per_task = c.div_ceil(SUM_BLOCK).max(1);
-                let task_elems = blocks_per_task * SUM_BLOCK;
-                let mut bests: Vec<Best> = vec![None; n.div_ceil(task_elems)];
-                let payloads: Vec<(usize, &mut [f64], &mut [f64], &mut Best)> = back
-                    .chunks_mut(task_elems)
-                    .zip(partials.chunks_mut(blocks_per_task))
-                    .zip(bests.iter_mut())
-                    .enumerate()
-                    .map(|(k, ((bc, pc), slot))| (k * task_elems, bc, pc, slot))
-                    .collect();
-                parallel_for_each(payloads, |(base, bc, pc, slot)| {
-                    *slot = ctx.pipelined(round, xs, base, bc, pc);
-                });
-                bests.into_iter().fold(None, later)
-            }
-        };
+        let best = self.ctx().pipelined(round, self.engine.x.as_slice(), &mut back, &mut partials);
         // Combining the block partials with the fixed pairwise tree lands
         // on pairwise_neumaier_sum(gains) exactly.
         let total_gain = combine_partials(&mut partials);
@@ -986,7 +945,6 @@ mod tests {
     use crate::cost::CostFunction;
     use crate::engine::TOTAL_REFRESH_INTERVAL;
     use crate::observation::max_acceptable_share;
-    use crate::parallel::set_threads;
     use crate::{Dolbie, LoadBalancer, Observation};
 
     fn splitmix(state: &mut u64) -> f64 {
@@ -1153,9 +1111,9 @@ mod tests {
         // An aggressive alpha floor keeps α large after tightening, which
         // periodically trips the feasibility guard in both engines; the
         // trajectories (and guard counters) must still agree bitwise —
-        // also through the rescaled second sweep, at any chunk size and
-        // thread count. The kernel keeps its gains in an L1 scratch and
-        // never allocates the engine's gain slice.
+        // also through the rescaled second sweep. The kernel keeps its
+        // gains in an L1 scratch and never allocates the engine's gain
+        // slice.
         let n = 13;
         let rounds = 50;
         let costs = latency_fleet(n, 77);
@@ -1168,31 +1126,17 @@ mod tests {
         }
         assert!(split.stats().guard_activations > 0, "floor never tripped the guard");
         for variant in KernelVariant::all() {
-            for chunk in [None, Some(4usize)] {
-                for threads in [1usize, 4] {
-                    set_threads(threads);
-                    let mut fused = FusedDolbie::with_config(
-                        CostSlab::from_costs(&costs).unwrap(),
-                        Allocation::uniform(n),
-                        config,
-                    )
-                    .with_variant(variant);
-                    if let Some(c) = chunk {
-                        fused = fused.with_chunk_size(c);
-                    }
-                    fused.run(rounds);
-                    set_threads(0);
-                    let tag = format!("{variant:?}, chunk {chunk:?}, threads {threads}");
-                    assert_eq!(fused.stats(), split.stats(), "{tag}");
-                    assert_eq!(fused.alphas_used(), split.alphas_used(), "{tag}");
-                    assert_eq!(
-                        fused.allocation().as_slice(),
-                        split.allocation().as_slice(),
-                        "{tag}"
-                    );
-                    assert!(fused.engine.gains.is_empty(), "{tag}");
-                }
-            }
+            let mut fused = FusedDolbie::with_config(
+                CostSlab::from_costs(&costs).unwrap(),
+                Allocation::uniform(n),
+                config,
+            )
+            .with_variant(variant);
+            fused.run(rounds);
+            assert_eq!(fused.stats(), split.stats(), "{variant:?}");
+            assert_eq!(fused.alphas_used(), split.alphas_used(), "{variant:?}");
+            assert_eq!(fused.allocation().as_slice(), split.allocation().as_slice(), "{variant:?}");
+            assert!(fused.engine.gains.is_empty(), "{variant:?}");
         }
     }
 

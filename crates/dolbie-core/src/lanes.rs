@@ -1,188 +1,109 @@
 //! Four-wide `f64` lanes for the fused kernel and the compensated block
-//! partials, behind one safe interface with two backends.
+//! partials: a hand-rolled `[f64; 4]` "vector" behind a small safe
+//! interface.
 //!
 //! Every arithmetic op is the IEEE 754 scalar op applied per lane, and
 //! every comparison is the scalar comparison per lane, so a lane-wise
 //! loop produces the same bits as the scalar loop over the same elements
-//! in the same per-lane order. Calling `core::arch` intrinsics would need
-//! `unsafe`, which this crate forbids; the stable backend instead gives
-//! LLVM fixed four-wide straight-line code to vectorize.
+//! in the same per-lane order — by definition. The fixed four-wide shape
+//! gives LLVM straight-line code it auto-vectorizes on the SSE2 baseline
+//! (compare-and-mask for `gt`/`ge` + `select`).
+//!
+//! There are no `core::arch` intrinsics, because they need `unsafe` and
+//! this crate forbids it. There is no nightly `core::simd` backend
+//! either: measured against these lanes, it showed no consistent gain
+//! (these lanes were faster at N = 4 096, `core::simd` at N = 10⁶, each
+//! by about 4% in the median).
 
 /// Lane width (f64x4: one AVX2 register, two SSE2 registers).
 pub const LANES: usize = 4;
 
-#[cfg(feature = "portable-simd")]
-mod backend {
-    //! Nightly path: thin wrappers over `core::simd::f64x4`. `simd_min` /
-    //! `simd_max` follow IEEE `minNum`/`maxNum` (NaN-ignoring), matching
-    //! `f64::min`/`f64::max` — the property the branchless inverse needs.
-    use core::simd::cmp::SimdPartialOrd;
-    use core::simd::num::SimdFloat;
-    use core::simd::Select;
+#[derive(Clone, Copy)]
+pub(crate) struct V([f64; LANES]);
 
-    pub(crate) type V = core::simd::f64x4;
-    pub(crate) type M = core::simd::Mask<i64, { super::LANES }>;
+/// A per-lane comparison result: all ones where true, all zeros where
+/// false — the shape SSE2 compares produce, so `select` lowers to
+/// and/andnot/or without shuffles.
+#[derive(Clone, Copy)]
+pub(crate) struct M([u64; LANES]);
 
-    #[inline(always)]
-    pub(crate) fn load(s: &[f64]) -> V {
-        V::from_slice(s)
-    }
-    #[inline(always)]
-    pub(crate) fn from_array(a: [f64; super::LANES]) -> V {
-        V::from_array(a)
-    }
-    #[inline(always)]
-    pub(crate) fn store(v: V, out: &mut [f64]) {
-        v.copy_to_slice(out);
-    }
-    #[inline(always)]
-    pub(crate) fn splat(x: f64) -> V {
-        V::splat(x)
-    }
-    #[inline(always)]
-    pub(crate) fn add(a: V, b: V) -> V {
-        a + b
-    }
-    #[inline(always)]
-    pub(crate) fn sub(a: V, b: V) -> V {
-        a - b
-    }
-    #[inline(always)]
-    pub(crate) fn mul(a: V, b: V) -> V {
-        a * b
-    }
-    #[inline(always)]
-    pub(crate) fn div(a: V, b: V) -> V {
-        a / b
-    }
-    #[inline(always)]
-    pub(crate) fn min(a: V, b: V) -> V {
-        a.simd_min(b)
-    }
-    #[inline(always)]
-    pub(crate) fn max(a: V, b: V) -> V {
-        a.simd_max(b)
-    }
-    #[inline(always)]
-    pub(crate) fn abs(a: V) -> V {
-        a.abs()
-    }
-    #[inline(always)]
-    pub(crate) fn gt(a: V, b: V) -> M {
-        a.simd_gt(b)
-    }
-    #[inline(always)]
-    pub(crate) fn ge(a: V, b: V) -> M {
-        a.simd_ge(b)
-    }
-    #[inline(always)]
-    pub(crate) fn select(m: M, a: V, b: V) -> V {
-        m.select(a, b)
-    }
-    #[inline(always)]
-    pub(crate) fn to_array(v: V) -> [f64; super::LANES] {
-        v.to_array()
-    }
+#[inline(always)]
+fn zip(a: V, b: V, f: impl Fn(f64, f64) -> f64) -> V {
+    V([f(a.0[0], b.0[0]), f(a.0[1], b.0[1]), f(a.0[2], b.0[2]), f(a.0[3], b.0[3])])
 }
 
-#[cfg(not(feature = "portable-simd"))]
-mod backend {
-    //! Stable fallback: a hand-rolled four-wide f64 "vector". Every op is
-    //! the scalar `f64` op applied per lane — bitwise equality with the
-    //! scalar path holds by definition — and the fixed four-wide shape
-    //! gives LLVM straight-line code it auto-vectorizes on the SSE2
-    //! baseline (compare-and-mask for `gt`/`ge` + `select`).
-    use super::LANES;
-
-    #[derive(Clone, Copy)]
-    pub(crate) struct V([f64; LANES]);
-
-    /// A per-lane comparison result: all ones where true, all zeros
-    /// where false — the shape SSE2 compares produce, so `select` lowers
-    /// to and/andnot/or without shuffles.
-    #[derive(Clone, Copy)]
-    pub(crate) struct M([u64; LANES]);
-
-    #[inline(always)]
-    fn zip(a: V, b: V, f: impl Fn(f64, f64) -> f64) -> V {
-        V([f(a.0[0], b.0[0]), f(a.0[1], b.0[1]), f(a.0[2], b.0[2]), f(a.0[3], b.0[3])])
-    }
-
-    #[inline(always)]
-    fn cmp(a: V, b: V, f: impl Fn(f64, f64) -> bool) -> M {
-        let m = |x, y| if f(x, y) { u64::MAX } else { 0 };
-        M([m(a.0[0], b.0[0]), m(a.0[1], b.0[1]), m(a.0[2], b.0[2]), m(a.0[3], b.0[3])])
-    }
-
-    #[inline(always)]
-    pub(crate) fn load(s: &[f64]) -> V {
-        V([s[0], s[1], s[2], s[3]])
-    }
-    #[inline(always)]
-    pub(crate) fn from_array(a: [f64; LANES]) -> V {
-        V(a)
-    }
-    #[inline(always)]
-    pub(crate) fn store(v: V, out: &mut [f64]) {
-        out[..LANES].copy_from_slice(&v.0);
-    }
-    #[inline(always)]
-    pub(crate) fn splat(x: f64) -> V {
-        V([x; LANES])
-    }
-    #[inline(always)]
-    pub(crate) fn add(a: V, b: V) -> V {
-        zip(a, b, |x, y| x + y)
-    }
-    #[inline(always)]
-    pub(crate) fn sub(a: V, b: V) -> V {
-        zip(a, b, |x, y| x - y)
-    }
-    #[inline(always)]
-    pub(crate) fn mul(a: V, b: V) -> V {
-        zip(a, b, |x, y| x * y)
-    }
-    #[inline(always)]
-    pub(crate) fn div(a: V, b: V) -> V {
-        zip(a, b, |x, y| x / y)
-    }
-    #[inline(always)]
-    pub(crate) fn min(a: V, b: V) -> V {
-        zip(a, b, f64::min)
-    }
-    #[inline(always)]
-    pub(crate) fn max(a: V, b: V) -> V {
-        zip(a, b, f64::max)
-    }
-    #[inline(always)]
-    pub(crate) fn abs(a: V) -> V {
-        V(a.0.map(f64::abs))
-    }
-    #[inline(always)]
-    pub(crate) fn gt(a: V, b: V) -> M {
-        cmp(a, b, |x, y| x > y)
-    }
-    #[inline(always)]
-    pub(crate) fn ge(a: V, b: V) -> M {
-        cmp(a, b, |x, y| x >= y)
-    }
-    #[inline(always)]
-    pub(crate) fn select(m: M, a: V, b: V) -> V {
-        let pick = |m: u64, x: f64, y: f64| f64::from_bits((x.to_bits() & m) | (y.to_bits() & !m));
-        V([
-            pick(m.0[0], a.0[0], b.0[0]),
-            pick(m.0[1], a.0[1], b.0[1]),
-            pick(m.0[2], a.0[2], b.0[2]),
-            pick(m.0[3], a.0[3], b.0[3]),
-        ])
-    }
-    #[inline(always)]
-    pub(crate) fn to_array(v: V) -> [f64; LANES] {
-        v.0
-    }
+#[inline(always)]
+fn cmp(a: V, b: V, f: impl Fn(f64, f64) -> bool) -> M {
+    let m = |x, y| if f(x, y) { u64::MAX } else { 0 };
+    M([m(a.0[0], b.0[0]), m(a.0[1], b.0[1]), m(a.0[2], b.0[2]), m(a.0[3], b.0[3])])
 }
 
-pub(crate) use backend::*;
+#[inline(always)]
+pub(crate) fn load(s: &[f64]) -> V {
+    V([s[0], s[1], s[2], s[3]])
+}
+#[inline(always)]
+pub(crate) fn from_array(a: [f64; LANES]) -> V {
+    V(a)
+}
+#[inline(always)]
+pub(crate) fn store(v: V, out: &mut [f64]) {
+    out[..LANES].copy_from_slice(&v.0);
+}
+#[inline(always)]
+pub(crate) fn splat(x: f64) -> V {
+    V([x; LANES])
+}
+#[inline(always)]
+pub(crate) fn add(a: V, b: V) -> V {
+    zip(a, b, |x, y| x + y)
+}
+#[inline(always)]
+pub(crate) fn sub(a: V, b: V) -> V {
+    zip(a, b, |x, y| x - y)
+}
+#[inline(always)]
+pub(crate) fn mul(a: V, b: V) -> V {
+    zip(a, b, |x, y| x * y)
+}
+#[inline(always)]
+pub(crate) fn div(a: V, b: V) -> V {
+    zip(a, b, |x, y| x / y)
+}
+#[inline(always)]
+pub(crate) fn min(a: V, b: V) -> V {
+    zip(a, b, f64::min)
+}
+#[inline(always)]
+pub(crate) fn max(a: V, b: V) -> V {
+    zip(a, b, f64::max)
+}
+#[inline(always)]
+pub(crate) fn abs(a: V) -> V {
+    V(a.0.map(f64::abs))
+}
+#[inline(always)]
+pub(crate) fn gt(a: V, b: V) -> M {
+    cmp(a, b, |x, y| x > y)
+}
+#[inline(always)]
+pub(crate) fn ge(a: V, b: V) -> M {
+    cmp(a, b, |x, y| x >= y)
+}
+#[inline(always)]
+pub(crate) fn select(m: M, a: V, b: V) -> V {
+    let pick = |m: u64, x: f64, y: f64| f64::from_bits((x.to_bits() & m) | (y.to_bits() & !m));
+    V([
+        pick(m.0[0], a.0[0], b.0[0]),
+        pick(m.0[1], a.0[1], b.0[1]),
+        pick(m.0[2], a.0[2], b.0[2]),
+        pick(m.0[3], a.0[3], b.0[3]),
+    ])
+}
+#[inline(always)]
+pub(crate) fn to_array(v: V) -> [f64; LANES] {
+    v.0
+}
 
 /// The lanes' running first maximum: per lane, the greatest value seen
 /// and the index where it was first seen — a strict `>` per lane, so a

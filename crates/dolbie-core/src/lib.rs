@@ -81,7 +81,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 pub mod allocation;
 pub mod balancer;
@@ -115,9 +114,7 @@ pub use environment::Environment;
 pub use error::{AllocationError, OracleError, SolverError};
 pub use kernel::{CostSlab, FusedDolbie, FusedRound, KernelVariant};
 pub use membership::{membership_alpha_cap, renormalize_onto_members};
-pub use numeric::{
-    pairwise_neumaier_sum, pairwise_neumaier_sum_parallel, CursorState, NeumaierSum, SumCursor,
-};
+pub use numeric::{pairwise_neumaier_sum, CursorState, NeumaierSum, SumCursor};
 pub use observation::Observation;
 pub use oracle::{
     instantaneous_minimizer, instantaneous_minimizer_cached, instantaneous_minimizer_capped,

@@ -3,26 +3,24 @@
 //! The eq. (6) remainder and the Σx = 1 pin both reduce N-element arrays
 //! to one scalar. At N = 10^6 a naive left-to-right `f64` sum loses
 //! enough precision for shares to drift, and — worse for determinism — a
-//! sum whose association order depends on how work was chunked would make
-//! the parallel engine's bits depend on `--threads`. Both problems are
-//! solved at once by giving every reduction the *same* shape:
+//! sum whose association order depended on how the array was cut would
+//! make the engines' bits depend on where their passes split it. Both
+//! problems are solved at once by giving every reduction the *same*
+//! shape:
 //!
 //! 1. Neumaier (improved Kahan) compensation inside fixed blocks of
 //!    [`SUM_BLOCK`] consecutive elements, and
 //! 2. a fixed-order pairwise tree over the per-block partials.
 //!
-//! The shape depends only on the array length, never on chunk size or
-//! thread count, so [`pairwise_neumaier_sum`] and
-//! [`pairwise_neumaier_sum_parallel`] are bitwise-equal by construction:
-//! the parallel variant merely computes the (independent) block partials
-//! on the work-stealing harness and then runs the identical combine.
+//! The shape depends only on the array length, so the fused kernel's
+//! inline block partials, [`pairwise_neumaier_sum`] and a [`SumCursor`]
+//! carried across shard processes all land on the same bits.
 //!
 //! The block partials themselves run four blocks at a time across SIMD
 //! lanes, one chain per lane in its block's own left-to-right order, so
 //! the vectorized partials are the scalar chain's bit for bit.
 
 use crate::lanes::{self, LANES};
-use crate::parallel::{parallel_for_each, threads};
 
 /// Elements per compensated block. Block partials are combined by an
 /// exact-shape pairwise tree, so this only trades per-block accuracy
@@ -333,29 +331,9 @@ fn push_subtree(stack: &mut Vec<(u64, f64)>, mut size: u64, mut value: f64) {
     stack.push((size, value));
 }
 
-/// [`pairwise_neumaier_sum`] with the block partials computed on the
-/// work-stealing harness. Block partials are independent and the combine
-/// is identical, so the result is bitwise-equal to the sequential sum at
-/// any thread count.
-pub fn pairwise_neumaier_sum_parallel(values: &[f64]) -> f64 {
-    let blocks = values.len().div_ceil(SUM_BLOCK);
-    // Below ~1 block per worker the spawn overhead dwarfs the work.
-    if threads() <= 1 || blocks < 8 {
-        return pairwise_neumaier_sum(values);
-    }
-    // One task per lockstep group, so every task but the last runs the
-    // lanes.
-    let mut partials = vec![0.0; blocks];
-    let payloads: Vec<(&[f64], &mut [f64])> =
-        values.chunks(GROUP).zip(partials.chunks_mut(LANES)).collect();
-    parallel_for_each(payloads, |(group, out)| block_partials(group, out));
-    combine_partials(&mut partials)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::set_threads;
 
     fn splitmix(state: &mut u64) -> f64 {
         *state = state.wrapping_add(0x9e3779b97f4a7c15);
@@ -401,21 +379,6 @@ mod tests {
             let values: Vec<f64> = (0..n).map(|i| i as f64).collect();
             let expected = (n * (n - 1) / 2) as f64;
             assert_eq!(pairwise_neumaier_sum(&values), expected, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn parallel_sum_is_bitwise_equal_to_sequential() {
-        let mut state = 7u64;
-        for n in [100, 1000, 12345, 100_000] {
-            let values: Vec<f64> = (0..n).map(|_| splitmix(&mut state) - 0.5).collect();
-            let sequential = pairwise_neumaier_sum(&values);
-            for t in [1, 2, 4, 8] {
-                set_threads(t);
-                let parallel = pairwise_neumaier_sum_parallel(&values);
-                set_threads(0);
-                assert_eq!(sequential.to_bits(), parallel.to_bits(), "n = {n}, threads = {t}");
-            }
         }
     }
 

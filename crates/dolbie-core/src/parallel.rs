@@ -1,14 +1,14 @@
 //! Deterministic work-stealing fan-out over independent tasks.
 //!
-//! The experiment fan-out of `dolbie-bench` lives here, in the core
-//! crate, so that *intra-round* computation (the chunked sweeps of the
-//! large-N kernel [`FusedDolbie`](crate::kernel::FusedDolbie)) shares one
-//! thread-count setting and one scheduling discipline with the
-//! *across-experiment* fan-out. Three properties make the parallelism
-//! safe:
+//! The fan-out across experiments, seeds and model-checker frontiers
+//! (`dolbie-bench`, `dolbie-mc`). A round itself runs on one thread:
+//! [`FusedDolbie`](crate::kernel::FusedDolbie) costs a few nanoseconds
+//! per worker, so spawning threads inside a round pays off only at
+//! fleets far larger than any workload runs. Three properties make the
+//! parallelism safe:
 //!
-//! - **Pure tasks.** Each task is a function of its index (or owned
-//!   payload) alone, so the execution schedule cannot leak into a result.
+//! - **Pure tasks.** Each task is a function of its index (or item)
+//!   alone, so the execution schedule cannot leak into a result.
 //! - **Ordered collection.** Results land in a per-index slot and are
 //!   returned in index order, so downstream consumers see exactly the
 //!   sequential iteration order.
@@ -26,15 +26,10 @@
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// 0 means "not set": fall back to available parallelism.
 static THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Probed once: `available_parallelism` re-reads cgroup quota files on
-/// every call on Linux, which is far too slow for the per-round
-/// [`threads`] checks in the chunked kernel's hot path.
-static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
 /// Pins the number of worker threads used by the fan-out functions in
 /// this module.
@@ -49,8 +44,7 @@ pub fn set_threads(n: usize) {
 /// The number of worker threads the fan-out functions will use.
 pub fn threads() -> usize {
     match THREADS.load(Ordering::SeqCst) {
-        0 => *DEFAULT_THREADS
-            .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     }
 }
@@ -118,60 +112,6 @@ where
     parallel_map(items.len(), |i| task(&items[i]))
 }
 
-/// Runs `task` once on every payload, work-stealing over [`threads`]
-/// scoped worker threads. Payloads are *owned* (typically disjoint
-/// `&mut` sub-slices produced by `chunks_mut`), which is what lets the
-/// intra-round engine passes write shared state in parallel without
-/// `unsafe`.
-///
-/// Each payload is claimed exactly once; with one worker thread the
-/// payloads run sequentially in order on the calling thread. As with
-/// [`parallel_map`], tasks must be pure functions of their payload for
-/// the schedule to be unobservable.
-///
-/// # Panics
-///
-/// Propagates the first observed panic from a worker thread.
-pub fn parallel_for_each<C, F>(payloads: Vec<C>, task: F)
-where
-    C: Send,
-    F: Fn(C) + Sync,
-{
-    let workers = threads().min(payloads.len());
-    if workers <= 1 {
-        for payload in payloads {
-            task(payload);
-        }
-        return;
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<C>>> = payloads.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= slots.len() {
-                        break;
-                    }
-                    let payload = slots[i]
-                        .lock()
-                        .expect("payload slot poisoned")
-                        .take()
-                        .expect("every payload is claimed exactly once");
-                    task(payload);
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Err(panic) = handle.join() {
-                resume_unwind(panic);
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,53 +177,6 @@ mod tests {
                     panic!("task failure");
                 }
                 i
-            })
-        });
-        set_threads(0);
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn for_each_writes_disjoint_chunks() {
-        let mut data = vec![0usize; 1000];
-        set_threads(4);
-        let payloads: Vec<(usize, &mut [usize])> =
-            data.chunks_mut(7).enumerate().map(|(k, c)| (k * 7, c)).collect();
-        parallel_for_each(payloads, |(base, chunk)| {
-            for (off, v) in chunk.iter_mut().enumerate() {
-                *v = (base + off) * 2;
-            }
-        });
-        set_threads(0);
-        assert_eq!(data, (0..1000).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn for_each_sequential_path_matches_parallel() {
-        let run = |threads: usize| {
-            let mut out = vec![0.0f64; 137];
-            set_threads(threads);
-            let payloads: Vec<(usize, &mut [f64])> =
-                out.chunks_mut(11).enumerate().map(|(k, c)| (k * 11, c)).collect();
-            parallel_for_each(payloads, |(base, chunk)| {
-                for (off, v) in chunk.iter_mut().enumerate() {
-                    *v = ((base + off) as f64).sin();
-                }
-            });
-            set_threads(0);
-            out
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn for_each_panic_propagates() {
-        set_threads(4);
-        let result = std::panic::catch_unwind(|| {
-            parallel_for_each((0..16).collect::<Vec<usize>>(), |i| {
-                if i == 3 {
-                    panic!("payload failure");
-                }
             })
         });
         set_threads(0);

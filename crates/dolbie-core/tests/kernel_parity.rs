@@ -1,9 +1,8 @@
 //! Exhaustive bitwise-parity matrix for the fused/SIMD round kernel.
 //!
 //! The tentpole determinism claim of the kernel
-//! ([`dolbie_core::kernel`]): for every cost stream, chunk size, thread
-//! count, kernel variant and membership mask, the fused engine's
-//! trajectory — per-round shares, straggler ids, the α schedule, the
+//! ([`dolbie_core::kernel`]): for every cost stream, kernel variant and
+//! membership mask, the fused engine's trajectory — per-round shares, straggler ids, the α schedule, the
 //! update counters — is **bitwise identical** to the sequential split
 //! engine ([`Dolbie`]). The reference trajectories here are produced by
 //! the plain `Dolbie` + `Observation` path, so any fusion, pipelining,
@@ -11,7 +10,6 @@
 
 use dolbie_core::cost::{DynCost, LatencyCost, LinearCost};
 use dolbie_core::kernel::{CostSlab, FusedDolbie, KernelVariant};
-use dolbie_core::parallel::set_threads;
 use dolbie_core::{
     pairwise_neumaier_sum, Allocation, Dolbie, DolbieConfig, LoadBalancer, Observation,
 };
@@ -113,30 +111,15 @@ fn run_split(mut d: Dolbie, costs: &[DynCost], rounds: usize) -> Trajectory {
 }
 
 /// Plays the fused kernel over `costs` from the uniform split.
-fn run_fused(
-    costs: &[DynCost],
-    rounds: usize,
-    variant: KernelVariant,
-    chunk: Option<usize>,
-    reads: bool,
-) -> Trajectory {
+fn run_fused(costs: &[DynCost], rounds: usize, variant: KernelVariant, reads: bool) -> Trajectory {
     let d = FusedDolbie::from_costs(costs).expect("fleet has a slab layout");
-    play_fused(d, rounds, variant, chunk, reads)
+    play_fused(d, rounds, variant, reads)
 }
 
 /// Plays the kernel `d`. With `reads`, the shares are read after every
 /// round; without, only the final shares are recorded.
-fn play_fused(
-    mut d: FusedDolbie,
-    rounds: usize,
-    variant: KernelVariant,
-    chunk: Option<usize>,
-    reads: bool,
-) -> Trajectory {
-    d = d.with_variant(variant);
-    if let Some(c) = chunk {
-        d = d.with_chunk_size(c);
-    }
+fn play_fused(d: FusedDolbie, rounds: usize, variant: KernelVariant, reads: bool) -> Trajectory {
+    let mut d = d.with_variant(variant);
     let mut t = Trajectory {
         share_bits: Vec::new(),
         stragglers: Vec::new(),
@@ -168,25 +151,17 @@ fn assert_same(got: &Trajectory, reference: &Trajectory, tag: &str) {
     assert_eq!(got.share_bits, reference.share_bits, "shares ({tag})");
 }
 
-/// The full matrix: {latency, tie-heavy} × {Fused, Simd} ×
-/// chunk {None, 1, 7, 64, N} × threads {1, 4}, n prime so every chunk
-/// size leaves a ragged tail (and the SIMD lanes a scalar remainder).
+/// The small matrix: {latency, tie-heavy} × {Fused, Simd}, n prime so
+/// the last block is ragged and the SIMD lanes leave a scalar remainder.
 #[test]
 fn fused_kernel_matches_split_engine_across_the_matrix() {
     let n = 97;
     let rounds = 60;
     for costs in [latency_fleet(n, 11), tie_heavy_fleet(n)] {
         let reference = run_split_reference(&costs, rounds);
-        for variant in [KernelVariant::Fused, KernelVariant::Simd] {
-            for chunk in [None, Some(1usize), Some(7), Some(64), Some(n)] {
-                for threads in [1usize, 4] {
-                    set_threads(threads);
-                    let got = run_fused(&costs, rounds, variant, chunk, true);
-                    set_threads(0);
-                    let tag = format!("{variant:?}, chunk {chunk:?}, threads {threads}");
-                    assert_same(&got, &reference, &tag);
-                }
-            }
+        for variant in KernelVariant::all() {
+            let got = run_fused(&costs, rounds, variant, true);
+            assert_same(&got, &reference, &format!("{variant:?}"));
         }
     }
 }
@@ -194,8 +169,7 @@ fn fused_kernel_matches_split_engine_across_the_matrix() {
 /// The matrix where the lane-wise reductions run: n ∈ {512, 1031, 2177}
 /// (one, two and four full lockstep groups of `SUM_BLOCK` blocks, the
 /// last two with ragged tails) × {latency, linear, tie-heavy, equal-peak} ×
-/// {Fused, Simd} × chunk {None, 7, 640} × threads {1, 4} × with and
-/// without per-round allocation reads.
+/// {Fused, Simd} × with and without per-round allocation reads.
 #[test]
 fn fused_kernel_matches_split_engine_where_the_lanes_run() {
     let rounds = 40;
@@ -207,31 +181,22 @@ fn fused_kernel_matches_split_engine_where_the_lanes_run() {
             ("peak", peak_fleet(n)),
         ] {
             let reference = run_split_reference(&costs, rounds);
-            for variant in [KernelVariant::Fused, KernelVariant::Simd] {
-                for chunk in [None, Some(7usize), Some(640)] {
-                    for threads in [1usize, 4] {
-                        for reads in [true, false] {
-                            set_threads(threads);
-                            let got = run_fused(&costs, rounds, variant, chunk, reads);
-                            set_threads(0);
-                            let tag = format!(
-                                "n {n}, {fleet}, {variant:?}, chunk {chunk:?}, threads {threads}, \
-                                 reads {reads}"
-                            );
-                            assert_eq!(got.stragglers, reference.stragglers, "stragglers ({tag})");
-                            assert_eq!(
-                                got.global_cost_bits, reference.global_cost_bits,
-                                "global costs ({tag})"
-                            );
-                            assert_eq!(got.alpha_bits, reference.alpha_bits, "alphas ({tag})");
-                            let want = if reads {
-                                &reference.share_bits[..]
-                            } else {
-                                &reference.share_bits[rounds - 1..]
-                            };
-                            assert_eq!(got.share_bits, want, "shares ({tag})");
-                        }
-                    }
+            for variant in KernelVariant::all() {
+                for reads in [true, false] {
+                    let got = run_fused(&costs, rounds, variant, reads);
+                    let tag = format!("n {n}, {fleet}, {variant:?}, reads {reads}");
+                    assert_eq!(got.stragglers, reference.stragglers, "stragglers ({tag})");
+                    assert_eq!(
+                        got.global_cost_bits, reference.global_cost_bits,
+                        "global costs ({tag})"
+                    );
+                    assert_eq!(got.alpha_bits, reference.alpha_bits, "alphas ({tag})");
+                    let want = if reads {
+                        &reference.share_bits[..]
+                    } else {
+                        &reference.share_bits[rounds - 1..]
+                    };
+                    assert_eq!(got.share_bits, want, "shares ({tag})");
                 }
             }
         }
@@ -248,28 +213,22 @@ fn fused_episode_aggregates_match_split_engine() {
     let costs = latency_fleet(n, 3);
     let mut split = Dolbie::new(n);
     let summary = dolbie_core::runner::run_episode_with_static_costs(&mut split, &costs, rounds);
-    for variant in [KernelVariant::Fused, KernelVariant::Simd] {
-        for chunk in [None, Some(64)] {
-            let mut fused = FusedDolbie::from_costs(&costs).unwrap().with_variant(variant);
-            if let Some(c) = chunk {
-                fused = fused.with_chunk_size(c);
-            }
-            let got = fused.run(rounds);
-            let tag = format!("{variant:?}, chunk {chunk:?}");
-            assert_eq!(got.total_cost.to_bits(), summary.total_cost.to_bits(), "{tag}");
+    for variant in KernelVariant::all() {
+        let mut fused = FusedDolbie::from_costs(&costs).unwrap().with_variant(variant);
+        let got = fused.run(rounds);
+        assert_eq!(got.total_cost.to_bits(), summary.total_cost.to_bits(), "{variant:?}");
+        assert_eq!(
+            got.final_global_cost.to_bits(),
+            summary.final_global_cost.to_bits(),
+            "{variant:?}"
+        );
+        assert_eq!(fused.stats(), split.stats(), "{variant:?}");
+        for i in 0..n {
             assert_eq!(
-                got.final_global_cost.to_bits(),
-                summary.final_global_cost.to_bits(),
-                "{tag}"
+                fused.allocation().share(i).to_bits(),
+                split.allocation().share(i).to_bits(),
+                "worker {i} ({variant:?})"
             );
-            assert_eq!(fused.stats(), split.stats(), "{tag}");
-            for i in 0..n {
-                assert_eq!(
-                    fused.allocation().share(i).to_bits(),
-                    split.allocation().share(i).to_bits(),
-                    "worker {i} ({tag})"
-                );
-            }
         }
     }
 }
@@ -280,18 +239,28 @@ fn fused_episode_aggregates_match_split_engine() {
 /// a pipelined step, which must discard the costs that step folded at the
 /// old shares. The fused loop runs in two modes: with per-round
 /// allocation reads (per-round share bits compared), and without.
+///
+/// Masked rounds fold scalar, group by group. At n = 41 the fleet is one
+/// partial `GROUP`; at n = 1 031 it is two full groups and a ragged
+/// third, and the workers that leave sit on both sides of the first group
+/// boundary (511, 512) and in the scalar tail (1 030).
 #[test]
 fn fused_kernel_matches_split_engine_through_membership_epochs() {
-    let n = 41;
+    // Per fleet size: the workers outside the membership from round 20,
+    // from round 35, and from round 60 (a rejoin) on.
+    let cases: [(usize, [&[usize]; 3]); 2] =
+        [(41, [&[3], &[3, 0], &[0]]), (1031, [&[511, 512], &[511, 512, 1030], &[1030]])];
+    for (n, out) in cases {
+        membership_epochs_case(n, out);
+    }
+}
+
+fn membership_epochs_case(n: usize, out: [&[usize]; 3]) {
     let rounds = 90;
     let costs = latency_fleet(n, 29);
     let boundary = |t: usize| -> Option<Vec<bool>> {
-        match t {
-            20 => Some((0..n).map(|i| i != 3).collect()),
-            35 => Some((0..n).map(|i| i != 3 && i != 0).collect()),
-            60 => Some((0..n).map(|i| i != 0).collect()),
-            _ => None,
-        }
+        let k = [20, 35, 60].iter().position(|&r| r == t)?;
+        Some((0..n).map(|i| !out[k].contains(&i)).collect())
     };
 
     let mut members = vec![true; n];
@@ -316,73 +285,46 @@ fn fused_kernel_matches_split_engine_through_membership_epochs() {
     }
     reference.alpha_bits = split.alphas_used().iter().map(|a| a.to_bits()).collect();
 
-    for variant in [KernelVariant::Fused, KernelVariant::Simd] {
-        for chunk in [None, Some(7usize)] {
-            for threads in [1usize, 4] {
-                for read_each_round in [true, false] {
-                    set_threads(threads);
-                    let mut fused = FusedDolbie::from_costs(&costs).unwrap().with_variant(variant);
-                    if let Some(c) = chunk {
-                        fused = fused.with_chunk_size(c);
-                    }
-                    let mut got = Trajectory {
-                        share_bits: Vec::new(),
-                        stragglers: Vec::new(),
-                        global_cost_bits: Vec::new(),
-                        alpha_bits: Vec::new(),
-                    };
-                    for t in 0..rounds {
-                        if let Some(m) = boundary(t) {
-                            fused.apply_membership(&m);
-                        }
-                        let round = fused.step();
-                        got.stragglers.push(round.straggler);
-                        got.global_cost_bits.push(round.global_cost.to_bits());
-                        if read_each_round {
-                            got.share_bits
-                                .push(fused.allocation().iter().map(|v| v.to_bits()).collect());
-                        }
-                    }
-                    got.alpha_bits = fused.alphas_used().iter().map(|a| a.to_bits()).collect();
-                    let final_bits: Vec<u64> =
-                        fused.allocation().iter().map(|v| v.to_bits()).collect();
-                    set_threads(0);
-                    let tag = format!(
-                        "{variant:?}, chunk {chunk:?}, threads {threads}, reads {read_each_round}"
-                    );
-                    assert_eq!(got.stragglers, reference.stragglers, "stragglers ({tag})");
-                    assert_eq!(got.global_cost_bits, reference.global_cost_bits, "costs ({tag})");
-                    assert_eq!(got.alpha_bits, reference.alpha_bits, "alpha schedule ({tag})");
-                    if read_each_round {
-                        assert_eq!(got.share_bits, reference.share_bits, "shares ({tag})");
-                    } else {
-                        assert_eq!(
-                            &final_bits,
-                            reference.share_bits.last().unwrap(),
-                            "final shares ({tag})"
-                        );
-                    }
+    for variant in KernelVariant::all() {
+        for read_each_round in [true, false] {
+            let mut fused = FusedDolbie::from_costs(&costs).unwrap().with_variant(variant);
+            let mut got = Trajectory {
+                share_bits: Vec::new(),
+                stragglers: Vec::new(),
+                global_cost_bits: Vec::new(),
+                alpha_bits: Vec::new(),
+            };
+            for t in 0..rounds {
+                if let Some(m) = boundary(t) {
+                    fused.apply_membership(&m);
                 }
+                let round = fused.step();
+                got.stragglers.push(round.straggler);
+                got.global_cost_bits.push(round.global_cost.to_bits());
+                if read_each_round {
+                    got.share_bits.push(fused.allocation().iter().map(|v| v.to_bits()).collect());
+                }
+            }
+            got.alpha_bits = fused.alphas_used().iter().map(|a| a.to_bits()).collect();
+            let final_bits: Vec<u64> = fused.allocation().iter().map(|v| v.to_bits()).collect();
+            let tag = format!("n {n}, {variant:?}, reads {read_each_round}");
+            assert_eq!(got.stragglers, reference.stragglers, "stragglers ({tag})");
+            assert_eq!(got.global_cost_bits, reference.global_cost_bits, "costs ({tag})");
+            assert_eq!(got.alpha_bits, reference.alpha_bits, "alpha schedule ({tag})");
+            if read_each_round {
+                assert_eq!(got.share_bits, reference.share_bits, "shares ({tag})");
+            } else {
+                assert_eq!(
+                    &final_bits,
+                    reference.share_bits.last().unwrap(),
+                    "final shares ({tag})"
+                );
             }
         }
     }
 
     let sum = pairwise_neumaier_sum(split.allocation().as_slice());
-    assert!((sum - 1.0).abs() < 1e-12, "|Σx − 1| = {:e}", (sum - 1.0).abs());
-}
-
-/// The chunk × thread grid every pipelined-tail case runs over, with
-/// both kernel variants.
-fn for_each_schedule(mut run: impl FnMut(KernelVariant, Option<usize>, &str)) {
-    for variant in [KernelVariant::Fused, KernelVariant::Simd] {
-        for chunk in [None, Some(7usize), Some(640)] {
-            for threads in [1usize, 4] {
-                set_threads(threads);
-                run(variant, chunk, &format!("{variant:?}, chunk {chunk:?}, threads {threads}"));
-                set_threads(0);
-            }
-        }
-    }
+    assert!((sum - 1.0).abs() < 1e-12, "n {n}: |Σx − 1| = {:e}", (sum - 1.0).abs());
 }
 
 /// Workers of the exact-arithmetic tie fleet: one straggler at share 1/2
@@ -438,12 +380,12 @@ fn pinned_straggler_ties_resolve_to_the_lowest_index_wherever_it_sits() {
                 s.min(tie),
                 "the construction ties s {s} with {tie} at round 1"
             );
-            for_each_schedule(|variant, chunk, tag| {
+            for variant in KernelVariant::all() {
                 let slab = CostSlab::from_costs(&costs).expect("a linear slab");
                 let d = FusedDolbie::with_config(slab, initial.clone(), config);
-                let got = play_fused(d, rounds, variant, chunk, true);
-                assert_same(&got, &reference, &format!("s {s}, tie {tie}, {tag}"));
-            });
+                let got = play_fused(d, rounds, variant, true);
+                assert_same(&got, &reference, &format!("s {s}, tie {tie}, {variant:?}"));
+            }
         }
     }
 }
@@ -470,10 +412,10 @@ fn guard_rescale_on_a_refresh_round_matches_split_engine() {
     assert!(fired[255], "the guard must fire on the refresh round");
     assert!(!fired[258] && !fired[259], "ordinary rounds must follow it");
     let reference = run_split(Dolbie::with_config(Allocation::uniform(n), config), &costs, rounds);
-    for_each_schedule(|variant, chunk, tag| {
+    for variant in KernelVariant::all() {
         let slab = CostSlab::from_costs(&costs).expect("a latency slab");
         let d = FusedDolbie::with_config(slab, Allocation::uniform(n), config);
-        let got = play_fused(d, rounds, variant, chunk, true);
-        assert_same(&got, &reference, tag);
-    });
+        let got = play_fused(d, rounds, variant, true);
+        assert_same(&got, &reference, &format!("{variant:?}"));
+    }
 }

@@ -44,6 +44,32 @@ pub(crate) fn welcome_frame(
     }
 }
 
+/// The fault plan a `Welcome` or `ShardWelcome` ships, rebuilt on the
+/// receiving end — the inverse of [`welcome_frame`]. The sender's plan
+/// came through `FaultPlan::with_drop_probability` and
+/// `with_duplicate_probability`, which admit only `[0, 1)`; a probability
+/// outside it (NaN included) is a protocol error, not a panic in those
+/// builders' asserts, and not silently dropped.
+pub(crate) fn shipped_fault_plan(
+    fault_seed: u64,
+    drop_probability: f64,
+    duplicate_probability: f64,
+) -> Result<FaultPlan, NetError> {
+    for (what, p) in [("drop", drop_probability), ("duplicate", duplicate_probability)] {
+        if !(0.0..1.0).contains(&p) {
+            return Err(NetError::Protocol(format!("{what} probability {p} is outside [0, 1)")));
+        }
+    }
+    let mut plan = FaultPlan::seeded(fault_seed);
+    if drop_probability > 0.0 {
+        plan = plan.with_drop_probability(drop_probability);
+    }
+    if duplicate_probability > 0.0 {
+        plan = plan.with_duplicate_probability(duplicate_probability);
+    }
+    Ok(plan)
+}
+
 /// How often admission asks whether its caller's upstream has gone.
 const UPSTREAM_CHECK: Duration = Duration::from_millis(20);
 

@@ -104,3 +104,13 @@ impl From<TransportError> for NetError {
         Self::Transport(e)
     }
 }
+
+/// `value`, if it lies in `[0, 1]` (NaN does not); otherwise the
+/// protocol error naming `what`.
+pub(crate) fn unit_interval(what: &str, value: f64) -> Result<f64, NetError> {
+    if (0.0..=1.0).contains(&value) {
+        Ok(value)
+    } else {
+        Err(NetError::Protocol(format!("{what} {value} is outside [0, 1]")))
+    }
+}

@@ -100,14 +100,14 @@
 
 use crate::env::WireEnvSpec;
 use crate::fleet::{Fleet, IdleWait, Phase, SweepFail};
-use crate::handshake::{admit_concurrent, welcome_frame};
+use crate::handshake::{admit_concurrent, shipped_fault_plan, welcome_frame};
 use crate::transport::{
     connect_schedule, connect_with_backoff, FrameConn, Link, TransportError, WireStats,
     DEFAULT_FRAME_TIMEOUT,
 };
 use crate::wire::{CursorPhase, Frame, SHARD_SLICE_CHUNK};
 use crate::worker::{run_worker_as, WorkerOptions, WorkerReport};
-use crate::NetError;
+use crate::{unit_interval, NetError};
 use dolbie_core::numeric::{CursorState, SumCursor, SUM_BLOCK};
 use dolbie_core::shard::{combine_candidates, RootEngine, ShardCandidate, ShardLayout};
 use dolbie_core::{Allocation, DolbieConfig};
@@ -388,15 +388,59 @@ fn cursor_state(
     CursorState { stack, partial_sum, partial_compensation, partial_len }
 }
 
-/// Whether a cursor state a shard-master returned is one the fixed-shape
-/// sum can produce: finite fields and an in-progress block shorter than
-/// [`SUM_BLOCK`]. A shard-master that returns anything else is buried
-/// like a dead one.
-fn cursor_is_sound(state: &CursorState) -> bool {
+/// Whether a cursor state is one the fixed-shape sum can produce after
+/// absorbing `len` elements: finite fields, `len % SUM_BLOCK` elements in
+/// the in-progress block, and one subtree per set bit of the
+/// `len / SUM_BLOCK` completed blocks, largest first — the binary counter
+/// [`SumCursor`] keeps. The root's chain hands shard `k` a cursor that
+/// has absorbed the `range(k).start` values before its range and takes
+/// it back at `range(k).end`. A shard-master that returns anything else
+/// is buried like a dead one; a root that sends anything else stops the
+/// shard-master (an unchecked stack could overflow a subtree size).
+fn cursor_is_sound(state: &CursorState, len: usize) -> bool {
+    let blocks = (len / SUM_BLOCK) as u64;
+    let sizes = (0..u64::BITS).rev().map(|b| 1u64 << b).filter(|size| blocks & size != 0);
     state.partial_sum.is_finite()
         && state.partial_compensation.is_finite()
-        && (state.partial_len as usize) < SUM_BLOCK
+        && state.partial_len as usize == len % SUM_BLOCK
+        && state.stack.iter().map(|&(size, _)| size).eq(sizes)
         && state.stack.iter().all(|&(_, value)| value.is_finite())
+}
+
+/// `state`, if [`cursor_is_sound`] after `len` values; otherwise the
+/// protocol error that stops the shard-master.
+fn sound_cursor(state: CursorState, len: usize) -> Result<CursorState, NetError> {
+    if cursor_is_sound(&state, len) {
+        Ok(state)
+    } else {
+        Err(NetError::Protocol(format!("root sent an impossible cursor after {len} values")))
+    }
+}
+
+/// The worker-link retry policy a `ShardWelcome` ships, if the root could
+/// have built it: `RetryPolicy::new`'s bounds (a positive, finite ack
+/// timeout, a finite backoff ≥ 1, at least one attempt), and a longest
+/// retransmission timeout `ack_timeout · backoff^(attempts − 1)` within
+/// [`ADMISSION_WAIT`], the longest wait of the protocol, so the
+/// envelope's `Duration` and `Instant` arithmetic cannot overflow.
+fn shipped_retry(
+    ack_timeout: f64,
+    backoff: f64,
+    max_attempts: u32,
+) -> Result<RetryPolicy, NetError> {
+    let sound = ack_timeout > 0.0
+        && ack_timeout.is_finite()
+        && backoff >= 1.0
+        && backoff.is_finite()
+        && max_attempts >= 1
+        && ack_timeout * backoff.powf(f64::from(max_attempts - 1)) <= ADMISSION_WAIT.as_secs_f64();
+    if !sound {
+        return Err(NetError::Protocol(format!(
+            "ShardWelcome retry policy ({ack_timeout} s, ×{backoff}, {max_attempts} attempts) \
+             is impossible"
+        )));
+    }
+    Ok(RetryPolicy::new(ack_timeout, backoff, max_attempts as usize))
 }
 
 /// How a backbone interaction failed: a dead link (I/O error, reset, or
@@ -555,7 +599,7 @@ impl Root<'_> {
                     stack,
                 }) if round == t as u64 && p == phase => {
                     state = cursor_state(partial_sum, partial_compensation, partial_len, stack);
-                    if !cursor_is_sound(&state) {
+                    if !cursor_is_sound(&state, layout.range(k).end) {
                         return Ok(ChainOutcome::Broken(Pending::shard(k)));
                     }
                     *logical += 1;
@@ -1430,20 +1474,19 @@ pub fn run_shard_master(
     if shard as usize != opts.shard || num_shards as usize != opts.num_shards {
         return Err(NetError::Protocol("root and shard disagree on the layout".into()));
     }
+    // `run_root` asserts N ≥ 2, and `ShardLayout::even(N, M)` cuts
+    // `0..N` into contiguous ranges.
+    if num_workers < 2 || range_start > range_end || range_end > num_workers {
+        return Err(NetError::Protocol(format!(
+            "ShardWelcome range {range_start}..{range_end} of {num_workers} workers is impossible"
+        )));
+    }
     let range = range_start as usize..range_end as usize;
     let count = range.len();
     let n_total = num_workers as usize;
-    let mut fault = FaultPlan::seeded(fault_seed).with_retry(RetryPolicy {
-        ack_timeout: retry_ack_timeout,
-        backoff: retry_backoff,
-        max_attempts: retry_max_attempts as usize,
-    });
-    if drop_probability > 0.0 {
-        fault = fault.with_drop_probability(drop_probability);
-    }
-    if duplicate_probability > 0.0 {
-        fault = fault.with_duplicate_probability(duplicate_probability);
-    }
+    let retry = shipped_retry(retry_ack_timeout, retry_backoff, retry_max_attempts)?;
+    let fault =
+        shipped_fault_plan(fault_seed, drop_probability, duplicate_probability)?.with_retry(retry);
 
     // Worker admission: concurrent handshakes, parameterized with this
     // shard's global id window, abandoned if the root goes away first.
@@ -1586,7 +1629,15 @@ pub fn run_shard_master(
             Tail::Frame(Frame::ShardCoord { round, global_cost, alpha, straggler })
                 if round == t as u64 =>
             {
-                (global_cost, alpha, straggler as usize)
+                // The elected candidate's cost, which the root checks
+                // finite; `StepSize` keeps α in [0, 1]; the candidate
+                // is a worker of some shard's range.
+                if !global_cost.is_finite() || straggler >= n_total as u64 {
+                    return Err(NetError::Protocol(format!(
+                        "ShardCoord names straggler {straggler} at global cost {global_cost}"
+                    )));
+                }
+                (global_cost, unit_interval("ShardCoord α", alpha)?, straggler as usize)
             }
             Tail::Frame(_) => {
                 return Err(NetError::Protocol(format!(
@@ -1643,11 +1694,14 @@ pub fn run_shard_master(
                     stack,
                 }) if round == t as u64 => {
                     let state = cursor_state(partial_sum, partial_compensation, partial_len, stack);
-                    let mut local = SumCursor::from_state(&state);
+                    let mut local = SumCursor::from_state(&sound_cursor(state, range.start)?);
                     local.extend(&gains);
                     ctx.root.send(&cursor_frame(t, CursorPhase::Gains, &local.state()))?;
                 }
                 Tail::Frame(Frame::ShardRescale { round, scale }) if round == t as u64 => {
+                    // `RootEngine::guard_scale` only shrinks gains: it
+                    // sends x_s / Σ gains only when Σ gains > x_s.
+                    let scale = unit_interval("ShardRescale scale", scale)?;
                     for g in gains.iter_mut() {
                         *g *= scale;
                     }
@@ -1667,6 +1721,10 @@ pub fn run_shard_master(
                     // Every live sibling has reported by now, so the
                     // root's silence counts from here on.
                     ctx.timeout = shard_deadline(opts.frame_timeout);
+                    // `RootEngine::pin`: 1 − the others' mass, clamped
+                    // at 0.
+                    let straggler_share =
+                        unit_interval("ShardCommit straggler share", straggler_share)?;
                     for (xi, gi) in ctx.x.iter_mut().zip(&gains) {
                         *xi += gi;
                     }
@@ -1712,7 +1770,7 @@ pub fn run_shard_master(
                     stack,
                 }) if round == t as u64 => {
                     let state = cursor_state(partial_sum, partial_compensation, partial_len, stack);
-                    let mut local = SumCursor::from_state(&state);
+                    let mut local = SumCursor::from_state(&sound_cursor(state, range.start)?);
                     local.extend(&ctx.x);
                     ctx.root.send(&cursor_frame(t, CursorPhase::Shares, &local.state()))?;
                 }

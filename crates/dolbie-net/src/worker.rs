@@ -19,17 +19,19 @@
 //!
 //! The worker does not compute on impossible values. A share (in
 //! `Welcome`, `Assignment` or `Epoch`), an `α` or an `Adjust` scale
-//! outside `[0, 1]`, or a non-finite global cost, ends the run with
-//! [`NetError::Protocol`]; each bound is derived, at its check, from the
-//! code that produces the value.
+//! outside `[0, 1]`, a non-finite global cost, a `Welcome` drop or
+//! duplicate probability outside `[0, 1)` or a zero `frame_timeout`
+//! ends the run with [`NetError::Protocol`]; each bound is derived, at
+//! its check, from the code that produces the value.
 
+use crate::handshake::shipped_fault_plan;
 use crate::shard::{worker_deadline, ADMISSION_WAIT};
 use crate::transport::{FrameConn, Link, TransportError, WireStats};
 use crate::wire::{Frame, VERSION};
-use crate::NetError;
+use crate::{unit_interval, NetError};
 use dolbie_core::cost::DynCost;
 use dolbie_core::observation::max_acceptable_share;
-use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
+use dolbie_simnet::faults::RetryPolicy;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -100,15 +102,15 @@ pub(crate) fn run_worker_as(
             frame_timeout_us,
             ..
         } => {
-            let mut plan = FaultPlan::seeded(fault_seed);
-            if drop_probability > 0.0 {
-                plan = plan.with_drop_probability(drop_probability);
-            }
-            if duplicate_probability > 0.0 {
-                plan = plan.with_duplicate_probability(duplicate_probability);
-            }
+            let mut plan = shipped_fault_plan(fault_seed, drop_probability, duplicate_probability)?;
             if let Some(retry) = opts.retry {
                 plan = plan.with_retry(retry);
+            }
+            // The shard-master's own per-frame read deadline on this
+            // link (`welcome_frame`), which is positive: a zero one
+            // would expire every read at once.
+            if frame_timeout_us == 0 {
+                return Err(NetError::Protocol("Welcome frame timeout is zero".into()));
             }
             let t = Duration::from_micros(frame_timeout_us);
             let deadline = worker_deadline(t).min(ADMISSION_WAIT);
@@ -230,21 +232,12 @@ pub(crate) fn run_worker_as(
     }
 }
 
-/// `value`, if it lies in `[0, 1]` (NaN does not); otherwise the
-/// protocol error naming `what`.
-fn unit_interval(what: &str, value: f64) -> Result<f64, NetError> {
-    if (0.0..=1.0).contains(&value) {
-        Ok(value)
-    } else {
-        Err(NetError::Protocol(format!("{what} {value} is outside [0, 1]")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::{EnvKind, WireEnvSpec};
     use crate::handshake::welcome_frame;
+    use dolbie_simnet::faults::FaultPlan;
     use std::net::TcpListener;
     use std::time::Instant;
 

@@ -7,7 +7,8 @@
 //! a hang), and each with the surviving trajectory **bitwise identical**
 //! to a sequential twin replaying the recorded membership schedule. A
 //! shard-master sending its worker impossible values ends that worker
-//! with a protocol error.
+//! with a protocol error, and a root sending its shard-master impossible
+//! values ends that shard-master with one.
 //!
 //! The twin recipe is the contract the root's epoch records promise:
 //! before observing round `t`, apply every recorded `RootEpoch` with
@@ -28,7 +29,7 @@ use dolbie_net::shard::{
     ShardedLoopbackRun,
 };
 use dolbie_net::transport::{connect_with_backoff, FrameConn, Link};
-use dolbie_net::wire::{Frame, VERSION};
+use dolbie_net::wire::{CursorPhase, Frame, VERSION};
 use dolbie_net::worker::{run_worker, WorkerOptions};
 use dolbie_net::NetError;
 use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
@@ -685,6 +686,9 @@ enum ShardLie {
     FullCursorBlock,
     /// A gains cursor returned with a NaN partial sum.
     NanCursor,
+    /// A gains cursor returned with one more subtree than the values it
+    /// absorbed make.
+    ExtraSubtree,
 }
 
 /// A hand-rolled shard-master for the last shard of an `M = 2` tree,
@@ -709,10 +713,12 @@ fn lying_shard_master(root: SocketAddr, lie: ShardLie) -> Option<Frame> {
         ShardLie::ShareAboveOne => aggregate(1.0, own, 1.5),
         // An honest aggregate that loses the election: the lie comes
         // with the cursor.
-        ShardLie::FullCursorBlock | ShardLie::NanCursor => aggregate(0.0, own, share),
+        ShardLie::FullCursorBlock | ShardLie::NanCursor | ShardLie::ExtraSubtree => {
+            aggregate(0.0, own, share)
+        }
     };
     conn.send(&sent).unwrap();
-    if matches!(lie, ShardLie::FullCursorBlock | ShardLie::NanCursor) {
+    if matches!(lie, ShardLie::FullCursorBlock | ShardLie::NanCursor | ShardLie::ExtraSubtree) {
         let Frame::ShardCoord { .. } = conn.recv(patience).unwrap() else {
             panic!("expected ShardCoord");
         };
@@ -722,13 +728,17 @@ fn lying_shard_master(root: SocketAddr, lie: ShardLie) -> Option<Frame> {
             partial_sum,
             partial_compensation,
             partial_len,
-            stack,
+            mut stack,
         } = conn.recv(patience).unwrap()
         else {
             panic!("expected the gains cursor");
         };
         let (partial_sum, partial_len) = match lie {
             ShardLie::FullCursorBlock => (partial_sum, SUM_BLOCK as u32),
+            ShardLie::ExtraSubtree => {
+                stack.push((1, 0.0));
+                (partial_sum, partial_len)
+            }
             _ => (f64::NAN, partial_len),
         };
         conn.send(&Frame::ShardCursor {
@@ -746,7 +756,8 @@ fn lying_shard_master(root: SocketAddr, lie: ShardLie) -> Option<Frame> {
 
 /// A shard-master that reports an impossible aggregate — a NaN cost, a
 /// candidate outside its range, a share of 1.5 — or returns an
-/// impossible gains cursor is handled as crashed: at `M = 2` the liar is
+/// impossible gains cursor (a full open block, a NaN sum, a subtree the
+/// values before the range's end cannot make) is handled as crashed: at `M = 2` the liar is
 /// buried as one mass epoch at round 0, the root sends it nothing
 /// more, and the surviving shard's run matches the membership twin
 /// bitwise.
@@ -763,6 +774,7 @@ fn a_shard_master_reporting_impossible_values_is_buried_like_a_crash() {
         ShardLie::ShareAboveOne,
         ShardLie::FullCursorBlock,
         ShardLie::NanCursor,
+        ShardLie::ExtraSubtree,
     ] {
         let mut cfg = ShardedConfig::new(N, 2, ROUNDS, env);
         cfg.frame_timeout = frame_timeout;
@@ -834,6 +846,9 @@ enum MasterLie {
     /// None: the control case, which must finish.
     Honest,
     WelcomeShare(f64),
+    WelcomeDrop(f64),
+    WelcomeDuplicate(f64),
+    WelcomeFrameTimeoutUs(u64),
     CoordinationCost(f64),
     CoordinationAlpha(f64),
     AdjustScale(f64),
@@ -865,20 +880,40 @@ fn lying_master(lie: MasterLie, patience: Duration) -> Option<Result<f64, String
     let (stream, _) = listener.accept().unwrap();
     let mut conn = FrameConn::new(stream).unwrap();
     let Frame::Hello { .. } = conn.recv(patience).unwrap() else { panic!("expected Hello") };
-    let initial_share = if let MasterLie::WelcomeShare(v) = lie { v } else { 0.5 };
+    let (mut initial_share, mut drop_probability, mut duplicate_probability) = (0.5, 0.0, 0.0);
+    let mut frame_timeout_us = 100_000;
+    let in_welcome = match lie {
+        MasterLie::WelcomeShare(v) => {
+            initial_share = v;
+            true
+        }
+        MasterLie::WelcomeDrop(v) => {
+            drop_probability = v;
+            true
+        }
+        MasterLie::WelcomeDuplicate(v) => {
+            duplicate_probability = v;
+            true
+        }
+        MasterLie::WelcomeFrameTimeoutUs(v) => {
+            frame_timeout_us = v;
+            true
+        }
+        _ => false,
+    };
     conn.send(&Frame::Welcome {
         worker_id: 0,
         num_workers: 2,
         rounds: 1,
         env: WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x19 },
         initial_share,
-        drop_probability: 0.0,
-        duplicate_probability: 0.0,
+        drop_probability,
+        duplicate_probability,
         fault_seed: 0,
-        frame_timeout_us: 100_000,
+        frame_timeout_us,
     })
     .unwrap();
-    if !matches!(lie, MasterLie::WelcomeShare(_)) {
+    if !in_welcome {
         play_round(&mut conn, lie, patience);
     }
     let result = rx.recv_timeout(patience);
@@ -928,9 +963,10 @@ fn play_round(conn: &mut FrameConn, lie: MasterLie, patience: Duration) {
 }
 
 /// The worker's trust boundary: a shard-master sending a share, an α or
-/// an `Adjust` scale outside `[0, 1]`, or a non-finite global cost, ends
-/// `run_worker` with a protocol error — no panic, no hang — while the
-/// honest script finishes at the share its `Epoch` assigned.
+/// an `Adjust` scale outside `[0, 1]`, a non-finite global cost, a drop
+/// or duplicate probability outside `[0, 1)` or a zero frame timeout,
+/// ends `run_worker` with a protocol error — no panic, no hang — while
+/// the honest script finishes at the share its `Epoch` assigned.
 #[test]
 fn a_worker_stops_on_impossible_values_from_its_shard_master() {
     let patience = Duration::from_secs(10);
@@ -939,6 +975,12 @@ fn a_worker_stops_on_impossible_values_from_its_shard_master() {
         MasterLie::WelcomeShare(f64::NAN),
         MasterLie::WelcomeShare(1.5),
         MasterLie::WelcomeShare(-0.25),
+        MasterLie::WelcomeDrop(f64::NAN),
+        MasterLie::WelcomeDrop(1.0),
+        MasterLie::WelcomeDrop(-0.25),
+        MasterLie::WelcomeDuplicate(f64::NAN),
+        MasterLie::WelcomeDuplicate(1.5),
+        MasterLie::WelcomeFrameTimeoutUs(0),
         MasterLie::CoordinationCost(f64::NAN),
         MasterLie::CoordinationCost(f64::INFINITY),
         MasterLie::CoordinationAlpha(f64::NAN),
@@ -954,6 +996,253 @@ fn a_worker_stops_on_impossible_values_from_its_shard_master() {
         MasterLie::EpochShare(1.5),
     ] {
         match lying_master(lie, patience) {
+            Some(Err(msg)) if !msg.starts_with("not a protocol error") => {}
+            other => panic!("{lie:?}: expected a protocol error, got {other:?}"),
+        }
+    }
+}
+
+/// The one impossible value a [`lying_root`] sends its shard-master.
+#[derive(Clone, Copy, Debug)]
+enum RootLie {
+    /// None: the control case, which must finish.
+    Honest,
+    /// `ShardWelcome` `(num_workers, range_start, range_end)`.
+    WelcomeRange(u32, u32, u32),
+    WelcomeDrop(f64),
+    WelcomeDuplicate(f64),
+    /// `ShardWelcome` `(retry_ack_timeout, retry_backoff,
+    /// retry_max_attempts)`, on lossy worker links.
+    WelcomeRetry(f64, f64, u32),
+    CoordCost(f64),
+    CoordAlpha(f64),
+    CoordStraggler(u64),
+    /// The first gains cursor's `partial_len`.
+    GainsCursorLen(u32),
+    /// A first gains cursor one leaf short of a full 64-entry stack of
+    /// subtrees (sizes 2⁶³ … 1): two more values carry it past a `u64`.
+    GainsCursorStack,
+    RescaleScale(f64),
+    CommitShare(f64),
+    /// The shares cursor's `partial_len`.
+    SharesCursorLen(u32),
+}
+
+/// A hand-rolled root for one `run_shard_master` over two workers
+/// (`M = 1`, one round). It plays round 0 up to and including `lie`,
+/// then goes silent with the backbone open, so only the lie, not a
+/// closed socket, can end the shard-master. The honest script rescales
+/// the gains by 0.5, commits with a Σx refresh and shuts down. Returns
+/// the shard-master's rounds or protocol error, or `None` if it did not
+/// finish within `patience`; panics if the shard-master panicked.
+fn lying_root(lie: RootLie, patience: Duration) -> Option<Result<usize, String>> {
+    let backbone = TcpListener::bind("127.0.0.1:0").unwrap();
+    let root_addr = backbone.local_addr().unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let worker_addr = listener.local_addr().unwrap();
+    let (tx, rx) = mpsc::channel();
+    let shard = std::thread::spawn(move || {
+        let opts = ShardMasterOptions {
+            shard: 0,
+            num_shards: 1,
+            frame_timeout: Duration::from_millis(500),
+            backbone_fault: FaultPlan::none(),
+            die_after_round: None,
+            die_mid_round: false,
+        };
+        let stream = TcpStream::connect(root_addr).unwrap();
+        let result = match run_shard_master(stream, &listener, &opts) {
+            Ok(report) => Ok(report.rounds.len()),
+            Err(NetError::Protocol(msg)) => Err(msg),
+            Err(other) => Err(format!("not a protocol error: {other}")),
+        };
+        let _ = tx.send(result);
+        // Dropping the listener resets workers it never admitted.
+    });
+    // The workers' own outcomes do not matter: each ends when the
+    // shard-master closes its socket.
+    let workers: Vec<JoinHandle<()>> = (0..2u64)
+        .map(|i| {
+            std::thread::spawn(move || {
+                let stream = connect_with_backoff(worker_addr, 10, Duration::from_millis(10), i);
+                let retry = Some(RetryPolicy::new(0.005, 2.0, 8));
+                let _ =
+                    stream.map(|s| run_worker(s, &WorkerOptions { retry, ..Default::default() }));
+            })
+        })
+        .collect();
+    let (stream, _) = backbone.accept().unwrap();
+    let mut conn = FrameConn::new(stream).unwrap();
+    let Frame::ShardHello { .. } = conn.recv(patience).unwrap() else {
+        panic!("expected ShardHello")
+    };
+    let (mut num_workers, mut range_start, mut range_end) = (2, 0, 2);
+    let (mut drop_probability, mut duplicate_probability) = (0.0, 0.0);
+    let (mut retry_ack_timeout, mut retry_backoff, mut retry_max_attempts) = (0.05, 2.0, 16);
+    let in_welcome = match lie {
+        RootLie::WelcomeRange(n, start, end) => {
+            (num_workers, range_start, range_end) = (n, start, end);
+            true
+        }
+        RootLie::WelcomeDrop(v) => {
+            drop_probability = v;
+            true
+        }
+        RootLie::WelcomeDuplicate(v) => {
+            duplicate_probability = v;
+            true
+        }
+        RootLie::WelcomeRetry(ack, backoff, attempts) => {
+            drop_probability = 0.2;
+            (retry_ack_timeout, retry_backoff, retry_max_attempts) = (ack, backoff, attempts);
+            true
+        }
+        _ => false,
+    };
+    conn.send(&Frame::ShardWelcome {
+        shard: 0,
+        num_shards: 1,
+        num_workers,
+        rounds: 1,
+        range_start,
+        range_end,
+        env: WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x20 },
+        drop_probability,
+        duplicate_probability,
+        fault_seed: 0,
+        retry_ack_timeout,
+        retry_backoff,
+        retry_max_attempts,
+    })
+    .unwrap();
+    if !in_welcome {
+        play_root_round(&mut conn, lie, patience);
+    }
+    let result = rx.recv_timeout(patience);
+    drop(conn);
+    match result {
+        Ok(result) => {
+            shard.join().unwrap();
+            for worker in workers {
+                worker.join().unwrap();
+            }
+            Some(result)
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => panic!("{lie:?}: the shard-master panicked"),
+        // Hung: left detached; the caller fails the case.
+        Err(mpsc::RecvTimeoutError::Timeout) => None,
+    }
+}
+
+/// A round-0 cursor from the root, `partial_len` values into its open
+/// block over the subtree `stack`.
+fn root_cursor(phase: CursorPhase, partial_len: u32, stack: Vec<(u64, f64)>) -> Frame {
+    Frame::ShardCursor {
+        round: 0,
+        phase,
+        partial_sum: 0.0,
+        partial_compensation: 0.0,
+        partial_len,
+        stack,
+    }
+}
+
+/// One honest cursor hop of [`lying_root`]: the empty cursor that starts
+/// the chain at shard 0, and the shard-master's cursor back.
+fn hop(conn: &mut FrameConn, phase: CursorPhase, patience: Duration) {
+    conn.send(&root_cursor(phase, 0, Vec::new())).unwrap();
+    let Frame::ShardCursor { .. } = conn.recv(patience).unwrap() else {
+        panic!("expected the cursor back")
+    };
+}
+
+/// [`lying_root`]'s round 0, ending at the lie.
+fn play_root_round(conn: &mut FrameConn, lie: RootLie, patience: Duration) {
+    let Frame::ShardAggregate { max_cost, straggler, .. } = conn.recv(patience).unwrap() else {
+        panic!("expected ShardAggregate")
+    };
+    let (global_cost, alpha, straggler) = match lie {
+        RootLie::CoordCost(v) => (v, 0.5, straggler),
+        RootLie::CoordAlpha(v) => (max_cost, v, straggler),
+        RootLie::CoordStraggler(v) => (max_cost, 0.5, v),
+        _ => (max_cost, 0.5, straggler),
+    };
+    conn.send(&Frame::ShardCoord { round: 0, global_cost, alpha, straggler }).unwrap();
+    let forged = match lie {
+        RootLie::CoordCost(_) | RootLie::CoordAlpha(_) | RootLie::CoordStraggler(_) => return,
+        RootLie::GainsCursorLen(v) => Some((v, Vec::new())),
+        RootLie::GainsCursorStack => Some((126, (0..64).rev().map(|b| (1u64 << b, 0.0)).collect())),
+        _ => None,
+    };
+    if let Some((partial_len, stack)) = forged {
+        return conn.send(&root_cursor(CursorPhase::Gains, partial_len, stack)).unwrap();
+    }
+    hop(conn, CursorPhase::Gains, patience);
+    let scale = if let RootLie::RescaleScale(v) = lie { v } else { 0.5 };
+    conn.send(&Frame::ShardRescale { round: 0, scale }).unwrap();
+    if matches!(lie, RootLie::RescaleScale(_)) {
+        return;
+    }
+    hop(conn, CursorPhase::Gains, patience);
+    let straggler_share = if let RootLie::CommitShare(v) = lie { v } else { 0.5 };
+    conn.send(&Frame::ShardCommit { round: 0, straggler, straggler_share, refresh: true }).unwrap();
+    match lie {
+        RootLie::CommitShare(_) => return,
+        RootLie::SharesCursorLen(v) => {
+            return conn.send(&root_cursor(CursorPhase::Shares, v, Vec::new())).unwrap();
+        }
+        _ => {}
+    }
+    hop(conn, CursorPhase::Shares, patience);
+    conn.send(&Frame::Shutdown).unwrap();
+}
+
+/// The shard-master's trust boundary: a root sending an impossible
+/// `ShardWelcome` (no workers, a range outside the fleet, a drop or
+/// duplicate probability outside `[0, 1)`, a retry policy
+/// `RetryPolicy::new` rejects or whose timeouts overflow), an impossible
+/// `ShardCoord` (a non-finite cost, α outside `[0, 1]`, a straggler
+/// outside the fleet), a rescale or committed share outside `[0, 1]`, or
+/// a cursor that cannot have absorbed the values before the range, ends
+/// `run_shard_master` with a protocol error — no panic, no hang — while
+/// the honest script commits its round.
+#[test]
+fn a_shard_master_stops_on_impossible_values_from_its_root() {
+    let patience = Duration::from_secs(10);
+    assert_eq!(lying_root(RootLie::Honest, patience), Some(Ok(1)), "the honest control");
+    for lie in [
+        RootLie::WelcomeRange(0, 0, 0),
+        RootLie::WelcomeRange(2, 2, 1),
+        RootLie::WelcomeRange(2, 0, 3),
+        RootLie::WelcomeDrop(f64::NAN),
+        RootLie::WelcomeDrop(1.0),
+        RootLie::WelcomeDrop(-0.25),
+        RootLie::WelcomeDuplicate(f64::NAN),
+        RootLie::WelcomeDuplicate(1.5),
+        RootLie::WelcomeRetry(f64::NAN, 2.0, 16),
+        RootLie::WelcomeRetry(-1.0, 2.0, 16),
+        RootLie::WelcomeRetry(0.05, 0.5, 16),
+        RootLie::WelcomeRetry(0.05, 2.0, 0),
+        RootLie::WelcomeRetry(1e300, 2.0, 16),
+        RootLie::CoordCost(f64::NAN),
+        RootLie::CoordCost(f64::INFINITY),
+        RootLie::CoordAlpha(f64::NAN),
+        RootLie::CoordAlpha(1.5),
+        RootLie::CoordAlpha(-0.25),
+        RootLie::CoordStraggler(2),
+        RootLie::CoordStraggler(u64::MAX),
+        RootLie::GainsCursorLen(u32::MAX),
+        RootLie::GainsCursorLen(SUM_BLOCK as u32),
+        RootLie::GainsCursorStack,
+        RootLie::RescaleScale(f64::NAN),
+        RootLie::RescaleScale(1.5),
+        RootLie::RescaleScale(-0.25),
+        RootLie::CommitShare(f64::NAN),
+        RootLie::CommitShare(1.5),
+        RootLie::CommitShare(-0.25),
+        RootLie::SharesCursorLen(u32::MAX),
+    ] {
+        match lying_root(lie, patience) {
             Some(Err(msg)) if !msg.starts_with("not a protocol error") => {}
             other => panic!("{lie:?}: expected a protocol error, got {other:?}"),
         }

@@ -11,17 +11,6 @@ cargo fmt --check
 echo "== tier-1: clippy (deny warnings) =="
 cargo clippy --workspace -- -D warnings
 
-if cargo +nightly --version >/dev/null 2>&1; then
-    echo "== tier-1: clippy, portable-simd feature (nightly, deny warnings) =="
-    cargo +nightly clippy -p dolbie-core --features portable-simd -- -D warnings
-    echo "== tier-1: dolbie-core tests, portable-simd feature (nightly) =="
-    cargo +nightly test -p dolbie-core --features portable-simd -q
-    echo "== tier-1: kernel parity matrix, portable-simd feature, release (nightly) =="
-    cargo +nightly test --release -p dolbie-core --features portable-simd --test kernel_parity -q
-else
-    echo "[warn] no nightly toolchain: skipping clippy and tests (debug and release) for the portable-simd feature gate"
-fi
-
 echo "== tier-1: rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
