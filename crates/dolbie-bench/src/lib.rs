@@ -6,9 +6,8 @@
 //!   regenerates the paper's figures (fig3..fig11) and the extension
 //!   experiments (regret, comms, edge, ablation), printing the series the
 //!   paper reports and writing CSVs to `results/`;
-//! - `cargo bench -p dolbie-bench` runs the Criterion microbenchmarks
-//!   (decision-update overhead, simplex projection, monotone inverse,
-//!   protocol simulation throughput).
+//! - `cargo run --release -p dolbie-bench --bin dolbie_sim -- ...` runs one
+//!   configurable simulation.
 //!
 //! The experiment-to-figure mapping lives in DESIGN.md §5; measured-vs-
 //! paper outcomes are recorded in EXPERIMENTS.md.

@@ -228,7 +228,9 @@ impl Environment for SinusoidalDriftEnvironment {
 }
 
 /// An environment defined by a closure — the escape hatch for bespoke
-/// adversaries in tests and experiments.
+/// adversaries in tests and experiments. Cloning it clones the closure,
+/// so a pure generator yields an independent copy of the cost stream.
+#[derive(Clone)]
 pub struct FnEnvironment<F> {
     num_workers: usize,
     generator: F,

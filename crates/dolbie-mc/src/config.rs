@@ -49,8 +49,13 @@ fn hash(seed: u64, salt: u64) -> u64 {
 /// from a pure hash of `seed` — half latency-shaped, half linear. This is
 /// *the* definition; the chaos sweep's `env_for` delegates here so the
 /// model checker's cross-validation replays run against byte-identical
-/// cost streams.
-pub fn chaos_mix_env(seed: u64, n: usize) -> FnEnvironment<impl FnMut(usize) -> Vec<DynCost>> {
+/// cost streams. The generator captures only `seed` and `n`, so the
+/// environment is `Clone` and a forked simulator world carries its own
+/// copy.
+pub fn chaos_mix_env(
+    seed: u64,
+    n: usize,
+) -> FnEnvironment<impl FnMut(usize) -> Vec<DynCost> + Clone + Send + Sync + 'static> {
     FnEnvironment::new(n, move |round| {
         (0..n)
             .map(|i| {

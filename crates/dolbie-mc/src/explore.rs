@@ -28,12 +28,28 @@
 //! A replay stops observing at the first state that is visited or that
 //! it passed earlier in the same run, which is where the scan cuts: at
 //! merge time the visited set holds at least what the replay knew.
+//!
+//! Children branch only inside that same stretch, so a run saves its
+//! simulator world at each step boundary there (`Snapshot`), and each
+//! child on the DFS stack or BFS frontier carries, beside its prefix,
+//! the latest world its parent saved at or before the child's branch
+//! point — or, for a branch before the first save, the world the parent
+//! itself started from. The child starts from a clone of it instead of
+//! re-simulating the shared prefix; a world is dropped with the last
+//! child holding it. Starting from a saved world changes no record,
+//! trace or verdict of a run, so the counters and visit order do not
+//! move either.
 
 use crate::config::McConfig;
-use crate::replay::{replay_knowing, RunOutcome};
+use crate::replay::{replay_knowing, ExplorerRun, FpHasher, FpSet, Snapshot};
 use dolbie_core::parallel::parallel_map_items;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::sync::Arc;
+
+/// First trajectory digest and prefix seen per fault signature.
+type Confluence = HashMap<u64, (u64, Vec<u32>), BuildHasherDefault<FpHasher>>;
 
 /// Search order over the decision tree. A completed exploration visits
 /// the same *set* of reachable states under either strategy; run counts
@@ -101,16 +117,32 @@ pub struct Exploration {
     pub complete: bool,
 }
 
+/// A prefix waiting to run, and the saved world it starts from (`None`:
+/// a fresh one).
+struct Pending {
+    prefix: Vec<u32>,
+    from: Option<Arc<Snapshot>>,
+}
+
+impl Pending {
+    fn run(&self, config: &McConfig, visited: &FpSet) -> ExplorerRun {
+        replay_knowing(config, &self.prefix, visited, self.from.as_deref())
+    }
+}
+
 /// Shared per-run bookkeeping: check the verdict, check confluence,
-/// scan-and-expand the trail. Returns a violation or pushes children.
+/// scan-and-expand the trail. Returns a violation or pushes children,
+/// each with the latest world its parent saved at or before the child's
+/// branch point (or the world the parent itself started from).
 fn merge_run(
-    prefix: &[u32],
-    outcome: &RunOutcome,
-    visited: &mut HashSet<u64>,
-    confluence: &mut HashMap<u64, (u64, Vec<u32>)>,
+    pending: &Pending,
+    run: &ExplorerRun,
+    visited: &mut FpSet,
+    confluence: &mut Confluence,
     stats: &mut ExploreStats,
-    children: &mut Vec<Vec<u32>>,
+    children: &mut Vec<Pending>,
 ) -> Option<Violation> {
+    let (prefix, outcome) = (pending.prefix.as_slice(), &run.outcome);
     stats.runs += 1;
     stats.max_depth = stats.max_depth.max(outcome.trail.len());
     if let Err(message) = &outcome.verdict {
@@ -138,6 +170,8 @@ fn merge_run(
             }
         }
     }
+    let mut from = pending.from.as_ref();
+    let mut saved = run.saved.iter().peekable();
     for (i, d) in outcome.trail.iter().enumerate().skip(prefix.len()) {
         if d.is_delivery() {
             let fp = d.fp.expect("a replay observes every delivery choice up to the scan's cut");
@@ -148,10 +182,13 @@ fn merge_run(
             stats.states_explored += 1;
             stats.visit_order.push(fp);
         }
+        while let Some(snapshot) = saved.next_if(|s| s.decisions() <= i) {
+            from = Some(snapshot);
+        }
         for alt in (d.chosen + 1)..d.options {
             let mut child: Vec<u32> = outcome.trail[..i].iter().map(|r| r.chosen).collect();
             child.push(alt);
-            children.push(child);
+            children.push(Pending { prefix: child, from: from.cloned() });
         }
     }
     None
@@ -163,20 +200,21 @@ fn merge_run(
 #[must_use]
 pub fn explore(config: &McConfig, strategy: Strategy) -> Exploration {
     let mut stats = ExploreStats::default();
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut confluence: HashMap<u64, (u64, Vec<u32>)> = HashMap::new();
+    let mut visited = FpSet::default();
+    let mut confluence = Confluence::default();
+    let root = Pending { prefix: Vec::new(), from: None };
     match strategy {
         Strategy::Dfs => {
-            let mut stack: Vec<Vec<u32>> = vec![Vec::new()];
-            while let Some(prefix) = stack.pop() {
+            let mut stack = vec![root];
+            while let Some(pending) = stack.pop() {
                 if stats.runs >= config.max_runs {
                     return Exploration { stats, violation: None, complete: false };
                 }
-                let outcome = replay_knowing(config, &prefix, &visited);
+                let run = pending.run(config, &visited);
                 let mut children = Vec::new();
                 if let Some(v) = merge_run(
-                    &prefix,
-                    &outcome,
+                    &pending,
+                    &run,
                     &mut visited,
                     &mut confluence,
                     &mut stats,
@@ -189,19 +227,17 @@ pub fn explore(config: &McConfig, strategy: Strategy) -> Exploration {
             }
         }
         Strategy::Bfs => {
-            let mut frontier: Vec<Vec<u32>> = vec![Vec::new()];
+            let mut frontier = vec![root];
             while !frontier.is_empty() {
-                let outcomes = parallel_map_items(&frontier, |prefix| {
-                    replay_knowing(config, prefix, &visited)
-                });
+                let runs = parallel_map_items(&frontier, |pending| pending.run(config, &visited));
                 let mut next = Vec::new();
-                for (prefix, outcome) in frontier.iter().zip(&outcomes) {
+                for (pending, run) in frontier.iter().zip(&runs) {
                     if stats.runs >= config.max_runs {
                         return Exploration { stats, violation: None, complete: false };
                     }
                     if let Some(v) = merge_run(
-                        prefix,
-                        outcome,
+                        pending,
+                        run,
                         &mut visited,
                         &mut confluence,
                         &mut stats,

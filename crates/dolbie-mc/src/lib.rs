@@ -8,8 +8,12 @@
 //! order, each wire-fault coin inside the retry envelope, each crash
 //! window, each membership boundary — is routed through
 //! [`dolbie_simnet::Scheduler`], and the checker drives that trait with
-//! replayed decision prefixes ([`replay()`]): stateless CHESS-style
-//! exploration, no simulator snapshots. Visited-state pruning over
+//! decision prefixes. The public [`replay()`] runs a prefix from a fresh
+//! simulator world — stateless CHESS-style replay, so a run is a pure
+//! function of (configuration, prefix) — while the explorer starts each
+//! child prefix from a clone of the simulator world its parent saved
+//! near the branch point, so a run pays for its new decisions, not for
+//! re-simulating the shared prefix. Visited-state pruning over
 //! canonical state fingerprints (allocation + α + protocol-phase state +
 //! the in-flight message multiset + membership/crash masks, times
 //! excluded) cuts the run tree where paths reconverge — delivery

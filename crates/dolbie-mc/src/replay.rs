@@ -1,35 +1,68 @@
 //! Replay-based controlled execution: one run = one decision prefix.
 //!
-//! The checker is *stateless* in the CHESS tradition: it never snapshots
-//! simulator state. A run is identified by the vector of choice indices
-//! it makes at the scheduler's decision points — index 0 is always the
-//! default (FIFO delivery, the seeded fault-plan outcome, the scheduled
-//! membership event firing) — and [`replay()`] re-executes the simulator
-//! from scratch following the prefix, then taking defaults. The
-//! [`ReplayScheduler`] records every decision point it passes
+//! A run is identified by the vector of choice indices it makes at the
+//! scheduler's decision points — index 0 is always the default (FIFO
+//! delivery, the seeded fault-plan outcome, the scheduled membership
+//! event firing) — and the [`ReplayScheduler`] follows the prefix, then
+//! takes defaults, recording every decision point it passes
 //! ([`DecisionRecord`]).
 //!
-//! State observation belongs to the explorer. Its visited-state pruning
+//! The public [`replay()`] is *stateless* in the CHESS tradition: it
+//! executes the simulator from a fresh world, so a run is a pure function
+//! of `(config, prefix)`. [`shrink()`](crate::shrink()) and every emitted
+//! reproducer run it, and it observes no state: it has no reader for
+//! fingerprints.
+//!
+//! The explorer's runs observe state and fork. Its visited-state pruning
 //! reads a run's fingerprints only from the prefix boundary up to the
-//! first state it already knows, so that is the only stretch its
-//! replays ask the simulator to fingerprint ([`DecisionRecord::fp`]):
-//! delivery choices inside the replayed prefix are not hashed, and
-//! observation stops at the first fingerprint the explorer has visited
-//! or this run has already passed. The public [`replay()`] — which
-//! [`shrink()`](crate::shrink()) and every emitted reproducer run — has
-//! no reader for fingerprints and observes nothing. Every run still
-//! executes to the end and is invariant-checked; only the hashing stops.
+//! first state it already knows, so that is the only stretch its runs ask
+//! the simulator to fingerprint ([`DecisionRecord::fp`]). Over the same
+//! stretch, an explorer run saves its simulator world at each step
+//! boundary (`Snapshot`); a child prefix branching off the run starts
+//! from a clone of the latest world saved at or before its branch point,
+//! with the decisions that led there copied into its scheduler, instead
+//! of re-simulating the shared prefix from scratch. A fork is the same
+//! run as a fresh start, record for record — a unit test ties the two
+//! over sampled prefixes of every acceptance configuration. Every run
+//! still executes to the end and is invariant-checked.
 
 use crate::config::{chaos_mix_env, Arch, McConfig};
 use dolbie_core::fingerprint::StateFp;
-use dolbie_core::DolbieConfig;
+use dolbie_core::{DolbieConfig, Environment};
 use dolbie_simnet::invariants::check_trace;
 use dolbie_simnet::{
-    DecisionPoint, FixedLatency, FullyDistributedSim, MasterWorkerSim, ProtocolTrace, RingSim,
-    Scheduler,
+    DecisionPoint, FixedLatency, FullyDistributedSim, FullyDistributedWorld, LatencyModel,
+    MasterWorkerSim, MasterWorkerWorld, ProtocolTrace, RingSim, RingWorld, Scheduler,
 };
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+/// Hashes a `u64` fingerprint to itself: fingerprints are already
+/// well-mixed 64-bit hashes ([`StateFp`]), so the explorer's sets and maps
+/// keyed by them skip a second, keyed hash.
+#[derive(Debug, Default)]
+pub(crate) struct FpHasher(u64);
+
+impl Hasher for FpHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, fp: u64) {
+        self.0 = fp;
+    }
+}
+
+/// A set of state fingerprints.
+pub(crate) type FpSet = HashSet<u64, BuildHasherDefault<FpHasher>>;
 
 /// One decision point a run passed through, as recorded by the
 /// [`ReplayScheduler`].
@@ -71,7 +104,7 @@ pub struct ReplayScheduler<'a> {
     prefix: &'a [u32],
     sabotage: bool,
     /// States the explorer already knows (`None`: none).
-    known: Option<&'a HashSet<u64>>,
+    known: Option<&'a FpSet>,
     /// Fingerprints observed so far in this run.
     seen: Vec<u64>,
     /// Cleared at the first known or repeated fingerprint; false from
@@ -140,8 +173,10 @@ impl Scheduler for ReplayScheduler<'_> {
 
     fn wants_state(&self) -> bool {
         // The next decision is a delivery choice at trail index
-        // `trail.len()`; the explorer reads none inside the prefix.
-        self.observing && self.trail.len() >= self.prefix.len()
+        // `trail.len()`; the explorer reads none inside the prefix, and
+        // a state the explorer's run loop already read for this choice
+        // is not read again.
+        self.observing && self.trail.len() >= self.prefix.len() && self.pending_fp.is_none()
     }
 
     fn observe_state(&mut self, fingerprint: u64) {
@@ -254,6 +289,90 @@ pub fn membership_masks(config: &McConfig, trail: &[DecisionRecord]) -> Vec<Vec<
     masks
 }
 
+/// A simulator world the checker steps to its horizon and forks: one of
+/// the three architectures' worlds, over the chaos-mix environment.
+trait World: Send + Sync {
+    fn step(&mut self, sched: &mut dyn Scheduler) -> bool;
+    fn fingerprint(&self) -> Option<u64>;
+    fn fork(&self) -> Box<dyn World>;
+    fn into_trace(self: Box<Self>) -> ProtocolTrace;
+}
+
+macro_rules! impl_world {
+    ($($world:ident),*) => {$(
+        impl<E, L> World for $world<E, L>
+        where
+            E: Environment + Clone + Send + Sync + 'static,
+            L: LatencyModel + Clone + Send + Sync + 'static,
+        {
+            fn step(&mut self, sched: &mut dyn Scheduler) -> bool {
+                $world::step(self, sched)
+            }
+            fn fingerprint(&self) -> Option<u64> {
+                $world::fingerprint(self)
+            }
+            fn fork(&self) -> Box<dyn World> {
+                Box::new(self.clone())
+            }
+            fn into_trace(self: Box<Self>) -> ProtocolTrace {
+                $world::into_trace(*self)
+            }
+        }
+    )*};
+}
+
+impl_world!(MasterWorkerWorld, FullyDistributedWorld, RingWorld);
+
+/// The configured simulator, poised at the start of its run.
+fn fresh_world(config: &McConfig) -> Box<dyn World> {
+    let env = chaos_mix_env(config.env_seed, config.n);
+    let (plan, schedule) = (config.plan.clone(), config.schedule.clone());
+    match config.arch {
+        Arch::MasterWorker => Box::new(
+            MasterWorkerSim::new(env, DolbieConfig::new(), FixedLatency::lan())
+                .with_fault_plan(plan)
+                .with_membership(schedule)
+                .into_world(config.rounds),
+        ),
+        Arch::FullyDistributed => Box::new(
+            FullyDistributedSim::new(env, DolbieConfig::new(), FixedLatency::lan())
+                .with_fault_plan(plan)
+                .with_membership(schedule)
+                .into_world(config.rounds),
+        ),
+        Arch::Ring => Box::new(
+            RingSim::new(env, DolbieConfig::new(), FixedLatency::lan())
+                .with_fault_plan(plan)
+                .with_membership(schedule)
+                .into_world(config.rounds),
+        ),
+    }
+}
+
+/// A simulator world an explorer run saved at a step boundary, with the
+/// decisions that led there (fingerprints cleared: a run started from
+/// the snapshot passes them inside its prefix, where nothing is
+/// observed). Shared by every child prefix that starts from it, and
+/// dropped with the last of them.
+pub(crate) struct Snapshot {
+    world: Box<dyn World>,
+    trail: Vec<DecisionRecord>,
+}
+
+impl Snapshot {
+    /// The number of decisions made before the saved boundary.
+    pub(crate) fn decisions(&self) -> usize {
+        self.trail.len()
+    }
+}
+
+/// An explorer run: its outcome, and the worlds it saved while observing,
+/// in step order (strictly increasing [`Snapshot::decisions`]).
+pub(crate) struct ExplorerRun {
+    pub(crate) outcome: RunOutcome,
+    pub(crate) saved: Vec<Arc<Snapshot>>,
+}
+
 /// Replays one decision prefix through the configured simulator and
 /// checks the per-run invariants on the result.
 ///
@@ -261,62 +380,76 @@ pub fn membership_masks(config: &McConfig, trail: &[DecisionRecord]) -> Vec<Vec<
 /// prefix twice produces bitwise-identical trails, traces, and verdicts,
 /// which is what makes emitted reproducers stable.
 ///
-/// This replay observes no state: its scheduler declines every
-/// fingerprint, so the simulator hashes nothing and every record carries
-/// `fp: None`. Only the explorer reads fingerprints, through its own
-/// observing replays; the trail is otherwise the same choice for choice.
+/// This replay starts from a fresh simulator world and observes no
+/// state: its scheduler declines every fingerprint, so the simulator
+/// hashes nothing and every record carries `fp: None`. Only the explorer
+/// reads fingerprints, through its own observing runs; the trail is
+/// otherwise the same choice for choice.
 #[must_use]
 pub fn replay(config: &McConfig, prefix: &[u32]) -> RunOutcome {
-    run(config, ReplayScheduler { observing: false, ..ReplayScheduler::new(prefix) })
+    let sched = ReplayScheduler { observing: false, ..ReplayScheduler::new(prefix) };
+    run(config, sched, None).outcome
 }
 
-/// [`replay()`] for the explorer: observes state from the prefix
-/// boundary up to the first fingerprint in `known` or the first one the
-/// run repeats (see [`DecisionRecord::fp`]). Trails, traces, and verdicts
-/// do not depend on `known`.
+/// [`replay()`] for the explorer: starts from a clone of `from` (a fresh
+/// world when `None`) and observes state from the prefix boundary up to
+/// the first fingerprint in `known` or the first one the run repeats
+/// (see [`DecisionRecord::fp`]), saving the world at every step boundary
+/// of that stretch. `from` must have been saved by a run whose choices
+/// agree with `prefix` up to the snapshot's boundary, at or before the
+/// prefix's last decision. Trails, traces, and verdicts depend on
+/// neither `known` nor `from`.
 pub(crate) fn replay_knowing(
     config: &McConfig,
     prefix: &[u32],
-    known: &HashSet<u64>,
-) -> RunOutcome {
-    run(config, ReplayScheduler { known: Some(known), ..ReplayScheduler::new(prefix) })
+    known: &FpSet,
+    from: Option<&Snapshot>,
+) -> ExplorerRun {
+    let mut sched = ReplayScheduler { known: Some(known), ..ReplayScheduler::new(prefix) };
+    if let Some(snapshot) = from {
+        debug_assert!(snapshot.decisions() < prefix.len(), "a snapshot past the branch point");
+        sched.trail.clone_from(&snapshot.trail);
+    }
+    run(config, sched, from)
 }
 
-/// Runs the configured simulator to its horizon under `sched` and
-/// checks the per-run invariants on the trace.
-fn run(config: &McConfig, sched: ReplayScheduler<'_>) -> RunOutcome {
+/// Runs the configured simulator from `from` (a fresh world when `None`)
+/// to its horizon under `sched`, saving the world at each step boundary
+/// where the scheduler observes, and checks the per-run invariants on
+/// the trace.
+fn run(config: &McConfig, sched: ReplayScheduler<'_>, from: Option<&Snapshot>) -> ExplorerRun {
     let mut sched = sched.with_sabotage(config.sabotage_overshoot_guard);
     let rounds = config.rounds;
-    let result = catch_unwind(AssertUnwindSafe(|| match config.arch {
-        Arch::MasterWorker => MasterWorkerSim::new(
-            chaos_mix_env(config.env_seed, config.n),
-            DolbieConfig::new(),
-            FixedLatency::lan(),
-        )
-        .with_fault_plan(config.plan.clone())
-        .with_membership(config.schedule.clone())
-        .run_with_scheduler(rounds, &mut sched),
-        Arch::FullyDistributed => FullyDistributedSim::new(
-            chaos_mix_env(config.env_seed, config.n),
-            DolbieConfig::new(),
-            FixedLatency::lan(),
-        )
-        .with_fault_plan(config.plan.clone())
-        .with_membership(config.schedule.clone())
-        .run_with_scheduler(rounds, &mut sched),
-        Arch::Ring => RingSim::new(
-            chaos_mix_env(config.env_seed, config.n),
-            DolbieConfig::new(),
-            FixedLatency::lan(),
-        )
-        .with_fault_plan(config.plan.clone())
-        .with_membership(config.schedule.clone())
-        .run_with_scheduler(rounds, &mut sched),
+    let mut saved: Vec<Arc<Snapshot>> = Vec::new();
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let mut world = from.map_or_else(|| fresh_world(config), |s| s.world.fork());
+        loop {
+            if sched.wants_state() {
+                // Read the boundary's state first: if the explorer already
+                // knows it, its scan cuts at the next delivery choice and
+                // no child branches from here on, so nothing is saved.
+                if let Some(fp) = world.fingerprint() {
+                    sched.observe_state(fp);
+                }
+                let decisions = sched.trail.len();
+                if sched.observing && saved.last().is_none_or(|s| s.decisions() < decisions) {
+                    let mut trail = sched.trail.clone();
+                    for d in &mut trail[sched.prefix.len()..] {
+                        d.fp = None;
+                    }
+                    saved.push(Arc::new(Snapshot { world: world.fork(), trail }));
+                }
+            }
+            if !world.step(&mut sched) {
+                break;
+            }
+        }
+        world.into_trace()
     }));
     let (trace, verdict) = match result {
         Ok(trace) => {
-            let masks = membership_masks(config, &sched.trail);
-            let verdict = check_trace(&trace, rounds, |t| masks[t].clone());
+            let mut masks = membership_masks(config, &sched.trail);
+            let verdict = check_trace(&trace, rounds, |t| std::mem::take(&mut masks[t]));
             (Some(trace), verdict)
         }
         Err(payload) => {
@@ -328,7 +461,7 @@ fn run(config: &McConfig, sched: ReplayScheduler<'_>) -> RunOutcome {
             (None, Err(format!("panic: {msg}")))
         }
     };
-    RunOutcome { trail: sched.trail, trace, verdict }
+    ExplorerRun { outcome: RunOutcome { trail: sched.trail, trace, verdict }, saved }
 }
 
 #[cfg(test)]
@@ -371,7 +504,7 @@ mod tests {
 
     /// The explorer's observing replay, knowing no state yet.
     fn observed(config: &McConfig, prefix: &[u32]) -> RunOutcome {
-        replay_knowing(config, prefix, &HashSet::new())
+        replay_knowing(config, prefix, &FpSet::default(), None).outcome
     }
 
     /// A default-choice prefix cut at delivery index `i` replays the
@@ -407,8 +540,8 @@ mod tests {
         let config = lossy_mw();
         let base = observed(&config, &[]);
         for k in deliveries(&base.trail) {
-            let known: HashSet<u64> = base.trail[k].fp.into_iter().collect();
-            let run = replay_knowing(&config, &[], &known);
+            let known: FpSet = base.trail[k].fp.into_iter().collect();
+            let run = replay_knowing(&config, &[], &known, None).outcome;
             assert_eq!(run.trail.len(), base.trail.len(), "the run still completes");
             for (j, (a, b)) in run.trail.iter().zip(&base.trail).enumerate() {
                 let expect = if j <= k { b.fp } else { None };
@@ -514,6 +647,49 @@ mod tests {
                 assert_eq!(plain.verdict, seen.verdict, "{name}, sample {s}");
             }
             assert!(observed_fps > 0, "{name}: the observing replays must hash something");
+        }
+    }
+
+    /// A fork changes nothing: over sampled prefixes of every acceptance
+    /// configuration and the sabotage one, a run started from any world
+    /// saved at or before its branch point (by a run that agrees with its
+    /// prefix up to that point) is the run from a fresh world, record for
+    /// record — fingerprints included — with the same trace digest, fault
+    /// signature and verdict, and the same trace, timings included.
+    #[test]
+    fn a_forked_run_matches_the_run_from_a_fresh_world() {
+        for (name, config) in contract_configs() {
+            let mut forks = 0usize;
+            for (s, prefix) in sampled_prefixes(&config, 0x5EED_0021, 200).iter().enumerate() {
+                let Some(branch) = prefix.len().checked_sub(1) else { continue };
+                // A run following the prefix up to its branch point: its
+                // own prefix ends after the last non-default choice before
+                // the branch, and it defaults from there on.
+                let agree = prefix[..branch].iter().rposition(|&c| c != 0).map_or(0, |k| k + 1);
+                let source = replay_knowing(&config, &prefix[..agree], &FpSet::default(), None);
+                let fresh = observed(&config, prefix);
+                for snapshot in source.saved.iter().filter(|sn| sn.decisions() <= branch) {
+                    let forked =
+                        replay_knowing(&config, prefix, &FpSet::default(), Some(snapshot)).outcome;
+                    let at = format!("{name}, sample {s}, fork at {}", snapshot.decisions());
+                    assert_eq!(forked.trail.len(), fresh.trail.len(), "{at}");
+                    for (k, (a, b)) in forked.trail.iter().zip(&fresh.trail).enumerate() {
+                        assert_eq!(
+                            (a.options, a.chosen, a.point, a.outcome, a.fp),
+                            (b.options, b.chosen, b.point, b.outcome, b.fp),
+                            "{at}, decision {k}"
+                        );
+                    }
+                    assert_eq!(forked.trace_digest(), fresh.trace_digest(), "{at}");
+                    // Every field of every round, the simulated times too
+                    // (`{:?}` prints each f64 exactly).
+                    assert_eq!(format!("{:?}", forked.trace), format!("{:?}", fresh.trace), "{at}");
+                    assert_eq!(forked.fault_signature(), fresh.fault_signature(), "{at}");
+                    assert_eq!(forked.verdict, fresh.verdict, "{at}");
+                    forks += 1;
+                }
+            }
+            assert!(forks >= 200, "{name}: only {forks} forked runs compared");
         }
     }
 

@@ -4,9 +4,11 @@
 //! overshoot guard.
 //!
 //! Each exploration's counters and first-visit order are pinned
-//! exactly: the values were taken from the explorer that fingerprinted
-//! every delivery choice, so they also pin that observing state only
-//! where the scan reads it changes no cut.
+//! exactly, under DFS and under BFS: the DFS values were taken from the
+//! explorer that fingerprinted every delivery choice, and the BFS values
+//! from the explorer that re-simulated every run from scratch, so they
+//! also pin that observing state only where the scan reads it, and
+//! starting a run from a forked simulator world, change no cut.
 
 use dolbie_core::fingerprint::StateFp;
 use dolbie_mc::{
@@ -56,8 +58,8 @@ fn visit_digest(stats: &ExploreStats) -> u64 {
     fp.finish()
 }
 
-/// The pinned DFS outcome of one configuration: runs, states explored,
-/// states pruned, deepest trail, and the visit-order digest.
+/// The pinned outcome of one configuration's exploration: runs, states
+/// explored, states pruned, deepest trail, and the visit-order digest.
 struct Pinned {
     runs: usize,
     explored: usize,
@@ -119,6 +121,57 @@ fn fully_distributed_join_plus_crash_is_verified_exhaustively() {
         digest: 0xa714_dd01_5e70_3131,
     };
     assert_clean_and_pruned("fd3x3 join+crash", &config_fd_join_crash(), &pinned);
+}
+
+/// Breadth-first exploration of a configuration covers it cleanly and
+/// reproduces its pinned counters and first-visit order. BFS cuts land
+/// in other places than DFS's, so its pins are its own.
+fn assert_bfs_pinned(name: &str, config: &McConfig, pinned: &Pinned) {
+    let ex = explore(config, Strategy::Bfs);
+    assert!(ex.complete, "{name}: BFS exploration must be exhaustive");
+    assert!(
+        ex.violation.is_none(),
+        "{name}: BFS found a violation: {:?}",
+        ex.violation.map(|v| v.message)
+    );
+    let s = &ex.stats;
+    assert_eq!(
+        (s.runs, s.states_explored, s.states_pruned, s.max_depth),
+        (pinned.runs, pinned.explored, pinned.pruned, pinned.depth),
+        "{name}: BFS (runs, explored, pruned, depth) moved"
+    );
+    assert_eq!(visit_digest(s), pinned.digest, "{name}: BFS first-visit order moved");
+}
+
+#[test]
+fn master_worker_lossy_envelope_is_verified_exhaustively_under_bfs() {
+    let pinned = Pinned {
+        runs: 84_640,
+        explored: 99,
+        pruned: 84_350,
+        depth: 107,
+        digest: 0x07a7_ba65_da74_2ea4,
+    };
+    assert_bfs_pinned("mw3x3 drop+dup", &config_mw_lossy(), &pinned);
+}
+
+#[test]
+fn ring_crash_window_is_verified_exhaustively_under_bfs() {
+    let pinned =
+        Pinned { runs: 162, explored: 96, pruned: 132, depth: 17, digest: 0x36a6_aacd_358a_d31d };
+    assert_bfs_pinned("ring4x3 crash", &config_ring_crash(), &pinned);
+}
+
+#[test]
+fn fully_distributed_join_plus_crash_is_verified_exhaustively_under_bfs() {
+    let pinned = Pinned {
+        runs: 2_176,
+        explored: 966,
+        pruned: 2_054,
+        depth: 30,
+        digest: 0x11b3_359e_7854_51a4,
+    };
+    assert_bfs_pinned("fd3x3 join+crash", &config_fd_join_crash(), &pinned);
 }
 
 /// The sabotage configuration: env seed 6402's chaos-mix costs make the

@@ -1332,7 +1332,9 @@ impl ShardCtx {
                         }
                         for (j, &s) in shares.iter().enumerate() {
                             let local = start - self.range.start + j;
-                            self.x[local] = s;
+                            // Checked here, not by the worker it is relayed
+                            // to: an impossible share is the root's fault.
+                            self.x[local] = unit_interval("scattered share", s)?;
                             if !covered[local] {
                                 covered[local] = true;
                                 got += 1;

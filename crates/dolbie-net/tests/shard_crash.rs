@@ -1026,6 +1026,9 @@ enum RootLie {
     CommitShare(f64),
     /// The shares cursor's `partial_len`.
     SharesCursorLen(u32),
+    /// An epoch transition at round 0 whose authoritative `ShardSlice`
+    /// scatters these shares back.
+    Scatter([f64; 2]),
 }
 
 /// A hand-rolled root for one `run_shard_master` over two workers
@@ -1161,6 +1164,15 @@ fn play_root_round(conn: &mut FrameConn, lie: RootLie, patience: Duration) {
     let Frame::ShardAggregate { max_cost, straggler, .. } = conn.recv(patience).unwrap() else {
         panic!("expected ShardAggregate")
     };
+    if let RootLie::Scatter(shares) = lie {
+        conn.send(&Frame::ShardEpoch { epoch: 1, round: 0, members: vec![true; 2] }).unwrap();
+        let Frame::ShardSlice { .. } = conn.recv(patience).unwrap() else {
+            panic!("expected the gathered ShardSlice")
+        };
+        return conn
+            .send(&Frame::ShardSlice { epoch: 1, start: 0, shares: shares.to_vec() })
+            .unwrap();
+    }
     let (global_cost, alpha, straggler) = match lie {
         RootLie::CoordCost(v) => (v, 0.5, straggler),
         RootLie::CoordAlpha(v) => (max_cost, v, straggler),
@@ -1202,8 +1214,9 @@ fn play_root_round(conn: &mut FrameConn, lie: RootLie, patience: Duration) {
 /// duplicate probability outside `[0, 1)`, a retry policy
 /// `RetryPolicy::new` rejects or whose timeouts overflow), an impossible
 /// `ShardCoord` (a non-finite cost, α outside `[0, 1]`, a straggler
-/// outside the fleet), a rescale or committed share outside `[0, 1]`, or
-/// a cursor that cannot have absorbed the values before the range, ends
+/// outside the fleet), a rescale or committed share outside `[0, 1]`, a
+/// cursor that cannot have absorbed the values before the range, or an
+/// epoch transition scattering a share outside `[0, 1]`, ends
 /// `run_shard_master` with a protocol error — no panic, no hang — while
 /// the honest script commits its round.
 #[test]
@@ -1241,6 +1254,8 @@ fn a_shard_master_stops_on_impossible_values_from_its_root() {
         RootLie::CommitShare(1.5),
         RootLie::CommitShare(-0.25),
         RootLie::SharesCursorLen(u32::MAX),
+        RootLie::Scatter([1.5, 0.5]),
+        RootLie::Scatter([f64::NAN, 0.5]),
     ] {
         match lying_root(lie, patience) {
             Some(Err(msg)) if !msg.starts_with("not a protocol error") => {}

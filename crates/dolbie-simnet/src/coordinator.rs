@@ -24,7 +24,8 @@
 //!
 //! [`frozen_round`] completes the toolkit with the shared
 //! membership-collapse degradation (no responsive member: freeze every
-//! share, exchange nothing, continue).
+//! share, exchange nothing, continue), and [`lone_survivor_round`] with
+//! the leaderless architectures' one-member round.
 
 use crate::trace::ProtocolRound;
 use dolbie_core::cost::CostFunction;
@@ -186,6 +187,58 @@ pub fn frozen_round(
         control_finished: stall,
         active: vec![false; n],
         alpha,
+    }
+}
+
+/// The minimum local step size over the active members: the α a
+/// leaderless architecture reports for a round.
+pub fn member_alpha(alphas: &[f64], members: &[bool]) -> f64 {
+    alphas.iter().zip(members).filter(|&(_, &m)| m).map(|(&a, _)| a).fold(f64::INFINITY, f64::min)
+}
+
+/// The record of a leaderless round whose one responsive member is the
+/// only worker not `down`: it has no peers to coordinate with, so it is
+/// trivially the straggler, executes, absorbs the remainder of the
+/// frozen shares (its own current share, exactly), tightens its local
+/// step size, and the run continues — the master-worker single-responder
+/// semantics, without a panic.
+///
+/// # Panics
+///
+/// Panics if every worker is `down`.
+pub fn lone_survivor_round(
+    t: usize,
+    shares: &mut [f64],
+    local_alphas: &mut [f64],
+    local_costs: Vec<f64>,
+    ready_at: &mut [f64],
+    down: &[bool],
+    members: &[bool],
+) -> ProtocolRound {
+    let survivor = down.iter().position(|&c| !c).expect("one survivor");
+    let member_count = members.iter().filter(|&&m| m).count();
+    let finish = ready_at[survivor] + local_costs[survivor];
+    ready_at[survivor] = finish;
+    let others: f64 = (0..shares.len()).filter(|&j| j != survivor).map(|j| shares[j]).sum();
+    let s_share = (1.0 - others).max(0.0);
+    shares[survivor] = s_share;
+    local_alphas[survivor] = tighten_alpha(local_alphas[survivor], member_count, s_share);
+    let executed = Allocation::from_update(shares.to_vec()).expect("frozen shares stay feasible");
+    ProtocolRound {
+        round: t,
+        allocation: executed,
+        global_cost: local_costs[survivor],
+        local_costs,
+        straggler: survivor,
+        messages: 0,
+        bytes: 0,
+        retries: 0,
+        acks: 0,
+        duplicates: 0,
+        compute_finished: finish,
+        control_finished: finish,
+        active: down.iter().map(|&c| !c).collect(),
+        alpha: member_alpha(local_alphas, members),
     }
 }
 

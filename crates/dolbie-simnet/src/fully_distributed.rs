@@ -21,16 +21,21 @@
 //! of panicking. The plan's cost timeout is a coordinator-side concept and
 //! is ignored here — there is no master to enforce it.
 
-use crate::coordinator::{assist_step, frozen_round, straggler_pin_with_guard, tighten_alpha};
-use crate::event::EventQueue;
+use crate::coordinator::{
+    assist_step, frozen_round, lone_survivor_round, member_alpha, straggler_pin_with_guard,
+    tighten_alpha,
+};
+use crate::event::{EventQueue, Scheduled};
 use crate::faults::{Crash, FaultPlan, LinkStats};
 use crate::latency::LatencyModel;
 use crate::membership::{epoch_transition, MembershipSchedule, DEFAULT_DETECTION_TIMEOUT};
 use crate::message::{Message, NodeId, Payload};
 use crate::sched::{pop_with, DecisionPoint, FifoScheduler, Scheduler};
 use crate::trace::{ProtocolRound, ProtocolTrace};
+use dolbie_core::cost::DynCost;
 use dolbie_core::fingerprint::{MultisetFp, StateFp};
 use dolbie_core::{Allocation, DolbieConfig, Environment};
+use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -77,7 +82,7 @@ impl WorkerRoundState {
 /// // N(N-1) broadcasts + (N-1) decisions = 8 messages for N = 3.
 /// assert_eq!(trace.rounds[0].messages, 8);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FullyDistributedSim<E, L> {
     env: E,
     latency: L,
@@ -181,343 +186,490 @@ impl<E: Environment, L: LatencyModel> FullyDistributedSim<E, L> {
         rounds: usize,
         sched: &mut dyn Scheduler,
     ) -> ProtocolTrace {
-        let n = self.shares.len();
-        let mut trace = Vec::with_capacity(rounds);
-        let mut ready_at = vec![0.0f64; n];
-        // Active membership view (epoch state, distinct from crash windows).
-        let mut members = vec![true; n];
+        let mut run = Run::new(self.shares.len(), rounds);
+        while run.step(self, sched) {}
+        run.into_trace()
+    }
 
-        for t in 0..rounds {
-            // Epoch boundary: rebuild the broadcast topology around the
-            // new member set and run the shared state transition.
-            let previous_members = members.clone();
-            let boundary = self.membership.apply_round_sched(t, &mut members, sched);
-            if boundary.changed {
-                epoch_transition(
-                    &mut self.shares,
-                    &mut self.local_alphas,
-                    &previous_members,
-                    &members,
-                );
-                if boundary.crash_detected {
-                    let detection = self.plan.cost_timeout.unwrap_or(DEFAULT_DETECTION_TIMEOUT);
-                    for (r, &m) in ready_at.iter_mut().zip(&members) {
-                        if m {
-                            *r += detection;
-                        }
+    /// Moves the simulator into a [`FullyDistributedWorld`] poised at the
+    /// start of a `rounds`-round run (see
+    /// [`MasterWorkerWorld`](crate::MasterWorkerWorld)).
+    pub fn into_world(self, rounds: usize) -> FullyDistributedWorld<E, L> {
+        let run = Run::new(self.shares.len(), rounds);
+        FullyDistributedWorld { sim: self, run }
+    }
+}
+
+/// A fully-distributed run in progress; cloning it forks the run (see
+/// [`MasterWorkerWorld`](crate::MasterWorkerWorld)).
+#[derive(Debug, Clone)]
+pub struct FullyDistributedWorld<E, L> {
+    sim: FullyDistributedSim<E, L>,
+    run: Run,
+}
+
+impl<E: Environment, L: LatencyModel> FullyDistributedWorld<E, L> {
+    /// Advances the run by one step under `sched`: opening the next round,
+    /// or one event delivery (and closing the round it completes).
+    /// Returns `false`, doing nothing, once the horizon is reached.
+    ///
+    /// # Panics
+    ///
+    /// As [`FullyDistributedSim::run_with_scheduler`].
+    pub fn step(&mut self, sched: &mut dyn Scheduler) -> bool {
+        self.run.step(&mut self.sim, sched)
+    }
+
+    /// The canonical fingerprint of the run's continuation-determining
+    /// state (times excluded) that the next [`step`](Self::step) reports
+    /// to a state-observing scheduler: `Some` exactly when that step
+    /// makes a delivery choice. Lets a caller read the state at a step
+    /// boundary before deciding what to do there; a scheduler that
+    /// received it should decline to observe it again.
+    pub fn fingerprint(&self) -> Option<u64> {
+        self.run.fingerprint(&self.sim)
+    }
+
+    /// The trace of the rounds completed so far.
+    pub fn into_trace(self) -> ProtocolTrace {
+        self.run.into_trace()
+    }
+}
+
+/// The state a run keeps between steps, apart from the simulator.
+#[derive(Debug, Clone)]
+struct Run {
+    rounds: usize,
+    trace: Vec<ProtocolRound>,
+    ready_at: Vec<f64>,
+    /// Active membership view (epoch state, distinct from crash windows).
+    members: Vec<bool>,
+    /// The open round, if any.
+    round: Option<Round>,
+}
+
+/// One round in flight: its inputs, event queue, and every worker's view.
+#[derive(Debug, Clone)]
+struct Round {
+    fns: Arc<[DynCost]>,
+    down: Vec<bool>,
+    alive_count: usize,
+    member_count: usize,
+    local_costs: Vec<f64>,
+    queue: EventQueue<Ev>,
+    states: Vec<WorkerRoundState>,
+    next_shares: Vec<f64>,
+    next_alphas: Vec<f64>,
+    stats: LinkStats,
+    compute_finished: f64,
+    straggler_done_at: f64,
+    last_resolution_at: f64,
+    resolved_count: usize,
+    global_cost: f64,
+    straggler: usize,
+}
+
+impl Run {
+    fn new(n: usize, rounds: usize) -> Self {
+        Self {
+            rounds,
+            trace: Vec::with_capacity(rounds),
+            ready_at: vec![0.0f64; n],
+            members: vec![true; n],
+            round: None,
+        }
+    }
+
+    fn into_trace(self) -> ProtocolTrace {
+        ProtocolTrace { architecture: "fully-distributed", rounds: self.trace }
+    }
+
+    fn step<E: Environment, L: LatencyModel>(
+        &mut self,
+        sim: &mut FullyDistributedSim<E, L>,
+        sched: &mut dyn Scheduler,
+    ) -> bool {
+        let t = self.trace.len();
+        let Some(round) = &mut self.round else {
+            if t == self.rounds {
+                return false;
+            }
+            self.open(t, sim, sched);
+            return true;
+        };
+        if round.queue.len() > 1 && sched.wants_state() {
+            sched.observe_state(round.fingerprint(t, self.rounds, sim, &self.members));
+        }
+        let drained = match pop_with(&mut round.queue, sched) {
+            Some(scheduled) => {
+                if round.deliver(t, scheduled, sim, &mut self.ready_at, sched) {
+                    round.resolve_waiting_straggler(sim, &mut self.ready_at, sched);
+                }
+                false
+            }
+            None => true,
+        };
+        // The round closes once every live worker resolved: a worker
+        // resolves as soon as it holds every broadcast (and, for the
+        // straggler, every decision).
+        if drained || round.resolved_count == round.alive_count {
+            self.close(t, sim);
+        }
+        true
+    }
+
+    fn fingerprint<E, L>(&self, sim: &FullyDistributedSim<E, L>) -> Option<u64> {
+        let round = self.round.as_ref().filter(|r| r.queue.len() > 1)?;
+        Some(round.fingerprint(self.trace.len(), self.rounds, sim, &self.members))
+    }
+
+    /// Opens round `t`: the epoch boundary, the reveal, the crash
+    /// decisions, and every live worker's execution. A round with at
+    /// most one survivor is recorded on the spot.
+    fn open<E: Environment, L: LatencyModel>(
+        &mut self,
+        t: usize,
+        sim: &mut FullyDistributedSim<E, L>,
+        sched: &mut dyn Scheduler,
+    ) {
+        let n = sim.shares.len();
+        // Epoch boundary: rebuild the broadcast topology around the new
+        // member set and run the shared state transition.
+        let previous_members = self.members.clone();
+        let boundary = sim.membership.apply_round_sched(t, &mut self.members, sched);
+        if boundary.changed {
+            epoch_transition(
+                &mut sim.shares,
+                &mut sim.local_alphas,
+                &previous_members,
+                &self.members,
+            );
+            if boundary.crash_detected {
+                let detection = sim.plan.cost_timeout.unwrap_or(DEFAULT_DETECTION_TIMEOUT);
+                for (r, &m) in self.ready_at.iter_mut().zip(&self.members) {
+                    if m {
+                        *r += detection;
                     }
                 }
             }
-            let member_count = members.iter().filter(|&&m| m).count();
+        }
+        let member_count = self.members.iter().filter(|&&m| m).count();
 
-            let fns = self.env.reveal(t);
-            assert_eq!(fns.len(), n, "environment must cover every worker");
-            let down: Vec<bool> = (0..n)
-                .map(|i| {
-                    !members[i]
-                        || (self.plan.crashed(i, t)
-                            && sched.decide(DecisionPoint::Crash { worker: i, round: t }, true))
-                })
-                .collect();
-            let alive_count = down.iter().filter(|&&c| !c).count();
-            let local_costs: Vec<f64> =
-                (0..n).map(|i| if down[i] { 0.0 } else { fns[i].eval(self.shares[i]) }).collect();
-            let member_alpha = |alphas: &[f64]| {
-                alphas
-                    .iter()
-                    .zip(&members)
-                    .filter(|&(_, &m)| m)
-                    .map(|(&a, _)| a)
-                    .fold(f64::INFINITY, f64::min)
-            };
-            if alive_count == 0 {
-                // Membership collapsed: freeze every share and continue.
-                let alpha = member_alpha(&self.local_alphas);
-                trace.push(frozen_round(t, &self.shares, local_costs, &ready_at, n, alpha));
+        let fns: Arc<[DynCost]> = sim.env.reveal(t).into();
+        assert_eq!(fns.len(), n, "environment must cover every worker");
+        let down: Vec<bool> = (0..n)
+            .map(|i| {
+                !self.members[i]
+                    || (sim.plan.crashed(i, t)
+                        && sched.decide(DecisionPoint::Crash { worker: i, round: t }, true))
+            })
+            .collect();
+        let alive_count = down.iter().filter(|&&c| !c).count();
+        let local_costs: Vec<f64> =
+            (0..n).map(|i| if down[i] { 0.0 } else { fns[i].eval(sim.shares[i]) }).collect();
+        if alive_count == 0 {
+            // Membership collapsed: freeze every share and continue.
+            let alpha = member_alpha(&sim.local_alphas, &self.members);
+            self.trace.push(frozen_round(t, &sim.shares, local_costs, &self.ready_at, n, alpha));
+            return;
+        }
+        if alive_count == 1 {
+            self.trace.push(lone_survivor_round(
+                t,
+                &mut sim.shares,
+                &mut sim.local_alphas,
+                local_costs,
+                &mut self.ready_at,
+                &down,
+                &self.members,
+            ));
+            return;
+        }
+
+        // Expected load: every live worker broadcasts its cost to the
+        // other n−1 peers, plus the compute-done markers themselves.
+        let mut queue: EventQueue<Ev> =
+            EventQueue::with_capacity(alive_count * (n - 1) + alive_count);
+        for i in 0..n {
+            if !down[i] {
+                queue.schedule(self.ready_at[i] + local_costs[i], Ev::ComputeDone { worker: i });
+            }
+        }
+
+        let mut states: Vec<WorkerRoundState> = (0..n).map(|_| WorkerRoundState::new(n)).collect();
+        // Seed each worker's own observation (lines 2-3).
+        for i in 0..n {
+            if down[i] {
                 continue;
             }
-            if alive_count == 1 {
-                // A lone survivor has no peers to coordinate with: it is
-                // trivially the straggler, absorbs the remainder of the
-                // frozen shares (its own current share, exactly), and
-                // continues — the master-worker single-responder
-                // semantics, without a panic.
-                let survivor = down.iter().position(|&c| !c).expect("one alive");
-                let finish = ready_at[survivor] + local_costs[survivor];
-                ready_at[survivor] = finish;
-                let others: f64 = (0..n).filter(|&j| j != survivor).map(|j| self.shares[j]).sum();
-                let s_share = (1.0 - others).max(0.0);
-                self.shares[survivor] = s_share;
-                self.local_alphas[survivor] =
-                    tighten_alpha(self.local_alphas[survivor], member_count, s_share);
-                let executed = Allocation::from_update(self.shares.clone())
-                    .expect("frozen shares stay feasible");
-                trace.push(ProtocolRound {
-                    round: t,
-                    allocation: executed,
-                    local_costs: local_costs.clone(),
-                    global_cost: local_costs[survivor],
-                    straggler: survivor,
-                    messages: 0,
-                    bytes: 0,
-                    retries: 0,
-                    acks: 0,
-                    duplicates: 0,
-                    compute_finished: finish,
-                    control_finished: finish,
-                    active: down.iter().map(|&c| !c).collect(),
-                    alpha: member_alpha(&self.local_alphas),
-                });
-                continue;
+            states[i].costs[i] = Some(local_costs[i]);
+            states[i].alphas[i] = Some(sim.local_alphas[i]);
+            states[i].broadcasts_received = 1;
+        }
+        let mut global_cost = f64::MIN;
+        let mut straggler = 0usize;
+        for (j, &c) in local_costs.iter().enumerate() {
+            if !down[j] && c > global_cost {
+                global_cost = c;
+                straggler = j;
             }
+        }
+        self.round = Some(Round {
+            fns,
+            down,
+            alive_count,
+            member_count,
+            local_costs,
+            queue,
+            states,
+            next_shares: sim.shares.clone(),
+            next_alphas: sim.local_alphas.clone(),
+            stats: LinkStats::default(),
+            compute_finished: 0.0,
+            straggler_done_at: 0.0,
+            last_resolution_at: 0.0,
+            resolved_count: 0,
+            global_cost,
+            straggler,
+        });
+    }
 
-            // Expected load: every live worker broadcasts its cost to the
-            // other n−1 peers, plus the compute-done markers themselves.
-            let mut queue: EventQueue<Ev> =
-                EventQueue::with_capacity(alive_count * (n - 1) + alive_count);
-            for i in 0..n {
-                if !down[i] {
-                    queue.schedule(ready_at[i] + local_costs[i], Ev::ComputeDone { worker: i });
-                }
+    /// Closes the open round `t`: records it and commits its shares and
+    /// step sizes.
+    fn close<E, L>(&mut self, t: usize, sim: &mut FullyDistributedSim<E, L>) {
+        let round = self.round.take().expect("an open round to close");
+        assert_eq!(round.resolved_count, round.alive_count, "protocol deadlocked in round {t}");
+
+        // The shares executed this round go to the record; the round's
+        // update becomes the simulator's.
+        let executed = std::mem::replace(&mut sim.shares, round.next_shares);
+        let executed = Allocation::from_update(executed).expect("protocol preserves feasibility");
+        self.trace.push(ProtocolRound {
+            round: t,
+            allocation: executed,
+            local_costs: round.local_costs,
+            global_cost: round.global_cost,
+            straggler: round.straggler,
+            messages: round.stats.messages,
+            bytes: round.stats.bytes,
+            retries: round.stats.retries,
+            acks: round.stats.acks,
+            duplicates: round.stats.duplicates,
+            compute_finished: round.compute_finished,
+            control_finished: round.last_resolution_at.max(round.straggler_done_at),
+            active: round.down.iter().map(|&c| !c).collect(),
+            alpha: member_alpha(&round.next_alphas, &self.members),
+        });
+        sim.local_alphas = round.next_alphas;
+    }
+}
+
+impl Round {
+    fn fingerprint<E, L>(
+        &self,
+        t: usize,
+        rounds: usize,
+        sim: &FullyDistributedSim<E, L>,
+        members: &[bool],
+    ) -> u64 {
+        let mut fp = StateFp::new(0xD01B_0003);
+        fp.push_usize(t);
+        fp.push_usize(rounds);
+        fp.push_f64_slice(&sim.shares);
+        fp.push_f64_slice(&sim.local_alphas);
+        fp.push_f64_slice(&self.next_shares);
+        fp.push_f64_slice(&self.next_alphas);
+        fp.push_bool_slice(members);
+        fp.push_bool_slice(&self.down);
+        fp.push_f64(self.global_cost);
+        fp.push_usize(self.straggler);
+        fp.push_usize(self.resolved_count);
+        for st in &self.states {
+            for c in &st.costs {
+                fp.push_opt_f64(*c);
             }
-
-            let mut states: Vec<WorkerRoundState> =
-                (0..n).map(|_| WorkerRoundState::new(n)).collect();
-            // Seed each worker's own observation (lines 2-3).
-            for i in 0..n {
-                if down[i] {
-                    continue;
-                }
-                states[i].costs[i] = Some(local_costs[i]);
-                states[i].alphas[i] = Some(self.local_alphas[i]);
-                states[i].broadcasts_received = 1;
+            for a in &st.alphas {
+                fp.push_opt_f64(*a);
             }
-            let mut next_shares = self.shares.clone();
-            let mut next_alphas = self.local_alphas.clone();
-            let mut stats = LinkStats::default();
-            let mut compute_finished = 0.0f64;
-            let mut straggler_done_at = 0.0f64;
-            let mut last_resolution_at = 0.0f64;
-            let mut resolved_count = 0usize;
-            let mut global_cost = f64::MIN;
-            let mut straggler = 0usize;
-            for (j, &c) in local_costs.iter().enumerate() {
-                if !down[j] && c > global_cost {
-                    global_cost = c;
-                    straggler = j;
-                }
+            for d in &st.decisions {
+                fp.push_opt_f64(*d);
             }
+            fp.push_usize(st.broadcasts_received);
+            fp.push_usize(st.decisions_received);
+            fp.push_u64(u64::from(st.resolved));
+        }
+        let mut pending = MultisetFp::new();
+        self.queue.for_each_pending(|ev| {
+            pending.insert(match ev {
+                Ev::ComputeDone { worker } => 1 + *worker as u64,
+                Ev::Deliver(msg) => msg.fingerprint(),
+            });
+        });
+        fp.push_u64(pending.finish());
+        fp.finish()
+    }
 
-            let send = |queue: &mut EventQueue<Ev>,
-                        latency: &mut L,
-                        plan: &FaultPlan,
-                        stats: &mut LinkStats,
-                        sched: &mut dyn Scheduler,
-                        msg: Message| {
-                let delay = latency.delay(&msg);
-                assert!(delay >= 0.0, "latency model produced a negative delay");
-                let outcome = plan.transmit_with(&msg, delay, sched);
-                stats.record(&msg, &outcome);
-                queue.schedule(queue.now() + outcome.delivery_delay, Ev::Deliver(msg));
-            };
+    fn send<L: LatencyModel>(
+        &mut self,
+        latency: &mut L,
+        plan: &FaultPlan,
+        sched: &mut dyn Scheduler,
+        msg: Message,
+    ) {
+        let delay = latency.delay(&msg);
+        assert!(delay >= 0.0, "latency model produced a negative delay");
+        let outcome = plan.transmit_with(&msg, delay, sched);
+        self.stats.record(&msg, &outcome);
+        self.queue.schedule(self.queue.now() + outcome.delivery_delay, Ev::Deliver(msg));
+    }
 
-            // A worker resolves as soon as it holds every broadcast (and,
-            // for the straggler, every decision).
-            while resolved_count < alive_count {
-                if sched.wants_state() && queue.len() > 1 {
-                    let mut fp = StateFp::new(0xD01B_0003);
-                    fp.push_usize(t);
-                    fp.push_usize(rounds);
-                    fp.push_f64_slice(&self.shares);
-                    fp.push_f64_slice(&self.local_alphas);
-                    fp.push_f64_slice(&next_shares);
-                    fp.push_f64_slice(&next_alphas);
-                    fp.push_bool_slice(&members);
-                    fp.push_bool_slice(&down);
-                    fp.push_f64(global_cost);
-                    fp.push_usize(straggler);
-                    fp.push_usize(resolved_count);
-                    for st in &states {
-                        for c in &st.costs {
-                            fp.push_opt_f64(*c);
-                        }
-                        for a in &st.alphas {
-                            fp.push_opt_f64(*a);
-                        }
-                        for d in &st.decisions {
-                            fp.push_opt_f64(*d);
-                        }
-                        fp.push_usize(st.broadcasts_received);
-                        fp.push_usize(st.decisions_received);
-                        fp.push_u64(u64::from(st.resolved));
-                    }
-                    let mut pending = MultisetFp::new();
-                    queue.for_each_pending(|ev| {
-                        pending.insert(match ev {
-                            Ev::ComputeDone { worker } => 1 + *worker as u64,
-                            Ev::Deliver(msg) => msg.fingerprint(),
-                        });
-                    });
-                    fp.push_u64(pending.finish());
-                    sched.observe_state(fp.finish());
-                }
-                let Some(scheduled) = pop_with(&mut queue, sched) else {
-                    break;
+    /// Handles one delivered event. Returns `false` when the receiver
+    /// cannot resolve yet (or already has), in which case the straggler
+    /// is not re-checked after this event.
+    fn deliver<E, L: LatencyModel>(
+        &mut self,
+        t: usize,
+        scheduled: Scheduled<Ev>,
+        sim: &mut FullyDistributedSim<E, L>,
+        ready_at: &mut [f64],
+        sched: &mut dyn Scheduler,
+    ) -> bool {
+        let now = scheduled.time;
+        match scheduled.event {
+            Ev::ComputeDone { worker } => {
+                self.compute_finished = self.compute_finished.max(now);
+                // Line 4: broadcast (l_i, ᾱ_i) to all live peers.
+                let payload = Payload::CostAndStepSize {
+                    cost: self.local_costs[worker],
+                    alpha: sim.local_alphas[worker],
                 };
-                let now = scheduled.time;
-                match scheduled.event {
-                    Ev::ComputeDone { worker } => {
-                        compute_finished = compute_finished.max(now);
-                        // Line 4: broadcast (l_i, ᾱ_i) to all live peers.
-                        for (j, &peer_down) in down.iter().enumerate() {
-                            if j == worker || peer_down {
-                                continue;
-                            }
-                            send(
-                                &mut queue,
-                                &mut self.latency,
-                                &self.plan,
-                                &mut stats,
-                                &mut *sched,
-                                Message {
-                                    from: NodeId::Worker(worker),
-                                    to: NodeId::Worker(j),
-                                    round: t,
-                                    payload: Payload::CostAndStepSize {
-                                        cost: local_costs[worker],
-                                        alpha: self.local_alphas[worker],
-                                    },
-                                },
-                            );
-                        }
+                for j in 0..self.down.len() {
+                    if j == worker || self.down[j] {
+                        continue;
                     }
-                    Ev::Deliver(msg) => {
-                        let NodeId::Worker(me) = msg.to else {
-                            unreachable!("no master in the fully-distributed protocol")
-                        };
-                        let NodeId::Worker(sender) = msg.from else {
-                            unreachable!("no master in the fully-distributed protocol")
-                        };
-                        match msg.payload {
-                            Payload::CostAndStepSize { cost, alpha } => {
-                                let state = &mut states[me];
-                                assert!(state.costs[sender].is_none(), "duplicate broadcast");
-                                state.costs[sender] = Some(cost);
-                                state.alphas[sender] = Some(alpha);
-                                state.broadcasts_received += 1;
-                            }
-                            Payload::Decision { share } => {
-                                let state = &mut states[me];
-                                assert!(state.decisions[sender].is_none(), "duplicate decision");
-                                state.decisions[sender] = Some(share);
-                                state.decisions_received += 1;
-                            }
-                            _ => unreachable!("master-worker payload in Algorithm 2"),
-                        }
-                        // Try to resolve worker `me` (lines 5-13).
-                        let state = &mut states[me];
-                        if state.resolved || state.broadcasts_received < alive_count {
-                            continue;
-                        }
-                        // Lines 5-7: every worker derives the same view
-                        // (crashed peers contribute no step size).
-                        let alpha_t =
-                            state.alphas.iter().flatten().fold(f64::INFINITY, |acc, &a| acc.min(a));
-                        if me != straggler {
-                            // Lines 8-10.
-                            let updated =
-                                assist_step(&fns[me], self.shares[me], global_cost, alpha_t);
-                            next_shares[me] = updated;
-                            // Adopt the consensus step size so the round's
-                            // minimum is replicated at every node — without
-                            // this a crash of the historical-minimum holder
-                            // would silently loosen later rounds' α, unlike
-                            // the master-worker protocol whose master
-                            // remembers every tightening.
-                            next_alphas[me] = alpha_t;
-                            send(
-                                &mut queue,
-                                &mut self.latency,
-                                &self.plan,
-                                &mut stats,
-                                &mut *sched,
-                                Message {
-                                    from: NodeId::Worker(me),
-                                    to: NodeId::Worker(straggler),
-                                    round: t,
-                                    payload: Payload::Decision { share: updated },
-                                },
-                            );
-                            state.resolved = true;
-                            resolved_count += 1;
-                            ready_at[me] = now;
-                            last_resolution_at = last_resolution_at.max(now);
-                        } else if state.decisions_received == alive_count - 1 {
-                            // Lines 11-13; every live peer's decision is in
-                            // `next_shares` (written before it was sent),
-                            // crashed workers' shares sit there frozen.
-                            let s_share = straggler_pin_with_guard(
-                                &self.shares,
-                                &mut next_shares,
-                                me,
-                                !sched.sabotage_overshoot_guard(),
-                            );
-                            next_alphas[me] = tighten_alpha(alpha_t, member_count, s_share);
-                            state.resolved = true;
-                            resolved_count += 1;
-                            ready_at[me] = now;
-                            straggler_done_at = now;
-                            last_resolution_at = last_resolution_at.max(now);
-                        }
-                    }
+                    self.send(
+                        &mut sim.latency,
+                        &sim.plan,
+                        sched,
+                        Message {
+                            from: NodeId::Worker(worker),
+                            to: NodeId::Worker(j),
+                            round: t,
+                            payload,
+                        },
+                    );
                 }
-                // The straggler may have been waiting only on decisions
-                // that arrived before its last broadcast; re-check it.
-                let s_state = &mut states[straggler];
-                if !s_state.resolved
-                    && s_state.broadcasts_received == alive_count
-                    && s_state.decisions_received == alive_count - 1
-                {
+            }
+            Ev::Deliver(msg) => {
+                let NodeId::Worker(me) = msg.to else {
+                    unreachable!("no master in the fully-distributed protocol")
+                };
+                let NodeId::Worker(sender) = msg.from else {
+                    unreachable!("no master in the fully-distributed protocol")
+                };
+                match msg.payload {
+                    Payload::CostAndStepSize { cost, alpha } => {
+                        let state = &mut self.states[me];
+                        assert!(state.costs[sender].is_none(), "duplicate broadcast");
+                        state.costs[sender] = Some(cost);
+                        state.alphas[sender] = Some(alpha);
+                        state.broadcasts_received += 1;
+                    }
+                    Payload::Decision { share } => {
+                        let state = &mut self.states[me];
+                        assert!(state.decisions[sender].is_none(), "duplicate decision");
+                        state.decisions[sender] = Some(share);
+                        state.decisions_received += 1;
+                    }
+                    _ => unreachable!("master-worker payload in Algorithm 2"),
+                }
+                // Try to resolve worker `me` (lines 5-13).
+                let state = &self.states[me];
+                if state.resolved || state.broadcasts_received < self.alive_count {
+                    return false;
+                }
+                // Lines 5-7: every worker derives the same view (crashed
+                // peers contribute no step size).
+                let alpha_t =
+                    state.alphas.iter().flatten().fold(f64::INFINITY, |acc, &a| acc.min(a));
+                if me != self.straggler {
+                    // Lines 8-10.
+                    let updated =
+                        assist_step(&self.fns[me], sim.shares[me], self.global_cost, alpha_t);
+                    self.next_shares[me] = updated;
+                    // Adopt the consensus step size so the round's minimum
+                    // is replicated at every node — without this a crash
+                    // of the historical-minimum holder would silently
+                    // loosen later rounds' α, unlike the master-worker
+                    // protocol whose master remembers every tightening.
+                    self.next_alphas[me] = alpha_t;
+                    self.send(
+                        &mut sim.latency,
+                        &sim.plan,
+                        sched,
+                        Message {
+                            from: NodeId::Worker(me),
+                            to: NodeId::Worker(self.straggler),
+                            round: t,
+                            payload: Payload::Decision { share: updated },
+                        },
+                    );
+                    self.states[me].resolved = true;
+                    self.resolved_count += 1;
+                    ready_at[me] = now;
+                    self.last_resolution_at = self.last_resolution_at.max(now);
+                } else if state.decisions_received == self.alive_count - 1 {
+                    // Lines 11-13; every live peer's decision is in
+                    // `next_shares` (written before it was sent), crashed
+                    // workers' shares sit there frozen.
                     let s_share = straggler_pin_with_guard(
-                        &self.shares,
-                        &mut next_shares,
-                        straggler,
+                        &sim.shares,
+                        &mut self.next_shares,
+                        me,
                         !sched.sabotage_overshoot_guard(),
                     );
-                    let alpha_t =
-                        s_state.alphas.iter().flatten().fold(f64::INFINITY, |acc, &a| acc.min(a));
-                    next_alphas[straggler] = tighten_alpha(alpha_t, member_count, s_share);
-                    s_state.resolved = true;
-                    resolved_count += 1;
-                    ready_at[straggler] = queue.now();
-                    straggler_done_at = queue.now();
-                    last_resolution_at = last_resolution_at.max(queue.now());
+                    self.next_alphas[me] = tighten_alpha(alpha_t, self.member_count, s_share);
+                    self.states[me].resolved = true;
+                    self.resolved_count += 1;
+                    ready_at[me] = now;
+                    self.straggler_done_at = now;
+                    self.last_resolution_at = self.last_resolution_at.max(now);
                 }
             }
-            assert_eq!(resolved_count, alive_count, "protocol deadlocked in round {t}");
-
-            let executed = Allocation::from_update(self.shares.clone())
-                .expect("protocol preserves feasibility");
-            trace.push(ProtocolRound {
-                round: t,
-                allocation: executed,
-                local_costs,
-                global_cost,
-                straggler,
-                messages: stats.messages,
-                bytes: stats.bytes,
-                retries: stats.retries,
-                acks: stats.acks,
-                duplicates: stats.duplicates,
-                compute_finished,
-                control_finished: last_resolution_at.max(straggler_done_at),
-                active: down.iter().map(|&c| !c).collect(),
-                alpha: member_alpha(&next_alphas),
-            });
-            self.shares = next_shares;
-            self.local_alphas = next_alphas;
         }
-        ProtocolTrace { architecture: "fully-distributed", rounds: trace }
+        true
+    }
+
+    /// The straggler may have been waiting only on decisions that arrived
+    /// before its last broadcast; re-check it.
+    fn resolve_waiting_straggler<E, L>(
+        &mut self,
+        sim: &FullyDistributedSim<E, L>,
+        ready_at: &mut [f64],
+        sched: &mut dyn Scheduler,
+    ) {
+        let straggler = self.straggler;
+        let s_state = &self.states[straggler];
+        if s_state.resolved
+            || s_state.broadcasts_received != self.alive_count
+            || s_state.decisions_received != self.alive_count - 1
+        {
+            return;
+        }
+        let s_share = straggler_pin_with_guard(
+            &sim.shares,
+            &mut self.next_shares,
+            straggler,
+            !sched.sabotage_overshoot_guard(),
+        );
+        let alpha_t = s_state.alphas.iter().flatten().fold(f64::INFINITY, |acc, &a| acc.min(a));
+        self.next_alphas[straggler] = tighten_alpha(alpha_t, self.member_count, s_share);
+        self.states[straggler].resolved = true;
+        self.resolved_count += 1;
+        let now = self.queue.now();
+        ready_at[straggler] = now;
+        self.straggler_done_at = now;
+        self.last_resolution_at = self.last_resolution_at.max(now);
     }
 }
 

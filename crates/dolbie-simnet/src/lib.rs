@@ -42,6 +42,10 @@
 //!   the sims is routed through one trait so the `dolbie-mc` model
 //!   checker can enumerate interleavings instead of sampling them; the
 //!   default [`FifoScheduler`] reproduces the uncontrolled sims bitwise.
+//!   Each of the three protocol sims also runs as a `Clone` world
+//!   ([`MasterWorkerWorld`], [`FullyDistributedWorld`], [`RingWorld`])
+//!   stepped one event at a time, so the checker can fork a run instead
+//!   of re-simulating its prefix.
 //! - [`invariants`] — the five chaos invariants (simplex feasibility, α
 //!   monotonicity, no stranded share, architecture agreement,
 //!   termination), defined once and consumed by the chaos sweeps and the
@@ -70,15 +74,15 @@ pub mod threaded;
 pub mod trace;
 
 pub use faults::{Crash, FaultPlan, LinkStats, RetryPolicy};
-pub use fully_distributed::FullyDistributedSim;
+pub use fully_distributed::{FullyDistributedSim, FullyDistributedWorld};
 pub use latency::{DegradedNode, FixedLatency, JitteredLatency, LatencyModel, PerLinkLatency};
-pub use master_worker::MasterWorkerSim;
+pub use master_worker::{MasterWorkerSim, MasterWorkerWorld};
 pub use membership::{
     EpochChange, LeaveKind, MembershipChange, MembershipEvent, MembershipSchedule,
     DEFAULT_DETECTION_TIMEOUT,
 };
 pub use message::{Message, NodeId, Payload};
-pub use ring::RingSim;
+pub use ring::{RingSim, RingWorld};
 pub use sched::{DecisionPoint, FifoScheduler, Scheduler};
 pub use sharded::{RootTierRound, ShardedRun, ShardedSim};
 pub use trace::{ProtocolRound, ProtocolTrace};

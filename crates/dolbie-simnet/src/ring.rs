@@ -36,16 +36,21 @@
 //! membership freezes every share, and the run continues. The plan's cost
 //! timeout is a coordinator-side concept and is ignored here.
 
-use crate::coordinator::{assist_step, frozen_round, straggler_pin_with_guard, tighten_alpha};
-use crate::event::EventQueue;
+use crate::coordinator::{
+    assist_step, frozen_round, lone_survivor_round, member_alpha, straggler_pin_with_guard,
+    tighten_alpha,
+};
+use crate::event::{EventQueue, Scheduled};
 use crate::faults::{Crash, FaultPlan, LinkStats};
 use crate::latency::LatencyModel;
 use crate::membership::{epoch_transition, MembershipSchedule, DEFAULT_DETECTION_TIMEOUT};
 use crate::message::{Message, NodeId, Payload};
 use crate::sched::{pop_with, DecisionPoint, FifoScheduler, Scheduler};
 use crate::trace::{ProtocolRound, ProtocolTrace};
+use dolbie_core::cost::DynCost;
 use dolbie_core::fingerprint::{MultisetFp, StateFp};
 use dolbie_core::{Allocation, DolbieConfig, Environment};
+use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -69,7 +74,7 @@ enum Ev {
 /// // happens to be the straggler, as no assignment hop is needed).
 /// assert_eq!(trace.rounds[0].messages, 7);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RingSim<E, L> {
     env: E,
     latency: L,
@@ -169,429 +174,507 @@ impl<E: Environment, L: LatencyModel> RingSim<E, L> {
         rounds: usize,
         sched: &mut dyn Scheduler,
     ) -> ProtocolTrace {
-        let n = self.shares.len();
-        let mut trace = Vec::with_capacity(rounds);
-        let mut ready_at = vec![0.0f64; n];
-        // Active membership view (epoch state, distinct from crash windows).
-        let mut members = vec![true; n];
+        let mut run = Run::new(self.shares.len(), rounds);
+        while run.step(self, sched) {}
+        run.into_trace()
+    }
 
-        for t in 0..rounds {
-            // Epoch boundary: rebuild the ring around the new member set
-            // and run the shared state transition.
-            let previous_members = members.clone();
-            let boundary = self.membership.apply_round_sched(t, &mut members, sched);
-            if boundary.changed {
-                epoch_transition(
-                    &mut self.shares,
-                    &mut self.local_alphas,
-                    &previous_members,
-                    &members,
-                );
-                if boundary.crash_detected {
-                    let detection = self.plan.cost_timeout.unwrap_or(DEFAULT_DETECTION_TIMEOUT);
-                    for (r, &m) in ready_at.iter_mut().zip(&members) {
-                        if m {
-                            *r += detection;
-                        }
+    /// Moves the simulator into a [`RingWorld`] poised at the start of a
+    /// `rounds`-round run (see [`MasterWorkerWorld`](crate::MasterWorkerWorld)).
+    pub fn into_world(self, rounds: usize) -> RingWorld<E, L> {
+        let run = Run::new(self.shares.len(), rounds);
+        RingWorld { sim: self, run }
+    }
+}
+
+/// A token-ring run in progress; cloning it forks the run (see
+/// [`MasterWorkerWorld`](crate::MasterWorkerWorld)).
+#[derive(Debug, Clone)]
+pub struct RingWorld<E, L> {
+    sim: RingSim<E, L>,
+    run: Run,
+}
+
+impl<E: Environment, L: LatencyModel> RingWorld<E, L> {
+    /// Advances the run by one step under `sched`: opening the next round,
+    /// or one event delivery (and closing the round it completes).
+    /// Returns `false`, doing nothing, once the horizon is reached.
+    ///
+    /// # Panics
+    ///
+    /// As [`RingSim::run_with_scheduler`].
+    pub fn step(&mut self, sched: &mut dyn Scheduler) -> bool {
+        self.run.step(&mut self.sim, sched)
+    }
+
+    /// The canonical fingerprint of the run's continuation-determining
+    /// state (times excluded) that the next [`step`](Self::step) reports
+    /// to a state-observing scheduler: `Some` exactly when that step
+    /// makes a delivery choice. Lets a caller read the state at a step
+    /// boundary before deciding what to do there; a scheduler that
+    /// received it should decline to observe it again.
+    pub fn fingerprint(&self) -> Option<u64> {
+        self.run.fingerprint(&self.sim)
+    }
+
+    /// The trace of the rounds completed so far.
+    pub fn into_trace(self) -> ProtocolTrace {
+        self.run.into_trace()
+    }
+}
+
+/// The state a run keeps between steps, apart from the simulator.
+#[derive(Debug, Clone)]
+struct Run {
+    rounds: usize,
+    trace: Vec<ProtocolRound>,
+    ready_at: Vec<f64>,
+    /// Active membership view (epoch state, distinct from crash windows).
+    members: Vec<bool>,
+    /// The open round, if any.
+    round: Option<Round>,
+}
+
+/// One round in flight: its inputs, the ring of survivors, the event
+/// queue, and the token state.
+#[derive(Debug, Clone)]
+struct Round {
+    fns: Arc<[DynCost]>,
+    down: Vec<bool>,
+    member_count: usize,
+    local_costs: Vec<f64>,
+    /// The lowest-indexed survivor: it originates the token and computes
+    /// the straggler remainder.
+    head: usize,
+    /// Each survivor's successor on the ring.
+    succ: Vec<usize>,
+    queue: EventQueue<Ev>,
+    computed: Vec<bool>,
+    /// Pass-1 token state: held by `token_at` waiting for that worker's
+    /// compute, or in flight as a message.
+    pending_aggregate: Option<(usize, f64, usize, f64)>,
+    next_shares: Vec<f64>,
+    next_alphas: Vec<f64>,
+    stats: LinkStats,
+    compute_finished: f64,
+    control_finished: f64,
+    round_done: bool,
+    global_cost: f64,
+    straggler: usize,
+    /// The consensus α the straggler saw on its pass-2 hop, applied when
+    /// its assignment arrives.
+    straggler_alpha: f64,
+}
+
+impl Run {
+    fn new(n: usize, rounds: usize) -> Self {
+        Self {
+            rounds,
+            trace: Vec::with_capacity(rounds),
+            ready_at: vec![0.0f64; n],
+            members: vec![true; n],
+            round: None,
+        }
+    }
+
+    fn into_trace(self) -> ProtocolTrace {
+        ProtocolTrace { architecture: "ring", rounds: self.trace }
+    }
+
+    fn step<E: Environment, L: LatencyModel>(
+        &mut self,
+        sim: &mut RingSim<E, L>,
+        sched: &mut dyn Scheduler,
+    ) -> bool {
+        let t = self.trace.len();
+        let Some(round) = &mut self.round else {
+            if t == self.rounds {
+                return false;
+            }
+            self.open(t, sim, sched);
+            return true;
+        };
+        if round.queue.len() > 1 && sched.wants_state() {
+            sched.observe_state(round.fingerprint(t, self.rounds, sim, &self.members));
+        }
+        let drained = match pop_with(&mut round.queue, sched) {
+            Some(scheduled) => {
+                round.deliver(t, scheduled, sim, &mut self.ready_at, sched);
+                false
+            }
+            None => true,
+        };
+        if drained || round.round_done {
+            self.close(t, sim);
+        }
+        true
+    }
+
+    fn fingerprint<E, L>(&self, sim: &RingSim<E, L>) -> Option<u64> {
+        let round = self.round.as_ref().filter(|r| r.queue.len() > 1)?;
+        Some(round.fingerprint(self.trace.len(), self.rounds, sim, &self.members))
+    }
+
+    /// Opens round `t`: the epoch boundary, the reveal, the crash
+    /// decisions, the ring of survivors, and every survivor's execution.
+    /// A round with at most one survivor is recorded on the spot.
+    fn open<E: Environment, L: LatencyModel>(
+        &mut self,
+        t: usize,
+        sim: &mut RingSim<E, L>,
+        sched: &mut dyn Scheduler,
+    ) {
+        let n = sim.shares.len();
+        // Epoch boundary: rebuild the ring around the new member set and
+        // run the shared state transition.
+        let previous_members = self.members.clone();
+        let boundary = sim.membership.apply_round_sched(t, &mut self.members, sched);
+        if boundary.changed {
+            epoch_transition(
+                &mut sim.shares,
+                &mut sim.local_alphas,
+                &previous_members,
+                &self.members,
+            );
+            if boundary.crash_detected {
+                let detection = sim.plan.cost_timeout.unwrap_or(DEFAULT_DETECTION_TIMEOUT);
+                for (r, &m) in self.ready_at.iter_mut().zip(&self.members) {
+                    if m {
+                        *r += detection;
                     }
                 }
             }
-            let member_count = members.iter().filter(|&&m| m).count();
+        }
+        let member_count = self.members.iter().filter(|&&m| m).count();
 
-            let fns = self.env.reveal(t);
-            assert_eq!(fns.len(), n, "environment must cover every worker");
-            let down: Vec<bool> = (0..n)
-                .map(|i| {
-                    !members[i]
-                        || (self.plan.crashed(i, t)
-                            && sched.decide(DecisionPoint::Crash { worker: i, round: t }, true))
-                })
-                .collect();
-            let alive: Vec<usize> = (0..n).filter(|&i| !down[i]).collect();
-            let local_costs: Vec<f64> =
-                (0..n).map(|i| if down[i] { 0.0 } else { fns[i].eval(self.shares[i]) }).collect();
-            let member_alpha = |alphas: &[f64]| {
-                alphas
-                    .iter()
-                    .zip(&members)
-                    .filter(|&(_, &m)| m)
-                    .map(|(&a, _)| a)
-                    .fold(f64::INFINITY, f64::min)
-            };
-            if alive.is_empty() {
-                // Membership collapsed: freeze every share and continue.
-                let alpha = member_alpha(&self.local_alphas);
-                trace.push(frozen_round(t, &self.shares, local_costs, &ready_at, n, alpha));
-                continue;
+        let fns: Arc<[DynCost]> = sim.env.reveal(t).into();
+        assert_eq!(fns.len(), n, "environment must cover every worker");
+        let down: Vec<bool> = (0..n)
+            .map(|i| {
+                !self.members[i]
+                    || (sim.plan.crashed(i, t)
+                        && sched.decide(DecisionPoint::Crash { worker: i, round: t }, true))
+            })
+            .collect();
+        let alive: Vec<usize> = (0..n).filter(|&i| !down[i]).collect();
+        let local_costs: Vec<f64> =
+            (0..n).map(|i| if down[i] { 0.0 } else { fns[i].eval(sim.shares[i]) }).collect();
+        if alive.is_empty() {
+            // Membership collapsed: freeze every share and continue.
+            let alpha = member_alpha(&sim.local_alphas, &self.members);
+            self.trace.push(frozen_round(t, &sim.shares, local_costs, &self.ready_at, n, alpha));
+            return;
+        }
+        if alive.len() == 1 {
+            // A ring of one has no token to pass.
+            self.trace.push(lone_survivor_round(
+                t,
+                &mut sim.shares,
+                &mut sim.local_alphas,
+                local_costs,
+                &mut self.ready_at,
+                &down,
+                &self.members,
+            ));
+            return;
+        }
+
+        // The ring of survivors, in ascending worker order.
+        let head = alive[0];
+        let mut succ = vec![usize::MAX; n];
+        for (k, &w) in alive.iter().enumerate() {
+            succ[w] = alive[(k + 1) % alive.len()];
+        }
+
+        // Two token passes around the ring of survivors plus each
+        // survivor's compute-done marker.
+        let mut queue: EventQueue<Ev> = EventQueue::with_capacity(3 * alive.len() + 1);
+        for &i in &alive {
+            queue.schedule(self.ready_at[i] + local_costs[i], Ev::ComputeDone { worker: i });
+        }
+
+        self.round = Some(Round {
+            fns,
+            down,
+            member_count,
+            local_costs,
+            head,
+            succ,
+            queue,
+            computed: vec![false; n],
+            pending_aggregate: None,
+            next_shares: sim.shares.clone(),
+            next_alphas: sim.local_alphas.clone(),
+            stats: LinkStats::default(),
+            compute_finished: 0.0,
+            control_finished: 0.0,
+            round_done: false,
+            global_cost: f64::MIN,
+            straggler: 0,
+            straggler_alpha: f64::INFINITY,
+        });
+    }
+
+    /// Closes the open round `t`: records it and commits its shares and
+    /// step sizes.
+    fn close<E, L>(&mut self, t: usize, sim: &mut RingSim<E, L>) {
+        let round = self.round.take().expect("an open round to close");
+        assert!(round.round_done, "ring protocol deadlocked in round {t}");
+
+        // The shares executed this round go to the record; the round's
+        // update becomes the simulator's.
+        let executed = std::mem::replace(&mut sim.shares, round.next_shares);
+        let executed = Allocation::from_update(executed).expect("protocol preserves feasibility");
+        self.trace.push(ProtocolRound {
+            round: t,
+            allocation: executed,
+            local_costs: round.local_costs,
+            global_cost: round.global_cost,
+            straggler: round.straggler,
+            messages: round.stats.messages,
+            bytes: round.stats.bytes,
+            retries: round.stats.retries,
+            acks: round.stats.acks,
+            duplicates: round.stats.duplicates,
+            compute_finished: round.compute_finished,
+            control_finished: round.control_finished,
+            active: round.down.iter().map(|&c| !c).collect(),
+            alpha: member_alpha(&round.next_alphas, &self.members),
+        });
+        sim.local_alphas = round.next_alphas;
+    }
+}
+
+impl Round {
+    fn fingerprint<E, L>(
+        &self,
+        t: usize,
+        rounds: usize,
+        sim: &RingSim<E, L>,
+        members: &[bool],
+    ) -> u64 {
+        let mut fp = StateFp::new(0xD01B_0002);
+        fp.push_usize(t);
+        fp.push_usize(rounds);
+        fp.push_f64_slice(&sim.shares);
+        fp.push_f64_slice(&sim.local_alphas);
+        fp.push_f64_slice(&self.next_shares);
+        fp.push_f64_slice(&self.next_alphas);
+        fp.push_bool_slice(members);
+        fp.push_bool_slice(&self.down);
+        fp.push_bool_slice(&self.computed);
+        match self.pending_aggregate {
+            None => fp.push_u64(0),
+            Some((held_by, max_cost, arg, min_alpha)) => {
+                fp.push_u64(1);
+                fp.push_usize(held_by);
+                fp.push_f64(max_cost);
+                fp.push_usize(arg);
+                fp.push_f64(min_alpha);
             }
-            if alive.len() == 1 {
-                // A ring of one has no token to pass: the survivor is
-                // trivially the straggler, keeps the remainder of the
-                // frozen shares, and continues (master-worker semantics).
-                let survivor = alive[0];
-                let finish = ready_at[survivor] + local_costs[survivor];
-                ready_at[survivor] = finish;
-                let others: f64 = (0..n).filter(|&j| j != survivor).map(|j| self.shares[j]).sum();
-                let s_share = (1.0 - others).max(0.0);
-                self.shares[survivor] = s_share;
-                self.local_alphas[survivor] =
-                    tighten_alpha(self.local_alphas[survivor], member_count, s_share);
-                let executed = Allocation::from_update(self.shares.clone())
-                    .expect("frozen shares stay feasible");
-                trace.push(ProtocolRound {
-                    round: t,
-                    allocation: executed,
-                    local_costs: local_costs.clone(),
-                    global_cost: local_costs[survivor],
-                    straggler: survivor,
-                    messages: 0,
-                    bytes: 0,
-                    retries: 0,
-                    acks: 0,
-                    duplicates: 0,
-                    compute_finished: finish,
-                    control_finished: finish,
-                    active: down.iter().map(|&c| !c).collect(),
-                    alpha: member_alpha(&self.local_alphas),
-                });
-                continue;
-            }
+        }
+        fp.push_f64(self.global_cost);
+        fp.push_usize(self.straggler);
+        fp.push_f64(self.straggler_alpha);
+        let mut pending = MultisetFp::new();
+        self.queue.for_each_pending(|ev| {
+            pending.insert(match ev {
+                Ev::ComputeDone { worker } => 1 + *worker as u64,
+                Ev::Deliver(msg) => msg.fingerprint(),
+            });
+        });
+        fp.push_u64(pending.finish());
+        fp.finish()
+    }
 
-            // The ring of survivors, in ascending worker order; the
-            // lowest-indexed survivor is the head (originates the token
-            // and computes the straggler remainder).
-            let head = alive[0];
-            let mut succ = vec![usize::MAX; n];
-            for (k, &w) in alive.iter().enumerate() {
-                succ[w] = alive[(k + 1) % alive.len()];
-            }
+    /// Sends `payload` from worker `from` to worker `to`.
+    #[allow(clippy::too_many_arguments)]
+    fn send<L: LatencyModel>(
+        &mut self,
+        latency: &mut L,
+        plan: &FaultPlan,
+        sched: &mut dyn Scheduler,
+        t: usize,
+        from: usize,
+        to: usize,
+        payload: Payload,
+    ) {
+        let msg = Message { from: NodeId::Worker(from), to: NodeId::Worker(to), round: t, payload };
+        let delay = latency.delay(&msg);
+        assert!(delay >= 0.0, "latency model produced a negative delay");
+        let outcome = plan.transmit_with(&msg, delay, sched);
+        self.stats.record(&msg, &outcome);
+        self.queue.schedule(self.queue.now() + outcome.delivery_delay, Ev::Deliver(msg));
+    }
 
-            // Two token passes around the ring of survivors plus each
-            // survivor's compute-done marker.
-            let mut queue: EventQueue<Ev> = EventQueue::with_capacity(3 * alive.len() + 1);
-            for &i in &alive {
-                queue.schedule(ready_at[i] + local_costs[i], Ev::ComputeDone { worker: i });
-            }
+    /// Folds worker `me` into the pass-1 token and forwards it.
+    fn forward_aggregate<E, L: LatencyModel>(
+        &mut self,
+        t: usize,
+        me: usize,
+        (max_cost, arg, min_alpha): (f64, usize, f64),
+        sim: &mut RingSim<E, L>,
+        sched: &mut dyn Scheduler,
+    ) {
+        let (max_cost, straggler) = if self.local_costs[me] > max_cost {
+            (self.local_costs[me], me)
+        } else {
+            (max_cost, arg)
+        };
+        let min_alpha = min_alpha.min(sim.local_alphas[me]);
+        let to = self.succ[me];
+        self.send(
+            &mut sim.latency,
+            &sim.plan,
+            sched,
+            t,
+            me,
+            to,
+            Payload::RingAggregate { max_cost, straggler, min_alpha },
+        );
+    }
 
-            let mut computed = vec![false; n];
-            // Pass-1 token state: held by `token_at` waiting for that
-            // worker's compute, or in flight as a message.
-            let mut pending_aggregate: Option<(usize, f64, usize, f64)> = None;
-            let mut next_shares = self.shares.clone();
-            let mut next_alphas = self.local_alphas.clone();
-            let mut stats = LinkStats::default();
-            let mut compute_finished = 0.0f64;
-            let mut control_finished = 0.0f64;
-            let mut round_done = false;
-            let mut global_cost = f64::MIN;
-            let mut straggler = 0usize;
-            // The consensus α the straggler saw on its pass-2 hop, applied
-            // when its assignment arrives.
-            let mut straggler_alpha = f64::INFINITY;
-
-            let send = |queue: &mut EventQueue<Ev>,
-                        latency: &mut L,
-                        plan: &FaultPlan,
-                        stats: &mut LinkStats,
-                        sched: &mut dyn Scheduler,
-                        msg: Message| {
-                let delay = latency.delay(&msg);
-                assert!(delay >= 0.0, "latency model produced a negative delay");
-                let outcome = plan.transmit_with(&msg, delay, sched);
-                stats.record(&msg, &outcome);
-                queue.schedule(queue.now() + outcome.delivery_delay, Ev::Deliver(msg));
-            };
-
-            while !round_done {
-                if sched.wants_state() && queue.len() > 1 {
-                    let mut fp = StateFp::new(0xD01B_0002);
-                    fp.push_usize(t);
-                    fp.push_usize(rounds);
-                    fp.push_f64_slice(&self.shares);
-                    fp.push_f64_slice(&self.local_alphas);
-                    fp.push_f64_slice(&next_shares);
-                    fp.push_f64_slice(&next_alphas);
-                    fp.push_bool_slice(&members);
-                    fp.push_bool_slice(&down);
-                    fp.push_bool_slice(&computed);
-                    match pending_aggregate {
-                        None => fp.push_u64(0),
-                        Some((held_by, max_cost, arg, min_alpha)) => {
-                            fp.push_u64(1);
-                            fp.push_usize(held_by);
-                            fp.push_f64(max_cost);
-                            fp.push_usize(arg);
-                            fp.push_f64(min_alpha);
-                        }
+    fn deliver<E, L: LatencyModel>(
+        &mut self,
+        t: usize,
+        scheduled: Scheduled<Ev>,
+        sim: &mut RingSim<E, L>,
+        ready_at: &mut [f64],
+        sched: &mut dyn Scheduler,
+    ) {
+        let now = scheduled.time;
+        let head = self.head;
+        match scheduled.event {
+            Ev::ComputeDone { worker } => {
+                self.compute_finished = self.compute_finished.max(now);
+                self.computed[worker] = true;
+                if worker == head {
+                    // The head originates the aggregation token.
+                    let payload = Payload::RingAggregate {
+                        max_cost: self.local_costs[head],
+                        straggler: head,
+                        min_alpha: sim.local_alphas[head],
+                    };
+                    let to = self.succ[head];
+                    self.send(&mut sim.latency, &sim.plan, sched, t, head, to, payload);
+                } else if let Some((held_by, max_cost, arg, min_alpha)) =
+                    self.pending_aggregate.take()
+                {
+                    // The token was parked here waiting for this worker's
+                    // compute; fold and forward now.
+                    if held_by == worker {
+                        self.forward_aggregate(t, worker, (max_cost, arg, min_alpha), sim, sched);
+                    } else {
+                        self.pending_aggregate = Some((held_by, max_cost, arg, min_alpha));
                     }
-                    fp.push_f64(global_cost);
-                    fp.push_usize(straggler);
-                    fp.push_f64(straggler_alpha);
-                    let mut pending = MultisetFp::new();
-                    queue.for_each_pending(|ev| {
-                        pending.insert(match ev {
-                            Ev::ComputeDone { worker } => 1 + *worker as u64,
-                            Ev::Deliver(msg) => msg.fingerprint(),
-                        });
-                    });
-                    fp.push_u64(pending.finish());
-                    sched.observe_state(fp.finish());
                 }
-                let Some(scheduled) = pop_with(&mut queue, sched) else {
-                    break;
-                };
-                let now = scheduled.time;
-                match scheduled.event {
-                    Ev::ComputeDone { worker } => {
-                        compute_finished = compute_finished.max(now);
-                        computed[worker] = true;
-                        if worker == head {
-                            // The head originates the aggregation token.
-                            send(
-                                &mut queue,
-                                &mut self.latency,
-                                &self.plan,
-                                &mut stats,
-                                &mut *sched,
-                                Message {
-                                    from: NodeId::Worker(head),
-                                    to: NodeId::Worker(succ[head]),
-                                    round: t,
-                                    payload: Payload::RingAggregate {
-                                        max_cost: local_costs[head],
-                                        straggler: head,
-                                        min_alpha: self.local_alphas[head],
-                                    },
-                                },
-                            );
-                        } else if let Some((held_by, max_cost, arg, min_alpha)) =
-                            pending_aggregate.take()
-                        {
-                            // The token was parked here waiting for this
-                            // worker's compute; fold and forward now.
-                            if held_by == worker {
-                                let (max_cost, arg) = if local_costs[worker] > max_cost {
-                                    (local_costs[worker], worker)
-                                } else {
-                                    (max_cost, arg)
-                                };
-                                let min_alpha = min_alpha.min(self.local_alphas[worker]);
-                                send(
-                                    &mut queue,
-                                    &mut self.latency,
-                                    &self.plan,
-                                    &mut stats,
-                                    &mut *sched,
-                                    Message {
-                                        from: NodeId::Worker(worker),
-                                        to: NodeId::Worker(succ[worker]),
-                                        round: t,
-                                        payload: Payload::RingAggregate {
-                                            max_cost,
-                                            straggler: arg,
-                                            min_alpha,
-                                        },
-                                    },
+            }
+            Ev::Deliver(msg) => {
+                let NodeId::Worker(me) = msg.to else { unreachable!("the ring has no master") };
+                match msg.payload {
+                    Payload::RingAggregate { max_cost, straggler: arg, min_alpha } => {
+                        if me == head {
+                            // Pass 1 complete: the head knows the round
+                            // scalars and starts pass 2 with its own eq. (5)
+                            // update folded in.
+                            self.global_cost = max_cost;
+                            self.straggler = arg;
+                            let alpha = min_alpha;
+                            // Adopt the consensus step size so the round's
+                            // minimum survives a later crash of whichever
+                            // worker produced it (every node does this as
+                            // the update token passes).
+                            self.next_alphas[head] = alpha;
+                            let mut sum = 0.0;
+                            if self.straggler != head {
+                                let updated = assist_step(
+                                    &self.fns[head],
+                                    sim.shares[head],
+                                    self.global_cost,
+                                    alpha,
                                 );
-                            } else {
-                                pending_aggregate = Some((held_by, max_cost, arg, min_alpha));
+                                self.next_shares[head] = updated;
+                                ready_at[head] = now;
+                                sum += updated;
                             }
+                            let payload = Payload::RingUpdate {
+                                global_cost: self.global_cost,
+                                straggler: self.straggler,
+                                alpha,
+                                sum_shares: sum,
+                            };
+                            let to = self.succ[head];
+                            self.send(&mut sim.latency, &sim.plan, sched, t, head, to, payload);
+                        } else if self.computed[me] {
+                            // Fold in and forward immediately.
+                            self.forward_aggregate(t, me, (max_cost, arg, min_alpha), sim, sched);
+                        } else {
+                            // Park the token until this worker's compute
+                            // completes.
+                            self.pending_aggregate = Some((me, max_cost, arg, min_alpha));
                         }
                     }
-                    Ev::Deliver(msg) => {
-                        let NodeId::Worker(me) = msg.to else {
-                            unreachable!("the ring has no master")
-                        };
-                        match msg.payload {
-                            Payload::RingAggregate { max_cost, straggler: arg, min_alpha } => {
-                                if me == head {
-                                    // Pass 1 complete: the head knows the
-                                    // round scalars and starts pass 2 with
-                                    // its own eq. (5) update folded in.
-                                    global_cost = max_cost;
-                                    straggler = arg;
-                                    let alpha = min_alpha;
-                                    // Adopt the consensus step size so the
-                                    // round's minimum survives a later
-                                    // crash of whichever worker produced
-                                    // it (every node does this as the
-                                    // update token passes).
-                                    next_alphas[head] = alpha;
-                                    let mut sum = 0.0;
-                                    if straggler != head {
-                                        let updated = assist_step(
-                                            &fns[head],
-                                            self.shares[head],
-                                            global_cost,
-                                            alpha,
-                                        );
-                                        next_shares[head] = updated;
-                                        ready_at[head] = now;
-                                        sum += updated;
-                                    }
-                                    send(
-                                        &mut queue,
-                                        &mut self.latency,
-                                        &self.plan,
-                                        &mut stats,
-                                        &mut *sched,
-                                        Message {
-                                            from: NodeId::Worker(head),
-                                            to: NodeId::Worker(succ[head]),
-                                            round: t,
-                                            payload: Payload::RingUpdate {
-                                                global_cost,
-                                                straggler,
-                                                alpha,
-                                                sum_shares: sum,
-                                            },
-                                        },
-                                    );
-                                } else if computed[me] {
-                                    // Fold in and forward immediately.
-                                    let (max_cost, arg) = if local_costs[me] > max_cost {
-                                        (local_costs[me], me)
-                                    } else {
-                                        (max_cost, arg)
-                                    };
-                                    let min_alpha = min_alpha.min(self.local_alphas[me]);
-                                    send(
-                                        &mut queue,
-                                        &mut self.latency,
-                                        &self.plan,
-                                        &mut stats,
-                                        &mut *sched,
-                                        Message {
-                                            from: NodeId::Worker(me),
-                                            to: NodeId::Worker(succ[me]),
-                                            round: t,
-                                            payload: Payload::RingAggregate {
-                                                max_cost,
-                                                straggler: arg,
-                                                min_alpha,
-                                            },
-                                        },
-                                    );
-                                } else {
-                                    // Park the token until this worker's
-                                    // compute completes.
-                                    pending_aggregate = Some((me, max_cost, arg, min_alpha));
-                                }
+                    Payload::RingUpdate { global_cost: l_t, straggler: s, alpha, sum_shares } => {
+                        if me == head {
+                            // Pass 2 complete: pin the straggler against
+                            // the candidates the token collected (every
+                            // live worker's update is in `next_shares` by
+                            // now; crashed workers' shares sit there
+                            // frozen).
+                            let s_share = straggler_pin_with_guard(
+                                &sim.shares,
+                                &mut self.next_shares,
+                                s,
+                                !sched.sabotage_overshoot_guard(),
+                            );
+                            if s == head {
+                                self.next_alphas[head] =
+                                    tighten_alpha(alpha, self.member_count, s_share);
+                                ready_at[head] = now;
+                                self.control_finished = now;
+                                self.round_done = true;
+                            } else {
+                                let payload = Payload::StragglerAssignment { share: s_share };
+                                self.send(&mut sim.latency, &sim.plan, sched, t, head, s, payload);
                             }
-                            Payload::RingUpdate {
+                        } else {
+                            let mut sum = sum_shares;
+                            if me != s {
+                                let updated =
+                                    assist_step(&self.fns[me], sim.shares[me], l_t, alpha);
+                                self.next_shares[me] = updated;
+                                self.next_alphas[me] = alpha;
+                                ready_at[me] = now;
+                                sum += updated;
+                            } else {
+                                self.straggler_alpha = alpha;
+                            }
+                            let payload = Payload::RingUpdate {
                                 global_cost: l_t,
                                 straggler: s,
                                 alpha,
-                                sum_shares,
-                            } => {
-                                if me == head {
-                                    // Pass 2 complete: pin the straggler
-                                    // against the candidates the token
-                                    // collected (every live worker's update
-                                    // is in `next_shares` by now; crashed
-                                    // workers' shares sit there frozen).
-                                    let s_share = straggler_pin_with_guard(
-                                        &self.shares,
-                                        &mut next_shares,
-                                        s,
-                                        !sched.sabotage_overshoot_guard(),
-                                    );
-                                    if s == head {
-                                        next_alphas[head] =
-                                            tighten_alpha(alpha, member_count, s_share);
-                                        ready_at[head] = now;
-                                        control_finished = now;
-                                        round_done = true;
-                                    } else {
-                                        send(
-                                            &mut queue,
-                                            &mut self.latency,
-                                            &self.plan,
-                                            &mut stats,
-                                            &mut *sched,
-                                            Message {
-                                                from: NodeId::Worker(head),
-                                                to: NodeId::Worker(s),
-                                                round: t,
-                                                payload: Payload::StragglerAssignment {
-                                                    share: s_share,
-                                                },
-                                            },
-                                        );
-                                    }
-                                } else {
-                                    let mut sum = sum_shares;
-                                    if me != s {
-                                        let updated =
-                                            assist_step(&fns[me], self.shares[me], l_t, alpha);
-                                        next_shares[me] = updated;
-                                        next_alphas[me] = alpha;
-                                        ready_at[me] = now;
-                                        sum += updated;
-                                    } else {
-                                        straggler_alpha = alpha;
-                                    }
-                                    send(
-                                        &mut queue,
-                                        &mut self.latency,
-                                        &self.plan,
-                                        &mut stats,
-                                        &mut *sched,
-                                        Message {
-                                            from: NodeId::Worker(me),
-                                            to: NodeId::Worker(succ[me]),
-                                            round: t,
-                                            payload: Payload::RingUpdate {
-                                                global_cost: l_t,
-                                                straggler: s,
-                                                alpha,
-                                                sum_shares: sum,
-                                            },
-                                        },
-                                    );
-                                }
-                            }
-                            Payload::StragglerAssignment { share } => {
-                                assert!(
-                                    straggler_alpha.is_finite(),
-                                    "assignment must follow the update token"
-                                );
-                                next_shares[me] = share;
-                                next_alphas[me] =
-                                    tighten_alpha(straggler_alpha, member_count, share);
-                                ready_at[me] = now;
-                                control_finished = now;
-                                round_done = true;
-                            }
-                            _ => unreachable!("non-ring payload in the ring protocol"),
+                                sum_shares: sum,
+                            };
+                            let to = self.succ[me];
+                            self.send(&mut sim.latency, &sim.plan, sched, t, me, to, payload);
                         }
                     }
+                    Payload::StragglerAssignment { share } => {
+                        assert!(
+                            self.straggler_alpha.is_finite(),
+                            "assignment must follow the update token"
+                        );
+                        self.next_shares[me] = share;
+                        self.next_alphas[me] =
+                            tighten_alpha(self.straggler_alpha, self.member_count, share);
+                        ready_at[me] = now;
+                        self.control_finished = now;
+                        self.round_done = true;
+                    }
+                    _ => unreachable!("non-ring payload in the ring protocol"),
                 }
             }
-            assert!(round_done, "ring protocol deadlocked in round {t}");
-
-            let executed = Allocation::from_update(self.shares.clone())
-                .expect("protocol preserves feasibility");
-            trace.push(ProtocolRound {
-                round: t,
-                allocation: executed,
-                local_costs,
-                global_cost,
-                straggler,
-                messages: stats.messages,
-                bytes: stats.bytes,
-                retries: stats.retries,
-                acks: stats.acks,
-                duplicates: stats.duplicates,
-                compute_finished,
-                control_finished,
-                active: down.iter().map(|&c| !c).collect(),
-                alpha: member_alpha(&next_alphas),
-            });
-            self.shares = next_shares;
-            self.local_alphas = next_alphas;
         }
-        ProtocolTrace { architecture: "ring", rounds: trace }
     }
 }
 

@@ -17,9 +17,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "== tier-1: release build =="
 cargo build --release --workspace
 
-echo "== tier-1: criterion benches build (a type they name must still exist) =="
-cargo build --release --workspace --benches
-
 echo "== tier-1: workspace tests =="
 cargo test --workspace -q
 
