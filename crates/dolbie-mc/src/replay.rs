@@ -31,8 +31,8 @@ use dolbie_core::fingerprint::StateFp;
 use dolbie_core::{DolbieConfig, Environment};
 use dolbie_simnet::invariants::check_trace;
 use dolbie_simnet::{
-    DecisionPoint, FixedLatency, FullyDistributedSim, FullyDistributedWorld, LatencyModel,
-    MasterWorkerSim, MasterWorkerWorld, ProtocolTrace, RingSim, RingWorld, Scheduler,
+    DecisionPoint, FixedLatency, FullyDistributedSim, LatencyModel, MasterWorkerSim, Protocol,
+    ProtocolTrace, RingSim, Scheduler,
 };
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -298,30 +298,25 @@ trait World: Send + Sync {
     fn into_trace(self: Box<Self>) -> ProtocolTrace;
 }
 
-macro_rules! impl_world {
-    ($($world:ident),*) => {$(
-        impl<E, L> World for $world<E, L>
-        where
-            E: Environment + Clone + Send + Sync + 'static,
-            L: LatencyModel + Clone + Send + Sync + 'static,
-        {
-            fn step(&mut self, sched: &mut dyn Scheduler) -> bool {
-                $world::step(self, sched)
-            }
-            fn fingerprint(&self) -> Option<u64> {
-                $world::fingerprint(self)
-            }
-            fn fork(&self) -> Box<dyn World> {
-                Box::new(self.clone())
-            }
-            fn into_trace(self: Box<Self>) -> ProtocolTrace {
-                $world::into_trace(*self)
-            }
-        }
-    )*};
+impl<P, E, L> World for dolbie_simnet::World<P, E, L>
+where
+    P: Protocol + Send + Sync + 'static,
+    E: Environment + Clone + Send + Sync + 'static,
+    L: LatencyModel + Clone + Send + Sync + 'static,
+{
+    fn step(&mut self, sched: &mut dyn Scheduler) -> bool {
+        dolbie_simnet::World::step(self, sched)
+    }
+    fn fingerprint(&self) -> Option<u64> {
+        dolbie_simnet::World::fingerprint(self)
+    }
+    fn fork(&self) -> Box<dyn World> {
+        Box::new(self.clone())
+    }
+    fn into_trace(self: Box<Self>) -> ProtocolTrace {
+        dolbie_simnet::World::into_trace(*self)
+    }
 }
-
-impl_world!(MasterWorkerWorld, FullyDistributedWorld, RingWorld);
 
 /// The configured simulator, poised at the start of its run.
 fn fresh_world(config: &McConfig) -> Box<dyn World> {

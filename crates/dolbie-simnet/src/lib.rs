@@ -14,22 +14,28 @@
 //!   the straggler, since no assignment hop is needed — but `O(N)`
 //!   protocol depth, trading latency for both low message volume and no
 //!   coordinator.
+//! - [`Sim`] and [`World`] — the skeleton those three share: one
+//!   builder, one `Clone` world and one round driver (prelude, scheduled
+//!   dequeue, close), over a [`Protocol`] each architecture implements
+//!   with only its round state and message handlers. The three names
+//!   above are aliases of `Sim<P, E, L>`.
 //! - [`ShardedSim`] — the two-level shard tier (extension): M
 //!   shard-masters coordinate N/M workers each and a root coordinator
 //!   runs the same min-max step over shard aggregates, cutting the
 //!   coordinator's fan-in from Θ(N) to O(M) messages per round while
-//!   staying bitwise identical to [`MasterWorkerSim`].
-//! - [`threaded`] — Algorithm 1 executed across real OS threads over
-//!   crossbeam channels, verifying that the protocol is deterministic
-//!   under true concurrency.
+//!   staying bitwise identical to [`MasterWorkerSim`]. It shares the
+//!   builder and the round prelude and keeps its own run loop.
+//! - [`threaded`] — Algorithm 1 (master-worker only) executed across
+//!   real OS threads over crossbeam channels, verifying that the protocol
+//!   is deterministic under true concurrency.
 //! - [`faults::FaultPlan`] — a deterministic, seeded fault-injection plan
 //!   (crash windows, per-link drop/duplication probabilities, cost
-//!   timeouts) accepted by all three protocol simulators; lossy links are
+//!   timeouts) accepted by all four protocol simulators; lossy links are
 //!   survived with ack/retry-with-backoff and membership collapse
 //!   degrades gracefully (shares freeze, the run continues).
 //! - [`membership::MembershipSchedule`] — elastic membership (extension):
 //!   a deterministic, seeded schedule of worker leave/join epochs honored
-//!   by all three protocol simulators. Departing shares are redistributed
+//!   by all four protocol simulators. Departing shares are redistributed
 //!   proportionally onto the survivors, joiners enter at share zero and
 //!   are grown by the ordinary eq. (5)/(6) updates, and the eq. (7) step
 //!   size cap is re-derived against the active member count (never
@@ -42,10 +48,10 @@
 //!   the sims is routed through one trait so the `dolbie-mc` model
 //!   checker can enumerate interleavings instead of sampling them; the
 //!   default [`FifoScheduler`] reproduces the uncontrolled sims bitwise.
-//!   Each of the three protocol sims also runs as a `Clone` world
-//!   ([`MasterWorkerWorld`], [`FullyDistributedWorld`], [`RingWorld`])
-//!   stepped one event at a time, so the checker can fork a run instead
-//!   of re-simulating its prefix.
+//!   Each of the three event-driven sims also runs as a `Clone`
+//!   [`World`] ([`MasterWorkerWorld`], [`FullyDistributedWorld`],
+//!   [`RingWorld`]) stepped one event at a time, so the checker can fork
+//!   a run instead of re-simulating its prefix.
 //! - [`invariants`] — the five chaos invariants (simplex feasibility, α
 //!   monotonicity, no stranded share, architecture agreement,
 //!   termination), defined once and consumed by the chaos sweeps and the
@@ -70,6 +76,7 @@ pub mod message;
 pub mod ring;
 pub mod sched;
 pub mod sharded;
+mod sim;
 pub mod threaded;
 pub mod trace;
 
@@ -85,4 +92,5 @@ pub use message::{Message, NodeId, Payload};
 pub use ring::{RingSim, RingWorld};
 pub use sched::{DecisionPoint, FifoScheduler, Scheduler};
 pub use sharded::{RootTierRound, ShardedRun, ShardedSim};
+pub use sim::{Architecture, Protocol, Sim, World};
 pub use trace::{ProtocolRound, ProtocolTrace};

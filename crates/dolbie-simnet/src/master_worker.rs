@@ -22,7 +22,7 @@
 //! ## Fault tolerance (extension)
 //!
 //! The paper assumes responsive workers. This simulator additionally
-//! accepts a shared [`FaultPlan`] — worker
+//! accepts a shared [`FaultPlan`](crate::FaultPlan) — worker
 //! crashes ([`Crash`] windows), a master-side cost timeout, and lossy
 //! links with ack/retry-with-backoff. When a worker does not report in
 //! time, the master excludes it from the round — its share is frozen, the
@@ -36,29 +36,15 @@
 //! continues — membership collapse degrades gracefully instead of
 //! panicking.
 
-use crate::coordinator::{
-    assist_step, elect_straggler, frozen_round, straggler_pin_with_guard, tighten_alpha,
-};
-use crate::event::{EventQueue, Scheduled};
-use crate::faults::{FaultPlan, LinkStats};
+use crate::coordinator::{assist_step, elect_straggler, straggler_pin_with_guard, tighten_alpha};
+use crate::event::Scheduled;
 use crate::latency::LatencyModel;
-use crate::membership::{epoch_transition, MembershipSchedule, DEFAULT_DETECTION_TIMEOUT};
 use crate::message::{Message, NodeId, Payload};
-use crate::sched::{pop_with, DecisionPoint, FifoScheduler, Scheduler};
-use crate::trace::{ProtocolRound, ProtocolTrace};
-use dolbie_core::cost::DynCost;
-use dolbie_core::fingerprint::{MultisetFp, StateFp};
-use dolbie_core::{Allocation, DolbieConfig, Environment};
-use std::sync::Arc;
+use crate::sim::{Architecture, Cx, Ev, Protocol, Round, Sim, World};
+use dolbie_core::fingerprint::StateFp;
+use dolbie_core::Environment;
 
 pub use crate::faults::Crash;
-
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    ComputeDone { worker: usize },
-    Deliver(Message),
-    CostTimeout,
-}
 
 /// The master-worker protocol simulator.
 ///
@@ -75,74 +61,27 @@ enum Ev {
 /// assert_eq!(trace.rounds.len(), 10);
 /// assert_eq!(trace.rounds[0].messages, 3 * 2); // 3N messages per round
 /// ```
-#[derive(Debug, Clone)]
-pub struct MasterWorkerSim<E, L> {
-    env: E,
-    latency: L,
-    shares: Vec<f64>,
-    alpha: f64,
-    plan: FaultPlan,
-    membership: MembershipSchedule,
+pub type MasterWorkerSim<E, L> = Sim<MasterWorker, E, L>;
+
+/// A master-worker run in progress; cloning it forks the run (see
+/// [`World`]).
+pub type MasterWorkerWorld<E, L> = World<MasterWorker, E, L>;
+
+/// Algorithm 1: a master coordinates the workers and keeps the one `α`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MasterWorker;
+
+impl Architecture for MasterWorker {
+    const NAME: &'static str = "master-worker";
+    const LEADERLESS: bool = false;
+    type Alphas = [f64; 1];
+
+    fn alphas(_n: usize, alpha: f64) -> [f64; 1] {
+        [alpha]
+    }
 }
 
 impl<E: Environment, L: LatencyModel> MasterWorkerSim<E, L> {
-    /// Creates the simulator with the uniform initial partition.
-    pub fn new(env: E, config: DolbieConfig, latency: L) -> Self {
-        let n = env.num_workers();
-        let initial = Allocation::uniform(n);
-        let alpha = config.resolve_initial_alpha(&initial);
-        Self {
-            env,
-            latency,
-            shares: initial.into_inner(),
-            alpha,
-            plan: FaultPlan::none(),
-            membership: MembershipSchedule::none(),
-        }
-    }
-
-    /// Installs a membership schedule: at scheduled epoch boundaries
-    /// workers leave (their shares redistributed proportionally) or
-    /// (re)join at share zero, and `α` shrinks to the cap re-derived
-    /// against the new member count. Replaces any schedule set earlier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule names a worker out of range or would empty
-    /// the active set.
-    pub fn with_membership(mut self, schedule: MembershipSchedule) -> Self {
-        schedule.validate(self.shares.len());
-        self.membership = schedule;
-        self
-    }
-
-    /// Installs a complete fault plan (crashes, cost timeout, lossy
-    /// links). Replaces any plan set earlier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a crash window names a worker index out of range.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        if let Some(max) = plan.max_crash_worker() {
-            assert!(max < self.shares.len(), "crash worker out of range");
-        }
-        self.plan = plan;
-        self
-    }
-
-    /// Injects a crash window: the worker neither executes nor responds
-    /// during `[from_round, until_round)`; its share is frozen and the
-    /// rest of the cluster balances without it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker index is out of range.
-    pub fn with_crash(mut self, crash: Crash) -> Self {
-        assert!(crash.worker < self.shares.len(), "crash worker out of range");
-        self.plan.crashes.push(crash);
-        self
-    }
-
     /// Sets a master-side timeout (seconds from the round's barrier time):
     /// workers that have not reported their cost by then are excluded from
     /// the round as if crashed.
@@ -154,396 +93,82 @@ impl<E: Environment, L: LatencyModel> MasterWorkerSim<E, L> {
         self.plan = self.plan.with_cost_timeout(seconds);
         self
     }
-
-    /// Runs the protocol for `rounds` rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the environment produces malformed cost functions.
-    pub fn run(&mut self, rounds: usize) -> ProtocolTrace {
-        self.run_with_scheduler(rounds, &mut FifoScheduler)
-    }
-
-    /// [`run`](Self::run) under controlled nondeterminism: every event
-    /// dequeue, wire-fault coin, crash window, and membership boundary is
-    /// routed through `sched` (see [`crate::sched`]). With
-    /// [`FifoScheduler`] this is bitwise identical to [`run`](Self::run);
-    /// with an exploring scheduler it is the model checker's branching
-    /// execution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the environment produces malformed cost functions, or if
-    /// a scheduler drives the protocol into a round that cannot complete
-    /// (the deadlock check — unreachable under any delivery order the
-    /// checker can express, which is exactly what `dolbie-mc` verifies).
-    pub fn run_with_scheduler(
-        &mut self,
-        rounds: usize,
-        sched: &mut dyn Scheduler,
-    ) -> ProtocolTrace {
-        let mut run = Run::new(self.shares.len(), rounds);
-        while run.step(self, sched) {}
-        run.into_trace()
-    }
-
-    /// Moves the simulator into a [`MasterWorkerWorld`] poised at the
-    /// start of a `rounds`-round run. Stepping the world to its end under
-    /// a scheduler yields exactly the trace
-    /// [`run_with_scheduler`](Self::run_with_scheduler) returns under it.
-    pub fn into_world(self, rounds: usize) -> MasterWorkerWorld<E, L> {
-        let run = Run::new(self.shares.len(), rounds);
-        MasterWorkerWorld { sim: self, run }
-    }
 }
 
-/// A master-worker run in progress: the simulator plus everything its
-/// run keeps between two steps (the trace so far, the per-worker clocks,
-/// the membership view, and the open round's event queue, protocol
-/// state and revealed cost functions).
-///
-/// Cloning a world forks the run: both copies continue from the same
-/// state, and the clone shares the open round's cost functions instead
-/// of revealing the environment again. The model checker forks worlds
-/// so that a run branching late need not re-simulate its shared prefix.
+/// The master's state in an open master-worker round.
 #[derive(Debug, Clone)]
-pub struct MasterWorkerWorld<E, L> {
-    sim: MasterWorkerSim<E, L>,
-    run: Run,
-}
-
-impl<E: Environment, L: LatencyModel> MasterWorkerWorld<E, L> {
-    /// Advances the run by one step under `sched`: opening the next round
-    /// (its membership and crash decisions), or one event delivery (and
-    /// closing the round it completes). Returns `false`, doing nothing,
-    /// once the horizon is reached.
-    ///
-    /// # Panics
-    ///
-    /// As [`MasterWorkerSim::run_with_scheduler`].
-    pub fn step(&mut self, sched: &mut dyn Scheduler) -> bool {
-        self.run.step(&mut self.sim, sched)
-    }
-
-    /// The canonical fingerprint of the run's continuation-determining
-    /// state (times excluded) that the next [`step`](Self::step) reports
-    /// to a state-observing scheduler: `Some` exactly when that step
-    /// makes a delivery choice. Lets a caller read the state at a step
-    /// boundary before deciding what to do there; a scheduler that
-    /// received it should decline to observe it again.
-    pub fn fingerprint(&self) -> Option<u64> {
-        self.run.fingerprint(&self.sim)
-    }
-
-    /// The trace of the rounds completed so far.
-    pub fn into_trace(self) -> ProtocolTrace {
-        self.run.into_trace()
-    }
-}
-
-/// The state a run keeps between steps, apart from the simulator.
-#[derive(Debug, Clone)]
-struct Run {
-    rounds: usize,
-    trace: Vec<ProtocolRound>,
-    /// Per-worker time at which it may begin executing the round.
-    ready_at: Vec<f64>,
-    /// Active membership view (epoch state, distinct from crash windows).
-    members: Vec<bool>,
-    /// The open round, if any.
-    round: Option<Round>,
-}
-
-/// One round in flight: its inputs, event queue, and master state.
-#[derive(Debug, Clone)]
-struct Round {
-    fns: Arc<[DynCost]>,
-    down: Vec<bool>,
-    alive_count: usize,
-    member_count: usize,
-    local_costs: Vec<f64>,
-    queue: EventQueue<Ev>,
+pub struct MasterState {
     costs_received: Vec<bool>,
     costs_count: usize,
     coordination_sent: bool,
     participants: Vec<bool>,
     /// Alive workers shut out by the cost timeout this round.
     excluded: Vec<bool>,
-    global_cost: f64,
-    straggler: usize,
     decisions: Vec<Option<f64>>,
     decisions_count: usize,
     expected_decisions: usize,
-    next_shares: Vec<f64>,
-    stats: LinkStats,
-    compute_finished: f64,
-    control_finished: f64,
-    round_done: bool,
 }
 
-impl Run {
-    fn new(n: usize, rounds: usize) -> Self {
-        Self {
-            rounds,
-            trace: Vec::with_capacity(rounds),
-            ready_at: vec![0.0f64; n],
-            members: vec![true; n],
-            round: None,
-        }
-    }
+impl Protocol for MasterWorker {
+    const FINGERPRINT_TAG: u64 = 0xD01B_0001;
+    type State = MasterState;
 
-    fn into_trace(self) -> ProtocolTrace {
-        ProtocolTrace { architecture: "master-worker", rounds: self.trace }
-    }
-
-    fn step<E: Environment, L: LatencyModel>(
-        &mut self,
-        sim: &mut MasterWorkerSim<E, L>,
-        sched: &mut dyn Scheduler,
-    ) -> bool {
-        let t = self.trace.len();
-        let Some(round) = &mut self.round else {
-            if t == self.rounds {
-                return false;
-            }
-            self.open(t, sim, sched);
-            return true;
-        };
-        // Fingerprint the full continuation-determining state before each
-        // genuine delivery choice (len > 1), so an exploring scheduler can
-        // prune revisited states. The FIFO scheduler declines
-        // (`wants_state`), costing the uncontrolled sims nothing.
-        if round.queue.len() > 1 && sched.wants_state() {
-            sched.observe_state(round.fingerprint(t, self.rounds, sim, &self.members));
-        }
-        let drained = match pop_with(&mut round.queue, sched) {
-            Some(scheduled) => {
-                round.deliver(t, scheduled, sim, &mut self.ready_at, sched);
-                false
-            }
-            None => true,
-        };
-        if drained || round.round_done {
-            self.close(t, sim);
-        }
-        true
-    }
-
-    fn fingerprint<E, L>(&self, sim: &MasterWorkerSim<E, L>) -> Option<u64> {
-        let round = self.round.as_ref().filter(|r| r.queue.len() > 1)?;
-        Some(round.fingerprint(self.trace.len(), self.rounds, sim, &self.members))
-    }
-
-    /// Opens round `t`: the epoch boundary, the reveal, the crash
-    /// decisions, and every live worker's execution. A round nobody can
-    /// play is recorded frozen on the spot.
-    fn open<E: Environment, L: LatencyModel>(
-        &mut self,
-        t: usize,
-        sim: &mut MasterWorkerSim<E, L>,
-        sched: &mut dyn Scheduler,
-    ) {
-        let n = sim.shares.len();
-        // Epoch boundary: apply scheduled leaves/joins, re-normalize onto
-        // the new member simplex, shrink α to the re-derived cap.
-        let boundary = sim.membership.apply_round_sched(t, &mut self.members, sched);
-        if boundary.changed {
-            let mut alpha_state = [sim.alpha];
-            sim.alpha = epoch_transition(&mut sim.shares, &mut alpha_state, &[true], &self.members);
-            if boundary.crash_detected {
-                // Survivors discover the departure via timeout.
-                let detection = sim.plan.cost_timeout.unwrap_or(DEFAULT_DETECTION_TIMEOUT);
-                for (r, &m) in self.ready_at.iter_mut().zip(&self.members) {
-                    if m {
-                        *r += detection;
-                    }
-                }
-            }
-        }
-        let member_count = self.members.iter().filter(|&&m| m).count();
-
-        let fns: Arc<[DynCost]> = sim.env.reveal(t).into();
-        assert_eq!(fns.len(), n, "environment must cover every worker");
-        let down: Vec<bool> = (0..n)
-            .map(|i| {
-                !self.members[i]
-                    || (sim.plan.crashed(i, t)
-                        && sched.decide(DecisionPoint::Crash { worker: i, round: t }, true))
-            })
-            .collect();
-        let alive_count = down.iter().filter(|&&c| !c).count();
-        let local_costs: Vec<f64> =
-            (0..n).map(|i| if down[i] { 0.0 } else { fns[i].eval(sim.shares[i]) }).collect();
-        if alive_count == 0 {
-            // Membership collapsed: freeze every share and continue.
-            self.trace.push(frozen_round(
-                t,
-                &sim.shares,
-                local_costs,
-                &self.ready_at,
-                n,
-                sim.alpha,
-            ));
-            return;
-        }
-
+    fn open<L: LatencyModel>(round: &mut Round<MasterWorker>, cx: &mut Cx<'_, L>) -> MasterState {
+        let n = round.down.len();
         // A full round is cost + share + ack per live worker, plus retries
         // and an optional timeout; reserve up front so the heap never
         // reallocates mid-round.
-        let mut queue: EventQueue<Ev> = EventQueue::with_capacity(3 * alive_count + 1);
+        round.queue.reserve(3 * round.alive_count + 1);
         let mut round_base = 0.0f64;
         for i in 0..n {
-            if down[i] {
+            if round.down[i] {
                 continue;
             }
-            queue.schedule(self.ready_at[i] + local_costs[i], Ev::ComputeDone { worker: i });
-            round_base = round_base.max(self.ready_at[i]);
+            let done = cx.ready_at[i] + round.local_costs[i];
+            round.queue.schedule(done, Ev::ComputeDone { worker: i });
+            round_base = round_base.max(cx.ready_at[i]);
         }
-        if let Some(timeout) = sim.plan.cost_timeout {
-            queue.schedule(round_base + timeout, Ev::CostTimeout);
+        if let Some(timeout) = cx.plan.cost_timeout {
+            round.queue.schedule(round_base + timeout, Ev::CostTimeout);
         }
-
-        self.round = Some(Round {
-            fns,
-            down,
-            alive_count,
-            member_count,
-            local_costs,
-            queue,
+        MasterState {
             costs_received: vec![false; n],
             costs_count: 0,
             coordination_sent: false,
             participants: vec![false; n],
             excluded: vec![false; n],
-            global_cost: f64::MIN,
-            straggler: 0,
             decisions: vec![None; n],
             decisions_count: 0,
             expected_decisions: usize::MAX,
-            next_shares: sim.shares.clone(),
-            stats: LinkStats::default(),
-            compute_finished: 0.0,
-            control_finished: 0.0,
-            round_done: false,
-        });
-    }
-
-    /// Closes the open round `t`: records it and commits its shares.
-    fn close<E, L>(&mut self, t: usize, sim: &mut MasterWorkerSim<E, L>) {
-        let round = self.round.take().expect("an open round to close");
-        let n = sim.shares.len();
-        assert!(round.round_done || n == 1, "protocol deadlocked in round {t}");
-
-        // The shares executed this round go to the record; the round's
-        // update becomes the simulator's.
-        let executed = std::mem::replace(&mut sim.shares, round.next_shares);
-        let executed = Allocation::from_update(executed).expect("protocol preserves feasibility");
-        self.trace.push(ProtocolRound {
-            round: t,
-            allocation: executed,
-            local_costs: round.local_costs,
-            global_cost: round.global_cost,
-            straggler: round.straggler,
-            messages: round.stats.messages,
-            bytes: round.stats.bytes,
-            retries: round.stats.retries,
-            acks: round.stats.acks,
-            duplicates: round.stats.duplicates,
-            compute_finished: round.compute_finished,
-            control_finished: round.control_finished,
-            active: round.participants,
-            alpha: sim.alpha,
-        });
-    }
-}
-
-impl Round {
-    fn fingerprint<E, L>(
-        &self,
-        t: usize,
-        rounds: usize,
-        sim: &MasterWorkerSim<E, L>,
-        members: &[bool],
-    ) -> u64 {
-        let mut fp = StateFp::new(0xD01B_0001);
-        fp.push_usize(t);
-        fp.push_usize(rounds);
-        fp.push_f64_slice(&sim.shares);
-        fp.push_f64(sim.alpha);
-        fp.push_f64_slice(&self.next_shares);
-        fp.push_bool_slice(members);
-        fp.push_bool_slice(&self.down);
-        fp.push_bool_slice(&self.costs_received);
-        fp.push_bool_slice(&self.participants);
-        fp.push_bool_slice(&self.excluded);
-        fp.push_u64(u64::from(self.coordination_sent));
-        fp.push_f64(self.global_cost);
-        fp.push_usize(self.straggler);
-        fp.push_usize(self.decisions_count);
-        fp.push_usize(self.expected_decisions);
-        for d in &self.decisions {
-            fp.push_opt_f64(*d);
         }
-        let mut pending = MultisetFp::new();
-        self.queue.for_each_pending(|ev| {
-            pending.insert(match ev {
-                Ev::ComputeDone { worker } => 1 + *worker as u64,
-                Ev::CostTimeout => 0,
-                Ev::Deliver(msg) => msg.fingerprint(),
-            });
-        });
-        fp.push_u64(pending.finish());
-        fp.finish()
     }
 
-    fn send<L: LatencyModel>(
-        &mut self,
-        latency: &mut L,
-        plan: &FaultPlan,
-        sched: &mut dyn Scheduler,
-        msg: Message,
-    ) {
-        let delay = latency.delay(&msg);
-        assert!(delay >= 0.0, "latency model produced a negative delay");
-        let outcome = plan.transmit_with(&msg, delay, sched);
-        self.stats.record(&msg, &outcome);
-        self.queue.schedule(self.queue.now() + outcome.delivery_delay, Ev::Deliver(msg));
-    }
-
-    fn deliver<E, L: LatencyModel>(
-        &mut self,
-        t: usize,
+    fn deliver<L: LatencyModel>(
+        round: &mut Round<MasterWorker>,
+        st: &mut MasterState,
         scheduled: Scheduled<Ev>,
-        sim: &mut MasterWorkerSim<E, L>,
-        ready_at: &mut [f64],
-        sched: &mut dyn Scheduler,
+        cx: &mut Cx<'_, L>,
     ) {
+        let t = round.t;
         match scheduled.event {
             Ev::ComputeDone { worker } => {
-                if self.excluded[worker] {
+                if st.excluded[worker] {
                     // Already accounted at exclusion time; the worker
                     // knows the round moved on without it and reports
                     // nothing.
                     return;
                 }
-                self.compute_finished = self.compute_finished.max(scheduled.time);
+                round.compute_finished = round.compute_finished.max(scheduled.time);
                 // Line 4: share the local cost with the master.
-                let cost = self.local_costs[worker];
-                self.send(
-                    &mut sim.latency,
-                    &sim.plan,
-                    sched,
-                    Message {
-                        from: NodeId::Worker(worker),
-                        to: NodeId::Master,
-                        round: t,
-                        payload: Payload::LocalCost { cost },
-                    },
-                );
+                let cost = round.local_costs[worker];
+                let payload = Payload::LocalCost { cost };
+                let msg =
+                    Message { from: NodeId::Worker(worker), to: NodeId::Master, round: t, payload };
+                round.send(cx, msg);
             }
             Ev::CostTimeout => {
-                if !self.coordination_sent && self.costs_count >= 1 {
-                    self.coordinate(t, sim, ready_at, sched);
+                if !st.coordination_sent && st.costs_count >= 1 {
+                    st.coordinate(round, cx);
                 }
             }
             Ev::Deliver(msg) => match msg.payload {
@@ -551,16 +176,16 @@ impl Round {
                     let NodeId::Worker(i) = msg.from else {
                         unreachable!("only workers report costs")
                     };
-                    if self.coordination_sent {
+                    if st.coordination_sent {
                         // Late report after the timeout: the worker sat
                         // this round out.
                         return;
                     }
-                    assert!(!self.costs_received[i], "duplicate cost report");
-                    self.costs_received[i] = true;
-                    self.costs_count += 1;
-                    if self.costs_count == self.alive_count {
-                        self.coordinate(t, sim, ready_at, sched);
+                    assert!(!st.costs_received[i], "duplicate cost report");
+                    st.costs_received[i] = true;
+                    st.costs_count += 1;
+                    if st.costs_count == round.alive_count {
+                        st.coordinate(round, cx);
                     }
                 }
                 Payload::Coordination { global_cost: l_t, alpha, is_straggler } => {
@@ -572,40 +197,33 @@ impl Round {
                         return;
                     }
                     // Lines 5-7: risk-averse assistance.
-                    let updated = assist_step(&self.fns[i], sim.shares[i], l_t, alpha);
-                    self.send(
-                        &mut sim.latency,
-                        &sim.plan,
-                        sched,
-                        Message {
-                            from: NodeId::Worker(i),
-                            to: NodeId::Master,
-                            round: t,
-                            payload: Payload::Decision { share: updated },
-                        },
-                    );
+                    let updated = assist_step(&round.fns[i], cx.shares[i], l_t, alpha);
+                    let payload = Payload::Decision { share: updated };
+                    let msg =
+                        Message { from: NodeId::Worker(i), to: NodeId::Master, round: t, payload };
+                    round.send(cx, msg);
                     // The worker may start the next round as soon as it
                     // committed to its own share.
-                    ready_at[i] = scheduled.time;
+                    cx.ready_at[i] = scheduled.time;
                 }
                 Payload::Decision { share } => {
                     let NodeId::Worker(i) = msg.from else {
                         unreachable!("only workers send decisions")
                     };
-                    assert!(self.decisions[i].is_none(), "duplicate decision");
-                    self.decisions[i] = Some(share);
-                    self.decisions_count += 1;
-                    if self.decisions_count == self.expected_decisions {
-                        self.finalize(t, sim, sched);
+                    assert!(st.decisions[i].is_none(), "duplicate decision");
+                    st.decisions[i] = Some(share);
+                    st.decisions_count += 1;
+                    if st.decisions_count == st.expected_decisions {
+                        st.finalize(round, cx);
                     }
                 }
                 Payload::StragglerAssignment { .. } => {
                     let NodeId::Worker(i) = msg.to else {
                         unreachable!("assignment goes to the straggler")
                     };
-                    ready_at[i] = scheduled.time;
-                    self.control_finished = scheduled.time;
-                    self.round_done = true;
+                    cx.ready_at[i] = scheduled.time;
+                    round.control_finished = scheduled.time;
+                    round.done = true;
                 }
                 _ => {
                     unreachable!("non-master-worker payload in Algorithm 1")
@@ -614,22 +232,49 @@ impl Round {
         }
     }
 
+    fn fingerprint(
+        fp: &mut StateFp,
+        round: &Round<MasterWorker>,
+        st: &MasterState,
+        _alphas: &[f64],
+        members: &[bool],
+    ) {
+        // The master's α as of this step: tightened in place once the
+        // round finalizes.
+        fp.push_f64(round.next_alphas[0]);
+        fp.push_f64_slice(&round.next_shares);
+        fp.push_bool_slice(members);
+        fp.push_bool_slice(&round.down);
+        fp.push_bool_slice(&st.costs_received);
+        fp.push_bool_slice(&st.participants);
+        fp.push_bool_slice(&st.excluded);
+        fp.push_u64(u64::from(st.coordination_sent));
+        fp.push_f64(round.global_cost);
+        fp.push_usize(round.straggler);
+        fp.push_usize(st.decisions_count);
+        fp.push_usize(st.expected_decisions);
+        for d in &st.decisions {
+            fp.push_opt_f64(*d);
+        }
+    }
+
+    /// The workers that reported in time.
+    fn active(_round: &Round<MasterWorker>, st: MasterState) -> Vec<bool> {
+        st.participants
+    }
+}
+
+impl MasterState {
     /// Lines 9-12, shared between the all-reported and timeout paths: fix
     /// the participant set, identify the straggler among it, and
     /// broadcast the coordination scalars; then lines 14-16 at once if
     /// the straggler is the only participant.
-    fn coordinate<E, L: LatencyModel>(
-        &mut self,
-        t: usize,
-        sim: &mut MasterWorkerSim<E, L>,
-        ready_at: &mut [f64],
-        sched: &mut dyn Scheduler,
-    ) {
+    fn coordinate<L: LatencyModel>(&mut self, round: &mut Round<MasterWorker>, cx: &mut Cx<'_, L>) {
         let n = self.participants.len();
         self.coordination_sent = true;
         self.participants.copy_from_slice(&self.costs_received);
-        for (j, ready) in ready_at.iter_mut().enumerate() {
-            if self.down[j] || self.participants[j] {
+        for (j, ready) in cx.ready_at.iter_mut().enumerate() {
+            if round.down[j] || self.participants[j] {
                 continue;
             }
             // Timed out: the worker's in-flight execution is abandoned,
@@ -637,77 +282,63 @@ impl Round {
             // execution is compute time of *this* round (accounting
             // bugfixes).
             self.excluded[j] = true;
-            *ready += self.local_costs[j];
-            self.compute_finished = self.compute_finished.max(*ready);
+            *ready += round.local_costs[j];
+            round.compute_finished = round.compute_finished.max(*ready);
         }
-        let elected = elect_straggler(&self.local_costs, &self.participants)
+        let elected = elect_straggler(&round.local_costs, &self.participants)
             .expect("coordination requires at least one participant");
-        self.global_cost = elected.global_cost;
-        self.straggler = elected.straggler;
+        round.global_cost = elected.global_cost;
+        round.straggler = elected.straggler;
         self.expected_decisions = self.participants.iter().filter(|&&p| p).count() - 1;
         for j in 0..n {
             if !self.participants[j] {
                 continue;
             }
             let payload = Payload::Coordination {
-                global_cost: self.global_cost,
-                alpha: sim.alpha,
-                is_straggler: j == self.straggler,
+                global_cost: round.global_cost,
+                alpha: cx.alphas[0],
+                is_straggler: j == round.straggler,
             };
-            self.send(
-                &mut sim.latency,
-                &sim.plan,
-                sched,
-                Message { from: NodeId::Master, to: NodeId::Worker(j), round: t, payload },
-            );
+            let msg =
+                Message { from: NodeId::Master, to: NodeId::Worker(j), round: round.t, payload };
+            round.send(cx, msg);
         }
         if self.expected_decisions == 0 {
-            self.finalize(t, sim, sched);
+            self.finalize(round, cx);
         }
     }
 
     /// Lines 14-16, triggered once every expected decision arrived.
-    fn finalize<E, L: LatencyModel>(
-        &mut self,
-        t: usize,
-        sim: &mut MasterWorkerSim<E, L>,
-        sched: &mut dyn Scheduler,
-    ) {
+    fn finalize<L: LatencyModel>(&mut self, round: &mut Round<MasterWorker>, cx: &mut Cx<'_, L>) {
         for j in 0..self.participants.len() {
-            if j != self.straggler && self.participants[j] {
-                self.next_shares[j] = self.decisions[j].expect("participant reported");
+            if j != round.straggler && self.participants[j] {
+                round.next_shares[j] = self.decisions[j].expect("participant reported");
             }
         }
         // Crashed/timed-out workers keep their frozen entry in
         // `next_shares`; the guarded pin counts them as-is.
         let s_share = straggler_pin_with_guard(
-            &sim.shares,
-            &mut self.next_shares,
-            self.straggler,
-            !sched.sabotage_overshoot_guard(),
+            cx.shares,
+            &mut round.next_shares,
+            round.straggler,
+            !cx.sched.sabotage_overshoot_guard(),
         );
         // Eq. (7) against the active member count (== n when no
         // membership schedule is installed).
-        sim.alpha = tighten_alpha(sim.alpha, self.member_count, s_share);
-        self.send(
-            &mut sim.latency,
-            &sim.plan,
-            sched,
-            Message {
-                from: NodeId::Master,
-                to: NodeId::Worker(self.straggler),
-                round: t,
-                payload: Payload::StragglerAssignment { share: s_share },
-            },
-        );
+        round.next_alphas[0] = tighten_alpha(round.next_alphas[0], round.member_count, s_share);
+        let payload = Payload::StragglerAssignment { share: s_share };
+        let to = NodeId::Worker(round.straggler);
+        round.send(cx, Message { from: NodeId::Master, to, round: round.t, payload });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
     use crate::latency::{FixedLatency, JitteredLatency};
     use dolbie_core::environment::{RotatingStragglerEnvironment, StaticLinearEnvironment};
+    use dolbie_core::DolbieConfig;
     use dolbie_core::{run_episode, Dolbie, EpisodeOptions};
 
     #[test]

@@ -56,11 +56,12 @@
 //! that to the TCP runtime's deadline machinery in `dolbie-net`). The
 //! chaos suite sweeps exactly that equivalence.
 
-use crate::coordinator::{assist_step, elect_straggler, frozen_round, tighten_alpha};
+use crate::coordinator::{assist_step, elect_straggler, tighten_alpha};
 use crate::faults::{Crash, FaultPlan, LinkStats};
 use crate::latency::LatencyModel;
-use crate::membership::{epoch_transition, MembershipSchedule, DEFAULT_DETECTION_TIMEOUT};
 use crate::message::{Message, NodeId, Payload};
+use crate::sched::FifoScheduler;
+use crate::sim::{Architecture, Round, Sim};
 use crate::trace::{ProtocolRound, ProtocolTrace};
 use dolbie_core::shard::ShardLayout;
 use dolbie_core::{Allocation, DolbieConfig, Environment};
@@ -86,7 +87,8 @@ pub struct ShardedRun {
     pub root_rounds: Vec<RootTierRound>,
 }
 
-/// The two-level shard-tier protocol simulator.
+/// The two-level shard-tier protocol simulator: the master-worker
+/// protocol's builder and round prelude over a [`ShardLayout`].
 ///
 /// # Examples
 ///
@@ -104,15 +106,16 @@ pub struct ShardedRun {
 ///     assert_eq!(x.allocation.l2_distance(&y.allocation), 0.0);
 /// }
 /// ```
-#[derive(Debug)]
-pub struct ShardedSim<E, L> {
-    env: E,
-    latency: L,
-    layout: ShardLayout,
-    shares: Vec<f64>,
-    alpha: f64,
-    plan: FaultPlan,
-    membership: MembershipSchedule,
+pub type ShardedSim<E, L> = Sim<ShardLayout, E, L>;
+
+impl Architecture for ShardLayout {
+    const NAME: &'static str = "sharded";
+    const LEADERLESS: bool = false;
+    type Alphas = [f64; 1];
+
+    fn alphas(_n: usize, alpha: f64) -> [f64; 1] {
+        [alpha]
+    }
 }
 
 impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
@@ -123,63 +126,13 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
     ///
     /// Panics if `shards == 0` or `shards > N`.
     pub fn new(env: E, config: DolbieConfig, latency: L, shards: usize) -> Self {
-        let n = env.num_workers();
-        let initial = Allocation::uniform(n);
-        let alpha = config.resolve_initial_alpha(&initial);
-        Self {
-            env,
-            latency,
-            layout: ShardLayout::even(n, shards),
-            shares: initial.into_inner(),
-            alpha,
-            plan: FaultPlan::none(),
-            membership: MembershipSchedule::none(),
-        }
+        let layout = ShardLayout::even(env.num_workers(), shards);
+        Self::build(env, config, latency, layout)
     }
 
     /// The shard layout in force.
     pub fn layout(&self) -> &ShardLayout {
-        &self.layout
-    }
-
-    /// Installs a membership schedule — identical semantics to the flat
-    /// simulators (a schedule draining every worker of one shard models a
-    /// planned shard decommission).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule names a worker out of range or would empty
-    /// the active set.
-    pub fn with_membership(mut self, schedule: MembershipSchedule) -> Self {
-        schedule.validate(self.shares.len());
-        self.membership = schedule;
-        self
-    }
-
-    /// Installs a complete fault plan (crashes, lossy links). The plan's
-    /// cost timeout is a flat-master concept and is ignored here (see the
-    /// module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a crash window names a worker index out of range.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        if let Some(max) = plan.max_crash_worker() {
-            assert!(max < self.shares.len(), "crash worker out of range");
-        }
-        self.plan = plan;
-        self
-    }
-
-    /// Injects a worker crash window, as in the flat simulators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker index is out of range.
-    pub fn with_crash(mut self, crash: Crash) -> Self {
-        assert!(crash.worker < self.shares.len(), "crash worker out of range");
-        self.plan.crashes.push(crash);
-        self
+        &self.arch
     }
 
     /// Injects a shard-master crash window: the entire shard goes dark
@@ -199,8 +152,8 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
         from_round: usize,
         until_round: usize,
     ) -> Self {
-        assert!(shard < self.layout.num_shards(), "shard index out of range");
-        for worker in self.layout.range(shard) {
+        assert!(shard < self.arch.num_shards(), "shard index out of range");
+        for worker in self.arch.range(shard) {
             self.plan.crashes.push(Crash { worker, from_round, until_round });
         }
         self
@@ -213,42 +166,22 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
     /// Panics if the environment produces malformed cost functions.
     pub fn run(&mut self, rounds: usize) -> ShardedRun {
         let n = self.shares.len();
-        let m = self.layout.num_shards();
+        let m = self.arch.num_shards();
         let mut trace = Vec::with_capacity(rounds);
         let mut root_rounds = Vec::with_capacity(rounds);
         let mut ready_at = vec![0.0f64; n];
         let mut members = vec![true; n];
 
         for t in 0..rounds {
-            // Epoch boundary — the root runs the flat transition over the
-            // gathered slices (the one O(N)-at-the-root event).
-            let boundary = self.membership.apply_round(t, &mut members);
-            if boundary.changed {
-                let mut alpha_state = [self.alpha];
-                self.alpha =
-                    epoch_transition(&mut self.shares, &mut alpha_state, &[true], &members);
-                if boundary.crash_detected {
-                    let detection = self.plan.cost_timeout.unwrap_or(DEFAULT_DETECTION_TIMEOUT);
-                    for (r, &mm) in ready_at.iter_mut().zip(&members) {
-                        if mm {
-                            *r += detection;
-                        }
-                    }
-                }
-            }
-            let member_count = members.iter().filter(|&&mm| mm).count();
-
-            let fns = self.env.reveal(t);
-            assert_eq!(fns.len(), n, "environment must cover every worker");
-            let down: Vec<bool> = (0..n).map(|i| !members[i] || self.plan.crashed(i, t)).collect();
-            let alive_count = down.iter().filter(|&&c| !c).count();
-            let local_costs: Vec<f64> =
-                (0..n).map(|i| if down[i] { 0.0 } else { fns[i].eval(self.shares[i]) }).collect();
-            if alive_count == 0 {
-                trace.push(frozen_round(t, &self.shares, local_costs, &ready_at, n, self.alpha));
+            // The epoch boundary (the root runs the flat transition over
+            // the gathered slices: the one O(N)-at-the-root event), the
+            // reveal and the crash windows, as in the flat simulators.
+            let Some(Round { fns, down, member_count, local_costs, mut next_shares, .. }) =
+                self.open_round(t, &mut members, &mut ready_at, &mut trace, &mut FifoScheduler)
+            else {
                 root_rounds.push(RootTierRound::default());
                 continue;
-            }
+            };
             let participants: Vec<bool> = down.iter().map(|&c| !c).collect();
 
             let mut stats = LinkStats::default();
@@ -258,7 +191,7 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
             // (1) workers → shard-masters: local cost reports.
             let mut shard_cost_ready = vec![f64::NEG_INFINITY; m];
             for (k, cost_ready) in shard_cost_ready.iter_mut().enumerate() {
-                for i in self.layout.range(k) {
+                for i in self.arch.range(k) {
                     if down[i] {
                         continue;
                     }
@@ -292,7 +225,7 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
                 if !live_shard[k] {
                     continue;
                 }
-                let range = self.layout.range(k);
+                let range = self.arch.range(k);
                 let candidate =
                     elect_straggler(&local_costs[range.clone()], &participants[range.clone()])
                         .expect("a live shard has a participant");
@@ -333,8 +266,7 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
 
             // (3) coordination down both tiers; eq. (5) decisions back up
             // to the shard-masters.
-            let alpha_t = self.alpha;
-            let mut next_shares = self.shares.clone();
+            let alpha_t = self.alphas[0];
             let mut shard_dec_ready = shard_cost_ready.clone();
             for k in 0..m {
                 if !live_shard[k] {
@@ -359,7 +291,7 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
                     t_root,
                 );
                 shard_dec_ready[k] = at_shard;
-                for i in self.layout.range(k) {
+                for i in self.arch.range(k) {
                     if down[i] {
                         continue;
                     }
@@ -408,7 +340,7 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
             // guarded pin, decomposed exactly as
             // `coordinator::guarded_straggler_pin` computes it.
             let (total_gain, t_gain) = chain_token(
-                &self.layout,
+                &self.arch,
                 &live_shard,
                 &shard_dec_ready,
                 straggler,
@@ -453,7 +385,7 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
                 t_pin = t_gain;
             }
             let (others, t_others) = chain_token(
-                &self.layout,
+                &self.arch,
                 &live_shard,
                 &shard_dec_ready,
                 straggler,
@@ -467,7 +399,7 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
             );
             let s_share = (1.0 - others).max(0.0);
             next_shares[straggler] = s_share;
-            self.alpha = tighten_alpha(self.alpha, member_count, s_share);
+            self.alphas[0] = tighten_alpha(self.alphas[0], member_count, s_share);
 
             // (5) assignment routed root → shard-master → straggler.
             let at_shard = transmit(
@@ -516,12 +448,15 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
                 compute_finished,
                 control_finished,
                 active: participants,
-                alpha: self.alpha,
+                alpha: self.alphas[0],
             });
             root_rounds.push(root);
             self.shares = next_shares;
         }
-        ShardedRun { trace: ProtocolTrace { architecture: "sharded", rounds: trace }, root_rounds }
+        ShardedRun {
+            trace: ProtocolTrace { architecture: ShardLayout::NAME, rounds: trace },
+            root_rounds,
+        }
     }
 }
 
@@ -626,6 +561,7 @@ mod tests {
     use super::*;
     use crate::latency::{FixedLatency, JitteredLatency};
     use crate::master_worker::MasterWorkerSim;
+    use crate::membership::MembershipSchedule;
     use dolbie_core::environment::{RotatingStragglerEnvironment, StaticLinearEnvironment};
 
     fn assert_bitwise(a: &ProtocolTrace, b: &ProtocolTrace) {

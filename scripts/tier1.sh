@@ -5,6 +5,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# timed_smoke <label> <args...>: runs `paper_figures <args...>` in release
+# and fails the gate if it takes 10 s or more.
+timed_smoke() {
+    local label=$1
+    shift
+    local start=$SECONDS
+    cargo run --release -p dolbie-bench --bin paper_figures -- "$@"
+    local elapsed=$((SECONDS - start))
+    echo "$label smoke took ${elapsed}s"
+    if [ "$elapsed" -ge 10 ]; then
+        echo "FAIL: $label smoke exceeded the 10 s budget" >&2
+        exit 1
+    fi
+}
+
 echo "== tier-1: format check =="
 cargo fmt --check
 
@@ -34,73 +49,24 @@ cargo test --release -p dolbie-core --lib -q -- --ignored \
     sum_stays_pinned_after_1e4_rounds_at_1e5_workers
 
 echo "== tier-1: large-N smoke (quick sweep to N=1e5, all kernels bitwise vs split, gated, <10 s) =="
-smoke_start=$SECONDS
-cargo run --release -p dolbie-bench --bin paper_figures -- --quick --gate large_n
-smoke_elapsed=$((SECONDS - smoke_start))
-echo "large-N smoke took ${smoke_elapsed}s"
-if [ "$smoke_elapsed" -ge 10 ]; then
-    echo "FAIL: large-N smoke exceeded the 10 s budget" >&2
-    exit 1
-fi
+timed_smoke large-N --quick --gate large_n
 
 echo "== tier-1: chaos smoke (~20 random fault x membership cases, five invariants, <10 s) =="
-smoke_start=$SECONDS
-cargo run --release -p dolbie-bench --bin paper_figures -- --quick chaos
-smoke_elapsed=$((SECONDS - smoke_start))
-echo "chaos smoke took ${smoke_elapsed}s"
-if [ "$smoke_elapsed" -ge 10 ]; then
-    echo "FAIL: chaos smoke exceeded the 10 s budget" >&2
-    exit 1
-fi
+timed_smoke chaos --quick chaos
 
 echo "== tier-1: net smoke (real loopback TCP, bitwise vs sequential, <10 s) =="
-smoke_start=$SECONDS
-cargo run --release -p dolbie-bench --bin paper_figures -- --quick net
-smoke_elapsed=$((SECONDS - smoke_start))
-echo "net smoke took ${smoke_elapsed}s"
-if [ "$smoke_elapsed" -ge 10 ]; then
-    echo "FAIL: net smoke exceeded the 10 s budget" >&2
-    exit 1
-fi
+timed_smoke net --quick net
 
 echo "== tier-1: net-scale smoke (M = 1 tree, fleets to N=256, <10 s) =="
-smoke_start=$SECONDS
-cargo run --release -p dolbie-bench --bin paper_figures -- --quick net_scale
-smoke_elapsed=$((SECONDS - smoke_start))
-echo "net-scale smoke took ${smoke_elapsed}s"
-if [ "$smoke_elapsed" -ge 10 ]; then
-    echo "FAIL: net-scale smoke exceeded the 10 s budget" >&2
-    exit 1
-fi
+timed_smoke net-scale --quick net_scale
 
 echo "== tier-1: sharded smoke (two-level control plane, M in {1,4}, bitwise vs sequential, <10 s) =="
-smoke_start=$SECONDS
-cargo run --release -p dolbie-bench --bin paper_figures -- --quick shard_scale
-smoke_elapsed=$((SECONDS - smoke_start))
-echo "sharded smoke took ${smoke_elapsed}s"
-if [ "$smoke_elapsed" -ge 10 ]; then
-    echo "FAIL: sharded smoke exceeded the 10 s budget" >&2
-    exit 1
-fi
+timed_smoke sharded --quick shard_scale
 
 echo "== tier-1: sharded-crash smoke (seeded kills + lossy links over real TCP, quick-suffixed artifacts, <10 s) =="
-smoke_start=$SECONDS
-cargo run --release -p dolbie-bench --bin paper_figures -- --quick chaos_net
-smoke_elapsed=$((SECONDS - smoke_start))
-echo "sharded-crash smoke took ${smoke_elapsed}s"
-if [ "$smoke_elapsed" -ge 10 ]; then
-    echo "FAIL: sharded-crash smoke exceeded the 10 s budget" >&2
-    exit 1
-fi
+timed_smoke sharded-crash --quick chaos_net
 
 echo "== tier-1: mc smoke (exhaustive crash-only interleaving check, N=3 x 3 rounds, <10 s) =="
-smoke_start=$SECONDS
-cargo run --release -p dolbie-bench --bin paper_figures -- --quick mc
-smoke_elapsed=$((SECONDS - smoke_start))
-echo "mc smoke took ${smoke_elapsed}s"
-if [ "$smoke_elapsed" -ge 10 ]; then
-    echo "FAIL: mc smoke exceeded the 10 s budget" >&2
-    exit 1
-fi
+timed_smoke mc --quick mc
 
 echo "== tier-1: OK =="

@@ -8,9 +8,10 @@
 //!
 //! - [`core`] — the DOLBIE algorithm, cost functions, oracle, regret.
 //! - [`baselines`] — EQU, OGD, ABS, LB-BSP, OPT comparison algorithms.
-//! - [`simnet`] — the master-worker and fully-distributed message-passing
-//!   protocols on a deterministic discrete-event simulator and a threaded
-//!   runtime.
+//! - [`simnet`] — the message-passing protocols on a deterministic
+//!   discrete-event simulator: master-worker, fully-distributed, token
+//!   ring and the two-level shard tier; plus a threaded runtime of
+//!   master-worker.
 //! - [`net`] — the real TCP runtime: versioned wire protocol, socket-level
 //!   fault handling, master/worker node roles with bitwise trajectory
 //!   parity.
