@@ -20,7 +20,7 @@ use dolbie_bench::common;
 use dolbie_bench::experiments::large_n::{LargeNOptions, RowKernel};
 use dolbie_bench::experiments::{
     ablation, accuracy, bandit, chaos, chaos_net, churn, comms, edge_exp, faults, large_n, latency,
-    mc, net, net_scale, per_worker, regret, shard_scale, utilization,
+    mc, per_worker, regret, tcp, utilization,
 };
 use dolbie_core::parallel;
 use std::time::Instant;
@@ -30,19 +30,8 @@ const TARGETS: [&str; 12] = [
     "edge",
 ];
 
-const EXTENSION_TARGETS: [&str; 11] = [
-    "ablation",
-    "faults",
-    "bandit",
-    "large_n",
-    "chaos",
-    "chaos_net",
-    "mc",
-    "churn",
-    "net",
-    "net_scale",
-    "shard_scale",
-];
+const EXTENSION_TARGETS: [&str; 9] =
+    ["ablation", "faults", "bandit", "large_n", "chaos", "chaos_net", "mc", "churn", "tcp"];
 
 fn usage() -> ! {
     eprintln!(
@@ -94,9 +83,7 @@ fn run(target: &str, options: &RunOptions) {
         "chaos_net" => chaos_net::chaos_net(quick),
         "mc" => mc::mc(quick),
         "churn" => churn::churn(),
-        "net" => net::net(quick),
-        "net_scale" => net_scale::net_scale(quick),
-        "shard_scale" => shard_scale::shard_scale(quick),
+        "tcp" => tcp::tcp(quick),
         other => {
             eprintln!("unknown target: {other}");
             usage();

@@ -1,12 +1,15 @@
 //! Shared plumbing for the figure-regeneration experiments.
 
 use dolbie_baselines::paper_suite;
-use dolbie_core::{run_episode, Allocation, Dolbie, EpisodeOptions, LoadBalancer};
+use dolbie_core::fingerprint::mix64;
+use dolbie_core::LoadBalancer;
 use dolbie_metrics::{plot, Table};
 use dolbie_mlsim::{
     run_training, Cluster, ClusterConfig, MlModel, TrainingConfig, TrainingOutcome,
 };
-use dolbie_net::shard::{run_sharded_loopback, RootReport, ShardedConfig, ShardedLoopbackRun};
+use dolbie_net::shard::{
+    run_sharded_loopback, twin_allocations, RootReport, ShardedConfig, ShardedLoopbackRun,
+};
 use std::path::{Path, PathBuf};
 
 /// The algorithm display order used throughout the paper's figures.
@@ -79,19 +82,14 @@ pub fn run_tree_bitwise(cfg: &ShardedConfig) -> ShardedLoopbackRun {
     let run = run_sharded_loopback(cfg).expect("loopback TCP tree");
     assert_eq!(run.root.rounds.len(), cfg.rounds);
     assert!(run.root.epochs.is_empty(), "no worker may be lost to connect or deadline pressure");
-    let mut sequential = Dolbie::with_config(Allocation::uniform(n), cfg.dolbie);
-    let mut driver = cfg.env.environment(n);
-    let trace = run_episode(&mut sequential, &mut driver, EpisodeOptions::new(cfg.rounds));
-    let reference = trace.records.iter().map(|r| &r.allocation);
-    let stitched = run.allocations();
-    assert_eq!(stitched.len(), cfg.rounds + 1);
-    for (t, (net, seq)) in
-        stitched.iter().zip(reference.chain([sequential.allocation()])).enumerate()
-    {
-        for (i, x) in net.iter().enumerate() {
+    let (stitched, twin) = (run.allocations(), twin_allocations(cfg, &[]));
+    assert_eq!(stitched.len(), twin.len());
+    for (t, (net, seq)) in stitched.iter().zip(&twin).enumerate() {
+        assert_eq!(net.len(), n);
+        for (i, (x, y)) in net.iter().zip(seq).enumerate() {
             assert_eq!(
                 x.to_bits(),
-                seq.share(i).to_bits(),
+                y.to_bits(),
                 "N = {n}, M = {m}: round {t}, worker {i} diverged from the sequential engine"
             );
         }
@@ -107,6 +105,17 @@ pub fn steady_rounds_per_s(root: &RootReport) -> f64 {
     let stamps: Vec<f64> = root.rounds.iter().map(|r| r.elapsed).collect();
     assert!(stamps.len() >= 2, "a steady-state rate needs at least two rounds");
     (stamps.len() - 1) as f64 / (stamps[stamps.len() - 1] - stamps[0]).max(1e-9)
+}
+
+/// The seeded case hash the chaos sweeps derive every case field from:
+/// a pure function of `(seed, salt)`, so any case regenerates alone.
+pub fn hash(seed: u64, salt: u64) -> u64 {
+    mix64(seed ^ mix64(salt))
+}
+
+/// Maps a hash to `[0, 1)` by its top 53 bits.
+pub fn unit(h: u64) -> f64 {
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Percentage reduction of `ours` relative to `baseline`.

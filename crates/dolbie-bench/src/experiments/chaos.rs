@@ -1,4 +1,4 @@
-//! Experiment X4 (extension): the chaos-sweep invariant harness.
+//! Chaos sweep (extension): the simnet invariant harness.
 //!
 //! Hundreds of random `FaultPlan × MembershipSchedule` combinations —
 //! lossy links, duplicate deliveries, crash windows (including
@@ -35,9 +35,10 @@
 //! functions of the case index, so `results/chaos_invariants.csv` is
 //! byte-identical at any thread count.
 
-use crate::common::emit_csv;
+use crate::common::{emit_csv, hash, unit};
 use dolbie_core::cost::DynCost;
 use dolbie_core::environment::FnEnvironment;
+use dolbie_core::fingerprint::mix64;
 use dolbie_core::parallel;
 use dolbie_core::DolbieConfig;
 use dolbie_core::ShardLayout;
@@ -58,21 +59,6 @@ const QUICK_CASES: usize = 20;
 /// Master seed the whole sweep is derived from (public so the model
 /// checker's cross-validation can regenerate the exact sweep cases).
 pub const MASTER_SEED: u64 = 0xD01B_1E00;
-
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn hash(seed: u64, salt: u64) -> u64 {
-    splitmix64(seed ^ splitmix64(salt))
-}
-
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
 
 /// One randomized chaos case: a fleet size, a horizon, a seeded
 /// environment, and the fault plan × membership schedule to survive.
@@ -124,7 +110,7 @@ impl ChaosCase {
 /// Derives case `id` of the sweep — a pure function, so any subset of the
 /// sweep can be regenerated independently and in any order.
 pub fn case_from_seed(id: usize, master_seed: u64) -> ChaosCase {
-    let s = splitmix64(master_seed ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let s = mix64(master_seed ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let n = 2 + (hash(s, 1) % 6) as usize;
     let rounds = 12 + (hash(s, 2) % 19) as usize;
     let mut plan = FaultPlan::seeded(hash(s, 5))

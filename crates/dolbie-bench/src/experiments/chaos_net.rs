@@ -1,10 +1,10 @@
 //! Experiment X7 (extension): the net-tier chaos harness.
 //!
-//! The simnet chaos sweep (X4) stresses the protocol *logic* under
-//! simulated faults; this sweep stresses the shipped TCP control plane
-//! itself. Every case builds a real loopback tree — root, `M`
-//! shard-masters, `N` worker threads, every byte through the kernel —
-//! and injects seeded chaos at the socket layer: scheduled worker
+//! The simnet chaos sweep (`paper_figures chaos`) stresses the protocol
+//! *logic* under simulated faults; this sweep stresses the shipped TCP
+//! control plane itself. Every case builds a real loopback tree — root,
+//! `M` shard-masters, `N` worker threads, every byte through the kernel
+//! — and injects seeded chaos at the socket layer: scheduled worker
 //! kills, shard-master kills at randomized round offsets (pre- and
 //! post-commit), lossy stop-and-wait envelopes on the worker tier and
 //! on the backbone, and quorum policies that demand structured
@@ -33,12 +33,11 @@
 //! The quick variant writes `results/chaos_net_quick.csv`, never
 //! clobbering the full sweep's `results/chaos_net.csv`.
 
-use crate::common::emit_csv;
-use dolbie_core::cost::DynCost;
-use dolbie_core::{Allocation, Dolbie, DolbieConfig, LoadBalancer, Observation};
+use crate::common::{emit_csv, hash, unit};
+use dolbie_core::fingerprint::mix64;
 use dolbie_metrics::Table;
 use dolbie_net::env::{EnvKind, WireEnvSpec};
-use dolbie_net::shard::{run_sharded_loopback, RootEpoch, ShardKill, ShardedConfig};
+use dolbie_net::shard::{run_sharded_loopback, twin_allocations, ShardKill, ShardedConfig};
 use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
 use dolbie_simnet::invariants;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,21 +54,6 @@ const MASTER_SEED: u64 = 0xD01B_0C4A;
 /// this only has to absorb dev-profile CI noise while still catching a
 /// run that sleeps a deadline loop forever.
 const CASE_WALL_BOUND: Duration = Duration::from_secs(30);
-
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn hash(seed: u64, salt: u64) -> u64 {
-    splitmix64(seed ^ splitmix64(salt))
-}
-
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
 
 /// One randomized net-chaos case — everything `run_case` needs to build
 /// the loopback tree, all derived from pure hashes of the case index.
@@ -142,7 +126,7 @@ impl NetChaosCase {
 /// constrained so at least one worker always survives (total fleet
 /// death is a distinct structured error, tested separately).
 pub fn case_from_seed(id: usize, master_seed: u64) -> NetChaosCase {
-    let s = splitmix64(master_seed ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let s = mix64(master_seed ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let n = 4 + (hash(s, 1) % 7) as usize;
     let m = 1 + (hash(s, 2) % 3) as usize;
     let rounds = 8 + (hash(s, 3) % 23) as usize;
@@ -193,37 +177,6 @@ pub fn case_from_seed(id: usize, master_seed: u64) -> NetChaosCase {
         backbone_loss,
         min_live_shards,
     }
-}
-
-/// Replays the flat sequential engine under the recorded membership
-/// schedule — the twin invariant 4 compares bitwise. Element `t` is the
-/// allocation played in round `t`, plus one final post-horizon entry.
-pub fn twin_allocations(
-    env: WireEnvSpec,
-    n: usize,
-    rounds: usize,
-    epochs: &[RootEpoch],
-) -> Vec<Vec<f64>> {
-    let mut twin = Dolbie::with_config(Allocation::uniform(n), DolbieConfig::new());
-    let mut members = vec![true; n];
-    let mut out = Vec::with_capacity(rounds + 1);
-    for t in 0..rounds {
-        for e in epochs.iter().filter(|e| e.round == t) {
-            members.copy_from_slice(&e.members);
-            twin.apply_membership(&members);
-        }
-        let shares = twin.allocation().clone();
-        out.push((0..n).map(|i| shares.share(i)).collect());
-        let cost_fns: Vec<DynCost> = (0..n).map(|i| env.cost_for(t, i)).collect();
-        let obs = Observation::from_costs_masked(t, &shares, &cost_fns, &members, Vec::new());
-        twin.observe(&obs);
-    }
-    for e in epochs.iter().filter(|e| e.round == rounds) {
-        members.copy_from_slice(&e.members);
-        twin.apply_membership(&members);
-    }
-    out.push((0..n).map(|i| twin.allocation().share(i)).collect());
-    out
 }
 
 /// Runs one case over real loopback TCP and checks the invariants. A
@@ -277,8 +230,7 @@ fn check_case(case: &NetChaosCase) -> Result<(), String> {
         ));
     }
     let stitched = run.allocations();
-    let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: case.env_seed };
-    let reference = twin_allocations(env, case.n, case.rounds, &run.root.epochs);
+    let reference = twin_allocations(&cfg, &run.root.epochs);
 
     // The membership mask in force at round `t`: the last epoch applied
     // at or before `t` (an epoch at round `t` applies *before* `t`).

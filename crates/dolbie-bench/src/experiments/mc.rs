@@ -1,11 +1,11 @@
 //! Experiment X8 (extension): model-checking coverage of the DOLBIE
 //! protocols.
 //!
-//! Where the chaos sweeps (X4, X7) *sample* the fault space with seeded
-//! randomness, this experiment runs `dolbie-mc` to *enumerate* it: every
-//! event interleaving and every fault decision inside the configured
-//! envelope, for three small-but-adversarial configurations — one per
-//! architecture, matching the crate's acceptance gates:
+//! Where the chaos sweeps (`chaos`, X7) *sample* the fault space with
+//! seeded randomness, this experiment runs `dolbie-mc` to *enumerate*
+//! it: every event interleaving and every fault decision inside the
+//! configured envelope, for three small-but-adversarial configurations
+//! — one per architecture, matching the crate's acceptance gates:
 //!
 //! - (a) master-worker, N=3, 3 rounds, the full drop + duplicate wire
 //!   envelope under a two-attempt retry policy;

@@ -13,9 +13,7 @@ pub mod faults;
 pub mod large_n;
 pub mod latency;
 pub mod mc;
-pub mod net;
-pub mod net_scale;
 pub mod per_worker;
 pub mod regret;
-pub mod shard_scale;
+pub mod tcp;
 pub mod utilization;

@@ -13,6 +13,7 @@
 
 use dolbie_core::cost::{DynCost, LatencyCost, LinearCost};
 use dolbie_core::environment::FnEnvironment;
+use dolbie_core::fingerprint::mix64;
 
 /// The family of cost functions a [`WireEnvSpec`] generates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,14 +114,7 @@ fn chaos_salt(round: usize, i: usize) -> u64 {
 }
 
 fn hash(seed: u64, salt: u64) -> u64 {
-    splitmix64(seed ^ splitmix64(salt))
-}
-
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(seed ^ mix64(salt))
 }
 
 #[cfg(test)]

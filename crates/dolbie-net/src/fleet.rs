@@ -620,7 +620,7 @@ impl Fleet {
     /// is the sweep's poll/sleep duty cycle — read syscalls against
     /// empty sockets and timeslices stolen from the very workers the
     /// phase is waiting on. Shedding that duty cycle is the measured win
-    /// of the `shard_scale` experiment.
+    /// of the TCP sweep's N = 4096 latency cells (`paper_figures tcp`).
     ///
     /// The trade is deadline coarsening: each read waits up to
     /// `frame_timeout` from the moment its turn comes, so a slow but

@@ -108,9 +108,10 @@ use crate::transport::{
 use crate::wire::{CursorPhase, Frame, SHARD_SLICE_CHUNK};
 use crate::worker::{run_worker_as, WorkerOptions, WorkerReport};
 use crate::{unit_interval, NetError};
+use dolbie_core::cost::DynCost;
 use dolbie_core::numeric::{CursorState, SumCursor, SUM_BLOCK};
 use dolbie_core::shard::{combine_candidates, RootEngine, ShardCandidate, ShardLayout};
-use dolbie_core::{Allocation, DolbieConfig};
+use dolbie_core::{Allocation, Dolbie, DolbieConfig, LoadBalancer, Observation};
 use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
@@ -1911,6 +1912,38 @@ pub fn stitch_allocations(root: &RootReport, shards: &[ShardRunReport]) -> Vec<V
         }
     }
     out.push(last);
+    out
+}
+
+/// The sequential twin of a run of `cfg`: the flat engine (with
+/// `cfg.dolbie`) over `cfg.env`'s costs for `cfg.rounds` rounds,
+/// replaying the recorded membership schedule — in the shape of
+/// [`stitch_allocations`], so the two compare bitwise.
+///
+/// This is the contract the root's epoch records promise: before
+/// observing round `t`, apply every `epochs` entry with `round == t` (in
+/// order); observe through `Observation::from_costs_masked` under the
+/// current mask; entries at `round == T` (a death during the final
+/// commit) apply after the last observation. With no epochs it is the
+/// plain sequential run.
+pub fn twin_allocations(cfg: &ShardedConfig, epochs: &[RootEpoch]) -> Vec<Vec<f64>> {
+    let (n, rounds) = (cfg.num_workers, cfg.rounds);
+    let mut twin = Dolbie::with_config(Allocation::uniform(n), cfg.dolbie);
+    let mut members = vec![true; n];
+    let mut out = Vec::with_capacity(rounds + 1);
+    for t in 0..=rounds {
+        for e in epochs.iter().filter(|e| e.round == t) {
+            members.copy_from_slice(&e.members);
+            twin.apply_membership(&members);
+        }
+        let shares = twin.allocation().clone();
+        out.push((0..n).map(|i| shares.share(i)).collect());
+        if t < rounds {
+            let cost_fns: Vec<DynCost> = (0..n).map(|i| cfg.env.cost_for(t, i)).collect();
+            let obs = Observation::from_costs_masked(t, &shares, &cost_fns, &members, Vec::new());
+            twin.observe(&obs);
+        }
+    }
     out
 }
 

@@ -10,23 +10,18 @@
 //! with a protocol error, and a root sending its shard-master impossible
 //! values ends that shard-master with one.
 //!
-//! The twin recipe is the contract the root's epoch records promise:
-//! before observing round `t`, apply every recorded `RootEpoch` with
-//! `round == t` (in order); observe through
-//! `Observation::from_costs_masked` under the current mask; epochs
-//! recorded at `round == T` (a death during the final commit) apply
-//! after the last observation.
+//! The twin is `dolbie_net::shard::twin_allocations`, whose recipe is
+//! the contract the root's epoch records promise.
 
 use dolbie_core::cost::DynCost;
 use dolbie_core::numeric::SUM_BLOCK;
 use dolbie_core::observation::max_acceptable_share;
 use dolbie_core::ShardLayout;
-use dolbie_core::{Allocation, Dolbie, DolbieConfig, LoadBalancer, Observation};
 use dolbie_net::env::{EnvKind, WireEnvSpec};
 use dolbie_net::shard::{
     run_root, run_shard_master, run_sharded_loopback, run_single_shard, shard_deadline,
-    stitch_allocations, RootEpoch, RootReport, ShardKill, ShardMasterOptions, ShardedConfig,
-    ShardedLoopbackRun,
+    stitch_allocations, twin_allocations, RootEpoch, RootReport, ShardKill, ShardMasterOptions,
+    ShardedConfig, ShardedLoopbackRun,
 };
 use dolbie_net::transport::{connect_with_backoff, FrameConn, Link};
 use dolbie_net::wire::{CursorPhase, Frame, VERSION};
@@ -44,38 +39,6 @@ use std::time::{Duration, Instant};
 /// loaded-CI worst case while still catching a stuck deadline loop.
 const WALL_BOUND: Duration = Duration::from_secs(60);
 
-/// Replays the flat sequential engine under the recorded membership
-/// schedule: element `t` is the allocation played in round `t`, plus a
-/// final post-horizon entry — the same shape as
-/// [`ShardedLoopbackRun::allocations`].
-fn twin_allocations(
-    env: WireEnvSpec,
-    n: usize,
-    rounds: usize,
-    epochs: &[RootEpoch],
-) -> Vec<Vec<f64>> {
-    let mut twin = Dolbie::with_config(Allocation::uniform(n), DolbieConfig::new());
-    let mut members = vec![true; n];
-    let mut out = Vec::with_capacity(rounds + 1);
-    for t in 0..rounds {
-        for e in epochs.iter().filter(|e| e.round == t) {
-            members.copy_from_slice(&e.members);
-            twin.apply_membership(&members);
-        }
-        let shares = twin.allocation().clone();
-        out.push((0..n).map(|i| shares.share(i)).collect());
-        let cost_fns: Vec<DynCost> = (0..n).map(|i| env.cost_for(t, i)).collect();
-        let obs = Observation::from_costs_masked(t, &shares, &cost_fns, &members, Vec::new());
-        twin.observe(&obs);
-    }
-    for e in epochs.iter().filter(|e| e.round == rounds) {
-        members.copy_from_slice(&e.members);
-        twin.apply_membership(&members);
-    }
-    out.push((0..n).map(|i| twin.allocation().share(i)).collect());
-    out
-}
-
 fn assert_bitwise_twin(run: &ShardedLoopbackRun, env: WireEnvSpec, n: usize, rounds: usize) {
     assert_stitched_twin(&run.allocations(), &run.root.epochs, env, n, rounds);
 }
@@ -87,7 +50,8 @@ fn assert_stitched_twin(
     n: usize,
     rounds: usize,
 ) {
-    let reference = twin_allocations(env, n, rounds, epochs);
+    // The twin is the flat engine: the shard count does not enter it.
+    let reference = twin_allocations(&ShardedConfig::new(n, 1, rounds, env), epochs);
     assert_eq!(stitched.len(), reference.len(), "horizon mismatch");
     for (t, (net, seq)) in stitched.iter().zip(&reference).enumerate() {
         for i in 0..n {

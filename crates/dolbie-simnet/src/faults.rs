@@ -37,6 +37,7 @@
 //! fault-free runs reproduce the pre-fault-layer traces bitwise.
 
 use crate::message::{Message, NodeId, Payload};
+use dolbie_core::fingerprint::mix64;
 
 /// A window of rounds during which a worker is unresponsive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -325,7 +326,7 @@ impl FaultPlan {
             payload_kind(&message.payload),
         ]
         .into_iter()
-        .fold(self.seed ^ 0x9e37_79b9_7f4a_7c15, |h, word| splitmix64(h ^ word))
+        .fold(self.seed ^ 0x9e37_79b9_7f4a_7c15, |h, word| mix64(h ^ word))
     }
 
     /// Whether a real socket-layer data transmission is dropped.
@@ -380,7 +381,7 @@ impl FaultPlan {
         }
         let mut h = self.seed ^ 0x9e37_79b9_7f4a_7c15;
         for word in words {
-            h = splitmix64(h ^ word);
+            h = mix64(h ^ word);
         }
         unit_draw(h) < p
     }
@@ -395,7 +396,7 @@ fn keyed_chance(key: u64, attempt: usize, channel: Channel, p: f64) -> bool {
     if p <= 0.0 {
         return false;
     }
-    unit_draw(splitmix64(splitmix64(key ^ attempt as u64) ^ channel as u64)) < p
+    unit_draw(mix64(mix64(key ^ attempt as u64) ^ channel as u64)) < p
 }
 
 /// Maps a hash to a uniform draw in `[0, 1)` from its top 53 bits.
@@ -473,13 +474,6 @@ fn payload_kind(payload: &Payload) -> u64 {
         Payload::ShardPartial { .. } => 10,
         Payload::ShardRescale { .. } => 11,
     }
-}
-
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

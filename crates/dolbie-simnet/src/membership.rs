@@ -29,6 +29,7 @@
 //! `(seed, round, worker)` — no stateful RNG — so a schedule is fully
 //! determined by its seed regardless of execution order.
 
+use dolbie_core::fingerprint::mix64;
 use dolbie_core::membership::renormalize_onto_members;
 
 /// How a worker departs at an epoch boundary.
@@ -298,16 +299,9 @@ pub struct EpochChange {
 fn hash_unit(seed: u64, round: u64, worker: u64, salt: u64) -> f64 {
     let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
     for word in [round, worker, salt] {
-        h = splitmix64(h ^ word);
+        h = mix64(h ^ word);
     }
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The shared epoch-boundary state transition every simulator runs when

@@ -28,8 +28,8 @@
 //! The root therefore exchanges O(M) messages per round — M aggregates
 //! up, M coordination broadcasts down, four token hops, one assignment —
 //! while the flat master exchanges Θ(N). [`ShardedRun::root_rounds`]
-//! records that tier's traffic separately; the `shard_scale` experiment
-//! plots it against M.
+//! records that tier's traffic separately; the TCP sweep
+//! (`paper_figures tcp`) measures the same fan-in on real sockets.
 //!
 //! ## Fault and membership semantics
 //!

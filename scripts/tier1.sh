@@ -20,8 +20,8 @@ timed_smoke() {
     fi
 }
 
-echo "== tier-1: format check =="
-cargo fmt --check
+echo "== tier-1: format check (vendored crates included) =="
+cargo fmt --all --check
 
 echo "== tier-1: clippy (deny warnings) =="
 cargo clippy --workspace -- -D warnings
@@ -54,14 +54,8 @@ timed_smoke large-N --quick --gate large_n
 echo "== tier-1: chaos smoke (~20 random fault x membership cases, five invariants, <10 s) =="
 timed_smoke chaos --quick chaos
 
-echo "== tier-1: net smoke (real loopback TCP, bitwise vs sequential, <10 s) =="
-timed_smoke net --quick net
-
-echo "== tier-1: net-scale smoke (M = 1 tree, fleets to N=256, <10 s) =="
-timed_smoke net-scale --quick net_scale
-
-echo "== tier-1: sharded smoke (two-level control plane, M in {1,4}, bitwise vs sequential, <10 s) =="
-timed_smoke sharded --quick shard_scale
+echo "== tier-1: tcp smoke (real loopback TCP on the quick (N, M, loss) grid: N = 4 to 256, M in {1,4}, lossy links, every cell bitwise vs sequential, quick-suffixed artifacts, <10 s) =="
+timed_smoke tcp --quick tcp
 
 echo "== tier-1: sharded-crash smoke (seeded kills + lossy links over real TCP, quick-suffixed artifacts, <10 s) =="
 timed_smoke sharded-crash --quick chaos_net
