@@ -15,6 +15,13 @@
 //! times every requested target at one thread and at `N` threads and
 //! writes the measurements to `BENCH_paper_figures.json` in the workspace
 //! root.
+//!
+//! A `--quick` run writes every artifact it shrinks under a
+//! `_quick`-suffixed name (`results/fig4_per_round_latency_ci_quick.csv`,
+//! `BENCH_paper_figures_quick.json`, ...), so a smoke never overwrites
+//! the committed output of a full run. Targets without a quick mode
+//! (`fig3`, `fig6`–`fig10`, `comms`, `faults`, `churn`) write their full
+//! output either way.
 
 use dolbie_bench::common;
 use dolbie_bench::experiments::large_n::{LargeNOptions, RowKernel};
@@ -37,7 +44,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: paper_figures [--quick] [--threads N] [--bench] [--kernel K] [--gate] <target>...\n\
          targets: {}, {}, all\n\
-         --quick    reduces realization counts for a fast smoke run\n\
+         --quick    reduces realization counts for a fast smoke run (writes *_quick artifacts)\n\
          --threads  worker threads for the realization fan-out (default: all cores)\n\
          --bench    times each target at 1 and N threads; writes BENCH_paper_figures.json\n\
          --kernel   large_n round kernels: split, fused, simd, all, or a comma list (default: all)\n\
@@ -99,7 +106,8 @@ struct BenchRow {
 }
 
 fn write_bench_json(rows: &[BenchRow], threads: usize, quick: bool) {
-    let path = common::workspace_root().join("BENCH_paper_figures.json");
+    let path = common::workspace_root()
+        .join(format!("{}.json", common::artifact("BENCH_paper_figures", quick)));
     let cpu_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut body = String::from("{\n");
     body.push_str(&format!("  \"cpu_cores\": {cpu_cores},\n"));

@@ -55,6 +55,16 @@ pub fn run_suite(cluster: &Cluster, config: TrainingConfig) -> Vec<TrainingOutco
     })
 }
 
+/// The name a run's artifacts take: `<name>_quick` for a `--quick` run,
+/// so a smoke never overwrites the full run's committed output.
+pub fn artifact(name: &str, quick: bool) -> String {
+    if quick {
+        format!("{name}_quick")
+    } else {
+        name.to_owned()
+    }
+}
+
 /// Writes `table` to `results/<name>.csv` and reports the path on stdout.
 pub fn emit_csv(table: &Table, name: &str) {
     let path = results_dir().join(format!("{name}.csv"));
@@ -155,6 +165,12 @@ mod tests {
     fn reduction_pct_hand_check() {
         assert_eq!(reduction_pct(2.0, 1.0), 50.0);
         assert_eq!(reduction_pct(0.0, 1.0), 0.0);
+    }
+
+    #[test]
+    fn quick_artifacts_take_a_suffix() {
+        assert_eq!(artifact("chaos_invariants", true), "chaos_invariants_quick");
+        assert_eq!(artifact("chaos_invariants", false), "chaos_invariants");
     }
 
     #[test]

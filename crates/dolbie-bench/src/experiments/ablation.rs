@@ -12,7 +12,7 @@
 //! - **aggressive** — `α = 1`: every non-straggler jumps straight to its
 //!   maximum acceptable workload.
 
-use crate::common::{emit_csv, paper_cluster};
+use crate::common::{artifact, emit_csv, paper_cluster};
 use dolbie_core::parallel;
 use dolbie_core::{Allocation, Dolbie, DolbieConfig};
 use dolbie_metrics::{Summary, Table};
@@ -82,7 +82,7 @@ pub fn ablation(quick: bool) {
             guards.to_string(),
         ]);
     }
-    emit_csv(&table, "ablation_step_size");
+    emit_csv(&table, &artifact("ablation_step_size", quick));
     println!(
         "  reading: the eq. (7) schedule is the only variant that is feasible *by design*\n  \
          (zero guard activations) and satisfies the non-increasing-α premise of Theorem 1;\n  \

@@ -1,4 +1,5 @@
-//! Experiment X2 (extension): DOLBIE under weakened feedback models.
+//! Feedback models (extension experiment): DOLBIE under weakened
+//! feedback.
 //!
 //! The paper assumes each worker observes its full local cost *function*
 //! immediately after acting. Two library extensions relax that:
@@ -7,7 +8,7 @@
 //! land `d` rounds late). This experiment quantifies the price of each on
 //! the paper's ML cluster.
 
-use crate::common::{emit_csv, paper_cluster};
+use crate::common::{artifact, emit_csv, paper_cluster};
 use dolbie_core::parallel;
 use dolbie_core::{BanditDolbie, DelayedDolbie, Dolbie, DolbieConfig, LoadBalancer};
 use dolbie_metrics::{Summary, Table};
@@ -73,7 +74,7 @@ pub fn bandit(quick: bool) {
         ]);
         means.push(s.mean());
     }
-    emit_csv(&table, "bandit_feedback");
+    emit_csv(&table, &artifact("bandit_feedback", quick));
     let bandit_price = (means[2] - means[1]) / means[1] * 100.0;
     let delay_price = (means[3] - means[1]) / means[1] * 100.0;
     println!(

@@ -35,7 +35,7 @@
 //! functions of the case index, so `results/chaos_invariants.csv` is
 //! byte-identical at any thread count.
 
-use crate::common::{emit_csv, hash, unit};
+use crate::common::{artifact, emit_csv, hash, unit};
 use dolbie_core::cost::DynCost;
 use dolbie_core::environment::FnEnvironment;
 use dolbie_core::fingerprint::mix64;
@@ -432,9 +432,10 @@ pub fn chaos_named(quick: bool, name: &str) {
     }
 }
 
-/// The default entry point: writes `results/chaos_invariants.csv`.
+/// The default entry point: `results/chaos_invariants.csv` for the full
+/// sweep, `results/chaos_invariants_quick.csv` for the quick smoke.
 pub fn chaos(quick: bool) {
-    chaos_named(quick, "chaos_invariants");
+    chaos_named(quick, &artifact("chaos_invariants", quick));
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@
 //! The quick variant writes `results/chaos_net_quick.csv`, never
 //! clobbering the full sweep's `results/chaos_net.csv`.
 
-use crate::common::{emit_csv, hash, unit};
+use crate::common::{artifact, emit_csv, hash, unit};
 use dolbie_core::fingerprint::mix64;
 use dolbie_metrics::Table;
 use dolbie_net::env::{EnvKind, WireEnvSpec};
@@ -450,11 +450,7 @@ pub fn chaos_net_named(quick: bool, name: &str) {
 /// `results/chaos_net_quick.csv` for the quick smoke — distinct names,
 /// so the smoke never clobbers a full measurement.
 pub fn chaos_net(quick: bool) {
-    if quick {
-        chaos_net_named(quick, "chaos_net_quick");
-    } else {
-        chaos_net_named(quick, "chaos_net");
-    }
+    chaos_net_named(quick, &artifact("chaos_net", quick));
 }
 
 #[cfg(test)]

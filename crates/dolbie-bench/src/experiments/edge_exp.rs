@@ -1,6 +1,6 @@
 //! Experiment E1: the edge-computing task-offloading scenario (§III-B).
 
-use crate::common::{emit_csv, ALGORITHM_ORDER};
+use crate::common::{artifact, emit_csv, ALGORITHM_ORDER};
 use dolbie_baselines::paper_suite;
 use dolbie_core::parallel;
 use dolbie_core::{run_episode, EpisodeOptions};
@@ -45,5 +45,5 @@ pub fn edge(quick: bool) {
             format!("{:.4}", s.ci95_half_width()),
         ]);
     }
-    emit_csv(&table, "edge_offloading");
+    emit_csv(&table, &artifact("edge_offloading", quick));
 }

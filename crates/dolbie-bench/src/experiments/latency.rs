@@ -1,7 +1,8 @@
 //! Figures 3–5: per-round and cumulative latency of the six algorithms.
 
 use crate::common::{
-    cluster_suite, emit_csv, emit_svg, paper_cluster, reduction_pct, run_suite, ALGORITHM_ORDER,
+    artifact, cluster_suite, emit_csv, emit_svg, paper_cluster, reduction_pct, run_suite,
+    ALGORITHM_ORDER,
 };
 use dolbie_core::parallel;
 use dolbie_metrics::plot::{PlotConfig, Series};
@@ -131,7 +132,7 @@ pub fn ci_figure(cumulative: bool, name: &str, title: &str, realizations: usize)
 pub fn fig4(quick: bool) {
     ci_figure(
         false,
-        "fig4_per_round_latency_ci",
+        &artifact("fig4_per_round_latency_ci", quick),
         "Fig. 4: per-round latency with 95% CI",
         if quick { 10 } else { 100 },
     );
@@ -141,7 +142,7 @@ pub fn fig4(quick: bool) {
 pub fn fig5(quick: bool) {
     ci_figure(
         true,
-        "fig5_cumulative_latency_ci",
+        &artifact("fig5_cumulative_latency_ci", quick),
         "Fig. 5: cumulative latency with 95% CI",
         if quick { 10 } else { 100 },
     );

@@ -1,7 +1,7 @@
 //! Experiment T1: empirical validation of the Theorem 1 dynamic-regret
 //! bound, across horizons, worker counts, and adversary classes.
 
-use crate::common::emit_csv;
+use crate::common::{artifact, emit_csv};
 use dolbie_core::environment::{
     PiecewiseStationaryEnvironment, RotatingStragglerEnvironment, SinusoidalDriftEnvironment,
 };
@@ -99,7 +99,7 @@ pub fn regret(quick: bool) {
             if bound.is_finite() { format!("{bound:.1}") } else { "unbounded".into() },
         );
     }
-    emit_csv(&table, "regret_theorem1");
+    emit_csv(&table, &artifact("regret_theorem1", quick));
     println!(
         "  measured regret within the Theorem 1 bound in every configuration: {}",
         if all_within { "YES" } else { "NO (violation!)" }

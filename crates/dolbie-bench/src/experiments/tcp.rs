@@ -42,7 +42,9 @@
 //! frame or two between runs (an ack racing its retransmission timer is
 //! real time, not simulated). The lossless counters are deterministic.
 
-use crate::common::{emit_csv, results_dir, run_tree_bitwise, steady_rounds_per_s, workspace_root};
+use crate::common::{
+    artifact, emit_csv, results_dir, run_tree_bitwise, steady_rounds_per_s, workspace_root,
+};
 use dolbie_core::parallel;
 use dolbie_metrics::Table;
 use dolbie_net::env::{EnvKind, WireEnvSpec};
@@ -292,7 +294,7 @@ pub fn tcp(quick: bool) {
             row.root_frames_per_round(),
         );
     }
-    emit_csv(&table, if quick { "tcp_sweep_quick" } else { "tcp_sweep" });
+    emit_csv(&table, &artifact("tcp_sweep", quick));
     let latency: Vec<&Row> = rows.iter().filter(|r| r.cell.family == SHARDS).collect();
     write_bench_json(&latency, quick, reps);
 

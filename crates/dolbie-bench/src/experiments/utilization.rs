@@ -1,7 +1,9 @@
 //! Figure 11: average time spent per worker (computation, communication,
 //! waiting) and the decision-overhead box statistics.
 
-use crate::common::{cluster_suite, emit_csv, paper_cluster, reduction_pct, ALGORITHM_ORDER};
+use crate::common::{
+    artifact, cluster_suite, emit_csv, paper_cluster, reduction_pct, ALGORITHM_ORDER,
+};
 use dolbie_core::parallel;
 use dolbie_metrics::{Summary, Table};
 use dolbie_mlsim::{run_training, MlModel, TrainingConfig};
@@ -80,7 +82,7 @@ pub fn fig11(quick: bool) {
             format!("{omax:.3}"),
         ]);
     }
-    emit_csv(&table, "fig11_utilization");
+    emit_csv(&table, &artifact("fig11_utilization", quick));
 
     println!("  lower panel — decision overhead per round (microseconds, median [q1, q3]):");
     for k in 0..n_algs {

@@ -18,9 +18,12 @@
 //! eq. (5) inverses:
 //!
 //! 1. **Parameter slabs** ([`CostSlab`]): the cost parameters live in flat
-//!    structure-of-arrays `Vec<f64>`s, so evaluation and inversion are
+//!    structure-of-arrays columns, so evaluation and inversion are
 //!    straight-line arithmetic on sequential streams — no pointer chasing,
-//!    no virtual dispatch.
+//!    no virtual dispatch. A column every worker shares bit for bit (the
+//!    paper's global batch size `B`; a fleet's common `comm`) is stored
+//!    once and held in a register, and a shared power-of-two divisor is
+//!    applied as a multiply by its exact reciprocal.
 //! 2. **One pipelined sweep per round**: the slab is static, so round
 //!    `t + 1`'s costs are the same functions evaluated at
 //!    `x_{t+1} = x_t + g_t` (plus the O(1) pin). One sweep, blocked into
@@ -29,8 +32,10 @@
 //!    group-sized scratch, reduces them into per-[`SUM_BLOCK`]
 //!    compensated partials, writes `x + g` into a back buffer of shares,
 //!    and folds round `t + 1`'s straggler first-max over those new
-//!    shares. The round streams `x` and the slab once and writes the
-//!    back buffer once (latency slab: 40 B per worker nominal); neither
+//!    shares. The round streams `x` and the slab's per-worker columns
+//!    once and writes the back buffer once (latency slab: 24 B per worker
+//!    nominal with `B` and `comm` shared, 32 B with write-allocate; 40 B
+//!    and 48 B when every column is per-worker); neither
 //!    the gains nor the local costs ever reach memory. The straggler is
 //!    left out of the fold (its gain is exactly 0 and its cost masked to
 //!    `-inf`): once [`RootEngine::pin`](crate::shard::RootEngine::pin)
@@ -62,6 +67,15 @@
 //! two-sweep kernel it replaced, which streamed `x`, the gains and the
 //! slab twice (88 B per worker), cost 2.5–2.8 ns in cache but 3.7–4.0 ns
 //! at N = 10⁶, measured alternately on the same host.
+//!
+//! Shared columns take a round further. In a slower stretch of the same
+//! host, where the kernel reading `B` and `comm` as streams and dividing
+//! by `B` cost 3.6–5.2 ns per worker at N = 4 096 and 5.2–6.6 ns at
+//! N = 10⁶, the same fleet (`B = 256` and `comm` shared) with shared
+//! columns cost 3.0–4.7 and 4.4–5.8 ns, faster in each of three
+//! alternating 2 s runs. A fleet whose every column is per-worker runs
+//! the same loops as before, at the same speed (p50 5.6–6.6 against
+//! 6.4–6.7 ns at N = 10⁶).
 //!
 //! # The bitwise-determinism boundary
 //!
@@ -156,6 +170,116 @@ impl KernelVariant {
     }
 }
 
+/// One parameter column of a [`CostSlab`]: one value for the whole fleet,
+/// or one per worker.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Column {
+    /// Every worker's parameter has these bits.
+    Shared(f64),
+    /// Worker `i`'s parameter at index `i`.
+    PerWorker(Vec<f64>),
+}
+
+impl Column {
+    /// Lays out `param` over `fleet`: [`Shared`](Self::Shared) when every
+    /// worker's value has the same bits (so `0.0` and `-0.0` differ), else
+    /// [`PerWorker`](Self::PerWorker). The check stops at the first
+    /// mismatch, and a shared column allocates nothing.
+    fn of<T>(fleet: &[T], param: impl Fn(&T) -> f64) -> Self {
+        match fleet.first().map(&param) {
+            Some(v) if fleet.iter().all(|f| param(f).to_bits() == v.to_bits()) => Self::Shared(v),
+            _ => Self::PerWorker(fleet.iter().map(param).collect()),
+        }
+    }
+
+    fn fits(&self, workers: usize) -> bool {
+        match self {
+            Self::Shared(_) => true,
+            Self::PerWorker(v) => v.len() == workers,
+        }
+    }
+
+    fn all(&self, ok: impl Fn(f64) -> bool) -> bool {
+        match self {
+            Self::Shared(v) => ok(*v),
+            Self::PerWorker(v) => v.iter().all(|&v| ok(v)),
+        }
+    }
+}
+
+/// `1/b` when `b` is a positive normal power of two, else `None`.
+///
+/// Such a `1/b` is exact (down to 2⁻¹⁰²³, a subnormal), so `y * (1/b)` and
+/// `y / b` round the same real number and agree bit for bit for every `y`,
+/// subnormal results, `±0`, `±inf` and NaN included. Subnormal `b` are
+/// rejected: below 2⁻¹⁰²³, `1/b` overflows.
+fn pow2_recip(b: f64) -> Option<f64> {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    (b.is_normal() && b > 0.0 && b.to_bits() & MANTISSA == 0).then(|| 1.0 / b)
+}
+
+/// Runs `$body` with `$rows` bound to `$slab`'s rows, each column as its
+/// own kind: a slice, a [`Splat`], or — for the eq. (5) target's divisor —
+/// a [`Pow2`]. The match runs once per call and `$body` is expanded once
+/// per combination of kinds, so inside it a shared column is a constant
+/// and no element pays a branch.
+macro_rules! with_rows {
+    ($slab:expr, |$rows:ident| $body:expr) => {
+        match $slab {
+            CostSlab::Latency { batch, speed, comm, .. } => {
+                with_column!(divisor batch, |batch| with_column!(speed, |speed| {
+                    with_column!(comm, |comm| {
+                        let $rows = LatencyRows { batch, speed, comm };
+                        $body
+                    })
+                }))
+            }
+            CostSlab::Linear { slope, intercept, .. } => {
+                with_column!(divisor slope, |slope| with_column!(intercept, |intercept| {
+                    let $rows = LinearRows { slope, intercept };
+                    $body
+                }))
+            }
+        }
+    };
+}
+
+/// Runs `$body` with `$c` bound to the column `$col` as a slice or a
+/// [`Splat`]; a `divisor` column that is a shared normal power of two
+/// binds as a [`Pow2`].
+macro_rules! with_column {
+    ($col:expr, |$c:ident| $body:expr) => {
+        match $col {
+            Column::Shared(v) => {
+                let $c = Splat(*v);
+                $body
+            }
+            Column::PerWorker(v) => {
+                let $c = v.as_slice();
+                $body
+            }
+        }
+    };
+    (divisor $col:expr, |$c:ident| $body:expr) => {
+        match $col {
+            Column::Shared(v) => match pow2_recip(*v) {
+                Some(recip) => {
+                    let $c = Pow2 { value: *v, recip };
+                    $body
+                }
+                None => {
+                    let $c = Splat(*v);
+                    $body
+                }
+            },
+            Column::PerWorker(v) => {
+                let $c = v.as_slice();
+                $body
+            }
+        }
+    };
+}
+
 /// Flat structure-of-arrays cost parameters for a homogeneous fleet whose
 /// eq. (5) inverse has a closed form.
 ///
@@ -163,23 +287,37 @@ impl KernelVariant {
 /// per round with straight-line arithmetic over sequential `f64` streams.
 /// Only cost families with closed-form inverses qualify; heterogeneous or
 /// bisection-based fleets stay on the split engine.
+///
+/// Each parameter is a [`Column`], laid out when the slab is built:
+/// [`Shared`](Column::Shared) when every worker has the same bits — as the
+/// paper's global batch size `B` does, and in practice a fleet's common
+/// `comm` — and [`PerWorker`](Column::PerWorker) otherwise. A
+/// shared column costs no memory traffic: the sweep holds it in a register
+/// across the lanes. When the eq. (5) target's shared divisor (latency
+/// `B`, linear `slope`) is a normal power of two, the sweep multiplies by
+/// its exact reciprocal instead of dividing, which gives the same bits
+/// (see `pow2_recip`) at a fraction of a division's cost.
 #[derive(Debug, Clone)]
 pub enum CostSlab {
     /// [`LatencyCost`] fleet: `f_i(x) = x·batch_i/speed_i + comm_i`.
     Latency {
-        /// Per-worker global batch size `B` (non-negative, finite).
-        batch: Vec<f64>,
-        /// Per-worker processing speed `γ` (positive, finite).
-        speed: Vec<f64>,
-        /// Per-worker communication time `f^C` (non-negative, finite).
-        comm: Vec<f64>,
+        /// Number of workers `N`.
+        workers: usize,
+        /// Global batch size `B` (non-negative, finite).
+        batch: Column,
+        /// Processing speed `γ` (positive, finite).
+        speed: Column,
+        /// Communication time `f^C` (non-negative, finite).
+        comm: Column,
     },
     /// [`LinearCost`] fleet: `f_i(x) = slope_i·x + intercept_i`.
     Linear {
-        /// Per-worker slope (non-negative, finite).
-        slope: Vec<f64>,
-        /// Per-worker intercept (finite).
-        intercept: Vec<f64>,
+        /// Number of workers `N`.
+        workers: usize,
+        /// Slope (non-negative, finite).
+        slope: Column,
+        /// Intercept (finite).
+        intercept: Column,
     },
 }
 
@@ -188,17 +326,19 @@ impl CostSlab {
     /// constructor has already validated the parameters).
     pub fn latency(fleet: &[LatencyCost]) -> Self {
         Self::Latency {
-            batch: fleet.iter().map(LatencyCost::batch_size).collect(),
-            speed: fleet.iter().map(LatencyCost::speed).collect(),
-            comm: fleet.iter().map(LatencyCost::comm_time).collect(),
+            workers: fleet.len(),
+            batch: Column::of(fleet, LatencyCost::batch_size),
+            speed: Column::of(fleet, LatencyCost::speed),
+            comm: Column::of(fleet, LatencyCost::comm_time),
         }
     }
 
     /// Builds a linear slab from concrete [`LinearCost`]s.
     pub fn linear(fleet: &[LinearCost]) -> Self {
         Self::Linear {
-            slope: fleet.iter().map(LinearCost::slope).collect(),
-            intercept: fleet.iter().map(LinearCost::intercept).collect(),
+            workers: fleet.len(),
+            slope: Column::of(fleet, LinearCost::slope),
+            intercept: Column::of(fleet, LinearCost::intercept),
         }
     }
 
@@ -228,8 +368,7 @@ impl CostSlab {
     /// Number of workers in the fleet.
     pub fn len(&self) -> usize {
         match self {
-            Self::Latency { batch, .. } => batch.len(),
-            Self::Linear { slope, .. } => slope.len(),
+            Self::Latency { workers, .. } | Self::Linear { workers, .. } => *workers,
         }
     }
 
@@ -249,31 +388,25 @@ impl CostSlab {
     /// Evaluates worker `i`'s cost at share `x` — bitwise identical to the
     /// corresponding [`CostFunction::eval`](crate::cost::CostFunction::eval)
     /// (same expression, same association order).
-    #[inline(always)]
     pub fn eval(&self, i: usize, x: f64) -> f64 {
-        match self {
-            Self::Latency { batch, speed, comm } => LatencyRows { batch, speed, comm }.eval(i, x),
-            Self::Linear { slope, intercept } => LinearRows { slope, intercept }.eval(i, x),
-        }
+        with_rows!(self, |rows| rows.eval(i, x))
     }
 
     fn assert_consistent(&self) {
-        let n = self.len();
         match self {
-            Self::Latency { batch, speed, comm } => {
-                assert!(speed.len() == n && comm.len() == n && batch.len() == n);
+            Self::Latency { workers, batch, speed, comm } => {
+                assert!(batch.fits(*workers) && speed.fits(*workers) && comm.fits(*workers));
                 assert!(
-                    batch.iter().all(|b| b.is_finite() && *b >= 0.0)
-                        && speed.iter().all(|s| s.is_finite() && *s > 0.0)
-                        && comm.iter().all(|c| c.is_finite() && *c >= 0.0),
+                    batch.all(|b| b.is_finite() && b >= 0.0)
+                        && speed.all(|s| s.is_finite() && s > 0.0)
+                        && comm.all(|c| c.is_finite() && c >= 0.0),
                     "latency slab parameters must satisfy the LatencyCost contract"
                 );
             }
-            Self::Linear { slope, intercept } => {
-                assert!(slope.len() == n && intercept.len() == n);
+            Self::Linear { workers, slope, intercept } => {
+                assert!(slope.fits(*workers) && intercept.fits(*workers));
                 assert!(
-                    slope.iter().all(|s| s.is_finite() && *s >= 0.0)
-                        && intercept.iter().all(|i| i.is_finite()),
+                    slope.all(|s| s.is_finite() && s >= 0.0) && intercept.all(f64::is_finite),
                     "linear slab parameters must satisfy the LinearCost contract"
                 );
             }
@@ -385,89 +518,160 @@ trait Rows: Copy {
     fn target_lane(self, k: usize, level: lanes::V, x: lanes::V) -> lanes::V;
 }
 
-/// The rows of a [`CostSlab::Latency`] slab.
-#[derive(Clone, Copy)]
-struct LatencyRows<'a> {
-    batch: &'a [f64],
-    speed: &'a [f64],
-    comm: &'a [f64],
+/// One slab column as a sweep reads it, scalar and four lanes at a time.
+/// Index `k` counts from the start of the stretch.
+trait Col: Copy {
+    /// The stretch `r` of this column.
+    fn slice(self, r: Range<usize>) -> Self;
+    fn at(self, k: usize) -> f64;
+    fn lane(self, k: usize) -> lanes::V;
+    /// `y / self[k]`.
+    #[inline(always)]
+    fn div(self, y: f64, k: usize) -> f64 {
+        y / self.at(k)
+    }
+    /// `y / self[k..k + LANES]`, lane-wise.
+    #[inline(always)]
+    fn div_lane(self, y: lanes::V, k: usize) -> lanes::V {
+        lanes::div(y, self.lane(k))
+    }
 }
 
-impl Rows for LatencyRows<'_> {
+/// A [`Column::PerWorker`] column: one stream.
+impl Col for &[f64] {
     #[inline(always)]
     fn slice(self, r: Range<usize>) -> Self {
-        Self { batch: &self.batch[r.clone()], speed: &self.speed[r.clone()], comm: &self.comm[r] }
+        &self[r]
+    }
+    #[inline(always)]
+    fn at(self, k: usize) -> f64 {
+        self[k]
+    }
+    #[inline(always)]
+    fn lane(self, k: usize) -> lanes::V {
+        lanes::load(&self[k..k + LANES])
+    }
+}
+
+/// A [`Column::Shared`] column: one value, the same in every lane.
+#[derive(Clone, Copy)]
+struct Splat(f64);
+
+impl Col for Splat {
+    #[inline(always)]
+    fn slice(self, _: Range<usize>) -> Self {
+        self
+    }
+    #[inline(always)]
+    fn at(self, _: usize) -> f64 {
+        self.0
+    }
+    #[inline(always)]
+    fn lane(self, _: usize) -> lanes::V {
+        lanes::splat(self.0)
+    }
+}
+
+/// A [`Column::Shared`] divisor that is a normal power of two: dividing by
+/// it multiplies by its exact reciprocal, which gives the same bits (see
+/// [`pow2_recip`]).
+#[derive(Clone, Copy)]
+struct Pow2 {
+    value: f64,
+    recip: f64,
+}
+
+impl Col for Pow2 {
+    #[inline(always)]
+    fn slice(self, _: Range<usize>) -> Self {
+        self
+    }
+    #[inline(always)]
+    fn at(self, _: usize) -> f64 {
+        self.value
+    }
+    #[inline(always)]
+    fn lane(self, _: usize) -> lanes::V {
+        lanes::splat(self.value)
+    }
+    #[inline(always)]
+    fn div(self, y: f64, _: usize) -> f64 {
+        y * self.recip
+    }
+    #[inline(always)]
+    fn div_lane(self, y: lanes::V, _: usize) -> lanes::V {
+        lanes::mul(y, lanes::splat(self.recip))
+    }
+}
+
+/// The rows of a [`CostSlab::Latency`] slab.
+#[derive(Clone, Copy)]
+struct LatencyRows<B, S, C> {
+    batch: B,
+    speed: S,
+    comm: C,
+}
+
+impl<B: Col, S: Col, C: Col> Rows for LatencyRows<B, S, C> {
+    #[inline(always)]
+    fn slice(self, r: Range<usize>) -> Self {
+        Self {
+            batch: self.batch.slice(r.clone()),
+            speed: self.speed.slice(r.clone()),
+            comm: self.comm.slice(r),
+        }
     }
     #[inline(always)]
     fn eval(self, k: usize, x: f64) -> f64 {
-        x * self.batch[k] / self.speed[k] + self.comm[k]
+        x * self.batch.at(k) / self.speed.at(k) + self.comm.at(k)
     }
     #[inline(always)]
     fn eval_lane(self, k: usize, x: lanes::V) -> lanes::V {
-        let r = k..k + LANES;
-        lanes::add(
-            lanes::div(
-                lanes::mul(x, lanes::load(&self.batch[r.clone()])),
-                lanes::load(&self.speed[r.clone()]),
-            ),
-            lanes::load(&self.comm[r]),
-        )
+        let load = lanes::div(lanes::mul(x, self.batch.lane(k)), self.speed.lane(k));
+        lanes::add(load, self.comm.lane(k))
     }
     #[inline(always)]
     fn target(self, k: usize, level: f64, x: f64) -> f64 {
-        ((level - self.comm[k]) * self.speed[k] / self.batch[k]).min(1.0).max(x).min(1.0)
+        let raw = self.batch.div((level - self.comm.at(k)) * self.speed.at(k), k);
+        raw.min(1.0).max(x).min(1.0)
     }
     #[inline(always)]
     fn target_lane(self, k: usize, level: lanes::V, x: lanes::V) -> lanes::V {
-        let r = k..k + LANES;
         let one = lanes::splat(1.0);
-        let raw = lanes::div(
-            lanes::mul(
-                lanes::sub(level, lanes::load(&self.comm[r.clone()])),
-                lanes::load(&self.speed[r.clone()]),
-            ),
-            lanes::load(&self.batch[r]),
-        );
+        let headroom = lanes::mul(lanes::sub(level, self.comm.lane(k)), self.speed.lane(k));
+        let raw = self.batch.div_lane(headroom, k);
         lanes::min(lanes::max(lanes::min(raw, one), x), one)
     }
 }
 
 /// The rows of a [`CostSlab::Linear`] slab.
 #[derive(Clone, Copy)]
-struct LinearRows<'a> {
-    slope: &'a [f64],
-    intercept: &'a [f64],
+struct LinearRows<S, I> {
+    slope: S,
+    intercept: I,
 }
 
-impl Rows for LinearRows<'_> {
+impl<S: Col, I: Col> Rows for LinearRows<S, I> {
     #[inline(always)]
     fn slice(self, r: Range<usize>) -> Self {
-        Self { slope: &self.slope[r.clone()], intercept: &self.intercept[r] }
+        Self { slope: self.slope.slice(r.clone()), intercept: self.intercept.slice(r) }
     }
     #[inline(always)]
     fn eval(self, k: usize, x: f64) -> f64 {
-        self.slope[k] * x + self.intercept[k]
+        self.slope.at(k) * x + self.intercept.at(k)
     }
     #[inline(always)]
     fn eval_lane(self, k: usize, x: lanes::V) -> lanes::V {
-        let r = k..k + LANES;
-        lanes::add(
-            lanes::mul(lanes::load(&self.slope[r.clone()]), x),
-            lanes::load(&self.intercept[r]),
-        )
+        lanes::add(lanes::mul(self.slope.lane(k), x), self.intercept.lane(k))
     }
     #[inline(always)]
     fn target(self, k: usize, level: f64, x: f64) -> f64 {
-        ((level - self.intercept[k]) / self.slope[k]).min(1.0).max(x).min(1.0)
+        self.slope.div(level - self.intercept.at(k), k).min(1.0).max(x).min(1.0)
     }
     #[inline(always)]
     fn target_lane(self, k: usize, level: lanes::V, x: lanes::V) -> lanes::V {
-        let r = k..k + LANES;
         let one = lanes::splat(1.0);
-        let raw = lanes::div(
-            lanes::sub(level, lanes::load(&self.intercept[r.clone()])),
-            lanes::load(&self.slope[r]),
-        );
+        let raw = self.slope.div_lane(lanes::sub(level, self.intercept.lane(k)), k);
         lanes::min(lanes::max(lanes::min(raw, one), x), one)
     }
 }
@@ -572,14 +776,7 @@ impl RoundCtx<'_> {
     /// The plain evaluation sweep, sequential: the first maximum of the
     /// costs at `xs`, members only.
     fn evaluate(&self, xs: &[f64]) -> Best {
-        match self.slab {
-            CostSlab::Latency { batch, speed, comm } => {
-                self.fold_costs(LatencyRows { batch, speed, comm }, &mut Plain(xs), None)
-            }
-            CostSlab::Linear { slope, intercept } => {
-                self.fold_costs(LinearRows { slope, intercept }, &mut Plain(xs), None)
-            }
-        }
+        with_rows!(self.slab, |rows| self.fold_costs(rows, &mut Plain(xs), None))
     }
 
     /// The first maximum of the costs of `rows` at `shares` (stretch-local
@@ -608,16 +805,7 @@ impl RoundCtx<'_> {
         back: &mut [f64],
         partials: &mut [f64],
     ) -> Best {
-        match self.slab {
-            CostSlab::Latency { batch, speed, comm } => {
-                let rows = LatencyRows { batch, speed, comm };
-                self.pipelined_in(rows, round, xs, back, partials)
-            }
-            CostSlab::Linear { slope, intercept } => {
-                let rows = LinearRows { slope, intercept };
-                self.pipelined_in(rows, round, xs, back, partials)
-            }
-        }
+        with_rows!(self.slab, |rows| self.pipelined_in(rows, round, xs, back, partials))
     }
 
     /// The pipelined sweep, one [`GROUP`] of [`LANES`] blocks at a time so
@@ -947,13 +1135,16 @@ mod tests {
     use crate::observation::max_acceptable_share;
     use crate::{Dolbie, LoadBalancer, Observation};
 
-    fn splitmix(state: &mut u64) -> f64 {
+    fn splitmix_bits(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e3779b97f4a7c15);
         let mut z = *state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z = z ^ (z >> 31);
-        (z >> 11) as f64 / (1u64 << 53) as f64
+        z ^ (z >> 31)
+    }
+
+    fn splitmix(state: &mut u64) -> f64 {
+        (splitmix_bits(state) >> 11) as f64 / (1u64 << 53) as f64
     }
 
     fn latency_fleet(n: usize, seed: u64) -> Vec<DynCost> {
@@ -1001,6 +1192,92 @@ mod tests {
             vec![Box::new(crate::cost::PowerCost::new(1.0, 2.0, 0.0))];
         assert!(CostSlab::from_costs(&no_closed_form).is_none(), "no as_any override");
         assert!(FusedDolbie::from_costs(&no_closed_form).is_none());
+    }
+
+    /// A column is shared exactly when every worker's value has the same
+    /// bits: `0.0` next to `-0.0`, or two values one ulp apart, stay
+    /// per-worker.
+    #[test]
+    fn column_detection_is_by_bits() {
+        let comm_column = |comm: &[f64]| match CostSlab::latency(
+            &comm.iter().map(|&c| LatencyCost::new(256.0, 100.0, c)).collect::<Vec<_>>(),
+        ) {
+            CostSlab::Latency { comm, .. } => comm,
+            CostSlab::Linear { .. } => unreachable!("a latency fleet"),
+        };
+        let next_up = f64::from_bits(0.05f64.to_bits() + 1);
+        assert_eq!(comm_column(&[0.05, 0.05, 0.05]), Column::Shared(0.05));
+        assert_eq!(comm_column(&[0.0, -0.0, 0.0]), Column::PerWorker(vec![0.0, -0.0, 0.0]));
+        assert_eq!(
+            comm_column(&[0.05, 0.05, next_up]),
+            Column::PerWorker(vec![0.05, 0.05, next_up])
+        );
+        assert!(matches!(comm_column(&[-0.0, 0.0]), Column::PerWorker(_)));
+        assert!(matches!(comm_column(&[-0.0, -0.0]), Column::Shared(z) if z.is_sign_negative()));
+
+        let slab = CostSlab::latency(&[LatencyCost::new(256.0, 100.0, 0.05)]);
+        let CostSlab::Latency { workers, batch, speed, comm } = slab else { unreachable!() };
+        assert_eq!(workers, 1);
+        assert_eq!([batch, speed, comm], [256.0, 100.0, 0.05].map(Column::Shared));
+        let linear = CostSlab::linear(&[LinearCost::new(1.0, 0.5), LinearCost::new(2.0, 0.5)]);
+        let CostSlab::Linear { slope, intercept, .. } = linear else { unreachable!() };
+        assert_eq!((slope, intercept), (Column::PerWorker(vec![1.0, 2.0]), Column::Shared(0.5)));
+    }
+
+    /// Multiplying by the reciprocal of a normal power of two `b` gives the
+    /// bits of dividing by `b` for every `y`: results deep in the
+    /// subnormal range (exact and rounded), `±0`, `±inf`, NaN and random
+    /// bit patterns. Divisors that are not normal powers of two are
+    /// rejected.
+    #[test]
+    fn reciprocal_rule_is_exact_for_normal_powers_of_two() {
+        let mut state = 0x5EED;
+        let mut random_bits = || splitmix_bits(&mut state);
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            1.0,
+            0.05,
+            -3.0,
+        ];
+        let mut checked = 0;
+        for k in -1022..=1023 {
+            let b = 2f64.powi(k);
+            assert!(b.is_normal(), "2^{k}");
+            let recip = pow2_recip(b).unwrap_or_else(|| panic!("2^{k} is a normal power of two"));
+            // A subnormal times b is exact (so y / b is that subnormal);
+            // one ulp more makes y / b round in the subnormal range.
+            let subnormal = f64::from_bits(random_bits() & ((1 << 52) - 1));
+            let near = [subnormal * b, f64::from_bits((subnormal * b).to_bits() + 1)];
+            let random = (0..32).map(|_| f64::from_bits(random_bits()));
+            for y in specials.into_iter().chain(near).chain(random) {
+                let (y, recip) = (std::hint::black_box(y), std::hint::black_box(recip));
+                assert_eq!((y * recip).to_bits(), (y / b).to_bits(), "y {y:e}, b 2^{k}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 2046 * (12 + 2 + 32));
+        for b in [
+            3.0,
+            0.1,
+            100.0,
+            0.0,
+            -0.0,
+            -2.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(pow2_recip(b), None, "{b:e}");
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! blocking or SIMD bug that moves a single bit fails the matrix.
 
 use dolbie_core::cost::{DynCost, LatencyCost, LinearCost};
-use dolbie_core::kernel::{CostSlab, FusedDolbie, KernelVariant};
+use dolbie_core::dolbie::DolbieStats;
+use dolbie_core::kernel::{Column, CostSlab, FusedDolbie, KernelVariant};
 use dolbie_core::{
     pairwise_neumaier_sum, Allocation, Dolbie, DolbieConfig, LoadBalancer, Observation,
 };
@@ -251,20 +252,30 @@ fn fused_kernel_matches_split_engine_through_membership_epochs() {
     let cases: [(usize, [&[usize]; 3]); 2] =
         [(41, [&[3], &[3, 0], &[0]]), (1031, [&[511, 512], &[511, 512, 1030], &[1030]])];
     for (n, out) in cases {
-        membership_epochs_case(n, out);
+        membership_epochs_case(&latency_fleet(n, 29), DolbieConfig::new(), out, &format!("n {n}"));
     }
 }
 
-fn membership_epochs_case(n: usize, out: [&[usize]; 3]) {
+/// Plays `costs` from the uniform split under `config` through three
+/// membership epochs (the workers in `out[k]` are outside the membership
+/// from round 20, 35 and 60 on), the split engine against the kernel in
+/// both variants, with and without per-round share reads. Returns the
+/// split engine's counters.
+fn membership_epochs_case(
+    costs: &[DynCost],
+    config: DolbieConfig,
+    out: [&[usize]; 3],
+    label: &str,
+) -> DolbieStats {
     let rounds = 90;
-    let costs = latency_fleet(n, 29);
+    let n = costs.len();
     let boundary = |t: usize| -> Option<Vec<bool>> {
         let k = [20, 35, 60].iter().position(|&r| r == t)?;
         Some((0..n).map(|i| !out[k].contains(&i)).collect())
     };
 
     let mut members = vec![true; n];
-    let mut split = Dolbie::new(n);
+    let mut split = Dolbie::with_config(Allocation::uniform(n), config);
     let mut reference = Trajectory {
         share_bits: Vec::new(),
         stragglers: Vec::new(),
@@ -277,7 +288,7 @@ fn membership_epochs_case(n: usize, out: [&[usize]; 3]) {
             split.apply_membership(&members);
         }
         let played = split.allocation().clone();
-        let obs = Observation::from_costs_masked(t, &played, &costs, &members, Vec::new());
+        let obs = Observation::from_costs_masked(t, &played, costs, &members, Vec::new());
         reference.stragglers.push(obs.straggler());
         reference.global_cost_bits.push(obs.global_cost().to_bits());
         split.observe(&obs);
@@ -287,7 +298,9 @@ fn membership_epochs_case(n: usize, out: [&[usize]; 3]) {
 
     for variant in KernelVariant::all() {
         for read_each_round in [true, false] {
-            let mut fused = FusedDolbie::from_costs(&costs).unwrap().with_variant(variant);
+            let slab = CostSlab::from_costs(costs).expect("fleet has a slab layout");
+            let mut fused = FusedDolbie::with_config(slab, Allocation::uniform(n), config)
+                .with_variant(variant);
             let mut got = Trajectory {
                 share_bits: Vec::new(),
                 stragglers: Vec::new(),
@@ -307,7 +320,7 @@ fn membership_epochs_case(n: usize, out: [&[usize]; 3]) {
             }
             got.alpha_bits = fused.alphas_used().iter().map(|a| a.to_bits()).collect();
             let final_bits: Vec<u64> = fused.allocation().iter().map(|v| v.to_bits()).collect();
-            let tag = format!("n {n}, {variant:?}, reads {read_each_round}");
+            let tag = format!("{label}, {variant:?}, reads {read_each_round}");
             assert_eq!(got.stragglers, reference.stragglers, "stragglers ({tag})");
             assert_eq!(got.global_cost_bits, reference.global_cost_bits, "costs ({tag})");
             assert_eq!(got.alpha_bits, reference.alpha_bits, "alpha schedule ({tag})");
@@ -324,7 +337,8 @@ fn membership_epochs_case(n: usize, out: [&[usize]; 3]) {
     }
 
     let sum = pairwise_neumaier_sum(split.allocation().as_slice());
-    assert!((sum - 1.0).abs() < 1e-12, "n {n}: |Σx − 1| = {:e}", (sum - 1.0).abs());
+    assert!((sum - 1.0).abs() < 1e-12, "{label}: |Σx − 1| = {:e}", (sum - 1.0).abs());
+    split.stats()
 }
 
 /// Workers of the exact-arithmetic tie fleet: one straggler at share 1/2
@@ -417,5 +431,116 @@ fn guard_rescale_on_a_refresh_round_matches_split_engine() {
         let d = FusedDolbie::with_config(slab, Allocation::uniform(n), config);
         let got = play_fused(d, rounds, variant, true);
         assert_same(&got, &reference, &format!("{variant:?}"));
+    }
+}
+
+/// A latency fleet whose batch, speed and comm columns come from the
+/// given closures of `(worker, hash sample)`.
+fn latency_columns(
+    n: usize,
+    seed: u64,
+    batch: impl Fn(usize, f64) -> f64,
+    comm: impl Fn(usize, f64) -> f64,
+) -> Vec<DynCost> {
+    let mut state = seed;
+    (0..n)
+        .map(|i| {
+            let speed = 64.0 + 448.0 * splitmix(&mut state);
+            let (b, c) = (batch(i, splitmix(&mut state)), comm(i, splitmix(&mut state)));
+            Box::new(LatencyCost::new(b, speed, c)) as DynCost
+        })
+        .collect()
+}
+
+/// A linear fleet whose slope and intercept columns come from the given
+/// closures of `(worker, hash sample)`.
+fn linear_columns(
+    n: usize,
+    seed: u64,
+    slope: impl Fn(usize, f64) -> f64,
+    intercept: impl Fn(usize, f64) -> f64,
+) -> Vec<DynCost> {
+    let mut state = seed;
+    (0..n)
+        .map(|i| {
+            let (s, c) = (slope(i, splitmix(&mut state)), intercept(i, splitmix(&mut state)));
+            Box::new(LinearCost::new(s, c)) as DynCost
+        })
+        .collect()
+}
+
+/// One fleet per slab column shape: each column shared or per-worker, and
+/// each shared eq. (5) divisor (latency `B`, linear slope) on the
+/// reciprocal path (a normal power of two, the extremes included) or on
+/// the division path (not a power of two, or zero). The extreme-`B`
+/// fleets take per-worker `comm`, so their costs still differ. Each fleet
+/// comes with a step-size floor under which the feasibility guard
+/// rescales some of its 90 epoch-case rounds and not others.
+fn column_shape_fleets(n: usize) -> Vec<(&'static str, Vec<DynCost>, f64)> {
+    let per_worker = |_: usize, u: f64| 0.02 + 0.06 * u;
+    let shared = |value: f64| move |_: usize, _: f64| value;
+    let spread = |_: usize, u: f64| 0.5 + 4.0 * u;
+    vec![
+        ("latency, per-worker comm", latency_columns(n, 31, shared(256.0), per_worker), 2e-5),
+        (
+            "latency, per-worker batch",
+            latency_columns(n, 37, |_, u| 64.0 + 384.0 * u, shared(0.05)),
+            2e-4,
+        ),
+        ("latency, B = 100", latency_columns(n, 41, shared(100.0), shared(0.05)), 5e-4),
+        ("latency, B = 3", latency_columns(n, 43, shared(3.0), shared(0.05)), 5e-4),
+        ("latency, B = 0", latency_columns(n, 47, shared(0.0), per_worker), 1e-9),
+        (
+            "latency, B = 2^-1022",
+            latency_columns(n, 53, shared(f64::MIN_POSITIVE), per_worker),
+            1e-9,
+        ),
+        ("latency, B = 2^1023", latency_columns(n, 59, shared(2f64.powi(1023)), per_worker), 5e-4),
+        ("linear, shared intercept", linear_columns(n, 61, spread, shared(0.1)), 7e-4),
+        ("linear, per-worker intercept", linear_columns(n, 67, spread, per_worker), 5e-5),
+        ("linear, slope = 2", linear_columns(n, 71, shared(2.0), per_worker), 5e-5),
+    ]
+}
+
+/// Every column shape of the slab, in both variants, through three
+/// membership epochs (workers leaving on both sides of the first `GROUP`
+/// boundary and in the scalar tail) under a step-size floor that makes
+/// the feasibility guard rescale some rounds and not others.
+#[test]
+fn every_slab_column_shape_matches_split_engine_through_epochs_and_rescales() {
+    let n = 1031;
+    let out: [&[usize]; 3] = [&[511, 512], &[511, 512, 1030], &[1030]];
+    for (label, costs, floor) in column_shape_fleets(n) {
+        let config = DolbieConfig::new().with_alpha_floor(floor);
+        let stats = membership_epochs_case(&costs, config, out, label);
+        assert!(
+            stats.guard_activations > 0 && stats.guard_activations < stats.rounds,
+            "{label}: the guard must rescale some rounds and not others ({stats:?})"
+        );
+    }
+}
+
+/// The fleets above are laid out the way they are named: a column is
+/// shared exactly when every worker has the same bits.
+#[test]
+fn column_shape_fleets_take_the_layout_they_name() {
+    let shared = |c: &Column| matches!(c, Column::Shared(_));
+    for (label, costs, _) in column_shape_fleets(64) {
+        let slab = CostSlab::from_costs(&costs).expect("a slab");
+        let shape = match &slab {
+            CostSlab::Latency { batch, speed, comm, .. } => {
+                vec![shared(batch), shared(speed), shared(comm)]
+            }
+            CostSlab::Linear { slope, intercept, .. } => vec![shared(slope), shared(intercept)],
+        };
+        let want = match label {
+            "latency, per-worker batch" => vec![false, false, true],
+            "latency, B = 100" | "latency, B = 3" => vec![true, false, true],
+            "linear, shared intercept" => vec![false, true],
+            "linear, per-worker intercept" => vec![false, false],
+            "linear, slope = 2" => vec![true, false],
+            _ => vec![true, false, false],
+        };
+        assert_eq!(shape, want, "{label}");
     }
 }

@@ -1,9 +1,20 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: release build, full workspace test suite,
-# then a quick paper_figures smoke run in --bench mode, which also
-# refreshes BENCH_paper_figures.json at the repo root.
+# then quick paper_figures smoke runs. A --quick run writes only
+# quick-suffixed artifacts (the --bench smoke writes
+# BENCH_paper_figures_quick.json at the repo root), and the gate fails if
+# any committed full-run artifact changed while it ran.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# full_artifact_sums: checksums of the committed full-run artifacts — the
+# tracked results/* and BENCH_*.json files, quick-suffixed ones left out
+# (outside a git checkout, the files present).
+full_artifact_sums() {
+    { git ls-files -- results 'BENCH_*.json' 2>/dev/null || ls -d results/* BENCH_*.json; } |
+        grep -v '_quick' | xargs -d '\n' sha256sum
+}
+full_artifacts_before=$(full_artifact_sums)
 
 # timed_smoke <label> <args...>: runs `paper_figures <args...>` in release
 # and fails the gate if it takes 10 s or more.
@@ -62,5 +73,11 @@ timed_smoke sharded-crash --quick chaos_net
 
 echo "== tier-1: mc smoke (exhaustive crash-only interleaving check, N=3 x 3 rounds, <10 s) =="
 timed_smoke mc --quick mc
+
+echo "== tier-1: committed full-run artifacts unchanged by the smokes =="
+if ! diff <(echo "$full_artifacts_before") <(full_artifact_sums); then
+    echo "FAIL: a tier-1 step rewrote a committed full-run artifact (checksum diff above)" >&2
+    exit 1
+fi
 
 echo "== tier-1: OK =="
