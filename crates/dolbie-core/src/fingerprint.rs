@@ -89,10 +89,17 @@ impl StateFp {
     /// Folds a boolean mask (membership, down, received flags) as packed
     /// words, length included.
     pub fn push_bool_slice(&mut self, values: &[bool]) {
+        self.push_bools(values.iter().copied());
+    }
+
+    /// [`push_bool_slice`](Self::push_bool_slice) over a mask read field
+    /// by field (one flag of each per-worker record): the same words for
+    /// the same flags.
+    pub fn push_bools(&mut self, values: impl ExactSizeIterator<Item = bool>) {
         self.push_usize(values.len());
         let mut word = 0u64;
         let mut bits = 0u32;
-        for &b in values {
+        for b in values {
             word = (word << 1) | u64::from(b);
             bits += 1;
             if bits == 64 {

@@ -206,12 +206,12 @@ pub fn explore(config: &McConfig, strategy: Strategy) -> Exploration {
     match strategy {
         Strategy::Dfs => {
             let mut stack = vec![root];
+            let mut children = Vec::new();
             while let Some(pending) = stack.pop() {
                 if stats.runs >= config.max_runs {
                     return Exploration { stats, violation: None, complete: false };
                 }
                 let run = pending.run(config, &visited);
-                let mut children = Vec::new();
                 if let Some(v) = merge_run(
                     &pending,
                     &run,
@@ -223,7 +223,7 @@ pub fn explore(config: &McConfig, strategy: Strategy) -> Exploration {
                     return Exploration { stats, violation: Some(v), complete: false };
                 }
                 // Reverse so the lowest-index alternative is explored first.
-                stack.extend(children.into_iter().rev());
+                stack.extend(children.drain(..).rev());
             }
         }
         Strategy::Bfs => {

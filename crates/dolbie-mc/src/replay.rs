@@ -96,6 +96,9 @@ impl DecisionRecord {
     }
 }
 
+/// The decision records a run's trail is reserved for at least.
+const TRAIL_FLOOR: usize = 64;
+
 /// A [`Scheduler`] that follows a decision prefix and defaults beyond
 /// it, recording the full decision trail either way, and observing state
 /// only inside the window [`DecisionRecord::fp`] describes.
@@ -105,8 +108,6 @@ pub struct ReplayScheduler<'a> {
     sabotage: bool,
     /// States the explorer already knows (`None`: none).
     known: Option<&'a FpSet>,
-    /// Fingerprints observed so far in this run.
-    seen: Vec<u64>,
     /// Cleared at the first known or repeated fingerprint; false from
     /// the start in [`replay()`].
     observing: bool,
@@ -125,10 +126,12 @@ impl<'a> ReplayScheduler<'a> {
             prefix,
             sabotage: false,
             known: None,
-            seen: Vec::new(),
             observing: true,
             pending_fp: None,
-            trail: Vec::new(),
+            // A run makes at least its prefix's decisions; with room for
+            // twice as many (64 at least), two `mw3x3` explorer runs in
+            // three never regrow the trail.
+            trail: Vec::with_capacity((2 * prefix.len()).max(TRAIL_FLOOR)),
         }
     }
 
@@ -181,12 +184,13 @@ impl Scheduler for ReplayScheduler<'_> {
 
     fn observe_state(&mut self, fingerprint: u64) {
         self.pending_fp = Some(fingerprint);
+        // The states this run observed so far are the fingerprints its
+        // trail recorded: observation stops at the first repeat, so the
+        // trail holds each of them once.
         if self.known.is_some_and(|known| known.contains(&fingerprint))
-            || self.seen.contains(&fingerprint)
+            || self.trail.iter().any(|d| d.fp == Some(fingerprint))
         {
             self.observing = false;
-        } else {
-            self.seen.push(fingerprint);
         }
     }
 
@@ -255,16 +259,11 @@ impl RunOutcome {
 /// Feeds pre-recorded membership outcomes back to
 /// `MembershipSchedule::apply_round_sched`, for reconstructing the
 /// membership masks a finished run actually used.
-struct OutcomeFeed {
-    outcomes: Vec<bool>,
-    pos: usize,
-}
+struct OutcomeFeed<I>(I);
 
-impl Scheduler for OutcomeFeed {
+impl<I: Iterator<Item = bool>> Scheduler for OutcomeFeed<I> {
     fn decide(&mut self, _point: DecisionPoint, default: bool) -> bool {
-        let v = self.outcomes.get(self.pos).copied().unwrap_or(default);
-        self.pos += 1;
-        v
+        self.0.next().unwrap_or(default)
     }
 }
 
@@ -274,17 +273,25 @@ impl Scheduler for OutcomeFeed {
 /// the order `apply_round_sched` consulted them).
 #[must_use]
 pub fn membership_masks(config: &McConfig, trail: &[DecisionRecord]) -> Vec<Vec<bool>> {
-    let outcomes: Vec<bool> = trail
+    let (masks, n) = (flat_masks(config, trail), config.n);
+    (0..config.rounds).map(|t| masks[t * n..(t + 1) * n].to_vec()).collect()
+}
+
+/// [`membership_masks`] in one allocation: round `t`'s mask is
+/// `[t * n, (t + 1) * n)`, each round's starting from the one before.
+fn flat_masks(config: &McConfig, trail: &[DecisionRecord]) -> Vec<bool> {
+    let outcomes = trail
         .iter()
         .filter(|d| matches!(d.point, Some(DecisionPoint::Membership { .. })))
-        .map(|d| d.outcome)
-        .collect();
-    let mut feed = OutcomeFeed { outcomes, pos: 0 };
-    let mut members = vec![true; config.n];
-    let mut masks = Vec::with_capacity(config.rounds);
+        .map(|d| d.outcome);
+    let mut feed = OutcomeFeed(outcomes);
+    let n = config.n;
+    let mut masks = vec![true; config.rounds * n];
     for t in 0..config.rounds {
-        config.schedule.apply_round_sched(t, &mut members, &mut feed);
-        masks.push(members.clone());
+        if t > 0 {
+            masks.copy_within((t - 1) * n..t * n, t * n);
+        }
+        config.schedule.apply_round_sched(t, &mut masks[t * n..(t + 1) * n], &mut feed);
     }
     masks
 }
@@ -292,7 +299,7 @@ pub fn membership_masks(config: &McConfig, trail: &[DecisionRecord]) -> Vec<Vec<
 /// A simulator world the checker steps to its horizon and forks: one of
 /// the three architectures' worlds, over the chaos-mix environment.
 trait World: Send + Sync {
-    fn step(&mut self, sched: &mut dyn Scheduler) -> bool;
+    fn step(&mut self, sched: &mut ReplayScheduler<'_>) -> bool;
     fn fingerprint(&self) -> Option<u64>;
     fn fork(&self) -> Box<dyn World>;
     fn into_trace(self: Box<Self>) -> ProtocolTrace;
@@ -304,7 +311,7 @@ where
     E: Environment + Clone + Send + Sync + 'static,
     L: LatencyModel + Clone + Send + Sync + 'static,
 {
-    fn step(&mut self, sched: &mut dyn Scheduler) -> bool {
+    fn step(&mut self, sched: &mut ReplayScheduler<'_>) -> bool {
         dolbie_simnet::World::step(self, sched)
     }
     fn fingerprint(&self) -> Option<u64> {
@@ -443,8 +450,8 @@ fn run(config: &McConfig, sched: ReplayScheduler<'_>, from: Option<&Snapshot>) -
     }));
     let (trace, verdict) = match result {
         Ok(trace) => {
-            let mut masks = membership_masks(config, &sched.trail);
-            let verdict = check_trace(&trace, rounds, |t| std::mem::take(&mut masks[t]));
+            let (masks, n) = (flat_masks(config, &sched.trail), config.n);
+            let verdict = check_trace(&trace, rounds, |t| &masks[t * n..(t + 1) * n]);
             (Some(trace), verdict)
         }
         Err(payload) => {
@@ -462,6 +469,7 @@ fn run(config: &McConfig, sched: ReplayScheduler<'_>, from: Option<&Snapshot>) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dolbie_simnet::ProtocolRound;
 
     #[test]
     fn default_replay_matches_the_uncontrolled_sim_bitwise() {
@@ -685,6 +693,64 @@ mod tests {
                 }
             }
             assert!(forks >= 200, "{name}: only {forks} forked runs compared");
+        }
+    }
+
+    /// No invariant and no confluence key reads the link counters or the
+    /// simulated times: over sampled runs of `mw3x3` under drop +
+    /// duplicate, rewriting every round's `messages`, `bytes`, `retries`,
+    /// `acks`, `duplicates`, `compute_finished` and `control_finished`
+    /// leaves `check_trace`'s verdict, the trace digest and the fault
+    /// signature as they were — for each run as it ran, and for a copy
+    /// whose last α is raised, so that the verdict compared is a failure.
+    #[test]
+    fn verdicts_and_confluence_keys_ignore_link_counters_and_times() {
+        let perturbations: [fn(&mut ProtocolRound); 3] = [
+            |r| {
+                (r.messages, r.bytes, r.retries, r.acks, r.duplicates) = (0, 0, 0, 0, 0);
+                (r.compute_finished, r.control_finished) = (0.0, 0.0);
+            },
+            |r| {
+                r.messages = r.messages * 3 + 7;
+                r.bytes = r.bytes * 5 + 1;
+                r.retries += 11;
+                r.acks += 13;
+                r.duplicates += 17;
+                r.compute_finished = r.compute_finished * 2.0 + 1.5;
+                r.control_finished = r.compute_finished - 0.25;
+            },
+            |r| {
+                (r.messages, r.bytes, r.retries) = (usize::MAX, usize::MAX, usize::MAX);
+                (r.acks, r.duplicates) = (usize::MAX, usize::MAX);
+                (r.compute_finished, r.control_finished) = (1e300, -1e300);
+            },
+        ];
+        let config = lossy_mw();
+        let with_trace = |outcome: &RunOutcome, rounds: Vec<ProtocolRound>| {
+            let trace = outcome.trace.as_ref().map(|t| ProtocolTrace { rounds, ..t.clone() });
+            let masks = membership_masks(&config, &outcome.trail);
+            let verdict =
+                check_trace(trace.as_ref().expect("a trace"), config.rounds, |t| &masks[t]);
+            RunOutcome { trail: outcome.trail.clone(), trace, verdict }
+        };
+        for (s, prefix) in sampled_prefixes(&config, 0x5EED_0026, 200).iter().enumerate() {
+            let ran = replay(&config, prefix);
+            let rounds = ran.trace.as_ref().expect("mw3x3 runs complete").rounds.clone();
+            let mut raised = rounds.clone();
+            raised.last_mut().expect("three rounds").alpha = f64::MAX;
+            for (kind, rounds) in [("as run", rounds), ("α raised", raised)] {
+                let base = with_trace(&ran, rounds.clone());
+                assert_eq!(base.verdict.is_ok(), kind == "as run", "sample {s}, {kind}");
+                for (k, perturb) in perturbations.iter().enumerate() {
+                    let mut perturbed = rounds.clone();
+                    perturbed.iter_mut().for_each(perturb);
+                    let perturbed = with_trace(&ran, perturbed);
+                    let at = format!("sample {s}, {kind}, perturbation {k}");
+                    assert_eq!(perturbed.verdict, base.verdict, "{at}");
+                    assert_eq!(perturbed.trace_digest(), base.trace_digest(), "{at}");
+                    assert_eq!(perturbed.fault_signature(), base.fault_signature(), "{at}");
+                }
+            }
         }
     }
 

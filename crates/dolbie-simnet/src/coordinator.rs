@@ -50,9 +50,12 @@ pub struct Elected {
 /// contiguous shard's local first-maximum, combined across shards in
 /// ascending shard order with the same strict `>`, elects the identical
 /// worker (comparison is exact — no rounding is involved).
-pub fn elect_straggler(local_costs: &[f64], participants: &[bool]) -> Option<Elected> {
+pub fn elect_straggler(
+    local_costs: &[f64],
+    participants: impl IntoIterator<Item = bool>,
+) -> Option<Elected> {
     let mut best: Option<Elected> = None;
-    for (i, (&cost, &in_round)) in local_costs.iter().zip(participants).enumerate() {
+    for (i, (&cost, in_round)) in local_costs.iter().zip(participants).enumerate() {
         if !in_round {
             continue;
         }
@@ -251,14 +254,14 @@ mod tests {
     fn election_is_lowest_index_first_maximum_over_participants() {
         let costs = [1.0, 5.0, 5.0, 2.0];
         let all = [true; 4];
-        let e = elect_straggler(&costs, &all).unwrap();
+        let e = elect_straggler(&costs, all).unwrap();
         assert_eq!((e.straggler, e.global_cost), (1, 5.0), "strict > keeps the first maximum");
 
         let masked = [true, false, true, true];
-        let e = elect_straggler(&costs, &masked).unwrap();
+        let e = elect_straggler(&costs, masked).unwrap();
         assert_eq!(e.straggler, 2, "non-participants are invisible");
 
-        assert_eq!(elect_straggler(&costs, &[false; 4]), None, "collapse elects nobody");
+        assert_eq!(elect_straggler(&costs, [false; 4]), None, "collapse elects nobody");
     }
 
     #[test]
@@ -268,9 +271,9 @@ mod tests {
         // across-shard ties.
         let costs = [3.0, 7.0, 7.0, 1.0, 7.0, 2.0];
         let all = [true; 6];
-        let flat = elect_straggler(&costs, &all).unwrap();
-        let left = elect_straggler(&costs[..3], &all[..3]).unwrap();
-        let right = elect_straggler(&costs[3..], &all[3..]).unwrap();
+        let flat = elect_straggler(&costs, all).unwrap();
+        let left = elect_straggler(&costs[..3], all[..3].iter().copied()).unwrap();
+        let right = elect_straggler(&costs[3..], all[3..].iter().copied()).unwrap();
         let combined = if right.global_cost > left.global_cost {
             Elected { straggler: right.straggler + 3, ..right }
         } else {

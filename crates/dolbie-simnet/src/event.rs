@@ -4,6 +4,20 @@
 //! sequence number as the tie-breaker, so two runs over the same inputs
 //! produce identical schedules — the property the trajectory-equivalence
 //! tests rely on.
+//!
+//! ## What an event costs
+//!
+//! The binary heap orders 16-byte keys — `(time, seq, slot)`, the
+//! sequence number and the slot 32 bits each — and the events themselves
+//! sit still in a slab, in the slot their key names.
+//! A sift moves keys, never events, and a slot freed by a pop is reused
+//! by the next schedule (the vacant slots form a list threaded through
+//! the slab), so a queue that has reached its peak size schedules and
+//! pops without allocating. [`pop_nth`](EventQueue::pop_nth) parks the
+//! keys it skips in a buffer the queue owns and keeps, so an
+//! out-of-order delivery allocates nothing either. Cloning a queue (the
+//! model checker's fork) copies the keys and the slab: two allocations,
+//! whatever the number of pending events.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -13,26 +27,35 @@ use std::collections::BinaryHeap;
 pub struct Scheduled<E> {
     /// Simulated time at which the event fires.
     pub time: f64,
-    seq: u64,
     /// The event itself.
     pub event: E,
 }
 
-impl<E> PartialEq for Scheduled<E> {
+/// A pending event's place in the canonical order: its time, its
+/// sequence number, and the slab slot holding the event. Sixteen bytes,
+/// so a sift moves a key as one word pair.
+#[derive(Debug, Clone, Copy)]
+struct Key {
+    time: f64,
+    seq: u32,
+    slot: u32,
+}
+
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
 
-impl<E> Eq for Scheduled<E> {}
+impl Eq for Key {}
 
-impl<E> PartialOrd for Scheduled<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Scheduled<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse ordering: BinaryHeap is a max-heap, we want earliest first.
         other
@@ -42,6 +65,17 @@ impl<E> Ord for Scheduled<E> {
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
+
+/// A slab slot: a pending event, or a vacant slot linking to the next
+/// vacant one.
+#[derive(Debug, Clone)]
+enum Slot<E> {
+    Full(E),
+    Vacant { next: u32 },
+}
+
+/// The end of the vacant-slot list.
+const NO_SLOT: u32 = u32::MAX;
 
 /// A min-heap of timestamped events with deterministic FIFO tie-breaking.
 ///
@@ -59,37 +93,68 @@ impl<E> Ord for Scheduled<E> {
 /// assert_eq!(q.pop().unwrap().event, "late");
 /// assert!(q.pop().is_none());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
+    heap: BinaryHeap<Key>,
+    slab: Vec<Slot<E>>,
+    /// The first vacant slot of the slab ([`NO_SLOT`]: none).
+    vacant: u32,
+    /// [`pop_nth`](Self::pop_nth)'s skipped keys, kept between calls.
+    skipped: Vec<Key>,
+    next_seq: u32,
     now: f64,
+}
+
+impl<E: Clone> Clone for EventQueue<E> {
+    /// Copies the pending events into buffers as large as the original's,
+    /// so a fork scheduling the rest of its round does not regrow them;
+    /// the clone starts with an empty [`pop_nth`](Self::pop_nth) buffer
+    /// (it holds nothing between calls).
+    fn clone(&self) -> Self {
+        let mut keys = Vec::with_capacity(self.heap.capacity());
+        keys.extend(self.heap.iter().copied());
+        let mut slab = Vec::with_capacity(self.slab.capacity());
+        slab.extend(self.slab.iter().cloned());
+        Self {
+            // Already in heap order: `from` finds nothing to move.
+            heap: BinaryHeap::from(keys),
+            slab,
+            vacant: self.vacant,
+            skipped: Vec::new(),
+            next_seq: self.next_seq,
+            now: self.now,
+        }
+    }
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), next_seq: 0, now: 0.0 }
+        Self {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            vacant: NO_SLOT,
+            skipped: Vec::new(),
+            next_seq: 0,
+            now: 0.0,
+        }
     }
 
-    /// Creates an empty queue with room for `capacity` events.
-    ///
-    /// The protocol simulations know each round's expected message count
-    /// up front (e.g. `3N` for master–worker, `N(N−1) + N − 1` for
-    /// fully-distributed), so pre-reserving here removes every heap
-    /// reallocation from the per-round hot path.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self { heap: BinaryHeap::with_capacity(capacity), next_seq: 0, now: 0.0 }
+    /// Empties the queue and rewinds its clock and sequence numbers to a
+    /// new queue's, keeping its buffers: the next round's queue at no
+    /// allocation.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.slab.clear();
+        self.vacant = NO_SLOT;
+        self.next_seq = 0;
+        self.now = 0.0;
     }
 
     /// Reserves room for at least `additional` more events.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
-    }
-
-    /// Number of events the queue can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
+        self.slab.reserve(additional);
     }
 
     /// Schedules `event` at absolute simulated time `time`.
@@ -97,12 +162,38 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `time` is non-finite or earlier than the current time
-    /// (events cannot fire in the past).
+    /// (events cannot fire in the past), or if the queue has already
+    /// scheduled 2³² − 1 events since it was created or
+    /// [cleared](Self::clear).
     pub fn schedule(&mut self, time: f64, event: E) {
         assert!(time.is_finite(), "event time must be finite");
         assert!(time + 1e-12 >= self.now, "cannot schedule into the past: {time} < {}", self.now);
-        self.heap.push(Scheduled { time: time.max(self.now), seq: self.next_seq, event });
-        self.next_seq += 1;
+        let seq = self.next_seq;
+        self.next_seq = seq.checked_add(1).expect("at most 2^32 - 1 events per queue");
+        let slot = match self.slab.get(self.vacant as usize) {
+            Some(&Slot::Vacant { next }) => {
+                let slot = self.vacant;
+                self.vacant = next;
+                self.slab[slot as usize] = Slot::Full(event);
+                slot
+            }
+            _ => {
+                // A slot index is below the sequence number, so it fits.
+                self.slab.push(Slot::Full(event));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.heap.push(Key { time: time.max(self.now), seq, slot });
+    }
+
+    /// Takes the event a popped key names, vacating its slot.
+    fn take(&mut self, key: Key) -> Scheduled<E> {
+        let vacated = Slot::Vacant { next: self.vacant };
+        let slot = std::mem::replace(&mut self.slab[key.slot as usize], vacated);
+        self.vacant = key.slot;
+        let Slot::Full(event) = slot else { unreachable!("a pending key names a full slot") };
+        self.now = key.time.max(self.now);
+        Scheduled { time: key.time, event }
     }
 
     /// Pops the earliest event, advancing the simulated clock to its time.
@@ -113,9 +204,8 @@ impl<E> EventQueue<E> {
     /// FIFO-only use the `max` is a no-op — the heap minimum is always
     /// `>= now` — so historical traces are unaffected bitwise.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let next = self.heap.pop()?;
-        self.now = next.time.max(self.now);
-        Some(next)
+        let key = self.heap.pop()?;
+        Some(self.take(key))
     }
 
     /// Pops the event of `rank` in the canonical `(time, seq)` order
@@ -139,45 +229,27 @@ impl<E> EventQueue<E> {
         if rank == 0 {
             return self.pop();
         }
-        let mut skipped = Vec::with_capacity(rank);
         for _ in 0..rank {
-            skipped.push(self.heap.pop().expect("rank checked against len"));
+            let key = self.heap.pop().expect("rank checked against len");
+            self.skipped.push(key);
         }
         let chosen = self.heap.pop().expect("rank checked against len");
-        // Re-push directly (not through `schedule`): the skipped events
-        // keep their original seq numbers, so the canonical order of the
-        // remaining multiset is unchanged.
-        for s in skipped {
-            self.heap.push(s);
+        // The skipped keys go back as they were: their original seq
+        // numbers keep the canonical order of the remaining multiset.
+        for key in self.skipped.drain(..) {
+            self.heap.push(key);
         }
-        self.now = chosen.time.max(self.now);
-        Some(chosen)
+        Some(self.take(chosen))
     }
 
     /// Visits every pending event in unspecified order — the model
     /// checker folds these into an order-independent multiset
     /// fingerprint, so iteration order must not matter to the caller.
     pub fn for_each_pending(&self, mut visit: impl FnMut(&E)) {
-        for s in self.heap.iter() {
-            visit(&s.event);
-        }
-    }
-
-    /// Pops every event with `time <= deadline` into `out`, in schedule
-    /// order, advancing the clock to the last drained event's time.
-    ///
-    /// This is the batch fast path for "deliver everything due by `t`":
-    /// one call replaces a peek/pop loop at the call site, and `out` is
-    /// appended to (not cleared) so a caller-owned buffer can be recycled
-    /// across rounds without reallocating.
-    pub fn drain_until(&mut self, deadline: f64, out: &mut Vec<Scheduled<E>>) {
-        while let Some(next) = self.heap.peek() {
-            if next.time > deadline {
-                break;
+        for slot in &self.slab {
+            if let Slot::Full(event) = slot {
+                visit(event);
             }
-            let next = self.heap.pop().expect("peeked event must pop");
-            self.now = next.time;
-            out.push(next);
         }
     }
 
@@ -206,6 +278,106 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The queue's specification as the simplest model: every pending
+    /// `(time, seq, event)` in a `Vec`, sorted on demand.
+    #[derive(Default)]
+    struct SortedModel {
+        pending: Vec<(f64, u64, u32)>,
+        next_seq: u64,
+        now: f64,
+    }
+
+    impl SortedModel {
+        fn schedule(&mut self, time: f64, event: u32) {
+            self.pending.push((time.max(self.now), self.next_seq, event));
+            self.next_seq += 1;
+        }
+
+        fn clear(&mut self) {
+            *self = Self::default();
+        }
+
+        fn pop_nth(&mut self, rank: usize) -> (f64, u32) {
+            self.pending.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let (time, _, event) = self.pending.remove(rank);
+            self.now = time.max(self.now);
+            (time, event)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over random `schedule`/`pop`/`pop_nth` sequences on a coarse
+        /// time grid (so times tie often), with an occasional `clear`, the
+        /// queue pops what the sorted model pops, at the same time, with
+        /// the same clock after every operation, and keeps the same
+        /// pending multiset.
+        #[test]
+        fn the_queue_matches_a_sorted_vec_model(
+            ops in prop::collection::vec((0u8..16, 0u32..4, 0usize..8), 1..120),
+        ) {
+            let mut queue = EventQueue::new();
+            let mut model = SortedModel::default();
+            for (id, &(op, step, rank)) in ops.iter().enumerate() {
+                let id = id as u32;
+                match op {
+                    0..=6 => {
+                        let time = queue.now() + f64::from(step) * 0.25;
+                        queue.schedule(time, id);
+                        model.schedule(time, id);
+                    }
+                    15 => {
+                        queue.clear();
+                        model.clear();
+                    }
+                    _ if model.pending.is_empty() => {
+                        prop_assert!(queue.pop().is_none());
+                    }
+                    7..=10 => {
+                        let got = queue.pop().expect("the model has a pending event");
+                        let want = model.pop_nth(0);
+                        prop_assert_eq!((got.time.to_bits(), got.event), (want.0.to_bits(), want.1));
+                    }
+                    _ => {
+                        let rank = rank % model.pending.len();
+                        let got = queue.pop_nth(rank).expect("rank is in range");
+                        let want = model.pop_nth(rank);
+                        prop_assert_eq!((got.time.to_bits(), got.event), (want.0.to_bits(), want.1));
+                    }
+                }
+                prop_assert_eq!(queue.now().to_bits(), model.now.to_bits());
+                prop_assert_eq!(queue.len(), model.pending.len());
+                let mut visited = Vec::new();
+                queue.for_each_pending(|&e| visited.push(e));
+                let mut expected: Vec<u32> = model.pending.iter().map(|p| p.2).collect();
+                visited.sort_unstable();
+                expected.sort_unstable();
+                prop_assert_eq!(visited, expected);
+            }
+        }
+    }
+
+    /// A clone is an independent queue with the same pending events: both
+    /// pop the same sequence, and a slot the original reuses does not
+    /// reach the clone.
+    #[test]
+    fn a_clone_pops_what_the_original_pops() {
+        let mut q = EventQueue::new();
+        for (t, e) in [(3.0, 3), (1.0, 1), (2.0, 2), (1.0, 11)] {
+            q.schedule(t, e);
+        }
+        assert_eq!(q.pop_nth(2).unwrap().event, 2);
+        let mut fork = q.clone();
+        q.schedule(q.now(), 22);
+        let drain = |q: &mut EventQueue<i32>| {
+            std::iter::from_fn(|| q.pop().map(|s| s.event)).collect::<Vec<_>>()
+        };
+        assert_eq!(drain(&mut q), vec![1, 11, 22, 3]);
+        assert_eq!(drain(&mut fork), vec![1, 11, 3]);
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -259,60 +431,6 @@ mod tests {
     fn default_is_empty() {
         let q: EventQueue<()> = EventQueue::default();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn drain_until_takes_due_events_in_order_and_advances_the_clock() {
-        let mut q = EventQueue::new();
-        q.schedule(1.0, 1);
-        q.schedule(3.0, 3);
-        q.schedule(2.0, 2);
-        q.schedule(2.0, 22);
-        let mut due = Vec::new();
-        q.drain_until(2.0, &mut due);
-        assert_eq!(due.iter().map(|s| s.event).collect::<Vec<_>>(), vec![1, 2, 22]);
-        assert_eq!(q.now(), 2.0);
-        assert_eq!(q.len(), 1);
-        // The buffer is appended to, not cleared, so it can be recycled.
-        q.drain_until(5.0, &mut due);
-        assert_eq!(due.iter().map(|s| s.event).collect::<Vec<_>>(), vec![1, 2, 22, 3]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn drain_until_before_first_event_is_a_no_op() {
-        let mut q = EventQueue::new();
-        q.schedule(4.0, ());
-        let mut due = Vec::new();
-        q.drain_until(3.9, &mut due);
-        assert!(due.is_empty());
-        assert_eq!(q.now(), 0.0);
-        assert_eq!(q.len(), 1);
-    }
-
-    /// Pre-reserving the round's expected message count means scheduling
-    /// that many events never grows the heap — the capacity regression
-    /// guard for the per-round hot path.
-    #[test]
-    fn with_capacity_prevents_reallocation_for_the_expected_load() {
-        let expected = 3 * 100; // master–worker round at N = 100
-        let mut q = EventQueue::with_capacity(expected);
-        let initial = q.capacity();
-        assert!(initial >= expected);
-        for i in 0..expected {
-            q.schedule(i as f64 * 0.25, i);
-        }
-        assert_eq!(q.capacity(), initial, "scheduling the expected load must not reallocate");
-        let mut drained = Vec::with_capacity(expected);
-        q.drain_until(f64::INFINITY, &mut drained);
-        assert_eq!(drained.len(), expected);
-    }
-
-    #[test]
-    fn reserve_grows_capacity() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        q.reserve(64);
-        assert!(q.capacity() >= 64);
     }
 
     #[test]

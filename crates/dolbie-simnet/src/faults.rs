@@ -247,11 +247,11 @@ impl FaultPlan {
     /// of every coin within the retry envelope. The forced final attempt
     /// never consults the scheduler — loss stays delay-only by
     /// construction, in the controlled runs too.
-    pub fn transmit_with(
+    pub fn transmit_with<S: crate::sched::Scheduler + ?Sized>(
         &self,
         message: &Message,
         latency_delay: f64,
-        sched: &mut dyn crate::sched::Scheduler,
+        sched: &mut S,
     ) -> LinkOutcome {
         use crate::sched::DecisionPoint;
         if self.is_lossless() {

@@ -27,6 +27,7 @@ use crate::coordinator::{assist_step, straggler_pin_with_guard, tighten_alpha};
 use crate::event::Scheduled;
 use crate::latency::LatencyModel;
 use crate::message::{Message, NodeId, Payload};
+use crate::sched::Scheduler;
 use crate::sim::{Architecture, Cx, Ev, Protocol, Round, Sim, World};
 use dolbie_core::fingerprint::StateFp;
 
@@ -69,36 +70,41 @@ impl Architecture for FullyDistributed {
 /// Every worker's view of an open fully-distributed round.
 #[derive(Debug, Clone)]
 pub struct PeerViews {
+    /// Each worker's progress through the round.
     views: Vec<View>,
+    /// What each worker heard from each peer, one row of `n` per
+    /// receiver: the `n × n` table of a round in one allocation.
+    heard: Vec<Heard>,
     resolved_count: usize,
 }
 
-/// One worker's view of the round.
-#[derive(Debug, Clone)]
+/// One worker's progress through the round.
+#[derive(Debug, Clone, Copy, Default)]
 struct View {
-    costs: Vec<Option<f64>>,
-    alphas: Vec<Option<f64>>,
     broadcasts_received: usize,
-    decisions: Vec<Option<f64>>,
     decisions_received: usize,
     resolved: bool,
 }
 
-impl View {
-    fn new(n: usize) -> Self {
-        Self {
-            costs: vec![None; n],
-            alphas: vec![None; n],
-            broadcasts_received: 0,
-            decisions: vec![None; n],
-            decisions_received: 0,
-            resolved: false,
-        }
+/// What one worker heard from one peer.
+#[derive(Debug, Clone, Copy, Default)]
+struct Heard {
+    cost: Option<f64>,
+    alpha: Option<f64>,
+    decision: Option<f64>,
+}
+
+impl PeerViews {
+    /// What worker `me` heard, indexed by peer.
+    fn row(&self, me: usize) -> &[Heard] {
+        let n = self.views.len();
+        &self.heard[me * n..(me + 1) * n]
     }
 
-    /// Lines 5-7: the consensus step size (crashed peers contribute none).
-    fn alpha(&self) -> f64 {
-        self.alphas.iter().flatten().fold(f64::INFINITY, |acc, &a| acc.min(a))
+    /// Lines 5-7: worker `me`'s consensus step size (crashed peers
+    /// contribute none).
+    fn alpha(&self, me: usize) -> f64 {
+        self.row(me).iter().filter_map(|h| h.alpha).fold(f64::INFINITY, |acc, a| acc.min(a))
     }
 }
 
@@ -106,7 +112,10 @@ impl Protocol for FullyDistributed {
     const FINGERPRINT_TAG: u64 = 0xD01B_0003;
     type State = PeerViews;
 
-    fn open<L: LatencyModel>(round: &mut Round<FullyDistributed>, cx: &mut Cx<'_, L>) -> PeerViews {
+    fn open<L: LatencyModel, S: Scheduler + ?Sized>(
+        round: &mut Round<FullyDistributed>,
+        cx: &mut Cx<'_, L, S>,
+    ) -> PeerViews {
         let n = round.down.len();
         let alive_count = round.alive_count;
         // Expected load: every live worker broadcasts its cost to the
@@ -119,14 +128,16 @@ impl Protocol for FullyDistributed {
             }
         }
 
-        let mut views: Vec<View> = (0..n).map(|_| View::new(n)).collect();
+        let mut views = vec![View::default(); n];
+        let mut heard = vec![Heard::default(); n * n];
         // Seed each worker's own observation (lines 2-3).
         for (i, view) in views.iter_mut().enumerate() {
             if round.down[i] {
                 continue;
             }
-            view.costs[i] = Some(round.local_costs[i]);
-            view.alphas[i] = Some(cx.alphas[i]);
+            let own = &mut heard[i * n + i];
+            own.cost = Some(round.local_costs[i]);
+            own.alpha = Some(cx.alphas[i]);
             view.broadcasts_received = 1;
         }
         for (j, &c) in round.local_costs.iter().enumerate() {
@@ -135,14 +146,14 @@ impl Protocol for FullyDistributed {
                 round.straggler = j;
             }
         }
-        PeerViews { views, resolved_count: 0 }
+        PeerViews { views, heard, resolved_count: 0 }
     }
 
-    fn deliver<L: LatencyModel>(
+    fn deliver<L: LatencyModel, S: Scheduler + ?Sized>(
         round: &mut Round<FullyDistributed>,
         st: &mut PeerViews,
         scheduled: Scheduled<Ev>,
-        cx: &mut Cx<'_, L>,
+        cx: &mut Cx<'_, L, S>,
     ) {
         let t = round.t;
         let now = scheduled.time;
@@ -169,21 +180,23 @@ impl Protocol for FullyDistributed {
                 let NodeId::Worker(sender) = msg.from else {
                     unreachable!("no master in the fully-distributed protocol")
                 };
-                let view = &mut st.views[me];
+                let n = st.views.len();
+                let (view, from) = (&mut st.views[me], &mut st.heard[me * n + sender]);
                 match msg.payload {
                     Payload::CostAndStepSize { cost, alpha } => {
-                        assert!(view.costs[sender].is_none(), "duplicate broadcast");
-                        view.costs[sender] = Some(cost);
-                        view.alphas[sender] = Some(alpha);
+                        assert!(from.cost.is_none(), "duplicate broadcast");
+                        from.cost = Some(cost);
+                        from.alpha = Some(alpha);
                         view.broadcasts_received += 1;
                     }
                     Payload::Decision { share } => {
-                        assert!(view.decisions[sender].is_none(), "duplicate decision");
-                        view.decisions[sender] = Some(share);
+                        assert!(from.decision.is_none(), "duplicate decision");
+                        from.decision = Some(share);
                         view.decisions_received += 1;
                     }
                     _ => unreachable!("master-worker payload in Algorithm 2"),
                 }
+                let view = *view;
                 // Try to resolve worker `me` (lines 5-13). A receiver that
                 // cannot resolve yet (or already has) leaves the straggler
                 // unchecked after this event.
@@ -191,7 +204,7 @@ impl Protocol for FullyDistributed {
                     return;
                 }
                 // Lines 5-7: every worker derives the same view.
-                let alpha_t = view.alpha();
+                let alpha_t = st.alpha(me);
                 if me != round.straggler {
                     // Lines 8-10.
                     let updated =
@@ -239,15 +252,16 @@ impl Protocol for FullyDistributed {
         fp.push_f64(round.global_cost);
         fp.push_usize(round.straggler);
         fp.push_usize(st.resolved_count);
-        for view in &st.views {
-            for c in &view.costs {
-                fp.push_opt_f64(*c);
+        for (me, view) in st.views.iter().enumerate() {
+            let row = st.row(me);
+            for h in row {
+                fp.push_opt_f64(h.cost);
             }
-            for a in &view.alphas {
-                fp.push_opt_f64(*a);
+            for h in row {
+                fp.push_opt_f64(h.alpha);
             }
-            for d in &view.decisions {
-                fp.push_opt_f64(*d);
+            for h in row {
+                fp.push_opt_f64(h.decision);
             }
             fp.push_usize(view.broadcasts_received);
             fp.push_usize(view.decisions_received);
@@ -260,11 +274,11 @@ impl PeerViews {
     /// Lines 11-13 at the straggler: every live peer's decision is in
     /// `next_shares` (written before it was sent), crashed workers'
     /// shares sit there frozen.
-    fn pin<L: LatencyModel>(
+    fn pin<L: LatencyModel, S: Scheduler + ?Sized>(
         &mut self,
         round: &mut Round<FullyDistributed>,
         now: f64,
-        cx: &mut Cx<'_, L>,
+        cx: &mut Cx<'_, L, S>,
     ) {
         let s = round.straggler;
         let s_share = straggler_pin_with_guard(
@@ -273,18 +287,18 @@ impl PeerViews {
             s,
             !cx.sched.sabotage_overshoot_guard(),
         );
-        round.next_alphas[s] = tighten_alpha(self.views[s].alpha(), round.member_count, s_share);
+        round.next_alphas[s] = tighten_alpha(self.alpha(s), round.member_count, s_share);
         self.resolve(round, s, now, cx);
     }
 
     /// Worker `me` is done with the round at `now`; the round closes once
     /// every live worker is.
-    fn resolve<L>(
+    fn resolve<L, S: Scheduler + ?Sized>(
         &mut self,
         round: &mut Round<FullyDistributed>,
         me: usize,
         now: f64,
-        cx: &mut Cx<'_, L>,
+        cx: &mut Cx<'_, L, S>,
     ) {
         self.views[me].resolved = true;
         self.resolved_count += 1;

@@ -163,13 +163,13 @@ pub fn termination_violation(produced: usize, expected: usize) -> bool {
 /// sweep's canonical wording and detection order (termination, then per
 /// round: simplex sum, negative share, α rise, stranded share, stranded
 /// active). `members_at(t)` must return the membership mask in force at
-/// round `t`.
+/// round `t`, owned or borrowed.
 ///
 /// Invariant 4 is deliberately absent: it compares *across* runs.
-pub fn check_trace(
+pub fn check_trace<M: AsRef<[bool]>>(
     trace: &ProtocolTrace,
     expected_rounds: usize,
-    mut members_at: impl FnMut(usize) -> Vec<bool>,
+    mut members_at: impl FnMut(usize) -> M,
 ) -> Result<(), String> {
     if termination_violation(trace.rounds.len(), expected_rounds) {
         return Err(format!(
@@ -200,7 +200,8 @@ pub fn check_trace(
             ));
         }
         let members = members_at(r.round);
-        if let Some(v) = stranded_violation(&members, r.allocation.as_slice(), Some(&r.active)) {
+        let members = members.as_ref();
+        if let Some(v) = stranded_violation(members, r.allocation.as_slice(), Some(&r.active)) {
             return Err(match v {
                 StrandedShare::Share { worker, share } => format!(
                     "stranded share: {} round {} leaves {share:.3e} on departed worker {worker}",

@@ -40,6 +40,7 @@ use crate::coordinator::{assist_step, elect_straggler, straggler_pin_with_guard,
 use crate::event::Scheduled;
 use crate::latency::LatencyModel;
 use crate::message::{Message, NodeId, Payload};
+use crate::sched::Scheduler;
 use crate::sim::{Architecture, Cx, Ev, Protocol, Round, Sim, World};
 use dolbie_core::fingerprint::StateFp;
 use dolbie_core::Environment;
@@ -98,22 +99,34 @@ impl<E: Environment, L: LatencyModel> MasterWorkerSim<E, L> {
 /// The master's state in an open master-worker round.
 #[derive(Debug, Clone)]
 pub struct MasterState {
-    costs_received: Vec<bool>,
+    /// What the master holds from each worker this round: one record per
+    /// worker, so a round and a fork allocate it once.
+    workers: Vec<Report>,
     costs_count: usize,
     coordination_sent: bool,
-    participants: Vec<bool>,
-    /// Alive workers shut out by the cost timeout this round.
-    excluded: Vec<bool>,
-    decisions: Vec<Option<f64>>,
     decisions_count: usize,
     expected_decisions: usize,
+}
+
+/// What the master holds from one worker in an open round.
+#[derive(Debug, Clone, Copy, Default)]
+struct Report {
+    cost_received: bool,
+    /// Reported in time to take part in the decision phase.
+    participant: bool,
+    /// Alive but shut out by the cost timeout this round.
+    excluded: bool,
+    decision: Option<f64>,
 }
 
 impl Protocol for MasterWorker {
     const FINGERPRINT_TAG: u64 = 0xD01B_0001;
     type State = MasterState;
 
-    fn open<L: LatencyModel>(round: &mut Round<MasterWorker>, cx: &mut Cx<'_, L>) -> MasterState {
+    fn open<L: LatencyModel, S: Scheduler + ?Sized>(
+        round: &mut Round<MasterWorker>,
+        cx: &mut Cx<'_, L, S>,
+    ) -> MasterState {
         let n = round.down.len();
         // A full round is cost + share + ack per live worker, plus retries
         // and an optional timeout; reserve up front so the heap never
@@ -132,27 +145,24 @@ impl Protocol for MasterWorker {
             round.queue.schedule(round_base + timeout, Ev::CostTimeout);
         }
         MasterState {
-            costs_received: vec![false; n],
+            workers: vec![Report::default(); n],
             costs_count: 0,
             coordination_sent: false,
-            participants: vec![false; n],
-            excluded: vec![false; n],
-            decisions: vec![None; n],
             decisions_count: 0,
             expected_decisions: usize::MAX,
         }
     }
 
-    fn deliver<L: LatencyModel>(
+    fn deliver<L: LatencyModel, S: Scheduler + ?Sized>(
         round: &mut Round<MasterWorker>,
         st: &mut MasterState,
         scheduled: Scheduled<Ev>,
-        cx: &mut Cx<'_, L>,
+        cx: &mut Cx<'_, L, S>,
     ) {
         let t = round.t;
         match scheduled.event {
             Ev::ComputeDone { worker } => {
-                if st.excluded[worker] {
+                if st.workers[worker].excluded {
                     // Already accounted at exclusion time; the worker
                     // knows the round moved on without it and reports
                     // nothing.
@@ -181,8 +191,8 @@ impl Protocol for MasterWorker {
                         // this round out.
                         return;
                     }
-                    assert!(!st.costs_received[i], "duplicate cost report");
-                    st.costs_received[i] = true;
+                    assert!(!st.workers[i].cost_received, "duplicate cost report");
+                    st.workers[i].cost_received = true;
                     st.costs_count += 1;
                     if st.costs_count == round.alive_count {
                         st.coordinate(round, cx);
@@ -210,8 +220,8 @@ impl Protocol for MasterWorker {
                     let NodeId::Worker(i) = msg.from else {
                         unreachable!("only workers send decisions")
                     };
-                    assert!(st.decisions[i].is_none(), "duplicate decision");
-                    st.decisions[i] = Some(share);
+                    assert!(st.workers[i].decision.is_none(), "duplicate decision");
+                    st.workers[i].decision = Some(share);
                     st.decisions_count += 1;
                     if st.decisions_count == st.expected_decisions {
                         st.finalize(round, cx);
@@ -245,22 +255,22 @@ impl Protocol for MasterWorker {
         fp.push_f64_slice(&round.next_shares);
         fp.push_bool_slice(members);
         fp.push_bool_slice(&round.down);
-        fp.push_bool_slice(&st.costs_received);
-        fp.push_bool_slice(&st.participants);
-        fp.push_bool_slice(&st.excluded);
+        fp.push_bools(st.workers.iter().map(|w| w.cost_received));
+        fp.push_bools(st.workers.iter().map(|w| w.participant));
+        fp.push_bools(st.workers.iter().map(|w| w.excluded));
         fp.push_u64(u64::from(st.coordination_sent));
         fp.push_f64(round.global_cost);
         fp.push_usize(round.straggler);
         fp.push_usize(st.decisions_count);
         fp.push_usize(st.expected_decisions);
-        for d in &st.decisions {
-            fp.push_opt_f64(*d);
+        for w in &st.workers {
+            fp.push_opt_f64(w.decision);
         }
     }
 
     /// The workers that reported in time.
     fn active(_round: &Round<MasterWorker>, st: MasterState) -> Vec<bool> {
-        st.participants
+        st.workers.iter().map(|w| w.participant).collect()
     }
 }
 
@@ -269,29 +279,34 @@ impl MasterState {
     /// the participant set, identify the straggler among it, and
     /// broadcast the coordination scalars; then lines 14-16 at once if
     /// the straggler is the only participant.
-    fn coordinate<L: LatencyModel>(&mut self, round: &mut Round<MasterWorker>, cx: &mut Cx<'_, L>) {
-        let n = self.participants.len();
+    fn coordinate<L: LatencyModel, S: Scheduler + ?Sized>(
+        &mut self,
+        round: &mut Round<MasterWorker>,
+        cx: &mut Cx<'_, L, S>,
+    ) {
+        let n = self.workers.len();
         self.coordination_sent = true;
-        self.participants.copy_from_slice(&self.costs_received);
-        for (j, ready) in cx.ready_at.iter_mut().enumerate() {
-            if round.down[j] || self.participants[j] {
+        for (j, (w, ready)) in self.workers.iter_mut().zip(cx.ready_at.iter_mut()).enumerate() {
+            w.participant = w.cost_received;
+            if round.down[j] || w.participant {
                 continue;
             }
             // Timed out: the worker's in-flight execution is abandoned,
             // but it still has to finish it before round t+1, and that
             // execution is compute time of *this* round (accounting
             // bugfixes).
-            self.excluded[j] = true;
+            w.excluded = true;
             *ready += round.local_costs[j];
             round.compute_finished = round.compute_finished.max(*ready);
         }
-        let elected = elect_straggler(&round.local_costs, &self.participants)
-            .expect("coordination requires at least one participant");
+        let elected =
+            elect_straggler(&round.local_costs, self.workers.iter().map(|w| w.participant))
+                .expect("coordination requires at least one participant");
         round.global_cost = elected.global_cost;
         round.straggler = elected.straggler;
-        self.expected_decisions = self.participants.iter().filter(|&&p| p).count() - 1;
+        self.expected_decisions = self.workers.iter().filter(|w| w.participant).count() - 1;
         for j in 0..n {
-            if !self.participants[j] {
+            if !self.workers[j].participant {
                 continue;
             }
             let payload = Payload::Coordination {
@@ -309,10 +324,14 @@ impl MasterState {
     }
 
     /// Lines 14-16, triggered once every expected decision arrived.
-    fn finalize<L: LatencyModel>(&mut self, round: &mut Round<MasterWorker>, cx: &mut Cx<'_, L>) {
-        for j in 0..self.participants.len() {
-            if j != round.straggler && self.participants[j] {
-                round.next_shares[j] = self.decisions[j].expect("participant reported");
+    fn finalize<L: LatencyModel, S: Scheduler + ?Sized>(
+        &mut self,
+        round: &mut Round<MasterWorker>,
+        cx: &mut Cx<'_, L, S>,
+    ) {
+        for (j, w) in self.workers.iter().enumerate() {
+            if j != round.straggler && w.participant {
+                round.next_shares[j] = w.decision.expect("participant reported");
             }
         }
         // Crashed/timed-out workers keep their frozen entry in

@@ -231,11 +231,11 @@ impl MembershipSchedule {
     /// [`validate`](Self::validate)d schedule — is force-skipped without
     /// consulting the scheduler, keeping controlled runs inside the
     /// non-empty-membership domain the epoch transition is defined on.
-    pub fn apply_round_sched(
+    pub fn apply_round_sched<S: crate::sched::Scheduler + ?Sized>(
         &self,
         round: usize,
         members: &mut [bool],
-        sched: &mut dyn crate::sched::Scheduler,
+        sched: &mut S,
     ) -> EpochChange {
         use crate::sched::DecisionPoint;
         let mut change = EpochChange { changed: false, crash_detected: false };

@@ -42,6 +42,7 @@ use crate::coordinator::{assist_step, straggler_pin_with_guard, tighten_alpha};
 use crate::event::Scheduled;
 use crate::latency::LatencyModel;
 use crate::message::{Message, NodeId, Payload};
+use crate::sched::Scheduler;
 use crate::sim::{Architecture, Cx, Ev, Protocol, Round, Sim, World};
 use dolbie_core::fingerprint::StateFp;
 
@@ -88,9 +89,9 @@ pub struct TokenState {
     /// The lowest-indexed survivor: it originates the token and computes
     /// the straggler remainder.
     head: usize,
-    /// Each survivor's successor on the ring.
-    succ: Vec<usize>,
-    computed: Vec<bool>,
+    /// Each worker's place on the ring: one record per worker, so a
+    /// round and a fork allocate it once.
+    seats: Vec<Seat>,
     /// Pass-1 token state: held by `token_at` waiting for that worker's
     /// compute, or in flight as a message.
     pending_aggregate: Option<(usize, f64, usize, f64)>,
@@ -99,48 +100,58 @@ pub struct TokenState {
     straggler_alpha: f64,
 }
 
+/// One worker's place on the ring in an open round.
+#[derive(Debug, Clone, Copy)]
+struct Seat {
+    /// Its successor on the ring of survivors (`usize::MAX` if down).
+    succ: usize,
+    /// Whether it has finished executing its share.
+    computed: bool,
+}
+
 impl Protocol for Ring {
     const FINGERPRINT_TAG: u64 = 0xD01B_0002;
     type State = TokenState;
 
-    fn open<L: LatencyModel>(round: &mut Round<Ring>, cx: &mut Cx<'_, L>) -> TokenState {
+    fn open<L: LatencyModel, S: Scheduler + ?Sized>(
+        round: &mut Round<Ring>,
+        cx: &mut Cx<'_, L, S>,
+    ) -> TokenState {
         let n = round.down.len();
-        // The ring of survivors, in ascending worker order.
-        let alive: Vec<usize> = (0..n).filter(|&i| !round.down[i]).collect();
-        let head = alive[0];
-        let mut succ = vec![usize::MAX; n];
-        for (k, &w) in alive.iter().enumerate() {
-            succ[w] = alive[(k + 1) % alive.len()];
+        // The ring of survivors, in ascending worker order: each links to
+        // the next survivor, and the last wraps to the head.
+        let alive = |i: &usize| !round.down[*i];
+        let head = (0..n).find(alive).expect("an opened round has a survivor");
+        let mut seats = vec![Seat { succ: usize::MAX, computed: false }; n];
+        let mut last = head;
+        for w in (head + 1..n).filter(alive) {
+            seats[last].succ = w;
+            last = w;
         }
+        seats[last].succ = head;
 
         // Two token passes around the ring of survivors plus each
         // survivor's compute-done marker.
-        round.queue.reserve(3 * alive.len() + 1);
-        for &i in &alive {
+        round.queue.reserve(3 * round.alive_count + 1);
+        for i in (0..n).filter(alive) {
             let done = cx.ready_at[i] + round.local_costs[i];
             round.queue.schedule(done, Ev::ComputeDone { worker: i });
         }
-        TokenState {
-            head,
-            succ,
-            computed: vec![false; n],
-            pending_aggregate: None,
-            straggler_alpha: f64::INFINITY,
-        }
+        TokenState { head, seats, pending_aggregate: None, straggler_alpha: f64::INFINITY }
     }
 
-    fn deliver<L: LatencyModel>(
+    fn deliver<L: LatencyModel, S: Scheduler + ?Sized>(
         round: &mut Round<Ring>,
         st: &mut TokenState,
         scheduled: Scheduled<Ev>,
-        cx: &mut Cx<'_, L>,
+        cx: &mut Cx<'_, L, S>,
     ) {
         let now = scheduled.time;
         let head = st.head;
         match scheduled.event {
             Ev::ComputeDone { worker } => {
                 round.compute_finished = round.compute_finished.max(now);
-                st.computed[worker] = true;
+                st.seats[worker].computed = true;
                 if worker == head {
                     // The head originates the aggregation token.
                     let payload = Payload::RingAggregate {
@@ -148,7 +159,7 @@ impl Protocol for Ring {
                         straggler: head,
                         min_alpha: cx.alphas[head],
                     };
-                    hop(round, cx, head, st.succ[head], payload);
+                    hop(round, cx, head, st.seats[head].succ, payload);
                 } else if let Some((held_by, max_cost, arg, min_alpha)) =
                     st.pending_aggregate.take()
                 {
@@ -195,8 +206,8 @@ impl Protocol for Ring {
                                 alpha,
                                 sum_shares: sum,
                             };
-                            hop(round, cx, head, st.succ[head], payload);
-                        } else if st.computed[me] {
+                            hop(round, cx, head, st.seats[head].succ, payload);
+                        } else if st.seats[me].computed {
                             // Fold in and forward immediately.
                             st.forward_aggregate(round, me, (max_cost, arg, min_alpha), cx);
                         } else {
@@ -246,7 +257,7 @@ impl Protocol for Ring {
                                 alpha,
                                 sum_shares: sum,
                             };
-                            hop(round, cx, me, st.succ[me], payload);
+                            hop(round, cx, me, st.seats[me].succ, payload);
                         }
                     }
                     Payload::StragglerAssignment { share } => {
@@ -280,7 +291,7 @@ impl Protocol for Ring {
         fp.push_f64_slice(&round.next_alphas);
         fp.push_bool_slice(members);
         fp.push_bool_slice(&round.down);
-        fp.push_bool_slice(&st.computed);
+        fp.push_bools(st.seats.iter().map(|seat| seat.computed));
         match st.pending_aggregate {
             None => fp.push_u64(0),
             Some((held_by, max_cost, arg, min_alpha)) => {
@@ -299,12 +310,12 @@ impl Protocol for Ring {
 
 impl TokenState {
     /// Folds worker `me` into the pass-1 token and forwards it.
-    fn forward_aggregate<L: LatencyModel>(
+    fn forward_aggregate<L: LatencyModel, S: Scheduler + ?Sized>(
         &mut self,
         round: &mut Round<Ring>,
         me: usize,
         (max_cost, arg, min_alpha): (f64, usize, f64),
-        cx: &mut Cx<'_, L>,
+        cx: &mut Cx<'_, L, S>,
     ) {
         let (max_cost, straggler) = if round.local_costs[me] > max_cost {
             (round.local_costs[me], me)
@@ -313,14 +324,14 @@ impl TokenState {
         };
         let min_alpha = min_alpha.min(cx.alphas[me]);
         let payload = Payload::RingAggregate { max_cost, straggler, min_alpha };
-        hop(round, cx, me, self.succ[me], payload);
+        hop(round, cx, me, self.seats[me].succ, payload);
     }
 }
 
 /// Sends `payload` from worker `from` to worker `to`.
-fn hop<L: LatencyModel>(
+fn hop<L: LatencyModel, S: Scheduler + ?Sized>(
     round: &mut Round<Ring>,
-    cx: &mut Cx<'_, L>,
+    cx: &mut Cx<'_, L, S>,
     from: usize,
     to: usize,
     payload: Payload,

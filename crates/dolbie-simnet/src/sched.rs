@@ -138,7 +138,10 @@ impl Scheduler for FifoScheduler {}
 /// one event is pending (no choice exists — the scheduler is not even
 /// consulted, keeping decision traces free of forced moves), otherwise
 /// the scheduler's chosen rank in canonical order, clamped into range.
-pub fn pop_with<E>(queue: &mut EventQueue<E>, sched: &mut dyn Scheduler) -> Option<Scheduled<E>> {
+pub fn pop_with<E, S: Scheduler + ?Sized>(
+    queue: &mut EventQueue<E>,
+    sched: &mut S,
+) -> Option<Scheduled<E>> {
     match queue.len() {
         0 => None,
         1 => queue.pop(),

@@ -61,7 +61,7 @@ use crate::faults::{Crash, FaultPlan, LinkStats};
 use crate::latency::LatencyModel;
 use crate::message::{Message, NodeId, Payload};
 use crate::sched::FifoScheduler;
-use crate::sim::{Architecture, Round, Sim};
+use crate::sim::{Architecture, Round, Sim, Spare};
 use crate::trace::{ProtocolRound, ProtocolTrace};
 use dolbie_core::shard::ShardLayout;
 use dolbie_core::{Allocation, DolbieConfig, Environment};
@@ -176,8 +176,15 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
             // The epoch boundary (the root runs the flat transition over
             // the gathered slices: the one O(N)-at-the-root event), the
             // reveal and the crash windows, as in the flat simulators.
-            let Some(Round { fns, down, member_count, local_costs, mut next_shares, .. }) =
-                self.open_round(t, &mut members, &mut ready_at, &mut trace, &mut FifoScheduler)
+            let Some(Round { fns, down, member_count, local_costs, mut next_shares, .. }) = self
+                .open_round(
+                    t,
+                    &mut members,
+                    &mut ready_at,
+                    &mut trace,
+                    &mut Spare::default(),
+                    &mut FifoScheduler,
+                )
             else {
                 root_rounds.push(RootTierRound::default());
                 continue;
@@ -226,9 +233,11 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
                     continue;
                 }
                 let range = self.arch.range(k);
-                let candidate =
-                    elect_straggler(&local_costs[range.clone()], &participants[range.clone()])
-                        .expect("a live shard has a participant");
+                let candidate = elect_straggler(
+                    &local_costs[range.clone()],
+                    participants[range.clone()].iter().copied(),
+                )
+                .expect("a live shard has a participant");
                 let global_idx = range.start + candidate.straggler;
                 let arrive = transmit(
                     &mut self.latency,
@@ -259,7 +268,7 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
             }
             let (global_cost, straggler) = best.expect("alive_count > 0 elects a straggler");
             debug_assert_eq!(
-                elect_straggler(&local_costs, &participants).map(|e| e.straggler),
+                elect_straggler(&local_costs, participants.iter().copied()).map(|e| e.straggler),
                 Some(straggler),
                 "shard-order candidate combination must reproduce the flat scan"
             );

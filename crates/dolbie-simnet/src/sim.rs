@@ -74,15 +74,18 @@ pub trait Protocol: Architecture + Clone + Debug + Default {
     /// Starts an opened round (its shared fields set, its queue empty):
     /// schedules every live worker's execution, and any timer, and
     /// returns the round's state.
-    fn open<L: LatencyModel>(round: &mut Round<Self>, cx: &mut Cx<'_, L>) -> Self::State;
+    fn open<L: LatencyModel, S: Scheduler + ?Sized>(
+        round: &mut Round<Self>,
+        cx: &mut Cx<'_, L, S>,
+    ) -> Self::State;
 
     /// Handles one event of the round, setting `round.done` once the
     /// round is complete.
-    fn deliver<L: LatencyModel>(
+    fn deliver<L: LatencyModel, S: Scheduler + ?Sized>(
         round: &mut Round<Self>,
         state: &mut Self::State,
         event: Scheduled<Ev>,
-        cx: &mut Cx<'_, L>,
+        cx: &mut Cx<'_, L, S>,
     );
 
     /// Pushes the architecture's fields of the state fingerprint, which
@@ -145,10 +148,10 @@ pub struct Round<A: Architecture> {
 /// What a handler may touch outside its round: the links and the
 /// scheduler it sends with, the committed shares and step sizes it
 /// reads, and the per-worker clocks it advances.
-pub struct Cx<'a, L> {
+pub struct Cx<'a, L, S: ?Sized> {
     pub(crate) latency: &'a mut L,
     pub(crate) plan: &'a FaultPlan,
-    pub(crate) sched: &'a mut dyn Scheduler,
+    pub(crate) sched: &'a mut S,
     pub(crate) shares: &'a [f64],
     pub(crate) alphas: &'a [f64],
     /// Per-worker time at which it may begin executing the next round.
@@ -159,13 +162,25 @@ impl<A: Architecture> Round<A> {
     /// Sends `msg`: its latency, the fault plan's retry envelope (each
     /// wire coin a scheduler decision), the round's link statistics, and
     /// its delivery event.
-    pub(crate) fn send<L: LatencyModel>(&mut self, cx: &mut Cx<'_, L>, msg: Message) {
+    pub(crate) fn send<L: LatencyModel, S: Scheduler + ?Sized>(
+        &mut self,
+        cx: &mut Cx<'_, L, S>,
+        msg: Message,
+    ) {
         let delay = cx.latency.delay(&msg);
         assert!(delay >= 0.0, "latency model produced a negative delay");
         let outcome = cx.plan.transmit_with(&msg, delay, cx.sched);
         self.stats.record(&msg, &outcome);
         self.queue.schedule(self.queue.now() + outcome.delivery_delay, Ev::Deliver(msg));
     }
+}
+
+/// A closed round's buffers, emptied for the next round to reuse: its
+/// event queue and its `down` mask.
+#[derive(Debug, Default)]
+pub(crate) struct Spare {
+    queue: EventQueue<Ev>,
+    down: Vec<bool>,
 }
 
 /// A protocol simulator: the environment, the latency model, the
@@ -253,15 +268,17 @@ impl<A: Architecture, E: Environment, L: LatencyModel> Sim<A, E, L> {
 
     /// Opens round `t` up to the architecture's own messages: the epoch
     /// boundary, the reveal, the crash decisions and the live workers'
-    /// local costs. A round nobody can play — or, leaderless, only one
-    /// worker — is recorded on the spot and `None` returned.
-    pub(crate) fn open_round(
+    /// local costs, in buffers taken from `spare`. A round nobody can
+    /// play — or, leaderless, only one worker — is recorded on the spot
+    /// and `None` returned.
+    pub(crate) fn open_round<S: Scheduler + ?Sized>(
         &mut self,
         t: usize,
         members: &mut [bool],
         ready_at: &mut [f64],
         trace: &mut Vec<ProtocolRound>,
-        sched: &mut dyn Scheduler,
+        spare: &mut Spare,
+        sched: &mut S,
     ) -> Option<Round<A>> {
         let n = self.shares.len();
         // Epoch boundary: apply scheduled leaves/joins, re-normalize onto
@@ -287,13 +304,13 @@ impl<A: Architecture, E: Environment, L: LatencyModel> Sim<A, E, L> {
 
         let fns: Arc<[DynCost]> = self.env.reveal(t).into();
         assert_eq!(fns.len(), n, "environment must cover every worker");
-        let down: Vec<bool> = (0..n)
-            .map(|i| {
-                !members[i]
-                    || (self.plan.crashed(i, t)
-                        && sched.decide(DecisionPoint::Crash { worker: i, round: t }, true))
-            })
-            .collect();
+        let mut down = std::mem::take(&mut spare.down);
+        down.clear();
+        down.extend((0..n).map(|i| {
+            !members[i]
+                || (self.plan.crashed(i, t)
+                    && sched.decide(DecisionPoint::Crash { worker: i, round: t }, true))
+        }));
         let alive_count = down.iter().filter(|&&c| !c).count();
         let local_costs: Vec<f64> =
             (0..n).map(|i| if down[i] { 0.0 } else { fns[i].eval(self.shares[i]) }).collect();
@@ -301,6 +318,7 @@ impl<A: Architecture, E: Environment, L: LatencyModel> Sim<A, E, L> {
             // Membership collapsed: freeze every share and continue.
             let alpha = reported_alpha::<A>(self.alphas.as_ref(), members);
             trace.push(frozen_round(t, &self.shares, local_costs, ready_at, n, alpha));
+            spare.down = down;
             return None;
         }
         if A::LEADERLESS && alive_count == 1 {
@@ -314,6 +332,7 @@ impl<A: Architecture, E: Environment, L: LatencyModel> Sim<A, E, L> {
                 &down,
                 members,
             ));
+            spare.down = down;
             return None;
         }
         Some(Round {
@@ -323,7 +342,7 @@ impl<A: Architecture, E: Environment, L: LatencyModel> Sim<A, E, L> {
             alive_count,
             member_count,
             local_costs,
-            queue: EventQueue::new(),
+            queue: std::mem::take(&mut spare.queue),
             stats: LinkStats::default(),
             next_shares: self.shares.clone(),
             next_alphas: self.alphas.clone(),
@@ -424,7 +443,7 @@ impl<P: Protocol, E: Environment, L: LatencyModel> World<P, E, L> {
     /// # Panics
     ///
     /// As [`Sim::run_with_scheduler`].
-    pub fn step(&mut self, sched: &mut dyn Scheduler) -> bool {
+    pub fn step<S: Scheduler + ?Sized>(&mut self, sched: &mut S) -> bool {
         self.run.step(&mut self.sim, sched)
     }
 
@@ -447,9 +466,10 @@ impl<P: Protocol, E: Environment, L: LatencyModel> World<P, E, L> {
 }
 
 /// The state a run keeps between steps, apart from the simulator.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Run<P: Protocol> {
     rounds: usize,
+    /// The completed rounds, with room for the whole horizon.
     trace: Vec<ProtocolRound>,
     /// Per-worker time at which it may begin executing the round.
     ready_at: Vec<f64>,
@@ -457,6 +477,8 @@ struct Run<P: Protocol> {
     members: Vec<bool>,
     /// The open round, if any.
     round: Option<(Round<P>, P::State)>,
+    /// The last closed round's buffers, for the next round to reuse.
+    spare: Spare,
 }
 
 impl<P: Protocol> Run<P> {
@@ -467,6 +489,7 @@ impl<P: Protocol> Run<P> {
             ready_at: vec![0.0f64; n],
             members: vec![true; n],
             round: None,
+            spare: Spare::default(),
         }
     }
 
@@ -474,18 +497,20 @@ impl<P: Protocol> Run<P> {
         ProtocolTrace { architecture: P::NAME, rounds: self.trace }
     }
 
-    fn step<E: Environment, L: LatencyModel>(
+    fn step<E: Environment, L: LatencyModel, S: Scheduler + ?Sized>(
         &mut self,
         sim: &mut Sim<P, E, L>,
-        sched: &mut dyn Scheduler,
+        sched: &mut S,
     ) -> bool {
         let t = self.trace.len();
         let Some((round, state)) = &mut self.round else {
             if t == self.rounds {
                 return false;
             }
+            let (members, ready_at, trace) =
+                (&mut self.members, &mut self.ready_at, &mut self.trace);
             if let Some(mut round) =
-                sim.open_round(t, &mut self.members, &mut self.ready_at, &mut self.trace, sched)
+                sim.open_round(t, members, ready_at, trace, &mut self.spare, sched)
             {
                 let state = P::open(&mut round, &mut cx(sim, &mut self.ready_at, sched));
                 self.round = Some((round, state));
@@ -526,6 +551,10 @@ impl<P: Protocol> Run<P> {
         // update becomes the simulator's.
         let executed = std::mem::replace(&mut sim.shares, round.next_shares);
         let executed = Allocation::from_update(executed).expect("protocol preserves feasibility");
+        let mut queue = round.queue;
+        queue.clear();
+        self.spare.queue = queue;
+        self.spare.down = round.down;
         self.trace.push(ProtocolRound {
             round: t,
             allocation: executed,
@@ -546,12 +575,30 @@ impl<P: Protocol> Run<P> {
     }
 }
 
+impl<P: Protocol> Clone for Run<P> {
+    /// Copies the run for a fork. The copy's trace has room for the whole
+    /// horizon, so recording its next round does not regrow it; the
+    /// spare buffers stay behind, since the copy's open round has its own.
+    fn clone(&self) -> Self {
+        let mut trace = Vec::with_capacity(self.rounds);
+        trace.extend_from_slice(&self.trace);
+        Self {
+            rounds: self.rounds,
+            trace,
+            ready_at: self.ready_at.clone(),
+            members: self.members.clone(),
+            round: self.round.clone(),
+            spare: Spare::default(),
+        }
+    }
+}
+
 /// A handler's context over `sim`'s fields and the run's clocks.
-fn cx<'a, A: Architecture, E, L>(
+fn cx<'a, A: Architecture, E, L, S: ?Sized>(
     sim: &'a mut Sim<A, E, L>,
     ready_at: &'a mut [f64],
-    sched: &'a mut dyn Scheduler,
-) -> Cx<'a, L> {
+    sched: &'a mut S,
+) -> Cx<'a, L, S> {
     Cx {
         latency: &mut sim.latency,
         plan: &sim.plan,
