@@ -108,9 +108,8 @@ struct BenchRow {
 fn write_bench_json(rows: &[BenchRow], threads: usize, quick: bool) {
     let path = common::workspace_root()
         .join(format!("{}.json", common::artifact("BENCH_paper_figures", quick)));
-    let cpu_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut body = String::from("{\n");
-    body.push_str(&format!("  \"cpu_cores\": {cpu_cores},\n"));
+    body.push_str(&common::host_json_fields());
     body.push_str(&format!("  \"threads\": {threads},\n"));
     body.push_str(&format!("  \"quick\": {quick},\n"));
     body.push_str("  \"targets\": [\n");
@@ -201,8 +200,7 @@ fn main() {
     if targets.is_empty() {
         usage();
     }
-    let threads =
-        threads.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let threads = threads.unwrap_or_else(common::cpu_cores);
     parallel::set_threads(threads);
     if kernels.is_empty() {
         kernels.extend(RowKernel::all());
@@ -222,7 +220,7 @@ fn main() {
         .collect();
 
     if bench {
-        if std::thread::available_parallelism().map_or(1, |n| n.get()) == 1 {
+        if common::cpu_cores() == 1 {
             eprintln!(
                 "[warn] this machine reports a single CPU core: multi-thread timings will sit \
                  near 1.0x the single-thread ones; that is the hardware, not a harness regression"

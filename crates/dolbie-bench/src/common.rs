@@ -28,6 +28,32 @@ pub fn workspace_root() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
+/// The CPUs this process may run on, as the BENCH JSON files record them.
+pub fn cpu_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The CPU baseline this binary was compiled for: `"x86-64-v3"` under the
+/// repo's `.cargo/config.toml` (AVX2), `"x86-64"` for a portable SSE2
+/// build, and the bare architecture name elsewhere. Recorded next to
+/// `cpu_cores`, so timings from the two x86 builds are never compared
+/// unmarked.
+pub fn target_cpu() -> &'static str {
+    if cfg!(target_feature = "avx2") {
+        "x86-64-v3"
+    } else if cfg!(target_arch = "x86_64") {
+        "x86-64"
+    } else {
+        std::env::consts::ARCH
+    }
+}
+
+/// The host lines every BENCH JSON file opens with: `cpu_cores` and
+/// `target_cpu`, each indented two spaces and ending in `,\n`.
+pub fn host_json_fields() -> String {
+    format!("  \"cpu_cores\": {},\n  \"target_cpu\": \"{}\",\n", cpu_cores(), target_cpu())
+}
+
 /// Where experiment CSVs are written (`results/` under the workspace root,
 /// or the current directory when run elsewhere).
 pub fn results_dir() -> PathBuf {

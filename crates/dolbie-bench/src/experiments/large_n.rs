@@ -34,7 +34,7 @@
 //! only ever slows a run, and a cell whose rate flips between two modes
 //! from run to run records its fast mode whenever one run hits it.
 
-use crate::common::{emit_csv, workspace_root};
+use crate::common::{cpu_cores, emit_csv, host_json_fields, target_cpu, workspace_root};
 use dolbie_core::cost::{DynCost, LatencyCost};
 use dolbie_core::kernel::{FusedDolbie, KernelVariant};
 use dolbie_core::parallel;
@@ -340,10 +340,9 @@ fn write_bench_json(rows: &[KernelRow], quick: bool) {
     } else {
         workspace_root().join("BENCH_large_n.json")
     };
-    let cpu_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let threads = parallel::threads();
     let mut body = String::from("{\n");
-    body.push_str(&format!("  \"cpu_cores\": {cpu_cores},\n"));
+    body.push_str(&host_json_fields());
     body.push_str(&format!("  \"threads\": {threads},\n"));
     body.push_str(&format!("  \"quick\": {quick},\n"));
     body.push_str("  \"rows\": [\n");
@@ -369,7 +368,7 @@ fn write_bench_json(rows: &[KernelRow], quick: bool) {
         Ok(()) => println!("  wrote {}", path.display()),
         Err(e) => eprintln!("  failed to write {}: {e}", path.display()),
     }
-    if cpu_cores == 1 {
+    if cpu_cores() == 1 {
         eprintln!(
             "  [warn] this machine reports 1 CPU core: throughput numbers are per-core by \
              construction"
@@ -485,6 +484,14 @@ fn enforce_throughput_floor(rows: &[KernelRow]) {
         return;
     }
     println!("  [gate] median reference time {ratio:.3}× the baseline's");
+    // Every baseline recorded before `target_cpu` existed is an x86-64
+    // (SSE2) build.
+    let recorded =
+        text.lines().find_map(|l| json_field(l, "target_cpu")).unwrap_or("x86-64 (unrecorded)");
+    println!(
+        "  [gate] this build targets {}; the baseline was recorded for {recorded}",
+        target_cpu()
+    );
     if violations.is_empty() {
         println!(
             "  [gate] OK: {checked} cell(s) within {:.0}% of the recorded baseline, scaled by \

@@ -28,7 +28,7 @@
 //! exhaustive within its envelope) and writes `results/mc_quick.csv`,
 //! never clobbering the full run's outputs.
 
-use crate::common::{emit_csv, workspace_root};
+use crate::common::{emit_csv, host_json_fields, workspace_root};
 use dolbie_core::parallel;
 use dolbie_mc::{decision_count, explore, reproducer, shrink, Arch, McConfig, Strategy};
 use dolbie_metrics::Table;
@@ -184,10 +184,9 @@ fn emit_coverage_csv(rows: &[CoverageRow], name: &str) {
 
 fn write_bench_json(rows: &[CoverageRow]) {
     let path = workspace_root().join("BENCH_mc.json");
-    let cpu_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let threads = parallel::threads();
     let mut body = String::from("{\n");
-    body.push_str(&format!("  \"cpu_cores\": {cpu_cores},\n"));
+    body.push_str(&host_json_fields());
     body.push_str(&format!("  \"threads\": {threads},\n"));
     body.push_str("  \"configs\": [\n");
     for (i, row) in rows.iter().enumerate() {

@@ -43,7 +43,8 @@
 //! real time, not simulated). The lossless counters are deterministic.
 
 use crate::common::{
-    artifact, emit_csv, results_dir, run_tree_bitwise, steady_rounds_per_s, workspace_root,
+    artifact, emit_csv, host_json_fields, results_dir, run_tree_bitwise, steady_rounds_per_s,
+    workspace_root,
 };
 use dolbie_core::parallel;
 use dolbie_metrics::Table;
@@ -177,9 +178,8 @@ fn write_bench_json(rows: &[&Row], quick: bool, reps: usize) {
     } else {
         workspace_root().join("BENCH_shard.json")
     };
-    let cpu_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let mut body = String::from("{\n");
-    body.push_str(&format!("  \"cpu_cores\": {cpu_cores},\n"));
+    body.push_str(&host_json_fields());
     body.push_str(&format!("  \"threads\": {},\n", parallel::threads()));
     body.push_str(&format!("  \"quick\": {quick},\n"));
     body.push_str(&format!("  \"reps_per_scenario\": {reps},\n"));

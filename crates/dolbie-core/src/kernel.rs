@@ -68,6 +68,15 @@
 //! slab twice (88 B per worker), cost 2.5–2.8 ns in cache but 3.7–4.0 ns
 //! at N = 10⁶, measured alternately on the same host.
 //!
+//! So the one-sweep round is bound by instructions, not memory, and the
+//! repo builds x86-64 for the x86-64-v3 baseline (`.cargo/config.toml`):
+//! each four-wide lane op is then one 256-bit AVX2 instruction instead of
+//! two SSE2 ones, with the same bits. Measured the same way, three 2 s
+//! runs of each build alternately, with `B` and `comm` shared: under v3 a
+//! Simd round costs 2.2–2.4 ns per worker at N = 4 096 and 65 536 and
+//! 2.5–2.7 ns at N = 10⁶; the portable x86-64 (SSE2) build's medians
+//! were 3.9–4.2 ns at every N, its p10s 2.7–4.1 ns.
+//!
 //! Shared columns take a round further. In a slower stretch of the same
 //! host, where the kernel reading `B` and `comm` as streams and dividing
 //! by `B` cost 3.6–5.2 ns per worker at N = 4 096 and 5.2–6.6 ns at
@@ -1337,6 +1346,75 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `gain_lane` equals `gain` lane by lane, bit for bit, whatever IEEE
+    /// edge values (±0, ±inf, NaN, subnormals) sit in the parameters, the
+    /// level, α and the share, for per-worker and shared columns of both
+    /// families. Inputs pass through `black_box`, so the build's target
+    /// CPU lowers both forms.
+    #[test]
+    fn gain_lane_equals_gain_on_edge_values() {
+        use std::hint::black_box;
+        // Both zeros and infinities, NaN, the smallest subnormal, and two
+        // ordinary values, so some targets land inside (0, 1).
+        const EDGES: [f64; 8] =
+            [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, f64::from_bits(1), 0.5, 3.0];
+
+        // Each form gets its own `black_box`ed copy of every input, so
+        // the optimizer can neither fold nor merge the two computations.
+        fn assert_gain(rows: impl Rows, level: [f64; LANES], alpha: [f64; LANES], x: [f64; LANES]) {
+            let lane = |v| lanes::from_array(black_box(v));
+            let got = gain_lane(black_box(rows), 0, lane(level), lane(alpha), lane(x));
+            for (j, got) in lanes::to_array(got).into_iter().enumerate() {
+                let (l, a, xj) = (black_box(level[j]), black_box(alpha[j]), black_box(x[j]));
+                let want = gain(black_box(rows), j, l, a, xj);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "lane {j}: level {l:?} alpha {a:?} x {xj:?}"
+                );
+            }
+        }
+
+        // Lane j of group g takes tuple (4g + j)·STRIDE mod 8^arity of the
+        // counting sequence over `EDGES^arity`. The stride is odd, so
+        // every combination of `arity` edge values appears in exactly one
+        // lane, and neighbouring lanes hold unrelated combinations.
+        fn groups(arity: u32) -> impl Iterator<Item = [[f64; LANES]; 6]> {
+            const STRIDE: usize = 0x9e37_79b9;
+            let total = EDGES.len().pow(arity);
+            (0..total / LANES).map(move |g| {
+                let mut cols = [[0.0; LANES]; 6];
+                for j in 0..LANES {
+                    let mut code = (g * LANES + j).wrapping_mul(STRIDE) % total;
+                    for col in cols.iter_mut().take(arity as usize) {
+                        col[j] = EDGES[code % EDGES.len()];
+                        code /= EDGES.len();
+                    }
+                }
+                cols
+            })
+        }
+
+        for [batch, speed, comm, level, alpha, x] in groups(6) {
+            let rows = LatencyRows { batch: &batch[..], speed: &speed[..], comm: &comm[..] };
+            assert_gain(rows, level, alpha, x);
+        }
+        let b = 256.0;
+        let shared_b = Pow2 { value: b, recip: pow2_recip(b).unwrap() };
+        for [speed, level, alpha, x, ..] in groups(4) {
+            for comm in EDGES {
+                let rows = LatencyRows { batch: shared_b, speed: &speed[..], comm: Splat(comm) };
+                assert_gain(rows, level, alpha, x);
+            }
+        }
+        for [slope, intercept, level, alpha, x, _] in groups(5) {
+            let rows = LinearRows { slope: &slope[..], intercept: &intercept[..] };
+            assert_gain(rows, level, alpha, x);
+            let rows = LinearRows { slope: Splat(slope[0]), intercept: Splat(intercept[0]) };
+            assert_gain(rows, level, alpha, x);
         }
     }
 

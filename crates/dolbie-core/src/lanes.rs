@@ -6,8 +6,13 @@
 //! every comparison is the scalar comparison per lane, so a lane-wise
 //! loop produces the same bits as the scalar loop over the same elements
 //! in the same per-lane order — by definition. The fixed four-wide shape
-//! gives LLVM straight-line code it auto-vectorizes on the SSE2 baseline
-//! (compare-and-mask for `gt`/`ge` + `select`).
+//! gives LLVM straight-line code it auto-vectorizes (compare-and-mask for
+//! `gt`/`ge` + `select`). On x86-64 the repo's `.cargo/config.toml`
+//! builds for the x86-64-v3 baseline, so a lane op is one 256-bit AVX2
+//! instruction; a portable x86-64 build lowers it to two SSE2 ones, with
+//! the same bits (the tests below compare every op with its scalar form
+//! on IEEE edge values, and `scripts/tier1.sh` runs them under both
+//! builds).
 //!
 //! There are no `core::arch` intrinsics, because they need `unsafe` and
 //! this crate forbids it. There is no nightly `core::simd` backend
@@ -22,8 +27,9 @@ pub const LANES: usize = 4;
 pub(crate) struct V([f64; LANES]);
 
 /// A per-lane comparison result: all ones where true, all zeros where
-/// false — the shape SSE2 compares produce, so `select` lowers to
-/// and/andnot/or without shuffles.
+/// false — the shape SSE2 and AVX2 compares produce, so `select` lowers
+/// without shuffles: to one `vblendvpd` under AVX2, to and/andnot/or on
+/// SSE2.
 #[derive(Clone, Copy)]
 pub(crate) struct M([u64; LANES]);
 
@@ -161,6 +167,27 @@ pub(crate) fn iota() -> V {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hint::black_box;
+
+    /// IEEE 754 edge values: both zeros, both infinities, NaN of either
+    /// sign, the smallest and largest subnormals, the smallest normal, ±1
+    /// and the largest finite values.
+    const EDGES: [f64; 14] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::from_bits((1 << 52) - 1),
+        f64::MIN_POSITIVE,
+        1.0,
+        -1.0,
+        f64::MAX,
+        f64::MIN,
+    ];
 
     /// The sequential strict-`>` scan from a `-inf` seed; `None` when
     /// nothing beats the seed.
@@ -195,8 +222,8 @@ mod tests {
     }
 
     /// The lane first-max equals the sequential scan on all-equal
-    /// arrays, with the maximum in each lane position, and on `-inf`,
-    /// NaN and ±0 ties.
+    /// arrays, with the maximum in each lane position, on `-inf`, NaN and
+    /// ±0 ties, and on IEEE edge values.
     #[test]
     fn lane_first_max_equals_the_sequential_scan() {
         let specials =
@@ -234,6 +261,75 @@ mod tests {
             }
             assert_same(&xs);
         }
+        // Two groups of IEEE edge values, each edge pair in every lane
+        // position.
+        for (a, b) in edge_groups() {
+            let xs: Vec<f64> = a.iter().chain(&b).map(|&x| black_box(x)).collect();
+            assert_same(&xs);
+        }
+    }
+
+    /// Lane groups over every ordered pair of [`EDGES`]: group `s` holds
+    /// pairs `s..s + LANES` (cyclically), so each pair, `(+0, -0)` and
+    /// `(-0, +0)` among them, sits in every lane position.
+    fn edge_groups() -> Vec<([f64; LANES], [f64; LANES])> {
+        let pairs: Vec<(f64, f64)> =
+            EDGES.iter().flat_map(|&a| EDGES.iter().map(move |&b| (a, b))).collect();
+        (0..pairs.len())
+            .map(|s| {
+                let at = |j: usize| pairs[(s + j) % pairs.len()];
+                (std::array::from_fn(|j| at(j).0), std::array::from_fn(|j| at(j).1))
+            })
+            .collect()
+    }
+
+    /// Runs `lane` on each edge group and `scalar` on each of its lanes,
+    /// and asserts the same bits. Every input passes through `black_box`,
+    /// so nothing folds at compile time, where `max`/`min` of `±0` may
+    /// pick another sign than the instructions do.
+    fn assert_lanewise<T: PartialEq + std::fmt::Debug>(
+        name: &str,
+        lane: impl Fn(V, V) -> [T; LANES],
+        scalar: impl Fn(f64, f64) -> T,
+    ) {
+        for (a, b) in edge_groups() {
+            let got = lane(from_array(black_box(a)), from_array(black_box(b)));
+            for (j, got) in got.iter().enumerate() {
+                let want = scalar(black_box(a[j]), black_box(b[j]));
+                assert_eq!(*got, want, "{name}({:?}, {:?}) in lane {j}", a[j], b[j]);
+            }
+        }
+    }
+
+    /// Every lane op equals its scalar op bit for bit on IEEE edge values
+    /// (±0, ±inf, NaN, subnormals), whichever instructions the build's
+    /// target CPU lowers them to: Rust leaves the sign of a zero result of
+    /// `f64::max`/`f64::min` open, so a lowering could differ between the
+    /// packed and the scalar form.
+    #[test]
+    fn lane_ops_equal_scalar_ops_on_edge_values() {
+        let bits = |v: V| to_array(v).map(f64::to_bits);
+        let mask = |m: M| m.0;
+        let as_mask = |t: bool| if t { u64::MAX } else { 0 };
+        assert_lanewise("add", |a, b| bits(add(a, b)), |x, y| (x + y).to_bits());
+        assert_lanewise("sub", |a, b| bits(sub(a, b)), |x, y| (x - y).to_bits());
+        assert_lanewise("mul", |a, b| bits(mul(a, b)), |x, y| (x * y).to_bits());
+        assert_lanewise("div", |a, b| bits(div(a, b)), |x, y| (x / y).to_bits());
+        assert_lanewise("min", |a, b| bits(min(a, b)), |x, y| x.min(y).to_bits());
+        assert_lanewise("max", |a, b| bits(max(a, b)), |x, y| x.max(y).to_bits());
+        assert_lanewise("abs", |a, _| bits(abs(a)), |x, _| x.abs().to_bits());
+        assert_lanewise("gt", |a, b| mask(gt(a, b)), |x, y| as_mask(x > y));
+        assert_lanewise("ge", |a, b| mask(ge(a, b)), |x, y| as_mask(x >= y));
+        assert_lanewise(
+            "select(gt)",
+            |a, b| bits(select(gt(a, b), a, b)),
+            |x, y| (if x > y { x } else { y }).to_bits(),
+        );
+        assert_lanewise(
+            "select(ge)",
+            |a, b| bits(select(ge(a, b), b, a)),
+            |x, y| (if x >= y { y } else { x }).to_bits(),
+        );
     }
 
     #[test]

@@ -56,8 +56,14 @@ cargo test --offline --locked --release --manifest-path perfbench/Cargo.toml
 echo "== tier-1: paper_figures smoke (quick fig3 fig4 regret, --bench) =="
 cargo run --release -p dolbie-bench --bin paper_figures -- --quick --bench fig3 fig4 regret
 
-echo "== tier-1: kernel parity matrix, release (the vectorized code the benchmark runs) =="
-cargo test --release -p dolbie-core --test kernel_parity -q
+echo "== tier-1: kernel parity matrix and dolbie-core lib tests, release (the vectorized code the benchmark runs) =="
+cargo test --release -p dolbie-core --lib --test kernel_parity -q
+
+if [ "$(uname -m)" = x86_64 ]; then
+    echo "== tier-1: the same under a portable x86-64 (SSE2) build (the lanes' other codegen must give the same bits) =="
+    RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
+        cargo test --release -p dolbie-core --lib --test kernel_parity -q
+fi
 
 echo "== tier-1: large-N engine pin invariant (N=1e5 x 1e4 rounds, release) =="
 cargo test --release -p dolbie-core --lib -q -- --ignored \
