@@ -33,7 +33,8 @@
 //! - [`mod@env`] — wire-encodable seeded environments.
 //! - [`transport`] — framed connections, deadlines, the lossy envelope,
 //!   seeded reconnect backoff.
-//! - [`worker`] — the worker node role.
+//! - [`worker`] — the worker node role: a sans-I/O machine and its one
+//!   socket loop.
 //! - [`shard`] — the coordinator: a root running the min-max step over
 //!   `O(M)` shard aggregates, `M` shard-masters each coordinating `N/M`
 //!   workers, [`run_single_shard`](shard::run_single_shard), the flat

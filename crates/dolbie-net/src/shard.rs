@@ -106,7 +106,7 @@ use crate::transport::{
     DEFAULT_FRAME_TIMEOUT,
 };
 use crate::wire::{CursorPhase, Frame, SHARD_SLICE_CHUNK};
-use crate::worker::{run_worker_as, WorkerOptions, WorkerReport};
+use crate::worker::{drive_worker, WorkerOptions, WorkerReport};
 use crate::{unit_interval, NetError};
 use dolbie_core::cost::DynCost;
 use dolbie_core::numeric::{CursorState, SumCursor, SUM_BLOCK};
@@ -178,17 +178,18 @@ pub struct ShardedConfig {
     /// structured error instead of degrading further. `1` (the default)
     /// degrades as long as any shard survives.
     pub min_live_shards: usize,
-    /// Scheduled worker kills `(worker, die_after_round)`, injected
-    /// through [`WorkerOptions::die_after_round`]. `worker` is the global
-    /// id the victim is admitted under: shards assign ids in
-    /// Hello-completion order, so each loopback worker looks its faults
-    /// up by the id its `Welcome` carries, whichever thread that is.
+    /// Scheduled worker kills `(worker, die_after_round)`: the worker's
+    /// socket loop returns right after sending that round's `LocalCost`.
+    /// `worker` is the global id the victim is admitted under: shards
+    /// assign ids in Hello-completion order, so each loopback worker
+    /// looks its faults up by the id its `Welcome` carries, whichever
+    /// thread that is.
     pub worker_kills: Vec<(usize, usize)>,
-    /// Scheduled worker stalls `(worker, stall_after_round, hold)`,
-    /// injected through [`WorkerOptions::stall_after_round`]: the worker
-    /// goes silent with its socket open. Several entries stall several
-    /// workers at once; `worker` is a global id, as in
-    /// [`Self::worker_kills`].
+    /// Scheduled worker stalls `(worker, stall_after_round, hold)`: after
+    /// sending that round's `LocalCost` the worker's socket loop holds
+    /// the socket open and silent for `hold`, then returns. Several
+    /// entries stall several workers at once; `worker` is a global id, as
+    /// in [`Self::worker_kills`].
     pub worker_stalls: Vec<(usize, usize, Duration)>,
     /// Scheduled shard-master kills.
     pub shard_kills: Vec<ShardKill>,
@@ -2011,13 +2012,14 @@ pub fn run_sharded_loopback(cfg: &ShardedConfig) -> Result<ShardedLoopbackRun, N
         // Workers pace their lossy retransmissions with the same policy
         // the config ships to the shard-masters, so a test choosing a
         // fast schedule gets it on both link directions.
-        let worker_opts =
-            WorkerOptions { retry: Some(cfg.fault.retry), ..WorkerOptions::default() };
+        let worker_opts = WorkerOptions { retry: Some(cfg.fault.retry) };
         let (kills, stalls) = (cfg.worker_kills.clone(), cfg.worker_stalls.clone());
-        let faults = move |id: usize| {
-            let die = kills.iter().find(|&&(w, _)| w == id).map(|&(_, r)| r);
-            let stall = stalls.iter().find(|&&(w, _, _)| w == id).map(|&(_, r, h)| (r, h));
-            (die, stall)
+        // A worker's first scheduled stall, else its first kill (a zero
+        // hold), if it falls in this round.
+        let leave = move |id: usize, round: usize| {
+            let stall = stalls.iter().find(|s| s.0 == id).filter(|s| s.1 == round).map(|s| s.2);
+            let kill = kills.iter().find(|k| k.0 == id).filter(|k| k.1 == round);
+            stall.or(kill.map(|_| Duration::ZERO))
         };
         let handle = std::thread::Builder::new()
             .name(format!("dolbie-worker-{i}"))
@@ -2028,7 +2030,7 @@ pub fn run_sharded_loopback(cfg: &ShardedConfig) -> Result<ShardedLoopbackRun, N
                 }
                 let stream = connect_with_backoff(addr, attempts, base, i as u64)
                     .map_err(TransportError::from)?;
-                run_worker_as(stream, &worker_opts, faults)
+                drive_worker(stream, &worker_opts, leave)
             })
             .map_err(TransportError::from)?;
         worker_handles.push(handle);

@@ -1,10 +1,21 @@
-//! The worker node role: one worker's half of Algorithm 1 over a socket.
+//! The worker node role: one worker's half of Algorithm 1 (lines 1–8).
 //!
 //! A worker is authoritative for exactly one scalar — its own share — and
 //! never reveals its cost *function*, only the scalars §IV-B prescribes:
 //! the observed local cost (line 4) and its risk-averse decision (line 7).
 //! The per-round cost function is derived locally from the
-//! [`WireEnvSpec`](crate::env::WireEnvSpec) the master ships in `Welcome`.
+//! [`WireEnvSpec`] the master ships in `Welcome`.
+//!
+//! [`WorkerMachine`] is the whole protocol, sans I/O: built from the
+//! `Welcome` frame, it takes one frame at a time and answers with a
+//! [`Step`] — a frame to send, nothing, or the end of the run — and
+//! names the read deadline its driver should apply. It opens no socket,
+//! sleeps never and reads no clock, so sockets, test harnesses and a
+//! model checker can all drive the same code. [`run_worker`] is the one
+//! socket loop that drives it; the loopback harness's scheduled kills
+//! and stalls are choices of that loop (after it sends a round's
+//! `LocalCost`, it leaves, or holds the socket silent first), never of
+//! the machine.
 //!
 //! The arithmetic here is the engine's per-worker update:
 //! `gain = (α · (x' − x)).max(0.0)`, `x ← x + gain`, with the rare
@@ -24,6 +35,7 @@
 //! ends the run with [`NetError::Protocol`]; each bound is derived, at
 //! its check, from the code that produces the value.
 
+use crate::env::WireEnvSpec;
 use crate::handshake::shipped_fault_plan;
 use crate::shard::{worker_deadline, ADMISSION_WAIT};
 use crate::transport::{FrameConn, Link, TransportError, WireStats};
@@ -31,8 +43,7 @@ use crate::wire::{Frame, VERSION};
 use crate::{unit_interval, NetError};
 use dolbie_core::cost::DynCost;
 use dolbie_core::observation::max_acceptable_share;
-use dolbie_simnet::faults::RetryPolicy;
-use std::net::TcpStream;
+use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
 use std::time::Duration;
 
 /// Knobs of a worker run.
@@ -42,16 +53,6 @@ pub struct WorkerOptions {
     /// itself always comes from `Welcome`). Senders need not agree on
     /// pacing, so tests can run a faster schedule than the default.
     pub retry: Option<RetryPolicy>,
-    /// Fault injection for crash tests: drop the connection right after
-    /// reporting the local cost of this round, simulating a worker killed
-    /// mid-round.
-    pub die_after_round: Option<usize>,
-    /// Fault injection for stall tests: after reporting the local cost of
-    /// the given round, go silent for the given duration with the socket
-    /// held open — the head-of-line shape a hung-but-connected worker
-    /// presents — then return. The master's frame deadline declares the
-    /// worker dead long before the stall ends.
-    pub stall_after_round: Option<(usize, Duration)>,
 }
 
 /// What a worker saw over its run.
@@ -69,30 +70,50 @@ pub struct WorkerReport {
     pub wire: WireStats,
 }
 
-/// Injected faults as `(die_after_round, stall_after_round)`; see
-/// [`WorkerOptions`].
-pub(crate) type InjectedFaults = (Option<usize>, Option<(usize, Duration)>);
-
-/// Runs the worker protocol on `stream` until `Shutdown` (or injected
-/// death). Handshakes raw, then speaks through the fault plan announced
-/// in `Welcome`.
-pub fn run_worker(stream: TcpStream, opts: &WorkerOptions) -> Result<WorkerReport, NetError> {
-    run_worker_as(stream, opts, |_| (opts.die_after_round, opts.stall_after_round))
+/// What a [`WorkerMachine`] makes of one frame.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Step {
+    /// Send this frame (a `LocalCost` or a `Decision`) to the
+    /// shard-master.
+    Reply(Frame),
+    /// Nothing to send: read the next frame.
+    Quiet,
+    /// `Shutdown`: the run is over.
+    Finished,
 }
 
-/// [`run_worker`] with the injected faults chosen by the id the master
-/// admits the worker under, ignoring the ones in `opts`. Ids follow
-/// Hello-completion order, so a harness that schedules a fault for a
-/// global worker id resolves it here, after `Welcome`, not per thread.
-pub(crate) fn run_worker_as(
-    stream: TcpStream,
-    opts: &WorkerOptions,
-    faults: impl FnOnce(usize) -> InjectedFaults,
-) -> Result<WorkerReport, NetError> {
-    let mut conn = FrameConn::new(stream).map_err(TransportError::from)?;
-    conn.send(&Frame::Hello { version: VERSION })?;
-    let (worker_id, env, mut share, plan, deadline) = match conn.recv(ADMISSION_WAIT)? {
-        Frame::Welcome {
+/// One worker's protocol state, sans I/O; see the [module docs](self).
+///
+/// It holds scalars and the current round's cost function only, nothing
+/// that grows with the run. After `Shutdown` or an error it is stopped:
+/// every later frame is refused with [`NetError::Protocol`] and changes
+/// nothing.
+#[derive(Debug)]
+pub struct WorkerMachine {
+    worker_id: usize,
+    env: WireEnvSpec,
+    share: f64,
+    /// The pre-decision share and gain of the current round, kept for the
+    /// rare `Adjust` replay.
+    x_old: f64,
+    gain: f64,
+    epoch: u32,
+    cost_fn: Option<DynCost>,
+    rounds_seen: usize,
+    epochs_seen: u32,
+    /// The read deadline now: [`ADMISSION_WAIT`] until the first
+    /// `RoundStart` (the shard-master may still be admitting the rest of
+    /// its range), then `round_deadline`.
+    deadline: Duration,
+    round_deadline: Duration,
+    stopped: bool,
+}
+
+impl WorkerMachine {
+    /// A worker admitted by `welcome`, its shard-master's answer to
+    /// `Hello`, and the fault plan that `Welcome` ships for the link.
+    pub fn welcome(welcome: Frame) -> Result<(Self, FaultPlan), NetError> {
+        let Frame::Welcome {
             worker_id,
             env,
             initial_share,
@@ -101,79 +122,90 @@ pub(crate) fn run_worker_as(
             fault_seed,
             frame_timeout_us,
             ..
-        } => {
-            let mut plan = shipped_fault_plan(fault_seed, drop_probability, duplicate_probability)?;
-            if let Some(retry) = opts.retry {
-                plan = plan.with_retry(retry);
-            }
-            // The shard-master's own per-frame read deadline on this
-            // link (`welcome_frame`), which is positive: a zero one
-            // would expire every read at once.
-            if frame_timeout_us == 0 {
-                return Err(NetError::Protocol("Welcome frame timeout is zero".into()));
-            }
-            let t = Duration::from_micros(frame_timeout_us);
-            let deadline = worker_deadline(t).min(ADMISSION_WAIT);
-            // `Allocation::uniform(N)`'s 1/N, N ≥ 1 (`run_shard_master`).
-            let initial_share = unit_interval("Welcome share", initial_share)?;
-            (worker_id as usize, env, initial_share, plan, deadline)
+        } = welcome
+        else {
+            return Err(NetError::Protocol("expected Welcome after Hello".into()));
+        };
+        let plan = shipped_fault_plan(fault_seed, drop_probability, duplicate_probability)?;
+        // The shard-master's own per-frame read deadline on this link
+        // (`welcome_frame`), which is positive: a zero one would expire
+        // every read at once.
+        if frame_timeout_us == 0 {
+            return Err(NetError::Protocol("Welcome frame timeout is zero".into()));
         }
-        _ => return Err(NetError::Protocol("expected Welcome after Hello".into())),
-    };
-    let (die_after_round, stall_after_round) = faults(worker_id);
-    let mut link = Link::with_plan(conn, plan, worker_id as u64 + 1, 0);
+        let t = Duration::from_micros(frame_timeout_us);
+        // `Allocation::uniform(N)`'s 1/N, N ≥ 1 (`run_shard_master`).
+        let share = unit_interval("Welcome share", initial_share)?;
+        let machine = Self {
+            worker_id: worker_id as usize,
+            env,
+            share,
+            x_old: share,
+            gain: 0.0,
+            epoch: 0,
+            cost_fn: None,
+            rounds_seen: 0,
+            epochs_seen: 0,
+            deadline: ADMISSION_WAIT,
+            round_deadline: worker_deadline(t).min(ADMISSION_WAIT),
+            stopped: false,
+        };
+        Ok((machine, plan))
+    }
 
-    let mut cost_fn: Option<DynCost> = None;
-    // The pre-decision share and gain of the current round, kept for the
-    // rare `Adjust` replay.
-    let (mut x_old, mut gain) = (share, 0.0f64);
-    let mut rounds_seen = 0usize;
-    let mut epochs_seen = 0u32;
-    let mut my_epoch = 0u32;
-    // No deadline until the first `RoundStart`: the shard-master may
-    // still be admitting the rest of its range.
-    let mut timeout = ADMISSION_WAIT;
+    /// The identity the shard-master assigned in `Welcome`.
+    pub fn worker_id(&self) -> usize {
+        self.worker_id
+    }
 
-    loop {
-        match link.recv(timeout)? {
+    /// The worker's current share.
+    pub fn share(&self) -> f64 {
+        self.share
+    }
+
+    /// How long the driver may wait for the next frame before the
+    /// shard-master counts as gone.
+    pub fn deadline(&self) -> Duration {
+        self.deadline
+    }
+
+    /// The run so far, with the driver's wire counters.
+    pub fn report(&self, wire: WireStats) -> WorkerReport {
+        WorkerReport {
+            worker_id: self.worker_id,
+            rounds_seen: self.rounds_seen,
+            final_share: self.share,
+            epochs_seen: self.epochs_seen,
+            wire,
+        }
+    }
+
+    /// Takes one frame from the shard-master.
+    pub fn step(&mut self, frame: Frame) -> Result<Step, NetError> {
+        if self.stopped {
+            return Err(NetError::Protocol("frame after the worker stopped".into()));
+        }
+        let step = self.apply(frame);
+        self.stopped = !matches!(step, Ok(Step::Reply(_) | Step::Quiet));
+        step
+    }
+
+    fn apply(&mut self, frame: Frame) -> Result<Step, NetError> {
+        match frame {
             Frame::RoundStart { epoch, round } => {
-                timeout = deadline;
-                if epoch != my_epoch {
+                self.deadline = self.round_deadline;
+                if epoch != self.epoch {
                     return Err(NetError::Protocol(format!(
-                        "round started under epoch {epoch}, worker is at {my_epoch}"
+                        "round started under epoch {epoch}, worker is at {}",
+                        self.epoch
                     )));
                 }
                 // Lines 1–4: execute, observe, report.
-                let f = env.cost_for(round as usize, worker_id);
-                let cost = f.eval(share);
-                cost_fn = Some(f);
-                rounds_seen += 1;
-                link.send(&Frame::LocalCost { epoch: my_epoch, round, cost })?;
-                if let Some((stall_round, hold)) = stall_after_round {
-                    if stall_round == round as usize {
-                        // Injected stall: hold the socket open, say
-                        // nothing, and leave only after the master has
-                        // long since moved on.
-                        std::thread::sleep(hold);
-                        return Ok(WorkerReport {
-                            worker_id,
-                            rounds_seen,
-                            final_share: share,
-                            epochs_seen,
-                            wire: link.stats(),
-                        });
-                    }
-                }
-                if die_after_round == Some(round as usize) {
-                    // Injected crash: vanish without a goodbye.
-                    return Ok(WorkerReport {
-                        worker_id,
-                        rounds_seen,
-                        final_share: share,
-                        epochs_seen,
-                        wire: link.stats(),
-                    });
-                }
+                let f = self.env.cost_for(round as usize, self.worker_id);
+                let cost = f.eval(self.share);
+                self.cost_fn = Some(f);
+                self.rounds_seen += 1;
+                Ok(Step::Reply(Frame::LocalCost { epoch, round, cost }))
             }
             Frame::Coordination { global_cost, alpha, is_straggler, round } => {
                 // The elected straggler's cost, which the shard-master and
@@ -187,58 +219,101 @@ pub(crate) fn run_worker_as(
                 let alpha = unit_interval("Coordination α", alpha)?;
                 if is_straggler {
                     // Line 8: the pin arrives as an Assignment.
-                    continue;
+                    return Ok(Step::Quiet);
                 }
                 // Lines 5–7: risk-averse assistance, the engine's exact
                 // arithmetic.
-                let f = cost_fn
+                let f = self
+                    .cost_fn
                     .as_ref()
                     .ok_or_else(|| NetError::Protocol("coordination before any round".into()))?;
-                x_old = share;
-                let target = max_acceptable_share(&**f, share, global_cost);
-                gain = (alpha * (target - share)).max(0.0);
-                share = x_old + gain;
-                link.send(&Frame::Decision { epoch: my_epoch, round, share, gain })?;
+                self.x_old = self.share;
+                let target = max_acceptable_share(&**f, self.share, global_cost);
+                self.gain = (alpha * (target - self.share)).max(0.0);
+                self.share = self.x_old + self.gain;
+                let (share, gain) = (self.share, self.gain);
+                Ok(Step::Reply(Frame::Decision { epoch: self.epoch, round, share, gain }))
             }
             Frame::Assignment { share: pinned, .. } => {
                 // `RootEngine::pin`: 1 − the others' mass, clamped at 0.
-                share = unit_interval("Assignment share", pinned)?;
+                self.share = unit_interval("Assignment share", pinned)?;
+                Ok(Step::Quiet)
             }
             Frame::Adjust { scale, .. } => {
                 // `RootEngine::guard_scale` only shrinks gains: it sends
                 // x_s / Σ gains only when Σ gains > x_s.
-                share = x_old + gain * unit_interval("Adjust scale", scale)?;
+                self.share = self.x_old + self.gain * unit_interval("Adjust scale", scale)?;
+                Ok(Step::Quiet)
             }
             Frame::Epoch { epoch, share: authoritative, .. } => {
                 // A crash elsewhere: adopt the post-renormalization share,
                 // discarding any tentative in-round state. Renormalized
                 // shares are non-negative and sum to 1
                 // (`renormalize_onto_members`).
-                my_epoch = epoch;
-                share = unit_interval("Epoch share", authoritative)?;
-                epochs_seen += 1;
+                self.epoch = epoch;
+                self.share = unit_interval("Epoch share", authoritative)?;
+                self.epochs_seen += 1;
+                Ok(Step::Quiet)
             }
-            Frame::Shutdown => {
-                return Ok(WorkerReport {
-                    worker_id,
-                    rounds_seen,
-                    final_share: share,
-                    epochs_seen,
-                    wire: link.stats(),
-                });
-            }
-            _ => return Err(NetError::Protocol("unexpected frame at the worker".into())),
+            Frame::Shutdown => Ok(Step::Finished),
+            _ => Err(NetError::Protocol("unexpected frame at the worker".into())),
         }
     }
+}
+
+/// Runs the worker protocol on `stream` until `Shutdown`. Handshakes
+/// raw, then speaks through the fault plan announced in `Welcome`.
+pub fn run_worker(
+    stream: std::net::TcpStream,
+    opts: &WorkerOptions,
+) -> Result<WorkerReport, NetError> {
+    drive_worker(stream, opts, |_, _| None)
+}
+
+/// The one socket loop over a [`WorkerMachine`]. After it sends round
+/// `r`'s `LocalCost` it asks `leave(worker_id, r)`: `Some(hold)` keeps
+/// the socket open and silent for `hold` and then returns, a stall — or,
+/// with a zero hold, a worker killed right after its report. The ids are
+/// the ones `Welcome` assigns, in Hello-completion order, so a harness
+/// that schedules a fault for a global worker id resolves it here, not
+/// per thread.
+pub(crate) fn drive_worker(
+    stream: std::net::TcpStream,
+    opts: &WorkerOptions,
+    leave: impl Fn(usize, usize) -> Option<Duration>,
+) -> Result<WorkerReport, NetError> {
+    let mut conn = FrameConn::new(stream).map_err(TransportError::from)?;
+    conn.send(&Frame::Hello { version: VERSION })?;
+    let (mut machine, mut plan) = WorkerMachine::welcome(conn.recv(ADMISSION_WAIT)?)?;
+    if let Some(retry) = opts.retry {
+        plan = plan.with_retry(retry);
+    }
+    let id = machine.worker_id();
+    let mut link = Link::with_plan(conn, plan, id as u64 + 1, 0);
+    loop {
+        match machine.step(link.recv(machine.deadline())?)? {
+            Step::Reply(frame) => {
+                link.send(&frame)?;
+                if let Frame::LocalCost { round, .. } = frame {
+                    if let Some(hold) = leave(id, round as usize) {
+                        std::thread::sleep(hold);
+                        break;
+                    }
+                }
+            }
+            Step::Quiet => {}
+            Step::Finished => break,
+        }
+    }
+    Ok(machine.report(link.stats()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::{EnvKind, WireEnvSpec};
+    use crate::env::EnvKind;
     use crate::handshake::welcome_frame;
-    use dolbie_simnet::faults::FaultPlan;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
     use std::time::Instant;
 
     /// The worker's deadline comes from the tree: a fake shard-master

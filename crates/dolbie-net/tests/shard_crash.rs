@@ -13,9 +13,7 @@
 //! The twin is `dolbie_net::shard::twin_allocations`, whose recipe is
 //! the contract the root's epoch records promise.
 
-use dolbie_core::cost::DynCost;
 use dolbie_core::numeric::SUM_BLOCK;
-use dolbie_core::observation::max_acceptable_share;
 use dolbie_core::ShardLayout;
 use dolbie_net::env::{EnvKind, WireEnvSpec};
 use dolbie_net::shard::{
@@ -25,7 +23,7 @@ use dolbie_net::shard::{
 };
 use dolbie_net::transport::{connect_with_backoff, FrameConn, Link};
 use dolbie_net::wire::{CursorPhase, Frame, VERSION};
-use dolbie_net::worker::{run_worker, WorkerOptions};
+use dolbie_net::worker::{run_worker, Step, WorkerMachine, WorkerOptions};
 use dolbie_net::NetError;
 use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
 use std::io::Write;
@@ -496,80 +494,47 @@ enum Lie {
     GainPastBound(usize),
 }
 
-/// A hand-rolled worker: Algorithm 1 with `run_worker`'s arithmetic
-/// until it tells `lie`, then it keeps its socket open, reading, until
-/// the shard-master hangs up — so only the lie, not a closed socket,
-/// can get it buried. Returns its id and the round it lied in.
+/// A worker that lies once: a [`WorkerMachine`] drives the protocol and
+/// the liar rewrites only the one frame it lies in, then keeps its socket
+/// open, reading, until the shard-master hangs up — so only the lie, not
+/// a closed socket, can get it buried. Returns its id and the round it
+/// lied in.
 fn lying_worker(addr: SocketAddr, retry: RetryPolicy, lie: Lie) -> (usize, usize) {
     let patience = Duration::from_secs(30);
     let stream = connect_with_backoff(addr, 10, Duration::from_millis(10), 4242).unwrap();
     let mut conn = FrameConn::new(stream).unwrap();
     conn.send(&Frame::Hello { version: VERSION }).unwrap();
-    let Frame::Welcome {
-        worker_id,
-        env,
-        initial_share,
-        drop_probability,
-        duplicate_probability,
-        fault_seed,
-        ..
-    } = conn.recv(patience).unwrap()
-    else {
-        panic!("expected Welcome");
-    };
-    let mut plan = FaultPlan::seeded(fault_seed).with_retry(retry);
-    if drop_probability > 0.0 {
-        plan = plan.with_drop_probability(drop_probability);
-    }
-    if duplicate_probability > 0.0 {
-        plan = plan.with_duplicate_probability(duplicate_probability);
-    }
-    let id = worker_id as usize;
-    let mut link = Link::with_plan(conn, plan, id as u64 + 1, 0);
-    let (mut share, mut x_old, mut gain) = (initial_share, initial_share, 0.0f64);
-    let mut my_epoch = 0u32;
-    let mut cost_fn: Option<DynCost> = None;
+    let (mut machine, plan) = WorkerMachine::welcome(conn.recv(patience).unwrap()).unwrap();
+    let id = machine.worker_id();
+    let mut link = Link::with_plan(conn, plan.with_retry(retry), id as u64 + 1, 0);
     let lied_in = loop {
-        match link.recv(patience).expect("the liar is honest until it lies") {
-            Frame::RoundStart { epoch, round } => {
-                assert_eq!(epoch, my_epoch);
-                let f = env.cost_for(round as usize, id);
-                let lying = matches!(lie, Lie::NanCost(r) if r == round as usize);
-                let cost = if lying { f64::NAN } else { f.eval(share) };
-                cost_fn = Some(f);
-                link.send(&Frame::LocalCost { epoch, round, cost }).unwrap();
-                if lying {
-                    break round as usize;
-                }
+        let frame = link.recv(patience).expect("the liar is honest until it lies");
+        // The eq. (5) ceiling `(α·(1 − x)).max(0)` at the committed share
+        // `x` a `Coordination` finds.
+        let ceiling = match frame {
+            Frame::Coordination { alpha, .. } => (alpha * (1.0 - machine.share())).max(0.0),
+            _ => 0.0,
+        };
+        let step = machine.step(frame).unwrap_or_else(|e| panic!("worker {id}: {e}"));
+        let Step::Reply(mut reply) = step else { continue };
+        let lied = match (&mut reply, lie) {
+            (Frame::LocalCost { round, cost, .. }, Lie::NanCost(r)) if *round == r as u64 => {
+                *cost = f64::NAN;
+                Some(*round)
             }
-            Frame::Coordination { global_cost, alpha, is_straggler, round } => {
-                if is_straggler {
-                    continue;
-                }
-                let f = cost_fn.as_ref().expect("coordination follows a round start");
-                x_old = share;
-                gain = (alpha * (max_acceptable_share(&**f, share, global_cost) - share)).max(0.0);
-                share = x_old + gain;
-                let sent = match lie {
-                    Lie::NegativeGain(r) if r <= round as usize => -0.25,
-                    Lie::GainPastBound(r) if r <= round as usize => {
-                        (alpha * (1.0 - x_old)).max(0.0).next_up()
-                    }
-                    _ => gain,
-                };
-                let lying = sent.to_bits() != gain.to_bits();
-                link.send(&Frame::Decision { epoch: my_epoch, round, share, gain: sent }).unwrap();
-                if lying {
-                    break round as usize;
-                }
+            (Frame::Decision { round, gain, .. }, Lie::NegativeGain(r)) if *round >= r as u64 => {
+                *gain = -0.25;
+                Some(*round)
             }
-            Frame::Assignment { share: pinned, .. } => share = pinned,
-            Frame::Adjust { scale, .. } => share = x_old + gain * scale,
-            Frame::Epoch { epoch, share: authoritative, .. } => {
-                my_epoch = epoch;
-                share = authoritative;
+            (Frame::Decision { round, gain, .. }, Lie::GainPastBound(r)) if *round >= r as u64 => {
+                *gain = ceiling.next_up();
+                Some(*round)
             }
-            other => panic!("worker {id} got {other:?} before lying"),
+            _ => None,
+        };
+        link.send(&reply).unwrap();
+        if let Some(round) = lied {
+            break round as usize;
         }
     };
     while link.recv(patience).is_ok() {}
@@ -605,7 +570,7 @@ fn a_worker_reporting_impossible_values_is_buried_like_a_crash() {
                         let stream =
                             connect_with_backoff(addr, 10, Duration::from_millis(10), k as u64)
                                 .unwrap();
-                        let opts = WorkerOptions { retry: Some(retry), ..WorkerOptions::default() };
+                        let opts = WorkerOptions { retry: Some(retry) };
                         let report = run_worker(stream, &opts).unwrap();
                         assert_eq!(report.epochs_seen, 1, "survivor {} missed the epoch", k);
                     })
@@ -1033,8 +998,7 @@ fn lying_root(lie: RootLie, patience: Duration) -> Option<Result<usize, String>>
             std::thread::spawn(move || {
                 let stream = connect_with_backoff(worker_addr, 10, Duration::from_millis(10), i);
                 let retry = Some(RetryPolicy::new(0.005, 2.0, 8));
-                let _ =
-                    stream.map(|s| run_worker(s, &WorkerOptions { retry, ..Default::default() }));
+                let _ = stream.map(|s| run_worker(s, &WorkerOptions { retry }));
             })
         })
         .collect();

@@ -1,8 +1,11 @@
 //! Wire-protocol robustness: round-trip property tests over every frame
-//! type, and strict rejection of malformed bytes.
+//! type, strict rejection of malformed bytes, and a worker machine fed
+//! arbitrary frame sequences by an adversarial shard-master.
 
 use dolbie_net::env::{EnvKind, WireEnvSpec};
 use dolbie_net::wire::{CursorPhase, Frame, WireError, MAX_FRAME_BYTES, VERSION};
+use dolbie_net::worker::{Step, WorkerMachine};
+use dolbie_net::NetError;
 use proptest::prelude::*;
 
 /// Builds one frame of each kind from fuzzed scalars. `f64` fields come
@@ -59,6 +62,48 @@ fn frame_zoo(seq: u64, a: u64, b: u64, flag: bool, members: &[bool]) -> Vec<Fram
     ]
 }
 
+/// One frame from an adversarial shard-master: any `frame_zoo` kind if
+/// `stray`, else one of the five a worker is sent before `Shutdown`, a
+/// `RoundStart` or a `Coordination` twice as often as the rest. An
+/// epoch-carrying frame gets epoch `epoch − 4`, floored at 0 — epoch 0 five
+/// times in eight.
+fn adversary_frame(stray: bool, pick: usize, epoch: u32, a: u64, b: u64, flag: bool) -> Frame {
+    let mut zoo = frame_zoo(a ^ b, a, b, flag, &[flag, !flag]);
+    let pick = if stray {
+        pick % zoo.len()
+    } else {
+        zoo.retain(|f| {
+            matches!(
+                f,
+                Frame::RoundStart { .. }
+                    | Frame::Coordination { .. }
+                    | Frame::Assignment { .. }
+                    | Frame::Adjust { .. }
+                    | Frame::Epoch { .. }
+            )
+        });
+        // Indices into those five, in `frame_zoo` order.
+        [0, 0, 1, 1, 2, 3, 4][pick % 7]
+    };
+    let mut frame = zoo.swap_remove(pick);
+    if let Frame::RoundStart { epoch: e, .. } | Frame::Epoch { epoch: e, .. } = &mut frame {
+        *e = epoch.saturating_sub(4);
+    }
+    frame
+}
+
+/// Raw `f64` bit patterns, seven in eight of them redrawn as a value in
+/// `[0, 1]`.
+fn any_bits() -> impl Strategy<Value = u64> {
+    (0u64..u64::MAX, 0u8..8).prop_map(|(bits, coin)| {
+        if coin == 0 {
+            bits
+        } else {
+            (bits as f64 / u64::MAX as f64).to_bits()
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -102,6 +147,67 @@ proptest! {
                     "prefix of {} bytes must be truncated", cut
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// An adversarial shard-master against a validly welcomed
+    /// [`WorkerMachine`]: arbitrary sequences of every frame kind, in any
+    /// order, under stale, current and future epochs, at arbitrary rounds,
+    /// with `f64` fields from raw bit patterns. Every step yields a frame,
+    /// nothing, the end of the run or a protocol error — never a panic —
+    /// and the share stays in `[0, 1]`. Once the machine errs or finishes,
+    /// it processes no later frame. Its state, scalars and one cost
+    /// function, does not grow with the sequence.
+    ///
+    /// So that sequences live long enough to reach the eq. (5) step, 31
+    /// frames in 32 are of the kinds a worker is sent before `Shutdown`
+    /// ([`adversary_frame`]), and most `f64` fields are redrawn in
+    /// `[0, 1]`.
+    #[test]
+    fn a_worker_machine_survives_any_frame_sequence(
+        (share, env_seed, chaos) in (0.0f64..1.0, 0u64..u64::MAX, proptest::bool::ANY),
+        script in proptest::collection::vec(
+            ((0u8..32, 0usize..1 << 16), 0u32..8, any_bits(), any_bits(), proptest::bool::ANY),
+            1..64,
+        ),
+    ) {
+        let kind = if chaos { EnvKind::ChaosMix } else { EnvKind::StaticRamp };
+        let welcome = Frame::Welcome {
+            worker_id: 1,
+            num_workers: 3,
+            rounds: 10,
+            env: WireEnvSpec { kind, seed: env_seed },
+            initial_share: share,
+            drop_probability: 0.0,
+            duplicate_probability: 0.0,
+            fault_seed: 0,
+            frame_timeout_us: 50_000,
+        };
+        let (mut machine, _) = WorkerMachine::welcome(welcome).expect("a valid Welcome");
+        let mut stopped: Option<String> = None;
+        for ((stray, pick), epoch, a, b, flag) in script {
+            let frame = adversary_frame(stray == 0, pick, epoch, a, b, flag);
+            let shown = format!("{frame:?}");
+            let step = machine.step(frame);
+            let state = format!("{machine:?}");
+            if let Some(before) = &stopped {
+                let refused = matches!(step, Err(NetError::Protocol(_)));
+                prop_assert!(refused, "{shown} after stopping: {step:?}");
+                prop_assert_eq!(&state, before, "a stopped machine changed on {}", shown);
+                continue;
+            }
+            match &step {
+                Ok(Step::Quiet | Step::Reply(Frame::LocalCost { .. } | Frame::Decision { .. })) => {}
+                Ok(Step::Finished) | Err(NetError::Protocol(_)) => stopped = Some(state.clone()),
+                other => prop_assert!(false, "{shown} gave {other:?}"),
+            }
+            let share = machine.share();
+            prop_assert!((0.0..=1.0).contains(&share), "{shown} left share {share}");
+            prop_assert!(state.len() < 1024, "the machine grew to {} bytes", state.len());
         }
     }
 }

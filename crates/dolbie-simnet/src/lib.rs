@@ -25,9 +25,6 @@
 //!   coordinator's fan-in from Θ(N) to O(M) messages per round while
 //!   staying bitwise identical to [`MasterWorkerSim`]. It shares the
 //!   builder and the round prelude and keeps its own run loop.
-//! - [`threaded`] — Algorithm 1 (master-worker only) executed across
-//!   real OS threads over crossbeam channels, verifying that the protocol
-//!   is deterministic under true concurrency.
 //! - [`faults::FaultPlan`] — a deterministic, seeded fault-injection plan
 //!   (crash windows, per-link drop/duplication probabilities, cost
 //!   timeouts) accepted by all four protocol simulators; lossy links are
@@ -77,7 +74,6 @@ pub mod ring;
 pub mod sched;
 pub mod sharded;
 mod sim;
-pub mod threaded;
 pub mod trace;
 
 pub use faults::{Crash, FaultPlan, LinkStats, RetryPolicy};

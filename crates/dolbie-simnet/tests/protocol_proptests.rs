@@ -5,7 +5,6 @@
 use dolbie_core::cost::{DynCost, LatencyCost, LinearCost};
 use dolbie_core::environment::FnEnvironment;
 use dolbie_core::{run_episode, Dolbie, DolbieConfig, EpisodeOptions};
-use dolbie_simnet::threaded::run_threaded_master_worker;
 use dolbie_simnet::{FixedLatency, FullyDistributedSim, JitteredLatency, MasterWorkerSim, RingSim};
 use proptest::prelude::*;
 
@@ -37,8 +36,8 @@ fn env_for(seed: u64, n: usize) -> FnEnvironment<impl FnMut(usize) -> Vec<DynCos
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Master-worker, fully-distributed, ring, and the threaded runtime
-    /// all reproduce the sequential trajectory on arbitrary environments.
+    /// Master-worker, fully-distributed and ring all reproduce the
+    /// sequential trajectory on arbitrary environments.
     #[test]
     fn all_protocols_match_sequential(seed in 0u64..u64::MAX, n in 2usize..8) {
         const ROUNDS: usize = 15;
@@ -48,19 +47,16 @@ proptest! {
             .run(ROUNDS);
         let ring = RingSim::new(env_for(seed, n), DolbieConfig::new(), FixedLatency::lan())
             .run(ROUNDS);
-        let threaded = run_threaded_master_worker(env_for(seed, n), DolbieConfig::new(), ROUNDS)
-            .expect("healthy workers never disconnect");
 
         let mut sequential = Dolbie::new(n);
         let mut driver = env_for(seed, n);
         let reference = run_episode(&mut sequential, &mut driver, EpisodeOptions::new(ROUNDS));
 
-        for (t, th) in threaded.iter().enumerate() {
-            let r = &reference.records[t].allocation;
+        for (t, record) in reference.records.iter().enumerate() {
+            let r = &record.allocation;
             prop_assert!(mw.rounds[t].allocation.l2_distance(r) < 1e-9, "mw diverged at {t}");
             prop_assert!(fd.rounds[t].allocation.l2_distance(r) < 1e-9, "fd diverged at {t}");
             prop_assert!(ring.rounds[t].allocation.l2_distance(r) < 1e-9, "ring diverged at {t}");
-            prop_assert!(th.allocation.l2_distance(r) < 1e-9, "threaded diverged at {t}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! DOLBIE as an actual distributed protocol: Algorithm 1 (master-worker)
 //! and Algorithm 2 (fully-distributed) running message by message on the
-//! discrete-event simulator, plus Algorithm 1 on real OS threads — all
-//! producing the same trajectory, at very different communication costs.
+//! discrete-event simulator, plus a token ring — all producing the same
+//! trajectory, at very different communication costs.
 //!
 //! ```text
 //! cargo run --release --example fully_distributed
@@ -9,7 +9,6 @@
 
 use dolbie::core::environment::RotatingStragglerEnvironment;
 use dolbie::core::DolbieConfig;
-use dolbie::simnet::threaded::run_threaded_master_worker;
 use dolbie::simnet::{FixedLatency, FullyDistributedSim, MasterWorkerSim, RingSim};
 
 fn main() {
@@ -22,9 +21,7 @@ fn main() {
         MasterWorkerSim::new(env.clone(), DolbieConfig::new(), FixedLatency::lan()).run(rounds);
     let fd =
         FullyDistributedSim::new(env.clone(), DolbieConfig::new(), FixedLatency::lan()).run(rounds);
-    let ring = RingSim::new(env.clone(), DolbieConfig::new(), FixedLatency::lan()).run(rounds);
-    let threaded = run_threaded_master_worker(env, DolbieConfig::new(), rounds)
-        .expect("healthy workers never disconnect");
+    let ring = RingSim::new(env, DolbieConfig::new(), FixedLatency::lan()).run(rounds);
 
     println!("architecture        messages/round   bytes/round   makespan");
     println!(
@@ -45,16 +42,14 @@ fn main() {
         ring.total_bytes() / rounds,
         ring.makespan()
     );
-    println!("threaded (real concurrency, no simulated network)");
 
     // The three implementations walk the same trajectory.
     let mut max_dev: f64 = 0.0;
-    for (((a, b), c), r) in mw.rounds.iter().zip(&fd.rounds).zip(&threaded).zip(&ring.rounds) {
+    for ((a, b), r) in mw.rounds.iter().zip(&fd.rounds).zip(&ring.rounds) {
         max_dev = max_dev.max(a.allocation.l2_distance(&b.allocation));
-        max_dev = max_dev.max(a.allocation.l2_distance(&c.allocation));
         max_dev = max_dev.max(a.allocation.l2_distance(&r.allocation));
     }
-    println!("\nmax trajectory deviation across the four implementations: {max_dev:.2e}");
+    println!("\nmax trajectory deviation across the three implementations: {max_dev:.2e}");
     assert!(max_dev < 1e-9, "implementations must agree");
     println!("final allocation: {}", mw.rounds.last().expect("ran {rounds} rounds").allocation);
     println!(

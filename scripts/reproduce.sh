@@ -12,9 +12,10 @@
 #
 # The run rewrites the committed artifacts in place: the timing files
 # always differ, so inspect them with `git diff` and restore them with
-# `git checkout -- results BENCH_*.json` unless they are to be
-# re-recorded. Builds with the repo's cargo config (see README "Install /
-# build"); set RUSTFLAGS to check another codegen.
+# `git checkout -- results 'BENCH_*.json'` unless they are to be
+# re-recorded (quoted, so git matches only tracked files). Builds with
+# the repo's cargo config (see README "Install / build"); set RUSTFLAGS
+# to check another codegen.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

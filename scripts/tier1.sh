@@ -50,8 +50,25 @@ cargo build --release --workspace
 echo "== tier-1: workspace tests =="
 cargo test --workspace -q
 
-echo "== tier-1: perfbench tests (the benchmark builds against the current dolbie-net API; --locked fails a change that would rewrite perfbench/Cargo.lock) =="
+echo "== tier-1: perfbench tests (the benchmark builds against the current dolbie-net API) =="
 cargo test --offline --locked --release --manifest-path perfbench/Cargo.toml
+
+# --locked above fails a change that would add or bump a perfbench/Cargo.lock
+# entry, but not one that only prunes an entry: cargo keeps such a lock as it
+# is, and the benchmark's own unlocked `cargo run` rewrites it. Resolve
+# unlocked, as the benchmark does, and fail if the lock changed.
+echo "== tier-1: perfbench/Cargo.lock unchanged by an unlocked resolve =="
+lock_before=$(mktemp)
+cp perfbench/Cargo.lock "$lock_before"
+cargo metadata --offline --format-version 1 --manifest-path perfbench/Cargo.toml >/dev/null
+if ! cmp -s "$lock_before" perfbench/Cargo.lock; then
+    diff "$lock_before" perfbench/Cargo.lock || true
+    cp "$lock_before" perfbench/Cargo.lock
+    rm -f "$lock_before"
+    echo "FAIL: resolving perfbench rewrote perfbench/Cargo.lock, a benchmark file (diff above; restored)" >&2
+    exit 1
+fi
+rm -f "$lock_before"
 
 echo "== tier-1: paper_figures smoke (quick fig3 fig4 regret, --bench) =="
 cargo run --release -p dolbie-bench --bin paper_figures -- --quick --bench fig3 fig4 regret

@@ -10,8 +10,7 @@
 //! - [`baselines`] — EQU, OGD, ABS, LB-BSP, OPT comparison algorithms.
 //! - [`simnet`] — the message-passing protocols on a deterministic
 //!   discrete-event simulator: master-worker, fully-distributed, token
-//!   ring and the two-level shard tier; plus a threaded runtime of
-//!   master-worker.
+//!   ring and the two-level shard tier.
 //! - [`net`] — the real TCP runtime: versioned wire protocol, socket-level
 //!   fault handling, master/worker node roles with bitwise trajectory
 //!   parity.
