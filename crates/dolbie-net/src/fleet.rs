@@ -1,13 +1,14 @@
-//! A shard-master's worker set over sockets: non-blocking connections
-//! pumped by a level-triggered readiness loop, with per-connection
-//! deadlines on a hashed timer wheel and the lossy [`Envelope`] driven
-//! by the sweep's clock (the blocking [`Link`] drives the same envelope
-//! by blocking waits) — or, on lossless fleets, the blocking staircase
-//! collect.
+//! A shard-master's worker set over sockets, with one collect path: the
+//! blocking staircase. After admission every member socket blocks, and a
+//! collect reads the awaited members one at a time. On lossy links each
+//! read is also bounded by the earliest retransmission deadline in the
+//! fleet, and a wake there services every lossy [`Envelope`], so the
+//! envelope runs on the clock of the staircase's blocking waits (the
+//! blocking [`Link`] drives the same envelope by its own blocking waits).
 //!
-//! Everything below the protocol script of [`crate::shard`] — readiness
-//! sweeps, frame reassembly, broadcast fan-out, deadline bookkeeping,
-//! crash discovery — lives here as [`Fleet`].
+//! Everything below the protocol script of [`crate::shard`] — frame
+//! reassembly, broadcast fan-out, deadlines, crash discovery — lives
+//! here as [`Fleet`].
 //!
 //! [`Link`]: crate::transport::Link
 
@@ -20,111 +21,26 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Slot count of the hashed timer wheel. Must be a power of two (checked
-/// by a debug assertion in [`TimerWheel::new`]) so the slot index — taken
-/// with `%` for clarity — compiles to a mask, and so a full rotation
-/// divides the tick space evenly. 256 slots of [`WHEEL_TICK_MICROS`]
-/// cover a ~1 s horizon per rotation; deadlines beyond it are re-kept
-/// when the cursor crosses their slot.
-pub(crate) const WHEEL_SLOTS: usize = 256;
-
-/// Width of one timer-wheel slot in microseconds. With [`WHEEL_SLOTS`]
-/// slots this bounds deadline-firing granularity at 4 ms — far below any
-/// configured `frame_timeout`, so expiry jitter never masquerades as a
-/// premature crash declaration.
-pub(crate) const WHEEL_TICK_MICROS: u128 = 4_000;
-
 /// Read-buffer size for one `read` call. One page-multiple chunk keeps
 /// syscall count low; frames larger than this simply reassemble across
 /// reads. Each [`Fleet`] (and each admission loop) holds one such buffer
 /// and lends it to every read, instead of zeroing a fresh one per call.
 pub(crate) const READ_CHUNK_BYTES: usize = 16384;
 
-/// Consecutive idle sweeps tolerated before the pacing loop stops
-/// spin-yielding and starts sleeping. Low enough that a quiet fleet
-/// backs off within microseconds; high enough that a single empty sweep
-/// between frame bursts never costs a sleep.
+/// Consecutive idle polls tolerated before the pacing loop stops
+/// spin-yielding and starts sleeping. Low enough that a quiet listener
+/// backs off within microseconds; high enough that a single empty poll
+/// between bursts never costs a sleep.
 pub(crate) const SPIN_YIELD_STREAK: u32 = 8;
 
 /// Sleep length, in microseconds, for each idle pass once the
 /// [`SPIN_YIELD_STREAK`] budget is exhausted. Half a millisecond keeps
-/// worst-case added latency per frame well under the timer-wheel tick.
+/// the added latency per handshake far below any `frame_timeout`.
 pub(crate) const IDLE_SLEEP_MICROS: u64 = 500;
 
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Timer {
-    at: Instant,
-    conn: usize,
-    gen: u64,
-}
-
-/// A hashed timer wheel: [`WHEEL_SLOTS`] slots of [`WHEEL_TICK_MICROS`].
-/// Arming is O(1); expiry drains only the slots the cursor crosses,
-/// re-keeping entries armed a full rotation or more ahead. Cancellation
-/// is lazy: each connection carries a generation counter and a fired
-/// timer whose generation is stale is simply discarded.
-#[derive(Debug)]
-pub(crate) struct TimerWheel {
-    slots: Vec<Vec<Timer>>,
-    epoch: Instant,
-    tick: u64,
-}
-
-impl TimerWheel {
-    pub(crate) fn new(now: Instant) -> Self {
-        debug_assert!(WHEEL_SLOTS.is_power_of_two(), "wheel slot count must be a power of two");
-        Self { slots: vec![Vec::new(); WHEEL_SLOTS], epoch: now, tick: 0 }
-    }
-
-    fn tick_of(&self, at: Instant) -> u64 {
-        (at.saturating_duration_since(self.epoch).as_micros() / WHEEL_TICK_MICROS) as u64
-    }
-
-    pub(crate) fn arm(&mut self, at: Instant, conn: usize, gen: u64) {
-        let tick = self.tick_of(at).max(self.tick);
-        self.slots[(tick as usize) % WHEEL_SLOTS].push(Timer { at, conn, gen });
-    }
-
-    /// Drains every timer due by `now`, sorted by (deadline, connection)
-    /// so expiry order never depends on slot hashing.
-    pub(crate) fn expire(&mut self, now: Instant) -> Vec<Timer> {
-        let now_tick = self.tick_of(now);
-        if now_tick < self.tick {
-            return Vec::new();
-        }
-        let mut due = Vec::new();
-        // Past a full rotation every slot is visited exactly once.
-        let span = (now_tick - self.tick + 1).min(WHEEL_SLOTS as u64);
-        for step in 0..span {
-            let slot = ((self.tick + step) as usize) % WHEEL_SLOTS;
-            let mut keep = Vec::new();
-            for timer in self.slots[slot].drain(..) {
-                if timer.at <= now {
-                    due.push(timer);
-                } else {
-                    keep.push(timer);
-                }
-            }
-            self.slots[slot] = keep;
-        }
-        self.tick = now_tick;
-        due.sort_by(|a, b| a.at.cmp(&b.at).then(a.conn.cmp(&b.conn)));
-        due
-    }
-}
-
-impl Timer {
-    pub(crate) fn conn(&self) -> usize {
-        self.conn
-    }
-
-    pub(crate) fn gen(&self) -> u64 {
-        self.gen
-    }
-}
-
-/// Adaptive idle pacing: spin-yield while traffic flows, back off to
-/// brief sleeps once the loop goes quiet, reset on any progress.
+/// Adaptive idle pacing of the admission loops: spin-yield while
+/// traffic flows, back off to brief sleeps once the loop goes quiet,
+/// reset on any progress.
 pub(crate) struct IdleWait {
     streak: u32,
 }
@@ -156,17 +72,26 @@ pub(crate) enum ConnFail {
     Fatal(NetError),
 }
 
-/// One admitted (or handshaking) connection: a non-blocking socket, the
-/// shared reassembly/transmit codec, the optional lossy envelope, and an
-/// inbox of fully decoded protocol frames.
+impl ConnFail {
+    /// The fleet-level failure of member `i`'s connection.
+    fn of(self, i: usize) -> FleetFail {
+        match self {
+            Self::Dead => FleetFail::Dead(vec![i]),
+            Self::Fatal(e) => FleetFail::Fatal(e),
+        }
+    }
+}
+
+/// One admitted (or handshaking) connection: a socket (non-blocking
+/// during admission, blocking in a [`Fleet`]), the shared
+/// reassembly/transmit codec, the optional lossy envelope, and an inbox
+/// of fully decoded protocol frames.
 #[derive(Debug)]
 pub(crate) struct Conn {
     stream: TcpStream,
     pub(crate) codec: FrameCodec,
     envelope: Option<Envelope>,
     pub(crate) inbox: VecDeque<Frame>,
-    /// Deadline generation; bumping it lazily cancels armed timers.
-    pub(crate) gen: u64,
     /// Whether a collect phase currently awaits a frame from this peer.
     pub(crate) awaiting: bool,
 }
@@ -180,7 +105,6 @@ impl Conn {
             codec: FrameCodec::new(),
             envelope: None,
             inbox: VecDeque::new(),
-            gen: 0,
             awaiting: false,
         })
     }
@@ -230,12 +154,12 @@ impl Conn {
 
     /// Receiver-side routing of one decoded frame: straight to the inbox
     /// on lossless connections, through the envelope on lossy ones.
-    fn route(&mut self, frame: Frame, now: Instant) -> Result<(), ConnFail> {
+    fn route(&mut self, frame: Frame) -> Result<(), ConnFail> {
         let Some(envelope) = self.envelope.as_mut() else {
             self.inbox.push_back(frame);
             return Ok(());
         };
-        match envelope.receive(frame, now) {
+        match envelope.receive(frame, Instant::now()) {
             Ok(payload) => self.inbox.extend(payload),
             Err(e) => return Err(ConnFail::Fatal(NetError::Transport(e))),
         }
@@ -243,49 +167,80 @@ impl Conn {
         Ok(())
     }
 
-    /// Drains whatever the socket has buffered, through the borrowed
-    /// read buffer `chunk`, and parses complete frames into the inbox.
-    /// Returns whether any bytes arrived.
-    pub(crate) fn pump_read(&mut self, now: Instant, chunk: &mut [u8]) -> Result<bool, ConnFail> {
-        let mut progressed = false;
+    /// One `read` call through the borrowed buffer `chunk`, its complete
+    /// frames routed into the inbox. Returns whether bytes arrived:
+    /// `false` when a blocking socket's deadline passed, or a
+    /// non-blocking one had nothing buffered.
+    fn read_once(&mut self, chunk: &mut [u8]) -> Result<bool, ConnFail> {
         loop {
             match self.stream.read(chunk) {
                 Ok(0) => return Err(ConnFail::Dead),
                 Ok(k) => {
                     self.codec.ingest(&chunk[..k]);
-                    progressed = true;
+                    break;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Ok(false)
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => return Err(ConnFail::Dead),
             }
         }
         loop {
             match self.codec.pop_frame() {
-                Ok(Some(frame)) => self.route(frame, now)?,
-                Ok(None) => break,
+                Ok(Some(frame)) => self.route(frame)?,
+                Ok(None) => return Ok(true),
                 Err(e) => return Err(ConnFail::Fatal(NetError::Transport(e.into()))),
             }
+        }
+    }
+
+    /// Drains whatever the non-blocking socket has buffered. Returns
+    /// whether any bytes arrived.
+    pub(crate) fn pump_read(&mut self, chunk: &mut [u8]) -> Result<bool, ConnFail> {
+        let mut progressed = false;
+        while self.read_once(chunk)? {
+            progressed = true;
         }
         Ok(progressed)
     }
 
+    /// [`Conn::pump_read`] on a blocking socket: takes what it has
+    /// buffered without waiting.
+    fn read_buffered(&mut self, chunk: &mut [u8]) -> Result<(), ConnFail> {
+        self.stream.set_nonblocking(true).map_err(|_| ConnFail::Dead)?;
+        let read = self.pump_read(chunk);
+        let restored = self.stream.set_nonblocking(false);
+        read?;
+        restored.map_err(|_| ConnFail::Dead)
+    }
+
     /// Writes as much of the transmit queue as the socket accepts.
-    pub(crate) fn pump_write(&mut self) -> Result<bool, ConnFail> {
-        let mut progressed = false;
+    pub(crate) fn pump_write(&mut self) -> Result<(), ConnFail> {
         while self.codec.has_tx() {
             match self.stream.write(self.codec.pending_tx()) {
                 Ok(0) => return Err(ConnFail::Dead),
-                Ok(k) => {
-                    self.codec.advance_tx(k);
-                    progressed = true;
-                }
+                Ok(k) => self.codec.advance_tx(k),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => return Err(ConnFail::Dead),
             }
         }
-        Ok(progressed)
+        Ok(())
+    }
+
+    /// One service pass over a blocking connection: a lossy one takes
+    /// what its socket has buffered (acks and data) and drives its
+    /// retransmission clock; then the transmit queue is written.
+    fn service(&mut self, chunk: &mut [u8]) -> Result<(), ConnFail> {
+        if self.is_lossy() {
+            let read = self.read_buffered(chunk);
+            // The clock runs on a dead socket too, so its deadline moves
+            // on instead of waking every later wait at once.
+            self.poll_envelope(Instant::now());
+            read?;
+        }
+        self.pump_write()
     }
 
     /// Combined socket and envelope counters.
@@ -296,18 +251,6 @@ impl Conn {
         }
         stats
     }
-}
-
-/// One full readiness pass over a connection: retransmission clock,
-/// write, read (through the borrowed buffer `chunk`), then clock again
-/// (an ack may have freed the envelope).
-pub(crate) fn pump(conn: &mut Conn, now: Instant, chunk: &mut [u8]) -> Result<bool, ConnFail> {
-    conn.poll_envelope(now);
-    let wrote = conn.pump_write()?;
-    let read = conn.pump_read(now, chunk)?;
-    conn.poll_envelope(now);
-    let flushed = conn.pump_write()?;
-    Ok(wrote | read | flushed)
 }
 
 /// Which worker frame a collect phase awaits.
@@ -330,19 +273,19 @@ pub(crate) fn gain_ceiling(alpha: f64, x: f64) -> f64 {
     (alpha * (1.0 - x)).max(0.0)
 }
 
-/// The shared collect-phase frame matcher: the value carried by the
-/// awaited frame, `None` for a stale leftover of an abandoned epoch
-/// (silently filtered), `Dead` for a worker whose awaited value is
-/// impossible (a non-finite cost; a gain outside
-/// `[0, gain_ceiling(α, x_i)]`) — a wrong worker is buried like a
-/// crashed one — or `Fatal` on a protocol violation.
+/// The collect-phase frame matcher: the value carried by the awaited
+/// frame, `None` for a stale leftover of an abandoned epoch (silently
+/// filtered), `Dead` for a worker whose awaited value is impossible (a
+/// non-finite cost; a gain outside `[0, gain_ceiling(α, x_i)]`) — a
+/// wrong worker is buried like a crashed one — or `Fatal` on a protocol
+/// violation.
 fn phase_value(
     phase: Phase<'_>,
     frame: Frame,
     t: usize,
     epoch: u32,
     i: usize,
-) -> Result<Option<f64>, SweepFail> {
+) -> Result<Option<f64>, FleetFail> {
     let value = match (phase, frame) {
         (Phase::Cost, Frame::LocalCost { epoch: e, round, cost }) => {
             (e == epoch && round == t as u64).then_some(cost)
@@ -358,7 +301,7 @@ fn phase_value(
                 Phase::Cost => "cost",
                 Phase::Decision { .. } => "decision",
             };
-            return Err(SweepFail::Fatal(NetError::Protocol(format!(
+            return Err(FleetFail::Fatal(NetError::Protocol(format!(
                 "worker {i} sent an unexpected frame during {what} collection"
             ))));
         }
@@ -370,7 +313,7 @@ fn phase_value(
         }
     };
     match value {
-        Some(v) if !possible(v) => Err(SweepFail::Dead(vec![i])),
+        Some(v) if !possible(v) => Err(FleetFail::Dead(vec![i])),
         _ => Ok(value),
     }
 }
@@ -386,88 +329,66 @@ fn serve_inbox(
     i: usize,
     out: &mut [f64],
     logical: &mut usize,
-) -> Result<(), SweepFail> {
+) -> Result<(), FleetFail> {
     while conn.awaiting {
         let Some(frame) = conn.inbox.pop_front() else { break };
         if let Some(value) = phase_value(phase, frame, t, epoch, i)? {
             out[i] = value;
             *logical += 1;
             conn.awaiting = false;
-            conn.gen += 1;
         }
     }
     Ok(())
 }
 
-/// How a fleet sweep failed, when it did.
-pub(crate) enum SweepFail {
+/// How a fleet operation failed, when it did.
+pub(crate) enum FleetFail {
     /// These members' sockets died or their deadlines expired — all
-    /// deaths discovered in one sweep, so simultaneous stalls bury
+    /// deaths discovered in one pass, so simultaneous stalls bury
     /// together instead of costing a timeout each.
     Dead(Vec<usize>),
     /// Unrecoverable failure (protocol violation, malformed bytes).
     Fatal(NetError),
 }
 
-/// A shard-master's member set over sockets: the readiness sweep, the
-/// staircase, coalesced broadcast, deadline, and crash-discovery
+/// A shard-master's member set over blocking sockets: coalesced
+/// broadcast, the staircase collect, deadline and crash-discovery
 /// machinery. The protocol script stays in [`crate::shard`]; `Fleet`
 /// only knows how to move frames and discover deaths.
 pub(crate) struct Fleet {
     /// Member connections by id; `None` marks a buried member.
     pub(crate) links: Vec<Option<Conn>>,
     frame_timeout: Duration,
-    wheel: TimerWheel,
-    idle: IdleWait,
-    /// Whether the sockets have been flipped to blocking mode for the
-    /// staircase collect; see [`Fleet::enter_staircase`].
-    staircase: bool,
     /// The one read buffer every socket read of this fleet goes through.
     read_buf: Box<[u8]>,
 }
 
 impl Fleet {
-    pub(crate) fn new(links: Vec<Option<Conn>>, frame_timeout: Duration) -> Self {
-        Self {
-            links,
-            frame_timeout,
-            wheel: TimerWheel::new(Instant::now()),
-            idle: IdleWait::new(),
-            staircase: false,
-            read_buf: vec![0; READ_CHUNK_BYTES].into_boxed_slice(),
-        }
-    }
-
-    /// Flips every member socket to blocking mode — permanently — with
-    /// `frame_timeout` as both read and write deadline, committing this
-    /// fleet to the [`Fleet::collect_blocking`] staircase.
+    /// The fleet over the admitted `links`, every socket flipped to
+    /// blocking mode — once, here, for good — with `frame_timeout` as
+    /// both read and write deadline.
     ///
-    /// Doing the mode switch once, here, instead of per collect call is
-    /// not a nicety: toggling `O_NONBLOCK` and `SO_RCVTIMEO` around every
+    /// Doing the mode switch once instead of per collect call is not a
+    /// nicety: toggling `O_NONBLOCK` and `SO_RCVTIMEO` around every
     /// phase costs four syscalls per member per collect, which at
     /// N = 4096 across sixteen shard-masters is ~32k syscalls a round —
     /// on a mitigated kernel, tens of milliseconds of pure mode-flipping
-    /// stolen from the workers the phase is waiting on. A fleet in
-    /// staircase mode must never re-enter the readiness sweep
-    /// ([`Fleet::collect`]); `drain` and `shutdown` take blocking-safe
-    /// paths instead.
-    pub(crate) fn enter_staircase(&mut self) -> Result<(), SweepFail> {
-        debug_assert!(
-            self.links.iter().flatten().all(|c| !c.is_lossy()),
-            "the blocking staircase is a lossless-only path: lossy envelopes need the sweep's \
-             retransmission clock"
-        );
-        for (i, slot) in self.links.iter_mut().enumerate() {
-            let Some(conn) = slot.as_mut() else { continue };
+    /// stolen from the workers the phase is waiting on. Only a lossy
+    /// fleet re-arms `SO_RCVTIMEO`, once per blocking read, to meet its
+    /// retransmission deadlines ([`Fleet::collect_blocking`]).
+    pub(crate) fn new(links: Vec<Option<Conn>>, frame_timeout: Duration) -> Result<Self, NetError> {
+        for (i, slot) in links.iter().enumerate() {
+            let Some(conn) = slot else { continue };
             if conn.stream.set_nonblocking(false).is_err()
-                || conn.stream.set_read_timeout(Some(self.frame_timeout)).is_err()
-                || conn.stream.set_write_timeout(Some(self.frame_timeout)).is_err()
+                || conn.stream.set_read_timeout(Some(frame_timeout)).is_err()
+                || conn.stream.set_write_timeout(Some(frame_timeout)).is_err()
             {
-                return Err(SweepFail::Dead(vec![i]));
+                return Err(NetError::Protocol(format!(
+                    "worker socket {i} died entering blocking mode"
+                )));
             }
         }
-        self.staircase = true;
-        Ok(())
+        Ok(Self { links, frame_timeout, read_buf: vec![0; READ_CHUNK_BYTES].into_boxed_slice() })
     }
 
     /// Run-total wire counters over every live connection.
@@ -499,142 +420,46 @@ impl Fleet {
         self.links[i].as_mut().expect("active members have connections").queue(frame, now);
     }
 
-    /// Drops the awaiting flag (and cancels the deadline) everywhere —
-    /// the cleanup step of any aborted collect.
+    /// Drops the awaiting flag everywhere — the cleanup step of any
+    /// aborted collect.
     pub(crate) fn clear_awaiting(&mut self) {
         for conn in self.links.iter_mut().flatten() {
-            if conn.awaiting {
-                conn.awaiting = false;
-                conn.gen += 1;
-            }
+            conn.awaiting = false;
         }
     }
 
-    /// Awaits one `phase` frame from every member in `await_set` on this
-    /// fleet's collect path: the staircase once
-    /// [`Fleet::enter_staircase`] has run, the readiness sweep otherwise.
-    pub(crate) fn await_phase(
-        &mut self,
-        t: usize,
-        epoch: u32,
-        phase: Phase<'_>,
-        await_set: &[usize],
-        out: &mut [f64],
-        logical: &mut usize,
-    ) -> Result<(), SweepFail> {
-        if self.staircase {
-            self.collect_blocking(t, epoch, phase, await_set, out, logical)
-        } else {
-            self.collect(t, epoch, phase, await_set, out, logical)
-        }
-    }
-
-    /// Awaits one matching worker frame from every member in
-    /// `await_set`, pumping every busy connection each sweep. Deadlines
-    /// ride the timer wheel and *all* expiries of a sweep are collected
-    /// before aborting, so simultaneous stalls cost one `frame_timeout`
-    /// total. Frames tagged with an epoch other than `epoch` (or a round
-    /// other than `t`) are stale leftovers of an abandoned attempt and
-    /// are filtered.
-    pub(crate) fn collect(
-        &mut self,
-        t: usize,
-        epoch: u32,
-        phase: Phase<'_>,
-        await_set: &[usize],
-        out: &mut [f64],
-        logical: &mut usize,
-    ) -> Result<(), SweepFail> {
-        debug_assert!(!self.staircase, "a staircase fleet's sockets block; the sweep would hang");
-        let now = Instant::now();
-        let mut waiting = vec![false; self.links.len()];
-        for &i in await_set {
-            waiting[i] = true;
-            let conn = self.links[i].as_mut().expect("active members have connections");
-            conn.gen += 1;
-            conn.awaiting = true;
-            self.wheel.arm(now + self.frame_timeout, i, conn.gen);
-        }
-        let mut remaining = await_set.len();
-        while remaining > 0 {
-            let now = Instant::now();
-            let mut progressed = false;
-            let mut dead: Vec<usize> = Vec::new();
-            for (i, slot) in self.links.iter_mut().enumerate() {
-                let Some(conn) = slot.as_mut() else { continue };
-                if !(conn.awaiting || conn.busy()) {
-                    continue;
-                }
-                match pump(conn, now, &mut self.read_buf) {
-                    Ok(p) => progressed |= p,
-                    Err(ConnFail::Dead) => {
-                        dead.push(i);
-                        continue;
-                    }
-                    Err(ConnFail::Fatal(e)) => return Err(SweepFail::Fatal(e)),
-                }
-                if waiting[i] {
-                    match serve_inbox(conn, phase, t, epoch, i, out, logical) {
-                        Ok(()) => {}
-                        Err(SweepFail::Dead(wrong)) => {
-                            dead.extend(wrong);
-                            continue;
-                        }
-                        Err(fail) => return Err(fail),
-                    }
-                    if !conn.awaiting {
-                        waiting[i] = false;
-                        remaining -= 1;
-                    }
-                }
-            }
-            for timer in self.wheel.expire(now) {
-                let expired = self.links[timer.conn()]
-                    .as_ref()
-                    .is_some_and(|c| c.awaiting && c.gen == timer.gen());
-                if expired && !dead.contains(&timer.conn()) {
-                    dead.push(timer.conn());
-                }
-            }
-            if !dead.is_empty() {
-                dead.sort_unstable();
-                dead.dedup();
-                self.clear_awaiting();
-                return Err(SweepFail::Dead(dead));
-            }
-            self.idle.pace(progressed);
-        }
-        Ok(())
-    }
-
-    /// The lossless fast path of [`Fleet::collect`]: flush every pending
-    /// queue, then take the awaited frames by *sequential blocking reads*
-    /// — the staircase — instead of the readiness sweep.
+    /// Awaits one `phase` frame from every member in `await_set`: flush
+    /// every pending queue, then take the awaited frames by *sequential
+    /// blocking reads* — the staircase. Frames tagged with an epoch
+    /// other than `epoch` (or a round other than `t`) are stale leftovers
+    /// of an abandoned attempt and are filtered.
     ///
-    /// With no lossy envelopes there are no retransmission timers and no
-    /// acks to service, so between a broadcast and the matching collect
-    /// the only traffic on the fleet is the awaited frames themselves.
-    /// The coordinator can therefore sleep in the kernel on one socket at
-    /// a time while arrivals from the others buffer; the phase is a
-    /// barrier, so its completion time is unchanged, and what disappears
-    /// is the sweep's poll/sleep duty cycle — read syscalls against
-    /// empty sockets and timeslices stolen from the very workers the
-    /// phase is waiting on. Shedding that duty cycle is the measured win
-    /// of the TCP sweep's N = 4096 latency cells (`paper_figures tcp`).
+    /// Between a broadcast and the matching collect the only traffic on
+    /// the fleet is the awaited frames themselves, plus, on lossy links,
+    /// acks and retransmissions. The coordinator can therefore sleep in
+    /// the kernel on one socket at a time while arrivals from the others
+    /// buffer; the phase is a barrier, so its completion time is that of
+    /// its last arrival, with no poll/sleep duty cycle — read syscalls
+    /// against empty sockets and timeslices stolen from the very workers
+    /// the phase is waiting on. Shedding that duty cycle is the measured
+    /// win of the TCP sweep's N = 4096 latency cells (`paper_figures
+    /// tcp`).
     ///
-    /// The trade is deadline coarsening: each read waits up to
-    /// `frame_timeout` from the moment its turn comes, so a slow but
-    /// live early member pushes the later deadlines back. Stalls still
-    /// cost one `frame_timeout` per phase, not one per stalled member:
-    /// when the first read deadline expires, every member not yet read
-    /// has also had a full `frame_timeout` since the flush, so each is
-    /// read once without blocking and every silent one is reported in
-    /// the same [`SweepFail::Dead`]. A shard-master takes the staircase
-    /// whenever its fault plan is lossless.
+    /// The trade is deadline coarsening: each turn waits up to
+    /// `frame_timeout` from the moment it comes, so a slow but live early
+    /// member pushes the later deadlines back. Stalls still cost one
+    /// `frame_timeout` per phase, not one per stalled member: when the
+    /// first turn's deadline expires, every member not yet read has also
+    /// had a full `frame_timeout` since the flush, so each is read once
+    /// without blocking and every silent one is reported in the same
+    /// [`FleetFail::Dead`].
     ///
-    /// Requires [`Fleet::enter_staircase`] to have flipped the sockets
-    /// to blocking mode first — the deadlines here are the kernel's
-    /// `SO_RCVTIMEO`, armed once, not per-call socket reconfiguration.
+    /// A lossless turn's deadline is the kernel's `SO_RCVTIMEO`, armed
+    /// once by [`Fleet::new`]. A lossy turn's reads also end at the
+    /// earliest retransmission deadline anywhere in the fleet, and a
+    /// wake there services every envelope before the turn resumes
+    /// ([`Fleet::wait_on`]); such a wake does not move the turn's
+    /// deadline.
     pub(crate) fn collect_blocking(
         &mut self,
         t: usize,
@@ -643,27 +468,34 @@ impl Fleet {
         await_set: &[usize],
         out: &mut [f64],
         logical: &mut usize,
-    ) -> Result<(), SweepFail> {
-        debug_assert!(self.staircase, "collect_blocking requires enter_staircase");
-        // Flush everything queued (coordination frames, pins) so every
-        // member is computing before the staircase starts sleeping. The
-        // sockets block with a write deadline, so a pass that leaves
-        // bytes behind means the member stopped reading long enough for
-        // both its socket buffer and the deadline to fill: dead.
-        for (i, slot) in self.links.iter_mut().enumerate() {
-            let Some(conn) = slot.as_mut() else { continue };
-            if conn.busy() {
-                match conn.pump_write() {
-                    Ok(_) if conn.busy() => return Err(SweepFail::Dead(vec![i])),
-                    Ok(_) => {}
-                    Err(ConnFail::Dead) => return Err(SweepFail::Dead(vec![i])),
-                    Err(ConnFail::Fatal(e)) => return Err(SweepFail::Fatal(e)),
-                }
-            }
-        }
+    ) -> Result<(), FleetFail> {
         for &i in await_set {
-            let conn = self.links[i].as_mut().expect("active members have connections");
-            conn.awaiting = true;
+            self.links[i].as_mut().expect("active members have connections").awaiting = true;
+        }
+        let result = self.staircase(t, epoch, phase, await_set, out, logical);
+        if result.is_err() {
+            self.clear_awaiting();
+        }
+        result
+    }
+
+    /// The body of [`Fleet::collect_blocking`].
+    fn staircase(
+        &mut self,
+        t: usize,
+        epoch: u32,
+        phase: Phase<'_>,
+        await_set: &[usize],
+        out: &mut [f64],
+        logical: &mut usize,
+    ) -> Result<(), FleetFail> {
+        // Flush everything queued (coordination frames, pins) so every
+        // member is computing before the staircase starts sleeping; on
+        // a lossy fleet this also takes the acks already buffered, so a
+        // frame queued behind one whose ack has arrived goes out now.
+        let dead = self.drain().map_err(FleetFail::Fatal)?;
+        if !dead.is_empty() {
+            return Err(FleetFail::Dead(dead));
         }
         // Descend the staircase in *reverse* broadcast order. The phase
         // opener was written to member 0 first, so replies arrive in
@@ -676,71 +508,76 @@ impl Fleet {
         // their sockets; the remaining reads return without sleeping.
         // Stragglers out of order cost one extra park each, nothing
         // more, and the phase still completes at the last arrival.
-        let mut failed: Option<SweepFail> = None;
-        'staircase: for (pos, &i) in await_set.iter().rev().enumerate() {
-            let conn = self.links[i].as_mut().expect("active members have connections");
-            let chunk = &mut self.read_buf[..];
+        for (pos, &i) in await_set.iter().rev().enumerate() {
+            let until = Instant::now() + self.frame_timeout;
             loop {
                 // Serve whatever is already reassembled before sleeping.
-                if let Err(fail) = serve_inbox(conn, phase, t, epoch, i, out, logical) {
-                    failed = Some(fail);
-                    break 'staircase;
-                }
+                let conn = self.links[i].as_mut().expect("active members have connections");
+                serve_inbox(conn, phase, t, epoch, i, out, logical)?;
                 if !conn.awaiting {
                     break;
                 }
-                match conn.stream.read(chunk) {
-                    Ok(0) => {
-                        failed = Some(SweepFail::Dead(vec![i]));
-                        break 'staircase;
-                    }
-                    Ok(k) => {
-                        conn.codec.ingest(&chunk[..k]);
-                        loop {
-                            match conn.codec.pop_frame() {
-                                Ok(Some(frame)) => conn.inbox.push_back(frame),
-                                Ok(None) => break,
-                                Err(e) => {
-                                    failed = Some(SweepFail::Fatal(NetError::Transport(e.into())));
-                                    break 'staircase;
-                                }
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e)
-                        if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-                    {
-                        // The staircase deadline: this member and every
-                        // one not yet read are a full frame_timeout past
-                        // the flush.
-                        let unread = &await_set[..await_set.len() - pos];
-                        failed = match self.reap_silent(unread, t, epoch, phase, out, logical) {
-                            Ok(dead) if dead.is_empty() => None,
-                            Ok(dead) => Some(SweepFail::Dead(dead)),
-                            Err(fail) => Some(fail),
-                        };
-                        break 'staircase;
-                    }
-                    Err(_) => {
-                        failed = Some(SweepFail::Dead(vec![i]));
-                        break 'staircase;
-                    }
+                if !self.wait_on(i, until)? {
+                    // The turn's deadline: this member and every one not
+                    // yet read are a full frame_timeout past the flush.
+                    let unread = &await_set[..await_set.len() - pos];
+                    let dead = self.reap_silent(unread, t, epoch, phase, out, logical)?;
+                    return if dead.is_empty() { Ok(()) } else { Err(FleetFail::Dead(dead)) };
                 }
             }
         }
-        if let Some(fail) = failed {
-            self.clear_awaiting();
-            return Err(fail);
-        }
         Ok(())
+    }
+
+    /// One blocking wait on member `i`'s socket: `true` once bytes
+    /// arrived or the fleet was serviced, `false` once the turn's
+    /// deadline passed with nothing read — on a lossless socket the
+    /// `SO_RCVTIMEO` armed by [`Fleet::new`], on a lossy one `until`.
+    ///
+    /// A lossy wait also ends at the earliest retransmission deadline
+    /// anywhere in the fleet, and waking there services every envelope
+    /// ([`Fleet::drain`]): each socket's buffered acks and data, the
+    /// retransmission clocks, the writes. So a frame the plan dropped to
+    /// one member goes out again on time while the staircase sleeps on
+    /// another.
+    fn wait_on(&mut self, i: usize, until: Instant) -> Result<bool, FleetFail> {
+        let conn = self.links[i].as_mut().expect("active members have connections");
+        if !conn.is_lossy() {
+            return conn.read_once(&mut self.read_buf).map_err(|fail| fail.of(i));
+        }
+        let wake = self.next_retransmission().map_or(until, |due| due.min(until));
+        let now = Instant::now();
+        if wake > now {
+            let conn = self.links[i].as_mut().expect("active members have connections");
+            let read = match conn.stream.set_read_timeout(Some(wake - now)) {
+                Ok(()) => conn.read_once(&mut self.read_buf),
+                Err(_) => Err(ConnFail::Dead),
+            };
+            // The payload's ack (or a frame its ack let through) goes out
+            // before the staircase reads on.
+            if read.and_then(|got| conn.pump_write().map(|()| got)).map_err(|fail| fail.of(i))? {
+                return Ok(true);
+            }
+        }
+        if Instant::now() >= until {
+            return Ok(false);
+        }
+        match self.drain().map_err(FleetFail::Fatal)? {
+            dead if dead.is_empty() => Ok(true),
+            dead => Err(FleetFail::Dead(dead)),
+        }
+    }
+
+    /// The earliest retransmission deadline of any envelope in the fleet.
+    fn next_retransmission(&self) -> Option<Instant> {
+        self.links.iter().flatten().filter_map(|c| c.envelope.as_ref()?.deadline()).min()
     }
 
     /// The staircase's failure path: reads each of `members` once
     /// without blocking and returns the ones that still owe their frame,
     /// ascending. Every member here has had at least one `frame_timeout`
     /// since the phase's flush, so all of them are dead — a whole bank
-    /// of stalls in one failure, as in the sweep.
+    /// of stalls in one failure.
     fn reap_silent(
         &mut self,
         members: &[usize],
@@ -749,24 +586,17 @@ impl Fleet {
         phase: Phase<'_>,
         out: &mut [f64],
         logical: &mut usize,
-    ) -> Result<Vec<usize>, SweepFail> {
-        let now = Instant::now();
+    ) -> Result<Vec<usize>, FleetFail> {
         let mut dead = Vec::new();
         for &i in members {
             let conn = self.links[i].as_mut().expect("active members have connections");
-            if conn.stream.set_nonblocking(true).is_err() {
-                dead.push(i);
-                continue;
-            }
-            let read = conn.pump_read(now, &mut self.read_buf);
-            let restored = conn.stream.set_nonblocking(false).is_ok();
-            match read {
-                Err(ConnFail::Fatal(e)) => return Err(SweepFail::Fatal(e)),
+            match conn.read_buffered(&mut self.read_buf) {
+                Err(ConnFail::Fatal(e)) => return Err(FleetFail::Fatal(e)),
                 Err(ConnFail::Dead) => dead.push(i),
-                Ok(_) => match serve_inbox(conn, phase, t, epoch, i, out, logical) {
-                    Ok(()) if conn.awaiting || !restored => dead.push(i),
+                Ok(()) => match serve_inbox(conn, phase, t, epoch, i, out, logical) {
+                    Ok(()) if conn.awaiting => dead.push(i),
                     Ok(()) => {}
-                    Err(SweepFail::Dead(_)) => dead.push(i),
+                    Err(FleetFail::Dead(_)) => dead.push(i),
                     Err(fail) => return Err(fail),
                 },
             }
@@ -775,139 +605,65 @@ impl Fleet {
         Ok(dead)
     }
 
-    /// Flushes every pending queue and live envelope within one
-    /// `frame_timeout`; connections that fail or stall come back as the
-    /// dead list. Used after a commit, so the caller maps a non-empty
-    /// list onto the round-stands crash branch.
+    /// Services every connection with outbound work or an awaited frame,
+    /// without blocking on any reply: a lossy one takes what its socket
+    /// has buffered (acks and data) and drives its retransmission clock,
+    /// then each writes its transmit queue. Returns the members whose
+    /// sockets died or whose writes outlasted the kernel's write
+    /// deadline (a member that stopped reading long enough for its
+    /// socket buffer and the deadline to fill). An envelope still
+    /// awaiting its ack is not a death: the next blocking wait services
+    /// it.
+    ///
+    /// After a commit this delivers the commit frames, and the caller
+    /// maps a non-empty list onto the round-stands crash branch.
     pub(crate) fn drain(&mut self) -> Result<Vec<usize>, NetError> {
-        if self.staircase {
-            // Blocking sockets: a read sweep would hang on quiet members,
-            // and on a lossless fleet there is nothing inbound to service
-            // between phases anyway. Draining is flushing the queued
-            // commit frames; the kernel's write deadline turns a member
-            // that stopped reading into a timeout, reported as dead.
-            let mut dead: Vec<usize> = Vec::new();
-            for (i, slot) in self.links.iter_mut().enumerate() {
-                let Some(conn) = slot.as_mut() else { continue };
-                if !conn.busy() {
-                    continue;
-                }
-                match conn.pump_write() {
-                    Ok(_) if conn.busy() => dead.push(i),
-                    Ok(_) => {}
-                    Err(ConnFail::Dead) => dead.push(i),
-                    Err(ConnFail::Fatal(e)) => return Err(e),
-                }
+        let mut dead = Vec::new();
+        for (i, slot) in self.links.iter_mut().enumerate() {
+            let Some(conn) = slot.as_mut() else { continue };
+            if !(conn.awaiting || conn.busy()) {
+                continue;
             }
-            return Ok(dead);
+            match conn.service(&mut self.read_buf) {
+                Ok(()) if conn.codec.has_tx() => dead.push(i),
+                Ok(()) => {}
+                Err(ConnFail::Dead) => dead.push(i),
+                Err(ConnFail::Fatal(e)) => return Err(e),
+            }
         }
-        let until = Instant::now() + self.frame_timeout;
-        let mut dead: Vec<usize> = Vec::new();
-        loop {
-            let now = Instant::now();
-            let mut busy_any = false;
-            let mut progressed = false;
-            for (i, slot) in self.links.iter_mut().enumerate() {
-                let Some(conn) = slot.as_mut() else { continue };
-                if dead.contains(&i) || !conn.busy() {
-                    continue;
-                }
-                match pump(conn, now, &mut self.read_buf) {
-                    Ok(p) => progressed |= p,
-                    Err(ConnFail::Dead) => {
-                        dead.push(i);
-                        continue;
-                    }
-                    Err(ConnFail::Fatal(e)) => return Err(e),
-                }
-                if conn.busy() {
-                    busy_any = true;
-                }
-            }
-            if !busy_any {
-                break;
-            }
-            if now >= until {
-                for (i, slot) in self.links.iter().enumerate() {
-                    if slot.as_ref().is_some_and(Conn::busy) && !dead.contains(&i) {
-                        dead.push(i);
-                    }
-                }
-                break;
-            }
-            self.idle.pace(progressed);
-        }
-        dead.sort_unstable();
         Ok(dead)
     }
 
     /// Orderly end of the run: queues `Shutdown` on every live link,
-    /// flushes it, then **lingers** — keeps pumping (and therefore
-    /// re-acking retransmitted duplicates) until each peer closes its
-    /// socket or `limit` expires. The linger matters under loss: a peer
-    /// whose final frame's ack was eaten is still blocked in its
+    /// flushes it, then **lingers** on each peer in turn, with the
+    /// staircase's waits, until it closes its socket or `limit` expires.
+    /// On lossy links those waits keep servicing the envelopes, so a
+    /// `Shutdown` the plan drops is retransmitted and a peer's
+    /// retransmitted final frame is re-acked. The linger matters there:
+    /// a peer whose final frame's ack was eaten is still blocked in its
     /// stop-and-wait retransmission schedule when `Shutdown` lands, and
     /// closing its socket mid-schedule would fire a reset into that
-    /// send. Peers close as soon as they finish, so the common case is a
-    /// handful of sweeps, not the deadline.
+    /// send. Peers close as soon as they finish, so the common case is
+    /// one read per peer, not the deadline.
     pub(crate) fn shutdown(&mut self, limit: Duration) {
         let now = Instant::now();
         for conn in self.links.iter_mut().flatten() {
             conn.queue(&Frame::Shutdown, now);
         }
-        if self.staircase {
-            // Flush every goodbye before reaping any EOF, so no peer's
-            // close waits behind another's blocking read; then collect
-            // the closes, each read bounded by the socket deadline and
-            // the whole pass by `limit`. Lossless peers never block in a
-            // retransmission schedule, so there is nothing to re-ack.
-            for conn in self.links.iter_mut().flatten() {
-                let _ = conn.pump_write();
-            }
-            let until = now + limit;
-            for conn in self.links.iter_mut().flatten() {
-                loop {
-                    if Instant::now() >= until {
-                        return;
-                    }
-                    match conn.stream.read(&mut self.read_buf) {
-                        Ok(0) => break, // the peer's goodbye
-                        Ok(_) => {}     // stray bytes; keep reaping
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => break, // deadline or reset: give up on this peer
-                    }
-                }
-            }
-            return;
-        }
+        // Flush every goodbye before reaping any EOF, so no peer's close
+        // waits behind another's blocking read.
+        let _ = self.drain();
         let until = now + limit;
-        let mut open: Vec<bool> = self.links.iter().map(Option::is_some).collect();
-        let mut idle = IdleWait::new();
-        loop {
-            let now = Instant::now();
-            if now >= until {
-                return;
-            }
-            let mut progressed = false;
-            let mut remaining = false;
-            for (i, slot) in self.links.iter_mut().enumerate() {
-                if !open[i] {
-                    continue;
-                }
-                let conn = slot.as_mut().expect("open connections exist");
-                match pump(conn, now, &mut self.read_buf) {
-                    Ok(p) => {
-                        progressed |= p;
-                        remaining = true;
-                    }
-                    // EOF or error: the peer's goodbye.
-                    Err(_) => open[i] = false,
+        for i in 0..self.links.len() {
+            while self.links[i].is_some() && Instant::now() < until {
+                match self.wait_on(i, until) {
+                    // Stray bytes, a serviced wake, another peer's goodbye.
+                    Ok(true) => {}
+                    Err(FleetFail::Dead(dead)) if !dead.contains(&i) => {}
+                    // This peer's goodbye, a reset, or the deadline.
+                    Ok(false) | Err(_) => break,
                 }
             }
-            if !remaining {
-                return;
-            }
-            idle.pace(progressed);
         }
     }
 }
@@ -915,13 +671,15 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{FrameConn, Link};
+    use dolbie_simnet::faults::RetryPolicy;
     use std::net::TcpListener;
 
-    /// `phase_value` is the stale-epoch filter of both collect paths:
-    /// frames tagged with an older epoch — leftovers of a round attempt
-    /// abandoned by a membership transition — are skipped, never
-    /// mis-consumed and never fatal; same-epoch frames of the wrong
-    /// phase stay protocol violations.
+    /// `phase_value` is the collect's stale-epoch filter: frames tagged
+    /// with an older epoch — leftovers of a round attempt abandoned by a
+    /// membership transition — are skipped, never mis-consumed and never
+    /// fatal; same-epoch frames of the wrong phase stay protocol
+    /// violations.
     #[test]
     fn phase_value_filters_stale_epochs_but_rejects_phase_violations() {
         // Stale epoch, either frame kind, either phase: skipped.
@@ -941,7 +699,7 @@ mod tests {
         // A *current*-epoch frame of the wrong phase is a violation,
         // not a stale leftover — the filter must not swallow it.
         let misplaced = Frame::Decision { epoch: 1, round: 7, share: 0.1, gain: 0.2 };
-        assert!(matches!(phase_value(Phase::Cost, misplaced, 7, 1, 0), Err(SweepFail::Fatal(_))));
+        assert!(matches!(phase_value(Phase::Cost, misplaced, 7, 1, 0), Err(FleetFail::Fatal(_))));
     }
 
     /// The awaited value is checked before it is used: a non-finite
@@ -951,7 +709,7 @@ mod tests {
     #[test]
     fn phase_value_buries_impossible_values() {
         let dead =
-            |r: Result<Option<f64>, SweepFail>| matches!(r, Err(SweepFail::Dead(d)) if d == [3]);
+            |r: Result<Option<f64>, FleetFail>| matches!(r, Err(FleetFail::Dead(d)) if d == [3]);
         for cost in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let frame = Frame::LocalCost { epoch: 1, round: 7, cost };
             assert!(dead(phase_value(Phase::Cost, frame, 7, 1, 3)), "cost {cost}");
@@ -990,12 +748,37 @@ mod tests {
             let (server, _) = listener.accept().expect("accept");
             links.push(Some(Conn::new(server).expect("conn")));
         }
-        (Fleet::new(links, frame_timeout), peers)
+        (Fleet::new(links, frame_timeout).expect("blocking mode"), peers)
     }
 
-    fn fleet_over_one_socket() -> (Fleet, TcpStream) {
-        let (fleet, mut peers) = fleet_over_sockets(1, Duration::from_secs(2));
-        (fleet, peers.pop().expect("one peer"))
+    /// Makes every member link of `fleet` lossy under `plan`, member `i`
+    /// with node code `i + 1`.
+    fn make_lossy(fleet: &mut Fleet, plan: &FaultPlan) {
+        for (i, conn) in fleet.links.iter_mut().flatten().enumerate() {
+            conn.install_lossy(plan, 0, i as u64 + 1);
+        }
+    }
+
+    /// A lossy plan, with a brisk retry schedule, under which `drops`
+    /// holds: the first seed whose wire decisions it accepts.
+    fn lossy_plan(drops: impl Fn(&FaultPlan) -> bool) -> FaultPlan {
+        (0..)
+            .map(|seed| {
+                FaultPlan::seeded(seed)
+                    .with_drop_probability(0.3)
+                    .with_retry(RetryPolicy::new(0.02, 1.5, 6))
+            })
+            .find(|plan| drops(plan))
+            .expect("some seed")
+    }
+
+    /// Writes `frame` as a member's end of the link puts it on the wire:
+    /// raw on a lossless link, as data with sequence number `seq` on a
+    /// lossy one.
+    fn send_as_peer(peer: &mut TcpStream, lossy: bool, seq: u64, frame: Frame) {
+        let frame =
+            if lossy { Frame::Data { seq, attempt: 0, inner: Box::new(frame) } } else { frame };
+        peer.write_all(&frame.encode()).expect("peer write");
     }
 
     /// Regression: the staircase reports every silent member at its
@@ -1007,14 +790,13 @@ mod tests {
         use std::io::Write as _;
         let timeout = Duration::from_millis(200);
         let (mut fleet, mut peers) = fleet_over_sockets(4, timeout);
-        assert!(fleet.enter_staircase().is_ok());
         peers[2].write_all(&Frame::LocalCost { epoch: 0, round: 5, cost: 1.0 }.encode()).unwrap();
         let (mut out, mut logical) = ([0.0f64; 4], 0usize);
         let started = Instant::now();
         let result =
             fleet.collect_blocking(5, 0, Phase::Cost, &[0, 1, 2, 3], &mut out, &mut logical);
         let elapsed = started.elapsed();
-        assert!(matches!(result, Err(SweepFail::Dead(ref dead)) if dead == &[0, 1, 3]));
+        assert!(matches!(result, Err(FleetFail::Dead(ref dead)) if dead == &[0, 1, 3]));
         assert!(elapsed < timeout * 2, "three silent members cost {elapsed:?}");
     }
 
@@ -1022,57 +804,125 @@ mod tests {
     /// shard-local epoch bumped to 1 (the worker answered the abandoned
     /// attempt before it saw the `Epoch` frame) must be discarded by the
     /// collect, which then waits for — and takes — the re-reported
-    /// epoch-1 value. Exercised on both collect paths.
+    /// epoch-1 value. Exercised on a lossless and a lossy fleet.
     #[test]
     fn collect_skips_frames_from_before_a_local_epoch_bump() {
-        use std::io::Write as _;
-        for staircase in [false, true] {
-            let (mut fleet, mut peer) = fleet_over_one_socket();
-            if staircase {
-                assert!(fleet.enter_staircase().is_ok());
+        for lossy in [false, true] {
+            let (mut fleet, mut peers) = fleet_over_sockets(1, Duration::from_secs(2));
+            if lossy {
+                make_lossy(&mut fleet, &lossy_plan(|_| true));
             }
-            peer.write_all(&Frame::LocalCost { epoch: 0, round: 7, cost: 1.0 }.encode())
-                .expect("stale frame");
-            peer.write_all(&Frame::LocalCost { epoch: 1, round: 7, cost: 42.0 }.encode())
-                .expect("fresh frame");
+            let peer = &mut peers[0];
+            send_as_peer(peer, lossy, 0, Frame::LocalCost { epoch: 0, round: 7, cost: 1.0 });
+            send_as_peer(peer, lossy, 1, Frame::LocalCost { epoch: 1, round: 7, cost: 42.0 });
             let mut out = [0.0f64];
             let mut logical = 0usize;
-            let result = if staircase {
-                fleet.collect_blocking(7, 1, Phase::Cost, &[0], &mut out, &mut logical)
-            } else {
-                fleet.collect(7, 1, Phase::Cost, &[0], &mut out, &mut logical)
-            };
-            assert!(result.is_ok(), "the stale frame must be skipped, not fatal");
-            assert_eq!(out[0], 42.0, "the epoch-1 re-report is the consumed value");
-            assert_eq!(logical, 1, "exactly one logical frame per member per phase");
+            let result = fleet.collect_blocking(7, 1, Phase::Cost, &[0], &mut out, &mut logical);
+            assert!(result.is_ok(), "lossy {lossy}: the stale frame must be skipped, not fatal");
+            assert_eq!(out[0], 42.0, "lossy {lossy}: the epoch-1 re-report is the consumed value");
+            assert_eq!(logical, 1, "lossy {lossy}: one logical frame per member per phase");
         }
     }
 
-    /// A NaN cost report fails either collect path with exactly its
-    /// sender dead, and leaves no member awaiting.
+    /// A NaN cost report fails the collect of a lossless and of a lossy
+    /// fleet with exactly its sender dead, and leaves no member awaiting.
     #[test]
-    fn a_nan_report_is_a_death_on_both_collect_paths() {
-        use std::io::Write as _;
-        for staircase in [false, true] {
+    fn a_nan_report_is_a_death_on_lossless_and_lossy_fleets() {
+        for lossy in [false, true] {
             let (mut fleet, mut peers) = fleet_over_sockets(3, Duration::from_secs(2));
-            if staircase {
-                assert!(fleet.enter_staircase().is_ok());
+            if lossy {
+                make_lossy(&mut fleet, &lossy_plan(|_| true));
             }
             for (peer, cost) in peers.iter_mut().zip([1.0, f64::NAN, 2.0]) {
-                peer.write_all(&Frame::LocalCost { epoch: 0, round: 5, cost }.encode())
-                    .expect("report");
+                send_as_peer(peer, lossy, 0, Frame::LocalCost { epoch: 0, round: 5, cost });
             }
             let (mut out, mut logical) = ([0.0f64; 3], 0usize);
-            let result = if staircase {
-                fleet.collect_blocking(5, 0, Phase::Cost, &[0, 1, 2], &mut out, &mut logical)
-            } else {
-                fleet.collect(5, 0, Phase::Cost, &[0, 1, 2], &mut out, &mut logical)
-            };
+            let result =
+                fleet.collect_blocking(5, 0, Phase::Cost, &[0, 1, 2], &mut out, &mut logical);
             assert!(
-                matches!(result, Err(SweepFail::Dead(ref dead)) if dead == &[1]),
-                "staircase {staircase}"
+                matches!(result, Err(FleetFail::Dead(ref dead)) if dead == &[1]),
+                "lossy {lossy}"
             );
-            assert!(fleet.links.iter().flatten().all(|c| !c.awaiting), "staircase {staircase}");
+            assert!(fleet.links.iter().flatten().all(|c| !c.awaiting), "lossy {lossy}");
         }
+    }
+
+    /// A member's end of a lossy link, on a thread: answers the first
+    /// frame it is sent with a round-5 `LocalCost` after `hold`, acks
+    /// what follows until `Shutdown`, and returns how long that first
+    /// frame took to arrive.
+    fn lossy_member(
+        stream: TcpStream,
+        plan: &FaultPlan,
+        code: u64,
+        hold: Duration,
+    ) -> std::thread::JoinHandle<Duration> {
+        let plan = plan.clone();
+        std::thread::spawn(move || {
+            let started = Instant::now();
+            let mut link = Link::with_plan(FrameConn::new(stream).expect("conn"), plan, code, 0);
+            let _opener = link.recv(Duration::from_secs(5)).expect("the opener arrives");
+            let arrived = started.elapsed();
+            std::thread::sleep(hold);
+            link.send(&Frame::LocalCost { epoch: 0, round: 5, cost: code as f64 }).expect("send");
+            while !matches!(link.recv(Duration::from_secs(5)), Ok(Frame::Shutdown) | Err(_)) {}
+            arrived
+        })
+    }
+
+    /// On a lossy fleet, a `RoundStart` the plan drops to member 0 is
+    /// retransmitted at its deadline while the staircase sleeps on
+    /// member 1, who answers late; member 0 answers, and nobody is
+    /// buried.
+    #[test]
+    fn a_dropped_frame_is_resent_while_the_staircase_reads_another_member() {
+        // Master (code 0) to member 0 (code 1): the first attempt of
+        // sequence 0 is dropped, the second is not; member 1 (code 2)
+        // gets it at once.
+        let plan = lossy_plan(|p| {
+            p.wire_drop(0, 0, 1, 0) && !p.wire_drop(0, 0, 1, 1) && !p.wire_drop(0, 0, 2, 0)
+        });
+        let (mut fleet, peers) = fleet_over_sockets(2, Duration::from_secs(2));
+        make_lossy(&mut fleet, &plan);
+        let hold = Duration::from_millis(400);
+        let members: Vec<_> = peers
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| lossy_member(s, &plan, i as u64 + 1, [Duration::ZERO, hold][i]))
+            .collect();
+        fleet.broadcast(&Frame::RoundStart { epoch: 0, round: 5 }, &[0, 1], Instant::now());
+        let (mut out, mut logical) = ([0.0f64; 2], 0usize);
+        let result = fleet.collect_blocking(5, 0, Phase::Cost, &[0, 1], &mut out, &mut logical);
+        assert!(result.is_ok(), "nobody is buried");
+        assert_eq!(out, [1.0, 2.0]);
+        fleet.shutdown(Duration::from_secs(2));
+        let arrived = members.into_iter().map(|m| m.join().expect("member")).collect::<Vec<_>>();
+        // Resent at the 20 ms retransmission deadline, not when the
+        // staircase reached member 0 after member 1's late answer.
+        assert!(arrived[0] < hold / 2, "the dropped RoundStart arrived after {:?}", arrived[0]);
+    }
+
+    /// On a lossy fleet, a member whose commit frame is still unacked
+    /// (the plan dropped it) at `drain` is not reported dead; the next
+    /// collect's blocking wait retransmits it, and the member answers.
+    #[test]
+    fn an_unacked_commit_frame_at_drain_is_not_a_death() {
+        let plan = lossy_plan(|p| p.wire_drop(0, 0, 1, 0) && !p.wire_drop(0, 0, 1, 1));
+        let (mut fleet, mut peers) = fleet_over_sockets(1, Duration::from_secs(2));
+        make_lossy(&mut fleet, &plan);
+        let member = lossy_member(peers.pop().expect("one peer"), &plan, 1, Duration::ZERO);
+        fleet.queue_to(0, &Frame::Assignment { round: 4, share: 0.5 }, Instant::now());
+        assert!(
+            matches!(fleet.drain(), Ok(dead) if dead.is_empty()),
+            "an unacked frame is no death"
+        );
+        assert!(fleet.links[0].as_ref().is_some_and(Conn::busy), "the commit frame awaits its ack");
+        fleet.broadcast(&Frame::RoundStart { epoch: 0, round: 5 }, &[0], Instant::now());
+        let (mut out, mut logical) = ([0.0f64], 0usize);
+        let result = fleet.collect_blocking(5, 0, Phase::Cost, &[0], &mut out, &mut logical);
+        assert!(result.is_ok(), "the member answers once its commit frame is resent");
+        assert_eq!(out, [1.0]);
+        fleet.shutdown(Duration::from_secs(2));
+        member.join().expect("member");
     }
 }

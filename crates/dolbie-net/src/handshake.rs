@@ -10,7 +10,7 @@
 //! envelope; faults start with the first round frame.
 
 use crate::env::WireEnvSpec;
-use crate::fleet::{Conn, IdleWait, TimerWheel, READ_CHUNK_BYTES};
+use crate::fleet::{Conn, IdleWait, READ_CHUNK_BYTES};
 use crate::transport::TransportError;
 use crate::wire::Frame;
 use crate::NetError;
@@ -74,10 +74,11 @@ pub(crate) fn shipped_fault_plan(
 const UPSTREAM_CHECK: Duration = Duration::from_millis(20);
 
 /// Concurrent evented admission: every pending socket handshakes under
-/// its own deadline, slots assigned in Hello-completion order. The
-/// listener must already be non-blocking. Welcome content and lossy peer
-/// codes come from the closures, keyed by the admission slot, so a
-/// shard-master offsets them by its global id range.
+/// its own Hello deadline, `frame_timeout` from its accept, checked in
+/// each pass over the candidates; slots are assigned in Hello-completion
+/// order. The listener must already be non-blocking. Welcome content and
+/// lossy peer codes come from the closures, keyed by the admission slot,
+/// so a shard-master offsets them by its global id range.
 ///
 /// Admission itself has no deadline; it ends early, with an error, when
 /// `upstream_gone` says the party the fleet is being admitted for has
@@ -91,9 +92,8 @@ pub(crate) fn admit_concurrent(
     mut peer_code: impl FnMut(usize) -> u64,
     mut upstream_gone: impl FnMut() -> bool,
 ) -> Result<Vec<Option<Conn>>, NetError> {
-    let mut wheel = TimerWheel::new(Instant::now());
     let mut idle = IdleWait::new();
-    let mut candidates: Vec<Option<Conn>> = Vec::new();
+    let mut candidates: Vec<Option<(Conn, Instant)>> = Vec::new();
     let mut admitted: Vec<Option<Conn>> = (0..count).map(|_| None).collect();
     let mut next_id = 0usize;
     let mut next_check = Instant::now() + UPSTREAM_CHECK;
@@ -112,11 +112,8 @@ pub(crate) fn admit_concurrent(
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if let Ok(mut conn) = Conn::new(stream) {
-                        conn.gen += 1;
-                        let idx = candidates.len();
-                        wheel.arm(now + frame_timeout, idx, conn.gen);
-                        candidates.push(Some(conn));
+                    if let Ok(conn) = Conn::new(stream) {
+                        candidates.push(Some((conn, now + frame_timeout)));
                         progressed = true;
                     }
                 }
@@ -129,8 +126,8 @@ pub(crate) fn admit_concurrent(
             if next_id >= count {
                 break;
             }
-            let Some(conn) = slot.as_mut() else { continue };
-            match conn.pump_read(now, &mut read_buf) {
+            let Some((conn, deadline)) = slot.as_mut() else { continue };
+            match conn.pump_read(&mut read_buf) {
                 Ok(p) => progressed |= p,
                 Err(_) => {
                     // Rejected: dead socket or undecodable bytes.
@@ -139,33 +136,24 @@ pub(crate) fn admit_concurrent(
                 }
             }
             match conn.inbox.pop_front() {
+                // Hello never arrived within the deadline: rejected.
+                None if now >= *deadline => *slot = None,
                 None => {}
                 Some(Frame::Hello { .. }) => {
-                    let mut conn = slot.take().expect("candidate present");
+                    let (mut conn, _) = slot.take().expect("candidate present");
                     let id = next_id;
                     next_id += 1;
                     conn.queue(&welcome(id), now);
                     // The handshake precedes the envelope; faults start
                     // with the first round frame (like the worker side).
                     conn.install_lossy(fault, 0, peer_code(id));
-                    // Write errors surface on the first round pump.
+                    // Write errors surface at the fleet's first flush.
                     let _ = conn.pump_write();
-                    conn.gen += 1; // cancels the Hello deadline
                     admitted[id] = Some(conn);
                     progressed = true;
                 }
                 // A well-formed but out-of-protocol opener: rejected.
                 Some(_) => *slot = None,
-            }
-        }
-        for timer in wheel.expire(now) {
-            let stale = candidates
-                .get(timer.conn())
-                .and_then(|c| c.as_ref())
-                .is_some_and(|c| c.gen == timer.gen());
-            if stale {
-                // Hello never arrived within the deadline: rejected.
-                candidates[timer.conn()] = None;
             }
         }
         idle.pace(progressed);

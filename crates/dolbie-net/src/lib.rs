@@ -42,9 +42,9 @@
 //!   [`run_sharded_loopback`](shard::run_sharded_loopback), the whole
 //!   tree with its workers over 127.0.0.1.
 //! - `fleet` / `handshake` (crate-internal) — a shard-master's worker
-//!   set over sockets: connection sweeps, the blocking staircase collect,
-//!   timer wheel, lossy envelope, and the `Hello → Welcome` admission
-//!   rules.
+//!   set over sockets: the blocking staircase collect, which also drives
+//!   the lossy envelopes' retransmission clocks, and the
+//!   `Hello → Welcome` admission rules.
 //!
 //! The `dolbie_node` binary exposes every role on the command line:
 //! `dolbie_node master --listen 127.0.0.1:4100 --workers 4` (the

@@ -15,9 +15,8 @@
 //!   never sees a per-worker array outside an epoch transition.
 //! - **Shard-master** ([`run_shard_master`]): a real TCP master over
 //!   its contiguous worker range — concurrent admission, coalesced
-//!   broadcasts, and either the blocking staircase collect (lossless
-//!   worker links) or the readiness sweep with timer-wheel deadlines
-//!   (lossy ones) — plus one blocking upstream link to the root. Workers
+//!   broadcasts, and the blocking staircase collect, lossy worker links
+//!   included — plus one blocking upstream link to the root. Workers
 //!   speak the worker protocol of Algorithm 1 and cannot tell how many
 //!   shards the tree has.
 //!
@@ -99,7 +98,7 @@
 //! [`RootEngine::abort_round`]: dolbie_core::shard::RootEngine::abort_round
 
 use crate::env::WireEnvSpec;
-use crate::fleet::{Fleet, IdleWait, Phase, SweepFail};
+use crate::fleet::{Fleet, FleetFail, IdleWait, Phase};
 use crate::handshake::{admit_concurrent, shipped_fault_plan, welcome_frame};
 use crate::transport::{
     connect_schedule, connect_with_backoff, FrameConn, Link, TransportError, WireStats,
@@ -204,10 +203,9 @@ pub struct ShardedConfig {
 /// Between two backbone frames a live shard-master may spend one
 /// `frame_timeout` draining the previous commit to a worker that stopped
 /// reading, then one more discovering the workers that stalled in the
-/// next collect (the sweep and the staircase both find a whole bank of
-/// stalls within one `frame_timeout`), before it reports. The third is
-/// margin, so the root never buries a shard that is merely busy burying
-/// workers. It is also the detection window for a wedged shard-master.
+/// next collect (the staircase finds a whole bank of stalls within one
+/// `frame_timeout`), before it reports. The third is margin, so the root
+/// never buries a shard that is merely busy burying workers. It is also the detection window for a wedged shard-master.
 pub fn root_deadline(frame_timeout: Duration) -> Duration {
     frame_timeout * 3
 }
@@ -1216,11 +1214,11 @@ enum Tail {
 
 /// A collect's outcome for the round loop: `Some(dead)` when members
 /// must be buried, an error when the run cannot go on.
-fn buried(result: Result<(), SweepFail>) -> Result<Option<Vec<usize>>, NetError> {
+fn buried(result: Result<(), FleetFail>) -> Result<Option<Vec<usize>>, NetError> {
     match result {
         Ok(()) => Ok(None),
-        Err(SweepFail::Dead(dead)) => Ok(Some(dead)),
-        Err(SweepFail::Fatal(e)) => Err(e),
+        Err(FleetFail::Dead(dead)) => Ok(Some(dead)),
+        Err(FleetFail::Fatal(e)) => Err(e),
     }
 }
 
@@ -1260,7 +1258,7 @@ impl ShardCtx {
         out: &mut [f64],
         logical: &mut usize,
     ) -> Result<Option<Vec<usize>>, NetError> {
-        buried(self.fleet.await_phase(t, self.epoch, Phase::Cost, await_set, out, logical))
+        buried(self.fleet.collect_blocking(t, self.epoch, Phase::Cost, await_set, out, logical))
     }
 
     /// Collects round `t`'s `Decision` gains from `await_set`, each
@@ -1276,7 +1274,7 @@ impl ShardCtx {
         logical: &mut usize,
     ) -> Result<Option<Vec<usize>>, NetError> {
         let phase = Phase::Decision { alpha, shares: &self.x };
-        buried(self.fleet.await_phase(t, self.epoch, phase, await_set, out, logical))
+        buried(self.fleet.collect_blocking(t, self.epoch, phase, await_set, out, logical))
     }
 
     /// Receives one round-loop frame from the root, transparently
@@ -1524,20 +1522,9 @@ pub fn run_shard_master(
         backbone_shard_code(opts.shard),
         BACKBONE_ROOT_CODE,
     );
-    let mut fleet = Fleet::new(admitted?, opts.frame_timeout);
-    // Lossless fleets take the staircase collect: the worker links carry
-    // no retransmission clocks, so the sweep's poll/sleep duty cycle —
-    // CPU stolen from the very workers the phase waits on — is pure
-    // cost. The sockets flip to blocking mode once, here, and stay
-    // there; crash discovery rides the blocking deadlines instead.
-    if fault.is_lossless() {
-        fleet.enter_staircase().map_err(|fail| match fail {
-            SweepFail::Dead(dead) => {
-                NetError::Protocol(format!("worker sockets died entering the staircase: {dead:?}"))
-            }
-            SweepFail::Fatal(e) => e,
-        })?;
-    }
+    // The sockets flip to blocking mode once, here, and stay there: every
+    // collect is the staircase, lossy fleets included.
+    let fleet = Fleet::new(admitted?, opts.frame_timeout)?;
 
     let mut ctx = ShardCtx {
         shard: opts.shard,

@@ -4,7 +4,7 @@
 //! used by workers and on the root ↔ shard-master backbone, bounded
 //! seeded reconnect, and the deterministic lossy envelope. A
 //! shard-master drives the same codec and the same envelope over its
-//! worker sockets ([`crate::shard`]).
+//! blocking worker sockets ([`crate::shard`]).
 //!
 //! ## The lossy mode
 //!
@@ -29,8 +29,9 @@
 //! The envelope itself is one sans-I/O state machine with no socket and
 //! no clock of its own: it consumes frames and caller-supplied instants
 //! and emits the frames to write. [`Link`] drives it with blocking reads
-//! bounded by the in-flight attempt's deadline; a shard-master's polled
-//! worker connections drive it from their readiness sweep.
+//! bounded by the in-flight attempt's deadline; a shard-master's worker
+//! connections drive it from the staircase collect, whose blocking reads
+//! are bounded by the earliest such deadline in the fleet.
 
 use crate::wire::{Frame, WireError, MAX_FRAME_BYTES};
 use dolbie_simnet::faults::FaultPlan;
@@ -303,8 +304,8 @@ struct Inflight {
 /// The lossy Data/Ack envelope of one connection as a sans-I/O state
 /// machine: it consumes protocol frames to send, frames off the wire and
 /// a caller-supplied clock, and emits the frames to write. The blocking
-/// [`Link`] and a shard-master's polled worker connections are two thin
-/// I/O loops over it.
+/// [`Link`] and a shard-master's worker connections are two thin
+/// blocking I/O loops over it.
 ///
 /// It owns the per-direction sequence numbers, the outbox and the one
 /// in-flight attempt (stop-and-wait: pipelining would break the

@@ -33,7 +33,11 @@
 //! outside `[0, 1]`, a non-finite global cost, a `Welcome` drop or
 //! duplicate probability outside `[0, 1)` or a zero `frame_timeout`
 //! ends the run with [`NetError::Protocol`]; each bound is derived, at
-//! its check, from the code that produces the value.
+//! its check, from the code that produces the value. Nor does it act on
+//! an impossible order: a `Coordination`, `Assignment` or `Adjust` for
+//! any round but the one the last `RoundStart` opened, or an `Adjust`
+//! before this round's `Decision` (an honest shard-master rescales only
+//! the gains it collected), ends the run the same way.
 
 use crate::env::WireEnvSpec;
 use crate::handshake::shipped_fault_plan;
@@ -98,7 +102,11 @@ pub struct WorkerMachine {
     x_old: f64,
     gain: f64,
     epoch: u32,
-    cost_fn: Option<DynCost>,
+    /// The round the last `RoundStart` opened, and its cost function.
+    open: Option<(u64, DynCost)>,
+    /// Whether this round's `Decision` went out, which an `Adjust`
+    /// rescales.
+    decided: bool,
     rounds_seen: usize,
     epochs_seen: u32,
     /// The read deadline now: [`ADMISSION_WAIT`] until the first
@@ -143,7 +151,8 @@ impl WorkerMachine {
             x_old: share,
             gain: 0.0,
             epoch: 0,
-            cost_fn: None,
+            open: None,
+            decided: false,
             rounds_seen: 0,
             epochs_seen: 0,
             deadline: ADMISSION_WAIT,
@@ -190,6 +199,18 @@ impl WorkerMachine {
         step
     }
 
+    /// The open round's cost function, for an in-round `what` frame of
+    /// `round`; a frame for any other round is refused.
+    fn open_round(&self, what: &str, round: u64) -> Result<&DynCost, NetError> {
+        match &self.open {
+            Some((open, f)) if *open == round => Ok(f),
+            open => Err(NetError::Protocol(format!(
+                "{what} for round {round}, but the open round is {:?}",
+                open.as_ref().map(|(open, _)| open)
+            ))),
+        }
+    }
+
     fn apply(&mut self, frame: Frame) -> Result<Step, NetError> {
         match frame {
             Frame::RoundStart { epoch, round } => {
@@ -203,11 +224,13 @@ impl WorkerMachine {
                 // Lines 1–4: execute, observe, report.
                 let f = self.env.cost_for(round as usize, self.worker_id);
                 let cost = f.eval(self.share);
-                self.cost_fn = Some(f);
+                self.open = Some((round, f));
+                self.decided = false;
                 self.rounds_seen += 1;
                 Ok(Step::Reply(Frame::LocalCost { epoch, round, cost }))
             }
             Frame::Coordination { global_cost, alpha, is_straggler, round } => {
+                let f = self.open_round("Coordination", round)?;
                 // The elected straggler's cost, which the shard-master and
                 // the root both check finite before it is elected.
                 if !global_cost.is_finite() {
@@ -223,23 +246,27 @@ impl WorkerMachine {
                 }
                 // Lines 5–7: risk-averse assistance, the engine's exact
                 // arithmetic.
-                let f = self
-                    .cost_fn
-                    .as_ref()
-                    .ok_or_else(|| NetError::Protocol("coordination before any round".into()))?;
-                self.x_old = self.share;
                 let target = max_acceptable_share(&**f, self.share, global_cost);
+                self.x_old = self.share;
                 self.gain = (alpha * (target - self.share)).max(0.0);
                 self.share = self.x_old + self.gain;
+                self.decided = true;
                 let (share, gain) = (self.share, self.gain);
                 Ok(Step::Reply(Frame::Decision { epoch: self.epoch, round, share, gain }))
             }
-            Frame::Assignment { share: pinned, .. } => {
+            Frame::Assignment { round, share: pinned } => {
+                self.open_round("Assignment", round)?;
                 // `RootEngine::pin`: 1 − the others' mass, clamped at 0.
                 self.share = unit_interval("Assignment share", pinned)?;
                 Ok(Step::Quiet)
             }
-            Frame::Adjust { scale, .. } => {
+            Frame::Adjust { round, scale } => {
+                self.open_round("Adjust", round)?;
+                if !self.decided {
+                    return Err(NetError::Protocol(format!(
+                        "Adjust before round {round}'s Decision"
+                    )));
+                }
                 // `RootEngine::guard_scale` only shrinks gains: it sends
                 // x_s / Σ gains only when Σ gains > x_s.
                 self.share = self.x_old + self.gain * unit_interval("Adjust scale", scale)?;
@@ -252,6 +279,7 @@ impl WorkerMachine {
                 // (`renormalize_onto_members`).
                 self.epoch = epoch;
                 self.share = unit_interval("Epoch share", authoritative)?;
+                self.decided = false;
                 self.epochs_seen += 1;
                 Ok(Step::Quiet)
             }
@@ -350,5 +378,68 @@ mod tests {
         assert!(waited >= worker_deadline(t) / 2, "gave up after {waited:?}");
         assert!(waited < worker_deadline(t) + Duration::from_secs(1), "waited {waited:?}");
         drop(master);
+    }
+
+    /// A worker welcomed at share 0.5 with round 3 open.
+    fn machine_in_round_3() -> WorkerMachine {
+        let env = WireEnvSpec { kind: EnvKind::StaticRamp, seed: 3 };
+        let welcome = welcome_frame(0, 2, 10, env, 0.5, &FaultPlan::none(), Duration::from_secs(1));
+        let (mut machine, _) = WorkerMachine::welcome(welcome).expect("a valid Welcome");
+        let opened = machine.step(Frame::RoundStart { epoch: 0, round: 3 });
+        assert!(matches!(opened, Ok(Step::Reply(Frame::LocalCost { round: 3, .. }))));
+        machine
+    }
+
+    fn coordination(round: u64, is_straggler: bool) -> Frame {
+        Frame::Coordination { round, global_cost: 10.0, alpha: 0.5, is_straggler }
+    }
+
+    fn refused(step: Result<Step, NetError>) -> bool {
+        matches!(step, Err(NetError::Protocol(_)))
+    }
+
+    /// A `Coordination` for a round other than the open one is refused,
+    /// not answered from the open round's cost function.
+    #[test]
+    fn an_off_round_coordination_is_refused() {
+        assert!(refused(machine_in_round_3().step(coordination(9, false))));
+        assert!(refused(machine_in_round_3().step(coordination(2, true))));
+        let answered = machine_in_round_3().step(coordination(3, false));
+        assert!(matches!(answered, Ok(Step::Reply(Frame::Decision { round: 3, .. }))));
+    }
+
+    /// An `Assignment` for a round other than the open one is refused
+    /// and leaves the share alone.
+    #[test]
+    fn an_off_round_assignment_is_refused() {
+        let mut machine = machine_in_round_3();
+        assert!(matches!(machine.step(coordination(3, true)), Ok(Step::Quiet)));
+        assert!(refused(machine.step(Frame::Assignment { round: 4, share: 0.9 })));
+        assert_eq!(machine.share(), 0.5);
+        let mut machine = machine_in_round_3();
+        assert!(matches!(machine.step(coordination(3, true)), Ok(Step::Quiet)));
+        assert!(matches!(
+            machine.step(Frame::Assignment { round: 3, share: 0.9 }),
+            Ok(Step::Quiet)
+        ));
+        assert_eq!(machine.share(), 0.9);
+    }
+
+    /// An `Adjust` for a round other than the open one, or before the
+    /// open round's `Decision`, is refused and leaves the share alone.
+    #[test]
+    fn an_off_round_or_undecided_adjust_is_refused() {
+        let mut machine = machine_in_round_3();
+        assert!(matches!(machine.step(coordination(3, false)), Ok(Step::Reply(_))));
+        let decided = machine.share();
+        assert!(refused(machine.step(Frame::Adjust { round: 42, scale: 0.5 })));
+        assert_eq!(machine.share(), decided);
+        let mut machine = machine_in_round_3();
+        assert!(refused(machine.step(Frame::Adjust { round: 3, scale: 0.5 })));
+        assert_eq!(machine.share(), 0.5);
+        let mut machine = machine_in_round_3();
+        assert!(matches!(machine.step(coordination(3, false)), Ok(Step::Reply(_))));
+        assert!(matches!(machine.step(Frame::Adjust { round: 3, scale: 1.0 }), Ok(Step::Quiet)));
+        assert_eq!(machine.share(), decided);
     }
 }

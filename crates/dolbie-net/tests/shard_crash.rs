@@ -401,6 +401,48 @@ fn silent_rogues_do_not_serialize_admission() {
     );
 }
 
+/// A connected-but-silent candidate is rejected at its own Hello
+/// deadline: its socket closes one `frame_timeout` after it dialed, give
+/// or take a margin, while admission goes on waiting for the fleet, and
+/// the run then completes with the workers that dial in later.
+#[test]
+fn a_silent_candidate_is_closed_at_its_hello_deadline() {
+    use std::io::Read;
+    const N: usize = 2;
+    const ROUNDS: usize = 3;
+    let frame_timeout = Duration::from_millis(200);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x4E11 };
+    let mut cfg = ShardedConfig::new(N, 1, ROUNDS, env);
+    cfg.frame_timeout = frame_timeout;
+    let tree = std::thread::spawn(move || run_single_shard(&listener, &cfg).map(|(r, _)| r));
+    let mut rogue = TcpStream::connect(addr).unwrap();
+    let dialed = Instant::now();
+    rogue.set_read_timeout(Some(frame_timeout * 10)).unwrap();
+    let closed = rogue.read(&mut [0u8; 64]);
+    let waited = dialed.elapsed();
+    assert!(matches!(closed, Ok(0)), "the silent candidate read {closed:?} after {waited:?}");
+    assert!(waited >= frame_timeout, "rejected after {waited:?}, before its deadline");
+    assert!(waited < frame_timeout + Duration::from_millis(300), "rejected only after {waited:?}");
+    assert!(!tree.is_finished(), "admission still waits for the fleet");
+    let workers: Vec<JoinHandle<()>> = (0..N)
+        .map(|k| {
+            std::thread::spawn(move || {
+                let stream =
+                    connect_with_backoff(addr, 10, Duration::from_millis(10), k as u64).unwrap();
+                run_worker(stream, &WorkerOptions::default()).unwrap();
+            })
+        })
+        .collect();
+    let report = tree.join().unwrap().expect("the run completes without the rogue");
+    for worker in workers {
+        worker.join().unwrap();
+    }
+    assert_eq!(report.rounds.len(), ROUNDS);
+    assert!(report.epochs.is_empty());
+}
+
 /// Workers started long after their coordinator — the manual workflow
 /// of starting `dolbie_node master` and then its workers — join a run
 /// that completes bitwise: admission has no deadline, and the backbone
@@ -542,8 +584,8 @@ fn lying_worker(addr: SocketAddr, retry: RetryPolicy, lie: Lie) -> (usize, usize
 }
 
 /// A worker that reports an impossible value — a NaN cost, a negative
-/// gain, or a gain past its eq. (5) ceiling — is handled as crashed: over the `M = 1` tree, lossless
-/// (staircase collect) and lossy (readiness sweep), the run finishes,
+/// gain, or a gain past its eq. (5) ceiling — is handled as crashed: over the `M = 1` tree, with
+/// lossless and with lossy worker links, the run finishes,
 /// exactly the liar is buried in one epoch at the round it lied in, and
 /// the trajectory matches the membership twin bitwise.
 #[test]

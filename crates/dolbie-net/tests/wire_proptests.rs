@@ -66,7 +66,8 @@ fn frame_zoo(seq: u64, a: u64, b: u64, flag: bool, members: &[bool]) -> Vec<Fram
 /// `stray`, else one of the five a worker is sent before `Shutdown`, a
 /// `RoundStart` or a `Coordination` twice as often as the rest. An
 /// epoch-carrying frame gets epoch `epoch − 4`, floored at 0 — epoch 0 five
-/// times in eight.
+/// times in eight. A non-stray in-round frame gets a round in `0..3`, so
+/// its round and the worker's open round often agree, and often not.
 fn adversary_frame(stray: bool, pick: usize, epoch: u32, a: u64, b: u64, flag: bool) -> Frame {
     let mut zoo = frame_zoo(a ^ b, a, b, flag, &[flag, !flag]);
     let pick = if stray {
@@ -88,6 +89,15 @@ fn adversary_frame(stray: bool, pick: usize, epoch: u32, a: u64, b: u64, flag: b
     let mut frame = zoo.swap_remove(pick);
     if let Frame::RoundStart { epoch: e, .. } | Frame::Epoch { epoch: e, .. } = &mut frame {
         *e = epoch.saturating_sub(4);
+    }
+    if let Frame::RoundStart { round, .. }
+    | Frame::Coordination { round, .. }
+    | Frame::Assignment { round, .. }
+    | Frame::Adjust { round, .. } = &mut frame
+    {
+        if !stray {
+            *round = a % 3;
+        }
     }
     frame
 }
@@ -159,9 +169,10 @@ proptest! {
     /// order, under stale, current and future epochs, at arbitrary rounds,
     /// with `f64` fields from raw bit patterns. Every step yields a frame,
     /// nothing, the end of the run or a protocol error — never a panic —
-    /// and the share stays in `[0, 1]`. Once the machine errs or finishes,
-    /// it processes no later frame. Its state, scalars and one cost
-    /// function, does not grow with the sequence.
+    /// and the share stays in `[0, 1]`. Every `Decision` answers the round
+    /// the last accepted `RoundStart` opened. Once the machine errs or
+    /// finishes, it processes no later frame. Its state, scalars and one
+    /// cost function, does not grow with the sequence.
     ///
     /// So that sequences live long enough to reach the eq. (5) step, 31
     /// frames in 32 are of the kinds a worker is sent before `Shutdown`
@@ -189,9 +200,14 @@ proptest! {
         };
         let (mut machine, _) = WorkerMachine::welcome(welcome).expect("a valid Welcome");
         let mut stopped: Option<String> = None;
+        let mut open: Option<u64> = None;
         for ((stray, pick), epoch, a, b, flag) in script {
             let frame = adversary_frame(stray == 0, pick, epoch, a, b, flag);
             let shown = format!("{frame:?}");
+            let opens = match frame {
+                Frame::RoundStart { round, .. } => Some(round),
+                _ => None,
+            };
             let step = machine.step(frame);
             let state = format!("{machine:?}");
             if let Some(before) = &stopped {
@@ -201,7 +217,11 @@ proptest! {
                 continue;
             }
             match &step {
-                Ok(Step::Quiet | Step::Reply(Frame::LocalCost { .. } | Frame::Decision { .. })) => {}
+                Ok(Step::Reply(Frame::LocalCost { .. })) => open = opens,
+                Ok(Step::Reply(Frame::Decision { round, .. })) => {
+                    prop_assert_eq!(Some(*round), open, "{} answered off the open round", shown);
+                }
+                Ok(Step::Quiet) => {}
                 Ok(Step::Finished) | Err(NetError::Protocol(_)) => stopped = Some(state.clone()),
                 other => prop_assert!(false, "{shown} gave {other:?}"),
             }

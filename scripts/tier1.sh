@@ -38,8 +38,8 @@ timed_smoke() {
 echo "== tier-1: format check (vendored crates included) =="
 cargo fmt --all --check
 
-echo "== tier-1: clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+echo "== tier-1: clippy over every target, tests included (deny warnings) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
