@@ -6,9 +6,9 @@
 //! `M` shard-masters, `N` worker threads, every byte through the kernel
 //! — and injects seeded chaos at the socket layer: scheduled worker
 //! kills, shard-master kills at randomized round offsets (pre- and
-//! post-commit), lossy stop-and-wait envelopes on the worker tier and
-//! on the backbone, and quorum policies that demand structured
-//! termination. Each surviving run is machine-checked against the five
+//! post-commit), seeded message loss on the worker tier and on the
+//! backbone, realised as the holds it amounts to over TCP, and quorum
+//! policies that demand structured termination. Each surviving run is machine-checked against the five
 //! chaos invariants:
 //!
 //! 1. **simplex feasibility** — every stitched allocation satisfies
@@ -73,10 +73,12 @@ pub struct NetChaosCase {
     pub worker_kills: Vec<(usize, usize)>,
     /// An optional shard-master kill.
     pub shard_kill: Option<ShardKill>,
-    /// Worker-tier socket loss `(drop_p, dup_p, seed)`, if any.
-    pub worker_loss: Option<(f64, f64, u64)>,
-    /// Backbone socket loss `(drop_p, dup_p, seed)`, if any.
-    pub backbone_loss: Option<(f64, f64, u64)>,
+    /// Worker-tier loss `(drop_p, seed)`, if any: workers hold their
+    /// replies.
+    pub worker_loss: Option<(f64, u64)>,
+    /// Backbone loss `(drop_p, seed)`, if any: shard-masters hold their
+    /// frames to the root.
+    pub backbone_loss: Option<(f64, u64)>,
     /// Quorum floor; cases with `min_live_shards == m` and a shard kill
     /// expect the structured quorum error instead of a degraded run.
     pub min_live_shards: usize,
@@ -95,21 +97,16 @@ impl NetChaosCase {
         let mut cfg = ShardedConfig::new(self.n, self.m, self.rounds, env)
             .with_min_live_shards(self.min_live_shards);
         cfg.frame_timeout = Duration::from_secs(2);
-        if let Some((drop_p, dup_p, seed)) = self.worker_loss {
-            cfg = cfg.with_fault_plan(
-                FaultPlan::seeded(seed)
-                    .with_drop_probability(drop_p)
-                    .with_duplicate_probability(dup_p)
-                    .with_retry(RetryPolicy::new(0.001, 1.5, 6)),
-            );
+        let plan = |(drop_p, seed)| {
+            FaultPlan::seeded(seed)
+                .with_drop_probability(drop_p)
+                .with_retry(RetryPolicy::new(0.001, 1.5, 6))
+        };
+        if let Some(loss) = self.worker_loss {
+            cfg = cfg.with_fault_plan(plan(loss));
         }
-        if let Some((drop_p, dup_p, seed)) = self.backbone_loss {
-            cfg = cfg.with_backbone_fault_plan(
-                FaultPlan::seeded(seed)
-                    .with_drop_probability(drop_p)
-                    .with_duplicate_probability(dup_p)
-                    .with_retry(RetryPolicy::new(0.001, 1.5, 6)),
-            );
+        if let Some(loss) = self.backbone_loss {
+            cfg = cfg.with_backbone_fault_plan(plan(loss));
         }
         for &(w, r) in &self.worker_kills {
             cfg = cfg.with_worker_kill(w, r);
@@ -159,10 +156,8 @@ pub fn case_from_seed(id: usize, master_seed: u64) -> NetChaosCase {
         }
     }
 
-    let worker_loss =
-        (id % 3 == 1).then(|| (0.02 + unit(hash(s, 5)) * 0.1, unit(hash(s, 6)) * 0.05, hash(s, 7)));
-    let backbone_loss = (id % 4 == 2)
-        .then(|| (0.02 + unit(hash(s, 8)) * 0.1, unit(hash(s, 9)) * 0.05, hash(s, 13)));
+    let worker_loss = (id % 3 == 1).then(|| (0.02 + unit(hash(s, 5)) * 0.1, hash(s, 7)));
+    let backbone_loss = (id % 4 == 2).then(|| (0.02 + unit(hash(s, 8)) * 0.1, hash(s, 13)));
     let min_live_shards = if id % 11 == 7 && shard_kill.is_some() { m } else { 1 };
 
     NetChaosCase {
@@ -421,8 +416,8 @@ pub fn chaos_net_named(quick: bool, name: &str) {
             case.worker_kills.len().to_string(),
             (case.shard_kill.is_some() as u8).to_string(),
             (case.expects_quorum_error() as u8).to_string(),
-            format!("{:.4}", case.worker_loss.map_or(0.0, |(d, _, _)| d)),
-            format!("{:.4}", case.backbone_loss.map_or(0.0, |(d, _, _)| d)),
+            format!("{:.4}", case.worker_loss.map_or(0.0, |(d, _)| d)),
+            format!("{:.4}", case.backbone_loss.map_or(0.0, |(d, _)| d)),
             (outcome.is_ok() as u8).to_string(),
         ]);
     }
@@ -481,11 +476,11 @@ mod tests {
         );
         assert!(
             cases.iter().any(|c| c.worker_loss.is_some()),
-            "the sweep must stress lossy workers"
+            "the sweep must stress delayed workers"
         );
         assert!(
             cases.iter().any(|c| c.backbone_loss.is_some()),
-            "the sweep must stress a lossy backbone"
+            "the sweep must stress a delayed backbone"
         );
         assert!(
             cases.iter().any(|c| c.expects_quorum_error()),

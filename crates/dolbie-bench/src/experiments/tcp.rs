@@ -12,9 +12,10 @@
 //! environment seed (plus `N`):
 //!
 //! - `loopback` (`0xD01B_0E75`): N = 4 and 16 on clean links, and N = 4
-//!   under a seeded socket-level fault plan (drops, duplicates, ack
-//!   losses, real retransmission timers). Loss only delays frames, so
-//!   the trajectory stays bitwise; the wire bill is what changes.
+//!   on delayed links: a seeded fault plan whose drops the workers
+//!   realise as holds on their replies, which is what loss amounts to
+//!   over TCP. The trajectory stays bitwise; the wall clock is what
+//!   changes.
 //! - `scale` (`0xD01B_5CA1`): fleets to N = 4096 under one shard-master.
 //! - `shards` (`0xD01B_54A2`): one N at several M. The root sees only
 //!   shard-level aggregates, so its fan-in is `O(M)` frames a round while
@@ -34,13 +35,12 @@
 //!
 //! One CSV row per cell. The wire counters sum every shard-master's
 //! worker links, with frames and bytes sent and received kept apart;
-//! `backbone_frames` counts the root's logical frames. The shard wall
-//! clock (the slowest shard-master's) starts when worker admission ends;
-//! the root's wall clock and `first_round_s`, its time to round 0's
-//! commit, include admission. Timing columns measure this machine and
-//! vary run to run, and the lossy row's wire counters can drift by a
-//! frame or two between runs (an ack racing its retransmission timer is
-//! real time, not simulated). The lossless counters are deterministic.
+//! `holds` counts the replies the workers held, and `backbone_frames`
+//! the root's logical frames. The shard wall clock (the slowest
+//! shard-master's) starts when worker admission ends; the root's wall
+//! clock and `first_round_s`, its time to round 0's commit, include
+//! admission. Timing columns measure this machine and vary run to run;
+//! the counters are deterministic.
 
 use crate::common::{
     artifact, emit_csv, host_json_fields, results_dir, run_tree_bitwise, steady_rounds_per_s,
@@ -69,12 +69,12 @@ struct Cell {
     n: usize,
     shards: usize,
     rounds: usize,
-    /// Whether the worker links run the seeded fault plan.
-    lossy: bool,
+    /// Whether the workers hold their replies by the seeded fault plan.
+    delayed: bool,
 }
 
-const fn cell(family: Family, n: usize, shards: usize, rounds: usize, lossy: bool) -> Cell {
-    Cell { family, n, shards, rounds, lossy }
+const fn cell(family: Family, n: usize, shards: usize, rounds: usize, delayed: bool) -> Cell {
+    Cell { family, n, shards, rounds, delayed }
 }
 
 const FULL: [Cell; 9] = [
@@ -109,6 +109,8 @@ struct Row {
     logical: usize,
     /// Every shard-master's worker links, summed.
     wire: WireStats,
+    /// Replies the workers held, summed.
+    holds: u64,
     /// The root's logical backbone frames.
     backbone: usize,
     shard_wall: f64,
@@ -132,16 +134,15 @@ impl Row {
 }
 
 fn measure(cell: Cell) -> Row {
-    let Cell { family, n, shards: m, rounds, lossy } = cell;
+    let Cell { family, n, shards: m, rounds, delayed } = cell;
     let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: family.1 + n as u64 };
     let mut cfg = ShardedConfig::new(n, m, rounds, env);
-    if lossy {
-        // The plan's probabilities and seed ship in `Welcome`; its retry
-        // pacing, tightened for a brisk run, drives both link directions.
+    if delayed {
+        // The plan ships in `Welcome`; its pacing is tightened for a
+        // brisk run.
         cfg = cfg.with_fault_plan(
             FaultPlan::seeded(0xBE)
                 .with_drop_probability(0.10)
-                .with_duplicate_probability(0.05)
                 .with_retry(RetryPolicy::new(0.01, 1.5, 6)),
         );
     }
@@ -156,6 +157,7 @@ fn measure(cell: Cell) -> Row {
         cell,
         logical,
         wire,
+        holds: run.workers.iter().flatten().map(|w| w.wire.holds).sum(),
         backbone: run.root.rounds.iter().map(|r| r.messages).sum(),
         shard_wall: run.shards.iter().map(|s| s.wall_clock).fold(0.0, f64::max),
         root_wall: run.root.wall_clock,
@@ -244,9 +246,7 @@ pub fn tcp(quick: bool) {
         "frames_received",
         "bytes_sent",
         "bytes_received",
-        "retransmissions",
-        "acks",
-        "duplicates",
+        "holds",
         "backbone_frames",
         "shard_wall_clock_s",
         "root_wall_clock_s",
@@ -256,22 +256,20 @@ pub fn tcp(quick: bool) {
         "bitwise_vs_sequential",
     ]);
     for row in &rows {
-        let Cell { family, n, shards: m, rounds, lossy } = row.cell;
+        let Cell { family, n, shards: m, rounds, delayed } = row.cell;
         let wire = &row.wire;
         table.push_row(vec![
             family.0.to_string(),
             n.to_string(),
             m.to_string(),
             rounds.to_string(),
-            if lossy { "lossy" } else { "lossless" }.to_string(),
+            if delayed { "delayed" } else { "lossless" }.to_string(),
             row.logical.to_string(),
             wire.frames_sent.to_string(),
             wire.frames_received.to_string(),
             wire.bytes_sent.to_string(),
             wire.bytes_received.to_string(),
-            wire.retransmissions.to_string(),
-            wire.acks.to_string(),
-            wire.duplicates.to_string(),
+            row.holds.to_string(),
             row.backbone.to_string(),
             format!("{:.3}", row.shard_wall),
             format!("{:.3}", row.root_wall),
@@ -282,14 +280,14 @@ pub fn tcp(quick: bool) {
         ]);
         println!(
             "  {}@N={n},M={m}{}: {rounds} rounds, {} logical messages as {} + {} frames \
-             ({} retransmissions), {:.2} ms/round steady, {:.1} root frames/round, bitwise vs \
+             ({} held), {:.2} ms/round steady, {:.1} root frames/round, bitwise vs \
              sequential: yes",
             family.0,
-            if lossy { ",lossy" } else { "" },
+            if delayed { ",delayed" } else { "" },
             row.logical,
             wire.frames_sent,
             wire.frames_received,
-            wire.retransmissions,
+            row.holds,
             row.steady_ms,
             row.root_frames_per_round(),
         );

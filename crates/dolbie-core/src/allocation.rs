@@ -236,26 +236,6 @@ impl Allocation {
             .sqrt()
     }
 
-    /// `l1` distance to another allocation (total share moved).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two allocations have different lengths.
-    pub fn l1_distance(&self, other: &Allocation) -> f64 {
-        assert_eq!(
-            self.shares.len(),
-            other.shares.len(),
-            "allocations must cover the same worker set"
-        );
-        self.shares.iter().zip(other.shares.iter()).map(|(a, b)| (a - b).abs()).sum()
-    }
-
-    /// Euclidean norm of the share vector; always in `(1/sqrt(N), 1]` on the
-    /// simplex, which the regret proof uses (`||x_t|| <= 1`).
-    pub fn l2_norm(&self) -> f64 {
-        self.shares.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Rebuilds an allocation from raw shares produced by an in-crate update
     /// rule, snapping tiny negative values (>= `-1e-9`, floating-point dust)
     /// to zero and renormalizing the sum exactly to one.
@@ -425,17 +405,7 @@ mod tests {
         let a = Allocation::new(vec![1.0, 0.0]).unwrap();
         let b = Allocation::new(vec![0.0, 1.0]).unwrap();
         assert!((a.l2_distance(&b) - 2f64.sqrt()).abs() < 1e-12);
-        assert!((a.l1_distance(&b) - 2.0).abs() < 1e-12);
         assert_eq!(a.l2_distance(&a), 0.0);
-    }
-
-    #[test]
-    fn l2_norm_bounds_on_simplex() {
-        let n = 10;
-        let u = Allocation::uniform(n);
-        assert!((u.l2_norm() - (1.0 / (n as f64).sqrt())).abs() < 1e-12);
-        let s = Allocation::singleton(n, 3);
-        assert!((s.l2_norm() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl RegretTracker {
         self.cumulative_cost
     }
 
-    /// `Σ_t f_t(x*_t)`.
-    pub fn cumulative_optimal_cost(&self) -> f64 {
-        self.cumulative_opt
-    }
-
     /// The measured dynamic regret `Reg^d_T`.
     pub fn dynamic_regret(&self) -> f64 {
         self.cumulative_cost - self.cumulative_opt
@@ -120,7 +115,6 @@ mod tests {
         tr.record(2.5, 1.5, &b);
         assert_eq!(tr.rounds(), 3);
         assert!((tr.cumulative_cost() - 7.5).abs() < 1e-12);
-        assert!((tr.cumulative_optimal_cost() - 4.0).abs() < 1e-12);
         assert!((tr.dynamic_regret() - 3.5).abs() < 1e-12);
         // Path: a->b then b->b.
         assert!((tr.path_length() - 2f64.sqrt()).abs() < 1e-12);

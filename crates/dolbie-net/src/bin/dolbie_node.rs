@@ -3,16 +3,14 @@
 //! ```text
 //! dolbie_node master --listen 127.0.0.1:4100 --workers 4 [--rounds 500]
 //!                    [--env-seed 7] [--env chaos|ramp] [--drop-p 0.1]
-//!                    [--dup-p 0.05] [--fault-seed 21] [--verify]
+//!                    [--fault-seed 21] [--verify]
 //! dolbie_node worker --connect 127.0.0.1:4100
 //! dolbie_node root   --listen 127.0.0.1:4200 --shards 4 --workers 64
 //!                    [--rounds 500] [--env chaos|ramp] [--env-seed 7]
-//!                    [--drop-p 0.1] [--dup-p 0.05] [--fault-seed 21]
-//!                    [--bb-drop-p 0.1] [--bb-dup-p 0.05] [--bb-seed 33]
+//!                    [--drop-p 0.1] [--fault-seed 21]
 //!                    [--min-live-shards 1]
 //! dolbie_node shard  --connect 127.0.0.1:4200 --listen 127.0.0.1:4301
-//!                    --shard 1 --shards 4
-//!                    [--bb-drop-p 0.1] [--bb-dup-p 0.05] [--bb-seed 33]
+//!                    --shard 1 --shards 4 [--bb-drop-p 0.1] [--bb-seed 33]
 //! ```
 //!
 //! The master is the `M = 1` tree in one process: the root and its single
@@ -25,11 +23,18 @@
 //! identical. Malformed flags exit 2 with a message naming the flag and
 //! value.
 //!
+//! `--drop-p` and `--fault-seed` give the worker links a seeded fault
+//! plan; TCP never loses a frame, so each drop becomes a hold on a
+//! worker's reply (`dolbie_net::transport`), and the trajectory stays
+//! bitwise. `--bb-drop-p` and `--bb-seed` do the same for a
+//! shard-master's frames to the root.
+//!
 //! The sharded control plane is three processes deep: one `root`
 //! coordinating `--shards` shard-masters, each `shard` a real TCP master
 //! over its contiguous worker range (workers point their `--connect` at
-//! their shard, not the root). Fault flags live on the root; they ship
-//! to every shard-master in `ShardWelcome`.
+//! their shard, not the root). The worker-link fault flags live on the
+//! root, which ships them to every shard-master in `ShardWelcome`; the
+//! backbone flags go on each shard.
 
 use dolbie_core::{run_episode, Dolbie, DolbieConfig, EpisodeOptions};
 use dolbie_net::env::{EnvKind, WireEnvSpec};
@@ -38,7 +43,7 @@ use dolbie_net::shard::{
     ShardedConfig,
 };
 use dolbie_net::transport::{connect_with_backoff, DEFAULT_FRAME_TIMEOUT};
-use dolbie_net::worker::{run_worker, WorkerOptions};
+use dolbie_net::worker::run_worker;
 use dolbie_simnet::faults::FaultPlan;
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
@@ -46,14 +51,14 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  dolbie_node master --listen ADDR --workers N [--rounds T] [--env chaos|ramp]\n\
-         \x20                  [--env-seed S] [--drop-p P] [--dup-p P] [--fault-seed S] [--verify]\n\
+         \x20                  [--env-seed S] [--drop-p P] [--fault-seed S] [--verify]\n\
          \x20 dolbie_node worker --connect ADDR\n\
          \x20 dolbie_node root   --listen ADDR --shards M --workers N [--rounds T]\n\
-         \x20                  [--env chaos|ramp] [--env-seed S] [--drop-p P] [--dup-p P]\n\
-         \x20                  [--fault-seed S] [--bb-drop-p P] [--bb-dup-p P] [--bb-seed S]\n\
+         \x20                  [--env chaos|ramp] [--env-seed S] [--drop-p P] [--fault-seed S]\n\
          \x20                  [--min-live-shards Q]\n\
          \x20 dolbie_node shard  --connect ROOT --listen ADDR --shard K --shards M\n\
-         \x20                  [--bb-drop-p P] [--bb-dup-p P] [--bb-seed S]"
+         \x20                  [--bb-drop-p P] [--bb-seed S]\n\
+         a drop probability P in [0, 1) holds a sender's replies by a seeded schedule"
     );
     std::process::exit(2);
 }
@@ -111,7 +116,6 @@ fn master_main(mut args: std::env::Args) {
     let mut env_kind = EnvKind::ChaosMix;
     let mut env_seed = 7u64;
     let mut drop_p = 0.0;
-    let mut dup_p = 0.0;
     let mut fault_seed = 0u64;
     let mut verify = false;
     while let Some(arg) = args.next() {
@@ -133,7 +137,6 @@ fn master_main(mut args: std::env::Args) {
                 env_seed = parse_u64("--env-seed", &take_value("--env-seed", &mut args))
             }
             "--drop-p" => drop_p = parse_prob("--drop-p", &take_value("--drop-p", &mut args)),
-            "--dup-p" => dup_p = parse_prob("--dup-p", &take_value("--dup-p", &mut args)),
             "--fault-seed" => {
                 fault_seed = parse_u64("--fault-seed", &take_value("--fault-seed", &mut args))
             }
@@ -150,9 +153,6 @@ fn master_main(mut args: std::env::Args) {
     let mut fault = FaultPlan::seeded(fault_seed);
     if drop_p > 0.0 {
         fault = fault.with_drop_probability(drop_p);
-    }
-    if dup_p > 0.0 {
-        fault = fault.with_duplicate_probability(dup_p);
     }
     let cfg = ShardedConfig::new(workers, 1, rounds, env).with_fault_plan(fault);
 
@@ -175,15 +175,11 @@ fn master_main(mut args: std::env::Args) {
         root.rounds.len() as f64 / root.wall_clock.max(1e-9),
     );
     println!(
-        "wire: {} frames / {} bytes sent, {} frames / {} bytes received, \
-         {} retransmissions, {} duplicates, {} acks",
+        "wire: {} frames / {} bytes sent, {} frames / {} bytes received",
         shard.wire.frames_sent,
         shard.wire.bytes_sent,
         shard.wire.frames_received,
         shard.wire.bytes_received,
-        shard.wire.retransmissions,
-        shard.wire.duplicates,
-        shard.wire.acks,
     );
     println!("epochs crossed: {}", root.epochs.len());
     let allocations = stitch_allocations(&root, std::slice::from_ref(&shard));
@@ -224,11 +220,7 @@ fn root_main(mut args: std::env::Args) {
     let mut env_kind = EnvKind::ChaosMix;
     let mut env_seed = 7u64;
     let mut drop_p = 0.0;
-    let mut dup_p = 0.0;
     let mut fault_seed = 0u64;
-    let mut bb_drop_p = 0.0;
-    let mut bb_dup_p = 0.0;
-    let mut bb_seed = 0u64;
     let mut min_live_shards = 1usize;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -252,17 +244,9 @@ fn root_main(mut args: std::env::Args) {
                 env_seed = parse_u64("--env-seed", &take_value("--env-seed", &mut args))
             }
             "--drop-p" => drop_p = parse_prob("--drop-p", &take_value("--drop-p", &mut args)),
-            "--dup-p" => dup_p = parse_prob("--dup-p", &take_value("--dup-p", &mut args)),
             "--fault-seed" => {
                 fault_seed = parse_u64("--fault-seed", &take_value("--fault-seed", &mut args))
             }
-            "--bb-drop-p" => {
-                bb_drop_p = parse_prob("--bb-drop-p", &take_value("--bb-drop-p", &mut args))
-            }
-            "--bb-dup-p" => {
-                bb_dup_p = parse_prob("--bb-dup-p", &take_value("--bb-dup-p", &mut args))
-            }
-            "--bb-seed" => bb_seed = parse_u64("--bb-seed", &take_value("--bb-seed", &mut args)),
             "--min-live-shards" => {
                 min_live_shards =
                     parse_usize("--min-live-shards", &take_value("--min-live-shards", &mut args), 1)
@@ -288,19 +272,8 @@ fn root_main(mut args: std::env::Args) {
     if drop_p > 0.0 {
         fault = fault.with_drop_probability(drop_p);
     }
-    if dup_p > 0.0 {
-        fault = fault.with_duplicate_probability(dup_p);
-    }
-    let mut backbone_fault = FaultPlan::seeded(bb_seed);
-    if bb_drop_p > 0.0 {
-        backbone_fault = backbone_fault.with_drop_probability(bb_drop_p);
-    }
-    if bb_dup_p > 0.0 {
-        backbone_fault = backbone_fault.with_duplicate_probability(bb_dup_p);
-    }
     let cfg = ShardedConfig::new(workers, shards, rounds, env)
         .with_fault_plan(fault)
-        .with_backbone_fault_plan(backbone_fault)
         .with_min_live_shards(min_live_shards);
 
     let listener = TcpListener::bind(listen).unwrap_or_else(|e| {
@@ -345,7 +318,6 @@ fn shard_main(mut args: std::env::Args) {
     let mut shard: Option<usize> = None;
     let mut shards: Option<usize> = None;
     let mut bb_drop_p = 0.0;
-    let mut bb_dup_p = 0.0;
     let mut bb_seed = 0u64;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -359,9 +331,6 @@ fn shard_main(mut args: std::env::Args) {
             }
             "--bb-drop-p" => {
                 bb_drop_p = parse_prob("--bb-drop-p", &take_value("--bb-drop-p", &mut args))
-            }
-            "--bb-dup-p" => {
-                bb_dup_p = parse_prob("--bb-dup-p", &take_value("--bb-dup-p", &mut args))
             }
             "--bb-seed" => bb_seed = parse_u64("--bb-seed", &take_value("--bb-seed", &mut args)),
             other => {
@@ -394,9 +363,6 @@ fn shard_main(mut args: std::env::Args) {
     let mut backbone_fault = FaultPlan::seeded(bb_seed);
     if bb_drop_p > 0.0 {
         backbone_fault = backbone_fault.with_drop_probability(bb_drop_p);
-    }
-    if bb_dup_p > 0.0 {
-        backbone_fault = backbone_fault.with_duplicate_probability(bb_dup_p);
     }
     let opts = ShardMasterOptions {
         shard,
@@ -440,12 +406,16 @@ fn worker_main(mut args: std::env::Args) {
             eprintln!("error: cannot reach master at {connect}: {e}");
             std::process::exit(1);
         });
-    let report = run_worker(stream, &WorkerOptions::default()).unwrap_or_else(|e| {
+    let report = run_worker(stream).unwrap_or_else(|e| {
         eprintln!("error: worker run failed: {e}");
         std::process::exit(1);
     });
     println!(
-        "worker {} done: {} rounds, final share {:.6}, {} epochs crossed",
-        report.worker_id, report.rounds_seen, report.final_share, report.epochs_seen
+        "worker {} done: {} rounds, final share {:.6}, {} epochs crossed, {} replies held",
+        report.worker_id,
+        report.rounds_seen,
+        report.final_share,
+        report.epochs_seen,
+        report.wire.holds
     );
 }

@@ -1,21 +1,15 @@
 //! A shard-master's worker set over sockets, with one collect path: the
-//! blocking staircase. After admission every member socket blocks, and a
-//! collect reads the awaited members one at a time. On lossy links each
-//! read is also bounded by the earliest retransmission deadline in the
-//! fleet, and a wake there services every lossy [`Envelope`], so the
-//! envelope runs on the clock of the staircase's blocking waits (the
-//! blocking [`Link`] drives the same envelope by its own blocking waits).
+//! blocking staircase. After admission every member socket blocks, with
+//! `frame_timeout` as its read deadline, and a collect reads the awaited
+//! members one at a time.
 //!
 //! Everything below the protocol script of [`crate::shard`] — frame
 //! reassembly, broadcast fan-out, deadlines, crash discovery — lives
 //! here as [`Fleet`].
-//!
-//! [`Link`]: crate::transport::Link
 
-use crate::transport::{Envelope, FrameCodec, WireStats};
+use crate::transport::{FrameCodec, WireStats};
 use crate::wire::Frame;
 use crate::NetError;
-use dolbie_simnet::faults::FaultPlan;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -84,13 +78,12 @@ impl ConnFail {
 
 /// One admitted (or handshaking) connection: a socket (non-blocking
 /// during admission, blocking in a [`Fleet`]), the shared
-/// reassembly/transmit codec, the optional lossy envelope, and an inbox
-/// of fully decoded protocol frames.
+/// reassembly/transmit codec, and an inbox of fully decoded protocol
+/// frames.
 #[derive(Debug)]
 pub(crate) struct Conn {
     stream: TcpStream,
     pub(crate) codec: FrameCodec,
-    envelope: Option<Envelope>,
     pub(crate) inbox: VecDeque<Frame>,
     /// Whether a collect phase currently awaits a frame from this peer.
     pub(crate) awaiting: bool,
@@ -100,75 +93,11 @@ impl Conn {
     pub(crate) fn new(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
-        Ok(Self {
-            stream,
-            codec: FrameCodec::new(),
-            envelope: None,
-            inbox: VecDeque::new(),
-            awaiting: false,
-        })
-    }
-
-    pub(crate) fn install_lossy(&mut self, plan: &FaultPlan, self_code: u64, peer_code: u64) {
-        self.envelope = Envelope::new(plan, self_code, peer_code);
-    }
-
-    pub(crate) fn is_lossy(&self) -> bool {
-        self.envelope.is_some()
-    }
-
-    /// Whether this connection still has outbound work: unsent bytes or
-    /// a live lossy envelope.
-    pub(crate) fn busy(&self) -> bool {
-        self.codec.has_tx() || self.envelope.as_ref().is_some_and(Envelope::busy)
-    }
-
-    /// Queues one protocol frame, through the lossy envelope when one is
-    /// installed.
-    pub(crate) fn queue(&mut self, frame: &Frame, now: Instant) {
-        match self.envelope.as_mut() {
-            Some(envelope) => {
-                envelope.push(frame.clone(), now);
-                self.flush_envelope();
-            }
-            None => self.codec.queue(frame),
-        }
-    }
-
-    /// Moves the envelope's emitted frames onto the transmit queue.
-    fn flush_envelope(&mut self) {
-        if let Some(envelope) = self.envelope.as_mut() {
-            for frame in envelope.drain_wire() {
-                self.codec.queue(&frame);
-            }
-        }
-    }
-
-    /// Drives the envelope's retransmission clock to `now`.
-    fn poll_envelope(&mut self, now: Instant) {
-        if let Some(envelope) = self.envelope.as_mut() {
-            envelope.poll(now);
-            self.flush_envelope();
-        }
-    }
-
-    /// Receiver-side routing of one decoded frame: straight to the inbox
-    /// on lossless connections, through the envelope on lossy ones.
-    fn route(&mut self, frame: Frame) -> Result<(), ConnFail> {
-        let Some(envelope) = self.envelope.as_mut() else {
-            self.inbox.push_back(frame);
-            return Ok(());
-        };
-        match envelope.receive(frame, Instant::now()) {
-            Ok(payload) => self.inbox.extend(payload),
-            Err(e) => return Err(ConnFail::Fatal(NetError::Transport(e))),
-        }
-        self.flush_envelope();
-        Ok(())
+        Ok(Self { stream, codec: FrameCodec::new(), inbox: VecDeque::new(), awaiting: false })
     }
 
     /// One `read` call through the borrowed buffer `chunk`, its complete
-    /// frames routed into the inbox. Returns whether bytes arrived:
+    /// frames decoded into the inbox. Returns whether bytes arrived:
     /// `false` when a blocking socket's deadline passed, or a
     /// non-blocking one had nothing buffered.
     fn read_once(&mut self, chunk: &mut [u8]) -> Result<bool, ConnFail> {
@@ -188,7 +117,7 @@ impl Conn {
         }
         loop {
             match self.codec.pop_frame() {
-                Ok(Some(frame)) => self.route(frame)?,
+                Ok(Some(frame)) => self.inbox.push_back(frame),
                 Ok(None) => return Ok(true),
                 Err(e) => return Err(ConnFail::Fatal(NetError::Transport(e.into()))),
             }
@@ -227,29 +156,6 @@ impl Conn {
             }
         }
         Ok(())
-    }
-
-    /// One service pass over a blocking connection: a lossy one takes
-    /// what its socket has buffered (acks and data) and drives its
-    /// retransmission clock; then the transmit queue is written.
-    fn service(&mut self, chunk: &mut [u8]) -> Result<(), ConnFail> {
-        if self.is_lossy() {
-            let read = self.read_buffered(chunk);
-            // The clock runs on a dead socket too, so its deadline moves
-            // on instead of waking every later wait at once.
-            self.poll_envelope(Instant::now());
-            read?;
-        }
-        self.pump_write()
-    }
-
-    /// Combined socket and envelope counters.
-    pub(crate) fn stats(&self) -> WireStats {
-        let mut stats = self.codec.stats();
-        if let Some(envelope) = &self.envelope {
-            envelope.stamp(&mut stats);
-        }
-        stats
     }
 }
 
@@ -358,7 +264,6 @@ pub(crate) enum FleetFail {
 pub(crate) struct Fleet {
     /// Member connections by id; `None` marks a buried member.
     pub(crate) links: Vec<Option<Conn>>,
-    frame_timeout: Duration,
     /// The one read buffer every socket read of this fleet goes through.
     read_buf: Box<[u8]>,
 }
@@ -373,9 +278,7 @@ impl Fleet {
     /// phase costs four syscalls per member per collect, which at
     /// N = 4096 across sixteen shard-masters is ~32k syscalls a round —
     /// on a mitigated kernel, tens of milliseconds of pure mode-flipping
-    /// stolen from the workers the phase is waiting on. Only a lossy
-    /// fleet re-arms `SO_RCVTIMEO`, once per blocking read, to meet its
-    /// retransmission deadlines ([`Fleet::collect_blocking`]).
+    /// stolen from the workers the phase is waiting on.
     pub(crate) fn new(links: Vec<Option<Conn>>, frame_timeout: Duration) -> Result<Self, NetError> {
         for (i, slot) in links.iter().enumerate() {
             let Some(conn) = slot else { continue };
@@ -388,36 +291,30 @@ impl Fleet {
                 )));
             }
         }
-        Ok(Self { links, frame_timeout, read_buf: vec![0; READ_CHUNK_BYTES].into_boxed_slice() })
+        Ok(Self { links, read_buf: vec![0; READ_CHUNK_BYTES].into_boxed_slice() })
     }
 
     /// Run-total wire counters over every live connection.
     pub(crate) fn wire_snapshot(&self) -> WireStats {
         let mut total = WireStats::default();
         for conn in self.links.iter().flatten() {
-            total.absorb(&conn.stats());
+            total.absorb(&conn.codec.stats());
         }
         total
     }
 
-    /// Queues `frame` on every listed connection, encoding once for the
-    /// lossless ones; the lossy envelope needs per-connection sequence
-    /// numbers, so those re-frame individually.
-    pub(crate) fn broadcast(&mut self, frame: &Frame, to: &[usize], now: Instant) {
+    /// Queues `frame` on every listed connection, encoding it once.
+    pub(crate) fn broadcast(&mut self, frame: &Frame, to: &[usize]) {
         let bytes = frame.encode();
         for &i in to {
             let conn = self.links[i].as_mut().expect("active members have connections");
-            if conn.is_lossy() {
-                conn.queue(frame, now);
-            } else {
-                conn.codec.queue_raw(&bytes);
-            }
+            conn.codec.queue_raw(&bytes);
         }
     }
 
     /// Queues one frame on one member's connection.
-    pub(crate) fn queue_to(&mut self, i: usize, frame: &Frame, now: Instant) {
-        self.links[i].as_mut().expect("active members have connections").queue(frame, now);
+    pub(crate) fn queue_to(&mut self, i: usize, frame: &Frame) {
+        self.links[i].as_mut().expect("active members have connections").codec.queue(frame);
     }
 
     /// Drops the awaiting flag everywhere — the cleanup step of any
@@ -435,31 +332,24 @@ impl Fleet {
     /// of an abandoned attempt and are filtered.
     ///
     /// Between a broadcast and the matching collect the only traffic on
-    /// the fleet is the awaited frames themselves, plus, on lossy links,
-    /// acks and retransmissions. The coordinator can therefore sleep in
-    /// the kernel on one socket at a time while arrivals from the others
-    /// buffer; the phase is a barrier, so its completion time is that of
-    /// its last arrival, with no poll/sleep duty cycle — read syscalls
-    /// against empty sockets and timeslices stolen from the very workers
-    /// the phase is waiting on. Shedding that duty cycle is the measured
-    /// win of the TCP sweep's N = 4096 latency cells (`paper_figures
-    /// tcp`).
+    /// the fleet is the awaited frames themselves. The coordinator can
+    /// therefore sleep in the kernel on one socket at a time while
+    /// arrivals from the others buffer; the phase is a barrier, so its
+    /// completion time is that of its last arrival, with no poll/sleep
+    /// duty cycle — read syscalls against empty sockets and timeslices
+    /// stolen from the very workers the phase is waiting on. Shedding
+    /// that duty cycle is the measured win of the TCP sweep's N = 4096
+    /// latency cells (`paper_figures tcp`).
     ///
     /// The trade is deadline coarsening: each turn waits up to
-    /// `frame_timeout` from the moment it comes, so a slow but live early
+    /// `frame_timeout` (the kernel's `SO_RCVTIMEO`, armed once by
+    /// [`Fleet::new`]) from the moment it comes, so a slow but live early
     /// member pushes the later deadlines back. Stalls still cost one
     /// `frame_timeout` per phase, not one per stalled member: when the
     /// first turn's deadline expires, every member not yet read has also
     /// had a full `frame_timeout` since the flush, so each is read once
     /// without blocking and every silent one is reported in the same
     /// [`FleetFail::Dead`].
-    ///
-    /// A lossless turn's deadline is the kernel's `SO_RCVTIMEO`, armed
-    /// once by [`Fleet::new`]. A lossy turn's reads also end at the
-    /// earliest retransmission deadline anywhere in the fleet, and a
-    /// wake there services every envelope before the turn resumes
-    /// ([`Fleet::wait_on`]); such a wake does not move the turn's
-    /// deadline.
     pub(crate) fn collect_blocking(
         &mut self,
         t: usize,
@@ -490,10 +380,8 @@ impl Fleet {
         logical: &mut usize,
     ) -> Result<(), FleetFail> {
         // Flush everything queued (coordination frames, pins) so every
-        // member is computing before the staircase starts sleeping; on
-        // a lossy fleet this also takes the acks already buffered, so a
-        // frame queued behind one whose ack has arrived goes out now.
-        let dead = self.drain().map_err(FleetFail::Fatal)?;
+        // member is computing before the staircase starts sleeping.
+        let dead = self.drain();
         if !dead.is_empty() {
             return Err(FleetFail::Dead(dead));
         }
@@ -509,7 +397,6 @@ impl Fleet {
         // Stragglers out of order cost one extra park each, nothing
         // more, and the phase still completes at the last arrival.
         for (pos, &i) in await_set.iter().rev().enumerate() {
-            let until = Instant::now() + self.frame_timeout;
             loop {
                 // Serve whatever is already reassembled before sleeping.
                 let conn = self.links[i].as_mut().expect("active members have connections");
@@ -517,7 +404,7 @@ impl Fleet {
                 if !conn.awaiting {
                     break;
                 }
-                if !self.wait_on(i, until)? {
+                if !self.wait_on(i)? {
                     // The turn's deadline: this member and every one not
                     // yet read are a full frame_timeout past the flush.
                     let unread = &await_set[..await_set.len() - pos];
@@ -529,48 +416,12 @@ impl Fleet {
         Ok(())
     }
 
-    /// One blocking wait on member `i`'s socket: `true` once bytes
-    /// arrived or the fleet was serviced, `false` once the turn's
-    /// deadline passed with nothing read — on a lossless socket the
-    /// `SO_RCVTIMEO` armed by [`Fleet::new`], on a lossy one `until`.
-    ///
-    /// A lossy wait also ends at the earliest retransmission deadline
-    /// anywhere in the fleet, and waking there services every envelope
-    /// ([`Fleet::drain`]): each socket's buffered acks and data, the
-    /// retransmission clocks, the writes. So a frame the plan dropped to
-    /// one member goes out again on time while the staircase sleeps on
-    /// another.
-    fn wait_on(&mut self, i: usize, until: Instant) -> Result<bool, FleetFail> {
+    /// One blocking read on member `i`'s socket: `true` once bytes
+    /// arrived, `false` once the `SO_RCVTIMEO` armed by [`Fleet::new`]
+    /// passed with nothing read.
+    fn wait_on(&mut self, i: usize) -> Result<bool, FleetFail> {
         let conn = self.links[i].as_mut().expect("active members have connections");
-        if !conn.is_lossy() {
-            return conn.read_once(&mut self.read_buf).map_err(|fail| fail.of(i));
-        }
-        let wake = self.next_retransmission().map_or(until, |due| due.min(until));
-        let now = Instant::now();
-        if wake > now {
-            let conn = self.links[i].as_mut().expect("active members have connections");
-            let read = match conn.stream.set_read_timeout(Some(wake - now)) {
-                Ok(()) => conn.read_once(&mut self.read_buf),
-                Err(_) => Err(ConnFail::Dead),
-            };
-            // The payload's ack (or a frame its ack let through) goes out
-            // before the staircase reads on.
-            if read.and_then(|got| conn.pump_write().map(|()| got)).map_err(|fail| fail.of(i))? {
-                return Ok(true);
-            }
-        }
-        if Instant::now() >= until {
-            return Ok(false);
-        }
-        match self.drain().map_err(FleetFail::Fatal)? {
-            dead if dead.is_empty() => Ok(true),
-            dead => Err(FleetFail::Dead(dead)),
-        }
-    }
-
-    /// The earliest retransmission deadline of any envelope in the fleet.
-    fn next_retransmission(&self) -> Option<Instant> {
-        self.links.iter().flatten().filter_map(|c| c.envelope.as_ref()?.deadline()).min()
+        conn.read_once(&mut self.read_buf).map_err(|fail| fail.of(i))
     }
 
     /// The staircase's failure path: reads each of `members` once
@@ -605,65 +456,44 @@ impl Fleet {
         Ok(dead)
     }
 
-    /// Services every connection with outbound work or an awaited frame,
-    /// without blocking on any reply: a lossy one takes what its socket
-    /// has buffered (acks and data) and drives its retransmission clock,
-    /// then each writes its transmit queue. Returns the members whose
-    /// sockets died or whose writes outlasted the kernel's write
-    /// deadline (a member that stopped reading long enough for its
-    /// socket buffer and the deadline to fill). An envelope still
-    /// awaiting its ack is not a death: the next blocking wait services
-    /// it.
+    /// Writes every connection's transmit queue, without blocking on any
+    /// reply. Returns the members whose sockets died or whose writes
+    /// outlasted the kernel's write deadline (a member that stopped
+    /// reading long enough for its socket buffer and the deadline to
+    /// fill).
     ///
     /// After a commit this delivers the commit frames, and the caller
     /// maps a non-empty list onto the round-stands crash branch.
-    pub(crate) fn drain(&mut self) -> Result<Vec<usize>, NetError> {
+    pub(crate) fn drain(&mut self) -> Vec<usize> {
         let mut dead = Vec::new();
         for (i, slot) in self.links.iter_mut().enumerate() {
             let Some(conn) = slot.as_mut() else { continue };
-            if !(conn.awaiting || conn.busy()) {
-                continue;
-            }
-            match conn.service(&mut self.read_buf) {
-                Ok(()) if conn.codec.has_tx() => dead.push(i),
-                Ok(()) => {}
-                Err(ConnFail::Dead) => dead.push(i),
-                Err(ConnFail::Fatal(e)) => return Err(e),
+            if conn.pump_write().is_err() || conn.codec.has_tx() {
+                dead.push(i);
             }
         }
-        Ok(dead)
+        dead
     }
 
     /// Orderly end of the run: queues `Shutdown` on every live link,
     /// flushes it, then **lingers** on each peer in turn, with the
     /// staircase's waits, until it closes its socket or `limit` expires.
-    /// On lossy links those waits keep servicing the envelopes, so a
-    /// `Shutdown` the plan drops is retransmitted and a peer's
-    /// retransmitted final frame is re-acked. The linger matters there:
-    /// a peer whose final frame's ack was eaten is still blocked in its
-    /// stop-and-wait retransmission schedule when `Shutdown` lands, and
-    /// closing its socket mid-schedule would fire a reset into that
-    /// send. Peers close as soon as they finish, so the common case is
-    /// one read per peer, not the deadline.
+    /// A peer reads its `Shutdown` and closes first, so this end never
+    /// closes a socket with the peer's bytes unread, which would reset
+    /// the connection under a `Shutdown` not yet read. Peers close as
+    /// soon as they finish, so the common case is one read per peer, not
+    /// the deadline.
     pub(crate) fn shutdown(&mut self, limit: Duration) {
-        let now = Instant::now();
-        for conn in self.links.iter_mut().flatten() {
-            conn.queue(&Frame::Shutdown, now);
-        }
+        let until = Instant::now() + limit;
+        let live: Vec<usize> = (0..self.links.len()).filter(|&i| self.links[i].is_some()).collect();
+        self.broadcast(&Frame::Shutdown, &live);
         // Flush every goodbye before reaping any EOF, so no peer's close
         // waits behind another's blocking read.
-        let _ = self.drain();
-        let until = now + limit;
-        for i in 0..self.links.len() {
-            while self.links[i].is_some() && Instant::now() < until {
-                match self.wait_on(i, until) {
-                    // Stray bytes, a serviced wake, another peer's goodbye.
-                    Ok(true) => {}
-                    Err(FleetFail::Dead(dead)) if !dead.contains(&i) => {}
-                    // This peer's goodbye, a reset, or the deadline.
-                    Ok(false) | Err(_) => break,
-                }
-            }
+        self.drain();
+        for i in live {
+            // Stray bytes keep the linger going; the peer's goodbye, a
+            // reset, or the read deadline end it.
+            while Instant::now() < until && matches!(self.wait_on(i), Ok(true)) {}
         }
     }
 }
@@ -671,8 +501,8 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{FrameConn, Link};
-    use dolbie_simnet::faults::RetryPolicy;
+    use crate::transport::FrameConn;
+    use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
     use std::net::TcpListener;
 
     /// `phase_value` is the collect's stale-epoch filter: frames tagged
@@ -751,34 +581,14 @@ mod tests {
         (Fleet::new(links, frame_timeout).expect("blocking mode"), peers)
     }
 
-    /// Makes every member link of `fleet` lossy under `plan`, member `i`
-    /// with node code `i + 1`.
-    fn make_lossy(fleet: &mut Fleet, plan: &FaultPlan) {
-        for (i, conn) in fleet.links.iter_mut().flatten().enumerate() {
-            conn.install_lossy(plan, 0, i as u64 + 1);
-        }
-    }
-
-    /// A lossy plan, with a brisk retry schedule, under which `drops`
-    /// holds: the first seed whose wire decisions it accepts.
-    fn lossy_plan(drops: impl Fn(&FaultPlan) -> bool) -> FaultPlan {
-        (0..)
-            .map(|seed| {
-                FaultPlan::seeded(seed)
-                    .with_drop_probability(0.3)
-                    .with_retry(RetryPolicy::new(0.02, 1.5, 6))
-            })
-            .find(|plan| drops(plan))
-            .expect("some seed")
-    }
-
-    /// Writes `frame` as a member's end of the link puts it on the wire:
-    /// raw on a lossless link, as data with sequence number `seq` on a
-    /// lossy one.
-    fn send_as_peer(peer: &mut TcpStream, lossy: bool, seq: u64, frame: Frame) {
-        let frame =
-            if lossy { Frame::Data { seq, attempt: 0, inner: Box::new(frame) } } else { frame };
-        peer.write_all(&frame.encode()).expect("peer write");
+    /// Writes `frame` on `peer` from a thread, after `delay`: with a
+    /// delay, the staircase has to block for it.
+    fn send_after(peer: &TcpStream, delay: Duration, frame: Frame) -> std::thread::JoinHandle<()> {
+        let mut peer = peer.try_clone().expect("clone the peer socket");
+        std::thread::spawn(move || {
+            std::thread::sleep(delay);
+            peer.write_all(&frame.encode()).expect("peer write");
+        })
     }
 
     /// Regression: the staircase reports every silent member at its
@@ -804,125 +614,110 @@ mod tests {
     /// shard-local epoch bumped to 1 (the worker answered the abandoned
     /// attempt before it saw the `Epoch` frame) must be discarded by the
     /// collect, which then waits for — and takes — the re-reported
-    /// epoch-1 value. Exercised on a lossless and a lossy fleet.
+    /// epoch-1 value. Exercised with the re-report on time and held.
     #[test]
     fn collect_skips_frames_from_before_a_local_epoch_bump() {
-        for lossy in [false, true] {
-            let (mut fleet, mut peers) = fleet_over_sockets(1, Duration::from_secs(2));
-            if lossy {
-                make_lossy(&mut fleet, &lossy_plan(|_| true));
-            }
-            let peer = &mut peers[0];
-            send_as_peer(peer, lossy, 0, Frame::LocalCost { epoch: 0, round: 7, cost: 1.0 });
-            send_as_peer(peer, lossy, 1, Frame::LocalCost { epoch: 1, round: 7, cost: 42.0 });
+        for delay in [Duration::ZERO, Duration::from_millis(30)] {
+            let (mut fleet, peers) = fleet_over_sockets(1, Duration::from_secs(2));
+            let peer = &peers[0];
+            send_after(peer, Duration::ZERO, Frame::LocalCost { epoch: 0, round: 7, cost: 1.0 })
+                .join()
+                .expect("stale report");
+            let fresh =
+                send_after(peer, delay, Frame::LocalCost { epoch: 1, round: 7, cost: 42.0 });
             let mut out = [0.0f64];
             let mut logical = 0usize;
             let result = fleet.collect_blocking(7, 1, Phase::Cost, &[0], &mut out, &mut logical);
-            assert!(result.is_ok(), "lossy {lossy}: the stale frame must be skipped, not fatal");
-            assert_eq!(out[0], 42.0, "lossy {lossy}: the epoch-1 re-report is the consumed value");
-            assert_eq!(logical, 1, "lossy {lossy}: one logical frame per member per phase");
+            fresh.join().expect("fresh report");
+            assert!(result.is_ok(), "{delay:?}: the stale frame must be skipped, not fatal");
+            assert_eq!(out[0], 42.0, "{delay:?}: the epoch-1 re-report is the consumed value");
+            assert_eq!(logical, 1, "{delay:?}: one logical frame per member per phase");
         }
     }
 
-    /// A NaN cost report fails the collect of a lossless and of a lossy
-    /// fleet with exactly its sender dead, and leaves no member awaiting.
+    /// A NaN cost report fails the collect with exactly its sender dead,
+    /// and leaves no member awaiting, whether it arrives on time or
+    /// after the staircase has started blocking on it.
     #[test]
-    fn a_nan_report_is_a_death_on_lossless_and_lossy_fleets() {
-        for lossy in [false, true] {
-            let (mut fleet, mut peers) = fleet_over_sockets(3, Duration::from_secs(2));
-            if lossy {
-                make_lossy(&mut fleet, &lossy_plan(|_| true));
-            }
-            for (peer, cost) in peers.iter_mut().zip([1.0, f64::NAN, 2.0]) {
-                send_as_peer(peer, lossy, 0, Frame::LocalCost { epoch: 0, round: 5, cost });
-            }
+    fn a_nan_report_is_a_death_on_time_or_held() {
+        for delay in [Duration::ZERO, Duration::from_millis(30)] {
+            let (mut fleet, peers) = fleet_over_sockets(3, Duration::from_secs(2));
+            let senders: Vec<_> = peers
+                .iter()
+                .zip([1.0, f64::NAN, 2.0])
+                .map(|(peer, cost)| {
+                    send_after(peer, delay, Frame::LocalCost { epoch: 0, round: 5, cost })
+                })
+                .collect();
             let (mut out, mut logical) = ([0.0f64; 3], 0usize);
             let result =
                 fleet.collect_blocking(5, 0, Phase::Cost, &[0, 1, 2], &mut out, &mut logical);
-            assert!(
-                matches!(result, Err(FleetFail::Dead(ref dead)) if dead == &[1]),
-                "lossy {lossy}"
-            );
-            assert!(fleet.links.iter().flatten().all(|c| !c.awaiting), "lossy {lossy}");
+            for sender in senders {
+                sender.join().expect("report");
+            }
+            assert!(matches!(result, Err(FleetFail::Dead(ref dead)) if dead == &[1]), "{delay:?}");
+            assert!(fleet.links.iter().flatten().all(|c| !c.awaiting), "{delay:?}");
         }
     }
 
-    /// A member's end of a lossy link, on a thread: answers the first
-    /// frame it is sent with a round-5 `LocalCost` after `hold`, acks
-    /// what follows until `Shutdown`, and returns how long that first
-    /// frame took to arrive.
-    fn lossy_member(
+    /// A member's end of a link, on a thread: its replies are held by
+    /// `plan` (node code `code`), it answers the first frame it is sent
+    /// with a round-5 `LocalCost` after `hold`, and reads what follows
+    /// until `Shutdown`. Returns its own end's wire counters.
+    fn held_member(
         stream: TcpStream,
         plan: &FaultPlan,
         code: u64,
         hold: Duration,
-    ) -> std::thread::JoinHandle<Duration> {
+    ) -> std::thread::JoinHandle<WireStats> {
         let plan = plan.clone();
         std::thread::spawn(move || {
-            let started = Instant::now();
-            let mut link = Link::with_plan(FrameConn::new(stream).expect("conn"), plan, code, 0);
-            let _opener = link.recv(Duration::from_secs(5)).expect("the opener arrives");
-            let arrived = started.elapsed();
+            let mut conn = FrameConn::new(stream).expect("conn");
+            conn.hold_sends(&plan, code, 0);
+            let _opener = conn.recv(Duration::from_secs(5)).expect("the opener arrives");
             std::thread::sleep(hold);
-            link.send(&Frame::LocalCost { epoch: 0, round: 5, cost: code as f64 }).expect("send");
-            while !matches!(link.recv(Duration::from_secs(5)), Ok(Frame::Shutdown) | Err(_)) {}
-            arrived
+            conn.send(&Frame::LocalCost { epoch: 0, round: 5, cost: code as f64 }).expect("send");
+            while !matches!(conn.recv(Duration::from_secs(5)), Ok(Frame::Shutdown) | Err(_)) {}
+            conn.stats()
         })
     }
 
-    /// On a lossy fleet, a `RoundStart` the plan drops to member 0 is
-    /// retransmitted at its deadline while the staircase sleeps on
-    /// member 1, who answers late; member 0 answers, and nobody is
-    /// buried.
+    /// Held replies are late replies, not deaths: member 0's reply is
+    /// held by its plan's dropped first attempt while member 1 answers
+    /// late, on a fleet whose first frame to member 0 was a commit frame
+    /// delivered by `drain`. The staircase takes both, nobody is
+    /// buried, and `Shutdown` reaches both.
     #[test]
-    fn a_dropped_frame_is_resent_while_the_staircase_reads_another_member() {
-        // Master (code 0) to member 0 (code 1): the first attempt of
-        // sequence 0 is dropped, the second is not; member 1 (code 2)
-        // gets it at once.
-        let plan = lossy_plan(|p| {
-            p.wire_drop(0, 0, 1, 0) && !p.wire_drop(0, 0, 1, 1) && !p.wire_drop(0, 0, 2, 0)
-        });
+    fn held_replies_are_collected_not_buried() {
+        // Member 0 (code 1) holds its first reply once; member 1 (code 2)
+        // holds nothing.
+        let plan = (0..)
+            .map(|seed| {
+                FaultPlan::seeded(seed)
+                    .with_drop_probability(0.3)
+                    .with_retry(RetryPolicy::new(0.02, 1.5, 6))
+            })
+            .find(|p| {
+                p.wire_drop(0, 1, 0, 0) && !p.wire_drop(0, 1, 0, 1) && !p.wire_drop(0, 2, 0, 0)
+            })
+            .expect("some seed");
         let (mut fleet, peers) = fleet_over_sockets(2, Duration::from_secs(2));
-        make_lossy(&mut fleet, &plan);
-        let hold = Duration::from_millis(400);
+        let late = Duration::from_millis(100);
         let members: Vec<_> = peers
             .into_iter()
             .enumerate()
-            .map(|(i, s)| lossy_member(s, &plan, i as u64 + 1, [Duration::ZERO, hold][i]))
+            .map(|(i, s)| held_member(s, &plan, i as u64 + 1, [Duration::ZERO, late][i]))
             .collect();
-        fleet.broadcast(&Frame::RoundStart { epoch: 0, round: 5 }, &[0, 1], Instant::now());
+        fleet.queue_to(0, &Frame::Assignment { round: 4, share: 0.5 });
+        assert!(fleet.drain().is_empty(), "the commit frame is delivered");
+        fleet.broadcast(&Frame::RoundStart { epoch: 0, round: 5 }, &[1]);
         let (mut out, mut logical) = ([0.0f64; 2], 0usize);
         let result = fleet.collect_blocking(5, 0, Phase::Cost, &[0, 1], &mut out, &mut logical);
         assert!(result.is_ok(), "nobody is buried");
         assert_eq!(out, [1.0, 2.0]);
         fleet.shutdown(Duration::from_secs(2));
-        let arrived = members.into_iter().map(|m| m.join().expect("member")).collect::<Vec<_>>();
-        // Resent at the 20 ms retransmission deadline, not when the
-        // staircase reached member 0 after member 1's late answer.
-        assert!(arrived[0] < hold / 2, "the dropped RoundStart arrived after {:?}", arrived[0]);
-    }
-
-    /// On a lossy fleet, a member whose commit frame is still unacked
-    /// (the plan dropped it) at `drain` is not reported dead; the next
-    /// collect's blocking wait retransmits it, and the member answers.
-    #[test]
-    fn an_unacked_commit_frame_at_drain_is_not_a_death() {
-        let plan = lossy_plan(|p| p.wire_drop(0, 0, 1, 0) && !p.wire_drop(0, 0, 1, 1));
-        let (mut fleet, mut peers) = fleet_over_sockets(1, Duration::from_secs(2));
-        make_lossy(&mut fleet, &plan);
-        let member = lossy_member(peers.pop().expect("one peer"), &plan, 1, Duration::ZERO);
-        fleet.queue_to(0, &Frame::Assignment { round: 4, share: 0.5 }, Instant::now());
-        assert!(
-            matches!(fleet.drain(), Ok(dead) if dead.is_empty()),
-            "an unacked frame is no death"
-        );
-        assert!(fleet.links[0].as_ref().is_some_and(Conn::busy), "the commit frame awaits its ack");
-        fleet.broadcast(&Frame::RoundStart { epoch: 0, round: 5 }, &[0], Instant::now());
-        let (mut out, mut logical) = ([0.0f64], 0usize);
-        let result = fleet.collect_blocking(5, 0, Phase::Cost, &[0], &mut out, &mut logical);
-        assert!(result.is_ok(), "the member answers once its commit frame is resent");
-        assert_eq!(out, [1.0]);
-        fleet.shutdown(Duration::from_secs(2));
-        member.join().expect("member");
+        let stats: Vec<WireStats> =
+            members.into_iter().map(|m| m.join().expect("member")).collect();
+        assert_eq!([stats[0].holds, stats[1].holds], [1, 0], "member 0's reply was held");
     }
 }

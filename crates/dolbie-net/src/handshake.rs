@@ -6,21 +6,22 @@
 //! socket that fails the handshake — timeout, garbage bytes, a premature
 //! close, or a well-formed non-`Hello` opener — is rejected while the
 //! listener keeps accepting, so a rogue or slow peer never aborts or
-//! consumes a slot of the real fleet. The handshake precedes the lossy
-//! envelope; faults start with the first round frame.
+//! consumes a slot of the real fleet. `Welcome` ships the link's hold
+//! plan; holds start with the worker's first reply.
 
 use crate::env::WireEnvSpec;
 use crate::fleet::{Conn, IdleWait, READ_CHUNK_BYTES};
+use crate::shard::ADMISSION_WAIT;
 use crate::transport::TransportError;
 use crate::wire::Frame;
 use crate::NetError;
-use dolbie_simnet::faults::FaultPlan;
+use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
 use std::io::ErrorKind;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 /// Builds the `Welcome` frame a shard-master sends in response to a
-/// worker's `Hello` — the one place the fault-plan fields and the
+/// worker's `Hello` — the one place the hold plan and the
 /// shard-master's `frame_timeout` map onto the wire.
 pub(crate) fn welcome_frame(
     worker_id: u32,
@@ -38,36 +39,51 @@ pub(crate) fn welcome_frame(
         env,
         initial_share,
         drop_probability: fault.drop_probability,
-        duplicate_probability: fault.duplicate_probability,
+        duplicate_probability: 0.0,
         fault_seed: fault.seed,
         frame_timeout_us: frame_timeout.as_micros().try_into().unwrap_or(u64::MAX),
+        retry_ack_timeout: fault.retry.ack_timeout,
+        retry_backoff: fault.retry.backoff,
+        retry_max_attempts: fault.retry.max_attempts.try_into().unwrap_or(u32::MAX),
     }
 }
 
-/// The fault plan a `Welcome` or `ShardWelcome` ships, rebuilt on the
-/// receiving end — the inverse of [`welcome_frame`]. The sender's plan
-/// came through `FaultPlan::with_drop_probability` and
-/// `with_duplicate_probability`, which admit only `[0, 1)`; a probability
-/// outside it (NaN included) is a protocol error, not a panic in those
-/// builders' asserts, and not silently dropped.
-pub(crate) fn shipped_fault_plan(
+/// The hold plan a `Welcome` or `ShardWelcome` ships, rebuilt on the
+/// receiving end — the inverse of [`welcome_frame`], if the sender could
+/// have built it. The sender's plan came through
+/// `FaultPlan::with_drop_probability`, which admits only `[0, 1)`, and
+/// `RetryPolicy::new`, which admits a positive, finite ack timeout, a
+/// finite backoff ≥ 1 and at least one attempt; and its longest timeout
+/// `ack_timeout · backoff^(attempts − 1)` lies within [`ADMISSION_WAIT`],
+/// the longest wait of the protocol, so a hold's `Duration` cannot
+/// overflow. Anything else — NaN included — is a protocol error, not a
+/// panic in those builders' asserts.
+pub(crate) fn shipped_plan(
     fault_seed: u64,
     drop_probability: f64,
-    duplicate_probability: f64,
+    ack_timeout: f64,
+    backoff: f64,
+    max_attempts: u32,
 ) -> Result<FaultPlan, NetError> {
-    for (what, p) in [("drop", drop_probability), ("duplicate", duplicate_probability)] {
-        if !(0.0..1.0).contains(&p) {
-            return Err(NetError::Protocol(format!("{what} probability {p} is outside [0, 1)")));
-        }
+    if !(0.0..1.0).contains(&drop_probability) {
+        return Err(NetError::Protocol(format!(
+            "drop probability {drop_probability} is outside [0, 1)"
+        )));
     }
-    let mut plan = FaultPlan::seeded(fault_seed);
-    if drop_probability > 0.0 {
-        plan = plan.with_drop_probability(drop_probability);
+    let sound = ack_timeout > 0.0
+        && ack_timeout.is_finite()
+        && backoff >= 1.0
+        && backoff.is_finite()
+        && max_attempts >= 1
+        && ack_timeout * backoff.powf(f64::from(max_attempts - 1)) <= ADMISSION_WAIT.as_secs_f64();
+    if !sound {
+        return Err(NetError::Protocol(format!(
+            "hold pacing ({ack_timeout} s, ×{backoff}, {max_attempts} attempts) is impossible"
+        )));
     }
-    if duplicate_probability > 0.0 {
-        plan = plan.with_duplicate_probability(duplicate_probability);
-    }
-    Ok(plan)
+    Ok(FaultPlan::seeded(fault_seed)
+        .with_drop_probability(drop_probability)
+        .with_retry(RetryPolicy::new(ack_timeout, backoff, max_attempts as usize)))
 }
 
 /// How often admission asks whether its caller's upstream has gone.
@@ -76,9 +92,9 @@ const UPSTREAM_CHECK: Duration = Duration::from_millis(20);
 /// Concurrent evented admission: every pending socket handshakes under
 /// its own Hello deadline, `frame_timeout` from its accept, checked in
 /// each pass over the candidates; slots are assigned in Hello-completion
-/// order. The listener must already be non-blocking. Welcome content and
-/// lossy peer codes come from the closures, keyed by the admission slot,
-/// so a shard-master offsets them by its global id range.
+/// order. The listener must already be non-blocking. Welcome content
+/// comes from the closure, keyed by the admission slot, so a
+/// shard-master offsets it by its global id range.
 ///
 /// Admission itself has no deadline; it ends early, with an error, when
 /// `upstream_gone` says the party the fleet is being admitted for has
@@ -87,9 +103,7 @@ pub(crate) fn admit_concurrent(
     listener: &TcpListener,
     count: usize,
     frame_timeout: Duration,
-    fault: &FaultPlan,
     mut welcome: impl FnMut(usize) -> Frame,
-    mut peer_code: impl FnMut(usize) -> u64,
     mut upstream_gone: impl FnMut() -> bool,
 ) -> Result<Vec<Option<Conn>>, NetError> {
     let mut idle = IdleWait::new();
@@ -143,10 +157,7 @@ pub(crate) fn admit_concurrent(
                     let (mut conn, _) = slot.take().expect("candidate present");
                     let id = next_id;
                     next_id += 1;
-                    conn.queue(&welcome(id), now);
-                    // The handshake precedes the envelope; faults start
-                    // with the first round frame (like the worker side).
-                    conn.install_lossy(fault, 0, peer_code(id));
+                    conn.codec.queue(&welcome(id));
                     // Write errors surface at the fleet's first flush.
                     let _ = conn.pump_write();
                     admitted[id] = Some(conn);

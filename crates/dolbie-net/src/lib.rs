@@ -2,8 +2,9 @@
 //!
 //! A real TCP runtime for DOLBIE's Algorithm 1 (master-worker): versioned
 //! length-prefixed wire protocol, blocking `std::net` transport with
-//! deadlines and seeded reconnect, deterministic socket-level fault
-//! replay, and crash-detected worker loss mapped onto membership epochs.
+//! deadlines and seeded reconnect, seeded message loss realised as the
+//! delay it amounts to over TCP, and crash-detected worker loss mapped
+//! onto membership epochs.
 //!
 //! There is one coordinator: a root over `M` shard-masters, each
 //! driving its contiguous range of workers ([`shard`]). The flat
@@ -22,16 +23,18 @@
 //!    [`RootEngine`](dolbie_core::shard::RootEngine), fed shard
 //!    aggregates whose reductions are bitwise the engine's ([`shard`]).
 //!
-//! Under a lossy link ([`transport::Link`] replaying a
-//! [`FaultPlan`](dolbie_simnet::faults::FaultPlan) at the socket layer),
-//! loss only delays frames, so the trajectory is unchanged and the
+//! TCP never drops a frame on a live connection, so a
+//! [`FaultPlan`](dolbie_simnet::faults::FaultPlan)'s message loss is
+//! realised as what it amounts to there, delay: each sender holds a
+//! reply for the retransmission timeouts its dropped attempts would have
+//! cost ([`transport::hold`]). The trajectory is unchanged and the
 //! chaos-sweep invariants hold over real I/O.
 //!
 //! ## Module map
 //!
 //! - [`wire`] — frames, magic/version handshake, strict decode.
 //! - [`mod@env`] — wire-encodable seeded environments.
-//! - [`transport`] — framed connections, deadlines, the lossy envelope,
+//! - [`transport`] — framed connections, deadlines, seeded holds,
 //!   seeded reconnect backoff.
 //! - [`worker`] — the worker node role: a sans-I/O machine and its one
 //!   socket loop.
@@ -42,8 +45,7 @@
 //!   [`run_sharded_loopback`](shard::run_sharded_loopback), the whole
 //!   tree with its workers over 127.0.0.1.
 //! - `fleet` / `handshake` (crate-internal) — a shard-master's worker
-//!   set over sockets: the blocking staircase collect, which also drives
-//!   the lossy envelopes' retransmission clocks, and the
+//!   set over sockets: the blocking staircase collect, and the
 //!   `Hello → Welcome` admission rules.
 //!
 //! The `dolbie_node` binary exposes every role on the command line:

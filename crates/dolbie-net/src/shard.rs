@@ -15,10 +15,9 @@
 //!   never sees a per-worker array outside an epoch transition.
 //! - **Shard-master** ([`run_shard_master`]): a real TCP master over
 //!   its contiguous worker range — concurrent admission, coalesced
-//!   broadcasts, and the blocking staircase collect, lossy worker links
-//!   included — plus one blocking upstream link to the root. Workers
-//!   speak the worker protocol of Algorithm 1 and cannot tell how many
-//!   shards the tree has.
+//!   broadcasts, and the blocking staircase collect — plus one blocking
+//!   upstream link to the root. Workers speak the worker protocol of
+//!   Algorithm 1 and cannot tell how many shards the tree has.
 //!
 //! ## Per-round backbone dialect (root ↔ shard-master)
 //!
@@ -87,9 +86,11 @@
 //! the α record or the refresh schedule, and the renormalization is
 //! applied only once the gather is complete — a transition that fails
 //! mid-gather restarts with a fresh epoch number and an untouched
-//! engine. Worker-link *loss* (drop/duplicate with ack/retry) remains
-//! fully supported and trajectory-invariant, and the backbone itself
-//! may be lossy ([`ShardedConfig::with_backbone_fault_plan`]).
+//! engine. Loss on the worker links and on the backbone
+//! ([`ShardedConfig::with_fault_plan`],
+//! [`ShardedConfig::with_backbone_fault_plan`]) is delay: a fault plan's
+//! drops become seeded holds on the workers' and shard-masters' replies
+//! ([`crate::transport`]), which leave the trajectory bitwise unchanged.
 //!
 //! [`ShardCursor`]: crate::wire::Frame::ShardCursor
 //! [`SumCursor`]: dolbie_core::numeric::SumCursor
@@ -99,19 +100,19 @@
 
 use crate::env::WireEnvSpec;
 use crate::fleet::{Fleet, FleetFail, IdleWait, Phase};
-use crate::handshake::{admit_concurrent, shipped_fault_plan, welcome_frame};
+use crate::handshake::{admit_concurrent, shipped_plan, welcome_frame};
 use crate::transport::{
-    connect_schedule, connect_with_backoff, FrameConn, Link, TransportError, WireStats,
+    connect_schedule, connect_with_backoff, FrameConn, TransportError, WireStats,
     DEFAULT_FRAME_TIMEOUT,
 };
 use crate::wire::{CursorPhase, Frame, SHARD_SLICE_CHUNK};
-use crate::worker::{drive_worker, WorkerOptions, WorkerReport};
+use crate::worker::{drive_worker, WorkerReport};
 use crate::{unit_interval, NetError};
 use dolbie_core::cost::DynCost;
 use dolbie_core::numeric::{CursorState, SumCursor, SUM_BLOCK};
 use dolbie_core::shard::{combine_candidates, RootEngine, ShardCandidate, ShardLayout};
 use dolbie_core::{Allocation, Dolbie, DolbieConfig, LoadBalancer, Observation};
-use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
+use dolbie_simnet::faults::FaultPlan;
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -122,13 +123,13 @@ use std::time::{Duration, Instant};
 const WORKER_STACK_BYTES: usize = 256 * 1024;
 const SHARD_STACK_BYTES: usize = 1024 * 1024;
 
-/// The root's lossy-envelope identity on the backbone. Worker links key
-/// their envelope hashes on `worker_id + 1` vs `0`; the backbone uses a
+/// The root's node code on the backbone, in the hold decisions. Worker
+/// links key their holds on `worker_id + 1` and `0`; the backbone uses a
 /// disjoint code space so a seeded plan shared by both tiers never
 /// replays the same drop schedule on both.
 pub const BACKBONE_ROOT_CODE: u64 = 0xB0B0_0000_0000_FFFF;
 
-/// Shard-master `k`'s lossy-envelope identity on the backbone.
+/// Shard-master `k`'s node code on the backbone, in the hold decisions.
 pub fn backbone_shard_code(k: usize) -> u64 {
     0xB0B0_0000_0000_0000 + k as u64 + 1
 }
@@ -163,14 +164,13 @@ pub struct ShardedConfig {
     pub env: WireEnvSpec,
     /// Engine configuration (step-size schedule), used by the root.
     pub dolbie: DolbieConfig,
-    /// Worker-link fault plan; its drop/duplicate probabilities, seed,
-    /// and retry pacing are shipped to the shard-masters, which replay
-    /// it on their worker links.
+    /// Worker-link fault plan; its drop probability, seed and retry
+    /// pacing are shipped through the shard-masters to the workers, which
+    /// hold their replies by it. Its duplicate probability must be 0.
     pub fault: FaultPlan,
-    /// Backbone fault plan (root ↔ shard-master links). Not shipped in
-    /// `ShardWelcome`: both ends are configured peers and each side
-    /// simulates losses on the frames *it* sends, so the plans need not
-    /// even agree. The loopback harness hands the same plan to both.
+    /// Backbone fault plan, by which each shard-master holds its frames
+    /// to the root ([`ShardMasterOptions::backbone_fault`]); the root
+    /// holds nothing. Its duplicate probability must be 0.
     pub backbone_fault: FaultPlan,
     /// Quorum policy: when fewer than this many shard-masters survive a
     /// transition, the root shuts the remainder down and returns a
@@ -272,13 +272,13 @@ impl ShardedConfig {
         }
     }
 
-    /// Replays `plan` at the socket layer of every worker link.
+    /// Holds every worker's replies by `plan`.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = plan;
         self
     }
 
-    /// Replays `plan` at the socket layer of every backbone link.
+    /// Holds every shard-master's frames to the root by `plan`.
     pub fn with_backbone_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.backbone_fault = plan;
         self
@@ -302,6 +302,22 @@ impl ShardedConfig {
     pub fn with_shard_kill(mut self, kill: ShardKill) -> Self {
         self.shard_kills.push(kill);
         self
+    }
+
+    /// Panics on a degenerate configuration: zero rounds, fewer than two
+    /// workers, a shard count outside `1..=N`, a quorum above `M`, or a
+    /// fault plan that duplicates frames, which TCP never does.
+    fn check(&self) {
+        let (n, m) = (self.num_workers, self.num_shards);
+        assert!(n >= 2, "at least two workers required");
+        assert!(m >= 1 && m <= n, "shard count must be in 1..=N");
+        assert!(self.rounds > 0, "at least one round required");
+        assert!(self.min_live_shards <= m, "quorum cannot exceed the shard count");
+        assert!(
+            self.fault.duplicate_probability == 0.0
+                && self.backbone_fault.duplicate_probability == 0.0,
+            "TCP never duplicates a frame: a net-tier fault plan's duplicate probability must be 0"
+        );
     }
 }
 
@@ -417,32 +433,6 @@ fn sound_cursor(state: CursorState, len: usize) -> Result<CursorState, NetError>
     }
 }
 
-/// The worker-link retry policy a `ShardWelcome` ships, if the root could
-/// have built it: `RetryPolicy::new`'s bounds (a positive, finite ack
-/// timeout, a finite backoff ≥ 1, at least one attempt), and a longest
-/// retransmission timeout `ack_timeout · backoff^(attempts − 1)` within
-/// [`ADMISSION_WAIT`], the longest wait of the protocol, so the
-/// envelope's `Duration` and `Instant` arithmetic cannot overflow.
-fn shipped_retry(
-    ack_timeout: f64,
-    backoff: f64,
-    max_attempts: u32,
-) -> Result<RetryPolicy, NetError> {
-    let sound = ack_timeout > 0.0
-        && ack_timeout.is_finite()
-        && backoff >= 1.0
-        && backoff.is_finite()
-        && max_attempts >= 1
-        && ack_timeout * backoff.powf(f64::from(max_attempts - 1)) <= ADMISSION_WAIT.as_secs_f64();
-    if !sound {
-        return Err(NetError::Protocol(format!(
-            "ShardWelcome retry policy ({ack_timeout} s, ×{backoff}, {max_attempts} attempts) \
-             is impossible"
-        )));
-    }
-    Ok(RetryPolicy::new(ack_timeout, backoff, max_attempts as usize))
-}
-
 /// How a backbone interaction failed: a dead link (I/O error, reset, or
 /// an expired deadline — the bounded crash-detection window) versus an
 /// unrecoverable protocol violation.
@@ -503,7 +493,7 @@ struct Root<'a> {
     layout: ShardLayout,
     engine: RootEngine,
     /// Backbone links by shard id; `None` marks a buried shard-master.
-    links: Vec<Option<Link>>,
+    links: Vec<Option<FrameConn>>,
     /// Wire counters absorbed from buried links, so run totals stay
     /// monotone across burials.
     retired: WireStats,
@@ -1009,12 +999,12 @@ fn admit_backbone(
     listener: &TcpListener,
     cfg: &ShardedConfig,
     layout: &ShardLayout,
-) -> Result<Vec<Option<Link>>, NetError> {
+) -> Result<Vec<Option<FrameConn>>, NetError> {
     let (n, m) = (cfg.num_workers, cfg.num_shards);
     let window = cfg.frame_timeout.max(Duration::from_millis(500)) * 4;
     let deadline = Instant::now() + window;
     listener.set_nonblocking(true).map_err(TransportError::from)?;
-    let mut slots: Vec<Option<Link>> = (0..m).map(|_| None).collect();
+    let mut slots: Vec<Option<FrameConn>> = (0..m).map(|_| None).collect();
     let mut admitted = 0usize;
     let mut idle = IdleWait::new();
     while admitted < m {
@@ -1060,7 +1050,6 @@ fn admit_backbone(
             range_end: range.end as u32,
             env: cfg.env,
             drop_probability: cfg.fault.drop_probability,
-            duplicate_probability: cfg.fault.duplicate_probability,
             fault_seed: cfg.fault.seed,
             retry_ack_timeout: cfg.fault.retry.ack_timeout,
             retry_backoff: cfg.fault.retry.backoff,
@@ -1069,12 +1058,7 @@ fn admit_backbone(
         if conn.send(&welcome).is_err() {
             continue; // died between hello and welcome: rejected
         }
-        slots[shard] = Some(Link::with_plan(
-            conn,
-            cfg.backbone_fault.clone(),
-            BACKBONE_ROOT_CODE,
-            backbone_shard_code(shard),
-        ));
+        slots[shard] = Some(conn);
         admitted += 1;
     }
     let _ = listener.set_nonblocking(false);
@@ -1095,16 +1079,12 @@ fn admit_backbone(
 /// # Panics
 ///
 /// Panics if the configuration is degenerate: zero rounds, fewer than
-/// two workers, a shard count outside `1..=N`, or a quorum above `M`.
-/// Runtime failures — including peers that crash, stall, or violate the
+/// two workers, a shard count outside `1..=N`, a quorum above `M`, or a
+/// fault plan with a non-zero duplicate probability. Runtime failures — including peers that crash, stall, or violate the
 /// protocol — are structured [`NetError`]s, never panics.
 pub fn run_root(listener: &TcpListener, cfg: &ShardedConfig) -> Result<RootReport, NetError> {
+    cfg.check();
     let (n, m) = (cfg.num_workers, cfg.num_shards);
-    assert!(n >= 2, "at least two workers required");
-    assert!(m >= 1 && m <= n, "shard count must be in 1..=N");
-    assert!(cfg.rounds > 0, "at least one round required");
-    assert!(cfg.min_live_shards <= m, "quorum cannot exceed the shard count");
-
     let layout = ShardLayout::even(n, m);
     let engine = RootEngine::new(&Allocation::uniform(n), cfg.dolbie);
     let links = admit_backbone(listener, cfg, &layout)?;
@@ -1137,7 +1117,8 @@ pub struct ShardMasterOptions {
     /// Per-frame read deadline on every worker link; the root link's
     /// deadline derives from it ([`shard_deadline`]).
     pub frame_timeout: Duration,
-    /// Fault plan replayed on this side of the backbone link.
+    /// The plan this shard-master's frames to the root are held by;
+    /// only its drop probability, seed and retry pacing are read.
     pub backbone_fault: FaultPlan,
     /// Crash injection: return (dropping the root link and the whole
     /// worker fleet) keyed on this round; see [`ShardKill`].
@@ -1227,7 +1208,7 @@ struct ShardCtx {
     shard: usize,
     range: Range<usize>,
     n_total: usize,
-    root: Link,
+    root: FrameConn,
     fleet: Fleet,
     /// The deadline on every root recv: [`ADMISSION_WAIT`] until the
     /// first commit arrives, [`shard_deadline`] from then on.
@@ -1359,12 +1340,11 @@ impl ShardCtx {
             // Local deaths *not* named in the mask (a crossing report
             // the root has not processed yet) stay members and are
             // re-reported under the new epoch by the caller.
-            let now = Instant::now();
             for i in 0..count {
                 let alive = er.members[self.range.start + i];
                 if self.local_members[i] && !alive {
                     if let Some(conn) = self.fleet.links[i].take() {
-                        self.retired.absorb(&conn.stats());
+                        self.retired.absorb(&conn.codec.stats());
                     }
                     self.local_members[i] = false;
                 } else if self.local_members[i] {
@@ -1374,7 +1354,7 @@ impl ShardCtx {
                         share: self.x[i],
                         members: er.members.clone(),
                     };
-                    self.fleet.queue_to(i, &frame, now);
+                    self.fleet.queue_to(i, &frame);
                 }
             }
             self.epoch = er.epoch;
@@ -1444,8 +1424,8 @@ impl ShardCtx {
 /// failing.
 ///
 /// Workers are admitted with their *global* ids (`range.start +
-/// admission slot`), so their cost derivation and lossy-envelope hash
-/// keys are identical under every shard count over the same `N` — a
+/// admission slot`), so their cost derivation and hold decisions are
+/// identical under every shard count over the same `N` — a
 /// worker cannot tell how many shards the tree has.
 pub fn run_shard_master(
     root: TcpStream,
@@ -1464,7 +1444,6 @@ pub fn run_shard_master(
         range_end,
         env,
         drop_probability,
-        duplicate_probability,
         fault_seed,
         retry_ack_timeout,
         retry_backoff,
@@ -1486,9 +1465,13 @@ pub fn run_shard_master(
     let range = range_start as usize..range_end as usize;
     let count = range.len();
     let n_total = num_workers as usize;
-    let retry = shipped_retry(retry_ack_timeout, retry_backoff, retry_max_attempts)?;
-    let fault =
-        shipped_fault_plan(fault_seed, drop_probability, duplicate_probability)?.with_retry(retry);
+    let fault = shipped_plan(
+        fault_seed,
+        drop_probability,
+        retry_ack_timeout,
+        retry_backoff,
+        retry_max_attempts,
+    )?;
 
     // Worker admission: concurrent handshakes, parameterized with this
     // shard's global id window, abandoned if the root goes away first.
@@ -1498,7 +1481,6 @@ pub fn run_shard_master(
         listener,
         count,
         opts.frame_timeout,
-        &fault,
         |slot| {
             let global = range_start as usize + slot;
             welcome_frame(
@@ -1511,26 +1493,22 @@ pub fn run_shard_master(
                 opts.frame_timeout,
             )
         },
-        |slot| (range_start as usize + slot) as u64 + 1,
         || conn.peer_closed(),
     );
     let _ = listener.set_nonblocking(false);
     let admission_end = Instant::now();
-    let root_link = Link::with_plan(
-        conn,
-        opts.backbone_fault.clone(),
-        backbone_shard_code(opts.shard),
-        BACKBONE_ROOT_CODE,
-    );
+    // Every frame to the root from here on answers one from it, and is
+    // held by the backbone plan.
+    conn.hold_sends(&opts.backbone_fault, backbone_shard_code(opts.shard), BACKBONE_ROOT_CODE);
     // The sockets flip to blocking mode once, here, and stay there: every
-    // collect is the staircase, lossy fleets included.
+    // collect is the staircase.
     let fleet = Fleet::new(admitted?, opts.frame_timeout)?;
 
     let mut ctx = ShardCtx {
         shard: opts.shard,
         range: range.clone(),
         n_total,
-        root: root_link,
+        root: conn,
         fleet,
         timeout: ADMISSION_WAIT,
         epoch: 0,
@@ -1571,7 +1549,7 @@ pub fn run_shard_master(
             // Round barrier + cost collection over the live slots. The
             // epoch tag filters stale frames of abandoned attempts.
             let start = Frame::RoundStart { epoch: ctx.epoch, round: t as u64 };
-            ctx.fleet.broadcast(&start, &live, Instant::now());
+            ctx.fleet.broadcast(&start, &live);
             logical += live.len();
             if let Some(dead) = ctx.collect_costs(t, &live, &mut local_costs, &mut logical)? {
                 pending_dead = dead;
@@ -1643,14 +1621,13 @@ pub fn run_shard_master(
         // Fan the scalars out; collect the non-stragglers' gains. The
         // local straggler's gain stays 0.0, exactly the reference's
         // fixed-shape slot — as do the buried slots'.
-        let now = Instant::now();
         let shared =
             Frame::Coordination { round: t as u64, global_cost, alpha, is_straggler: false };
-        ctx.fleet.broadcast(&shared, &others, now);
+        ctx.fleet.broadcast(&shared, &others);
         if let Some(ls) = local_straggler {
             let pin =
                 Frame::Coordination { round: t as u64, global_cost, alpha, is_straggler: true };
-            ctx.fleet.queue_to(ls, &pin, now);
+            ctx.fleet.queue_to(ls, &pin);
         }
         logical += others.len() + usize::from(local_straggler.is_some());
         gains.fill(0.0);
@@ -1697,7 +1674,7 @@ pub fn run_shard_master(
                         *g *= scale;
                     }
                     let adjust = Frame::Adjust { round: t as u64, scale };
-                    ctx.fleet.broadcast(&adjust, &others, Instant::now());
+                    ctx.fleet.broadcast(&adjust, &others);
                     logical += others.len();
                 }
                 Tail::Frame(Frame::ShardCommit {
@@ -1723,7 +1700,7 @@ pub fn run_shard_master(
                         ctx.x[ls] = straggler_share;
                         let assignment =
                             Frame::Assignment { round: t as u64, share: straggler_share };
-                        ctx.fleet.queue_to(ls, &assignment, Instant::now());
+                        ctx.fleet.queue_to(ls, &assignment);
                         logical += 1;
                     }
                     records.push(ShardRoundSlice {
@@ -1776,7 +1753,7 @@ pub fn run_shard_master(
         // Deliver the commit to the workers before the next barrier. A
         // death discovered here is post-commit: the round stands and
         // the report goes up at the top of the next iteration.
-        let dead = ctx.fleet.drain()?;
+        let dead = ctx.fleet.drain();
         if !dead.is_empty() {
             pending_dead = dead;
         }
@@ -1826,6 +1803,7 @@ pub fn run_single_shard(
     cfg: &ShardedConfig,
 ) -> Result<(RootReport, ShardRunReport), NetError> {
     assert_eq!(cfg.num_shards, 1, "the single-shard tree has exactly one shard");
+    cfg.check();
     let backbone = TcpListener::bind("127.0.0.1:0").map_err(TransportError::from)?;
     let addr = backbone.local_addr().map_err(TransportError::from)?;
     let opts = ShardMasterOptions {
@@ -1948,6 +1926,7 @@ pub fn twin_allocations(cfg: &ShardedConfig, epochs: &[RootEpoch]) -> Vec<Vec<f6
 /// fleet death) takes priority over the secondary transport errors it
 /// causes downstream.
 pub fn run_sharded_loopback(cfg: &ShardedConfig) -> Result<ShardedLoopbackRun, NetError> {
+    cfg.check();
     let (n, m) = (cfg.num_workers, cfg.num_shards);
     let layout = ShardLayout::even(n, m);
     let root_listener = TcpListener::bind("127.0.0.1:0").map_err(TransportError::from)?;
@@ -1996,10 +1975,6 @@ pub fn run_sharded_loopback(cfg: &ShardedConfig) -> Result<ShardedLoopbackRun, N
         let local = i - layout.range(k).start;
         let addr = shard_addrs[k];
         let (attempts, base, stagger) = connect_schedule(layout.range(k).len(), local);
-        // Workers pace their lossy retransmissions with the same policy
-        // the config ships to the shard-masters, so a test choosing a
-        // fast schedule gets it on both link directions.
-        let worker_opts = WorkerOptions { retry: Some(cfg.fault.retry) };
         let (kills, stalls) = (cfg.worker_kills.clone(), cfg.worker_stalls.clone());
         // A worker's first scheduled stall, else its first kill (a zero
         // hold), if it falls in this round.
@@ -2017,7 +1992,7 @@ pub fn run_sharded_loopback(cfg: &ShardedConfig) -> Result<ShardedLoopbackRun, N
                 }
                 let stream = connect_with_backoff(addr, attempts, base, i as u64)
                     .map_err(TransportError::from)?;
-                drive_worker(stream, &worker_opts, leave)
+                drive_worker(stream, leave)
             })
             .map_err(TransportError::from)?;
         worker_handles.push(handle);

@@ -1,41 +1,35 @@
 //! Socket transport, split into a readiness-free **buffer/codec layer**
 //! ([`FrameCodec`]: reassembly, strict decode, batched transmit queues)
-//! and the policies on top of it: the blocking [`FrameConn`]/[`Link`]
-//! used by workers and on the root ↔ shard-master backbone, bounded
-//! seeded reconnect, and the deterministic lossy envelope. A
-//! shard-master drives the same codec and the same envelope over its
-//! blocking worker sockets ([`crate::shard`]).
+//! and the policies on top of it: the blocking [`FrameConn`] used by
+//! workers and on the root ↔ shard-master backbone, bounded seeded
+//! reconnect, and the seeded sender-side hold. A shard-master drives the
+//! same codec over its blocking worker sockets ([`crate::shard`]).
 //!
-//! ## The lossy mode
+//! ## Loss is delay
 //!
-//! A lossy [`Link`] replays a [`FaultPlan`]'s drop/duplicate/ack-drop
-//! decisions at the socket layer. Every protocol frame is carried in a
-//! [`Frame::Data`] envelope tagged with a per-direction sequence number
-//! and attempt counter; a "dropped" transmission is simply never written
-//! to the socket (real non-delivery), the sender waits out a real
-//! retransmission timeout ([`RetryPolicy`](dolbie_simnet::faults::RetryPolicy))
-//! and tries again, the receiver
-//! acknowledges every arriving copy (unless the plan drops the ack) and
-//! deduplicates by sequence number. The final attempt is written
-//! unconditionally and not awaited — TCP itself guarantees its delivery —
-//! so progress is guaranteed and a lossy run always terminates.
+//! TCP never drops, duplicates or reorders a frame on a live connection,
+//! and a connection that dies is a crash, which the tree survives as a
+//! membership epoch. So the only effect a [`FaultPlan`]'s message loss
+//! can have over TCP is delay: each dropped attempt of a frame is one
+//! more retransmission timeout before it arrives.
+//! [`FrameConn::hold_sends`] realises exactly that. Before it writes a frame, the sender sleeps for
+//! the timeouts a stop-and-wait sender would have waited out before the
+//! attempt that got through ([`hold`]): `Σ_{j<k} ack_timeout · backoff^j`
+//! when the plan's data coins drop `k` attempts, the final attempt
+//! forced. The plan's duplicate and ack-drop coins have no counterpart
+//! over TCP.
 //!
-//! Because loss only ever *delays* frames and never changes their
-//! contents or relative order, the protocol trajectory under a lossy link
-//! is identical to the lossless one; only wall-clock and wire-byte
-//! accounting differ. Lossless links skip the envelope entirely: zero
-//! overhead, raw protocol frames on the wire.
-//!
-//! The envelope itself is one sans-I/O state machine with no socket and
-//! no clock of its own: it consumes frames and caller-supplied instants
-//! and emits the frames to write. [`Link`] drives it with blocking reads
-//! bounded by the in-flight attempt's deadline; a shard-master's worker
-//! connections drive it from the staircase collect, whose blocking reads
-//! are bounded by the earliest such deadline in the fleet.
+//! Holds never change a frame's contents or relative order, so the
+//! protocol trajectory under a delayed link is identical to the lossless
+//! one; only wall-clock time differs. Senders hold only their replies
+//! (a worker's `LocalCost` and `Decision`, a shard-master's backbone
+//! frames to the root); on a request/reply round, holding the reply
+//! costs the same time as holding the request. `thread::sleep` is
+//! precise, where a socket read timeout is rounded up to the kernel's
+//! timer tick.
 
 use crate::wire::{Frame, WireError, MAX_FRAME_BYTES};
 use dolbie_simnet::faults::FaultPlan;
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -92,7 +86,7 @@ impl From<WireError> for TransportError {
 /// Wire-level counters of one connection (or a whole run, summed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireStats {
-    /// Frames written to the socket (envelope and ack frames included).
+    /// Frames written to the socket.
     pub frames_sent: u64,
     /// Frames read off the socket.
     pub frames_received: u64,
@@ -100,12 +94,9 @@ pub struct WireStats {
     pub bytes_sent: u64,
     /// Bytes read.
     pub bytes_received: u64,
-    /// Data retransmission attempts beyond each frame's first.
-    pub retransmissions: u64,
-    /// Fault-injected duplicate copies written.
-    pub duplicates: u64,
-    /// Acknowledgement frames written.
-    pub acks: u64,
+    /// Frames the sender held back for a seeded drop before writing
+    /// them ([`FrameConn::hold_sends`]).
+    pub holds: u64,
 }
 
 impl WireStats {
@@ -115,9 +106,7 @@ impl WireStats {
         self.frames_received += other.frames_received;
         self.bytes_sent += other.bytes_sent;
         self.bytes_received += other.bytes_received;
-        self.retransmissions += other.retransmissions;
-        self.duplicates += other.duplicates;
-        self.acks += other.acks;
+        self.holds += other.holds;
     }
 }
 
@@ -212,11 +201,15 @@ impl FrameCodec {
 
 /// A framed **blocking** TCP connection: length-prefixed frames in, frames
 /// out, with a per-call read deadline — a [`FrameCodec`] plus a socket and
-/// the readiness policy "block until the deadline".
+/// the readiness policy "block until the deadline" — and, once
+/// [`FrameConn::hold_sends`] installs them, seeded holds on what it sends.
 #[derive(Debug)]
 pub struct FrameConn {
     stream: TcpStream,
     codec: FrameCodec,
+    /// The plan this end's sends are held by, its node codes `(from,
+    /// to)`, and the sequence number of the next frame it sends.
+    hold: Option<(FaultPlan, u64, u64, u64)>,
 }
 
 impl FrameConn {
@@ -224,7 +217,16 @@ impl FrameConn {
     /// frames are not batched behind a delayed-ack timer.
     pub fn new(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
-        Ok(Self { stream, codec: FrameCodec::new() })
+        Ok(Self { stream, codec: FrameCodec::new(), hold: None })
+    }
+
+    /// Holds every later frame this end sends by `plan`'s seeded drops
+    /// on the link from node code `from` to `to` ([`hold`]), numbering
+    /// them from 0; a plan that drops nothing holds nothing. Node codes
+    /// follow the `dolbie-simnet` convention: a shard-master is 0 and
+    /// worker `i` is `i + 1`.
+    pub fn hold_sends(&mut self, plan: &FaultPlan, from: u64, to: u64) {
+        self.hold = (plan.drop_probability > 0.0).then(|| (plan.clone(), from, to, 0));
     }
 
     /// Whether the peer has closed the connection (or it failed), asked
@@ -243,8 +245,17 @@ impl FrameConn {
         closed || !restored
     }
 
-    /// Writes one frame.
+    /// Writes one frame, after its hold if [`FrameConn::hold_sends`]
+    /// installed one.
     pub fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
+        if let Some((plan, from, to, seq)) = self.hold.as_mut() {
+            let wait = hold(plan, *seq, *from, *to);
+            *seq += 1;
+            if !wait.is_zero() {
+                std::thread::sleep(wait);
+                self.codec.stats.holds += 1;
+            }
+        }
         self.codec.queue(frame);
         while self.codec.has_tx() {
             match self.stream.write(self.codec.pending_tx()) {
@@ -288,274 +299,22 @@ impl FrameConn {
     }
 }
 
-/// One stop-and-wait attempt in flight.
-#[derive(Debug)]
-struct Inflight {
-    seq: u64,
-    frame: Frame,
-    attempt: usize,
-    /// This attempt's retransmission timeout in seconds,
-    /// `ack_timeout · backoff^attempt`.
-    rto: f64,
-    /// When this attempt was transmitted (or hash-dropped).
-    at: Instant,
-}
-
-/// The lossy Data/Ack envelope of one connection as a sans-I/O state
-/// machine: it consumes protocol frames to send, frames off the wire and
-/// a caller-supplied clock, and emits the frames to write. The blocking
-/// [`Link`] and a shard-master's worker connections are two thin
-/// blocking I/O loops over it.
-///
-/// It owns the per-direction sequence numbers, the outbox and the one
-/// in-flight attempt (stop-and-wait: pipelining would break the
-/// receiver's high-water-mark dedup), the `ack_timeout · backoff^k`
-/// retransmission clock, every [`FaultPlan`] wire decision, and the
-/// envelope counters.
-#[derive(Debug)]
-pub(crate) struct Envelope {
-    plan: FaultPlan,
-    /// This endpoint's node code in the fault-decision hash (master 0,
-    /// worker `i` → `i + 1`; the `dolbie-simnet` convention).
-    self_code: u64,
-    peer_code: u64,
-    next_seq: u64,
-    last_delivered: Option<u64>,
-    outbox: VecDeque<Frame>,
-    inflight: Option<Inflight>,
-    /// Frames to write, in order; the I/O loop drains them.
-    wire: Vec<Frame>,
-    retransmissions: u64,
-    duplicates: u64,
-    acks: u64,
-}
-
-impl Envelope {
-    /// The envelope replaying `plan` between `self_code` and `peer_code`,
-    /// or `None` for a lossless plan: lossless links carry raw frames.
-    pub(crate) fn new(plan: &FaultPlan, self_code: u64, peer_code: u64) -> Option<Self> {
-        (!plan.is_lossless()).then(|| Self {
-            plan: plan.clone(),
-            self_code,
-            peer_code,
-            next_seq: 0,
-            last_delivered: None,
-            outbox: VecDeque::new(),
-            inflight: None,
-            wire: Vec::new(),
-            retransmissions: 0,
-            duplicates: 0,
-            acks: 0,
-        })
-    }
-
-    /// Queues one protocol frame for delivery.
-    pub(crate) fn push(&mut self, frame: Frame, now: Instant) {
-        self.outbox.push_back(frame);
-        self.kick(now);
-    }
-
-    /// Whether a frame is queued or awaiting its ack.
-    pub(crate) fn busy(&self) -> bool {
-        self.inflight.is_some() || !self.outbox.is_empty()
-    }
-
-    /// When the in-flight attempt's retransmission timeout expires.
-    pub(crate) fn deadline(&self) -> Option<Instant> {
-        self.inflight.as_ref().map(|i| i.at + Duration::from_secs_f64(i.rto))
-    }
-
-    /// Drives the retransmission clock to `now`: at most one further
-    /// attempt per call, its own timeout counted from `now`.
-    pub(crate) fn poll(&mut self, now: Instant) {
-        if self.deadline().is_none_or(|due| now < due) {
-            return;
+/// How long frame `seq` from node `from` to node `to` is held under
+/// `plan`: the retransmission timeouts a stop-and-wait sender would wait
+/// out before the attempt that gets through, `Σ_{j<k} ack_timeout ·
+/// backoff^j` when the plan's data coins drop attempts `0..k`. The final
+/// attempt is forced, so `k < max_attempts`.
+pub fn hold(plan: &FaultPlan, seq: u64, from: u64, to: u64) -> Duration {
+    let retry = plan.retry;
+    let (mut wait, mut timeout) = (0.0, retry.ack_timeout);
+    for attempt in 0..retry.max_attempts.saturating_sub(1) {
+        if !plan.wire_drop(seq, from, to, attempt) {
+            break;
         }
-        let inflight = self.inflight.as_mut().expect("a deadline implies an attempt");
-        inflight.attempt += 1;
-        inflight.rto *= self.plan.retry.backoff;
-        self.retransmissions += 1;
-        self.transmit(now);
-        self.kick(now);
+        wait += timeout;
+        timeout *= retry.backoff;
     }
-
-    /// Takes one frame off the wire. Data is acked (unless the plan
-    /// drops the ack) and deduplicated; the payload comes back iff it is
-    /// new. An ack of the in-flight attempt completes it.
-    pub(crate) fn receive(
-        &mut self,
-        frame: Frame,
-        now: Instant,
-    ) -> Result<Option<Frame>, TransportError> {
-        match frame {
-            Frame::Data { seq, attempt, inner } => {
-                // Ack fate is keyed on the DATA direction (peer → self),
-                // so the sender reaches the same verdict.
-                if !self.plan.wire_ack_drop(seq, self.peer_code, self.self_code, attempt as usize) {
-                    self.wire.push(Frame::Ack { seq });
-                    self.acks += 1;
-                }
-                // Per-direction seqs are strictly increasing; anything at
-                // or below the high-water mark is a copy already delivered.
-                if self.last_delivered.is_none_or(|last| seq > last) {
-                    self.last_delivered = Some(seq);
-                    return Ok(Some(*inner));
-                }
-                Ok(None)
-            }
-            Frame::Ack { seq } => {
-                // A late ack for an attempt already completed is ignored.
-                if self.inflight.as_ref().is_some_and(|i| i.seq == seq) {
-                    self.inflight = None;
-                    self.kick(now);
-                }
-                Ok(None)
-            }
-            _ => Err(TransportError::Protocol("raw frame on a lossy link")),
-        }
-    }
-
-    /// The frames to write since the last call, in write order.
-    pub(crate) fn drain_wire(&mut self) -> std::vec::Drain<'_, Frame> {
-        self.wire.drain(..)
-    }
-
-    /// Overlays the envelope counters on a connection's socket counters.
-    pub(crate) fn stamp(&self, stats: &mut WireStats) {
-        stats.retransmissions = self.retransmissions;
-        stats.duplicates = self.duplicates;
-        stats.acks = self.acks;
-    }
-
-    /// Starts queued frames while nothing is in flight.
-    fn kick(&mut self, now: Instant) {
-        while self.inflight.is_none() {
-            let Some(frame) = self.outbox.pop_front() else { return };
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let rto = self.plan.retry.ack_timeout;
-            self.inflight = Some(Inflight { seq, frame, attempt: 0, rto, at: now });
-            self.transmit(now);
-        }
-    }
-
-    /// Emits (or hash-drops) the current attempt. The final attempt is
-    /// emitted unconditionally and not awaited — TCP delivers what is
-    /// written — so it completes the envelope.
-    fn transmit(&mut self, now: Instant) {
-        let inflight = self.inflight.as_mut().expect("an attempt in flight");
-        let (seq, attempt) = (inflight.seq, inflight.attempt);
-        let forced = attempt + 1 >= self.plan.retry.max_attempts;
-        if forced || !self.plan.wire_drop(seq, self.self_code, self.peer_code, attempt) {
-            let data = Frame::Data {
-                seq,
-                attempt: attempt as u32,
-                inner: Box::new(inflight.frame.clone()),
-            };
-            if self.plan.wire_duplicate(seq, self.self_code, self.peer_code, attempt) {
-                self.wire.push(data.clone());
-                self.duplicates += 1;
-            }
-            self.wire.push(data);
-        }
-        inflight.at = now;
-        if forced {
-            self.inflight = None;
-        }
-    }
-}
-
-/// A protocol-frame channel over one blocking TCP connection: either raw
-/// frames (lossless) or the lossy envelope, driven by blocking waits.
-#[derive(Debug)]
-pub struct Link {
-    conn: FrameConn,
-    envelope: Option<Envelope>,
-    /// Payloads the envelope delivered while a send awaited its ack.
-    inbox: VecDeque<Frame>,
-}
-
-impl Link {
-    /// A raw pass-through link: protocol frames directly on the wire.
-    pub fn lossless(conn: FrameConn) -> Self {
-        Self { conn, envelope: None, inbox: VecDeque::new() }
-    }
-
-    /// A link replaying `plan`'s socket-layer faults. `self_code` and
-    /// `peer_code` are the endpoints' node codes (master 0, worker `i` →
-    /// `i + 1`), which key the per-attempt fate hashes so both ends agree
-    /// on every decision. Falls back to a pass-through if the plan is
-    /// lossless.
-    pub fn with_plan(conn: FrameConn, plan: FaultPlan, self_code: u64, peer_code: u64) -> Self {
-        Self { conn, envelope: Envelope::new(&plan, self_code, peer_code), inbox: VecDeque::new() }
-    }
-
-    /// Sends one protocol frame; in lossy mode this blocks through the
-    /// retransmission schedule until a copy is acknowledged (or the final
-    /// attempt is force-written), servicing inbound traffic meanwhile.
-    pub fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        let Some(envelope) = self.envelope.as_mut() else { return self.conn.send(frame) };
-        envelope.push(frame.clone(), Instant::now());
-        loop {
-            self.flush()?;
-            let Some(due) = self.envelope.as_ref().and_then(Envelope::deadline) else {
-                return Ok(());
-            };
-            match self.conn.recv(due.saturating_duration_since(Instant::now())) {
-                Ok(frame) => self.on_wire(frame)?,
-                Err(e) if e.is_timeout() => {}
-                Err(e) => return Err(e),
-            }
-            self.envelope.as_mut().expect("lossy mode").poll(Instant::now());
-        }
-    }
-
-    /// Receives the next protocol frame, waiting at most `deadline`.
-    pub fn recv(&mut self, deadline: Duration) -> Result<Frame, TransportError> {
-        if self.envelope.is_none() {
-            return self.conn.recv(deadline);
-        }
-        let until = Instant::now() + deadline;
-        loop {
-            if let Some(frame) = self.inbox.pop_front() {
-                return Ok(frame);
-            }
-            let remaining = until.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(std::io::Error::from(std::io::ErrorKind::TimedOut).into());
-            }
-            let frame = self.conn.recv(remaining)?;
-            self.on_wire(frame)?;
-        }
-    }
-
-    /// Hands one wire frame to the envelope, inboxing any payload and
-    /// writing any ack.
-    fn on_wire(&mut self, frame: Frame) -> Result<(), TransportError> {
-        let envelope = self.envelope.as_mut().expect("lossy mode");
-        if let Some(payload) = envelope.receive(frame, Instant::now())? {
-            self.inbox.push_back(payload);
-        }
-        self.flush()
-    }
-
-    /// Writes every frame the envelope emitted.
-    fn flush(&mut self) -> Result<(), TransportError> {
-        let Self { conn, envelope, .. } = self;
-        for frame in envelope.as_mut().expect("lossy mode").drain_wire() {
-            conn.send(&frame)?;
-        }
-        Ok(())
-    }
-
-    /// Combined socket and link-layer counters.
-    pub fn stats(&self) -> WireStats {
-        let mut stats = self.conn.stats();
-        if let Some(envelope) = &self.envelope {
-            envelope.stamp(&mut stats);
-        }
-        stats
-    }
+    Duration::from_secs_f64(wait)
 }
 
 /// Connects with bounded, seeded exponential backoff: attempt `k` waits
@@ -617,8 +376,8 @@ fn mix(seed: u64, salt: u64) -> u64 {
 }
 
 /// Default `frame_timeout` T, a shard-master's per-frame read deadline on
-/// its worker links: generous enough for the full lossy retransmission
-/// schedule, short enough that a crashed peer is detected promptly. The
+/// its worker links: generous enough that a held reply is not taken for
+/// a dead worker, short enough that a crashed peer is detected promptly. The
 /// backbone and worker deadlines derive from it
 /// ([`root_deadline`](crate::shard::root_deadline),
 /// [`shard_deadline`](crate::shard::shard_deadline),
@@ -679,148 +438,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lossy_link_delivers_exactly_once_despite_faults() {
-        let (client, server) = pair();
-        let plan = FaultPlan::seeded(21)
-            .with_drop_probability(0.4)
-            .with_duplicate_probability(0.3)
-            .with_retry(RetryPolicy::new(0.01, 1.5, 6));
-        let sender = std::thread::spawn({
-            let plan = plan.clone();
-            move || {
-                let mut link = Link::with_plan(client, plan, 1, 0);
-                for round in 0..50u64 {
-                    link.send(&Frame::LocalCost { epoch: 0, round, cost: round as f64 }).unwrap();
-                }
-                link.stats()
-            }
-        });
-        let mut link = Link::with_plan(server, plan, 0, 1);
-        for round in 0..50u64 {
-            let frame = link.recv(Duration::from_secs(10)).unwrap();
-            assert_eq!(
-                frame,
-                Frame::LocalCost { epoch: 0, round, cost: round as f64 },
-                "in-order exactly-once delivery"
-            );
-        }
-        let sent = sender.join().unwrap();
-        assert!(sent.retransmissions > 0, "40% drop over 50 frames must retransmit somewhere");
-        assert!(sent.duplicates > 0, "30% duplication must fire somewhere");
+    /// The first sequence number whose data coins from node 1 to node 0
+    /// drop exactly the attempts `dropped` marks, of its first
+    /// `dropped.len()`.
+    fn seq_dropping(plan: &FaultPlan, dropped: &[bool]) -> u64 {
+        (0..)
+            .find(|&seq| {
+                dropped.iter().enumerate().all(|(a, &d)| plan.wire_drop(seq, 1, 0, a) == d)
+            })
+            .expect("some sequence number")
     }
 
-    /// Checks `envelope`'s in-flight attempt against the exact schedule:
-    /// a new frame starts at `now` on attempt 0, and attempt `k` starts
-    /// at attempt `k − 1`'s deadline and times out
-    /// `ack_timeout · backoff^k` later. `last` is the previous
-    /// observation `(seq, attempt, deadline)`.
-    fn check_schedule(envelope: &Envelope, now: Instant, last: &mut Option<(u64, usize, Instant)>) {
-        let Some(inflight) = envelope.inflight.as_ref() else {
-            *last = None;
-            return;
-        };
-        let retry = envelope.plan.retry;
-        let rto = (0..inflight.attempt).fold(retry.ack_timeout, |r, _| r * retry.backoff);
-        let due = inflight.at + Duration::from_secs_f64(rto);
-        assert_eq!(envelope.deadline(), Some(due), "attempt {}", inflight.attempt);
-        match *last {
-            Some((seq, attempt, prev_due)) if seq == inflight.seq => {
-                if inflight.attempt != attempt {
-                    assert_eq!(inflight.attempt, attempt + 1, "one attempt per expiry");
-                    assert_eq!(inflight.at, prev_due, "a retransmission fires at its deadline");
-                }
-            }
-            _ => {
-                assert_eq!(inflight.attempt, 0, "a new frame starts on attempt 0");
-                assert_eq!(inflight.at, now, "a new frame starts when its turn comes");
-            }
+    /// A hold is the timeouts of the dropped attempts before the one
+    /// that gets through, `ack_timeout · backoff^j` each, and the forced
+    /// final attempt ends it however the coins fall.
+    #[test]
+    fn a_hold_waits_out_each_dropped_attempt_up_to_the_forced_one() {
+        let plan = FaultPlan::seeded(21)
+            .with_drop_probability(0.5)
+            .with_retry(RetryPolicy::new(0.01, 2.0, 4));
+        let ms = |seq| hold(&plan, seq, 1, 0).as_secs_f64() * 1e3;
+        assert_eq!(ms(seq_dropping(&plan, &[false])), 0.0, "a delivered first attempt");
+        let held = ms(seq_dropping(&plan, &[true, true, false]));
+        assert!((held - 30.0).abs() < 1e-9, "two drops wait 10 + 20 ms, not {held} ms");
+        let forced = ms(seq_dropping(&plan, &[true, true, true, true]));
+        assert!((forced - 70.0).abs() < 1e-9, "the fourth attempt is forced, not {forced} ms");
+        for seq in 0..64 {
+            assert_eq!(hold(&FaultPlan::none(), seq, 1, 0), Duration::ZERO, "lossless");
         }
-        *last = Some((inflight.seq, inflight.attempt, due));
     }
 
-    /// The envelope without sockets: two instances exchange 200 frames
-    /// each way through in-memory queues on a fake clock under drop,
-    /// duplication and ack-drop. Every frame arrives exactly once and in
-    /// order, every retransmission fires exactly at
-    /// `ack_timeout · backoff^k` on the fake clock (and not a tick
-    /// before), and the forced final attempt completes its frame without
-    /// an ack.
+    /// Held frames cross the socket in order and unchanged; the sender
+    /// counts each frame it held, and the waits add up.
     #[test]
-    fn envelope_delivers_exactly_once_on_a_fake_clock() {
+    fn held_sends_arrive_in_order_and_count_their_holds() {
+        let (mut a, mut b) = pair();
         let plan = FaultPlan::seeded(21)
             .with_drop_probability(0.4)
-            .with_duplicate_probability(0.3)
-            .with_retry(RetryPolicy::new(0.01, 1.5, 6));
-        let last_attempt = (plan.retry.max_attempts - 1) as u32;
-        let mut a = Envelope::new(&plan, 1, 0).expect("lossy plan");
-        let mut b = Envelope::new(&plan, 0, 1).expect("lossy plan");
-        let frames = 200u64;
+            .with_retry(RetryPolicy::new(0.002, 1.5, 6));
+        a.hold_sends(&plan, 1, 0);
         let frame = |round: u64| Frame::LocalCost { epoch: 0, round, cost: round as f64 };
-        let mut now = Instant::now();
-        for round in 0..frames {
-            a.push(frame(round), now);
-            b.push(frame(round), now);
+        let started = Instant::now();
+        for round in 0..50u64 {
+            a.send(&frame(round)).unwrap();
         }
-        let (mut at_a, mut at_b) = (Vec::new(), Vec::new());
-        let (mut last_a, mut last_b) = (None, None);
-        let (mut data_to_b, mut forced) = (0u64, 0usize);
-        loop {
-            // Zero-latency delivery until both directions are quiet.
-            loop {
-                let to_b: Vec<Frame> = a.drain_wire().collect();
-                let to_a: Vec<Frame> = b.drain_wire().collect();
-                if to_b.is_empty() && to_a.is_empty() {
-                    break;
-                }
-                for f in to_b {
-                    if let Frame::Data { seq, attempt, .. } = f {
-                        data_to_b += 1;
-                        if attempt == last_attempt {
-                            forced += 1;
-                            let inflight = a.inflight.as_ref().map(|i| i.seq);
-                            assert_ne!(inflight, Some(seq), "the forced attempt completes");
-                        }
-                    }
-                    at_b.extend(b.receive(f, now).unwrap());
-                }
-                for f in to_a {
-                    at_a.extend(a.receive(f, now).unwrap());
-                }
-            }
-            check_schedule(&a, now, &mut last_a);
-            check_schedule(&b, now, &mut last_b);
-            if !a.busy() && !b.busy() {
-                break;
-            }
-            let due = a.deadline().into_iter().chain(b.deadline()).min().expect("an attempt");
-            let early = due - Duration::from_nanos(1);
-            let before = (a.retransmissions, b.retransmissions);
-            a.poll(early);
-            b.poll(early);
-            assert_eq!((a.retransmissions, b.retransmissions), before, "fired before its deadline");
-            now = due;
-            a.poll(now);
-            b.poll(now);
+        let waited = started.elapsed();
+        for round in 0..50u64 {
+            assert_eq!(b.recv(Duration::from_secs(2)).unwrap(), frame(round));
         }
-        let expected: Vec<Frame> = (0..frames).map(frame).collect();
-        assert_eq!(at_b, expected, "a → b: in-order exactly-once delivery");
-        assert_eq!(at_a, expected, "b → a: in-order exactly-once delivery");
-        assert!(a.retransmissions > 0 && a.duplicates > 0, "drop and duplication must fire");
-        assert!(b.acks < data_to_b, "some acks must be dropped");
-        assert!(forced > 0, "some frame must run out to its forced final attempt");
+        let holds: Vec<Duration> = (0..50).map(|seq| hold(&plan, seq, 1, 0)).collect();
+        let held = holds.iter().filter(|h| !h.is_zero()).count() as u64;
+        assert!(held > 0, "40% drop over 50 frames must hold some");
+        assert_eq!(a.stats().holds, held);
+        assert!(waited >= holds.iter().sum(), "slept {waited:?}");
+        assert_eq!(b.stats().holds, 0, "the receiver holds nothing");
     }
 
     #[test]
-    fn lossless_link_adds_zero_envelope_overhead() {
-        let (client, server) = pair();
-        let mut tx = Link::with_plan(client, FaultPlan::none(), 1, 0);
-        let mut rx = Link::lossless(server);
+    fn a_lossless_plan_holds_nothing() {
+        let (mut a, mut b) = pair();
+        a.hold_sends(&FaultPlan::none(), 1, 0);
         let frame = Frame::Assignment { round: 0, share: 0.5 };
-        tx.send(&frame).unwrap();
-        assert_eq!(rx.recv(Duration::from_secs(2)).unwrap(), frame);
-        assert_eq!(tx.stats().bytes_sent, frame.encode().len() as u64);
-        assert_eq!(tx.stats().retransmissions + tx.stats().acks + tx.stats().duplicates, 0);
+        a.send(&frame).unwrap();
+        assert_eq!(b.recv(Duration::from_secs(2)).unwrap(), frame);
+        assert_eq!(a.stats().bytes_sent, frame.encode().len() as u64);
+        assert_eq!(a.stats().holds, 0);
     }
 
     #[test]

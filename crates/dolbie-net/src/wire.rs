@@ -5,9 +5,8 @@
 //! `Coordination {global_cost, alpha, is_straggler}`, `Decision`,
 //! `Assignment`, `Shutdown` — plus the frames the real runtime needs
 //! around them: the `Hello`/`Welcome` handshake, a `RoundStart` barrier,
-//! the rare `Adjust` rescale (the engine's simplex guard), `Epoch`
-//! membership announcements, and the `Data`/`Ack` envelope of the lossy
-//! link layer.
+//! the rare `Adjust` rescale (the engine's simplex guard), and `Epoch`
+//! membership announcements.
 //!
 //! The sharded control plane ([`crate::shard`]) adds a backbone dialect
 //! between the root and its shard-masters: the `ShardHello`/`ShardWelcome`
@@ -39,9 +38,10 @@ use crate::env::WireEnvSpec;
 /// Protocol magic carried by both handshake frames.
 pub const MAGIC: u32 = 0xD01B_1E55;
 
-/// Protocol version carried by both handshake frames. Version 2 ships
-/// the shard-master's `frame_timeout` in `Welcome`.
-pub const VERSION: u16 = 2;
+/// Protocol version carried by both handshake frames. Version 3 drops
+/// the `Data`/`Ack` envelope (kinds 10 and 11 are unknown) and ships the
+/// hold pacing in `Welcome`.
+pub const VERSION: u16 = 3;
 
 /// Hard cap on a frame body; larger length prefixes are rejected before
 /// any allocation.
@@ -161,15 +161,23 @@ pub enum Frame {
         env: WireEnvSpec,
         /// The worker's authoritative initial share.
         initial_share: f64,
-        /// Socket-layer drop probability (0 disables the lossy envelope).
+        /// Probability that the worker holds a reply for a dropped
+        /// attempt (0 disables holds; see [`crate::transport::hold`]).
         drop_probability: f64,
-        /// Socket-layer duplication probability.
+        /// Always 0: TCP never duplicates a frame, and a worker refuses
+        /// any other value.
         duplicate_probability: f64,
-        /// Seed of the socket-layer fault decisions.
+        /// Seed of the hold decisions.
         fault_seed: u64,
         /// The shard-master's `frame_timeout` T in microseconds; the
         /// worker's read deadline derives from it.
         frame_timeout_us: u64,
+        /// Hold pacing: the first dropped attempt's timeout in seconds.
+        retry_ack_timeout: f64,
+        /// Hold pacing: the timeout's multiplier per dropped attempt.
+        retry_backoff: f64,
+        /// Hold pacing: the attempt budget; the last attempt is forced.
+        retry_max_attempts: u32,
     },
     /// Master → worker: the per-round barrier. Carries the membership
     /// epoch so post-churn rounds are unambiguous on the wire.
@@ -241,21 +249,6 @@ pub enum Frame {
     },
     /// Master → worker: orderly end of the run.
     Shutdown,
-    /// Lossy-link envelope: one physical transmission attempt of an inner
-    /// frame. Never nests.
-    Data {
-        /// Link-layer sequence number (per direction, strictly increasing).
-        seq: u64,
-        /// Zero-based transmission attempt of this copy.
-        attempt: u32,
-        /// The enveloped protocol frame.
-        inner: Box<Frame>,
-    },
-    /// Lossy-link acknowledgement of a delivered [`Frame::Data`] copy.
-    Ack {
-        /// The acknowledged sequence number.
-        seq: u64,
-    },
     /// Shard-master → root: first frame on a fresh backbone connection,
     /// declaring which shard this is. Carries the magic/version like
     /// [`Frame::Hello`].
@@ -268,9 +261,8 @@ pub enum Frame {
     },
     /// Root → shard-master: backbone handshake acceptance and run
     /// parameters — the shard-tier analogue of [`Frame::Welcome`], plus
-    /// the worker slice this shard owns and the full fault plan (a
-    /// shard-master is a *sender* on its worker links, so unlike a worker
-    /// it also needs the retransmission pacing).
+    /// the worker slice this shard owns and the worker links' hold plan,
+    /// which the shard-master relays in every `Welcome`.
     ShardWelcome {
         /// Echo of the accepted shard index.
         shard: u32,
@@ -286,17 +278,15 @@ pub enum Frame {
         range_end: u32,
         /// The seeded environment forwarded to the workers.
         env: WireEnvSpec,
-        /// Worker-link drop probability (0 disables the lossy envelope).
+        /// Worker-link drop probability (0 disables holds).
         drop_probability: f64,
-        /// Worker-link duplication probability.
-        duplicate_probability: f64,
-        /// Seed of the worker-link fault decisions.
+        /// Seed of the worker-link hold decisions.
         fault_seed: u64,
-        /// Lossy-envelope ack timeout in seconds.
+        /// Hold pacing: the first dropped attempt's timeout in seconds.
         retry_ack_timeout: f64,
-        /// Lossy-envelope backoff multiplier.
+        /// Hold pacing: the timeout's multiplier per dropped attempt.
         retry_backoff: f64,
-        /// Lossy-envelope attempt budget.
+        /// Hold pacing: the attempt budget; the last attempt is forced.
         retry_max_attempts: u32,
     },
     /// Shard-master → root: the shard's straggler candidate — its slice's
@@ -414,8 +404,7 @@ const KIND_ASSIGNMENT: u8 = 6;
 const KIND_ADJUST: u8 = 7;
 const KIND_EPOCH: u8 = 8;
 const KIND_SHUTDOWN: u8 = 9;
-const KIND_DATA: u8 = 10;
-const KIND_ACK: u8 = 11;
+// Kinds 10 and 11 were the `Data`/`Ack` envelope of wire version 2.
 const KIND_SHARD_HELLO: u8 = 12;
 const KIND_SHARD_WELCOME: u8 = 13;
 const KIND_SHARD_AGGREGATE: u8 = 14;
@@ -460,9 +449,9 @@ impl Frame {
     }
 
     /// Decodes a frame body (the bytes after the length prefix).
-    pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
+    fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
         let mut r = Reader { body, at: 0 };
-        let frame = decode_inner(&mut r, false)?;
+        let frame = decode_inner(&mut r)?;
         if r.at != body.len() {
             return Err(WireError::TrailingBytes);
         }
@@ -486,6 +475,9 @@ impl Frame {
                 duplicate_probability,
                 fault_seed,
                 frame_timeout_us,
+                retry_ack_timeout,
+                retry_backoff,
+                retry_max_attempts,
             } => {
                 out.push(KIND_WELCOME);
                 out.extend_from_slice(&MAGIC.to_le_bytes());
@@ -500,6 +492,9 @@ impl Frame {
                 out.extend_from_slice(&duplicate_probability.to_bits().to_le_bytes());
                 out.extend_from_slice(&fault_seed.to_le_bytes());
                 out.extend_from_slice(&frame_timeout_us.to_le_bytes());
+                out.extend_from_slice(&retry_ack_timeout.to_bits().to_le_bytes());
+                out.extend_from_slice(&retry_backoff.to_bits().to_le_bytes());
+                out.extend_from_slice(&retry_max_attempts.to_le_bytes());
             }
             Self::RoundStart { epoch, round } => {
                 out.push(KIND_ROUND_START);
@@ -545,16 +540,6 @@ impl Frame {
                 out.extend(members.iter().map(|&m| u8::from(m)));
             }
             Self::Shutdown => out.push(KIND_SHUTDOWN),
-            Self::Data { seq, attempt, inner } => {
-                out.push(KIND_DATA);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&attempt.to_le_bytes());
-                inner.encode_body(out);
-            }
-            Self::Ack { seq } => {
-                out.push(KIND_ACK);
-                out.extend_from_slice(&seq.to_le_bytes());
-            }
             Self::ShardHello { shard, num_shards } => {
                 out.push(KIND_SHARD_HELLO);
                 out.extend_from_slice(&MAGIC.to_le_bytes());
@@ -571,7 +556,6 @@ impl Frame {
                 range_end,
                 env,
                 drop_probability,
-                duplicate_probability,
                 fault_seed,
                 retry_ack_timeout,
                 retry_backoff,
@@ -589,7 +573,6 @@ impl Frame {
                 out.push(env.kind_code());
                 out.extend_from_slice(&env.seed.to_le_bytes());
                 out.extend_from_slice(&drop_probability.to_bits().to_le_bytes());
-                out.extend_from_slice(&duplicate_probability.to_bits().to_le_bytes());
                 out.extend_from_slice(&fault_seed.to_le_bytes());
                 out.extend_from_slice(&retry_ack_timeout.to_bits().to_le_bytes());
                 out.extend_from_slice(&retry_backoff.to_bits().to_le_bytes());
@@ -712,7 +695,7 @@ impl Reader<'_> {
     }
 }
 
-fn decode_inner(r: &mut Reader<'_>, enveloped: bool) -> Result<Frame, WireError> {
+fn decode_inner(r: &mut Reader<'_>) -> Result<Frame, WireError> {
     match r.u8()? {
         KIND_HELLO => {
             let magic = r.u32()?;
@@ -749,6 +732,9 @@ fn decode_inner(r: &mut Reader<'_>, enveloped: bool) -> Result<Frame, WireError>
                 duplicate_probability: r.f64()?,
                 fault_seed: r.u64()?,
                 frame_timeout_us: r.u64()?,
+                retry_ack_timeout: r.f64()?,
+                retry_backoff: r.f64()?,
+                retry_max_attempts: r.u32()?,
             })
         }
         KIND_ROUND_START => Ok(Frame::RoundStart { epoch: r.u32()?, round: r.u64()? }),
@@ -786,24 +772,6 @@ fn decode_inner(r: &mut Reader<'_>, enveloped: bool) -> Result<Frame, WireError>
             Ok(Frame::Epoch { epoch, round, share, members })
         }
         KIND_SHUTDOWN => Ok(Frame::Shutdown),
-        KIND_DATA => {
-            if enveloped {
-                return Err(WireError::BadValue("nested Data envelope"));
-            }
-            let seq = r.u64()?;
-            let attempt = r.u32()?;
-            let inner = decode_inner(r, true)?;
-            if matches!(inner, Frame::Ack { .. }) {
-                return Err(WireError::BadValue("enveloped Ack"));
-            }
-            Ok(Frame::Data { seq, attempt, inner: Box::new(inner) })
-        }
-        KIND_ACK => {
-            if enveloped {
-                return Err(WireError::BadValue("enveloped Ack"));
-            }
-            Ok(Frame::Ack { seq: r.u64()? })
-        }
         KIND_SHARD_HELLO => {
             let magic = r.u32()?;
             if magic != MAGIC {
@@ -838,7 +806,6 @@ fn decode_inner(r: &mut Reader<'_>, enveloped: bool) -> Result<Frame, WireError>
                         .ok_or(WireError::BadValue("environment kind"))?
                 },
                 drop_probability: r.f64()?,
-                duplicate_probability: r.f64()?,
                 fault_seed: r.u64()?,
                 retry_ack_timeout: r.f64()?,
                 retry_backoff: r.f64()?,
@@ -955,19 +922,6 @@ mod tests {
     }
 
     #[test]
-    fn envelope_nesting_is_rejected() {
-        let nested = Frame::Data {
-            seq: 1,
-            attempt: 0,
-            inner: Box::new(Frame::Data { seq: 2, attempt: 0, inner: Box::new(Frame::Shutdown) }),
-        };
-        assert_eq!(
-            Frame::decode(&nested.encode()),
-            Err(WireError::BadValue("nested Data envelope"))
-        );
-    }
-
-    #[test]
     fn shard_frames_round_trip_bitwise() {
         let frames = vec![
             Frame::ShardHello { shard: 3, num_shards: 16 },
@@ -980,7 +934,6 @@ mod tests {
                 range_end: 1024,
                 env: crate::env::WireEnvSpec { kind: crate::env::EnvKind::ChaosMix, seed: 9 },
                 drop_probability: 0.12,
-                duplicate_probability: 0.05,
                 fault_seed: 21,
                 retry_ack_timeout: 0.01,
                 retry_backoff: 1.5,

@@ -12,10 +12,11 @@
 //! names the read deadline its driver should apply. It opens no socket,
 //! sleeps never and reads no clock, so sockets, test harnesses and a
 //! model checker can all drive the same code. [`run_worker`] is the one
-//! socket loop that drives it; the loopback harness's scheduled kills
-//! and stalls are choices of that loop (after it sends a round's
-//! `LocalCost`, it leaves, or holds the socket silent first), never of
-//! the machine.
+//! socket loop that drives it; the seeded holds on its replies (the
+//! link's fault plan, shipped in `Welcome`; see [`crate::transport`]) and
+//! the loopback harness's scheduled kills and stalls are choices of that
+//! loop (after it sends a round's `LocalCost`, it leaves, or holds the
+//! socket silent first), never of the machine.
 //!
 //! The arithmetic here is the engine's per-worker update:
 //! `gain = (α · (x' − x)).max(0.0)`, `x ← x + gain`, with the rare
@@ -30,9 +31,10 @@
 //!
 //! The worker does not compute on impossible values. A share (in
 //! `Welcome`, `Assignment` or `Epoch`), an `α` or an `Adjust` scale
-//! outside `[0, 1]`, a non-finite global cost, a `Welcome` drop or
-//! duplicate probability outside `[0, 1)` or a zero `frame_timeout`
-//! ends the run with [`NetError::Protocol`]; each bound is derived, at
+//! outside `[0, 1]`, a non-finite global cost, a `Welcome` drop
+//! probability outside `[0, 1)`, a non-zero duplicate probability, hold
+//! pacing no `RetryPolicy` admits, or a zero `frame_timeout` ends the
+//! run with [`NetError::Protocol`]; each bound is derived, at
 //! its check, from the code that produces the value. Nor does it act on
 //! an impossible order: a `Coordination`, `Assignment` or `Adjust` for
 //! any round but the one the last `RoundStart` opened, or an `Adjust`
@@ -40,24 +42,15 @@
 //! the gains it collected), ends the run the same way.
 
 use crate::env::WireEnvSpec;
-use crate::handshake::shipped_fault_plan;
+use crate::handshake::shipped_plan;
 use crate::shard::{worker_deadline, ADMISSION_WAIT};
-use crate::transport::{FrameConn, Link, TransportError, WireStats};
+use crate::transport::{FrameConn, TransportError, WireStats};
 use crate::wire::{Frame, VERSION};
 use crate::{unit_interval, NetError};
 use dolbie_core::cost::DynCost;
 use dolbie_core::observation::max_acceptable_share;
-use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
+use dolbie_simnet::faults::FaultPlan;
 use std::time::Duration;
-
-/// Knobs of a worker run.
-#[derive(Debug, Clone, Default)]
-pub struct WorkerOptions {
-    /// Overrides the lossy link's retransmission pacing (the fault plan
-    /// itself always comes from `Welcome`). Senders need not agree on
-    /// pacing, so tests can run a faster schedule than the default.
-    pub retry: Option<RetryPolicy>,
-}
 
 /// What a worker saw over its run.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,7 +112,7 @@ pub struct WorkerMachine {
 
 impl WorkerMachine {
     /// A worker admitted by `welcome`, its shard-master's answer to
-    /// `Hello`, and the fault plan that `Welcome` ships for the link.
+    /// `Hello`, and the plan that `Welcome` ships for holding its replies.
     pub fn welcome(welcome: Frame) -> Result<(Self, FaultPlan), NetError> {
         let Frame::Welcome {
             worker_id,
@@ -129,12 +122,28 @@ impl WorkerMachine {
             duplicate_probability,
             fault_seed,
             frame_timeout_us,
+            retry_ack_timeout,
+            retry_backoff,
+            retry_max_attempts,
             ..
         } = welcome
         else {
             return Err(NetError::Protocol("expected Welcome after Hello".into()));
         };
-        let plan = shipped_fault_plan(fault_seed, drop_probability, duplicate_probability)?;
+        // TCP never duplicates a frame, so no honest shard-master ships a
+        // duplicate probability (`welcome_frame`).
+        if duplicate_probability != 0.0 {
+            return Err(NetError::Protocol(format!(
+                "Welcome duplicate probability {duplicate_probability} is not 0"
+            )));
+        }
+        let plan = shipped_plan(
+            fault_seed,
+            drop_probability,
+            retry_ack_timeout,
+            retry_backoff,
+            retry_max_attempts,
+        )?;
         // The shard-master's own per-frame read deadline on this link
         // (`welcome_frame`), which is positive: a zero one would expire
         // every read at once.
@@ -289,13 +298,10 @@ impl WorkerMachine {
     }
 }
 
-/// Runs the worker protocol on `stream` until `Shutdown`. Handshakes
-/// raw, then speaks through the fault plan announced in `Welcome`.
-pub fn run_worker(
-    stream: std::net::TcpStream,
-    opts: &WorkerOptions,
-) -> Result<WorkerReport, NetError> {
-    drive_worker(stream, opts, |_, _| None)
+/// Runs the worker protocol on `stream` until `Shutdown`, holding its
+/// replies by the plan announced in `Welcome`.
+pub fn run_worker(stream: std::net::TcpStream) -> Result<WorkerReport, NetError> {
+    drive_worker(stream, |_, _| None)
 }
 
 /// The one socket loop over a [`WorkerMachine`]. After it sends round
@@ -307,21 +313,20 @@ pub fn run_worker(
 /// per thread.
 pub(crate) fn drive_worker(
     stream: std::net::TcpStream,
-    opts: &WorkerOptions,
     leave: impl Fn(usize, usize) -> Option<Duration>,
 ) -> Result<WorkerReport, NetError> {
     let mut conn = FrameConn::new(stream).map_err(TransportError::from)?;
     conn.send(&Frame::Hello { version: VERSION })?;
-    let (mut machine, mut plan) = WorkerMachine::welcome(conn.recv(ADMISSION_WAIT)?)?;
-    if let Some(retry) = opts.retry {
-        plan = plan.with_retry(retry);
-    }
+    let (mut machine, plan) = WorkerMachine::welcome(conn.recv(ADMISSION_WAIT)?)?;
     let id = machine.worker_id();
-    let mut link = Link::with_plan(conn, plan, id as u64 + 1, 0);
+    // Every later send is a reply (`LocalCost` or `Decision`), held by
+    // the plan's drops on the link from worker `id` (node code `id + 1`)
+    // to its shard-master (node code 0).
+    conn.hold_sends(&plan, id as u64 + 1, 0);
     loop {
-        match machine.step(link.recv(machine.deadline())?)? {
+        match machine.step(conn.recv(machine.deadline())?)? {
             Step::Reply(frame) => {
-                link.send(&frame)?;
+                conn.send(&frame)?;
                 if let Frame::LocalCost { round, .. } = frame {
                     if let Some(hold) = leave(id, round as usize) {
                         std::thread::sleep(hold);
@@ -333,7 +338,7 @@ pub(crate) fn drive_worker(
             Step::Finished => break,
         }
     }
-    Ok(machine.report(link.stats()))
+    Ok(machine.report(conn.stats()))
 }
 
 #[cfg(test)]
@@ -355,7 +360,7 @@ mod tests {
         let addr = listener.local_addr().expect("addr");
         let worker = std::thread::spawn(move || {
             let stream = TcpStream::connect(addr).expect("connect");
-            run_worker(stream, &WorkerOptions::default())
+            run_worker(stream)
         });
         let (stream, _) = listener.accept().expect("accept");
         let mut master = FrameConn::new(stream).expect("conn");

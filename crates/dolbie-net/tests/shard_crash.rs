@@ -1,7 +1,8 @@
 //! Fault-tolerance acceptance tests for the TCP coordinator: a worker
-//! killed mid-run (pre- and post-commit, `M ∈ {1, 2}`), workers stalled
-//! with their sockets open, a shard-master killed mid-run (pre- and
-//! post-commit), a quorum loss, rogue peers at admission, and a worker
+//! killed mid-run (pre- and post-commit, `M ∈ {1, 2}`), a worker dying
+//! before its cost report (its survivors' reports go stale), workers
+//! stalled with their sockets open, a shard-master killed mid-run (pre-
+//! and post-commit), a quorum loss, rogue peers at admission, and a worker
 //! or a shard-master reporting impossible values (buried like a crashed
 //! one) — each over real loopback TCP, each bounded in wall clock (never
 //! a hang), and each with the surviving trajectory **bitwise identical**
@@ -21,9 +22,9 @@ use dolbie_net::shard::{
     stitch_allocations, twin_allocations, RootEpoch, RootReport, ShardKill, ShardMasterOptions,
     ShardedConfig, ShardedLoopbackRun,
 };
-use dolbie_net::transport::{connect_with_backoff, FrameConn, Link};
+use dolbie_net::transport::{connect_with_backoff, FrameConn};
 use dolbie_net::wire::{CursorPhase, Frame, VERSION};
-use dolbie_net::worker::{run_worker, Step, WorkerMachine, WorkerOptions};
+use dolbie_net::worker::{run_worker, Step, WorkerMachine};
 use dolbie_net::NetError;
 use dolbie_simnet::faults::{FaultPlan, RetryPolicy};
 use std::io::Write;
@@ -165,7 +166,7 @@ fn post_commit_straggler_kill_is_one_epoch_and_bitwise() {
 
 /// Workers that go silent with their sockets open after reporting a
 /// round's cost are buried — they and nobody else — across
-/// `M ∈ {1, 2}` × lossless/lossy worker links × {1, 4} simultaneous
+/// `M ∈ {1, 2}` × lossless/delayed worker links × {1, 4} simultaneous
 /// stalls, twice each. Every case completes the horizon bitwise equal to
 /// the membership twin. A shard-master needs up to one `frame_timeout`
 /// to find its stalled workers, so the backbone deadlines nest around it
@@ -180,17 +181,15 @@ fn stalled_workers_are_buried_together_and_only_they() {
     const ROUNDS: usize = 8;
     const STALL_ROUND: usize = 3;
     let hold = Duration::from_millis(2500);
-    let retry = RetryPolicy::new(0.001, 1.5, 6);
-    let lossy = FaultPlan::seeded(0x57A1)
+    let delayed = FaultPlan::seeded(0x57A1)
         .with_drop_probability(0.12)
-        .with_duplicate_probability(0.05)
-        .with_retry(retry);
+        .with_retry(RetryPolicy::new(0.001, 1.5, 6));
     for rep in 0..2u64 {
         for m in [1, 2] {
-            for fault in [FaultPlan::none(), lossy.clone()] {
+            for fault in [FaultPlan::none(), delayed.clone()] {
                 for stalled in [&[3usize][..], &[1, 3, 5, 6]] {
                     let case = format!(
-                        "rep {rep}, M = {m}, lossy = {}, stalled workers {stalled:?}",
+                        "rep {rep}, M = {m}, delayed = {}, stalled workers {stalled:?}",
                         !fault.is_lossless()
                     );
                     let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x57A1 + rep };
@@ -216,6 +215,21 @@ fn stalled_workers_are_buried_together_and_only_they() {
                 }
             }
         }
+    }
+}
+
+/// TCP never duplicates a frame, so a worker-link or backbone fault plan
+/// that does is refused before the tree opens a socket.
+#[test]
+fn a_duplicating_fault_plan_is_refused() {
+    let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0xD0B };
+    let duplicating = FaultPlan::seeded(1).with_duplicate_probability(0.05);
+    for cfg in [
+        ShardedConfig::new(4, 1, 2, env).with_fault_plan(duplicating.clone()),
+        ShardedConfig::new(4, 1, 2, env).with_backbone_fault_plan(duplicating),
+    ] {
+        let run = std::panic::catch_unwind(|| run_sharded_loopback(&cfg));
+        assert!(run.is_err(), "a duplicating plan must be refused");
     }
 }
 
@@ -315,7 +329,7 @@ fn m1_tree_beside_rogues(
             std::thread::spawn(move || {
                 let stream =
                     connect_with_backoff(addr, 10, Duration::from_millis(10), k as u64).unwrap();
-                run_worker(stream, &WorkerOptions::default()).unwrap();
+                run_worker(stream).unwrap();
             })
         })
         .collect();
@@ -431,7 +445,7 @@ fn a_silent_candidate_is_closed_at_its_hello_deadline() {
             std::thread::spawn(move || {
                 let stream =
                     connect_with_backoff(addr, 10, Duration::from_millis(10), k as u64).unwrap();
-                run_worker(stream, &WorkerOptions::default()).unwrap();
+                run_worker(stream).unwrap();
             })
         })
         .collect();
@@ -474,7 +488,7 @@ fn a_late_fleet_is_admitted_not_buried() {
                     let stream =
                         connect_with_backoff(addr, 10, Duration::from_millis(10), i as u64)
                             .unwrap();
-                    run_worker(stream, &WorkerOptions::default()).unwrap();
+                    run_worker(stream).unwrap();
                 })
             })
             .collect();
@@ -539,18 +553,19 @@ enum Lie {
 /// A worker that lies once: a [`WorkerMachine`] drives the protocol and
 /// the liar rewrites only the one frame it lies in, then keeps its socket
 /// open, reading, until the shard-master hangs up — so only the lie, not
-/// a closed socket, can get it buried. Returns its id and the round it
-/// lied in.
-fn lying_worker(addr: SocketAddr, retry: RetryPolicy, lie: Lie) -> (usize, usize) {
+/// a closed socket, can get it buried. Its replies are held by the plan
+/// its `Welcome` ships, as an honest worker's are. Returns its id and the
+/// round it lied in.
+fn lying_worker(addr: SocketAddr, lie: Lie) -> (usize, usize) {
     let patience = Duration::from_secs(30);
     let stream = connect_with_backoff(addr, 10, Duration::from_millis(10), 4242).unwrap();
     let mut conn = FrameConn::new(stream).unwrap();
     conn.send(&Frame::Hello { version: VERSION }).unwrap();
     let (mut machine, plan) = WorkerMachine::welcome(conn.recv(patience).unwrap()).unwrap();
     let id = machine.worker_id();
-    let mut link = Link::with_plan(conn, plan.with_retry(retry), id as u64 + 1, 0);
+    conn.hold_sends(&plan, id as u64 + 1, 0);
     let lied_in = loop {
-        let frame = link.recv(patience).expect("the liar is honest until it lies");
+        let frame = conn.recv(patience).expect("the liar is honest until it lies");
         // The eq. (5) ceiling `(α·(1 − x)).max(0)` at the committed share
         // `x` a `Coordination` finds.
         let ceiling = match frame {
@@ -574,46 +589,43 @@ fn lying_worker(addr: SocketAddr, retry: RetryPolicy, lie: Lie) -> (usize, usize
             }
             _ => None,
         };
-        link.send(&reply).unwrap();
+        conn.send(&reply).unwrap();
         if let Some(round) = lied {
             break round as usize;
         }
     };
-    while link.recv(patience).is_ok() {}
+    while conn.recv(patience).is_ok() {}
     (id, lied_in)
 }
 
 /// A worker that reports an impossible value — a NaN cost, a negative
 /// gain, or a gain past its eq. (5) ceiling — is handled as crashed: over the `M = 1` tree, with
-/// lossless and with lossy worker links, the run finishes,
+/// lossless and with delayed worker links, the run finishes,
 /// exactly the liar is buried in one epoch at the round it lied in, and
 /// the trajectory matches the membership twin bitwise.
 #[test]
 fn a_worker_reporting_impossible_values_is_buried_like_a_crash() {
     const N: usize = 4;
     const ROUNDS: usize = 8;
-    let retry = RetryPolicy::new(0.001, 1.5, 6);
-    let lossy = FaultPlan::seeded(0x4E4E)
+    let delayed = FaultPlan::seeded(0x4E4E)
         .with_drop_probability(0.12)
-        .with_duplicate_probability(0.05)
-        .with_retry(retry);
-    for fault in [FaultPlan::none(), lossy] {
+        .with_retry(RetryPolicy::new(0.001, 1.5, 6));
+    for fault in [FaultPlan::none(), delayed] {
         for lie in [Lie::NanCost(3), Lie::NegativeGain(3), Lie::GainPastBound(3)] {
-            let case = format!("{lie:?}, lossy = {}", !fault.is_lossless());
+            let case = format!("{lie:?}, delayed = {}", !fault.is_lossless());
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
             let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x4E4E };
             let mut cfg = ShardedConfig::new(N, 1, ROUNDS, env).with_fault_plan(fault.clone());
             cfg.frame_timeout = Duration::from_millis(500);
-            let liar = std::thread::spawn(move || lying_worker(addr, retry, lie));
+            let liar = std::thread::spawn(move || lying_worker(addr, lie));
             let honest: Vec<JoinHandle<()>> = (0..N - 1)
                 .map(|k| {
                     std::thread::spawn(move || {
                         let stream =
                             connect_with_backoff(addr, 10, Duration::from_millis(10), k as u64)
                                 .unwrap();
-                        let opts = WorkerOptions { retry: Some(retry) };
-                        let report = run_worker(stream, &opts).unwrap();
+                        let report = run_worker(stream).unwrap();
                         assert_eq!(report.epochs_seen, 1, "survivor {} missed the epoch", k);
                     })
                 })
@@ -641,6 +653,88 @@ fn a_worker_reporting_impossible_values_is_buried_like_a_crash() {
                 ROUNDS,
             );
         }
+    }
+}
+
+/// A worker driven by a [`WorkerMachine`], its replies held by the plan
+/// its `Welcome` ships. The one admitted as worker `doomed` hangs up in
+/// place of its round-`round` cost report; every other one runs to
+/// `Shutdown`. Returns its id and, for a survivor, the epochs it crossed.
+fn member_or_doomed(addr: SocketAddr, seed: u64, doomed: usize, round: usize) -> (usize, u32) {
+    let patience = Duration::from_secs(30);
+    let stream = connect_with_backoff(addr, 10, Duration::from_millis(10), seed).unwrap();
+    let mut conn = FrameConn::new(stream).unwrap();
+    conn.send(&Frame::Hello { version: VERSION }).unwrap();
+    let (mut machine, plan) = WorkerMachine::welcome(conn.recv(patience).unwrap()).unwrap();
+    let id = machine.worker_id();
+    conn.hold_sends(&plan, id as u64 + 1, 0);
+    let mut epochs = 0;
+    loop {
+        let frame = conn.recv(patience).unwrap_or_else(|e| panic!("worker {id}: {e}"));
+        epochs += matches!(frame, Frame::Epoch { .. }) as u32;
+        match machine.step(frame).unwrap_or_else(|e| panic!("worker {id}: {e}")) {
+            Step::Reply(Frame::LocalCost { round: r, .. }) if id == doomed && r == round as u64 => {
+                return (id, 0);
+            }
+            Step::Reply(reply) => conn.send(&reply).unwrap(),
+            Step::Quiet => {}
+            Step::Finished => return (id, epochs),
+        }
+    }
+}
+
+/// A worker that dies before its cost report is found first: the
+/// staircase reads the highest member first, so the survivors' reports
+/// of the abandoned attempt are still unread when the epoch opens, and
+/// the replay's cost collect meets each ahead of its re-report. Over the
+/// `M = 1` tree, lossless and with delayed worker links, those stale
+/// reports are skipped by their epoch: the run finishes, the dead worker
+/// is buried in one epoch at the round it died in, and the trajectory
+/// matches the membership twin bitwise.
+#[test]
+fn reports_from_before_an_epoch_are_skipped_on_its_replay() {
+    const N: usize = 4;
+    const ROUNDS: usize = 8;
+    const DEATH_ROUND: usize = 3;
+    let delayed = FaultPlan::seeded(0x5EED)
+        .with_drop_probability(0.12)
+        .with_retry(RetryPolicy::new(0.001, 1.5, 6));
+    for fault in [FaultPlan::none(), delayed] {
+        let case = format!("delayed = {}", !fault.is_lossless());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x5EED };
+        let mut cfg = ShardedConfig::new(N, 1, ROUNDS, env).with_fault_plan(fault.clone());
+        cfg.frame_timeout = Duration::from_millis(500);
+        let members: Vec<JoinHandle<(usize, u32)>> = (0..N)
+            .map(|k| {
+                std::thread::spawn(move || member_or_doomed(addr, k as u64, N - 1, DEATH_ROUND))
+            })
+            .collect();
+        let started = Instant::now();
+        let (report, shard) =
+            run_single_shard(&listener, &cfg).unwrap_or_else(|e| panic!("{case}: {e}"));
+        assert!(started.elapsed() < WALL_BOUND, "{case}: the run stalled past the hang bound");
+        for handle in members {
+            let (id, epochs) = handle.join().unwrap();
+            if id != N - 1 {
+                assert_eq!(epochs, 1, "{case}: survivor {id} missed the epoch");
+            }
+        }
+
+        assert_eq!(report.rounds.len(), ROUNDS, "{case}: horizon");
+        assert_eq!(report.epochs.len(), 1, "{case}: one death, one epoch");
+        let epoch = &report.epochs[0];
+        let buried: Vec<usize> = (0..N).filter(|&i| !epoch.members[i]).collect();
+        assert_eq!(buried, [N - 1], "{case}: exactly the dead worker is buried");
+        assert_eq!(epoch.round, DEATH_ROUND, "{case}: the death's round is replayed");
+        assert_stitched_twin(
+            &stitch_allocations(&report, &[shard]),
+            &report.epochs,
+            env,
+            N,
+            ROUNDS,
+        );
     }
 }
 
@@ -761,7 +855,7 @@ fn a_shard_master_reporting_impossible_values_is_buried_like_a_crash() {
                     let stream =
                         connect_with_backoff(worker_addr, 10, Duration::from_millis(10), i as u64)
                             .unwrap();
-                    run_worker(stream, &WorkerOptions::default()).unwrap();
+                    run_worker(stream).unwrap();
                 })
             })
             .collect();
@@ -820,6 +914,9 @@ enum MasterLie {
     WelcomeDrop(f64),
     WelcomeDuplicate(f64),
     WelcomeFrameTimeoutUs(u64),
+    /// `Welcome` `(retry_ack_timeout, retry_backoff, retry_max_attempts)`,
+    /// with a drop probability of 0.2.
+    WelcomeRetry(f64, f64, u32),
     CoordinationCost(f64),
     CoordinationAlpha(f64),
     AdjustScale(f64),
@@ -841,7 +938,7 @@ fn lying_master(lie: MasterLie, patience: Duration) -> Option<Result<f64, String
     let (tx, rx) = mpsc::channel();
     let worker = std::thread::spawn(move || {
         let stream = connect_with_backoff(addr, 10, Duration::from_millis(10), 19).unwrap();
-        let result = match run_worker(stream, &WorkerOptions::default()) {
+        let result = match run_worker(stream) {
             Ok(report) => Ok(report.final_share),
             Err(NetError::Protocol(msg)) => Err(msg),
             Err(other) => Err(format!("not a protocol error: {other}")),
@@ -853,6 +950,7 @@ fn lying_master(lie: MasterLie, patience: Duration) -> Option<Result<f64, String
     let Frame::Hello { .. } = conn.recv(patience).unwrap() else { panic!("expected Hello") };
     let (mut initial_share, mut drop_probability, mut duplicate_probability) = (0.5, 0.0, 0.0);
     let mut frame_timeout_us = 100_000;
+    let (mut retry_ack_timeout, mut retry_backoff, mut retry_max_attempts) = (0.05, 2.0, 16);
     let in_welcome = match lie {
         MasterLie::WelcomeShare(v) => {
             initial_share = v;
@@ -870,6 +968,11 @@ fn lying_master(lie: MasterLie, patience: Duration) -> Option<Result<f64, String
             frame_timeout_us = v;
             true
         }
+        MasterLie::WelcomeRetry(ack, backoff, attempts) => {
+            drop_probability = 0.2;
+            (retry_ack_timeout, retry_backoff, retry_max_attempts) = (ack, backoff, attempts);
+            true
+        }
         _ => false,
     };
     conn.send(&Frame::Welcome {
@@ -882,6 +985,9 @@ fn lying_master(lie: MasterLie, patience: Duration) -> Option<Result<f64, String
         duplicate_probability,
         fault_seed: 0,
         frame_timeout_us,
+        retry_ack_timeout,
+        retry_backoff,
+        retry_max_attempts,
     })
     .unwrap();
     if !in_welcome {
@@ -935,8 +1041,10 @@ fn play_round(conn: &mut FrameConn, lie: MasterLie, patience: Duration) {
 
 /// The worker's trust boundary: a shard-master sending a share, an α or
 /// an `Adjust` scale outside `[0, 1]`, a non-finite global cost, a drop
-/// or duplicate probability outside `[0, 1)` or a zero frame timeout,
-/// ends `run_worker` with a protocol error — no panic, no hang — while
+/// probability outside `[0, 1)`, any duplicate probability but 0 (TCP
+/// never duplicates a frame), hold pacing `RetryPolicy::new` rejects or
+/// whose timeouts overflow, or a zero frame timeout, ends `run_worker`
+/// with a protocol error — no panic, no hang — while
 /// the honest script finishes at the share its `Epoch` assigned.
 #[test]
 fn a_worker_stops_on_impossible_values_from_its_shard_master() {
@@ -951,7 +1059,13 @@ fn a_worker_stops_on_impossible_values_from_its_shard_master() {
         MasterLie::WelcomeDrop(-0.25),
         MasterLie::WelcomeDuplicate(f64::NAN),
         MasterLie::WelcomeDuplicate(1.5),
+        MasterLie::WelcomeDuplicate(0.05),
         MasterLie::WelcomeFrameTimeoutUs(0),
+        MasterLie::WelcomeRetry(f64::NAN, 2.0, 16),
+        MasterLie::WelcomeRetry(-1.0, 2.0, 16),
+        MasterLie::WelcomeRetry(0.05, 0.5, 16),
+        MasterLie::WelcomeRetry(0.05, 2.0, 0),
+        MasterLie::WelcomeRetry(1e300, 2.0, 16),
         MasterLie::CoordinationCost(f64::NAN),
         MasterLie::CoordinationCost(f64::INFINITY),
         MasterLie::CoordinationAlpha(f64::NAN),
@@ -981,9 +1095,8 @@ enum RootLie {
     /// `ShardWelcome` `(num_workers, range_start, range_end)`.
     WelcomeRange(u32, u32, u32),
     WelcomeDrop(f64),
-    WelcomeDuplicate(f64),
     /// `ShardWelcome` `(retry_ack_timeout, retry_backoff,
-    /// retry_max_attempts)`, on lossy worker links.
+    /// retry_max_attempts)`, with a drop probability of 0.2.
     WelcomeRetry(f64, f64, u32),
     CoordCost(f64),
     CoordAlpha(f64),
@@ -1039,8 +1152,7 @@ fn lying_root(lie: RootLie, patience: Duration) -> Option<Result<usize, String>>
         .map(|i| {
             std::thread::spawn(move || {
                 let stream = connect_with_backoff(worker_addr, 10, Duration::from_millis(10), i);
-                let retry = Some(RetryPolicy::new(0.005, 2.0, 8));
-                let _ = stream.map(|s| run_worker(s, &WorkerOptions { retry }));
+                let _ = stream.map(run_worker);
             })
         })
         .collect();
@@ -1050,7 +1162,7 @@ fn lying_root(lie: RootLie, patience: Duration) -> Option<Result<usize, String>>
         panic!("expected ShardHello")
     };
     let (mut num_workers, mut range_start, mut range_end) = (2, 0, 2);
-    let (mut drop_probability, mut duplicate_probability) = (0.0, 0.0);
+    let mut drop_probability = 0.0;
     let (mut retry_ack_timeout, mut retry_backoff, mut retry_max_attempts) = (0.05, 2.0, 16);
     let in_welcome = match lie {
         RootLie::WelcomeRange(n, start, end) => {
@@ -1059,10 +1171,6 @@ fn lying_root(lie: RootLie, patience: Duration) -> Option<Result<usize, String>>
         }
         RootLie::WelcomeDrop(v) => {
             drop_probability = v;
-            true
-        }
-        RootLie::WelcomeDuplicate(v) => {
-            duplicate_probability = v;
             true
         }
         RootLie::WelcomeRetry(ack, backoff, attempts) => {
@@ -1081,7 +1189,6 @@ fn lying_root(lie: RootLie, patience: Duration) -> Option<Result<usize, String>>
         range_end,
         env: WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x20 },
         drop_probability,
-        duplicate_probability,
         fault_seed: 0,
         retry_ack_timeout,
         retry_backoff,
@@ -1180,9 +1287,9 @@ fn play_root_round(conn: &mut FrameConn, lie: RootLie, patience: Duration) {
 }
 
 /// The shard-master's trust boundary: a root sending an impossible
-/// `ShardWelcome` (no workers, a range outside the fleet, a drop or
-/// duplicate probability outside `[0, 1)`, a retry policy
-/// `RetryPolicy::new` rejects or whose timeouts overflow), an impossible
+/// `ShardWelcome` (no workers, a range outside the fleet, a drop
+/// probability outside `[0, 1)`, hold pacing `RetryPolicy::new` rejects
+/// or whose timeouts overflow), an impossible
 /// `ShardCoord` (a non-finite cost, α outside `[0, 1]`, a straggler
 /// outside the fleet), a rescale or committed share outside `[0, 1]`, a
 /// cursor that cannot have absorbed the values before the range, or an
@@ -1200,8 +1307,6 @@ fn a_shard_master_stops_on_impossible_values_from_its_root() {
         RootLie::WelcomeDrop(f64::NAN),
         RootLie::WelcomeDrop(1.0),
         RootLie::WelcomeDrop(-0.25),
-        RootLie::WelcomeDuplicate(f64::NAN),
-        RootLie::WelcomeDuplicate(1.5),
         RootLie::WelcomeRetry(f64::NAN, 2.0, 16),
         RootLie::WelcomeRetry(-1.0, 2.0, 16),
         RootLie::WelcomeRetry(0.05, 0.5, 16),

@@ -28,6 +28,9 @@ fn frame_zoo(seq: u64, a: u64, b: u64, flag: bool, members: &[bool]) -> Vec<Fram
             duplicate_probability: x,
             fault_seed: seq,
             frame_timeout_us: a,
+            retry_ack_timeout: x,
+            retry_backoff: y,
+            retry_max_attempts: (b % 64) as u32,
         },
         Frame::RoundStart { epoch: (a % 97) as u32, round: b },
         Frame::LocalCost { epoch: (b % 97) as u32, round: a, cost: y },
@@ -37,12 +40,6 @@ fn frame_zoo(seq: u64, a: u64, b: u64, flag: bool, members: &[bool]) -> Vec<Fram
         Frame::Adjust { round: b, scale: x },
         Frame::Epoch { epoch: (seq % 31) as u32, round: a, share: y, members: members.to_vec() },
         Frame::Shutdown,
-        Frame::Data {
-            seq,
-            attempt: (a % 16) as u32,
-            inner: Box::new(Frame::LocalCost { epoch: 0, round: b, cost: x }),
-        },
-        Frame::Ack { seq },
         Frame::ShardHello { shard: (seq % 64) as u32, num_shards: (a % 64) as u32 },
         Frame::ShardAggregate { round: seq, max_cost: x, straggler: a % 4096, share: y },
         Frame::ShardCoord { round: seq, global_cost: y, alpha: x, straggler: b % 4096 },
@@ -197,6 +194,9 @@ proptest! {
             duplicate_probability: 0.0,
             fault_seed: 0,
             frame_timeout_us: 50_000,
+            retry_ack_timeout: 0.05,
+            retry_backoff: 2.0,
+            retry_max_attempts: 16,
         };
         let (mut machine, _) = WorkerMachine::welcome(welcome).expect("a valid Welcome");
         let mut stopped: Option<String> = None;
@@ -240,11 +240,15 @@ fn wrong_magic_is_rejected() {
     assert_eq!(Frame::decode(&bytes), Err(WireError::BadMagic { got: 0xDEAD_BEEF }));
 }
 
+/// A `Hello` from another protocol version is refused, the last one (2,
+/// which spoke the `Data`/`Ack` envelope) included.
 #[test]
 fn wrong_version_is_rejected() {
-    let mut bytes = Frame::Hello { version: VERSION }.encode();
-    bytes[9..11].copy_from_slice(&999u16.to_le_bytes());
-    assert_eq!(Frame::decode(&bytes), Err(WireError::BadVersion { got: 999 }));
+    for version in [999u16, 2] {
+        let mut bytes = Frame::Hello { version: VERSION }.encode();
+        bytes[9..11].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(Frame::decode(&bytes), Err(WireError::BadVersion { got: version }));
+    }
 }
 
 #[test]
@@ -259,6 +263,9 @@ fn welcome_checks_magic_and_version_too() {
         duplicate_probability: 0.0,
         fault_seed: 0,
         frame_timeout_us: 2_000_000,
+        retry_ack_timeout: 0.05,
+        retry_backoff: 2.0,
+        retry_max_attempts: 16,
     };
     let mut bad_magic = welcome.encode();
     bad_magic[5..9].copy_from_slice(&1u32.to_le_bytes());
@@ -280,12 +287,16 @@ fn oversized_length_prefix_is_rejected_before_any_body() {
     );
 }
 
+/// A kind byte no frame has is refused, the retired `Data` (10) and
+/// `Ack` (11) of wire version 2 included.
 #[test]
 fn unknown_kind_is_rejected() {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&1u32.to_le_bytes());
-    bytes.push(0x7F);
-    assert_eq!(Frame::decode(&bytes), Err(WireError::UnknownKind(0x7F)));
+    for kind in [0x7F, 10, 11] {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.push(kind);
+        assert_eq!(Frame::decode(&bytes), Err(WireError::UnknownKind(kind)));
+    }
 }
 
 #[test]

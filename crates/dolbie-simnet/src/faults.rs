@@ -355,25 +355,6 @@ impl FaultPlan {
         )
     }
 
-    /// Whether a delivered socket-layer data copy is duplicated in flight.
-    /// Same decision model as [`FaultPlan::wire_drop`].
-    pub fn wire_duplicate(&self, seq: u64, from: u64, to: u64, attempt: usize) -> bool {
-        self.hashed_chance(
-            [seq, from, to, WIRE_KIND, attempt as u64, Channel::Duplicate as u64],
-            self.duplicate_probability,
-        )
-    }
-
-    /// Whether the acknowledgement of a delivered socket-layer copy is
-    /// dropped on the way back. Same decision model as
-    /// [`FaultPlan::wire_drop`].
-    pub fn wire_ack_drop(&self, seq: u64, from: u64, to: u64, attempt: usize) -> bool {
-        self.hashed_chance(
-            [seq, from, to, WIRE_KIND, attempt as u64, Channel::Ack as u64],
-            self.drop_probability,
-        )
-    }
-
     /// The shared pure-hash Bernoulli draw behind every fault decision.
     fn hashed_chance(&self, words: [u64; 6], p: f64) -> bool {
         if p <= 0.0 {
@@ -597,29 +578,17 @@ mod tests {
 
     #[test]
     fn wire_decisions_are_deterministic_and_seed_sensitive() {
-        let a = FaultPlan::seeded(11).with_drop_probability(0.5).with_duplicate_probability(0.5);
-        let b = FaultPlan::seeded(12).with_drop_probability(0.5).with_duplicate_probability(0.5);
-        let stream = |plan: &FaultPlan| -> Vec<(bool, bool, bool)> {
-            (0..256u64)
-                .map(|seq| {
-                    (
-                        plan.wire_drop(seq, 0, 3, 0),
-                        plan.wire_duplicate(seq, 0, 3, 0),
-                        plan.wire_ack_drop(seq, 0, 3, 0),
-                    )
-                })
-                .collect()
+        let a = FaultPlan::seeded(11).with_drop_probability(0.5);
+        let b = FaultPlan::seeded(12).with_drop_probability(0.5);
+        let stream = |plan: &FaultPlan| -> Vec<bool> {
+            (0..256u64).map(|seq| plan.wire_drop(seq, 0, 3, 0)).collect()
         };
         assert_eq!(stream(&a), stream(&a), "pure decisions replay identically");
         assert_ne!(stream(&a), stream(&b), "different seeds diverge");
-        // Each of the three channels is an independent stream: at 50% each,
-        // every channel fires somewhere in 256 draws.
+        // At 50%, the stream both drops and delivers somewhere in 256 draws.
         let s = stream(&a);
-        assert!(s.iter().any(|&(d, _, _)| d));
-        assert!(s.iter().any(|&(_, dup, _)| dup));
-        assert!(s.iter().any(|&(_, _, ack)| ack));
-        // And they are not the same stream.
-        assert!(s.iter().any(|&(d, dup, _)| d != dup));
+        assert!(s.iter().any(|&d| d));
+        assert!(s.iter().any(|&d| !d));
     }
 
     #[test]
@@ -697,12 +666,10 @@ mod tests {
     }
 
     #[test]
-    fn lossless_wire_plan_never_drops_or_duplicates() {
+    fn lossless_wire_plan_never_drops() {
         let plan = FaultPlan::none();
         for seq in 0..64u64 {
             assert!(!plan.wire_drop(seq, 0, 1, 0));
-            assert!(!plan.wire_duplicate(seq, 0, 1, 0));
-            assert!(!plan.wire_ack_drop(seq, 0, 1, 0));
         }
     }
 

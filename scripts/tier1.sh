@@ -35,6 +35,9 @@ timed_smoke() {
     fi
 }
 
+echo "== tier-1: mutant catalogue (every catalogued original text still present; the matrix itself is not run) =="
+bash scripts/mutants.sh --check
+
 echo "== tier-1: format check (vendored crates included) =="
 cargo fmt --all --check
 
@@ -92,10 +95,10 @@ timed_smoke large-N --quick --gate large_n
 echo "== tier-1: chaos smoke (~20 random fault x membership cases, five invariants, <10 s) =="
 timed_smoke chaos --quick chaos
 
-echo "== tier-1: tcp smoke (real loopback TCP on the quick (N, M, loss) grid: N = 4 to 256, M in {1,4}, lossy links, every cell bitwise vs sequential, quick-suffixed artifacts, <10 s) =="
+echo "== tier-1: tcp smoke (real loopback TCP on the quick (N, M, loss) grid: N = 4 to 256, M in {1,4}, delayed links, every cell bitwise vs sequential, quick-suffixed artifacts, <10 s) =="
 timed_smoke tcp --quick tcp
 
-echo "== tier-1: sharded-crash smoke (seeded kills + lossy links over real TCP, quick-suffixed artifacts, <10 s) =="
+echo "== tier-1: sharded-crash smoke (seeded kills + delayed links over real TCP, quick-suffixed artifacts, <10 s) =="
 timed_smoke sharded-crash --quick chaos_net
 
 echo "== tier-1: mc smoke (exhaustive crash-only interleaving check, N=3 x 3 rounds, <10 s) =="
