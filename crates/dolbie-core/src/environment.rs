@@ -12,6 +12,7 @@
 //! substrate crates.
 
 use crate::cost::{DynCost, LinearCost};
+use std::sync::Arc;
 
 /// A source of per-round cost functions.
 pub trait Environment {
@@ -24,6 +25,21 @@ pub trait Environment {
     /// their round-`t` allocation. Implementations may mutate internal
     /// state (drift, fluctuation processes).
     fn reveal(&mut self, round: usize) -> Vec<DynCost>;
+
+    /// [`reveal`](Self::reveal) into a shared slice, for a caller that
+    /// hands the round's cost functions to several holders (a simulator
+    /// world and its forks). The simulators in `dolbie-simnet` reveal
+    /// every round they open through it.
+    ///
+    /// An override must return what `reveal(round)` would return at the
+    /// same call — the same cost functions, in worker order, evaluating
+    /// bit for bit alike — and leave the environment as `reveal(round)`
+    /// would. It may hand out a slice it revealed before instead of
+    /// revealing again, which is what overriding is for. The default
+    /// reveals and copies the functions into a new slice.
+    fn reveal_shared(&mut self, round: usize) -> Arc<[DynCost]> {
+        self.reveal(round).into()
+    }
 }
 
 impl<T: Environment + ?Sized> Environment for Box<T> {
@@ -33,6 +49,10 @@ impl<T: Environment + ?Sized> Environment for Box<T> {
 
     fn reveal(&mut self, round: usize) -> Vec<DynCost> {
         (**self).reveal(round)
+    }
+
+    fn reveal_shared(&mut self, round: usize) -> Arc<[DynCost]> {
+        (**self).reveal_shared(round)
     }
 }
 
@@ -281,6 +301,23 @@ mod tests {
         let b = env.reveal(7);
         assert_eq!(a[1].eval(0.5), b[1].eval(0.5));
         assert_eq!(a[1].eval(0.5), 1.0);
+    }
+
+    /// The provided `reveal_shared` is `reveal`, boxed environments
+    /// included.
+    #[test]
+    fn reveal_shared_defaults_to_reveal() {
+        let mut env = RotatingStragglerEnvironment::new(3, 2, 5.0, 1.0);
+        let mut boxed: Box<dyn Environment> = Box::new(env.clone());
+        for round in 0..6 {
+            let plain = env.reveal(round);
+            for shared in [env.reveal_shared(round), boxed.reveal_shared(round)] {
+                assert_eq!(shared.len(), plain.len());
+                for (a, b) in shared.iter().zip(&plain) {
+                    assert_eq!(a.eval(0.4).to_bits(), b.eval(0.4).to_bits(), "round {round}");
+                }
+            }
+        }
     }
 
     #[test]

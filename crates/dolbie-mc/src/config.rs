@@ -1,10 +1,23 @@
 //! Model-checker configurations: which simulator, which fault envelope,
 //! which environment.
+//!
+//! A configuration value also owns the rounds of its environment it has
+//! revealed: the chaos-mix environment is a pure function of
+//! `(env_seed, n, round)`, so every simulator world a configuration
+//! starts, and every fork of one, plays the same cost functions, revealed
+//! once by the first [`replay()`](crate::replay()) or exploration and
+//! shared from then on. The rounds are keyed by the `env_seed`, `n` and
+//! `rounds` they were revealed for, and revealed again when a caller
+//! changes one of those fields, so a run stays a pure function of
+//! (configuration, prefix).
 
 use dolbie_core::cost::{DynCost, LatencyCost, LinearCost};
 use dolbie_core::environment::FnEnvironment;
 use dolbie_core::fingerprint::mix64;
+use dolbie_core::Environment;
 use dolbie_simnet::{FaultPlan, MembershipSchedule, RetryPolicy};
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The protocol architecture a configuration explores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,21 +63,78 @@ pub fn chaos_mix_env(
     seed: u64,
     n: usize,
 ) -> FnEnvironment<impl FnMut(usize) -> Vec<DynCost> + Clone + Send + Sync + 'static> {
-    FnEnvironment::new(n, move |round| {
-        (0..n)
-            .map(|i| {
-                let h = hash(seed, ((round as u64) << 8) | i as u64);
-                if h & 1 == 0 {
-                    let speed = 50.0 + (h % 2000) as f64;
-                    let comm = ((h >> 13) % 100) as f64 / 1000.0;
-                    Box::new(LatencyCost::new(256.0, speed, comm)) as DynCost
-                } else {
-                    let slope = 0.1 + (h % 500) as f64 / 100.0;
-                    Box::new(LinearCost::new(slope, ((h >> 9) % 5) as f64 * 0.02)) as DynCost
-                }
-            })
-            .collect()
-    })
+    FnEnvironment::new(n, move |round| (0..n).map(|i| chaos_mix_cost(seed, round, i)).collect())
+}
+
+/// Worker `i`'s cost function in round `round` of [`chaos_mix_env`].
+fn chaos_mix_cost(seed: u64, round: usize, i: usize) -> DynCost {
+    let h = hash(seed, ((round as u64) << 8) | i as u64);
+    if h & 1 == 0 {
+        let speed = 50.0 + (h % 2000) as f64;
+        let comm = ((h >> 13) % 100) as f64 / 1000.0;
+        Box::new(LatencyCost::new(256.0, speed, comm))
+    } else {
+        let slope = 0.1 + (h % 500) as f64 / 100.0;
+        Box::new(LinearCost::new(slope, ((h >> 9) % 5) as f64 * 0.02))
+    }
+}
+
+/// [`chaos_mix_env`]`(seed, n)` with its rounds `0..rounds` revealed
+/// once: [`reveal_shared`](Environment::reveal_shared) hands out a clone
+/// of the round's `Arc` instead of revealing it again, and cloning the
+/// environment (a simulator world's fork) copies one `Arc`.
+#[derive(Debug, Clone)]
+pub(crate) struct Revealed {
+    seed: u64,
+    n: usize,
+    rounds: Arc<[Arc<[DynCost]>]>,
+}
+
+impl Revealed {
+    fn new(seed: u64, n: usize, rounds: usize) -> Self {
+        let round = |t| (0..n).map(|i| chaos_mix_cost(seed, t, i)).collect();
+        Self { seed, n, rounds: (0..rounds).map(round).collect() }
+    }
+
+    /// Whether these are the rounds `config` plays.
+    fn fits(&self, config: &McConfig) -> bool {
+        (self.seed, self.n, self.rounds.len()) == (config.env_seed, config.n, config.rounds)
+    }
+}
+
+impl Environment for Revealed {
+    fn num_workers(&self) -> usize {
+        self.n
+    }
+
+    fn reveal(&mut self, round: usize) -> Vec<DynCost> {
+        (0..self.n).map(|i| chaos_mix_cost(self.seed, round, i)).collect()
+    }
+
+    fn reveal_shared(&mut self, round: usize) -> Arc<[DynCost]> {
+        match self.rounds.get(round) {
+            Some(fns) => Arc::clone(fns),
+            None => self.reveal(round).into(),
+        }
+    }
+}
+
+/// The cell a configuration keeps its [`Revealed`] rounds in. A clone of
+/// the configuration gets a cell of its own, starting from the same
+/// rounds.
+#[derive(Default)]
+struct RevealCache(Mutex<Option<Revealed>>);
+
+impl Clone for RevealCache {
+    fn clone(&self) -> Self {
+        Self(Mutex::new(self.0.lock().unwrap_or_else(PoisonError::into_inner).clone()))
+    }
+}
+
+impl fmt::Debug for RevealCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RevealCache").finish_non_exhaustive()
+    }
 }
 
 /// One model-checking configuration: an architecture, a fleet, a horizon,
@@ -100,6 +170,8 @@ pub struct McConfig {
     /// Hard cap on executed runs; exploration reports `complete = false`
     /// when it trips instead of running away.
     pub max_runs: usize,
+    /// The environment's rounds as this value last revealed them.
+    revealed: RevealCache,
 }
 
 impl McConfig {
@@ -119,6 +191,19 @@ impl McConfig {
             schedule: MembershipSchedule::none(),
             sabotage_overshoot_guard: false,
             max_runs: 1 << 20,
+            revealed: RevealCache::default(),
+        }
+    }
+
+    /// The configured chaos-mix environment, its rounds revealed once per
+    /// configuration value: the rounds kept from an earlier call while
+    /// `env_seed`, `n` and `rounds` are still the ones they were revealed
+    /// for, and revealed anew (and kept) otherwise.
+    pub(crate) fn environment(&self) -> Revealed {
+        let mut cell = self.revealed.0.lock().unwrap_or_else(PoisonError::into_inner);
+        match &*cell {
+            Some(revealed) if revealed.fits(self) => revealed.clone(),
+            _ => cell.insert(Revealed::new(self.env_seed, self.n, self.rounds)).clone(),
         }
     }
 

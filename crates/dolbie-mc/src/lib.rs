@@ -10,7 +10,12 @@
 //! [`dolbie_simnet::Scheduler`], and the checker drives that trait with
 //! decision prefixes. The public [`replay()`] runs a prefix from a fresh
 //! simulator world — stateless CHESS-style replay, so a run is a pure
-//! function of (configuration, prefix) — while the explorer starts each
+//! function of (configuration, prefix). Every world of a configuration
+//! plays the same cost functions: the chaos-mix environment is a pure
+//! function of (seed, fleet, round), so a [`McConfig`] value reveals each
+//! round once and its worlds and their forks share it, kept under the
+//! fields that determine it and revealed anew when a caller changes one.
+//! The explorer starts each
 //! child prefix from a clone of the simulator world its parent saved
 //! near the branch point, so a run pays for its new decisions, not for
 //! re-simulating the shared prefix. Visited-state pruning over

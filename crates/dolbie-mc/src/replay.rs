@@ -13,6 +13,15 @@
 //! reproducer run it, and it observes no state: it has no reader for
 //! fingerprints.
 //!
+//! A fresh world is built over the rounds its [`McConfig`] revealed: the
+//! configuration value reveals each round of its chaos-mix environment
+//! once, and every world, and every fork of one, takes a clone of the
+//! round's `Arc` when it opens the round
+//! ([`Environment::reveal_shared`]). The rounds are kept under the
+//! `env_seed`, `n` and `rounds` they were revealed for, so a run stays a
+//! pure function of `(config, prefix)`: a unit test ties `replay()` to a
+//! world over its own, unshared environment.
+//!
 //! The explorer's runs observe state and fork. Its visited-state pruning
 //! reads a run's fingerprints only from the prefix boundary up to the
 //! first state it already knows, so that is the only stretch its runs ask
@@ -26,7 +35,7 @@
 //! over sampled prefixes of every acceptance configuration. Every run
 //! still executes to the end and is invariant-checked.
 
-use crate::config::{chaos_mix_env, Arch, McConfig};
+use crate::config::{Arch, McConfig};
 use dolbie_core::fingerprint::StateFp;
 use dolbie_core::{DolbieConfig, Environment};
 use dolbie_simnet::invariants::check_trace;
@@ -96,8 +105,14 @@ impl DecisionRecord {
     }
 }
 
-/// The decision records a run's trail is reserved for at least.
+/// The decision records an explorer run's trail is reserved for at least.
 const TRAIL_FLOOR: usize = 64;
+
+/// The decision records a [`replay()`] trail is reserved for at least: a
+/// replay hands its trail to the caller, and a trail regrown mid-run
+/// copies every record. The acceptance configurations' runs make at most
+/// 107 decisions.
+const REPLAY_TRAIL_FLOOR: usize = 128;
 
 /// A [`Scheduler`] that follows a decision prefix and defaults beyond
 /// it, recording the full decision trail either way, and observing state
@@ -122,16 +137,21 @@ impl<'a> ReplayScheduler<'a> {
     /// that observes nothing.)
     #[must_use]
     pub fn new(prefix: &'a [u32]) -> Self {
+        // A run makes at least its prefix's decisions; with room for
+        // twice as many (64 at least), two `mw3x3` explorer runs in three
+        // never regrow the trail.
+        Self::reserving(prefix, (2 * prefix.len()).max(TRAIL_FLOOR))
+    }
+
+    /// [`new`](Self::new) with room for `capacity` decisions.
+    fn reserving(prefix: &'a [u32], capacity: usize) -> Self {
         Self {
             prefix,
             sabotage: false,
             known: None,
             observing: true,
             pending_fp: None,
-            // A run makes at least its prefix's decisions; with room for
-            // twice as many (64 at least), two `mw3x3` explorer runs in
-            // three never regrow the trail.
-            trail: Vec::with_capacity((2 * prefix.len()).max(TRAIL_FLOOR)),
+            trail: Vec::with_capacity(capacity),
         }
     }
 
@@ -273,27 +293,50 @@ impl<I: Iterator<Item = bool>> Scheduler for OutcomeFeed<I> {
 /// the order `apply_round_sched` consulted them).
 #[must_use]
 pub fn membership_masks(config: &McConfig, trail: &[DecisionRecord]) -> Vec<Vec<bool>> {
-    let (masks, n) = (flat_masks(config, trail), config.n);
+    let n = config.n;
+    let mut masks = vec![true; config.rounds * n];
+    fill_masks(config, trail, &mut masks);
     (0..config.rounds).map(|t| masks[t * n..(t + 1) * n].to_vec()).collect()
 }
 
-/// [`membership_masks`] in one allocation: round `t`'s mask is
-/// `[t * n, (t + 1) * n)`, each round's starting from the one before.
-fn flat_masks(config: &McConfig, trail: &[DecisionRecord]) -> Vec<bool> {
+/// [`membership_masks`] into one slice of `config.rounds * config.n`:
+/// round `t`'s mask is `[t * n, (t + 1) * n)`, each round's starting from
+/// the one before.
+fn fill_masks(config: &McConfig, trail: &[DecisionRecord], masks: &mut [bool]) {
     let outcomes = trail
         .iter()
         .filter(|d| matches!(d.point, Some(DecisionPoint::Membership { .. })))
         .map(|d| d.outcome);
     let mut feed = OutcomeFeed(outcomes);
     let n = config.n;
-    let mut masks = vec![true; config.rounds * n];
     for t in 0..config.rounds {
-        if t > 0 {
+        if t == 0 {
+            masks[..n].fill(true);
+        } else {
             masks.copy_within((t - 1) * n..t * n, t * n);
         }
         config.schedule.apply_round_sched(t, &mut masks[t * n..(t + 1) * n], &mut feed);
     }
-    masks
+}
+
+/// The `(round, worker)` pairs up to which [`check`] reconstructs a run's
+/// membership masks on the stack instead of the heap: every
+/// configuration small enough to explore.
+const STACK_MASKS: usize = 64;
+
+/// Invariants 1, 2, 3, 5 over a finished run's trace, under the
+/// membership masks its trail recorded.
+fn check(config: &McConfig, trace: &ProtocolTrace, trail: &[DecisionRecord]) -> Result<(), String> {
+    let (n, len) = (config.n, config.rounds * config.n);
+    let (mut stack, mut heap) = ([true; STACK_MASKS], Vec::new());
+    let masks = if len <= STACK_MASKS {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, true);
+        &mut heap[..]
+    };
+    fill_masks(config, trail, masks);
+    check_trace(trace, config.rounds, |t| &masks[t * n..(t + 1) * n])
 }
 
 /// A simulator world the checker steps to its horizon and forks: one of
@@ -325,9 +368,17 @@ where
     }
 }
 
-/// The configured simulator, poised at the start of its run.
+/// The configured simulator, poised at the start of its run, over the
+/// rounds the configuration revealed ([`McConfig`] keeps them).
 fn fresh_world(config: &McConfig) -> Box<dyn World> {
-    let env = chaos_mix_env(config.env_seed, config.n);
+    world_over(config, config.environment())
+}
+
+/// The configured simulator over `env`, poised at the start of its run.
+fn world_over<E>(config: &McConfig, env: E) -> Box<dyn World>
+where
+    E: Environment + Clone + Send + Sync + 'static,
+{
     let (plan, schedule) = (config.plan.clone(), config.schedule.clone());
     match config.arch {
         Arch::MasterWorker => Box::new(
@@ -389,8 +440,10 @@ pub(crate) struct ExplorerRun {
 /// otherwise the same choice for choice.
 #[must_use]
 pub fn replay(config: &McConfig, prefix: &[u32]) -> RunOutcome {
-    let sched = ReplayScheduler { observing: false, ..ReplayScheduler::new(prefix) };
-    run(config, sched, None).outcome
+    let capacity = (2 * prefix.len()).max(REPLAY_TRAIL_FLOOR);
+    let sched =
+        ReplayScheduler { observing: false, ..ReplayScheduler::reserving(prefix, capacity) };
+    run(config, sched, || fresh_world(config)).outcome
 }
 
 /// [`replay()`] for the explorer: starts from a clone of `from` (a fresh
@@ -412,19 +465,22 @@ pub(crate) fn replay_knowing(
         debug_assert!(snapshot.decisions() < prefix.len(), "a snapshot past the branch point");
         sched.trail.clone_from(&snapshot.trail);
     }
-    run(config, sched, from)
+    run(config, sched, || from.map_or_else(|| fresh_world(config), |s| s.world.fork()))
 }
 
-/// Runs the configured simulator from `from` (a fresh world when `None`)
-/// to its horizon under `sched`, saving the world at each step boundary
-/// where the scheduler observes, and checks the per-run invariants on
-/// the trace.
-fn run(config: &McConfig, sched: ReplayScheduler<'_>, from: Option<&Snapshot>) -> ExplorerRun {
+/// Runs the configured simulator from the world `start` builds to its
+/// horizon under `sched`, saving the world at each step boundary where
+/// the scheduler observes, and checks the per-run invariants on the
+/// trace.
+fn run(
+    config: &McConfig,
+    sched: ReplayScheduler<'_>,
+    start: impl FnOnce() -> Box<dyn World>,
+) -> ExplorerRun {
     let mut sched = sched.with_sabotage(config.sabotage_overshoot_guard);
-    let rounds = config.rounds;
     let mut saved: Vec<Arc<Snapshot>> = Vec::new();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut world = from.map_or_else(|| fresh_world(config), |s| s.world.fork());
+        let mut world = start();
         loop {
             if sched.wants_state() {
                 // Read the boundary's state first: if the explorer already
@@ -450,8 +506,7 @@ fn run(config: &McConfig, sched: ReplayScheduler<'_>, from: Option<&Snapshot>) -
     }));
     let (trace, verdict) = match result {
         Ok(trace) => {
-            let (masks, n) = (flat_masks(config, &sched.trail), config.n);
-            let verdict = check_trace(&trace, rounds, |t| &masks[t * n..(t + 1) * n]);
+            let verdict = check(config, &trace, &sched.trail);
             (Some(trace), verdict)
         }
         Err(payload) => {
@@ -469,6 +524,7 @@ fn run(config: &McConfig, sched: ReplayScheduler<'_>, from: Option<&Snapshot>) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::chaos_mix_env;
     use dolbie_simnet::ProtocolRound;
 
     #[test]
@@ -650,6 +706,69 @@ mod tests {
                 assert_eq!(plain.verdict, seen.verdict, "{name}, sample {s}");
             }
             assert!(observed_fps > 0, "{name}: the observing replays must hash something");
+        }
+    }
+
+    /// Sharing the revealed rounds changes nothing: over sampled prefixes
+    /// of every acceptance configuration and the sabotage one, `replay()`
+    /// is the run of a world over its own, unshared [`chaos_mix_env`],
+    /// record for record, with the same trace digest, fault signature and
+    /// verdict.
+    #[test]
+    fn replay_matches_a_world_over_an_unshared_environment() {
+        for (name, config) in contract_configs() {
+            for (s, prefix) in sampled_prefixes(&config, 0x5EED_0032, 200).iter().enumerate() {
+                let shared = replay(&config, prefix);
+                let sched = ReplayScheduler { observing: false, ..ReplayScheduler::new(prefix) };
+                let env = chaos_mix_env(config.env_seed, config.n);
+                let unshared = run(&config, sched, || world_over(&config, env)).outcome;
+                assert_eq!(shared.trail, unshared.trail, "{name}, sample {s}");
+                assert_eq!(shared.trace_digest(), unshared.trace_digest(), "{name}, sample {s}");
+                assert_eq!(
+                    shared.fault_signature(),
+                    unshared.fault_signature(),
+                    "{name}, sample {s}"
+                );
+                assert_eq!(shared.verdict, unshared.verdict, "{name}, sample {s}");
+            }
+        }
+    }
+
+    /// A configuration's revealed rounds follow its fields: a clone whose
+    /// `env_seed`, `n` or `rounds` is reassigned after the original (and
+    /// the clone itself) replayed replays the new environment bit for
+    /// bit as a configuration built with the new value does, and the
+    /// original keeps replaying its own.
+    #[test]
+    fn a_reassigned_clone_replays_its_new_environment() {
+        type Reassign = fn(&mut McConfig);
+        let reassignments: [(&str, Reassign); 3] = [
+            ("env_seed", |c| c.env_seed = 0xD01B_0777),
+            ("n", |c| c.n = 4),
+            ("rounds", |c| c.rounds = 4),
+        ];
+        let base = lossy_mw();
+        let prefixes = sampled_prefixes(&base, 0x5EED_0033, 40);
+        let before: Vec<RunOutcome> = prefixes.iter().map(|p| replay(&base, p)).collect();
+        for (field, reassign) in reassignments {
+            let mut clone = base.clone();
+            let _ = replay(&clone, &[]);
+            reassign(&mut clone);
+            let mut fresh = lossy_mw().with_env_seed(clone.env_seed);
+            (fresh.n, fresh.rounds) = (clone.n, clone.rounds);
+            let mut changed = 0usize;
+            for (s, prefix) in prefixes.iter().enumerate() {
+                let (got, want) = (replay(&clone, prefix), replay(&fresh, prefix));
+                assert_eq!(got.trail, want.trail, "{field}, sample {s}");
+                // Every field of every round, the simulated times too.
+                assert_eq!(format!("{:?}", got.trace), format!("{:?}", want.trace), "{field}");
+                assert_eq!(got.verdict, want.verdict, "{field}, sample {s}");
+                changed += usize::from(got.trace_digest() != before[s].trace_digest());
+                let own = replay(&base, prefix);
+                assert_eq!(own.trail, before[s].trail, "{field}, sample {s}: the original");
+                assert_eq!(own.trace_digest(), before[s].trace_digest(), "{field}, sample {s}");
+            }
+            assert!(changed > 0, "{field}: the new environment must play differently");
         }
     }
 

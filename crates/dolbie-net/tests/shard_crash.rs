@@ -14,6 +14,7 @@
 //! The twin is `dolbie_net::shard::twin_allocations`, whose recipe is
 //! the contract the root's epoch records promise.
 
+use dolbie_core::engine::TOTAL_REFRESH_INTERVAL;
 use dolbie_core::numeric::SUM_BLOCK;
 use dolbie_core::ShardLayout;
 use dolbie_net::env::{EnvKind, WireEnvSpec};
@@ -284,6 +285,126 @@ fn post_commit_shard_kill_buries_the_range_as_one_mass_epoch() {
 #[test]
 fn mid_round_shard_kill_aborts_the_attempt_and_replays_the_round() {
     killed_shard_case(ShardKill { shard: 0, after_round: 7, mid_round: true }, 12, 3, 24);
+}
+
+/// Relays one shard-master's backbone link to the root at `root`, frame
+/// by frame, until the root opens round `cut`'s Σx-refresh chain on it:
+/// in place of that cursor, it fails the link on the root's side (so the
+/// root's read of the shard's hop meets a closed socket after the round
+/// committed) and tells the shard-master the run is over. Returns the
+/// address the shard-master dials instead of the root's.
+fn refresh_cutting_relay(root: SocketAddr, cut: usize) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let relay = std::thread::spawn(move || {
+        let (shard, _) = listener.accept().unwrap();
+        let upstream = TcpStream::connect(root).unwrap();
+        let conn = |stream: &TcpStream| FrameConn::new(stream.try_clone().unwrap()).unwrap();
+        let (mut from_shard, mut to_root) = (conn(&shard), conn(&upstream));
+        let up = std::thread::spawn(move || {
+            while let Ok(frame) = from_shard.recv(WALL_BOUND) {
+                if to_root.send(&frame).is_err() {
+                    break;
+                }
+            }
+        });
+        let (mut from_root, mut to_shard) = (conn(&upstream), conn(&shard));
+        while let Ok(frame) = from_root.recv(WALL_BOUND) {
+            if let Frame::ShardCursor { round, phase: CursorPhase::Shares, .. } = frame {
+                if round == cut as u64 {
+                    upstream.shutdown(std::net::Shutdown::Both).unwrap();
+                    let _ = to_shard.send(&Frame::Shutdown);
+                    break;
+                }
+            }
+            if to_shard.send(&frame).is_err() {
+                break;
+            }
+        }
+        up.join().unwrap();
+    });
+    (addr, relay)
+}
+
+/// A shard-master lost *after* its round committed: its backbone link
+/// fails in the round's Σx-refresh chain, past the commit point, so the
+/// committed round stands and the root buries the shard's range through
+/// its post-commit transition, in one mass epoch at the *next* round —
+/// the round the survivors play next. The other shard, parked on its
+/// refresh hop, is released by that epoch, and the trajectory matches
+/// the membership twin bitwise.
+#[test]
+fn a_shard_lost_in_the_refresh_chain_is_buried_at_the_next_round() {
+    const N: usize = 4;
+    const M: usize = 2;
+    // `RootEngine::needs_total_refresh` fires on the round whose
+    // `begin_round` makes the count a multiple of the interval.
+    const CUT: usize = TOTAL_REFRESH_INTERVAL - 1;
+    const ROUNDS: usize = CUT + 3;
+    let (lost, survivor) = (0, 1);
+    let env = WireEnvSpec { kind: EnvKind::ChaosMix, seed: 0x2EF2E5 };
+    let mut cfg = ShardedConfig::new(N, M, ROUNDS, env);
+    cfg.frame_timeout = Duration::from_secs(2);
+    let layout = ShardLayout::even(N, M);
+    let listeners: Vec<TcpListener> =
+        (0..M).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
+    let workers: Vec<JoinHandle<()>> = (0..N)
+        .map(|i| {
+            let addr = listeners[layout.shard_of(i)].local_addr().unwrap();
+            std::thread::spawn(move || {
+                let stream =
+                    connect_with_backoff(addr, 10, Duration::from_millis(10), i as u64).unwrap();
+                run_worker(stream).unwrap();
+            })
+        })
+        .collect();
+    let backbone = TcpListener::bind("127.0.0.1:0").unwrap();
+    let (relayed, relay) = refresh_cutting_relay(backbone.local_addr().unwrap(), CUT);
+    let started = Instant::now();
+    let (root, shards) = std::thread::scope(|scope| {
+        let handles: Vec<_> = listeners
+            .iter()
+            .enumerate()
+            .map(|(k, listener)| {
+                let opts = ShardMasterOptions {
+                    shard: k,
+                    num_shards: M,
+                    frame_timeout: cfg.frame_timeout,
+                    backbone_fault: FaultPlan::none(),
+                    die_after_round: None,
+                    die_mid_round: false,
+                };
+                let addr = if k == lost { relayed } else { backbone.local_addr().unwrap() };
+                scope.spawn(move || {
+                    run_shard_master(TcpStream::connect(addr).unwrap(), listener, &opts)
+                })
+            })
+            .collect();
+        let root = run_root(&backbone, &cfg).expect("a lost shard-master must not sink the run");
+        let shards: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().unwrap().expect("the relay ends the lost shard-master cleanly"))
+            .collect();
+        (root, shards)
+    });
+    relay.join().unwrap();
+    for handle in workers {
+        handle.join().unwrap();
+    }
+    assert!(started.elapsed() < WALL_BOUND, "the run stalled past the hang bound");
+
+    assert_eq!(root.rounds.len(), ROUNDS, "the horizon completes degraded");
+    assert!(root.rounds[CUT].refreshed, "round {CUT} must run the refresh chain");
+    assert_eq!(root.dead_shards, vec![lost], "exactly the lost shard was buried");
+    assert_eq!(root.epochs.len(), 1, "one mass epoch buries the whole range");
+    let epoch = &root.epochs[0];
+    assert_eq!(epoch.round, CUT + 1, "a post-commit loss opens the next round's epoch");
+    for i in 0..N {
+        assert_eq!(epoch.members[i], !layout.range(lost).contains(&i), "worker {i}");
+    }
+    assert_eq!(shards[lost].rounds.len(), CUT + 1, "the lost shard committed round {CUT}");
+    assert_eq!(shards[survivor].epochs_seen, 1, "the survivor crossed the epoch");
+    assert_stitched_twin(&stitch_allocations(&root, &shards), &root.epochs, env, N, ROUNDS);
 }
 
 /// With `min_live_shards = 2` and one of two shards killed, the quorum

@@ -7,20 +7,19 @@
 //!
 //! ## What an event costs
 //!
-//! The binary heap orders 16-byte keys — `(time, seq, slot)`, the
-//! sequence number and the slot 32 bits each — and the events themselves
-//! sit still in a slab, in the slot their key names.
+//! The heap orders 16-byte keys — `(time, seq, slot)`, the sequence
+//! number and the slot 32 bits each — in a plain `Vec`, and the events
+//! themselves sit still in a slab, in the slot their key names.
 //! A sift moves keys, never events, and a slot freed by a pop is reused
 //! by the next schedule (the vacant slots form a list threaded through
 //! the slab), so a queue that has reached its peak size schedules and
-//! pops without allocating. [`pop_nth`](EventQueue::pop_nth) parks the
-//! keys it skips in a buffer the queue owns and keeps, so an
-//! out-of-order delivery allocates nothing either. Cloning a queue (the
-//! model checker's fork) copies the keys and the slab: two allocations,
-//! whatever the number of pending events.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! pops without allocating. [`pop_nth`](EventQueue::pop_nth) extracts
+//! the keys it skips heapsort-style, into the tail of the heap's own
+//! buffer, and sifts them back in, so an out-of-order delivery allocates
+//! nothing either. Cloning a queue (the model checker's fork) copies the
+//! keys and the slab into buffers of the original's capacity: two
+//! allocations and two slice copies, whatever the number of pending
+//! events.
 
 /// An event scheduled at a simulated time.
 #[derive(Debug, Clone)]
@@ -41,34 +40,56 @@ struct Key {
     slot: u32,
 }
 
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl Key {
+    /// Whether `self` fires before `other`: earlier time, then lower
+    /// sequence number. Sequence numbers are unique within a queue, so
+    /// this is a strict total order on its pending keys.
+    fn before(&self, other: &Self) -> bool {
+        match self.time.partial_cmp(&other.time).expect("event times are finite") {
+            std::cmp::Ordering::Equal => self.seq < other.seq,
+            order => order.is_lt(),
+        }
     }
 }
 
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// Moves the key at `i` up the min-heap `heap` to its place.
+fn sift_up(heap: &mut [Key], mut i: usize) {
+    let key = heap[i];
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if !key.before(&heap[parent]) {
+            break;
+        }
+        heap[i] = heap[parent];
+        i = parent;
     }
+    heap[i] = key;
 }
 
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event times are finite")
-            .then_with(|| other.seq.cmp(&self.seq))
+/// Moves the key at `i` down the min-heap `heap` to its place (an empty
+/// heap has none to move).
+fn sift_down(heap: &mut [Key], mut i: usize) {
+    let Some(&key) = heap.get(i) else { return };
+    loop {
+        let left = 2 * i + 1;
+        if left >= heap.len() {
+            break;
+        }
+        let right = left + 1;
+        let child =
+            if right < heap.len() && heap[right].before(&heap[left]) { right } else { left };
+        if !heap[child].before(&key) {
+            break;
+        }
+        heap[i] = heap[child];
+        i = child;
     }
+    heap[i] = key;
 }
 
 /// A slab slot: a pending event, or a vacant slot linking to the next
 /// vacant one.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Slot<E> {
     Full(E),
     Vacant { next: u32 },
@@ -95,49 +116,32 @@ const NO_SLOT: u32 = u32::MAX;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Key>,
+    /// The pending keys, a binary min-heap in [`Key::before`] order.
+    heap: Vec<Key>,
     slab: Vec<Slot<E>>,
     /// The first vacant slot of the slab ([`NO_SLOT`]: none).
     vacant: u32,
-    /// [`pop_nth`](Self::pop_nth)'s skipped keys, kept between calls.
-    skipped: Vec<Key>,
     next_seq: u32,
     now: f64,
 }
 
 impl<E: Clone> Clone for EventQueue<E> {
-    /// Copies the pending events into buffers as large as the original's,
-    /// so a fork scheduling the rest of its round does not regrow them;
-    /// the clone starts with an empty [`pop_nth`](Self::pop_nth) buffer
-    /// (it holds nothing between calls).
+    /// Copies the keys and the slab into buffers as large as the
+    /// original's, so a fork scheduling the rest of its round does not
+    /// regrow them.
     fn clone(&self) -> Self {
-        let mut keys = Vec::with_capacity(self.heap.capacity());
-        keys.extend(self.heap.iter().copied());
+        let mut heap = Vec::with_capacity(self.heap.capacity());
+        heap.extend_from_slice(&self.heap);
         let mut slab = Vec::with_capacity(self.slab.capacity());
-        slab.extend(self.slab.iter().cloned());
-        Self {
-            // Already in heap order: `from` finds nothing to move.
-            heap: BinaryHeap::from(keys),
-            slab,
-            vacant: self.vacant,
-            skipped: Vec::new(),
-            next_seq: self.next_seq,
-            now: self.now,
-        }
+        slab.extend_from_slice(&self.slab);
+        Self { heap, slab, vacant: self.vacant, next_seq: self.next_seq, now: self.now }
     }
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            slab: Vec::new(),
-            vacant: NO_SLOT,
-            skipped: Vec::new(),
-            next_seq: 0,
-            now: 0.0,
-        }
+        Self { heap: Vec::new(), slab: Vec::new(), vacant: NO_SLOT, next_seq: 0, now: 0.0 }
     }
 
     /// Empties the queue and rewinds its clock and sequence numbers to a
@@ -183,7 +187,9 @@ impl<E> EventQueue<E> {
                 (self.slab.len() - 1) as u32
             }
         };
+        let last = self.heap.len();
         self.heap.push(Key { time: time.max(self.now), seq, slot });
+        sift_up(&mut self.heap, last);
     }
 
     /// Takes the event a popped key names, vacating its slot.
@@ -204,7 +210,15 @@ impl<E> EventQueue<E> {
     /// FIFO-only use the `max` is a no-op — the heap minimum is always
     /// `>= now` — so historical traces are unaffected bitwise.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let key = self.heap.pop()?;
+        let last = self.heap.pop()?;
+        let key = match self.heap.first_mut() {
+            Some(root) => {
+                let key = std::mem::replace(root, last);
+                sift_down(&mut self.heap, 0);
+                key
+            }
+            None => last,
+        };
         Some(self.take(key))
     }
 
@@ -225,20 +239,27 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `rank >= len()`.
     pub fn pop_nth(&mut self, rank: usize) -> Option<Scheduled<E>> {
-        assert!(rank < self.heap.len(), "pop_nth rank {rank} out of range {}", self.heap.len());
+        let len = self.heap.len();
+        assert!(rank < len, "pop_nth rank {rank} out of range {len}");
         if rank == 0 {
             return self.pop();
         }
-        for _ in 0..rank {
-            let key = self.heap.pop().expect("rank checked against len");
-            self.skipped.push(key);
+        // Heapsort's extraction: each of the `rank + 1` earliest keys in
+        // turn swaps into the tail, the earliest at the very end, so the
+        // chosen key lands at `end` with the skipped ones after it.
+        let end = len - 1 - rank;
+        for last in (end..len).rev() {
+            self.heap.swap(0, last);
+            sift_down(&mut self.heap[..last], 0);
         }
-        let chosen = self.heap.pop().expect("rank checked against len");
+        let chosen = self.heap[end];
         // The skipped keys go back as they were: their original seq
         // numbers keep the canonical order of the remaining multiset.
-        for key in self.skipped.drain(..) {
-            self.heap.push(key);
+        for k in end + 1..len {
+            self.heap[k - 1] = self.heap[k];
+            sift_up(&mut self.heap[..k], k - 1);
         }
+        self.heap.truncate(len - 1);
         Some(self.take(chosen))
     }
 
@@ -377,6 +398,21 @@ mod tests {
         };
         assert_eq!(drain(&mut q), vec![1, 11, 22, 3]);
         assert_eq!(drain(&mut fork), vec![1, 11, 3]);
+    }
+
+    /// A clone's buffers are as large as the original's, so a fork's
+    /// next schedules do not regrow them.
+    #[test]
+    fn a_clone_keeps_the_original_capacity() {
+        let mut q = EventQueue::new();
+        q.reserve(9);
+        for (t, e) in [(3.0, 3), (1.0, 1), (2.0, 2)] {
+            q.schedule(t, e);
+        }
+        let fork = q.clone();
+        assert_eq!(fork.heap.capacity(), q.heap.capacity());
+        assert_eq!(fork.slab.capacity(), q.slab.capacity());
+        assert!(fork.heap.capacity() >= 9 && fork.slab.capacity() >= 9);
     }
 
     #[test]

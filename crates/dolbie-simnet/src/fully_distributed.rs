@@ -114,6 +114,7 @@ impl Protocol for FullyDistributed {
 
     fn open<L: LatencyModel, S: Scheduler + ?Sized>(
         round: &mut Round<FullyDistributed>,
+        spare: Option<PeerViews>,
         cx: &mut Cx<'_, L, S>,
     ) -> PeerViews {
         let n = round.down.len();
@@ -128,8 +129,11 @@ impl Protocol for FullyDistributed {
             }
         }
 
-        let mut views = vec![View::default(); n];
-        let mut heard = vec![Heard::default(); n * n];
+        let (mut views, mut heard) = spare.map(|st| (st.views, st.heard)).unwrap_or_default();
+        views.clear();
+        views.resize(n, View::default());
+        heard.clear();
+        heard.resize(n * n, Heard::default());
         // Seed each worker's own observation (lines 2-3).
         for (i, view) in views.iter_mut().enumerate() {
             if round.down[i] {

@@ -100,7 +100,8 @@ impl<E: Environment, L: LatencyModel> MasterWorkerSim<E, L> {
 #[derive(Debug, Clone)]
 pub struct MasterState {
     /// What the master holds from each worker this round: one record per
-    /// worker, so a round and a fork allocate it once.
+    /// worker, in the buffer of the run's last closed round, so a run
+    /// and a fork allocate it once.
     workers: Vec<Report>,
     costs_count: usize,
     coordination_sent: bool,
@@ -125,6 +126,7 @@ impl Protocol for MasterWorker {
 
     fn open<L: LatencyModel, S: Scheduler + ?Sized>(
         round: &mut Round<MasterWorker>,
+        spare: Option<MasterState>,
         cx: &mut Cx<'_, L, S>,
     ) -> MasterState {
         let n = round.down.len();
@@ -144,8 +146,11 @@ impl Protocol for MasterWorker {
         if let Some(timeout) = cx.plan.cost_timeout {
             round.queue.schedule(round_base + timeout, Ev::CostTimeout);
         }
+        let mut workers = spare.map(|st| st.workers).unwrap_or_default();
+        workers.clear();
+        workers.resize(n, Report::default());
         MasterState {
-            workers: vec![Report::default(); n],
+            workers,
             costs_count: 0,
             coordination_sent: false,
             decisions_count: 0,
@@ -269,7 +274,7 @@ impl Protocol for MasterWorker {
     }
 
     /// The workers that reported in time.
-    fn active(_round: &Round<MasterWorker>, st: MasterState) -> Vec<bool> {
+    fn active(_round: &Round<MasterWorker>, st: &MasterState) -> Vec<bool> {
         st.workers.iter().map(|w| w.participant).collect()
     }
 }

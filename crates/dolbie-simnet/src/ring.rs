@@ -89,8 +89,9 @@ pub struct TokenState {
     /// The lowest-indexed survivor: it originates the token and computes
     /// the straggler remainder.
     head: usize,
-    /// Each worker's place on the ring: one record per worker, so a
-    /// round and a fork allocate it once.
+    /// Each worker's place on the ring: one record per worker, in the
+    /// buffer of the run's last closed round, so a run and a fork
+    /// allocate it once.
     seats: Vec<Seat>,
     /// Pass-1 token state: held by `token_at` waiting for that worker's
     /// compute, or in flight as a message.
@@ -115,6 +116,7 @@ impl Protocol for Ring {
 
     fn open<L: LatencyModel, S: Scheduler + ?Sized>(
         round: &mut Round<Ring>,
+        spare: Option<TokenState>,
         cx: &mut Cx<'_, L, S>,
     ) -> TokenState {
         let n = round.down.len();
@@ -122,7 +124,9 @@ impl Protocol for Ring {
         // the next survivor, and the last wraps to the head.
         let alive = |i: &usize| !round.down[*i];
         let head = (0..n).find(alive).expect("an opened round has a survivor");
-        let mut seats = vec![Seat { succ: usize::MAX, computed: false }; n];
+        let mut seats = spare.map(|st| st.seats).unwrap_or_default();
+        seats.clear();
+        seats.resize(n, Seat { succ: usize::MAX, computed: false });
         let mut last = head;
         for w in (head + 1..n).filter(alive) {
             seats[last].succ = w;

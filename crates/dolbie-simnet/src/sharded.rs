@@ -182,7 +182,7 @@ impl<E: Environment, L: LatencyModel> ShardedSim<E, L> {
                     &mut members,
                     &mut ready_at,
                     &mut trace,
-                    &mut Spare::default(),
+                    &mut Spare::<()>::default(),
                     &mut FifoScheduler,
                 )
             else {

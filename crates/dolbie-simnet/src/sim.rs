@@ -73,9 +73,11 @@ pub trait Protocol: Architecture + Clone + Debug + Default {
 
     /// Starts an opened round (its shared fields set, its queue empty):
     /// schedules every live worker's execution, and any timer, and
-    /// returns the round's state.
+    /// returns the round's state, built in the buffers of `spare` (the
+    /// state of the run's last closed round, if any) where it can.
     fn open<L: LatencyModel, S: Scheduler + ?Sized>(
         round: &mut Round<Self>,
+        spare: Option<Self::State>,
         cx: &mut Cx<'_, L, S>,
     ) -> Self::State;
 
@@ -102,7 +104,7 @@ pub trait Protocol: Architecture + Clone + Debug + Default {
 
     /// The workers the closed round records as active: by default every
     /// live one.
-    fn active(round: &Round<Self>, state: Self::State) -> Vec<bool> {
+    fn active(round: &Round<Self>, state: &Self::State) -> Vec<bool> {
         let _ = state;
         round.down.iter().map(|&c| !c).collect()
     }
@@ -175,12 +177,19 @@ impl<A: Architecture> Round<A> {
     }
 }
 
-/// A closed round's buffers, emptied for the next round to reuse: its
-/// event queue and its `down` mask.
-#[derive(Debug, Default)]
-pub(crate) struct Spare {
+/// A closed round's buffers, for the next round to reuse: its event
+/// queue, its `down` mask and the architecture's round state `S`.
+#[derive(Debug)]
+pub(crate) struct Spare<S = ()> {
     queue: EventQueue<Ev>,
     down: Vec<bool>,
+    state: Option<S>,
+}
+
+impl<S> Default for Spare<S> {
+    fn default() -> Self {
+        Self { queue: EventQueue::new(), down: Vec::new(), state: None }
+    }
 }
 
 /// A protocol simulator: the environment, the latency model, the
@@ -271,13 +280,13 @@ impl<A: Architecture, E: Environment, L: LatencyModel> Sim<A, E, L> {
     /// local costs, in buffers taken from `spare`. A round nobody can
     /// play — or, leaderless, only one worker — is recorded on the spot
     /// and `None` returned.
-    pub(crate) fn open_round<S: Scheduler + ?Sized>(
+    pub(crate) fn open_round<S: Scheduler + ?Sized, St>(
         &mut self,
         t: usize,
         members: &mut [bool],
         ready_at: &mut [f64],
         trace: &mut Vec<ProtocolRound>,
-        spare: &mut Spare,
+        spare: &mut Spare<St>,
         sched: &mut S,
     ) -> Option<Round<A>> {
         let n = self.shares.len();
@@ -302,7 +311,7 @@ impl<A: Architecture, E: Environment, L: LatencyModel> Sim<A, E, L> {
         }
         let member_count = members.iter().filter(|&&m| m).count();
 
-        let fns: Arc<[DynCost]> = self.env.reveal(t).into();
+        let fns = self.env.reveal_shared(t);
         assert_eq!(fns.len(), n, "environment must cover every worker");
         let mut down = std::mem::take(&mut spare.down);
         down.clear();
@@ -478,7 +487,7 @@ struct Run<P: Protocol> {
     /// The open round, if any.
     round: Option<(Round<P>, P::State)>,
     /// The last closed round's buffers, for the next round to reuse.
-    spare: Spare,
+    spare: Spare<P::State>,
 }
 
 impl<P: Protocol> Run<P> {
@@ -512,7 +521,8 @@ impl<P: Protocol> Run<P> {
             if let Some(mut round) =
                 sim.open_round(t, members, ready_at, trace, &mut self.spare, sched)
             {
-                let state = P::open(&mut round, &mut cx(sim, &mut self.ready_at, sched));
+                let spare = self.spare.state.take();
+                let state = P::open(&mut round, spare, &mut cx(sim, &mut self.ready_at, sched));
                 self.round = Some((round, state));
             }
             return true;
@@ -545,7 +555,7 @@ impl<P: Protocol> Run<P> {
         let t = round.t;
         assert!(round.done, "{} protocol deadlocked in round {t}", P::NAME);
         let alpha = reported_alpha::<P>(round.next_alphas.as_ref(), &self.members);
-        let active = P::active(&round, state);
+        let active = P::active(&round, &state);
 
         // The shares executed this round go to the record; the round's
         // update becomes the simulator's.
@@ -555,6 +565,7 @@ impl<P: Protocol> Run<P> {
         queue.clear();
         self.spare.queue = queue;
         self.spare.down = round.down;
+        self.spare.state = Some(state);
         self.trace.push(ProtocolRound {
             round: t,
             allocation: executed,

@@ -8,9 +8,9 @@
 #     bash scripts/mutants.sh --check              # every original text present once
 #     bash scripts/mutants.sh [--out FILE] [--label L] [--workdir DIR]
 #
-# A full run takes tens of minutes (each mutant rebuilds dolbie-net and
-# paper_figures in debug and runs the net tier's tests), so it is not a
-# tier-1 step; tier-1 runs --check. The unmutated copy runs first, as
+# A full run takes tens of minutes (each mutant rebuilds dolbie-net,
+# dolbie-mc and paper_figures in debug and runs the tests its entry
+# names), so it is not a tier-1 step; tier-1 runs --check. The unmutated copy runs first, as
 # the `none` row, and every binary must pass there. The `failed` column
 # names the failing tests, or for chaos_net the failing cases, `[loss]`
 # marking a case with worker or backbone loss; `label` tells runs of
@@ -92,20 +92,22 @@ if $check; then
     exit 0
 fi
 
-# The scratch copy: this checkout's tracked files, with its own target dir.
-# Extracted with fresh mtimes (-m): cargo judges freshness by mtime, and a
-# target dir kept from an earlier run holds that run's last mutant, newer
-# than this checkout's files.
+# The scratch copy: this checkout's tracked files, with its own target dir
+# (a tracked file deleted in the worktree is left out, as a build of the
+# worktree leaves it out). Extracted with fresh mtimes (-m): cargo judges
+# freshness by mtime, and a target dir kept from an earlier run holds that
+# run's last mutant, newer than this checkout's files.
 root=$PWD
 rm -rf "$workdir/src"
 mkdir -p "$workdir/src"
-git ls-files -z | tar -c --null -T - | tar -x -m -C "$workdir/src"
+git ls-files -z | tar -c --null --ignore-failed-read -T - | tar -x -m -C "$workdir/src"
 export CARGO_TARGET_DIR=$workdir/target
 cd "$workdir/src"
 log=$workdir/log.txt
 
 build() {
-    cargo build -q -p dolbie-net --tests && cargo build -q -p dolbie-bench --bin paper_figures
+    cargo build -q -p dolbie-net -p dolbie-mc --tests &&
+        cargo build -q -p dolbie-bench --bin paper_figures
 }
 
 # run_binary <name>: sets `verdict` and `failed` for one binary run.
@@ -129,6 +131,11 @@ run_binary() {
         tcp)
             timeout $budget cargo run -q -p dolbie-bench --bin paper_figures -- --quick tcp \
                 >"$log" 2>&1 || code=$? ;;
+        mc-lib) timeout $budget cargo test -p dolbie-mc --lib >"$log" 2>&1 || code=$? ;;
+        mc_acceptance)
+            timeout $budget cargo test -p dolbie-mc --test mc_acceptance >"$log" 2>&1 || code=$? ;;
+        mc-determinism)
+            timeout $budget cargo test -p dolbie-mc --test determinism >"$log" 2>&1 || code=$? ;;
         *) echo "FAIL: unknown binary $1" >&2; exit 1 ;;
     esac
     if [ "$1" != chaos_net ]; then
