@@ -174,14 +174,6 @@ impl Allocation {
         &mut self.shares
     }
 
-    /// Exchanges the share storage with `other`, an equally long buffer
-    /// (the fused kernel's double buffering). The same caveat as
-    /// [`shares_mut`](Self::shares_mut) applies to the shares swapped in.
-    pub(crate) fn swap_shares(&mut self, other: &mut Vec<f64>) {
-        assert_eq!(other.len(), self.shares.len(), "one share per worker");
-        std::mem::swap(&mut self.shares, other);
-    }
-
     /// Overwrites this allocation with `other`'s shares, reusing the
     /// existing storage (no heap traffic once the capacity matches —
     /// the allocation-free episode hot path relies on this).

@@ -24,33 +24,42 @@
 //!    paper's global batch size `B`; a fleet's common `comm`) is stored
 //!    once and held in a register, and a shared power-of-two divisor is
 //!    applied as a multiply by its exact reciprocal.
-//! 2. **One pipelined sweep per round**: the slab is static, so round
-//!    `t + 1`'s costs are the same functions evaluated at
+//! 2. **One pipelined sweep per round, in place**: the slab is static,
+//!    so round `t + 1`'s costs are the same functions evaluated at
 //!    `x_{t+1} = x_t + g_t` (plus the O(1) pin). One sweep, blocked into
 //!    groups of [`LANES`] × [`SUM_BLOCK`] workers that stay in L1,
 //!    computes round `t`'s eq. (5) gains *branchlessly* into a
 //!    group-sized scratch, reduces them into per-[`SUM_BLOCK`]
-//!    compensated partials, writes `x + g` into a back buffer of shares,
-//!    and folds round `t + 1`'s straggler first-max over those new
-//!    shares. The round streams `x` and the slab's per-worker columns
-//!    once and writes the back buffer once (latency slab: 24 B per worker
-//!    nominal with `B` and `comm` shared, 32 B with write-allocate; 40 B
-//!    and 48 B when every column is per-worker); neither
-//!    the gains nor the local costs ever reach memory. The straggler is
-//!    left out of the fold (its gain is exactly 0 and its cost masked to
-//!    `-inf`): once [`RootEngine::pin`](crate::shard::RootEngine::pin)
-//!    has fixed its share, its cost there is combined with the fold's
-//!    winner by value, then by lowest index. The buffers swap and the
-//!    rest of the tail — the Σx refresh and eq. (7) — is O(1), or
-//!    O(N/128) amortized.
+//!    compensated partials, writes `x + g` over `x`, and folds round
+//!    `t + 1`'s straggler first-max over those new shares. The round
+//!    streams `x` and the slab's per-worker columns once and writes `x`
+//!    back while its lines are still in cache (latency slab: 24 B per
+//!    worker with `B` and `comm` shared, 40 B when every column is
+//!    per-worker; a write to a second share buffer cost 8 B more, its
+//!    write-allocate fill); neither the gains nor the local costs ever
+//!    reach memory. The straggler is left out of the fold (its gain is
+//!    exactly 0 and its cost masked to `-inf`): once
+//!    [`RootEngine::pin`](crate::shard::RootEngine::pin) has fixed its
+//!    share, its cost there is combined with the fold's winner by value,
+//!    then by lowest index. The rest of the tail — the Σx refresh and
+//!    eq. (7) — is O(1), or O(N/128) amortized.
 //!
-//!    Three rounds leave that steady shape. Round 0, and the first round
-//!    after [`apply_membership`](FusedDolbie::apply_membership), run a
-//!    plain evaluation sweep first, since no previous sweep folded their
-//!    costs. A guard-rescale round runs the sweep a second time with the
-//!    factor applied to each gain before its partial and before `x + g`.
-//!    A Σx-refresh round (every 256th) adds its one read pass over the
-//!    shares.
+//!    Writing in place means the feasibility guard must rule before the
+//!    sweep, since a rescale has to reach every gain and the old shares
+//!    are gone after it. An O(1) bound (`guard_is_silent`, whose doc
+//!    comment carries its error analysis) settles that on nearly every
+//!    large-N round: each gain is at most `α`, so the remainder cannot
+//!    pass `x_s` while `α·n_active ≤ x_s`. A round the bound cannot rule
+//!    on first runs a read-only pre-pass — each group's gains and block
+//!    partials, nothing written — and the guard picks its scale from that
+//!    exact total, which the sweep then applies to each gain before its
+//!    partial and before `x + g`.
+//!
+//!    Three more rounds leave the steady shape. Round 0, and the first
+//!    round after [`apply_membership`](FusedDolbie::apply_membership),
+//!    run a plain evaluation sweep first, since no previous sweep folded
+//!    their costs. A Σx-refresh round (every 256th) adds its one read
+//!    pass over the shares.
 //! 3. **SIMD lanes** ([`KernelVariant::Simd`]): the eval/inverse/gain
 //!    arithmetic and the straggler first-max run four lanes at a time
 //!    through a hand-rolled four-wide `[f64; 4]` that LLVM
@@ -60,7 +69,7 @@
 //!    are sliced to each group up front, so the inner loops index local
 //!    slices.
 //!
-//! With one sweep the round barely waits on memory. On one pinned vCPU
+//! With one sweep the round waits little on memory. On one pinned vCPU
 //! of a 2-core Xeon virtual machine (stable lanes, SSE2 baseline), a Simd
 //! round costs 2.7–2.9 ns per worker at N = 4 096 (in cache) and
 //! 2.9–3.1 ns at N = 10⁶ (p10–p50 of ≈3 ms samples over 2 s runs). The
@@ -68,7 +77,7 @@
 //! slab twice (88 B per worker), cost 2.5–2.8 ns in cache but 3.7–4.0 ns
 //! at N = 10⁶, measured alternately on the same host.
 //!
-//! So the one-sweep round is bound by instructions, not memory, and the
+//! So the one-sweep round was mostly bound by instructions, and the
 //! repo builds x86-64 for the x86-64-v3 baseline (`.cargo/config.toml`):
 //! each four-wide lane op is then one 256-bit AVX2 instruction instead of
 //! two SSE2 ones, with the same bits. Measured the same way, three 2 s
@@ -76,6 +85,12 @@
 //! Simd round costs 2.2–2.4 ns per worker at N = 4 096 and 65 536 and
 //! 2.5–2.7 ns at N = 10⁶; the portable x86-64 (SSE2) build's medians
 //! were 3.9–4.2 ns at every N, its p10s 2.7–4.1 ns.
+//!
+//! Under v3 the second share buffer still cost time at N = 10⁶: writing
+//! `x + g` in place instead, perfbench's `kernel_1m` (one pinned vCPU of
+//! the same VM, six alternating 30 s runs of each kernel) ran 14% more
+//! worker-rounds a second (median; better in 6 of 6 pairs), its median
+//! round falling from 3.84 to 3.41 ms.
 //!
 //! Shared columns take a round further. In a slower stretch of the same
 //! host, where the kernel reading `B` and `comm` as streams and dividing
@@ -125,11 +140,13 @@
 //!   in L1; gains are still computed branchlessly (and lane-wise) because
 //!   inactive entries are forced to exactly `0.0` before the block
 //!   partials are taken.
-//! - *Pipelining is invisible*: the back buffer receives exactly the
-//!   split engine's Pass B (`x + g`, then the pin), so after every
+//! - *Pipelining is invisible*: the sweep writes exactly the split
+//!   engine's Pass B over the shares (`x + g`, then the pin), with the
+//!   guard's scale, if any, already in every gain, so after every
 //!   [`step`](FusedDolbie::step) the shares equal the split engine's bit
 //!   for bit, and the next round's fold sees the same shares its
-//!   evaluation would.
+//!   evaluation would. The pre-pass computes the sweep's gains and
+//!   partials by the same code, so its total is the sweep's.
 
 use crate::allocation::Allocation;
 use crate::cost::{DynCost, LatencyCost, LinearCost};
@@ -472,37 +489,28 @@ impl Shares for Plain<'_> {
     }
 }
 
-/// The pipelined sweep's next shares `x + g`, written to the back buffer
-/// as the fold reads them — the same `+=` the split engine's Pass B does.
+/// The pipelined sweep's next shares `x + g`, written over `x` as the
+/// fold reads them — the same `+=` the split engine's Pass B does.
 struct Apply<'a> {
-    x: &'a [f64],
+    x: &'a mut [f64],
     g: &'a [f64],
-    out: &'a mut [f64],
-}
-
-impl<'a> Apply<'a> {
-    fn new(x: &'a [f64], g: &'a [f64], out: &'a mut [f64]) -> Self {
-        let len = out.len();
-        Self { x: &x[..len], g: &g[..len], out }
-    }
 }
 
 impl Shares for Apply<'_> {
     fn len(&self) -> usize {
-        self.out.len()
+        self.x.len()
     }
     #[inline(always)]
     fn lane(&mut self, k: usize) -> lanes::V {
         let r = k..k + LANES;
         let v = lanes::add(lanes::load(&self.x[r.clone()]), lanes::load(&self.g[r.clone()]));
-        lanes::store(v, &mut self.out[r]);
+        lanes::store(v, &mut self.x[r]);
         v
     }
     #[inline(always)]
     fn one(&mut self, k: usize) -> f64 {
-        let v = self.x[k] + self.g[k];
-        self.out[k] = v;
-        v
+        self.x[k] += self.g[k];
+        self.x[k]
     }
 }
 
@@ -768,8 +776,46 @@ struct Pipeline {
     /// The global cost `l_t`, the eq. (5) level.
     level: f64,
     alpha: f64,
-    /// The guard's rescale factor, on the second sweep of a rescale round.
+    /// The guard's rescale factor, on a round whose pre-pass fired it.
     scale: Option<f64>,
+}
+
+/// The member count past which [`guard_is_silent`] does not rule: its
+/// error analysis holds for `n_active ≤ 2⁴⁶`.
+const SILENT_BOUND_MEMBERS: usize = 1 << 46;
+
+/// Whether the feasibility guard provably stays silent this round, so the
+/// sweep may write `x + g` over `x` without first learning the eq. (6)
+/// remainder: `α ≥ 0`, `n_active ≤ 2⁴⁶` and `fl(α·n_active) ≤ x_s`.
+///
+/// Why that suffices, with `u = 2⁻⁵³` the unit roundoff:
+///
+/// - *Each computed gain lies in `[0, α]`.* The branchless target is
+///   `min(…, 1) ≤ 1` whatever its inputs (`f64::min` ignores NaN), and
+///   `x ≥ 0`, so the real `target − x ≤ 1`; rounding is monotone and `1`
+///   is a float, so `fl(target − x) ≤ 1`, then `fl(α·fl(target − x)) ≤ α`
+///   for the same reason, and `max(·, 0) ∈ [0, α]` since `α ≥ 0`.
+/// - *At most `n_active − 1` gains are nonzero*: the straggler's and every
+///   non-member's are forced to `0`. So their exact sum is
+///   `S ≤ (n_active − 1)·α`.
+/// - *The compensated total overshoots `S` by at most `(1 + u)⁵⁹`.* Every
+///   summand is nonnegative. A [`SUM_BLOCK`] block's Neumaier chain
+///   captures each addition's error exactly (Fast2Sum with the larger
+///   magnitude first), the compensation's own rounding is below
+///   `128²·u²·p`, and the final `sum + compensation` rounds once, so a
+///   block partial is at most `p·(1 + u)²`. The pairwise tree over at most
+///   `2⁵⁷` partials (a `usize` count of workers) is at most 57 levels
+///   deep, and a level rounds one nonnegative addition, a factor `1 + u`
+///   at most (an odd partial carried up rounds nothing).
+/// - *The check itself rounds once*: `α·n_active ≤ fl(α·n_active)·(1 + u)`
+///   (exact below the normal range, where `α`'s multiples are floats).
+///
+/// Together the total is at most
+/// `x_s·(1 − 1/n_active)·(1 + u)⁶⁰ ≤ x_s·(1 − 1/n_active)·(1 + 61u)`, which
+/// is at most `x_s` while `61u·(n_active − 1) ≤ 1`, i.e. up to
+/// `n_active ≈ 1.4·10¹⁴`. So the guard's `total > x_s` cannot hold.
+fn guard_is_silent(alpha: f64, n_active: usize, straggler_share: f64) -> bool {
+    alpha >= 0.0 && n_active <= SILENT_BOUND_MEMBERS && alpha * n_active as f64 <= straggler_share
 }
 
 /// Read-only context shared by the per-group sweep bodies.
@@ -807,57 +853,83 @@ impl RoundCtx<'_> {
     /// Simd round ran ≈2% slower (perfbench `kernel_1m`, six alternating
     /// 30 s runs on one pinned vCPU of a 2-core Xeon VM).
     #[inline(never)]
-    fn pipelined(
-        &self,
-        round: &Pipeline,
-        xs: &[f64],
-        back: &mut [f64],
-        partials: &mut [f64],
-    ) -> Best {
-        with_rows!(self.slab, |rows| self.pipelined_in(rows, round, xs, back, partials))
+    fn pipelined(&self, round: &Pipeline, xs: &mut [f64], partials: &mut [f64]) -> Best {
+        with_rows!(self.slab, |rows| self.pipelined_in(rows, round, xs, partials))
     }
 
     /// The pipelined sweep, one [`GROUP`] of [`LANES`] blocks at a time so
     /// every step after the first reads the group from L1: round `t`'s
-    /// gains into an L1 scratch (rescaled when `round.scale` is set),
+    /// gains into an L1 scratch ([`group_gains`](Self::group_gains)),
     /// their compensated block partials into `partials`, the next shares
-    /// `x + g` into `back`, and the first maximum of round `t + 1`'s costs
+    /// `x + g` over `xs`, and the first maximum of round `t + 1`'s costs
     /// over those shares, the straggler left out. `partials` holds one
     /// slot per [`SUM_BLOCK`] block.
     ///
-    /// Each group runs two L1 loops: the gains (then the inactive and
-    /// straggler entries zeroed and the rescale applied), and the fold
-    /// over an [`Apply`] that writes `x + g` as it reads the next shares.
+    /// Each group runs two L1 loops: the gains, and the fold over an
+    /// [`Apply`] that writes `x + g` as it reads the next shares. The
+    /// shares are overwritten, so the round's rescale, if any, must be
+    /// known before the sweep starts (see [`FusedDolbie::step`]).
     fn pipelined_in(
         &self,
         rows: impl Rows,
         round: &Pipeline,
-        xs: &[f64],
-        back: &mut [f64],
+        xs: &mut [f64],
         partials: &mut [f64],
     ) -> Best {
         let mut scratch = [0.0; GROUP];
         let mut best = None;
-        for (k, (bc, pc)) in back.chunks_mut(GROUP).zip(partials.chunks_mut(LANES)).enumerate() {
-            let r = k * GROUP..k * GROUP + bc.len();
-            let (rows, xc, gc) = (rows.slice(r.clone()), &xs[r.clone()], &mut scratch[..bc.len()]);
-            let active = self.active.map(|a| &a[r.clone()]);
-            let skip = r.contains(&round.straggler).then(|| round.straggler - r.start);
-            gains(rows, round, self.simd, xc, gc);
-            if let Some(active) = active {
-                gc.iter_mut().zip(active).filter(|(_, &m)| !m).for_each(|(g, _)| *g = 0.0);
-            }
-            if let Some(s) = skip {
-                gc[s] = 0.0;
-            }
-            if let Some(scale) = round.scale {
-                gc.iter_mut().for_each(|g| *g *= scale);
-            }
-            block_partials(gc, pc);
-            let next = self.fold_costs(rows, &mut Apply::new(xc, gc, bc), skip);
+        for (k, (xc, pc)) in xs.chunks_mut(GROUP).zip(partials.chunks_mut(LANES)).enumerate() {
+            let r = k * GROUP..k * GROUP + xc.len();
+            let (rows, gc) = (rows.slice(r.clone()), &mut scratch[..xc.len()]);
+            let skip = self.group_gains(rows, round, &r, xc, gc, pc);
+            let next = self.fold_costs(rows, &mut Apply { x: xc, g: gc }, skip);
             best = later(best, next.map(|(c, i)| (c, r.start + i)));
         }
         best
+    }
+
+    /// The read-only pre-pass of a round [`guard_is_silent`] cannot rule
+    /// on: the sweep's gains and block partials, group by group, with
+    /// nothing written to the shares and no fold.
+    #[inline(never)]
+    fn pre_pass(&self, round: &Pipeline, xs: &[f64], partials: &mut [f64]) {
+        with_rows!(self.slab, |rows| {
+            let mut scratch = [0.0; GROUP];
+            for (k, (xc, pc)) in xs.chunks(GROUP).zip(partials.chunks_mut(LANES)).enumerate() {
+                let r = k * GROUP..k * GROUP + xc.len();
+                let gc = &mut scratch[..xc.len()];
+                self.group_gains(rows.slice(r.clone()), round, &r, xc, gc, pc);
+            }
+        })
+    }
+
+    /// Round `t`'s gains of the stretch `r` (rows and shares `xc` sliced to
+    /// it) into `gc`, the inactive and straggler entries zeroed and the
+    /// rescale applied, and their block partials into `pc`. Returns the
+    /// straggler's stretch-local index when it lies in `r`.
+    #[inline(always)]
+    fn group_gains(
+        &self,
+        rows: impl Rows,
+        round: &Pipeline,
+        r: &Range<usize>,
+        xc: &[f64],
+        gc: &mut [f64],
+        pc: &mut [f64],
+    ) -> Option<usize> {
+        let skip = r.contains(&round.straggler).then(|| round.straggler - r.start);
+        gains(rows, round, self.simd, xc, gc);
+        if let Some(active) = self.active.map(|a| &a[r.clone()]) {
+            gc.iter_mut().zip(active).filter(|(_, &m)| !m).for_each(|(g, _)| *g = 0.0);
+        }
+        if let Some(s) = skip {
+            gc[s] = 0.0;
+        }
+        if let Some(scale) = round.scale {
+            gc.iter_mut().for_each(|g| *g *= scale);
+        }
+        block_partials(gc, pc);
+        skip
     }
 }
 
@@ -929,15 +1001,25 @@ pub struct FusedDolbie {
     engine: SoaEngine,
     slab: CostSlab,
     variant: KernelVariant,
-    /// The back buffer of shares the pipelined sweep writes `x + g` into;
-    /// swapped with the engine's shares at the end of every round.
-    back: Vec<f64>,
     /// The current round's `(global cost, straggler)`, folded by the
     /// previous round's sweep; `None` on round 0 and after
     /// [`apply_membership`](Self::apply_membership).
     next: Option<(f64, usize)>,
     /// Per-`SUM_BLOCK` gain partials, reused across rounds.
     partials: Vec<f64>,
+    /// How many rounds took each guard path.
+    paths: GuardPaths,
+}
+
+/// Rounds per guard path of [`FusedDolbie::step`]; read by tests only.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct GuardPaths {
+    /// [`guard_is_silent`] ruled the guard out: one in-place sweep.
+    pub(crate) silent: u64,
+    /// A pre-pass found the guard silent, then one in-place sweep.
+    pub(crate) checked: u64,
+    /// A pre-pass fired the guard, then one in-place rescaled sweep.
+    pub(crate) rescaled: u64,
 }
 
 impl FusedDolbie {
@@ -966,12 +1048,12 @@ impl FusedDolbie {
         assert!(!slab.is_empty(), "at least one worker is required");
         assert_eq!(slab.len(), initial.num_workers(), "one cost slab entry per worker");
         Self {
-            back: vec![0.0; slab.len()],
             engine: SoaEngine::new(initial, config),
             slab,
             variant: KernelVariant::Fused,
             next: None,
             partials: Vec::new(),
+            paths: GuardPaths::default(),
         }
     }
 
@@ -1048,8 +1130,11 @@ impl FusedDolbie {
     ///
     /// The order-sensitive tail is the split engine's — guard, pin,
     /// refresh and tighten through the engine's
-    /// [`RootEngine`](crate::shard::RootEngine). A guard rescale runs the
-    /// sweep a second time with the rescaled gains.
+    /// [`RootEngine`](crate::shard::RootEngine). The sweep writes the new
+    /// shares over the old, so the guard rules first: when an O(1)
+    /// bound cannot rule it out, a read-only pre-pass sums
+    /// the gains, the guard picks its scale from that total, and the one
+    /// sweep applies it.
     pub fn step(&mut self) -> FusedRound {
         let alpha = self.engine.root.begin_round();
         if self.num_workers() == 1 {
@@ -1060,18 +1145,24 @@ impl FusedDolbie {
         }
 
         let (level, s) = self.next.take().unwrap_or_else(|| {
-            let xs = self.engine.x.as_slice();
-            self.ctx().evaluate(xs).expect("at least one active member")
+            let (ctx, xs) = self.parts();
+            ctx.evaluate(xs).expect("at least one active member")
         });
         let mut round = Pipeline { straggler: s, level, alpha, scale: None };
-        let (mut total_gain, mut fold) = self.sweep(&round);
         let straggler_share = self.engine.x.share(s);
-        if let Some(scale) = self.engine.root.guard_scale(straggler_share, total_gain) {
-            round.scale = Some(scale);
-            (total_gain, fold) = self.sweep(&round);
+        if guard_is_silent(alpha, self.engine.root.active_count(), straggler_share) {
+            self.paths.silent += 1;
+        } else {
+            let total_gain = self.pre_pass(&round);
+            round.scale = self.engine.root.guard_scale(straggler_share, total_gain);
+            if round.scale.is_some() {
+                self.paths.rescaled += 1;
+            } else {
+                self.paths.checked += 1;
+            }
         }
+        let (total_gain, fold) = self.sweep(&round);
         let pinned = self.engine.root.pin(straggler_share, total_gain);
-        self.engine.x.swap_shares(&mut self.back);
         self.engine.x.shares_mut()[s] = pinned;
         self.engine.refresh_total_if_due();
         self.engine.root.tighten(pinned);
@@ -1107,34 +1198,55 @@ impl FusedDolbie {
         }
     }
 
-    fn ctx(&self) -> RoundCtx<'_> {
-        RoundCtx {
-            slab: &self.slab,
-            active: self.engine.masked().then_some(self.engine.active.as_slice()),
-            simd: self.variant == KernelVariant::Simd,
-        }
+    /// The sweeps' read-only context, and the engine's shares they read
+    /// or write.
+    fn parts(&mut self) -> (RoundCtx<'_>, &mut [f64]) {
+        let active = self.engine.masked().then_some(self.engine.active.as_slice());
+        let simd = self.variant == KernelVariant::Simd;
+        (RoundCtx { slab: &self.slab, active, simd }, self.engine.x.shares_mut())
     }
 
-    /// One pipelined sweep over every worker (see [`RoundCtx::pipelined`]).
-    /// The block partials land in `self.partials` with the exact shape of
+    /// `self.partials`, taken and sized to one slot per [`SUM_BLOCK`]
+    /// block; the caller puts it back.
+    fn take_partials(&mut self) -> Vec<f64> {
+        let mut partials = std::mem::take(&mut self.partials);
+        partials.clear();
+        partials.resize(self.num_workers().div_ceil(SUM_BLOCK), 0.0);
+        partials
+    }
+
+    /// The read-only pre-pass (see [`RoundCtx::pre_pass`]): the round's
+    /// eq. (6) remainder, the exact total the sweep would compute.
+    fn pre_pass(&mut self, round: &Pipeline) -> f64 {
+        let mut partials = self.take_partials();
+        let (ctx, xs) = self.parts();
+        ctx.pre_pass(round, xs, &mut partials);
+        let total_gain = combine_partials(&mut partials);
+        self.partials = partials;
+        total_gain
+    }
+
+    /// One pipelined sweep over every worker (see [`RoundCtx::pipelined`]),
+    /// writing `x + g` over the engine's shares. The block partials land
+    /// in `self.partials` with the exact shape of
     /// [`pairwise_neumaier_sum`](crate::numeric::pairwise_neumaier_sum)
     /// over the gains; returns their combined eq. (6) remainder and the
     /// next round's first maximum without the straggler.
     fn sweep(&mut self, round: &Pipeline) -> (f64, Best) {
-        let n = self.num_workers();
-        let mut partials = std::mem::take(&mut self.partials);
-        let mut back = std::mem::take(&mut self.back);
-        partials.clear();
-        partials.resize(n.div_ceil(SUM_BLOCK), 0.0);
-        let best = self.ctx().pipelined(round, self.engine.x.as_slice(), &mut back, &mut partials);
+        let mut partials = self.take_partials();
+        let (ctx, xs) = self.parts();
+        let best = ctx.pipelined(round, xs, &mut partials);
         // Combining the block partials with the fixed pairwise tree lands
         // on pairwise_neumaier_sum(gains) exactly.
         let total_gain = combine_partials(&mut partials);
         self.partials = partials;
-        self.back = back;
         (total_gain, best)
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/support/guard_paths.rs"]
+mod guard_paths;
 
 #[cfg(test)]
 mod tests {
@@ -1546,6 +1658,40 @@ mod tests {
         }
     }
 
+    /// The episode `kernel_parity` checks bit for bit takes every guard
+    /// path: rounds the silent bound rules on, pre-passes that find the
+    /// guard silent, and pre-passes that fire it, on the Σx-refresh round
+    /// and on the first round of a membership epoch among others.
+    #[test]
+    fn guard_paths_episode_takes_every_path() {
+        let (costs, config) = guard_paths::fleet();
+        for variant in KernelVariant::all() {
+            let slab = CostSlab::from_costs(&costs).unwrap();
+            let mut d = FusedDolbie::with_config(slab, Allocation::uniform(guard_paths::N), config)
+                .with_variant(variant);
+            let mut rescaled = Vec::new();
+            for t in 0..guard_paths::ROUNDS {
+                if let Some(members) = guard_paths::epoch(t) {
+                    d.apply_membership(&members);
+                }
+                let before = d.paths;
+                d.step();
+                if d.paths.rescaled > before.rescaled {
+                    rescaled.push(t);
+                }
+            }
+            let paths = d.paths;
+            assert!(paths.silent > 0 && paths.checked > 0 && paths.rescaled > 0, "{paths:?}");
+            assert_eq!(paths.silent + paths.checked + paths.rescaled, guard_paths::ROUNDS as u64);
+            assert_eq!(paths.rescaled as usize, d.stats().guard_activations);
+            // The refresh round rescales and ordinary rounds follow it.
+            let refresh = TOTAL_REFRESH_INTERVAL - 1;
+            assert!(rescaled.contains(&refresh), "{rescaled:?}");
+            assert!(!rescaled.contains(&(refresh + 3)), "{rescaled:?}");
+            assert!(rescaled.contains(&guard_paths::EPOCHS[1].0), "{rescaled:?}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "one cost slab entry per worker")]
     fn mismatched_slab_and_allocation_panic() {
@@ -1559,7 +1705,108 @@ mod proptests {
     use super::*;
     use crate::cost::LatencyCost;
     use crate::numeric::pairwise_neumaier_sum;
+    use crate::shard::RootEngine;
+    use crate::step_size::feasibility_cap;
     use proptest::prelude::*;
+
+    /// A slab of `n` workers in column shape `shape` (the kinds of
+    /// `kernel_parity`'s `column_shape_fleets`: each column shared or
+    /// per-worker, each shared divisor on the reciprocal or the division
+    /// path, zero included), per-worker values drawn by `draw` in `[0, 1)`.
+    fn shaped_slab(shape: usize, n: usize, mut draw: impl FnMut() -> f64) -> CostSlab {
+        let mut per_worker =
+            |lo: f64, span: f64| Column::PerWorker((0..n).map(|_| lo + span * draw()).collect());
+        let speed = per_worker(64.0, 448.0);
+        let latency = |batch, comm| CostSlab::Latency { workers: n, batch, speed, comm };
+        match shape {
+            0 => latency(Column::Shared(256.0), per_worker(0.02, 0.06)),
+            1 => latency(per_worker(64.0, 384.0), Column::Shared(0.05)),
+            2 => latency(Column::Shared(100.0), Column::Shared(0.05)),
+            3 => latency(Column::Shared(3.0), Column::Shared(0.05)),
+            4 => latency(Column::Shared(0.0), per_worker(0.02, 0.06)),
+            5 => latency(Column::Shared(f64::MIN_POSITIVE), per_worker(0.02, 0.06)),
+            6 => latency(Column::Shared(2f64.powi(1023)), per_worker(0.02, 0.06)),
+            _ => {
+                let (slope, intercept) = match shape {
+                    7 => (per_worker(0.5, 4.0), Column::Shared(0.1)),
+                    8 => (per_worker(0.5, 4.0), per_worker(0.02, 0.06)),
+                    _ => (Column::Shared(2.0), per_worker(0.02, 0.06)),
+                };
+                CostSlab::Linear { workers: n, slope, intercept }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `guard_is_silent` is sound: on random slabs of every column
+        /// shape, shares on the members' simplex (zeros included), masked
+        /// members, and α from 0 to eq. (7)'s cap, past it (as under a
+        /// step-size floor) and at the bound's own edge, whenever the bound
+        /// rules, the sweep's compensated total is at most the straggler's
+        /// share and the guard returns `None`. The pre-pass's total is the
+        /// sweep's, bit for bit.
+        #[test]
+        fn silent_bound_never_hides_a_rescale(
+            shape in 0usize..10,
+            log_n in 1.0f64..16.0,
+            seed in 0u64..u64::MAX,
+            zeros in 0.0f64..0.95,
+            masked in proptest::bool::ANY,
+            outside in 0.0f64..0.9,
+            alpha_kind in 0usize..4,
+            u in 0.0f64..1.0,
+            simd in proptest::bool::ANY,
+        ) {
+            // Log-uniform in 2..=2¹⁶.
+            let n = 2f64.powf(log_n).round() as usize;
+            let outside = if masked { outside } else { 0.0 };
+            let mut state = seed;
+            let mut draw = || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let slab = shaped_slab(shape, n, &mut draw);
+            let mut members: Vec<bool> = (0..n).map(|_| draw() >= outside).collect();
+            members[(draw() * n as f64) as usize] = true;
+            let mut xs: Vec<f64> = members
+                .iter()
+                .map(|&m| if m && draw() >= zeros { draw() } else { 0.0 })
+                .collect();
+            if xs.iter().all(|&x| x == 0.0) {
+                let first = members.iter().position(|&m| m).expect("a member");
+                xs[first] = 1.0;
+            }
+            let total: f64 = xs.iter().sum();
+            xs.iter_mut().for_each(|x| *x /= total);
+            let n_active = members.iter().filter(|&&m| m).count();
+            let active = (n_active < n).then_some(&members[..]);
+            let ctx = RoundCtx { slab: &slab, active, simd };
+            let (level, s) = ctx.evaluate(&xs).expect("a member competes");
+            let x_s = xs[s];
+            let cap = feasibility_cap(n_active, x_s);
+            let edge = x_s / n_active as f64;
+            let alpha = match alpha_kind {
+                0 => cap * u,
+                1 => cap + (1.0 - cap) * u,
+                2 => edge,
+                _ => f64::from_bits(edge.to_bits() + 1),
+            };
+            let round = Pipeline { straggler: s, level, alpha, scale: None };
+            let mut partials = vec![0.0; n.div_ceil(SUM_BLOCK)];
+            ctx.pre_pass(&round, &xs, &mut partials);
+            let checked = combine_partials(&mut partials);
+            ctx.pipelined(&round, &mut xs, &mut partials);
+            let swept = combine_partials(&mut partials);
+            prop_assert_eq!(checked.to_bits(), swept.to_bits());
+            if guard_is_silent(alpha, n_active, x_s) {
+                prop_assert!(swept <= x_s, "total {:e} > x_s {:e} (α {:e})", swept, x_s, alpha);
+                let mut root = RootEngine::new(&Allocation::uniform(n), DolbieConfig::new());
+                prop_assert_eq!(root.guard_scale(x_s, swept), None);
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]

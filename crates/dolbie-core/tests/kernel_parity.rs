@@ -15,6 +15,9 @@ use dolbie_core::{
     pairwise_neumaier_sum, Allocation, Dolbie, DolbieConfig, LoadBalancer, Observation,
 };
 
+#[path = "support/guard_paths.rs"]
+mod guard_paths;
+
 fn splitmix(state: &mut u64) -> f64 {
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
     let mut z = *state;
@@ -252,27 +255,33 @@ fn fused_kernel_matches_split_engine_through_membership_epochs() {
     let cases: [(usize, [&[usize]; 3]); 2] =
         [(41, [&[3], &[3, 0], &[0]]), (1031, [&[511, 512], &[511, 512, 1030], &[1030]])];
     for (n, out) in cases {
-        membership_epochs_case(&latency_fleet(n, 29), DolbieConfig::new(), out, &format!("n {n}"));
+        let costs = latency_fleet(n, 29);
+        membership_epochs_case(&costs, DolbieConfig::new(), 90, leaving(n, out), &format!("n {n}"));
     }
 }
 
-/// Plays `costs` from the uniform split under `config` through three
-/// membership epochs (the workers in `out[k]` are outside the membership
-/// from round 20, 35 and 60 on), the split engine against the kernel in
+/// Three membership epochs over `n` workers: the workers in `out[k]` are
+/// outside the membership from round 20, 35 and 60 on.
+fn leaving(n: usize, out: [&[usize]; 3]) -> impl Fn(usize) -> Option<Vec<bool>> + '_ {
+    move |t| {
+        let k = [20, 35, 60].iter().position(|&r| r == t)?;
+        Some((0..n).map(|i| !out[k].contains(&i)).collect())
+    }
+}
+
+/// Plays `costs` from the uniform split under `config` for `rounds`
+/// rounds through the membership epochs `boundary` opens (the new
+/// membership from a round on), the split engine against the kernel in
 /// both variants, with and without per-round share reads. Returns the
 /// split engine's counters.
 fn membership_epochs_case(
     costs: &[DynCost],
     config: DolbieConfig,
-    out: [&[usize]; 3],
+    rounds: usize,
+    boundary: impl Fn(usize) -> Option<Vec<bool>>,
     label: &str,
 ) -> DolbieStats {
-    let rounds = 90;
     let n = costs.len();
-    let boundary = |t: usize| -> Option<Vec<bool>> {
-        let k = [20, 35, 60].iter().position(|&r| r == t)?;
-        Some((0..n).map(|i| !out[k].contains(&i)).collect())
-    };
 
     let mut members = vec![true; n];
     let mut split = Dolbie::with_config(Allocation::uniform(n), config);
@@ -404,34 +413,28 @@ fn pinned_straggler_ties_resolve_to_the_lowest_index_wherever_it_sits() {
     }
 }
 
-/// A guard rescale on a Σx-refresh round (round index 255): the sweep
-/// runs again with the rescaled gains, the refresh reads the shares the
-/// second sweep wrote, and the ordinary rounds after it (the guard stops
-/// firing after round 257 on this fleet) start from the folded costs of
-/// the rescaled shares. Shares are read between every pair of steps.
+/// The kernel writes each round's shares over the last, so it settles the
+/// feasibility guard before its sweep: a bound rules the guard out, or a
+/// read-only pre-pass sums the gains and fires it or not. `guard_paths`'
+/// episode takes all three paths (its rounds per path are counted by the
+/// kernel's unit tests): a guard rescale on the Σx-refresh round 255,
+/// whose refresh reads the rescaled shares, followed from round 258 by
+/// pre-passes that find the guard silent and so start from the folded
+/// costs of the rescaled shares; rounds the bound rules on while four
+/// members compete; and rescales on the first rounds after the rejoin
+/// epoch. It matches the split engine bit for bit in both variants, with
+/// and without shares read between every pair of steps.
 #[test]
-fn guard_rescale_on_a_refresh_round_matches_split_engine() {
-    let n = 1031;
-    let rounds = 300;
-    let costs = latency_fleet(n, 77);
-    let config = DolbieConfig::new().with_alpha_floor(0.00146);
-    let mut split = Dolbie::with_config(Allocation::uniform(n), config);
-    let mut fired = Vec::new();
-    for t in 0..rounds {
-        let before = split.stats().guard_activations;
-        let played = split.allocation().clone();
-        split.observe(&Observation::from_costs(t, &played, &costs));
-        fired.push(split.stats().guard_activations > before);
-    }
-    assert!(fired[255], "the guard must fire on the refresh round");
-    assert!(!fired[258] && !fired[259], "ordinary rounds must follow it");
-    let reference = run_split(Dolbie::with_config(Allocation::uniform(n), config), &costs, rounds);
-    for variant in KernelVariant::all() {
-        let slab = CostSlab::from_costs(&costs).expect("a latency slab");
-        let d = FusedDolbie::with_config(slab, Allocation::uniform(n), config);
-        let got = play_fused(d, rounds, variant, true);
-        assert_same(&got, &reference, &format!("{variant:?}"));
-    }
+fn every_guard_path_matches_split_engine() {
+    let (costs, config) = guard_paths::fleet();
+    let stats = membership_epochs_case(
+        &costs,
+        config,
+        guard_paths::ROUNDS,
+        guard_paths::epoch,
+        "guard paths",
+    );
+    assert!(stats.guard_activations > 0 && stats.guard_activations < stats.rounds, "{stats:?}");
 }
 
 /// A latency fleet whose batch, speed and comm columns come from the
@@ -512,7 +515,7 @@ fn every_slab_column_shape_matches_split_engine_through_epochs_and_rescales() {
     let out: [&[usize]; 3] = [&[511, 512], &[511, 512, 1030], &[1030]];
     for (label, costs, floor) in column_shape_fleets(n) {
         let config = DolbieConfig::new().with_alpha_floor(floor);
-        let stats = membership_epochs_case(&costs, config, out, label);
+        let stats = membership_epochs_case(&costs, config, 90, leaving(n, out), label);
         assert!(
             stats.guard_activations > 0 && stats.guard_activations < stats.rounds,
             "{label}: the guard must rescale some rounds and not others ({stats:?})"

@@ -186,7 +186,10 @@ fn merge_run(
             from = Some(snapshot);
         }
         for alt in (d.chosen + 1)..d.options {
-            let mut child: Vec<u32> = outcome.trail[..i].iter().map(|r| r.chosen).collect();
+            // Sized for `alt` up front: a collected prefix has no room
+            // left, and the push would regrow it.
+            let mut child = Vec::with_capacity(i + 1);
+            child.extend(outcome.trail[..i].iter().map(|r| r.chosen));
             child.push(alt);
             children.push(Pending { prefix: child, from: from.cloned() });
         }

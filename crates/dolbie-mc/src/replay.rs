@@ -105,14 +105,11 @@ impl DecisionRecord {
     }
 }
 
-/// The decision records an explorer run's trail is reserved for at least.
-const TRAIL_FLOOR: usize = 64;
-
-/// The decision records a [`replay()`] trail is reserved for at least: a
-/// replay hands its trail to the caller, and a trail regrown mid-run
-/// copies every record. The acceptance configurations' runs make at most
-/// 107 decisions.
-const REPLAY_TRAIL_FLOOR: usize = 128;
+/// The decision records a run's trail is reserved for at least, in
+/// [`replay()`] and in the explorer alike: a trail regrown mid-run copies
+/// every record. The acceptance configurations' runs make at most 107
+/// decisions.
+const TRAIL_FLOOR: usize = 128;
 
 /// A [`Scheduler`] that follows a decision prefix and defaults beyond
 /// it, recording the full decision trail either way, and observing state
@@ -137,21 +134,15 @@ impl<'a> ReplayScheduler<'a> {
     /// that observes nothing.)
     #[must_use]
     pub fn new(prefix: &'a [u32]) -> Self {
-        // A run makes at least its prefix's decisions; with room for
-        // twice as many (64 at least), two `mw3x3` explorer runs in three
-        // never regrow the trail.
-        Self::reserving(prefix, (2 * prefix.len()).max(TRAIL_FLOOR))
-    }
-
-    /// [`new`](Self::new) with room for `capacity` decisions.
-    fn reserving(prefix: &'a [u32], capacity: usize) -> Self {
+        // A run makes at least its prefix's decisions; room for twice as
+        // many, and for `TRAIL_FLOOR` at least.
         Self {
             prefix,
             sabotage: false,
             known: None,
             observing: true,
             pending_fp: None,
-            trail: Vec::with_capacity(capacity),
+            trail: Vec::with_capacity((2 * prefix.len()).max(TRAIL_FLOOR)),
         }
     }
 
@@ -440,9 +431,7 @@ pub(crate) struct ExplorerRun {
 /// otherwise the same choice for choice.
 #[must_use]
 pub fn replay(config: &McConfig, prefix: &[u32]) -> RunOutcome {
-    let capacity = (2 * prefix.len()).max(REPLAY_TRAIL_FLOOR);
-    let sched =
-        ReplayScheduler { observing: false, ..ReplayScheduler::reserving(prefix, capacity) };
+    let sched = ReplayScheduler { observing: false, ..ReplayScheduler::new(prefix) };
     run(config, sched, || fresh_world(config)).outcome
 }
 

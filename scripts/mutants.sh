@@ -8,9 +8,9 @@
 #     bash scripts/mutants.sh --check              # every original text present once
 #     bash scripts/mutants.sh [--out FILE] [--label L] [--workdir DIR]
 #
-# A full run takes tens of minutes (each mutant rebuilds dolbie-net,
-# dolbie-mc and paper_figures in debug and runs the tests its entry
-# names), so it is not a tier-1 step; tier-1 runs --check. The unmutated copy runs first, as
+# A full run takes tens of minutes (each mutant rebuilds dolbie-core's
+# tests, dolbie-net, dolbie-mc and paper_figures in debug and runs the
+# tests its entry names), so it is not a tier-1 step; tier-1 runs --check. The unmutated copy runs first, as
 # the `none` row, and every binary must pass there. The `failed` column
 # names the failing tests, or for chaos_net the failing cases, `[loss]`
 # marking a case with worker or backbone loss; `label` tells runs of
@@ -106,7 +106,7 @@ cd "$workdir/src"
 log=$workdir/log.txt
 
 build() {
-    cargo build -q -p dolbie-net -p dolbie-mc --tests &&
+    cargo build -q -p dolbie-core -p dolbie-net -p dolbie-mc --tests &&
         cargo build -q -p dolbie-bench --bin paper_figures
 }
 
@@ -115,6 +115,9 @@ run_binary() {
     local code=0
     verdict= failed=
     case $1 in
+        core-lib) timeout $budget cargo test -p dolbie-core --lib >"$log" 2>&1 || code=$? ;;
+        kernel_parity)
+            timeout $budget cargo test -p dolbie-core --test kernel_parity >"$log" 2>&1 || code=$? ;;
         net-lib) timeout $budget cargo test -p dolbie-net --lib >"$log" 2>&1 || code=$? ;;
         shard_parity | shard_crash)
             timeout $budget cargo test -p dolbie-net --test "$1" >"$log" 2>&1 || code=$? ;;
